@@ -12,6 +12,9 @@ Records, in the benchmark JSON (``extra_info``):
 * the failure-path gap: a genuine communication mismatch costs the threaded
   backend its full receive timeout, while the event engine detects the
   deadlock structurally in microseconds,
+* the host work the coroutine engine does *not* repeat: tournament merges
+  evaluated per panel on the event engine (every rank's own, ``Pr log2 Pr``)
+  over those on the coroutine engine (the ``Pr - 1`` distinct ones),
 * the largest process counts exercised: P = 888 (the paper's largest machine)
   on the event engine, P = 4096 TSLU and a full P = 2048 PDGESV solve on the
   coroutine engine.
@@ -37,7 +40,7 @@ from repro.distsim import (
 )
 from repro.layouts.grid import ProcessGrid
 from repro.machines import unit_machine
-from repro.parallel import ptslu
+from repro.parallel import pcalu, ptslu
 from repro.parallel.psolve import pdgesv
 from repro.randmat import randn, tall_skinny
 
@@ -190,6 +193,55 @@ def test_bench_engine_coroutine_collectives_p512(benchmark):
     print(f"\nP={P} collective rounds: coroutine {coroutine_seconds:.3f}s, "
           f"threaded {threaded_seconds:.3f}s, speedup {speedup:.2f}x")
     assert speedup >= 5.0
+
+
+def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
+    """Host merge evaluations per panel at Pr = 16, b = 16: the event engine
+    runs every rank's redundant merge (Pr log2 Pr = 64), the coroutine engine
+    each distinct one (Pr - 1 = 15) while charging all ranks the same.  A
+    count ratio, so machine-independent: at least 4x."""
+    import importlib
+
+    ptslu_module = importlib.import_module("repro.parallel.ptslu")
+    merges = []
+    original = ptslu_module._merge_pairs
+
+    def counting(pairs, b, selector):
+        merges.append(len(pairs))
+        return original(pairs, b, selector)
+
+    monkeypatch.setattr(ptslu_module, "_merge_pairs", counting)
+    Pr, Pc, n, b = 16, 2, 256, 16
+    A = randn(n, seed=4)
+    grid = ProcessGrid(Pr, Pc)
+    panels = n // b
+
+    def factor(engine):
+        del merges[:]
+        res = pcalu(A, grid, block_size=b, machine=unit_machine(), engine=engine)
+        return res, sum(merges) / panels
+
+    res_coro, coroutine_merges = benchmark.pedantic(
+        factor, args=("coroutine",), rounds=3, iterations=1
+    )
+    res_event, event_merges = factor("event")
+    assert coroutine_merges == Pr - 1
+    assert np.array_equal(res_coro.L, res_event.L)
+    assert np.array_equal(res_coro.U, res_event.U)
+    assert [r.clock for r in res_coro.trace.ranks] == [
+        r.clock for r in res_event.trace.ranks
+    ]
+    assert [r.flops for r in res_coro.trace.ranks] == [
+        r.flops for r in res_event.trace.ranks
+    ]
+
+    ratio = event_merges / coroutine_merges
+    benchmark.extra_info["Pr"] = Pr
+    benchmark.extra_info["b"] = b
+    benchmark.extra_info["event_merges_per_panel"] = event_merges
+    benchmark.extra_info["coroutine_merges_per_panel"] = coroutine_merges
+    benchmark.extra_info["event_over_coroutine_merges_per_panel"] = ratio
+    assert ratio >= 4.0
 
 
 def test_bench_engine_coroutine_tslu_p4096(benchmark):

@@ -295,80 +295,42 @@ def _reduce_selected(
     raise ValueError(f"unknown tournament schedule {schedule!r}")
 
 
-def _merge_round(
-    pairs: List[Tuple[CandidateSet, CandidateSet]],
-    b: int,
-    flops: Optional[FlopCounter],
-    batched: bool,
-) -> Tuple[List[CandidateSet], Optional[np.ndarray]]:
-    """Merge one reduction round's pairs; returns (winners, U of last pair).
+def merge_pairs(
+    pairs: Sequence[Tuple[CandidateSet, CandidateSet]], b: int
+) -> Tuple[List[CandidateSet], List[FlopCounter], List[np.ndarray]]:
+    """Merge independent candidate pairs, same-shape ones in one batched LU.
 
-    With ``batched=True``:
-
-    * all pairs whose stacked blocks share a shape are factored in a single
-      :func:`~repro.kernels.batched.getf2_batched` call — the arithmetic,
-      pivot choices and flop charges are bit-identical to the sequential
-      ``merge_candidates`` loop, only the Python-loop overhead of ``P/2``
-      separate ``getf2`` calls is gone;
-    * repeated pairs — every butterfly level merges each ``(lo, hi)`` pair
-      once per participant, which is the redundant computation the paper
-      trades for fewer messages — are factored once and their (bit-identical)
-      result replicated, while the flop ledger is still charged once per
-      logical merge, so the accounted arithmetic matches the sequential
-      schedule exactly.
-
-    Odd-shaped pairs (short blocks at the panel fringe) fall back to the
-    sequential merge.  With ``batched=False`` this is exactly the seed's
-    sequential merge loop.
-
-    The rrqr selector's ``_reduce_selected`` mirrors this round's scheduling
-    conventions (pairing order, padding, per-logical-merge flop charging)
-    without sharing code — keep the two in sync when changing either.
+    Per pair, returns the winner, the flops of its merge and the leading rows
+    of its stacked factorization (``np.triu`` of them is the pair's ``U``).
+    Pairs whose stacked blocks share a shape are factored in a single
+    :func:`~repro.kernels.batched.getf2_batched` call — the arithmetic, pivot
+    choices and flop counts are bit-identical to a :func:`merge_candidates`
+    loop, only the Python-loop overhead of separate ``getf2`` calls is gone.
+    Odd-shaped pairs (short blocks at the panel fringe) use that loop.
     """
     n_pairs = len(pairs)
-    if not batched:
-        out: List[CandidateSet] = []
-        U = None
-        for a, c in pairs:
-            w, U = merge_candidates(a, c, b, flops=flops)
-            out.append(w)
-        return out, U
-
     merged: List[Optional[CandidateSet]] = [None] * n_pairs
-    # Deduplicate repeated pairs by object identity (butterfly levels build
-    # each unordered pair twice, and padded replicas share objects too).
-    rep: dict = {}
-    dup_of = [rep.setdefault((id(a), id(c)), i) for i, (a, c) in enumerate(pairs)]
-    uniq = [i for i in range(n_pairs) if dup_of[i] == i]
-
-    counters: dict = {}  # unique idx -> FlopCounter of that merge
-    packed_lu: dict = {}  # unique idx -> packed lu (batched path)
-    direct_U: dict = {}  # unique idx -> triu U (sequential path)
-    shapes: dict = {}  # unique idx -> stacked shape
+    counters: List[Optional[FlopCounter]] = [None] * n_pairs
+    factors: List[Optional[np.ndarray]] = [None] * n_pairs
     groups: dict = {}
-    for i in uniq:
-        a, c = pairs[i]
+    for i, (a, c) in enumerate(pairs):
         shape = (a.block.shape[0] + c.block.shape[0], a.block.shape[1])
-        shapes[i] = shape
         groups.setdefault(shape, []).append(i)
 
     for (mrows, ncols), idxs in groups.items():
         if len(idxs) < 2 or mrows == 0 or ncols == 0:
             for i in idxs:
-                cnt = FlopCounter()
-                merged[i], direct_U[i] = merge_candidates(
-                    pairs[i][0], pairs[i][1], b, flops=cnt
+                counters[i] = FlopCounter()
+                merged[i], factors[i] = merge_candidates(
+                    pairs[i][0], pairs[i][1], b, flops=counters[i]
                 )
-                counters[i] = cnt
-                if flops is not None:
-                    flops.merge(cnt)
             continue
         stack = np.empty((len(idxs), mrows, ncols), dtype=np.float64)
         for s, i in enumerate(idxs):
             a, c = pairs[i]
             stack[s, : a.block.shape[0]] = a.block
             stack[s, a.block.shape[0] :] = c.block
-        res = getf2_batched(stack, flops=flops, overwrite=False)
+        res = getf2_batched(stack, overwrite=False)
         slab_counts = slab_flop_counters(mrows, ncols, res.zero_columns)
         k = min(b, mrows)
         for s, i in enumerate(idxs):
@@ -377,24 +339,57 @@ def _merge_round(
             chosen = res.perm[s][:k]
             merged[i] = CandidateSet(rows=all_rows[chosen], block=stack[s][chosen, :])
             counters[i] = slab_counts[s]
-            packed_lu[i] = res.lu[s]
+            factors[i] = res.lu[s][: min(mrows, ncols), :]
+    return merged, counters, factors
 
-    for i in range(n_pairs):
-        j = dup_of[i]
-        if j != i:
-            merged[i] = merged[j]  # bit-identical by construction; share it
-            if flops is not None:
-                flops.merge(counters[j])
 
-    if n_pairs == 0:
+def _merge_round(
+    pairs: List[Tuple[CandidateSet, CandidateSet]],
+    b: int,
+    flops: Optional[FlopCounter],
+    batched: bool,
+) -> Tuple[List[CandidateSet], Optional[np.ndarray]]:
+    """Merge one reduction round's pairs; returns (winners, U of last pair).
+
+    With ``batched=True`` the round goes through :func:`merge_pairs`, and
+    repeated pairs — every butterfly level merges each ``(lo, hi)`` pair once
+    per participant, which is the redundant computation the paper trades for
+    fewer messages — are factored once and their (bit-identical) result
+    replicated, while the flop ledger is still charged once per logical
+    merge, so the accounted arithmetic matches the sequential schedule
+    exactly.  With ``batched=False`` this is exactly the seed's sequential
+    merge loop.
+
+    The rrqr selector's ``_reduce_selected`` mirrors this round's scheduling
+    conventions (pairing order, padding, per-logical-merge flop charging)
+    without sharing code — keep the two in sync when changing either.
+    """
+    if not batched:
+        out: List[CandidateSet] = []
+        U = None
+        for a, c in pairs:
+            w, U = merge_candidates(a, c, b, flops=flops)
+            out.append(w)
+        return out, U
+    if not pairs:
         return [], None
-    last = dup_of[n_pairs - 1]
-    if last in direct_U:
-        U = direct_U[last]
-    else:
-        mrows, ncols = shapes[last]
-        U = np.triu(packed_lu[last][: min(mrows, ncols), :])
-    return merged, U
+
+    # Deduplicate repeated pairs by object identity (butterfly levels build
+    # each unordered pair twice, and padded replicas share objects too).
+    first: dict = {}
+    uniq: List[Tuple[CandidateSet, CandidateSet]] = []
+    slot = []
+    for a, c in pairs:
+        key = (id(a), id(c))
+        if key not in first:
+            first[key] = len(uniq)
+            uniq.append((a, c))
+        slot.append(first[key])
+    merged, counters, factors = merge_pairs(uniq, b)
+    if flops is not None:
+        for j in slot:
+            flops.merge(counters[j])
+    return [merged[j] for j in slot], np.triu(factors[slot[-1]])
 
 
 def tournament_pivoting(

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from .engine.base import CollectiveRequest, spmd_program
+from .engine.base import CollectiveRequest, RedundantOp, spmd_program
 from .vmpi import Communicator
 
 
@@ -212,12 +212,17 @@ def allreduce(
     For non-power-of-two groups the routine folds the excess ranks into the
     nearest power of two first (one extra step), as standard MPI
     implementations do.
+
+    With a :class:`~repro.distsim.engine.base.RedundantOp` every rank gets
+    ``op.finish(reduced)``, charged to it.  Here each rank evaluates its own
+    applications; the group-level evaluation computes each distinct one once.
     """
     group = _norm_group(comm, group)
     p = len(group)
     me = _position(comm, group)
+    redundant = isinstance(op, RedundantOp)
     if p == 1:
-        return value
+        return op.finish_charged(value) if redundant else value
     if comm.group_collectives:
         return (
             yield CollectiveRequest(
@@ -263,7 +268,7 @@ def allreduce(
         comm.send(group[me + pow2], acc, tag=(tag, "unfold"), channel=channel)
     elif me >= pow2:
         acc = yield from comm.co_recv(group[me - pow2], tag=(tag, "unfold"))
-    return acc
+    return op.finish_charged(acc) if redundant else acc
 
 
 @spmd_program

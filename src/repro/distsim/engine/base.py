@@ -147,6 +147,60 @@ class CollectiveRequest:
     channel: str
 
 
+class RedundantOp:
+    """All-reduce operator in pure form: operands in, value and flop count out.
+
+    After the butterfly round with step ``k`` every rank of an aligned block
+    of ``2k`` positions holds the same value, so the ranks of a block apply
+    the operator *redundantly* to the same two operands — the arithmetic TSLU
+    trades for fewer messages.  That redundancy belongs to the simulated
+    machine, not to the host: an operator written in this form lets an engine
+    that evaluates collectives centrally compute each distinct application
+    once and charge the returned :class:`FlopCounter` to every rank that
+    would have performed it, so ledgers and clocks are unchanged.
+
+    Subclasses implement :meth:`combine` and may override :meth:`finish`;
+    neither may modify its operands, and what they return is shared between
+    ranks.  Calling the operator — what the point-to-point all-reduce does —
+    evaluates one application and charges the calling rank.
+    """
+
+    def __init__(self, comm: "Communicator") -> None:
+        self.comm = comm
+
+    def combine(self, pairs: Sequence[Tuple[Any, Any]]) -> List[Tuple[Any, FlopCounter]]:
+        """Apply the operator to independent ``(x, y)`` operand pairs.
+
+        Returns one ``(op(x, y), flops of that application)`` per pair.
+        """
+        raise NotImplementedError
+
+    def finish(self, value: Any) -> Tuple[Any, Optional[FlopCounter]]:
+        """Rank-redundant epilogue applied to the all-reduced value.
+
+        An all-reduce with a redundant operator returns ``finish(reduced)``
+        on every rank and charges each the returned flops (``None``: nothing
+        to charge).  The default is the identity.
+        """
+        return value, None
+
+    def charge(self, flops: Optional[FlopCounter]) -> None:
+        """Charge this operator's rank with ``flops``, leaving the counter intact."""
+        if flops is not None:
+            self.comm.charge_flops(flops.muladds, flops.divides, flops.comparisons)
+
+    def finish_charged(self, value: Any) -> Any:
+        """:meth:`finish` on this rank alone, charged to it."""
+        result, flops = self.finish(value)
+        self.charge(flops)
+        return result
+
+    def __call__(self, x: Any, y: Any) -> Any:
+        ((value, flops),) = self.combine([(x, y)])
+        self.charge(flops)
+        return value
+
+
 def _calibrate_fresh_refcount() -> int:
     """Reference count observed for a payload that is a pure temporary.
 

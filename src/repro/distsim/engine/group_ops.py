@@ -24,6 +24,12 @@ from ``collectives.py`` and ``Communicator.send``/``recv`` exactly:
   the exact association order of the tree: ``op(other, own)`` for reduce and
   the fold, ``op(other, acc) if partner < me else op(acc, other)`` in the
   butterfly;
+* an all-reduce whose operators are all
+  :class:`~repro.distsim.engine.base.RedundantOp` evaluates each *distinct*
+  application once — ``P - 1`` per all-reduce where the ranks perform
+  ``P log2 P`` — and charges the returned flop count to every rank that
+  would have computed it, at the point in its sequence where it would have;
+* a broadcast sizes its payload once, not once per edge that carries it;
 * top-level ndarray payloads are copied per edge (what ``send`` does
   defensively); tuples/dicts are shared by reference, as point-to-point
   delivery shares them.  Collective payloads are always name-bound at their
@@ -38,11 +44,11 @@ engine run figure-scale sweeps at ``P`` in the thousands.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .base import Communicator, payload_words
+from .base import Communicator, RedundantOp, payload_words
 
 
 def _ship(payload: Any) -> Any:
@@ -70,13 +76,12 @@ class _Edge:
         self.alpha = comm.machine.latency(channel)
         self.beta = comm.machine.inv_bandwidth(channel)
 
-    def charge_send(self, payload: Any, channel: str) -> Tuple[float, float]:
-        """Record one send and return ``(words, available_at)``."""
-        words = payload_words(payload)
+    def charge_send(self, words: float, channel: str) -> float:
+        """Record one send of ``words`` words and return its ``available_at``."""
         trace = self.trace
         trace.record_send(words, channel)
         trace.clock += self.alpha + words * self.beta
-        return words, trace.clock
+        return trace.clock
 
     def charge_recv(self, words: float, available_at: float) -> None:
         """Record one receive and max-sync the clock."""
@@ -97,14 +102,13 @@ def _eval_broadcast(
     by_v = [edges[(v + rootpos) % p] for v in range(p)]
     data: List[Any] = [None] * p  # indexed by virtual rank
     data[0] = values[rootpos]
+    words = payload_words(data[0])  # every edge carries the root's value
     k = 1
     while k < p:
-        for v in range(min(k, p)):
-            if v + k < p:
-                payload = _ship(data[v])
-                words, avail = by_v[v].charge_send(data[v], channel)
-                by_v[v + k].charge_recv(words, avail)
-                data[v + k] = payload
+        for v in range(min(k, p - k)):
+            avail = by_v[v].charge_send(words, channel)
+            by_v[v + k].charge_recv(words, avail)
+            data[v + k] = _ship(data[v])
         k *= 2
     return [data[(pos - rootpos) % p] for pos in range(p)]
 
@@ -127,10 +131,10 @@ def _eval_reduce(
         # folds the contribution in with its own submitted operator.
         for v in range(k, p, 2 * k):
             dest = v - k
-            payload = _ship(acc[v])
-            words, avail = by_v[v].charge_send(acc[v], channel)
+            words = payload_words(acc[v])
+            avail = by_v[v].charge_send(words, channel)
             by_v[dest].charge_recv(words, avail)
-            acc[dest] = ops_v[dest](payload, acc[dest])
+            acc[dest] = ops_v[dest](_ship(acc[v]), acc[dest])
         k *= 2
     return [acc[0] if pos == rootpos else None for pos in range(p)]
 
@@ -147,46 +151,67 @@ def _eval_allreduce(
     while pow2 * 2 <= p:
         pow2 *= 2
     rem = p - pow2
+    # Redundant operators are interchangeable, so one of them evaluates every
+    # distinct application; each rank's own operator still charges its rank.
+    shared = ops[0] if all(isinstance(op, RedundantOp) for op in ops) else None
 
     acc: List[Any] = list(values)
     # Fold the excess ranks onto their partners below the power-of-two line.
     for me in range(pow2, p):
-        dest = me - pow2
-        payload = _ship(acc[me])
-        words, avail = edges[me].charge_send(acc[me], channel)
-        edges[dest].charge_recv(words, avail)
-        acc[dest] = ops[dest](payload, acc[dest])
+        words = payload_words(acc[me])
+        avail = edges[me].charge_send(words, channel)
+        edges[me - pow2].charge_recv(words, avail)
+    if shared is None:
+        for dest in range(rem):
+            acc[dest] = ops[dest](_ship(acc[dest + pow2]), acc[dest])
+    elif rem:
+        folded = shared.combine([(acc[dest + pow2], acc[dest]) for dest in range(rem)])
+        for dest, (value, flops) in enumerate(folded):
+            ops[dest].charge(flops)
+            acc[dest] = value
 
     k = 1
     while k < pow2:
         # sendrecv semantics: every rank's send (and hence its partner's
         # available_at) precedes every receive and operator of this round.
-        payloads: List[Any] = [None] * pow2
-        words_sent: List[float] = [0.0] * pow2
-        avails: List[float] = [0.0] * pow2
-        for me in range(pow2):
-            payloads[me] = _ship(acc[me])
-            words_sent[me], avails[me] = edges[me].charge_send(acc[me], channel)
+        words_sent = [payload_words(acc[me]) for me in range(pow2)]
+        avails = [edges[me].charge_send(words_sent[me], channel) for me in range(pow2)]
         for me in range(pow2):
             partner = me ^ k
             edges[me].charge_recv(words_sent[partner], avails[partner])
-        nxt: List[Any] = [None] * pow2
-        for me in range(pow2):
-            partner = me ^ k
-            other = payloads[partner]
-            # Deterministic association order: lower position's contribution
-            # first, exactly as the point-to-point butterfly applies it.
-            nxt[me] = ops[me](other, acc[me]) if partner < me else ops[me](acc[me], other)
-        acc[:pow2] = nxt
+        # Deterministic association order: lower position's contribution
+        # first, exactly as the point-to-point butterfly applies it.
+        if shared is None:
+            payloads = [_ship(acc[me]) for me in range(pow2)]
+            acc[:pow2] = [
+                ops[me](payloads[me ^ k], acc[me])
+                if me ^ k < me
+                else ops[me](acc[me], payloads[me ^ k])
+                for me in range(pow2)
+            ]
+        else:
+            # The 2k positions of an aligned block all apply the operator to
+            # (value of the lower half, value of the upper half).
+            bases = range(0, pow2, 2 * k)
+            merged = shared.combine([(acc[base], acc[base + k]) for base in bases])
+            for base, (value, flops) in zip(bases, merged):
+                for me in range(base, base + 2 * k):
+                    ops[me].charge(flops)
+                    acc[me] = value
         k *= 2
 
     # Un-fold: ship the finished result back up across the line.
     for me in range(rem):
-        dest = me + pow2
-        payload = _ship(acc[me])
-        words, avail = edges[me].charge_send(acc[me], channel)
-        edges[dest].charge_recv(words, avail)
-        acc[dest] = payload
+        words = payload_words(acc[me])
+        avail = edges[me].charge_send(words, channel)
+        edges[me + pow2].charge_recv(words, avail)
+        acc[me + pow2] = _ship(acc[me])
+
+    if shared is not None:
+        result, flops = shared.finish(acc[0])
+        for op in ops:
+            op.charge(flops)
+        return [result] * p
     return acc
 
 
@@ -203,10 +228,10 @@ def _eval_scatter(
     for pos in range(p):
         if pos == rootpos:
             continue
-        payload = _ship(root_values[pos])
-        words, avail = root.charge_send(root_values[pos], channel)
+        words = payload_words(root_values[pos])
+        avail = root.charge_send(words, channel)
         edges[pos].charge_recv(words, avail)
-        results[pos] = payload
+        results[pos] = _ship(root_values[pos])
     results[rootpos] = root_values[rootpos]
     return results
 

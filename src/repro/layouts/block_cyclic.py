@@ -87,6 +87,24 @@ class BlockCyclic2D:
         blk = j // self.block
         return int((blk // self.grid.npcol) * self.block + j % self.block)
 
+    def block_local_rows(self, i0: int, ib: int) -> np.ndarray:
+        """Local indices of global rows ``i0 .. i0+ib-1``, all of one block row.
+
+        Rows of one block are adjacent on their owning grid row, so this is
+        ``global_to_local_row`` of each row in closed form.
+        """
+        if ib > 0 and i0 // self.block != (i0 + ib - 1) // self.block:
+            raise ValueError(f"rows {i0}..{i0 + ib - 1} span more than one block")
+        start = self.global_to_local_row(i0)
+        return np.arange(start, start + ib, dtype=np.int64)
+
+    def block_local_cols(self, j0: int, jb: int) -> np.ndarray:
+        """Local indices of global columns ``j0 .. j0+jb-1``, all of one block column."""
+        if jb > 0 and j0 // self.block != (j0 + jb - 1) // self.block:
+            raise ValueError(f"columns {j0}..{j0 + jb - 1} span more than one block")
+        start = self.global_to_local_col(j0)
+        return np.arange(start, start + jb, dtype=np.int64)
+
     def local_to_global_row(self, grid_row: int, li: int) -> int:
         """Global row index of local row ``li`` on grid row ``grid_row``."""
         blk = li // self.block

@@ -119,10 +119,7 @@ class MatmulBackend:
         # ------------------------------ U12 block-row (grid row prow_owner)
         u12_local = None
         if myrow == prow_owner and trail_lcols.size:
-            diag_lrows = np.asarray(
-                [dist.global_to_local_row(g) for g in range(j0, j0 + jb)],
-                dtype=np.int64,
-            )
+            diag_lrows = dist.block_local_rows(j0, jb)
             u12_local = pdtrsm_block_row(comm, L11, Aloc, diag_lrows, trail_lcols)
 
         # --------------------------------- broadcast U12 down grid columns

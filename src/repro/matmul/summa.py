@@ -61,11 +61,7 @@ def summa_rank(
 
         # ---------------------- broadcast the A panel along process rows
         if mycol == owner_col:
-            lcols = np.asarray(
-                [dA.global_to_local_col(g) for g in range(j0, j0 + jb)],
-                dtype=np.int64,
-            )
-            Apanel = np.ascontiguousarray(Aloc[:, lcols])
+            Apanel = np.ascontiguousarray(Aloc[:, dA.block_local_cols(j0, jb)])
         else:
             Apanel = None
         Apanel = yield from broadcast.co(
@@ -79,11 +75,7 @@ def summa_rank(
 
         # ------------------- broadcast the B panel down process columns
         if myrow == owner_row:
-            lrows = np.asarray(
-                [dB.global_to_local_row(g) for g in range(j0, j0 + jb)],
-                dtype=np.int64,
-            )
-            Bpanel = np.ascontiguousarray(Bloc[lrows, :])
+            Bpanel = np.ascontiguousarray(Bloc[dB.block_local_rows(j0, jb), :])
         else:
             Bpanel = None
         Bpanel = yield from broadcast.co(

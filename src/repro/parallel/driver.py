@@ -105,32 +105,21 @@ def block_right_looking_rank(
         jb = min(b, k - j0)
         pcol_owner = (j0 // b) % grid.npcol  # grid column owning block-column j
         prow_owner = (j0 // b) % grid.nprow  # grid row owning block-row j
-        col_group = grid.column_ranks(pcol_owner)
-        row_group = grid.row_ranks(myrow)
 
-        panel_lcols = np.asarray(
-            [dist.global_to_local_col(g) for g in range(j0, j0 + jb)], dtype=np.int64
-        )
-        act_mask = my_grows >= j0
-        act_grows = my_grows[act_mask]
-        act_lrows = np.nonzero(act_mask)[0]
-
-        # ------------------------------------------------ 1. panel factorization
-        swaps: Optional[List[Tuple[int, int]]] = None
+        # ------- 1. panel factorization, on the grid column owning the panel
+        payload = None
         if mycol == pcol_owner:
             swaps = yield from panel_fn(
-                comm, dist, Aloc, j0, jb, col_group, tag=("panel", j0)
+                comm, dist, Aloc, j0, jb, grid.column_ranks(pcol_owner), tag=("panel", j0)
             )
-
-        # ----------------------- 2. broadcast swaps + packed panel along rows
-        if mycol == pcol_owner:
+            act_lrows = np.nonzero(my_grows >= j0)[0]
             payload = {
                 "swaps": swaps,
-                "rows": act_grows,
-                "panel": Aloc[np.ix_(act_lrows, panel_lcols)],
+                "rows": my_grows[act_lrows],
+                "panel": Aloc[np.ix_(act_lrows, dist.block_local_cols(j0, jb))],
             }
-        else:
-            payload = None
+
+        # ----------------------- 2. broadcast swaps + packed panel along rows
         payload = yield from backend.share_panel(
             comm, grid, myrow, pcol_owner, payload, j0
         )
@@ -140,10 +129,7 @@ def block_right_looking_rank(
         all_swaps.extend(swaps)
 
         # --------------------------- 3. apply the swaps outside the panel columns
-        non_panel_lcols = np.asarray(
-            [lc for lc, g in enumerate(my_gcols) if not (j0 <= g < j0 + jb)],
-            dtype=np.int64,
-        )
+        non_panel_lcols = np.nonzero((my_gcols < j0) | (my_gcols >= j0 + jb))[0]
         yield from pdlaswp.co(
             comm,
             dist,

@@ -69,9 +69,7 @@ def make_calu_panel(
         act_mask = my_grows >= j0
         act_grows = my_grows[act_mask]
         act_lrows = np.nonzero(act_mask)[0]
-        panel_lcols = np.asarray(
-            [dist.global_to_local_col(g) for g in range(j0, j0 + jb)], dtype=np.int64
-        )
+        panel_lcols = dist.block_local_cols(j0, jb)
         local_panel = Aloc[np.ix_(act_lrows, panel_lcols)]
 
         # Tournament pivoting over the grid column (log2 Pr messages).
@@ -111,11 +109,11 @@ def make_calu_panel(
             packed = np.array(L_loc[:, :jb]) if L_loc.shape[1] >= jb else np.pad(
                 L_loc, ((0, 0), (0, jb - L_loc.shape[1]))
             )
-            for i, g in enumerate(act_grows):
-                if j0 <= g < j0 + jb:
-                    idx = g - j0
-                    # Diagonal-block row: strictly-lower part is L, the rest is U.
-                    packed[i, idx:] = U[idx, idx:jb] if idx < U.shape[0] else 0.0
+            # Diagonal-block rows (the leading active rows, which ascend from
+            # j0): strictly-lower part is L, the rest is U.
+            for i in range(int(np.searchsorted(act_grows, j0 + jb))):
+                idx = int(act_grows[i]) - j0
+                packed[i, idx:] = U[idx, idx:jb] if idx < U.shape[0] else 0.0
             Aloc[np.ix_(act_lrows, panel_lcols)] = packed
         return swaps
 

@@ -30,16 +30,17 @@ from ..core.tournament import (
     CandidateSet,
     local_candidates,
     local_candidates_rrqr,
-    merge_candidates,
     merge_candidates_rrqr,
+    merge_pairs,
 )
 from ..distsim.collectives import allreduce, broadcast
 from ..distsim.engine import ExecutionEngine
-from ..distsim.engine.base import spmd_program
+from ..distsim.engine.base import RedundantOp, spmd_program
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.batched import getf2_batched, slab_flop_counters
 from ..kernels.flops import FlopCounter
+from ..kernels.getf2 import getf2, getf2_nopivot
 from ..kernels.tiers import resolve_tier
 from ..kernels.trsm import trsm_right_upper
 from ..layouts.block1d import Block1D, BlockCyclic1D
@@ -72,42 +73,80 @@ class PTSLUResult:
     trace: RunTrace
 
 
-def _tournament_allreduce(
-    comm: Communicator,
-    candidate: CandidateSet,
-    b: int,
-    group: Sequence[int],
-    channel: str = "col",
-    tag: str = "tslu",
-    selector: str = "getf2",
-):
-    """Butterfly all-reduction whose operator is the pivot tournament merge.
+def _shared(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Mark arrays that several ranks will hold as read-only.
 
-    Every rank of ``group`` ends up with the same winning candidate set.  The
-    merge arithmetic is charged to the calling rank (this is the redundant
-    computation the paper trades for fewer messages).  The payload exchanged
-    at each level is the pair (row indices, candidate block) — ``b + b^2``
-    words, as in the real algorithm.  ``selector`` picks the merge operator:
-    partial-pivoting rows (``"getf2"``, CALU) or strong-RRQR rows
-    (``"rrqr"``, CALU_PRRP) — the communication pattern is identical.
+    An in-place edit by one rank then raises instead of silently corrupting
+    the other ranks' copies of the value.
     """
-    scratch = FlopCounter()
-    merge_fn = merge_candidates_rrqr if selector == "rrqr" else merge_candidates
+    for arr in arrays:
+        arr.setflags(write=False)
+    return arrays
 
-    def op(x: Tuple[np.ndarray, np.ndarray], y: Tuple[np.ndarray, np.ndarray]):
-        merged, _ = merge_fn(
-            CandidateSet(rows=x[0], block=x[1]),
-            CandidateSet(rows=y[0], block=y[1]),
-            b,
-            flops=scratch,
-        )
-        comm.charge_counter(scratch)
-        return (merged.rows, merged.block)
 
-    rows, block = yield from allreduce.co(
-        comm, (candidate.rows, candidate.block), op, group=group, tag=tag, channel=channel
-    )
-    return CandidateSet(rows=rows, block=block)
+def _merge_pairs(
+    pairs: Sequence[Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]],
+    b: int,
+    selector: str,
+) -> List[Tuple[Tuple[np.ndarray, np.ndarray], FlopCounter]]:
+    """Tournament merges of independent ``(rows, block)`` operand pairs.
+
+    Every merge the host evaluates passes through here, whichever engine
+    runs the ranks.  ``getf2`` merges of one round share a batched LU.
+    """
+    sets = [
+        (CandidateSet(rows=x[0], block=x[1]), CandidateSet(rows=y[0], block=y[1]))
+        for x, y in pairs
+    ]
+    if selector == "rrqr":
+        winners, counters = [], []
+        for a, c in sets:
+            counters.append(FlopCounter())
+            winners.append(merge_candidates_rrqr(a, c, b, flops=counters[-1])[0])
+    else:
+        winners, counters, _ = merge_pairs(sets, b)
+    return [(_shared(w.rows, w.block), cnt) for w, cnt in zip(winners, counters)]
+
+
+def _eliminate_winners(
+    rows: np.ndarray, block: np.ndarray, b: int, selector: str
+) -> Tuple[Tuple[np.ndarray, np.ndarray], FlopCounter]:
+    """Second phase of ca-pivoting: factor the winning block *without* pivoting.
+
+    Returns ``(winner rows in elimination order, packed LU of their block)``
+    and the flops.  The RRQR selection order is not an elimination order, so
+    CALU_PRRP first re-orders the winners by a (redundant, deterministic,
+    local) partial pivoting of the winner block.
+    """
+    flops = FlopCounter()
+    k = min(b, rows.shape[0])
+    if selector == "rrqr":
+        res = getf2(block[:k, :], flops=flops, kernel_tier="reference")
+        rows, packed = rows[:k][res.perm[:k]], res.lu[:k, :]
+    else:
+        rows, packed = rows[:k], getf2_nopivot(block[:k, :], flops=flops)
+    return _shared(rows, packed), flops
+
+
+class _TournamentOp(RedundantOp):
+    """The pivot tournament as an all-reduce operator.
+
+    ``combine`` merges candidate sets; ``finish`` eliminates the winning
+    block.  Every rank of the butterfly performs both redundantly — the
+    computation the paper trades for fewer messages — which the host need
+    not repeat (see :class:`~repro.distsim.engine.base.RedundantOp`).
+    """
+
+    def __init__(self, comm: Communicator, b: int, selector: str) -> None:
+        super().__init__(comm)
+        self.b = b
+        self.selector = selector
+
+    def combine(self, pairs):
+        return _merge_pairs(pairs, self.b, self.selector)
+
+    def finish(self, value):
+        return _eliminate_winners(value[0], value[1], self.b, self.selector)
 
 
 @spmd_program
@@ -198,33 +237,20 @@ def ptslu_rank(
         )
         comm.charge_counter(scratch)
 
-    if len(group) > 1:
-        winner = yield from _tournament_allreduce(
-            comm, candidate, b, group, channel=channel, tag=tag, selector=selector
-        )
-    else:
-        winner = candidate
-
-    # Second phase of ca-pivoting: factor the winning b x b block *without*
-    # pivoting (performed redundantly by every participant, which is exactly
-    # the redundant arithmetic the paper trades for fewer messages).  The
-    # RRQR selection order is not an elimination order, so CALU_PRRP first
-    # re-orders the winners by a (redundant, deterministic, local) partial
-    # pivoting of the winner block.
-    from ..kernels.getf2 import getf2, getf2_nopivot
-
-    k = min(b, winner.rows.shape[0])
-    if selector == "rrqr":
-        res = getf2(winner.block[:k, :], flops=scratch, kernel_tier="reference")
-        order = res.perm[:k]
-        winner = CandidateSet(
-            rows=np.concatenate([winner.rows[:k][order], winner.rows[k:]]),
-            block=np.vstack([winner.block[:k][order], winner.block[k:]]),
-        )
-        packed = res.lu[:k, :]
-    else:
-        packed = getf2_nopivot(winner.block[:k, :], flops=scratch)
-    comm.charge_counter(scratch)
+    # Butterfly all-reduction whose operator is the tournament merge and
+    # whose epilogue eliminates the winner block: every rank ends up with the
+    # same (winner rows, packed LU of the winner block), read-only.  Each
+    # level exchanges the pair (row indices, candidate block) — ``b + b^2``
+    # words, as in the real algorithm, whichever selector merges them.
+    winners, packed = yield from allreduce.co(
+        comm,
+        (candidate.rows, candidate.block),
+        _TournamentOp(comm, b, selector),
+        group=group,
+        tag=tag,
+        channel=channel,
+    )
+    k = winners.shape[0]
     U = np.triu(packed)
     U11 = U[:, :k]
 
@@ -236,7 +262,7 @@ def ptslu_rank(
         L_local = np.zeros((np.asarray(local_block).shape[0] if compute_L else 0, k))
 
     return {
-        "winners": winner.rows[:k],
+        "winners": winners,
         "U": U,
         "rows": np.asarray(local_rows, dtype=np.int64),
         "L_local": L_local,
@@ -498,7 +524,8 @@ def ptslu(
     trace = run_spmd(nprocs, rank_fn, machine=machine, engine=engine)
     results = trace.results
 
-    winners = np.asarray(results[0]["winners"], dtype=np.int64)
+    # A private copy: the ranks' winner rows are shared and read-only.
+    winners = np.array(results[0]["winners"], dtype=np.int64)
     U = np.asarray(results[0]["U"], dtype=np.float64)
     k = winners.shape[0]
 

@@ -65,9 +65,7 @@ def make_pdgetf2_panel() -> Callable[..., Iterator]:
         grid = dist.grid
         myrow, mycol = grid.coords(comm.rank)
         my_grows = dist.local_rows(myrow)
-        panel_lcols = np.asarray(
-            [dist.global_to_local_col(g) for g in range(j0, j0 + jb)], dtype=np.int64
-        )
+        panel_lcols = dist.block_local_cols(j0, jb)
         swaps: List[Tuple[int, int]] = []
         scratch = FlopCounter()
 

@@ -127,7 +127,9 @@ def pdlaswp(
         else:
             mine, peer_row, my_local = r2, gr1, l2
         peer = dist.grid.rank(peer_row, mycol)
+        # The fancy-indexed read is already a fresh array (and ``send``
+        # takes its own copy of anything it cannot prove unaliased).
         received = yield from comm.co_sendrecv(
-            peer, Aloc[my_local, cols].copy(), tag=(tag, "swap", s), channel=channel
+            peer, Aloc[my_local, cols], tag=(tag, "swap", s), channel=channel
         )
         Aloc[my_local, cols] = received

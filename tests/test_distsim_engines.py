@@ -668,3 +668,78 @@ def test_coroutine_engine_runs_large_p_tslu():
     assert res.trace.total_group_collectives == P
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-10)
     assert elapsed < 60.0
+
+
+# ---------------------------------------- rank-redundant host work, done once
+@pytest.mark.parametrize("pivoting", ["ca", "ca_prrp"])
+@pytest.mark.parametrize("n,b,pr,pc", [(52, 8, 4, 4), (47, 8, 3, 5)])
+def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
+    host_merges, n, b, pr, pc, pivoting
+):
+    """Per panel the Pr ranks of the butterfly (fold + unfold when Pr is not a
+    power of two) apply the merge Pr log2 Pr times; Pr - 1 are distinct.  The
+    coroutine engine evaluates exactly those while charging every rank what
+    the event and threaded engines — which keep the per-rank operator —
+    charge, so every RankTrace field, the factors and the solution agree."""
+    assert n % b != 0  # ragged last panel
+    A = randn(n, seed=n)
+    rhs = randn(n, 2, seed=n + 1)
+    grid = ProcessGrid(pr, pc)
+    panels = -(-n // b)
+
+    results = {}
+    merges = {}
+    for engine in ENGINES:
+        del host_merges[:]
+        results[engine] = pdgesv(
+            A, rhs, grid, block_size=b, machine=ibm_power5(), engine=engine,
+            pivoting=pivoting,
+        )
+        merges[engine] = sum(host_merges)
+    pow2 = 1 << (pr.bit_length() - 1)
+    per_rank_path = panels * (pow2 * (pow2.bit_length() - 1) + (pr - pow2))
+    assert merges["coroutine"] == panels * (pr - 1)
+    assert merges["event"] == merges["threaded"] == per_rank_path
+
+    ref = results["coroutine"]
+    assert np.allclose(A @ ref.x, rhs, atol=1e-9)
+    for other in ("event", "threaded"):
+        res = results[other]
+        for t_ref, t in (
+            (ref.factorization.trace, res.factorization.trace),
+            (ref.trace, res.trace),
+        ):
+            assert_traces_identical(t_ref, t)
+        assert np.array_equal(ref.factorization.L, res.factorization.L)
+        assert np.array_equal(ref.factorization.U, res.factorization.U)
+        assert np.array_equal(ref.factorization.perm, res.factorization.perm)
+        assert np.array_equal(ref.x, res.x)
+
+
+@pytest.mark.parametrize("p,root", [(2, 0), (5, 3), (16, 0), (16, 9)])
+def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
+    """Every edge of a broadcast carries the root's value: the group-level
+    evaluation walks the payload once, not once per tree edge."""
+    from repro.distsim.engine import group_ops
+
+    sized = []
+    original = group_ops.payload_words
+
+    def counting(payload):
+        sized.append(payload)
+        return original(payload)
+
+    monkeypatch.setattr(group_ops, "payload_words", counting)
+    payload = {"swaps": [(1, 2), (3, 4)], "rows": np.arange(6), "panel": np.ones((6, 2))}
+
+    def prog(comm):
+        got = yield from broadcast.co(
+            comm, payload if comm.rank == root else None, root=root, channel="row"
+        )
+        return got["panel"].sum()
+
+    res_c = run_spmd(p, prog, machine=ibm_power5(), engine="coroutine")
+    assert len(sized) == 1 and sized[0] is payload
+    res_e = run_spmd(p, prog, machine=ibm_power5(), engine="event")
+    assert_traces_identical(res_e, res_c)
+    assert res_c.results == res_e.results == [12.0] * p

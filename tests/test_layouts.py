@@ -137,3 +137,21 @@ def test_block_cyclic2d_block_counts():
     dist = BlockCyclic2D(10, 7, 3, ProcessGrid(2, 2))
     assert dist.num_block_rows() == 4
     assert dist.num_block_cols() == 3
+
+
+def test_block_cyclic2d_block_local_ranges_match_the_per_entry_maps():
+    """The closed-form local indices of one block's rows/columns equal the
+    per-entry maps the drivers used to loop over, ragged last block included."""
+    dist = BlockCyclic2D(29, 23, 4, ProcessGrid(3, 2))
+    for extent, closed_form, per_entry in (
+        (dist.m, dist.block_local_rows, dist.global_to_local_row),
+        (dist.n, dist.block_local_cols, dist.global_to_local_col),
+    ):
+        for start in range(0, extent, dist.block):
+            width = min(dist.block, extent - start)
+            got = closed_form(start, width)
+            assert got.dtype == np.int64
+            assert got.tolist() == [per_entry(g) for g in range(start, start + width)]
+        assert closed_form(5, 0).size == 0
+        with pytest.raises(ValueError, match="more than one block"):
+            closed_form(2, 4)

@@ -65,3 +65,65 @@ def test_ptslu_simulated_time_under_real_machine_is_positive():
     res = ptslu(A, nprocs=8, machine=ibm_power5())
     assert res.trace.critical_path_time > 0.0
     assert res.trace.total_flops > 0.0
+
+
+# ------------------------------------------- host work of the redundant merges
+@pytest.mark.parametrize("pivoting", ["ca", "ca_prrp"])
+@pytest.mark.parametrize("nprocs", [2, 3, 5, 8, 12, 16])
+def test_ptslu_coroutine_engine_evaluates_each_distinct_merge_once(
+    host_merges, nprocs, pivoting
+):
+    """The butterfly's ranks apply P log2 P merges (plus the fold), only
+    P - 1 of which are distinct: the group-level evaluation computes those,
+    the point-to-point engines keep the per-rank operator — and every rank's
+    ledger is charged the same either way."""
+    A = tall_skinny(8 * nprocs + 3, 4, seed=nprocs)
+    res_c = ptslu(A, nprocs, machine=ibm_power5(), engine="coroutine", pivoting=pivoting)
+    assert sum(host_merges) == nprocs - 1
+
+    del host_merges[:]
+    res_e = ptslu(A, nprocs, machine=ibm_power5(), engine="event", pivoting=pivoting)
+    pow2 = 1 << (nprocs.bit_length() - 1)
+    assert sum(host_merges) == pow2 * int(math.log2(pow2)) + (nprocs - pow2)
+    assert set(host_merges) == {1}  # one operand pair per operator call
+
+    for a, e in zip(res_c.trace.ranks, res_e.trace.ranks):
+        assert (a.clock, a.flops, a.words_sent, a.messages_sent) == (
+            e.clock, e.flops, e.words_sent, e.messages_sent)
+    assert np.array_equal(res_c.L, res_e.L)
+    assert np.array_equal(res_c.U, res_e.U)
+    assert np.array_equal(res_c.perm, res_e.perm)
+
+
+@pytest.mark.parametrize("engine", ["coroutine", "event"])
+@pytest.mark.parametrize("selector", ["getf2", "rrqr"])
+def test_ptslu_shared_tournament_results_are_read_only(engine, selector):
+    """The deduplicated merges hand one (rows, block) pair and one packed
+    winner factor to every rank of a block: an in-place edit by one rank must
+    raise rather than corrupt what the other ranks hold."""
+    from repro.distsim import RankFailedError, allreduce, run_spmd
+    from repro.parallel.ptslu import _TournamentOp
+
+    b, nprocs = 4, 4
+    A = tall_skinny(8 * nprocs, b, seed=2)
+
+    def tournament(comm, vandal):
+        rows = np.arange(8 * comm.rank, 8 * (comm.rank + 1))
+        op = _TournamentOp(comm, b, selector)
+        (value, _), = op.combine([((rows[:b], A[rows[:b]]), (rows[b:], A[rows[b:]]))])
+        winners, packed = yield from allreduce.co(comm, value, op, tag="t")
+        if comm.rank == vandal:
+            packed[0, 0] = 0.0
+        return winners, packed, value
+
+    trace = run_spmd(nprocs, tournament, None, engine=engine)
+    for winners, packed, value in trace.results:
+        assert not winners.flags.writeable and not packed.flags.writeable
+        assert not value[0].flags.writeable and not value[1].flags.writeable
+    if engine == "coroutine":  # one object, not four equal ones
+        assert len({id(packed) for _, packed, _ in trace.results}) == 1
+
+    with pytest.raises(RankFailedError) as err:
+        run_spmd(nprocs, tournament, 2, engine=engine)
+    assert list(err.value.failures) == [2]
+    assert "read-only" in str(err.value.failures[2])

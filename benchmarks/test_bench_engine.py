@@ -206,9 +206,9 @@ def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
     merges = []
     original = ptslu_module._merge_pairs
 
-    def counting(pairs, b, selector):
+    def counting(pairs, *args):
         merges.append(len(pairs))
-        return original(pairs, b, selector)
+        return original(pairs, *args)
 
     monkeypatch.setattr(ptslu_module, "_merge_pairs", counting)
     Pr, Pc, n, b = 16, 2, 256, 16

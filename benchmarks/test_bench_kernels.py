@@ -4,6 +4,10 @@ Records, in the benchmark JSON (``extra_info``):
 
 * per-tier ``getf2`` throughput — the reference per-column Python loop vs the
   LAPACK tier (``dgetrf`` + closed-form flop accounting);
+* per-tier strong-RRQR row selection (CALU_PRRP's tournament kernel) on a
+  128 x 64 leaf and a 128 x 64 merge — the ``Q``-accumulating factorization
+  the selection used to run, the selection-only reference loop, and the
+  verified ``dgeqp3`` tier;
 * sequential vs batched tournament reduction rounds at the paper-relevant
   shape ``P = 64, b = 32`` — binary pairings (every merge distinct) and
   butterfly pairings (every merge performed once per participant, the
@@ -25,7 +29,7 @@ import pytest
 
 from repro.core import calu
 from repro.core.tournament import CandidateSet, _merge_round
-from repro.kernels import FlopCounter, getf2
+from repro.kernels import FlopCounter, getf2, rrqr, select_rows_rrqr
 from repro.randmat import randn
 
 
@@ -81,6 +85,59 @@ def test_bench_kernels_getf2_tiers(benchmark):
     print(f"\ngetf2 256x128: reference {reference_seconds*1e3:.2f}ms, "
           f"lapack {lapack_seconds*1e3:.2f}ms, speedup {speedup:.1f}x")
     assert speedup >= 2.0
+
+
+def test_bench_kernels_rrqr_select_tiers(benchmark):
+    """Strong-RRQR selection of 64 rows: a 128 x 64 leaf and a 128 x 64 merge.
+
+    Same rows, same order, same ledger on both tiers (asserted first); the
+    public ``rrqr`` stands in for the parent's selection, which accumulated
+    the ``Q`` factor nobody read.
+    """
+    rng = np.random.default_rng(1)
+    leaf = rng.standard_normal((128, 64))
+    other = rng.standard_normal((128, 64))
+    merge = np.vstack(
+        [blk[select_rows_rrqr(blk, 64, kernel_tier="reference")] for blk in (leaf, other)]
+    )
+    blocks = (leaf, merge)
+
+    for block in blocks:
+        fr, fl = FlopCounter(), FlopCounter()
+        ref = select_rows_rrqr(block, 64, flops=fr, kernel_tier="reference")
+        fast = select_rows_rrqr(block, 64, flops=fl, kernel_tier="lapack")
+        assert np.array_equal(ref, fast)
+        assert (fr.muladds, fr.divides, fr.comparisons) == (
+            fl.muladds, fl.divides, fl.comparisons,
+        )
+
+    def select(tier):
+        return [select_rows_rrqr(block, 64, kernel_tier=tier) for block in blocks]
+
+    # On a small box an idle BLAS worker thread is slow to wake: for about a
+    # second every threaded trsm (the threshold check) costs a scheduler
+    # quantum, ~8 ms, on every tier alike.  Spin until that has passed.
+    deadline = time.perf_counter() + 2.0
+    while _best_of(lambda: select("lapack"), reps=1)[0] > 2e-3:
+        if time.perf_counter() > deadline:
+            break
+
+    benchmark.pedantic(lambda: select("lapack"), rounds=10, iterations=1)
+    lapack_seconds = benchmark.stats.stats.min
+    reference_seconds, _ = _best_of(lambda: select("reference"), reps=5)
+    with_q_seconds, _ = _best_of(lambda: [rrqr(block.T, k=64) for block in blocks], reps=5)
+    speedup = reference_seconds / lapack_seconds
+    benchmark.extra_info["reference_seconds"] = reference_seconds
+    benchmark.extra_info["lapack_seconds"] = lapack_seconds
+    benchmark.extra_info["parent_reference_seconds"] = with_q_seconds
+    benchmark.extra_info["speedup_lapack_over_reference"] = speedup
+    benchmark.extra_info["speedup_selection_only_over_parent_reference"] = (
+        with_q_seconds / reference_seconds
+    )
+    print(f"\nrrqr select 128x64 leaf + merge: with Q {with_q_seconds*1e3:.2f}ms, "
+          f"selection-only {reference_seconds*1e3:.2f}ms, lapack "
+          f"{lapack_seconds*1e3:.2f}ms, speedup {speedup:.1f}x")
+    assert speedup >= 5.0
 
 
 def test_bench_kernels_batched_tournament_round(benchmark):

@@ -84,11 +84,19 @@ def lu_solve(
 
 
 def componentwise_backward_error(
-    A: np.ndarray, x: np.ndarray, b: np.ndarray
+    A: np.ndarray,
+    x: np.ndarray,
+    b: np.ndarray,
+    residual: Optional[np.ndarray] = None,
+    abs_A: Optional[np.ndarray] = None,
 ) -> float:
-    """The componentwise backward error ``w_b = max_i |b - Ax|_i / (|A||x| + |b|)_i``."""
-    r = b - A @ x
-    denom = np.abs(A) @ np.abs(x) + np.abs(b)
+    """The componentwise backward error ``w_b = max_i |b - Ax|_i / (|A||x| + |b|)_i``.
+
+    ``residual`` (``b - A @ x``) and ``abs_A`` (``|A|``) may be passed by a
+    caller that already holds them.
+    """
+    r = b - A @ x if residual is None else residual
+    denom = (np.abs(A) if abs_A is None else abs_A) @ np.abs(x) + np.abs(b)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratios = np.where(denom > 0.0, np.abs(r) / denom, 0.0)
     return float(np.max(ratios)) if ratios.size else 0.0
@@ -130,23 +138,22 @@ def solve_with_refinement(
     """
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    abs_A = np.abs(A)
     x = lu_solve(factorization.L, factorization.U, factorization.perm, b, flops=flops)
-    r = b - A @ x
-    residuals = [_max_abs_residual(r)]
-    per_rhs = [_per_rhs_max_abs(r)]
-    backward = [componentwise_backward_error(A, x, b)]
+    residuals: list = []
+    per_rhs: list = []
+    backward: list = []
     iterations = 0
-    for _ in range(max_iterations):
-        if backward[-1] <= tolerance:
+    while True:
+        r = b - A @ x  # the step's one residual: recorded, then refined on
+        residuals.append(_max_abs_residual(r))
+        per_rhs.append(_per_rhs_max_abs(r))
+        backward.append(componentwise_backward_error(A, x, b, residual=r, abs_A=abs_A))
+        if iterations >= max_iterations or backward[-1] <= tolerance:
             break
-        r = b - A @ x
         dx = lu_solve(factorization.L, factorization.U, factorization.perm, r, flops=flops)
         x = x + dx
         iterations += 1
-        r = b - A @ x
-        residuals.append(_max_abs_residual(r))
-        per_rhs.append(_per_rhs_max_abs(r))
-        backward.append(componentwise_backward_error(A, x, b))
     return SolveResult(
         x=x,
         residual_norms=residuals,

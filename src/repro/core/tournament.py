@@ -24,6 +24,7 @@ compare flat, binary-tree and butterfly schedules.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -177,13 +178,16 @@ def local_candidates_rrqr(
     block: np.ndarray,
     b: int,
     flops: Optional[FlopCounter] = None,
+    kernel_tier: Optional[str] = None,
 ) -> CandidateSet:
     """Leaf step of the CALU_PRRP tournament: strong-RRQR row selection.
 
     Same contract as :func:`local_candidates`, but the candidates are the rows
     a strong rank-revealing QR of ``block.T`` picks — every rejected row is a
     ``tau``-bounded combination of the selected ones, which is what bounds the
-    PRRP growth factor (Khabou et al., arXiv:1208.2451).
+    PRRP growth factor (Khabou et al., arXiv:1208.2451).  ``kernel_tier``
+    picks the selection kernel; selection and flop charges do not depend on
+    it (see :mod:`repro.kernels.rrqr`).
     """
     rows = np.asarray(rows, dtype=np.int64)
     block = np.asarray(block, dtype=np.float64)
@@ -191,7 +195,9 @@ def local_candidates_rrqr(
         raise ValueError("block shape must match the number of row indices")
     if block.shape[0] == 0:
         return CandidateSet(rows=rows[:0], block=block[:0])
-    chosen = select_rows_rrqr(block, min(b, block.shape[0]), flops=flops)
+    chosen = select_rows_rrqr(
+        block, min(b, block.shape[0]), flops=flops, kernel_tier=kernel_tier
+    )
     return CandidateSet(rows=rows[chosen], block=block[chosen, :])
 
 
@@ -200,6 +206,7 @@ def merge_candidates_rrqr(
     b_set: CandidateSet,
     b: int,
     flops: Optional[FlopCounter] = None,
+    kernel_tier: Optional[str] = None,
 ) -> Tuple[CandidateSet, None]:
     """Internal CALU_PRRP tournament node: strong-RRQR merge of two candidate sets.
 
@@ -208,12 +215,17 @@ def merge_candidates_rrqr(
     factor falls out of the selection — CALU_PRRP computes the panel's ``U11``
     in a second no-pivoting elimination of the winner rows (see
     :func:`tournament_pivoting`), so the second tuple element is ``None``.
+    That is also why this merge, unlike :func:`merge_candidates`, may run on
+    any ``kernel_tier``: only the winners' *order* leaves it, the winner rows
+    are gathered from the stacked originals.
     """
     stacked = np.vstack([a.block, b_set.block])
     all_rows = np.concatenate([a.rows, b_set.rows])
     if stacked.shape[0] == 0:
         return CandidateSet(rows=all_rows, block=stacked), None
-    chosen = select_rows_rrqr(stacked, min(b, stacked.shape[0]), flops=flops)
+    chosen = select_rows_rrqr(
+        stacked, min(b, stacked.shape[0]), flops=flops, kernel_tier=kernel_tier
+    )
     return CandidateSet(rows=all_rows[chosen], block=stacked[chosen, :]), None
 
 
@@ -430,7 +442,9 @@ def tournament_pivoting(
         batches each reduction round — and the ``getf2`` leaf step — into a
         single :func:`~repro.kernels.batched.getf2_batched` call; the
         winners, ``U`` factor and flop charges are bit-identical to the
-        sequential reference schedule.
+        sequential reference schedule.  With ``selector="rrqr"`` the tier
+        picks the selection kernel of leaves and merges alike (same
+        selection and charges on every tier, see :mod:`repro.kernels.rrqr`).
     selector:
         Selection kernel at the leaves and merge nodes:
 
@@ -450,7 +464,7 @@ def tournament_pivoting(
     if len(blocks) == 0:
         raise ValueError("tournament needs at least one row block")
     if selector == "rrqr":
-        return _tournament_rrqr(blocks, b, flops, schedule)
+        return _tournament_rrqr(blocks, b, flops, schedule, kernel_tier)
     if selector != "getf2":
         raise ValueError(f"unknown tournament selector {selector!r}")
     batched = resolve_tier(kernel_tier) != "reference"
@@ -483,6 +497,7 @@ def _tournament_rrqr(
     b: int,
     flops: Optional[FlopCounter],
     schedule: str,
+    kernel_tier: Optional[str] = None,
 ) -> TournamentResult:
     """CALU_PRRP tournament: strong-RRQR selection, then a pivoted root LU.
 
@@ -496,13 +511,15 @@ def _tournament_rrqr(
     elimination as stable as GEPP.
     """
     candidates = [
-        local_candidates_rrqr(rows, block, b, flops=flops) for rows, block in blocks
+        local_candidates_rrqr(rows, block, b, flops=flops, kernel_tier=kernel_tier)
+        for rows, block in blocks
     ]
     candidates = [c for c in candidates if c.rows.shape[0] > 0]
     if not candidates:
         raise ValueError("all row blocks are empty")
     winner, rounds = _reduce_selected(
-        candidates, b, flops, schedule, merge_candidates_rrqr
+        candidates, b, flops, schedule,
+        partial(merge_candidates_rrqr, kernel_tier=kernel_tier),
     )
     k = min(b, winner.rows.shape[0])
     res = getf2(winner.block[:k, :], flops=flops, kernel_tier="reference")

@@ -169,3 +169,22 @@ class FlopFormulas:
             total.add_muladds(2.0 * float(m - n1) * float(n1) * float(n2))
         total.merge(FlopFormulas.rgetf2_exact(m - n1, n2, threshold))
         return total
+
+    @staticmethod
+    def rrqr_select_exact(m: int, n: int, k: int) -> "FlopCounter":
+        """Exact counts of ``k`` pivoted Householder steps on an ``m x n`` matrix.
+
+        The ledger of the reference strong-RRQR kernel
+        (:mod:`repro.kernels.rrqr`) when no column is exactly zero and no
+        strengthening swap runs — for a row selection, ``m x n`` is the
+        *transposed* block.  Step ``j`` charges the pivot search
+        (``2 (m-j)(n-j)`` muladds, ``n-j-1`` comparisons), the reflector
+        (``2 (m-j)``), its application to ``R`` (``4 (m-j)(n-j) + (n-j)``)
+        and to ``Q`` (``4 m (m-j) + m``) and one divide.
+        """
+        tri = k * (k - 1) // 2
+        rows = k * m - tri  # sum of (m - j)
+        cols = k * n - tri  # sum of (n - j)
+        area = k * m * n - (m + n) * tri + (k - 1) * k * (2 * k - 1) // 6
+        muladds = 6 * area + (2 + 4 * m) * rows + cols + k * m
+        return FlopCounter(float(muladds), float(k), float(cols - k))

@@ -21,14 +21,35 @@ so every multiplier of the panel elimination is bounded by ``tau`` — the bound
 behind PRRP's ``(1 + 2b)^(n/b)`` worst-case growth, versus ``2^(n-1)`` for
 partial pivoting and ``2^(n(log2 P + 1))``-ish for plain ca-pivoting.
 
-This module provides the factorization (:func:`rrqr`), the row-selection
-wrapper the tournament uses (:func:`select_rows_rrqr`) and the full panel form
+This module provides the factorization (:func:`rrqr`), the row selection the
+tournament uses (:func:`select_rows_rrqr`) and the full panel form
 (:func:`prrp_panel`) with ``L21 = A21 (Q R11)^{-1}`` available directly from
 the interaction matrix, no triangular solve against the panel required.
 
-Everything here is plain NumPy (reference arithmetic, deterministic
-tie-breaking towards the lowest index) so the selection is reproducible
-bit-for-bit across kernel tiers and execution engines.
+What is contractual across kernel tiers (:mod:`repro.kernels.tiers`) and
+execution engines is the *selection* (which rows, in which order) and the
+*flop ledger* — nothing else of the factorization leaves
+:func:`select_rows_rrqr`, and the tournament gathers the selected rows from
+the original block.
+
+* The ``reference`` tier is the Householder / Businger-Golub loop below
+  (plain NumPy, ties towards the lowest index) followed by the Gu-Eisenstat
+  strengthening loop.  :func:`rrqr` and :func:`prrp_panel` always run it and
+  accumulate ``Q``; the selection runs the same arithmetic on ``R`` alone.
+* The ``lapack`` tier takes the pivots of ``dgeqp3`` and *verifies* them on
+  the factor that produced them: every pivot must have been the greedy
+  choice by a clear margin (:data:`PIVOT_GAP`, which is also a numerical-rank
+  guard on ``diag(R11)``), and ``max |R11^{-1} R12| <= tau`` — the reference
+  loop's own acceptance test — must hold.  A block that fails either (ties
+  between duplicate rows, rank deficiency, a violated threshold, a zero
+  block, ``info != 0``) is handed to the reference kernel, swap loop
+  included.  So the ``tau`` bound is checked on every selection on every
+  tier, and the tiers cannot rank columns differently within rounding.
+
+The ledger charges what the reference algorithm performs, *including* the
+``Q`` update the selection never reads and the fast tier never executes
+(:meth:`~repro.kernels.flops.FlopFormulas.rrqr_select_exact` is the loop's
+count in closed form), so simulated costs do not depend on the tier.
 """
 
 from __future__ import annotations
@@ -38,7 +59,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .flops import FlopCounter
+from .flops import FlopCounter, FlopFormulas
+from .tiers import lapack_module, resolve_tier
 
 #: Default strong-RRQR column threshold.  ``tau >= 1`` is required for the
 #: swap loop to terminate; the Khabou et al. experiments use a small constant
@@ -50,6 +72,17 @@ DEFAULT_TAU = 2.0
 #: count; in practice QR-with-column-pivoting already satisfies the threshold
 #: and zero swaps are performed).
 MAX_SWAPS_PER_COLUMN = 8
+
+#: The ``lapack`` tier believes a pivot only if its squared trailing norm beat
+#: every rival's (for the last pivot of a square ``R11``: zero) by more than
+#: ``PIVOT_GAP`` times the largest squared column norm.  Either kernel's norms
+#: carry a rounding error of roughly ``k * eps`` of that (1e-14 at k = 64), so
+#: four orders of margin mean the reference loop ranks the columns alike; ties
+#: and pivots picked among rounding noise — where LAPACK's downdated norms and
+#: position-dependent BLAS kernels do not reproduce the reference's
+#: lowest-index tie-break — fail it.  On the pivots themselves it is the
+#: numerical-rank guard ``|R[k-1, k-1]| > 1e-6 |R[0, 0]|``.
+PIVOT_GAP = 1.0e-12
 
 
 @dataclass
@@ -92,19 +125,25 @@ class RRQRResult:
 
 
 def _householder_qr(
-    A: np.ndarray, k: int, flops: Optional[FlopCounter], pivot: bool = True
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    A: np.ndarray,
+    k: int,
+    flops: Optional[FlopCounter],
+    pivot: bool = True,
+    want_q: bool = True,
+) -> Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]:
     """Householder QR of ``A``, optionally with column pivoting (Businger-Golub).
 
     Returns ``(Q, R, perm)`` with ``A[:, perm] = Q @ R`` and (when ``pivot``)
     the first ``k`` columns chosen greedily by trailing norm.  Ties break
     towards the lowest column index (``np.argmax`` semantics), which keeps the
     selection deterministic and matches the tie-breaking of the
-    partial-pivoting kernels.
+    partial-pivoting kernels.  Without ``want_q`` the reflectors are applied
+    to ``R`` only and ``Q`` is ``None``; ``R``, ``perm`` and the flop charges
+    (which always include the ``Q`` update) are the same either way.
     """
     m, n = A.shape
     R = np.array(A, dtype=np.float64)
-    Q = np.eye(m, dtype=np.float64)
+    Q = np.eye(m, dtype=np.float64) if want_q else None
     perm = np.arange(n, dtype=np.int64)
 
     for j in range(k):
@@ -140,8 +179,9 @@ def _householder_qr(
         if vnorm2 > 0.0:
             w = (2.0 / vnorm2) * (v @ R[j:, j:])
             R[j:, j:] -= np.outer(v, w)
-            wq = (2.0 / vnorm2) * (Q[:, j:] @ v)
-            Q[:, j:] -= np.outer(wq, v)
+            if Q is not None:
+                wq = (2.0 / vnorm2) * (Q[:, j:] @ v)
+                Q[:, j:] -= np.outer(wq, v)
             if flops is not None:
                 # Per reflector: v@v, the two matrix-vector products AND the
                 # two rank-1 updates (2 ops per touched element each), plus
@@ -156,7 +196,7 @@ def _householder_qr(
                 flops.add_divides(1.0)
         R[j, j] = alpha
         R[j + 1 :, j] = 0.0
-    return Q[:, :k], R[:k, :], perm
+    return (None if Q is None else Q[:, :k]), R[:k, :], perm
 
 
 def _interaction(R: np.ndarray, k: int) -> Optional[np.ndarray]:
@@ -169,6 +209,38 @@ def _interaction(R: np.ndarray, k: int) -> Optional[np.ndarray]:
     from scipy.linalg import solve_triangular
 
     return solve_triangular(R11, R[:k, k:], lower=False)
+
+
+def _check_tau(tau: float) -> None:
+    if tau < 1.0:
+        raise ValueError(f"strong-RRQR threshold tau must be >= 1, got {tau}")
+
+
+def _strong_rrqr(
+    A: np.ndarray,
+    k: int,
+    tau: float,
+    flops: Optional[FlopCounter],
+    want_q: bool,
+) -> RRQRResult:
+    """The reference kernel: QR with column pivoting, then strengthening swaps."""
+    Q, R, perm = _householder_qr(A, k, flops, pivot=True, want_q=want_q)
+    swaps = 0
+    max_swaps = MAX_SWAPS_PER_COLUMN * max(k, 1)
+    inter = _interaction(R, k)
+    while inter is not None and swaps < max_swaps:
+        i, j = np.unravel_index(int(np.argmax(np.abs(inter))), inter.shape)
+        if abs(inter[i, j]) <= tau:
+            break
+        # Swap the weak selected column with the strong rejected one and
+        # refactor the permuted matrix without re-pivoting (blocks here are
+        # small — b x 2b at most in the tournament — so a fresh QR is cheaper
+        # than the textbook update formulas and stays bit-deterministic).
+        perm[[i, k + j]] = perm[[k + j, i]]
+        Q, R, _ = _householder_qr(A[:, perm], k, flops, pivot=False, want_q=want_q)
+        swaps += 1
+        inter = _interaction(R, k)
+    return RRQRResult(Q=Q, R=R, perm=perm, k=k, swaps=swaps, interaction=inter)
 
 
 def rrqr(
@@ -201,28 +273,45 @@ def rrqr(
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2:
         raise ValueError("rrqr expects a 2-D matrix")
-    if tau < 1.0:
-        raise ValueError(f"strong-RRQR threshold tau must be >= 1, got {tau}")
+    _check_tau(tau)
     m, n = A.shape
     k = min(m, n) if k is None else min(k, m, n)
+    return _strong_rrqr(A, k, tau, flops, want_q=True)
 
-    Q, R, perm = _householder_qr(A, k, flops, pivot=True)
-    swaps = 0
-    max_swaps = MAX_SWAPS_PER_COLUMN * max(k, 1)
-    inter = _interaction(R, k)
-    while inter is not None and swaps < max_swaps:
-        i, j = np.unravel_index(int(np.argmax(np.abs(inter))), inter.shape)
-        if abs(inter[i, j]) <= tau:
-            break
-        # Swap the weak selected column with the strong rejected one and
-        # refactor the permuted matrix without re-pivoting (blocks here are
-        # small — b x 2b at most in the tournament — so a fresh QR is cheaper
-        # than the textbook update formulas and stays bit-deterministic).
-        perm[[i, k + j]] = perm[[k + j, i]]
-        Q, R, _ = _householder_qr(A[:, perm], k, flops, pivot=False)
-        swaps += 1
-        inter = _interaction(R, k)
-    return RRQRResult(Q=Q, R=R, perm=perm, k=k, swaps=swaps, interaction=inter)
+
+def _lapack_pivots(
+    A: np.ndarray, k: int, tau: float, flops: Optional[FlopCounter]
+) -> Optional[np.ndarray]:
+    """The column permutation of ``dgeqp3(A)`` if its first ``k`` pivots verify.
+
+    Verified means: the factorization succeeded, each of the ``k`` pivots beat
+    its rivals by :data:`PIVOT_GAP`, and ``max |R11^{-1} R12| <= tau`` — the
+    test that ends the reference strengthening loop, applied to LAPACK's own
+    ``R``.  Then (and only then) the reference loop would have taken the same
+    ``k`` pivoted steps without a zero column or a swap, which is what the
+    ledger is charged.  ``None`` sends the caller to the reference kernel.
+    """
+    lapack = lapack_module()
+    qr, jpvt, _, _, info = lapack.dgeqp3(A)
+    if info != 0:
+        return None
+    R = np.triu(qr)
+    # tails[j, c] = |R[j:, c]|^2, the squared trailing norm pivot j competed
+    # on (zero left of the diagonal): lead it by a clear margin or give up.
+    tails = np.cumsum((R * R)[::-1], axis=0)[::-1][:k]
+    lead = tails.diagonal().copy()
+    np.fill_diagonal(tails, 0.0)
+    if not np.all(lead - tails.max(axis=1) > PIVOT_GAP * lead[0]):  # NaN: False
+        return None
+    if A.shape[1] > k:
+        # R11^{-1} R12 as in _interaction, minus the wrapper (which at these
+        # sizes costs more than the solve).
+        inter, info = lapack.dtrtrs(R[:k, :k], R[:k, k:])
+        if info != 0 or not np.max(np.abs(inter)) <= tau:
+            return None
+    if flops is not None:
+        flops.merge(FlopFormulas.rrqr_select_exact(A.shape[0], A.shape[1], k))
+    return jpvt.astype(np.int64) - 1
 
 
 def select_rows_rrqr(
@@ -230,6 +319,7 @@ def select_rows_rrqr(
     nselect: int,
     tau: float = DEFAULT_TAU,
     flops: Optional[FlopCounter] = None,
+    kernel_tier: Optional[str] = None,
 ) -> np.ndarray:
     """Indices of up to ``nselect`` pivot rows of ``block``, by strong RRQR.
 
@@ -239,15 +329,25 @@ def select_rows_rrqr(
     ``tau`` of the selected ones in the ``L21`` sense.  Returns local row
     indices in selection order (the order they must occupy at the top of the
     panel).
+
+    ``kernel_tier`` (None: process-wide default) picks the kernel, see the
+    module docstring; the returned indices and the ``flops`` charges do not
+    depend on it.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2:
         raise ValueError("select_rows_rrqr expects a 2-D block")
+    _check_tau(tau)
     k = min(nselect, block.shape[0])
     if k == 0:
         return np.empty(0, dtype=np.int64)
-    res = rrqr(block.T, k=k, tau=tau, flops=flops)
-    return np.asarray(res.perm[:k], dtype=np.int64)
+    steps = min(k, block.shape[1])
+    perm = None
+    if steps > 0 and resolve_tier(kernel_tier) == "lapack":
+        perm = _lapack_pivots(block.T, steps, tau, flops)
+    if perm is None:
+        perm = _strong_rrqr(block.T, steps, tau, flops, want_q=False).perm
+    return np.asarray(perm[:k], dtype=np.int64)
 
 
 @dataclass

@@ -24,6 +24,17 @@ The numerical kernels of this package come in *tiers*:
     where bits are contractual (tournament merges, growth tracking,
     threshold recording) always pin the reference tier instead.
 
+    The strong-RRQR row selection of CALU_PRRP
+    (:func:`~repro.kernels.rrqr.select_rows_rrqr`) takes its pivots from
+    ``dgeqp3`` and *verifies* them — clear greedy margins, ``max |R11^{-1}
+    R12| <= tau`` on LAPACK's own factor — before believing them; anything
+    doubtful is redone by the reference kernel, so the selection and its
+    ledger are the same on every tier (see :mod:`repro.kernels.rrqr`).
+    Because an RRQR merge passes on only the *order* of its winners (the rows
+    themselves are gathered from the stacked originals, and the panel's ``U``
+    comes from a later elimination), RRQR merges may leave the reference
+    tier where ``getf2`` merges, whose ``U`` becomes the panel's, may not.
+
 ``auto`` (the default)
     Resolves to ``lapack`` whenever SciPy's LAPACK bindings are importable
     and the caller did not request stability recording; falls back to
@@ -34,8 +45,9 @@ The numerical kernels of this package come in *tiers*:
 
 Selection, in order of precedence:
 
-1. per call: ``getf2(A, kernel_tier="lapack")`` (also threaded through
-   ``tournament_pivoting``, ``tslu``, ``calu``, ``ptslu``, ``pcalu``);
+1. per call: ``getf2(A, kernel_tier="lapack")`` (also ``rgetf2``,
+   ``select_rows_rrqr``; threaded through ``tournament_pivoting``, ``tslu``,
+   ``calu``, ``ptslu``, ``pcalu``);
 2. process-wide: :func:`set_kernel_tier` / the :func:`kernel_tier` context
    manager;
 3. environment: ``REPRO_KERNEL_TIER``;

@@ -88,11 +88,14 @@ def _merge_pairs(
     pairs: Sequence[Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]],
     b: int,
     selector: str,
+    kernel_tier: Optional[str] = None,
 ) -> List[Tuple[Tuple[np.ndarray, np.ndarray], FlopCounter]]:
     """Tournament merges of independent ``(rows, block)`` operand pairs.
 
     Every merge the host evaluates passes through here, whichever engine
-    runs the ranks.  ``getf2`` merges of one round share a batched LU.
+    runs the ranks.  ``getf2`` merges of one round share a batched LU (always
+    reference-tier bits: their ``U`` becomes the panel's); ``rrqr`` merges
+    pass only a row order on, so they run on ``kernel_tier``.
     """
     sets = [
         (CandidateSet(rows=x[0], block=x[1]), CandidateSet(rows=y[0], block=y[1]))
@@ -102,7 +105,11 @@ def _merge_pairs(
         winners, counters = [], []
         for a, c in sets:
             counters.append(FlopCounter())
-            winners.append(merge_candidates_rrqr(a, c, b, flops=counters[-1])[0])
+            winners.append(
+                merge_candidates_rrqr(
+                    a, c, b, flops=counters[-1], kernel_tier=kernel_tier
+                )[0]
+            )
     else:
         winners, counters, _ = merge_pairs(sets, b)
     return [(_shared(w.rows, w.block), cnt) for w, cnt in zip(winners, counters)]
@@ -137,13 +144,20 @@ class _TournamentOp(RedundantOp):
     not repeat (see :class:`~repro.distsim.engine.base.RedundantOp`).
     """
 
-    def __init__(self, comm: Communicator, b: int, selector: str) -> None:
+    def __init__(
+        self,
+        comm: Communicator,
+        b: int,
+        selector: str,
+        kernel_tier: Optional[str] = None,
+    ) -> None:
         super().__init__(comm)
         self.b = b
         self.selector = selector
+        self.kernel_tier = kernel_tier
 
     def combine(self, pairs):
-        return _merge_pairs(pairs, self.b, self.selector)
+        return _merge_pairs(pairs, self.b, self.selector, self.kernel_tier)
 
     def finish(self, value):
         return _eliminate_winners(value[0], value[1], self.b, self.selector)
@@ -187,8 +201,9 @@ def ptslu_rank(
         Tag namespace (must differ between concurrent panels).
     kernel_tier:
         Kernel tier for the rank-local factorizations (None: process-wide
-        default).  Only the pivot order flows into the candidate set, so the
-        fast tier leaves the simulated results bit-identical.
+        default) and, with ``selector="rrqr"``, for the tournament merges.
+        Only the pivot order flows into the candidate set, so the fast tier
+        leaves the simulated results bit-identical.
     precomputed_candidate:
         Optional ``(candidate, flops)`` pair computed ahead of the SPMD run
         by the batched leaf step of :func:`ptslu` — the candidate set and the
@@ -224,6 +239,7 @@ def ptslu_rank(
             np.asarray(local_block, dtype=np.float64),
             b,
             flops=scratch,
+            kernel_tier=kernel_tier,
         )
         comm.charge_counter(scratch)
     else:
@@ -245,7 +261,7 @@ def ptslu_rank(
     winners, packed = yield from allreduce.co(
         comm,
         (candidate.rows, candidate.block),
-        _TournamentOp(comm, b, selector),
+        _TournamentOp(comm, b, selector, kernel_tier),
         group=group,
         tag=tag,
         channel=channel,

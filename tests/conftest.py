@@ -46,9 +46,9 @@ def host_merges(monkeypatch) -> list:
     original = module._merge_pairs
     counted: list = []
 
-    def counting(pairs, b, selector):
+    def counting(pairs, *args):
         counted.append(len(pairs))
-        return original(pairs, b, selector)
+        return original(pairs, *args)
 
     monkeypatch.setattr(module, "_merge_pairs", counting)
     return counted

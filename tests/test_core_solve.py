@@ -96,3 +96,32 @@ def test_calu_solve_accepts_pivoting_strategy():
     A, b, x_true = linear_system(48, seed=10)
     res = calu_solve(A, b, block_size=8, nblocks=4, pivoting="ca_prrp")
     assert np.allclose(res.x, x_true, atol=1e-7)
+
+
+def test_refinement_one_residual_per_step_is_bit_identical():
+    """``solve_with_refinement`` forms each step's residual and ``|A|`` once;
+    every recorded field must equal, bit for bit, what recomputing them at
+    every use gives (the straightforward loop below), on a 3-RHS system."""
+    from repro.core.solve import _max_abs_residual, _per_rhs_max_abs
+
+    A = randn(60, seed=13)
+    B = np.random.default_rng(13).standard_normal((60, 3))
+    fact = calu(A, block_size=8, nblocks=4)
+
+    x = lu_solve(fact.L, fact.U, fact.perm, B)
+    residuals = [_max_abs_residual(B - A @ x)]
+    per_rhs = [_per_rhs_max_abs(B - A @ x)]
+    backward = [componentwise_backward_error(A, x, B)]
+    for _ in range(3):
+        x = x + lu_solve(fact.L, fact.U, fact.perm, B - A @ x)
+        residuals.append(_max_abs_residual(B - A @ x))
+        per_rhs.append(_per_rhs_max_abs(B - A @ x))
+        backward.append(componentwise_backward_error(A, x, B))
+
+    res = solve_with_refinement(A, B, fact, max_iterations=3, tolerance=0.0)
+    assert res.iterations == 3
+    assert np.array_equal(res.x, x)
+    assert res.residual_norms == residuals
+    assert res.per_rhs_residuals == per_rhs
+    assert res.backward_errors == backward
+    assert solve_with_refinement(A, B, fact, max_iterations=0).residual_norms == residuals[:1]

@@ -20,8 +20,7 @@ Two kinds of gates are applied, both driven by the baseline file:
     same run) must not degrade by more than ``allowed_slowdown`` (1.5x)
     against the committed baseline speedup.  Comparing ratios rather than
     wall-clock keeps the gate meaningful across differently-sized CI
-    runners; set ``REPRO_BENCH_ABSOLUTE=1`` to additionally compare the
-    absolute mean against the baseline mean (useful on a pinned host).
+    runners.
 
 Exits non-zero, listing every violated gate, when a regression is detected.
 """
@@ -29,21 +28,17 @@ Exits non-zero, listing every violated gate, when a regression is detected.
 from __future__ import annotations
 
 import json
-import os
 import sys
 from pathlib import Path
 
 
 def load_benchmarks(path: Path) -> dict:
+    """``extra_info`` of every benchmark in a pytest-benchmark JSON, by name."""
     data = json.loads(path.read_text())
-    out = {}
-    for bench in data.get("benchmarks", []):
-        name = bench["name"].split("[")[0]
-        out[name] = {
-            "mean": bench["stats"]["mean"],
-            "extra_info": bench.get("extra_info", {}),
-        }
-    return out
+    return {
+        bench["name"].split("[")[0]: bench.get("extra_info", {})
+        for bench in data.get("benchmarks", [])
+    }
 
 
 def main(argv) -> int:
@@ -57,15 +52,13 @@ def main(argv) -> int:
     results = load_benchmarks(results_path)
     baseline = json.loads(baseline_path.read_text())
     allowed_slowdown = float(baseline.get("allowed_slowdown", 1.5))
-    check_absolute = os.environ.get("REPRO_BENCH_ABSOLUTE") == "1"
 
     failures = []
     for name, gates in baseline.get("benchmarks", {}).items():
-        run = results.get(name)
-        if run is None:
+        info = results.get(name)
+        if info is None:
             failures.append(f"{name}: benchmark missing from results")
             continue
-        info = run["extra_info"]
         for key, floor in gates.get("floor", {}).items():
             value = info.get(key)
             if value is None:
@@ -85,13 +78,6 @@ def main(argv) -> int:
                 failures.append(
                     f"{name}: {key} = {float(value):.3f} is more than "
                     f"{allowed_slowdown}x worse than baseline {base:.3f}"
-                )
-        if check_absolute and "mean" in gates:
-            base_mean = float(gates["mean"])
-            if run["mean"] > base_mean * allowed_slowdown:
-                failures.append(
-                    f"{name}: mean {run['mean']:.4f}s exceeds "
-                    f"{allowed_slowdown}x baseline mean {base_mean:.4f}s"
                 )
 
     if failures:

@@ -1,26 +1,22 @@
-"""Benchmark: threaded vs event vs coroutine execution engines.
+"""Benchmark: the scheduler with group collectives ("coroutine") and without ("event").
 
 Records, in the benchmark JSON (``extra_info``):
 
-* wall-clock for the same simulated TSLU on all three backends at moderate P,
-* the headline paper-scale run — a P = 256 distributed TSLU — with the
-  measured threaded-vs-event speedup and a cross-backend parity check of the
-  simulated quantities,
-* the coroutine engine's scheduling-overhead win: a collective-round SPMD
-  program at P = 512 where group-level collective evaluation beats the
-  threaded backend's per-message synchronization by well over 5x,
-* the failure-path gap: a genuine communication mismatch costs the threaded
-  backend its full receive timeout, while the event engine detects the
-  deadlock structurally in microseconds,
-* the host work the coroutine engine does *not* repeat: tournament merges
-  evaluated per panel on the event engine (every rank's own, ``Pr log2 Pr``)
-  over those on the coroutine engine (the ``Pr - 1`` distinct ones),
+* wall-clock for the same simulated TSLU under both engine names at moderate
+  P, and a P = 256 distributed TSLU on the point-to-point reference,
+* a collective-round SPMD program at P = 512, group-level evaluation against
+  the point-to-point trees on the same scheduler (recorded, not gated),
+* the failure path: a genuine communication mismatch is detected
+  structurally in well under 0.1 s under both names,
+* the host work the group evaluation does *not* repeat: tournament merges
+  evaluated per panel point to point (every rank's own, ``Pr log2 Pr``) over
+  those of the group evaluation (the ``Pr - 1`` distinct ones),
 * the largest process counts exercised: P = 888 (the paper's largest machine)
-  on the event engine, P = 4096 TSLU and a full P = 2048 PDGESV solve on the
-  coroutine engine.
+  point to point, P = 4096 TSLU and a full P = 2048 PDGESV solve with group
+  collectives.
 
 The simulated message/word/flop counts and critical-path times are identical
-across engines by construction; these benchmarks track the *host* cost of
+under both names by construction; these benchmarks track the *host* cost of
 executing the simulation.
 """
 
@@ -31,13 +27,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.distsim import (
-    DeadlockError,
-    RankFailedError,
-    allreduce,
-    run_spmd,
-    spmd_program,
-)
+from repro.distsim import DeadlockError, RankFailedError, allreduce, run_spmd
 from repro.layouts.grid import ProcessGrid
 from repro.machines import unit_machine
 from repro.parallel import pcalu, ptslu
@@ -54,12 +44,11 @@ def _sum(a, b):
     return a + b
 
 
-@spmd_program
 def _allreduce_rounds(comm, rounds):
     """Communication-bound SPMD body: ``rounds`` whole-world all-reductions."""
     acc = float(comm.rank)
     for r in range(rounds):
-        acc = yield from allreduce.co(comm, acc, _sum, tag=("round", r))
+        acc = yield from allreduce(comm, acc, _sum, tag=("round", r))
     return acc
 
 
@@ -75,9 +64,9 @@ def _pdgesv(engine: str, Pr: int, Pc: int, n: int, b: int):
     return pdgesv(A, rhs, grid, block_size=b, machine=unit_machine(), engine=engine)
 
 
-@pytest.mark.parametrize("engine", ["threaded", "event", "coroutine"])
+@pytest.mark.parametrize("engine", ["event", "coroutine"])
 def test_bench_engine_tslu_p32(benchmark, engine):
-    """Same simulated TSLU (P = 32) on all three backends."""
+    """Same simulated TSLU (P = 32) under both engine names."""
     res = benchmark.pedantic(_tslu, args=(engine, 32), rounds=3, iterations=1)
     assert res.trace.max_messages == 5  # log2(32)
     benchmark.extra_info["engine"] = engine
@@ -85,67 +74,42 @@ def test_bench_engine_tslu_p32(benchmark, engine):
 
 
 def test_bench_engine_paper_scale_tslu_p256(benchmark):
-    """P = 256 distributed TSLU — the paper-scale run the event engine was
-    built for — with the threaded backend timed alongside for the speedup."""
+    """P = 256 distributed TSLU on the point-to-point reference, with the
+    simulated quantities checked against the group evaluation."""
     P = 256
     res_event = benchmark.pedantic(_tslu, args=("event", P), rounds=1, iterations=1)
-
-    start = time.perf_counter()
-    res_threaded = _tslu("threaded", P)
-    threaded_seconds = time.perf_counter() - start
-    event_seconds = benchmark.stats.stats.mean
-
-    # Identical simulated quantities across backends (the engine contract).
-    assert res_event.trace.summary() == res_threaded.trace.summary()
-    assert np.array_equal(res_event.winners, res_threaded.winners)
+    res_coro = _tslu("coroutine", P)
+    assert res_event.trace.summary() == res_coro.trace.summary()
+    assert np.array_equal(res_event.winners, res_coro.winners)
     assert res_event.trace.max_messages == 8  # log2(256)
-
-    speedup = threaded_seconds / event_seconds if event_seconds > 0 else float("inf")
     benchmark.extra_info["P"] = P
-    benchmark.extra_info["threaded_seconds"] = threaded_seconds
-    benchmark.extra_info["event_seconds"] = event_seconds
-    benchmark.extra_info["speedup_threaded_over_event"] = speedup
-    print(f"\nP={P} TSLU: event {event_seconds:.3f}s, threaded {threaded_seconds:.3f}s, "
-          f"speedup {speedup:.2f}x")
-    # The event engine must not lose to the threaded backend (0.8 margin
-    # absorbs host noise; on multi-core hosts the gap widens in its favor).
-    assert speedup > 0.8
 
 
 def test_bench_engine_deadlock_detection_gap(benchmark):
-    """Failure path: a communication mismatch is where the threaded backend
-    truly cannot respond in comparable time — it burns the full receive
-    timeout, while the event engine fails structurally and instantly."""
+    """Failure path: a communication mismatch fails structurally and
+    instantly under both engine names — there is no timeout to wait out."""
 
     def mismatch(comm):
         if comm.rank == 1:
-            return comm.recv(0, tag="never-sent")
+            return (yield from comm.co_recv(0, tag="never-sent"))
 
-    def event_deadlock():
+    def deadlock(engine):
         with pytest.raises(RankFailedError) as exc:
-            run_spmd(2, mismatch, engine="event")
+            run_spmd(2, mismatch, engine=engine)
         assert isinstance(exc.value.__cause__, DeadlockError)
 
-    benchmark.pedantic(event_deadlock, rounds=3, iterations=1)
-    event_seconds = benchmark.stats.stats.mean
-
-    threaded_timeout = 2.0
+    benchmark.pedantic(deadlock, args=("coroutine",), rounds=3, iterations=1)
     start = time.perf_counter()
-    with pytest.raises(RankFailedError):
-        run_spmd(2, mismatch, engine="threaded", timeout=threaded_timeout)
-    threaded_seconds = time.perf_counter() - start
+    deadlock("event")
+    event_seconds = time.perf_counter() - start
 
-    assert threaded_seconds >= threaded_timeout  # pays the timeout in full
-    assert event_seconds < 0.1                   # structural: no waiting
-    benchmark.extra_info["threaded_timeout_seconds"] = threaded_seconds
+    assert benchmark.stats.stats.mean < 0.1  # structural: no waiting
+    assert event_seconds < 0.1
     benchmark.extra_info["event_seconds"] = event_seconds
-    benchmark.extra_info["detection_speedup"] = threaded_seconds / max(
-        event_seconds, 1e-9
-    )
 
 
 def test_bench_engine_max_p_888(benchmark):
-    """The paper's largest process count, P = 888, on the event engine."""
+    """The paper's largest process count, P = 888, point to point."""
     P, b = 888, 4
     A = tall_skinny(2 * P, b, seed=2)
     res = benchmark.pedantic(
@@ -159,14 +123,10 @@ def test_bench_engine_max_p_888(benchmark):
 
 
 def test_bench_engine_coroutine_collectives_p512(benchmark):
-    """Scheduling-overhead comparison at P = 512: a communication-bound SPMD
-    program (16 whole-world all-reduce rounds) on the coroutine backend, with
-    the threaded backend timed alongside.
-
-    This isolates what the coroutine engine optimizes — each collective is one
-    group-level event instead of P log P individually synchronized messages —
-    so the gap over per-message thread wakeups is the headline number: at
-    least 5x, typically around 10x on an idle host.
+    """A communication-bound SPMD program (16 whole-world all-reduce rounds)
+    at P = 512: each collective is one group-level event instead of P log P
+    individually scheduled messages.  The point-to-point run on the same
+    scheduler is timed alongside and recorded; wall-clock is not gated.
     """
     P, rounds = 512, 16
     _collective_storm("coroutine", 64, rounds=4)  # warm caches off the clock
@@ -175,31 +135,30 @@ def test_bench_engine_coroutine_collectives_p512(benchmark):
     )
 
     start = time.perf_counter()
-    res_threaded = _collective_storm("threaded", P)
-    threaded_seconds = time.perf_counter() - start
+    res_event = _collective_storm("event", P)
+    event_seconds = time.perf_counter() - start
     coroutine_seconds = benchmark.stats.stats.min
 
     # Engine contract: identical results and simulated quantities.
-    assert res_coro.results == res_threaded.results
-    assert res_coro.summary() == res_threaded.summary()
+    assert res_coro.results == res_event.results
+    assert res_coro.summary() == res_event.summary()
     assert res_coro.total_group_collectives == P * rounds
+    assert res_event.total_group_collectives == 0
 
-    speedup = threaded_seconds / coroutine_seconds if coroutine_seconds > 0 else float("inf")
     benchmark.extra_info["P"] = P
     benchmark.extra_info["rounds"] = rounds
-    benchmark.extra_info["threaded_seconds"] = threaded_seconds
+    benchmark.extra_info["event_seconds"] = event_seconds
     benchmark.extra_info["coroutine_seconds"] = coroutine_seconds
-    benchmark.extra_info["speedup_coroutine_over_threaded"] = speedup
-    print(f"\nP={P} collective rounds: coroutine {coroutine_seconds:.3f}s, "
-          f"threaded {threaded_seconds:.3f}s, speedup {speedup:.2f}x")
-    assert speedup >= 5.0
+    benchmark.extra_info["speedup_group_over_point_to_point"] = (
+        event_seconds / coroutine_seconds
+    )
 
 
 def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
-    """Host merge evaluations per panel at Pr = 16, b = 16: the event engine
-    runs every rank's redundant merge (Pr log2 Pr = 64), the coroutine engine
-    each distinct one (Pr - 1 = 15) while charging all ranks the same.  A
-    count ratio, so machine-independent: at least 4x."""
+    """Host merge evaluations per panel at Pr = 16, b = 16: point to point
+    every rank runs its redundant merge (Pr log2 Pr = 64), the group
+    evaluation each distinct one (Pr - 1 = 15) while charging all ranks the
+    same.  A count ratio, so machine-independent: at least 4x."""
     import importlib
 
     ptslu_module = importlib.import_module("repro.parallel.ptslu")
@@ -246,8 +205,8 @@ def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
 
 def test_bench_engine_coroutine_tslu_p4096(benchmark):
     """TSLU at P = 4096 — an order of magnitude beyond the paper's largest
-    machine — on the coroutine engine, with a bit-identity spot check against
-    the event engine at an overlapping P."""
+    machine — with a bit-identity spot check against the point-to-point
+    reference at an overlapping P."""
     P, b = 4096, 4
     res = benchmark.pedantic(_tslu, args=("coroutine", P, b), rounds=1, iterations=1)
     A = tall_skinny(4 * P, b, seed=1)
@@ -255,8 +214,8 @@ def test_bench_engine_coroutine_tslu_p4096(benchmark):
     assert res.trace.max_messages == 12  # log2(4096)
     assert res.trace.total_group_collectives == P  # one tournament per rank
 
-    # Overlapping-P parity: the event engine cannot reach P = 4096 in bench
-    # time, so bit-identity (clocks included) is pinned where both run.
+    # Overlapping-P parity: bit-identity (clocks included) at a P where the
+    # point-to-point run is cheap.
     small = 256
     res_coro = _tslu("coroutine", small, b)
     res_event = _tslu("event", small, b)
@@ -273,8 +232,8 @@ def test_bench_engine_coroutine_tslu_p4096(benchmark):
 
 def test_bench_engine_coroutine_pdgesv_p2048(benchmark):
     """A full distributed solve (PDGESV: CALU + two triangular solves +
-    refinement) at P = 2048 on the coroutine engine, with overlapping-P
-    bit-identity against the event engine."""
+    refinement) at P = 2048, with overlapping-P bit-identity against the
+    point-to-point reference."""
     Pr, Pc, n, b = 64, 32, 256, 4
     res = benchmark.pedantic(
         _pdgesv, args=("coroutine", Pr, Pc, n, b), rounds=1, iterations=1

@@ -7,9 +7,9 @@ word counts, and the simulated critical-path time under the IBM POWER5 and
 Cray XT4 machine models — i.e. a miniature, executable version of the paper's
 comparison, small enough to run in seconds in pure Python.
 
-The runs use the deterministic event-driven engine, so repeated invocations
-produce bit-identical traces; set ``REPRO_VMPI_ENGINE=threaded`` (or edit
-``ENGINE`` below) to cross-check the threaded backend.
+The simulator is deterministic, so repeated invocations produce bit-identical
+traces; set ``REPRO_VMPI_ENGINE=event`` to cross-check the point-to-point
+evaluation of the collectives.
 
 Run with::
 
@@ -18,7 +18,6 @@ Run with::
 
 from __future__ import annotations
 
-import os
 import sys
 
 import numpy as np
@@ -29,15 +28,11 @@ from repro.parallel import pcalu
 from repro.randmat import randn
 from repro.scalapack import pdgetrf
 
-#: Virtual-MPI execution engine used for the example runs (overridable via
-#: the REPRO_VMPI_ENGINE environment variable).
-ENGINE = os.environ.get("REPRO_VMPI_ENGINE") or "event"
-
 
 def run_once(A, grid, b, machine, label):
     rows = []
     for name, fn in (("CALU", pcalu), ("PDGETRF", pdgetrf)):
-        res = fn(A, grid, block_size=b, machine=machine, engine=ENGINE)
+        res = fn(A, grid, block_size=b, machine=machine)
         err = float(np.max(np.abs(A[res.perm, :] - res.L @ res.U)))
         rows.append(
             {

@@ -16,10 +16,10 @@ this module centralises the machinery:
       explicit per-call argument  >  ambient context (set_*/context manager)
         >  ``REPRO_*`` environment variable  >  default
 
-  The four knob modules *register* an :class:`Option` at import time and keep
-  their historical ``resolve_*`` / ``set_*`` / context-manager entry points
-  as thin delegations, so every existing call signature keeps working and
-  resolves bit-identically.
+  The four knob modules *register* an :class:`Option` at import time; three
+  keep their historical ``resolve_*`` / ``set_*`` / context-manager entry
+  points as thin delegations (the engine module only ``resolve_engine*``),
+  so those call signatures keep working and resolve bit-identically.
 * :class:`SolveConfig` — a frozen dataclass bundling everything that
   configures a distributed solve (the four knobs plus grid shape, block size
   ``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
@@ -84,8 +84,8 @@ class Option:
         Callable mapping a raw value to its canonical registered name,
         raising :class:`UnknownOptionError` (or a subclass) otherwise.  The
         registering module supplies it, so registry lookups and error types
-        stay owned by the subsystem (e.g. the engine knob canonicalises
-        aliases and raises ``UnknownEngineError``).
+        stay owned by the subsystem (e.g. the engine knob raises
+        ``UnknownEngineError``).
 
     An :class:`Option` carries the knob's *ambient* override — what the
     historical per-module ``_process_*`` globals held — and implements the

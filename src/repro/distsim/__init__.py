@@ -5,37 +5,20 @@ exchange messages through :class:`~repro.distsim.vmpi.Communicator`, and
 every message/word/flop is charged to a per-rank trace priced under a
 :class:`~repro.machines.model.MachineModel`.
 
-Three execution backends are available (see :mod:`repro.distsim.engine`):
-
-``threaded``
-    The original backend: one OS thread per rank, OS-scheduled, with a
-    real-time timeout guarding blocking receives.  Its host-side interleaving
-    is nondeterministic and it degrades beyond a few dozen ranks (GIL
-    contention, thread startup), but rank programs that release the GIL can
-    overlap for real.
-``event``
-    A deterministic single-process discrete-event scheduler: exactly one rank
-    runs at a time, and the next runnable rank is always the one with the
-    smallest ``(simulated clock, rank)``.  Deadlock is detected structurally
-    (no rank runnable ⇒ fail immediately), traces are bit-for-bit
-    reproducible across runs, and process counts at the paper's scale
-    (P = 64…888 and beyond) are practical.
-``coroutine``
-    The event engine's wake order without the threads: rank programs run as
-    generator coroutines stepped by a single host thread, and collectives are
-    evaluated as single group-level events with per-rank cost attribution.
-    Deterministic, structurally deadlock-detecting, and fast enough for
-    process counts in the thousands (P ≈ 10⁴).
+SPMD programs are generator functions stepped by one deterministic
+single-threaded scheduler (:mod:`repro.distsim.engine`): exactly one rank
+runs at a time, the next is always the runnable rank with the smallest
+``(simulated clock, rank)``, and deadlock is detected structurally (no rank
+runnable ⇒ fail immediately, naming what each rank waits on).  Collectives
+are evaluated as single group-level events with per-rank cost attribution;
+``engine="event"`` turns that off so they walk their point-to-point trees —
+the reference the tests compare the group evaluation against.
 
 **Determinism guarantee** — the simulated quantities (message counts, word
 counts, flop counts, per-rank clocks and hence critical-path times) are a
-pure function of the rank programs and the machine model.  They are identical
-across *all* backends and across repeated runs; the event and coroutine
-engines additionally make the host-side execution order itself reproducible.
-
-Select a backend with ``run_spmd(..., engine="coroutine")``, the
-``REPRO_VMPI_ENGINE`` environment variable, or register your own via
-:func:`repro.distsim.engine.register_engine`.
+pure function of the rank programs and the machine model: identical across
+repeated runs and across both engine names.  The host-side execution order
+is reproducible too.
 """
 
 from .collectives import (
@@ -47,15 +30,7 @@ from .collectives import (
     reduce,
     scatter,
 )
-from .engine import (
-    ExecutionEngine,
-    SpmdProgram,
-    available_engines,
-    get_engine,
-    register_engine,
-    resolve_engine,
-    spmd_program,
-)
+from .engine import ExecutionEngine, available_engines, get_engine, resolve_engine
 from .errors import (
     DeadlockError,
     RankFailedError,
@@ -63,26 +38,15 @@ from .errors import (
     UnknownEngineError,
 )
 from .tracing import RankTrace, RunTrace
-from .vmpi import (
-    DEFAULT_TIMEOUT,
-    Communicator,
-    default_timeout,
-    payload_words,
-    run_spmd,
-)
+from .vmpi import Communicator, payload_words, run_spmd
 
 __all__ = [
     "Communicator",
     "run_spmd",
     "payload_words",
-    "DEFAULT_TIMEOUT",
-    "default_timeout",
     "ExecutionEngine",
-    "SpmdProgram",
-    "spmd_program",
     "available_engines",
     "get_engine",
-    "register_engine",
     "resolve_engine",
     "RankTrace",
     "RunTrace",

@@ -13,22 +13,20 @@ ranks.  This is how "the column of the grid holding block-column j" or "the
 process row holding block-row j" are expressed.  Every rank in the group must
 call the collective with the same group (same order); other ranks must not.
 
-Each collective is a :class:`~repro.distsim.engine.base.SpmdProgram`: calling
-it blocks (the historical API, valid on every engine), while ``.co(...)``
-returns the resumable generator form for use inside rank coroutines
-(``value = yield from broadcast.co(comm, ...)``).  On engines that advertise
-``comm.group_collectives`` (the coroutine engine), a collective yields one
+Each collective is a generator function for use inside rank programs
+(``value = yield from broadcast(comm, ...)``).  With
+``comm.group_collectives`` (the default engine), a collective yields one
 group-level :class:`~repro.distsim.engine.base.CollectiveRequest` instead of
 walking its point-to-point tree; the scheduler evaluates the same tree
 centrally (:mod:`repro.distsim.engine.group_ops`) with bit-identical per-rank
-cost attribution, so traces match across engines either way.
+cost attribution, so traces match either way.
 """
 
 from __future__ import annotations
 
 from typing import Any, Callable, List, Optional, Sequence
 
-from .engine.base import CollectiveRequest, RedundantOp, spmd_program
+from .engine.base import CollectiveRequest, RedundantOp
 from .vmpi import Communicator
 
 
@@ -73,7 +71,6 @@ def _root_position(name: str, root: int, group: Sequence[int]) -> int:
         ) from None
 
 
-@spmd_program
 def broadcast(
     comm: Communicator,
     value: Any,
@@ -141,7 +138,6 @@ def broadcast(
     return received
 
 
-@spmd_program
 def reduce(
     comm: Communicator,
     value: Any,
@@ -193,7 +189,6 @@ def reduce(
     return acc if comm.rank == root else None
 
 
-@spmd_program
 def allreduce(
     comm: Communicator,
     value: Any,
@@ -271,7 +266,6 @@ def allreduce(
     return op.finish_charged(acc) if redundant else acc
 
 
-@spmd_program
 def gather(
     comm: Communicator,
     value: Any,
@@ -287,7 +281,7 @@ def gather(
         return out
 
     me = _position(comm, _norm_group(comm, group))
-    result = yield from reduce.co(
+    result = yield from reduce(
         comm, {me: value}, merge, root, group=group, tag=tag, channel=channel
     )
     if comm.rank == root and result is not None:
@@ -295,7 +289,6 @@ def gather(
     return None
 
 
-@spmd_program
 def allgather(
     comm: Communicator,
     value: Any,
@@ -312,13 +305,12 @@ def allgather(
         out.update(a)
         return out
 
-    combined = yield from allreduce.co(
+    combined = yield from allreduce(
         comm, {me: value}, merge, group=grp, tag=tag, channel=channel
     )
     return [combined[i] for i in sorted(combined)]
 
 
-@spmd_program
 def scatter(
     comm: Communicator,
     values: Optional[Sequence[Any]],
@@ -359,7 +351,6 @@ def scatter(
     return (yield from comm.co_recv(root, tag=(tag, me)))
 
 
-@spmd_program
 def barrier(
     comm: Communicator,
     group: Optional[Sequence[int]] = None,
@@ -367,4 +358,4 @@ def barrier(
     channel: str = "any",
 ) -> None:
     """Synchronise all ranks of the group (an all-reduce of nothing)."""
-    yield from allreduce.co(comm, 0, lambda a, b: 0, group=group, tag=tag, channel=channel)
+    yield from allreduce(comm, 0, lambda a, b: 0, group=group, tag=tag, channel=channel)

@@ -1,77 +1,43 @@
-"""Pluggable execution engines for the virtual MPI.
+"""The execution engine of the virtual MPI and its ``engine`` knob.
 
-An engine decides how the ``P`` rank programs of an SPMD run execute on the
-host; the simulated cost model is engine-independent.  Three backends ship:
+One scheduler (:mod:`repro.distsim.engine.coroutine`) runs every SPMD
+program; the simulated cost model lives in the shared
+:class:`~repro.distsim.engine.base.Communicator`.  The scheduler is
+registered under two names:
 
-``threaded``
-    One OS thread per rank, OS-scheduled, timeout-guarded receives — the
-    original backend, useful when rank programs release the GIL.
+``coroutine`` (default)
+    Collectives rendezvous as single group-level events evaluated centrally
+    (:mod:`repro.distsim.engine.group_ops`).
 ``event``
-    Deterministic single-runner discrete-event scheduler (thread-baton
-    handoff ordered by simulated clock): bit-for-bit reproducible traces,
-    structural deadlock detection, and practical at paper-scale process
-    counts (``P`` ≥ 888).
-``coroutine``
-    Deterministic single-threaded generator-coroutine scheduler with
-    vectorized group-level collectives: no threads at all, so process
-    counts in the thousands (``P`` ≈ 10⁴) run in seconds.  Traces are
-    bit-identical to the event engine's; non-generator rank programs fall
-    back to the event engine's machinery transparently.
+    The same scheduler with group delivery off: every collective walks its
+    point-to-point tree.  Traces are bit-identical to ``coroutine``'s; it
+    exists as the reference the tests compare ``group_ops`` and the
+    ``RedundantOp`` dedup against.
 
-Select an engine per call (``run_spmd(..., engine="coroutine")``),
-ambiently via :func:`set_engine` / the :func:`engine_context` context
-manager, process-wide via the ``REPRO_VMPI_ENGINE`` environment variable, or
-register a custom one with :func:`register_engine`.  The knob is registered
-into the shared configuration subsystem (:mod:`repro.core.options`), so it
-follows the same precedence rule as ``pivoting``/``kernel_tier``/``matmul``.
+Select per call (``run_spmd(..., engine="event")``) or process-wide via the
+``REPRO_VMPI_ENGINE`` environment variable.  The knob is registered into the
+shared configuration subsystem (:mod:`repro.core.options`), so it follows the
+same precedence rule as ``pivoting``/``kernel_tier``/``matmul``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, Optional, Union
+from typing import Union
 
 from ...core.options import Option, register_option
 from ..errors import UnknownEngineError
-from .base import (
-    DEFAULT_TIMEOUT,
-    CollectiveRequest,
-    Communicator,
-    Envelope,
-    ExecutionEngine,
-    RecvRequest,
-    SpmdProgram,
-    call_rank_program,
-    coroutine_entry,
-    default_timeout,
-    drive,
-    payload_words,
-    spmd_program,
-)
-from .coroutine import CoroutineCommunicator, CoroutineEngine
-from .event import EventCommunicator, EventEngine
-from .threaded import ThreadedCommunicator, ThreadedEngine
+from .base import CollectiveRequest, Communicator, Envelope, RecvRequest, payload_words
+from .coroutine import ExecutionEngine
 
 #: Engine used when neither ``engine=`` nor ``REPRO_VMPI_ENGINE`` is given.
-DEFAULT_ENGINE = "threaded"
+DEFAULT_ENGINE = "coroutine"
 
 #: Environment variable consulted between the ambient context and the default.
 ENV_VAR = "REPRO_VMPI_ENGINE"
 
-_REGISTRY: Dict[str, Callable[[], ExecutionEngine]] = {
-    ThreadedEngine.name: ThreadedEngine,
-    EventEngine.name: EventEngine,
-    CoroutineEngine.name: CoroutineEngine,
-}
-
-_ALIASES = {
-    "thread": "threaded",
-    "threads": "threaded",
-    "event-driven": "event",
-    "deterministic": "event",
-    "coro": "coroutine",
-    "coroutines": "coroutine",
-    "generator": "coroutine",
+_REGISTRY = {
+    "coroutine": ExecutionEngine("coroutine", group_collectives=True),
+    "event": ExecutionEngine("event", group_collectives=False),
 }
 
 
@@ -80,43 +46,25 @@ def available_engines() -> list:
     return sorted(_REGISTRY)
 
 
-def register_engine(name: str, factory: Callable[[], ExecutionEngine]) -> None:
-    """Register a custom engine factory under ``name`` (overwrites existing)."""
-    _REGISTRY[name] = factory
-
-
-def get_engine(name: str) -> ExecutionEngine:
-    """Instantiate the engine registered under ``name`` (aliases accepted).
-
-    Exact registry entries win over aliases, so a custom engine registered
-    under an alias name is reachable.
-    """
-    factory = _REGISTRY.get(name) or _REGISTRY.get(_ALIASES.get(name, name))
-    if factory is None:
-        raise UnknownEngineError(name, available_engines())
-    return factory()
-
-
 def _validate(name: str) -> str:
-    """Canonicalise an engine name (aliases resolved) or raise.
+    """Return ``name`` if registered, else raise.
 
-    Exact registry entries win over aliases, mirroring :func:`get_engine`, so
-    the validated name always instantiates the same engine the raw name
-    would.  Raises :class:`~repro.distsim.errors.UnknownEngineError` (an
+    Raises :class:`~repro.distsim.errors.UnknownEngineError` (an
     ``UnknownOptionError`` subclass) for unregistered names.
     """
     if name in _REGISTRY:
         return name
-    canonical = _ALIASES.get(name)
-    if canonical is not None and canonical in _REGISTRY:
-        return canonical
     raise UnknownEngineError(name, available_engines())
+
+
+def get_engine(name: str) -> ExecutionEngine:
+    """The engine registered under ``name``."""
+    return _REGISTRY[_validate(name)]
 
 
 #: The engine knob, registered into the shared configuration subsystem
 #: (:mod:`repro.core.options`): precedence is explicit > ambient >
-#: ``REPRO_VMPI_ENGINE`` > "threaded", with aliases canonicalised so store
-#: keying and execution can never disagree on the resolved engine.
+#: ``REPRO_VMPI_ENGINE`` > "coroutine".
 OPTION = register_option(
     Option(
         name="engine",
@@ -128,32 +76,15 @@ OPTION = register_option(
 )
 
 
-def get_engine_name() -> str:
-    """The ambient engine name (ambient > ``REPRO_VMPI_ENGINE`` > default)."""
-    return OPTION.get()
-
-
-def set_engine(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the ambient process-wide engine override."""
-    OPTION.set(name)
-
-
-@contextmanager
-def engine_context(name: str) -> Iterator[None]:
-    """Context manager scoping an ambient engine override."""
-    with OPTION.context(name):
-        yield
-
-
 def resolve_engine_name(
     engine: Union[None, str, ExecutionEngine] = None
 ) -> str:
-    """Resolve an ``engine=`` argument to its canonical registered *name*.
+    """Resolve an ``engine=`` argument to its registered *name*.
 
-    Instances report their ``name``; strings are canonicalised (aliases
-    resolved) and validated; ``None`` follows the shared precedence rule.
-    This is what keying code (the result store, the factor cache) uses, so
-    the recorded name always matches the engine that would execute.
+    Instances report their ``name``; strings are validated; ``None`` follows
+    the shared precedence rule.  This is what keying code (the result store,
+    the factor cache) uses, so the recorded name always matches the engine
+    that would execute.
     """
     if isinstance(engine, ExecutionEngine):
         return engine.name
@@ -185,28 +116,11 @@ __all__ = [
     "Envelope",
     "ExecutionEngine",
     "RecvRequest",
-    "SpmdProgram",
-    "ThreadedCommunicator",
-    "ThreadedEngine",
-    "EventCommunicator",
-    "EventEngine",
-    "CoroutineCommunicator",
-    "CoroutineEngine",
     "DEFAULT_ENGINE",
-    "DEFAULT_TIMEOUT",
     "ENV_VAR",
-    "call_rank_program",
-    "coroutine_entry",
-    "default_timeout",
-    "drive",
     "payload_words",
-    "spmd_program",
     "available_engines",
-    "register_engine",
-    "engine_context",
     "get_engine",
-    "get_engine_name",
     "resolve_engine",
     "resolve_engine_name",
-    "set_engine",
 ]

@@ -1,56 +1,27 @@
-"""Shared machinery of the virtual-MPI execution engines.
+"""The rank-side half of the virtual MPI: communicator, requests, cost accounting.
 
-An *execution engine* decides how the ``P`` rank programs of an SPMD run are
-interleaved on the host machine; it has no influence on the simulated
-quantities.  All cost accounting — words per payload, clock advancement for
-arithmetic and messages, the per-rank trace counters — lives here in
-:class:`Communicator`, which both backends subclass.  A backend supplies only
-the *transport*: how an envelope travels from sender to receiver
-(:meth:`Communicator._deliver`) and how a rank waits for a matching message
-(:meth:`Communicator._match`).
+All cost accounting — words per payload, clock advancement for arithmetic
+and messages, the per-rank trace counters — lives here in
+:class:`Communicator`.  Every simulated quantity is therefore computed from
+the rank program's own sequence of calls; the scheduler
+(:mod:`repro.distsim.engine.coroutine`) only decides which rank runs next.
 
-Because every simulated quantity is computed in this shared base from the
-rank program's own sequence of calls, the two backends produce identical
-message counts, word counts, flop counts and critical-path times for the same
-program — the property the cross-backend test suite pins down.
-
-Zero-copy payload accounting
-----------------------------
-``send`` normally copies numpy payloads defensively so that a sender mutating
-its buffer after the call cannot race the receiver.  An engine may opt into
-*copy elision* (``copy_elision = True``): when the payload is a fresh
-temporary — a base ndarray owning its data whose only references are the
-call frames of the send itself — the sender provably holds no handle through
-which it could later mutate the buffer, so ownership can be transferred to
-the receiver without a copy.  The words charged are identical either way;
-only the defensive ``ndarray.copy()`` is skipped.  Elided sends are counted
-in :attr:`~repro.distsim.tracing.RankTrace.zero_copy_sends`.
+``send`` copies numpy payloads defensively, so a sender mutating its buffer
+after the call cannot race the receiver.
 
 The coroutine protocol
 ----------------------
-Rank programs may be written as *generator coroutines*: instead of blocking
-inside :meth:`Communicator.recv`, they ``yield`` a :class:`RecvRequest` (via
-:meth:`Communicator.co_recv`) or a :class:`CollectiveRequest` (via the group
-branch of :mod:`repro.distsim.collectives`) and are resumed with the matched
-envelope / collective result.  ``send`` never blocks in this simulator, so a
-receive is the only suspension point and the protocol stays tiny.
-
-Engines that park a real thread per rank run such programs through
-:func:`drive`, a trampoline that services each yielded request against the
-communicator's blocking transport — so one body works on every engine.  The
-single-threaded coroutine engine instead schedules the generators natively.
-:class:`SpmdProgram` packages both interfaces behind one name: calling the
-wrapped routine blocks (the historical API), ``routine.co(...)`` returns the
-resumable generator for use inside an enclosing coroutine (``yield from``).
+A rank program is a generator function ``prog(comm, *args)``.  ``send``
+never blocks in this simulator, so a receive is the only suspension point:
+the program yields a :class:`RecvRequest` (via :meth:`Communicator.co_recv`)
+or a :class:`CollectiveRequest` (via the group branch of
+:mod:`repro.distsim.collectives`) and the scheduler resumes it with the
+matched envelope / collective result.  Programs compose with plain
+``yield from``: ``value = yield from broadcast(comm, ...)``.
 """
 
 from __future__ import annotations
 
-import functools
-import inspect
-import os
-import sys
-from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -58,24 +29,7 @@ import numpy as np
 
 from ...kernels.flops import FlopCounter
 from ...machines.model import MachineModel
-from ..errors import DeadlockError, RankFailedError, SimulationError
-from ..tracing import RankTrace, RunTrace
-
-#: Fallback number of seconds a blocking receive waits before declaring
-#: deadlock (threaded backend only; the event backend detects deadlock
-#: structurally and never waits).  Overridable via ``REPRO_VMPI_TIMEOUT``.
-DEFAULT_TIMEOUT = 120.0
-
-
-def default_timeout() -> float:
-    """Resolve the deadlock timeout from ``REPRO_VMPI_TIMEOUT`` (else 120 s)."""
-    raw = os.environ.get("REPRO_VMPI_TIMEOUT")
-    if raw is None:
-        return DEFAULT_TIMEOUT
-    try:
-        return float(raw)
-    except ValueError:
-        return DEFAULT_TIMEOUT
+from ..tracing import RankTrace
 
 
 def payload_words(payload: Any) -> float:
@@ -114,9 +68,8 @@ class Envelope:
 class RecvRequest:
     """Yielded by a rank coroutine to suspend until a matching message arrives.
 
-    The scheduler (or the blocking trampoline) resumes the coroutine with the
-    matched :class:`Envelope`; all receive-side accounting stays inside
-    :meth:`Communicator.co_recv`, engine-independent.
+    The scheduler resumes the coroutine with the matched :class:`Envelope`;
+    all receive-side accounting stays inside :meth:`Communicator.co_recv`.
     """
 
     source: int
@@ -127,12 +80,13 @@ class RecvRequest:
 class CollectiveRequest:
     """Yielded by a rank coroutine to join a single group-level collective.
 
-    Engines advertising ``group_collectives`` rendezvous all ``len(group)``
-    participants on one event keyed by ``(kind, group, tag, channel,
-    rootpos)`` and evaluate the collective centrally with exact per-rank cost
-    attribution (:mod:`repro.distsim.engine.group_ops`); the coroutine is
-    resumed with its rank's result.  Engines without group delivery never see
-    this request — the collectives fall back to their point-to-point trees.
+    The scheduler rendezvouses all ``len(group)`` participants on one event
+    keyed by ``(kind, group, tag, channel, rootpos)`` and evaluates the
+    collective centrally with exact per-rank cost attribution
+    (:mod:`repro.distsim.engine.group_ops`); the coroutine is resumed with
+    its rank's result.  With ``comm.group_collectives`` off (the ``"event"``
+    reference) the collectives walk their point-to-point trees instead and
+    this request is never yielded.
     """
 
     kind: str  # "broadcast" | "reduce" | "allreduce" | "scatter"
@@ -154,10 +108,10 @@ class RedundantOp:
     of ``2k`` positions holds the same value, so the ranks of a block apply
     the operator *redundantly* to the same two operands — the arithmetic TSLU
     trades for fewer messages.  That redundancy belongs to the simulated
-    machine, not to the host: an operator written in this form lets an engine
-    that evaluates collectives centrally compute each distinct application
-    once and charge the returned :class:`FlopCounter` to every rank that
-    would have performed it, so ledgers and clocks are unchanged.
+    machine, not to the host: an operator written in this form lets the
+    central evaluation of a group collective compute each distinct
+    application once and charge the returned :class:`FlopCounter` to every
+    rank that would have performed it, so ledgers and clocks are unchanged.
 
     Subclasses implement :meth:`combine` and may override :meth:`finish`;
     neither may modify its operands, and what they return is shared between
@@ -201,64 +155,17 @@ class RedundantOp:
         return value
 
 
-def _calibrate_fresh_refcount() -> int:
-    """Reference count observed for a payload that is a pure temporary.
-
-    Mirrors the frame depth of ``send -> _prepare_payload -> _can_elide_copy
-    -> sys.getrefcount`` so the threshold adapts to how the running Python
-    implementation accounts call-argument references.
-    """
-    if not hasattr(sys, "getrefcount"):  # pragma: no cover - non-CPython
-        return 0
-
-    def probe(x: Any) -> int:
-        return sys.getrefcount(x)
-
-    def middle(x: Any) -> int:
-        return probe(x)
-
-    def outer(x: Any) -> int:
-        return middle(x)
-
-    return outer(np.empty(0))
-
-
-_FRESH_REFCOUNT = _calibrate_fresh_refcount()
-
-
-def _can_elide_copy(arr: np.ndarray) -> bool:
-    """True when ``arr`` is provably unreachable by the sender after ``send``.
-
-    The proof: a base-class ndarray that owns its data and whose only
-    references are the frames of the in-flight send call cannot be mutated by
-    the sender afterwards (the sender retains no name bound to it), so handing
-    it to the receiver without a defensive copy cannot alias.
-    """
-    return (
-        _FRESH_REFCOUNT > 0
-        and type(arr) is np.ndarray
-        and arr.base is None
-        and arr.flags.owndata
-        and sys.getrefcount(arr) <= _FRESH_REFCOUNT
-    )
-
-
-class Communicator(ABC):
+class Communicator:
     """Handle through which a rank communicates and charges costs.
 
     The interface intentionally mirrors a small subset of mpi4py:
-    :meth:`send`, :meth:`recv`, plus collective operations provided as free
-    functions in :mod:`repro.distsim.collectives`.  Concrete engines supply
-    the transport by implementing :meth:`_deliver` and :meth:`_match`.
+    :meth:`send`, :meth:`co_recv`, plus collective operations provided as
+    free functions in :mod:`repro.distsim.collectives`.
+
+    ``deliver(dest, envelope)`` is the scheduler's transport;
+    ``group_collectives`` makes the collectives rendezvous as single
+    group-level events instead of walking their point-to-point trees.
     """
-
-    #: Engines that serialize or otherwise control rank execution may enable
-    #: defensive-copy elision for provably unaliased payloads.
-    copy_elision: bool = False
-
-    #: Engines that rendezvous collectives as single group-level events set
-    #: this; the collectives in :mod:`repro.distsim.collectives` branch on it.
-    group_collectives: bool = False
 
     def __init__(
         self,
@@ -266,11 +173,15 @@ class Communicator(ABC):
         size: int,
         machine: MachineModel,
         trace: RankTrace,
+        deliver: Callable[[int, Envelope], None],
+        group_collectives: bool,
     ) -> None:
         self._rank = rank
         self._size = size
         self._machine = machine
         self._trace = trace
+        self._deliver = deliver
+        self.group_collectives = group_collectives
         # Messages received but not yet matched by tag/source.
         self._stash: List[Envelope] = []
 
@@ -336,9 +247,7 @@ class Communicator(ABC):
             Destination rank.
         payload:
             Any picklable object; numpy arrays are copied defensively so later
-            mutation by the sender cannot race the receiver — unless the
-            engine can prove the payload is a fresh temporary (see the module
-            docstring on zero-copy accounting).
+            mutation by the sender cannot race the receiver.
         tag:
             Message tag used for matching.
         channel:
@@ -349,12 +258,11 @@ class Communicator(ABC):
             raise ValueError(f"invalid destination rank {dest}")
         if dest == self._rank:
             raise ValueError("self-sends are not supported; restructure the algorithm")
-        zero_copy = False
         if isinstance(payload, np.ndarray):
-            payload, zero_copy = self._prepare_payload(payload)
+            payload = payload.copy()
         words = payload_words(payload)
         cost = self._machine.message_time(words, channel)
-        self._trace.record_send(words, channel, zero_copy=zero_copy)
+        self._trace.record_send(words, channel)
         self._trace.clock += cost
         env = Envelope(
             source=self._rank,
@@ -365,44 +273,12 @@ class Communicator(ABC):
         )
         self._deliver(dest, env)
 
-    def recv(self, source: int, tag: Any = 0) -> Any:
-        """Receive a message from ``source`` with matching ``tag``.
-
-        Blocks until a matching message arrives (the threaded backend guards
-        the wait with a deadlock timeout; the event backend detects deadlock
-        structurally).  The rank's simulated clock is advanced to at least the
-        time at which the message became available on the sender's side.
-        """
-        env = self._match(source, tag)
-        self._trace.record_recv(env.words)
-        self._trace.clock = max(self._trace.clock, env.available_at)
-        return env.payload
-
-    def sendrecv(
-        self,
-        dest: int,
-        payload: Any,
-        source: Optional[int] = None,
-        tag: Any = 0,
-        channel: str = "any",
-    ) -> Any:
-        """Exchange messages with a partner (send to ``dest``, receive from ``source``).
-
-        ``source`` defaults to ``dest`` — the pairwise exchange used at every
-        level of the TSLU butterfly.
-        """
-        if source is None:
-            source = dest
-        self.send(dest, payload, tag=tag, channel=channel)
-        return self.recv(source, tag=tag)
-
-    # ------------------------------------------------------ coroutine protocol
     def co_recv(self, source: int, tag: Any = 0):
-        """Coroutine form of :meth:`recv`: ``payload = yield from comm.co_recv(...)``.
+        """Receive from ``source``: ``payload = yield from comm.co_recv(...)``.
 
         Yields a :class:`RecvRequest` and is resumed with the matched
-        envelope.  The accounting is exactly :meth:`recv`'s — same counters,
-        same clock synchronisation — so traces are engine-independent.
+        envelope.  The rank's simulated clock is advanced to at least the
+        time at which the message became available on the sender's side.
         """
         env = yield RecvRequest(source, tag)
         self._trace.record_recv(env.words)
@@ -417,183 +293,12 @@ class Communicator(ABC):
         tag: Any = 0,
         channel: str = "any",
     ):
-        """Coroutine form of :meth:`sendrecv` (the send part never blocks)."""
+        """Exchange messages with a partner (send to ``dest``, receive from ``source``).
+
+        ``source`` defaults to ``dest`` — the pairwise exchange used at every
+        level of the TSLU butterfly.  The send part never blocks.
+        """
         if source is None:
             source = dest
         self.send(dest, payload, tag=tag, channel=channel)
         return (yield from self.co_recv(source, tag=tag))
-
-    def _service(self, request: Any) -> Any:
-        """Blocking fulfilment of a yielded request (used by :func:`drive`)."""
-        if isinstance(request, RecvRequest):
-            return self._match(request.source, request.tag)
-        if isinstance(request, CollectiveRequest):
-            raise SimulationError(
-                f"engine cannot service a group-level {request.kind} collective; "
-                "group delivery requires a scheduler with rendezvous support"
-            )
-        raise SimulationError(
-            f"rank coroutine yielded an unknown request: {request!r}"
-        )
-
-    # ---------------------------------------------------------------- helpers
-    def _prepare_payload(self, arr: np.ndarray) -> Tuple[np.ndarray, bool]:
-        """Return the array to enqueue and whether the defensive copy was elided."""
-        if self.copy_elision and _can_elide_copy(arr):
-            return arr, True
-        return arr.copy(), False
-
-    # ------------------------------------------------------ transport (engine)
-    @abstractmethod
-    def _deliver(self, dest: int, env: Envelope) -> None:
-        """Hand an envelope to rank ``dest``'s incoming message store."""
-
-    @abstractmethod
-    def _match(self, source: int, tag: Any) -> Envelope:
-        """Block until a message matching ``(source, tag)`` is available."""
-
-
-def drive(comm: Communicator, gen) -> Any:
-    """Run a rank coroutine to completion against blocking transport.
-
-    The compatibility shim between the coroutine protocol and the
-    thread-parking engines: each yielded request is serviced through the
-    communicator's blocking primitives, and transport errors (e.g.
-    :class:`~repro.distsim.errors.DeadlockError`) are thrown *into* the
-    generator so they surface at the receive call site, exactly as the
-    blocking API raises them.
-    """
-    try:
-        request = gen.send(None)
-        while True:
-            try:
-                response = comm._service(request)
-            except BaseException as exc:  # noqa: BLE001 - rethrown at the yield
-                request = gen.throw(exc)
-            else:
-                request = gen.send(response)
-    except StopIteration as stop:
-        return stop.value
-
-
-def call_rank_program(fn: Callable[..., Any], comm: Communicator, args, kwargs) -> Any:
-    """Invoke a rank program that may be plain, a generator, or dual-interface.
-
-    Thread-parking engines call this from each rank's worker: legacy blocking
-    functions run as before, while generator-based bodies (including
-    :class:`SpmdProgram` wrappers, whose ``__call__`` already drives) are
-    driven to completion through :func:`drive`.
-    """
-    out = fn(comm, *args, **kwargs)
-    if inspect.isgenerator(out):
-        return drive(comm, out)
-    return out
-
-
-class SpmdProgram:
-    """Dual-interface SPMD routine: blocking call or resumable coroutine.
-
-    Wraps a generator function ``gen_fn(comm, *args, **kwargs)`` whose first
-    argument is the calling rank's communicator.  Calling the wrapper runs
-    the generator to completion against the communicator's blocking transport
-    (the historical API, valid on every engine); ``.co(...)`` returns the raw
-    generator for engines — or enclosing coroutines — that schedule the
-    suspension points themselves (``result = yield from program.co(...)``).
-    """
-
-    def __init__(self, gen_fn: Callable[..., Any]) -> None:
-        if not inspect.isgeneratorfunction(gen_fn):
-            raise TypeError(
-                f"SpmdProgram requires a generator function, got {gen_fn!r}"
-            )
-        self._gen_fn = gen_fn
-        functools.update_wrapper(self, gen_fn)
-
-    def co(self, comm: Communicator, *args: Any, **kwargs: Any):
-        """The resumable coroutine form (for ``yield from`` composition)."""
-        return self._gen_fn(comm, *args, **kwargs)
-
-    def __call__(self, comm: Communicator, *args: Any, **kwargs: Any) -> Any:
-        return drive(comm, self._gen_fn(comm, *args, **kwargs))
-
-
-def spmd_program(gen_fn: Callable[..., Any]) -> SpmdProgram:
-    """Decorator form of :class:`SpmdProgram`."""
-    return SpmdProgram(gen_fn)
-
-
-def coroutine_entry(fn: Callable[..., Any]) -> Optional[Callable[..., Any]]:
-    """Resolve a rank program to a generator factory, or ``None`` if blocking.
-
-    Returns a callable ``entry(comm, *args, **kwargs)`` producing the rank's
-    resumable generator: the function itself for (possibly ``partial``-bound)
-    generator functions, the ``.co`` interface for :class:`SpmdProgram`
-    wrappers (rebuilding any ``partial`` chain over it).  ``None`` means the
-    program is a plain blocking callable and needs an engine that can park.
-    """
-    target = fn
-    wrappers: List[functools.partial] = []
-    while isinstance(target, functools.partial):
-        wrappers.append(target)
-        target = target.func
-    if isinstance(target, SpmdProgram):
-        entry: Callable[..., Any] = target.co
-        for w in reversed(wrappers):
-            entry = functools.partial(entry, *w.args, **(w.keywords or {}))
-        return entry
-    if inspect.isgeneratorfunction(target):
-        return fn
-    return None
-
-
-class ExecutionEngine(ABC):
-    """Strategy deciding how the ``P`` rank programs are executed.
-
-    Engines are registered in :mod:`repro.distsim.engine` and selected via the
-    ``engine=`` argument of :func:`repro.distsim.run_spmd` (or the
-    ``REPRO_VMPI_ENGINE`` environment variable).
-    """
-
-    #: Registry name of the engine.
-    name: str = "abstract"
-    #: Whether repeated runs of the same program produce bit-identical traces
-    #: *and* identical host-side execution order.
-    deterministic: bool = False
-
-    @abstractmethod
-    def run(
-        self,
-        nprocs: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        kwargs: dict,
-        machine: MachineModel,
-        timeout: float,
-    ) -> RunTrace:
-        """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks."""
-
-    # ------------------------------------------------------- shared epilogue
-    def _finish_run(
-        self,
-        traces: List[RankTrace],
-        results: List[Any],
-        failures: "dict[int, BaseException]",
-    ) -> RunTrace:
-        """Raise on rank failures, else assemble the run trace.
-
-        When ranks failed for mixed reasons, the chained ``__cause__`` is the
-        lowest-ranked *root* failure: DeadlockErrors are secondary whenever a
-        rank crashed outright (its crash is what left the others waiting), so
-        they are only used as the cause when every failure is a deadlock.
-        """
-        if failures:
-            cause = next(
-                (
-                    failures[r]
-                    for r in sorted(failures)
-                    if not isinstance(failures[r], DeadlockError)
-                ),
-                failures[min(failures)],
-            )
-            raise RankFailedError(failures) from cause
-        return RunTrace(ranks=traces, results=results, engine=self.name)

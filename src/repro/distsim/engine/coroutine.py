@@ -1,96 +1,48 @@
-"""Single-threaded coroutine execution engine: the virtual MPI at P ≈ 10⁴.
+"""The scheduler of the virtual MPI: one host thread steps every rank.
 
-The event engine already computes the correct deterministic wake order — a
-heap of ``(simulated clock, rank)`` — but it still parks one OS thread per
-rank and passes a baton between them, so every suspension costs a futex
-handshake and every run costs ``P`` thread stacks.  This engine lifts the
-rank bodies out of threads entirely: each rank's SPMD program runs as a
-*generator coroutine* (see the coroutine protocol in
-:mod:`repro.distsim.engine.base`), and a single host thread steps the
-runnable generator with the smallest ``(clock, rank)`` key.  A blocking
-receive becomes ``yield RecvRequest`` — a Python frame suspension, three
-orders of magnitude cheaper than a thread handoff — so process counts in the
-thousands (ptslu at P = 4096, pdgesv at P = 2048) run in seconds where the
-threaded engine cannot even allocate its stacks.
+Each rank's SPMD program runs as a *generator coroutine* (see the coroutine
+protocol in :mod:`repro.distsim.engine.base`), and a single host thread
+steps the runnable generator with the smallest ``(simulated clock, rank)``
+key — a discrete-event simulation ordered by the α-β-γ model's own time.  A
+receive is ``yield RecvRequest``: a Python frame suspension, so process
+counts in the thousands (ptslu at P = 4096, pdgesv at P = 2048) run in
+seconds.
 
-On top of the scheduler, collectives are *vectorized*: a
-broadcast/reduce/all-reduce/scatter over a rank group yields one group-level
+Collectives are *vectorized*: a broadcast/reduce/all-reduce/scatter over a
+rank group yields one group-level
 :class:`~repro.distsim.engine.base.CollectiveRequest`; the scheduler
 rendezvouses the ``len(group)`` participants on a single event and evaluates
 the collective's communication tree centrally
 (:mod:`repro.distsim.engine.group_ops`) with per-rank cost attribution that
 is bit-identical to the point-to-point evaluation — one event instead of
 ``O(P)`` suspensions and envelope deliveries per collective.  Point-to-point
-traffic (e.g. the pairwise exchanges of ``pdlaswp``) still flows through
-stash + wake, as on the event engine.
+traffic (e.g. the pairwise exchanges of ``pdlaswp``) flows through stash +
+wake.
 
-Like the event engine this backend is deterministic, detects deadlock
-structurally (reporting, per blocked rank, the ``(source, tag)`` or the
-collective it waits on), and enables zero-copy payload delivery for provably
-unaliased temporaries.  Rank programs that are *not* generator-based fall
-back to the event engine's thread-baton machinery transparently, so legacy
-blocking bodies keep working under ``engine="coroutine"``.
+The interleaving is a pure function of the rank programs and the machine
+model, so repeated runs are bit-for-bit identical, and deadlock is detected
+structurally: when no rank is runnable and some are suspended, every
+suspended rank fails at once with a
+:class:`~repro.distsim.errors.DeadlockError` naming the ``(source, tag)`` or
+the collective it waits on.
 """
 
 from __future__ import annotations
 
 import heapq
+import inspect
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ...machines.model import MachineModel
-from ..errors import DeadlockError, SimulationError
+from ..errors import DeadlockError, RankFailedError, SimulationError
 from ..tracing import RankTrace, RunTrace
-from .base import (
-    CollectiveRequest,
-    Communicator,
-    Envelope,
-    ExecutionEngine,
-    RecvRequest,
-    coroutine_entry,
-)
+from .base import CollectiveRequest, Communicator, Envelope, RecvRequest
 from .group_ops import evaluate_collective
 
 _READY = "ready"
 _BLOCKED = "blocked"  # suspended on a RecvRequest
 _JOINED = "joined"  # suspended in a partially-assembled collective
 _DONE = "done"
-
-
-class CoroutineCommunicator(Communicator):
-    """Communicator whose transport is the coroutine scheduler's stash + wake."""
-
-    copy_elision = True
-    group_collectives = True
-
-    def __init__(
-        self,
-        rank: int,
-        size: int,
-        machine: MachineModel,
-        trace: RankTrace,
-        scheduler: "_CoroutineScheduler",
-    ) -> None:
-        super().__init__(rank, size, machine, trace)
-        self._scheduler = scheduler
-
-    def _deliver(self, dest: int, env: Envelope) -> None:
-        self._scheduler.deliver(dest, env)
-
-    def _match(self, source: int, tag: Any) -> Envelope:
-        # Reached only through the *blocking* API (comm.recv / a blocking
-        # SpmdProgram call) from inside a rank coroutine.  The single host
-        # thread cannot park here, but a message that has already arrived can
-        # be consumed without suspending — so opportunistic blocking calls
-        # keep working as long as they never actually have to wait.
-        for i, env in enumerate(self._stash):
-            if env.source == source and env.tag == tag:
-                return self._stash.pop(i)
-        raise SimulationError(
-            f"rank {self._rank} called a blocking receive for (source={source}, "
-            f"tag={tag!r}) with no matching message under the coroutine engine; "
-            "use the generator form (comm.co_recv / program.co) so the "
-            "scheduler can suspend the rank"
-        )
 
 
 class _RankState:
@@ -100,7 +52,7 @@ class _RankState:
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.comm: Optional[CoroutineCommunicator] = None
+        self.comm: Optional[Communicator] = None
         self.gen = None
         self.status = _READY
         self.waiting: Optional[Any] = None  # RecvRequest or CollectiveRequest
@@ -115,8 +67,7 @@ class _CoroutineScheduler:
     them in sequence), so scheduler state is only mutated between steps.  The
     heap holds each READY rank exactly once, keyed by ``(simulated clock,
     rank)`` — a rank's clock cannot change while it is suspended, so entries
-    never go stale.  This is the event engine's wake order with the thread
-    baton replaced by a plain loop.
+    never go stale.
     """
 
     def __init__(self, nprocs: int) -> None:
@@ -284,11 +235,33 @@ class _CoroutineScheduler:
             heapq.heappush(self.heap, (s.comm.clock, s.rank))
 
 
-class CoroutineEngine(ExecutionEngine):
-    """Generator-coroutine backend: one host thread, heap-ordered, vectorized."""
+def _rank_program(fn: Callable[..., Any], comm: Communicator, args, kwargs):
+    """One rank's run of ``fn`` as a generator, whatever ``fn`` is.
 
-    name = "coroutine"
-    deterministic = True
+    A generator program is delegated to.  A plain function has no suspension
+    point, so calling it — here, at the rank's first step, when every peer's
+    communicator exists — already ran it to completion.
+    """
+    out = fn(comm, *args, **kwargs)
+    if inspect.isgenerator(out):
+        out = yield from out
+    return out
+
+
+class ExecutionEngine:
+    """The scheduler under one of its two registered names.
+
+    ``"coroutine"`` (the default) delivers collectives as group-level events;
+    ``"event"`` is the same scheduler with ``group_collectives`` off, so every
+    collective walks its point-to-point tree — the reference the tests
+    compare :mod:`repro.distsim.engine.group_ops` against.  Selected via the
+    ``engine=`` argument of :func:`repro.distsim.run_spmd` (or the
+    ``REPRO_VMPI_ENGINE`` environment variable).
+    """
+
+    def __init__(self, name: str, group_collectives: bool) -> None:
+        self.name = name
+        self.group_collectives = group_collectives
 
     def run(
         self,
@@ -297,25 +270,32 @@ class CoroutineEngine(ExecutionEngine):
         args: Tuple[Any, ...],
         kwargs: dict,
         machine: MachineModel,
-        timeout: float,  # accepted for interface compatibility; unused
     ) -> RunTrace:
-        entry = coroutine_entry(fn)
-        if entry is None:
-            # Compatibility shim: a plain blocking rank program needs a real
-            # thread to park, so borrow the event engine's baton machinery
-            # and re-tag the trace.
-            from .event import EventEngine
+        """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks.
 
-            trace = EventEngine().run(nprocs, fn, args, kwargs, machine, timeout)
-            trace.engine = self.name
-            return trace
-
+        When ranks failed for mixed reasons, the chained ``__cause__`` is the
+        lowest-ranked *root* failure: DeadlockErrors are secondary whenever a
+        rank crashed outright (its crash is what left the others waiting), so
+        they are only used as the cause when every failure is a deadlock.
+        """
         traces = [RankTrace(rank=r) for r in range(nprocs)]
         sched = _CoroutineScheduler(nprocs)
         for st in sched.states:
-            st.comm = CoroutineCommunicator(
-                st.rank, nprocs, machine, traces[st.rank], sched
+            st.comm = Communicator(
+                st.rank, nprocs, machine, traces[st.rank], sched.deliver,
+                self.group_collectives,
             )
-            st.gen = entry(st.comm, *args, **kwargs)
+            st.gen = _rank_program(fn, st.comm, args, kwargs)
         sched.run()
-        return self._finish_run(traces, sched.results, sched.failures)
+        failures = sched.failures
+        if failures:
+            cause = next(
+                (
+                    failures[r]
+                    for r in sorted(failures)
+                    if not isinstance(failures[r], DeadlockError)
+                ),
+                failures[min(failures)],
+            )
+            raise RankFailedError(failures) from cause
+        return RunTrace(ranks=traces, results=sched.results, engine=self.name)

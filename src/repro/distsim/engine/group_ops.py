@@ -1,4 +1,4 @@
-"""Central evaluation of group-level collectives (coroutine engine).
+"""Central evaluation of group-level collectives.
 
 When every participant of a collective has yielded its
 :class:`~repro.distsim.engine.base.CollectiveRequest`, the scheduler hands
@@ -9,8 +9,8 @@ fold + recursive-doubling butterfly + unfold for the all-reduce, linear
 root-sends for the scatter — but as plain Python loops over the group,
 charging each participant's trace directly.
 
-The contract is **bit identity** with the point-to-point evaluation, pinned
-by the cross-engine parity suite.  That dictates several details mirrored
+The contract is **bit identity** with the point-to-point evaluation
+(``engine="event"``), pinned by the parity suite.  That dictates several details mirrored
 from ``collectives.py`` and ``Communicator.send``/``recv`` exactly:
 
 * per edge, the sender records the send and advances its clock *before* the
@@ -32,14 +32,11 @@ from ``collectives.py`` and ``Communicator.send``/``recv`` exactly:
 * a broadcast sizes its payload once, not once per edge that carries it;
 * top-level ndarray payloads are copied per edge (what ``send`` does
   defensively); tuples/dicts are shared by reference, as point-to-point
-  delivery shares them.  Collective payloads are always name-bound at their
-  send sites, so the point-to-point path never copy-elides them — the
-  central path therefore records plain (non-zero-copy) sends, keeping
-  ``zero_copy_sends`` identical too.
+  delivery shares them.
 
 One collective here replaces ``O(P)`` scheduler suspensions and envelope
-deliveries with a single event — the vectorization that lets the coroutine
-engine run figure-scale sweeps at ``P`` in the thousands.
+deliveries with a single event — the vectorization that lets figure-scale
+sweeps run at ``P`` in the thousands.
 """
 
 from __future__ import annotations

@@ -14,8 +14,7 @@ class UnknownEngineError(SimulationError, UnknownOptionError):
 
     Subclasses :class:`~repro.core.options.UnknownOptionError` (itself a
     :class:`ValueError`) so the message shape and the ``name`` / ``available``
-    attributes are shared with the pivoting/tier/matmul knobs, and callers
-    that caught the old bare :class:`ValueError` keep working.
+    attributes are shared with the pivoting/tier/matmul knobs.
     """
 
     def __init__(self, name, available):
@@ -23,11 +22,12 @@ class UnknownEngineError(SimulationError, UnknownOptionError):
 
 
 class DeadlockError(SimulationError):
-    """A rank waited longer than the configured timeout for a message.
+    """No rank is runnable while some still wait for a message or collective.
 
     In a correct SPMD program running under the simulator every receive is
-    eventually matched by a send; a timeout therefore indicates a communication
-    mismatch (wrong tag, wrong peer, or a rank that exited early).
+    eventually matched by a send; a deadlock therefore indicates a
+    communication mismatch (wrong tag, wrong peer, or a rank that exited
+    early).  It is detected structurally, the moment it happens.
 
     Attributes
     ----------
@@ -35,9 +35,7 @@ class DeadlockError(SimulationError):
         Structured description of what each blocked rank was waiting on:
         a mapping ``rank -> {"source": int, "tag": ...}`` for point-to-point
         waits, or ``rank -> {"collective": kind, "tag": ..., "group": (...)}``
-        for ranks parked inside an unmatched group collective.  Engines that
-        detect deadlock structurally fill it for every blocked rank; the
-        threaded engine's timeout fills it for the timed-out rank only.
+        for ranks parked inside an unmatched group collective.
     """
 
     def __init__(self, message, blocked=None):

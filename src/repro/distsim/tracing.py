@@ -41,18 +41,14 @@ class RankTrace:
         Simulated time (seconds under the run's machine model) at which the
         rank has finished everything it has done so far.
     zero_copy_sends:
-        Number of sends whose defensive numpy copy was elided because the
-        engine proved the payload could not alias (see
-        :mod:`repro.distsim.engine.base`).  Purely diagnostic — the words
-        charged are identical either way.
+        Always 0; kept because ``benchmarks/e2e`` reads it.
     group_collectives:
         Number of collectives this rank completed through a single group-level
-        event instead of point-to-point messages (coroutine engine only; see
-        :mod:`repro.distsim.engine.group_ops`).  Purely diagnostic — the
+        event instead of point-to-point messages (0 under ``engine="event"``;
+        see :mod:`repro.distsim.engine.group_ops`).  Purely diagnostic — the
         message/word/flop counters and the clock charged per rank are
         identical to the point-to-point evaluation, so this field is *not*
-        part of :meth:`RunTrace.summary` and not compared by the cross-engine
-        parity suite.
+        part of :meth:`RunTrace.summary`.
     """
 
     rank: int
@@ -67,14 +63,12 @@ class RankTrace:
     zero_copy_sends: int = 0
     group_collectives: int = 0
 
-    def record_send(self, words: float, channel: str, zero_copy: bool = False) -> None:
+    def record_send(self, words: float, channel: str) -> None:
         """Record one outgoing message of ``words`` 8-byte words."""
         self.messages_sent += 1
         self.words_sent += words
         self.messages_by_channel[channel] = self.messages_by_channel.get(channel, 0) + 1
         self.words_by_channel[channel] = self.words_by_channel.get(channel, 0.0) + words
-        if zero_copy:
-            self.zero_copy_sends += 1
 
     def record_recv(self, words: float) -> None:
         """Record one incoming message of ``words`` 8-byte words."""
@@ -93,8 +87,8 @@ class RunTrace:
     results:
         The values returned by each rank's SPMD function.
     engine:
-        Name of the execution engine that produced this trace ("threaded",
-        "event", ...); empty for hand-built traces.
+        Name of the execution engine that produced this trace ("coroutine"
+        or "event"); empty for hand-built traces.
     """
 
     ranks: List[RankTrace]
@@ -140,7 +134,7 @@ class RunTrace:
     def total_group_collectives(self) -> int:
         """Collectives delivered as single group-level events (diagnostic).
 
-        Non-zero only under the coroutine engine; deliberately kept out of
+        Zero under ``engine="event"``; deliberately kept out of
         :meth:`summary` because summaries are compared across engines.
         """
         return sum(t.group_collectives for t in self.ranks)

@@ -1,33 +1,16 @@
-"""A virtual MPI: SPMD ranks with α-β-γ cost accounting, pluggable engines.
+"""A virtual MPI: SPMD ranks with α-β-γ cost accounting.
 
 The paper's experiments ran on MPI over 64-888 processors.  This module
 provides an in-process substitute: :func:`run_spmd` executes ``P`` copies of
-the same rank function, each bound to a :class:`Communicator` for its rank.
-Point-to-point messages travel through the engine's transport; collectives
-(:mod:`repro.distsim.collectives`) are built from point-to-point messages, so
-every message a real MPI implementation would send is visible to the cost
-ledger.
+the same rank program, each bound to a :class:`Communicator` for its rank.
+Collectives (:mod:`repro.distsim.collectives`) are priced as the
+point-to-point messages a real MPI implementation would send, so every one
+of them is visible to the cost ledger.
 
-Execution engines
------------------
-*How* the rank programs are interleaved on the host is delegated to a
-pluggable :class:`~repro.distsim.engine.base.ExecutionEngine`
-(:mod:`repro.distsim.engine`):
-
-* ``"threaded"`` (default) — one OS thread per rank, timeout-guarded
-  receives; the original backend.
-* ``"event"`` — a deterministic single-runner discrete-event scheduler that
-  resumes the runnable rank with the smallest simulated clock, detects
-  deadlock structurally, and scales to the paper's process counts (P ≥ 888).
-* ``"coroutine"`` — a deterministic single-threaded scheduler that steps the
-  rank programs as generator coroutines (no threads at all) and evaluates
-  collectives as single group-level events; process counts in the thousands
-  (P ≈ 10⁴) run in seconds.
-
-All engines charge costs through the same shared
-:class:`~repro.distsim.engine.base.Communicator`, so the simulated message /
-word / flop counts and critical-path times are **identical** across engines
-for the same program; only host wall-clock behavior differs.
+Rank programs are generator functions stepped by one deterministic
+single-threaded scheduler (:mod:`repro.distsim.engine`): the runnable rank
+with the smallest simulated clock goes next, deadlock is detected
+structurally, and process counts in the thousands run in seconds.
 
 Cost accounting
 ---------------
@@ -56,25 +39,10 @@ from __future__ import annotations
 from typing import Any, Callable, Optional, Union
 
 from ..machines.model import MachineModel, unit_machine
-from .engine import (
-    DEFAULT_TIMEOUT,
-    Communicator,
-    ExecutionEngine,
-    default_timeout,
-    payload_words,
-    resolve_engine,
-)
-from .engine.base import Envelope as _Envelope  # backwards-compatible alias
-from .errors import DeadlockError, RankFailedError  # noqa: F401 - re-export
+from .engine import Communicator, ExecutionEngine, payload_words, resolve_engine
 from .tracing import RunTrace
 
-__all__ = [
-    "Communicator",
-    "run_spmd",
-    "payload_words",
-    "DEFAULT_TIMEOUT",
-    "default_timeout",
-]
+__all__ = ["Communicator", "run_spmd", "payload_words"]
 
 
 def run_spmd(
@@ -82,7 +50,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     machine: Optional[MachineModel] = None,
-    timeout: Optional[float] = None,
     engine: Union[None, str, ExecutionEngine] = None,
     **kwargs: Any,
 ) -> RunTrace:
@@ -93,21 +60,19 @@ def run_spmd(
     nprocs:
         Number of ranks to launch.
     fn:
-        The SPMD program.  It receives a :class:`Communicator` as its first
-        argument; its return value is collected into the result list.
+        The SPMD program: a generator function receiving a
+        :class:`Communicator` as its first argument (``x = yield from
+        comm.co_recv(src)``, ``v = yield from broadcast(comm, ...)``); its
+        return value is collected into the result list.  A plain function
+        that never receives works too.
     machine:
         Machine model pricing communication and arithmetic; defaults to
         :func:`repro.machines.model.unit_machine` (count message steps).
-    timeout:
-        Per-receive deadlock timeout in (real) seconds — only meaningful for
-        the threaded engine; the event engine detects deadlock structurally.
-        Defaults to the ``REPRO_VMPI_TIMEOUT`` environment variable, else
-        120 s.
     engine:
-        Execution engine: a registered name (``"threaded"``, ``"event"``,
-        ``"coroutine"``), an
-        :class:`~repro.distsim.engine.base.ExecutionEngine` instance, or
-        ``None`` to use ``REPRO_VMPI_ENGINE`` / the threaded default.
+        ``"coroutine"``, ``"event"`` (the point-to-point reference, see
+        :mod:`repro.distsim.engine`), an
+        :class:`~repro.distsim.engine.ExecutionEngine` instance, or ``None``
+        to use ``REPRO_VMPI_ENGINE`` / the ``"coroutine"`` default.
 
     Returns
     -------
@@ -117,12 +82,11 @@ def run_spmd(
     Raises
     ------
     RankFailedError
-        If any rank raises; the first failing rank's exception is chained.
+        If any rank raises (or deadlocks); the first failing rank's exception
+        is chained.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
-    machine = machine or unit_machine()
-    if timeout is None:
-        timeout = default_timeout()
-    eng = resolve_engine(engine)
-    return eng.run(nprocs, fn, args, kwargs, machine=machine, timeout=timeout)
+    return resolve_engine(engine).run(
+        nprocs, fn, args, kwargs, machine or unit_machine()
+    )

@@ -10,11 +10,10 @@ simulator, at sizes small enough to execute in Python:
 * over a full factorization, CALU's per-process message count must be lower
   than PDGETRF's by roughly a factor ``b`` (up to the swap-scheme constant).
 
-These measurements default to the deterministic coroutine engine
-(:mod:`repro.distsim.engine`), which makes them reproducible bit for bit and
-keeps process counts in the thousands tractable; pass ``engine="event"`` or
-``engine="threaded"`` to cross-check against the other backends (the traces
-are identical by the engine-parity contract).
+These measurements run on the default engine (:mod:`repro.distsim.engine`),
+which makes them reproducible bit for bit and keeps process counts in the
+thousands tractable; pass ``engine="event"`` to cross-check against the
+point-to-point evaluation of the collectives (the traces are identical).
 """
 
 from __future__ import annotations
@@ -24,6 +23,7 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..distsim.engine import DEFAULT_ENGINE
 from ..harness import ExperimentSpec, register
 from ..layouts.grid import ProcessGrid
 from ..machines.model import unit_machine
@@ -31,10 +31,6 @@ from ..parallel.pcalu import pcalu
 from ..parallel.ptslu import ptslu
 from ..randmat.generators import randn
 from ..scalapack.pdgetrf import pdgetrf
-
-#: Engine used by default for validation measurements (deterministic; the
-#: coroutine engine keeps figure-scale sweeps at large P fast).
-DEFAULT_ENGINE = "coroutine"
 
 
 def measure_panel_counts(
@@ -63,9 +59,8 @@ def measure_panel_scaling(
 ) -> List[Dict[str, float]]:
     """TSLU panel message counts at the paper's process counts (64..888).
 
-    Only feasible on the event engine in reasonable time; the matrix height
-    grows with ``P`` so every rank keeps ``rows_per_rank`` rows, as in a weak
-    scaling experiment.
+    The matrix height grows with ``P`` so every rank keeps ``rows_per_rank``
+    rows, as in a weak scaling experiment.
     """
     rows = []
     for P in Ps:

@@ -726,7 +726,7 @@ def add_config_args(p: argparse.ArgumentParser) -> None:
     they never touch ``os.environ``.
     """
     p.add_argument("--engine", default=None,
-                   help="virtual-MPI engine (coroutine|event|threaded)")
+                   help="virtual-MPI engine (coroutine|event)")
     p.add_argument("--tier", default=None,
                    help="kernel tier (auto|reference|lapack)")
     p.add_argument("--pivoting", default=None,

@@ -146,10 +146,8 @@ class ResultStore:
 
         params = spec.resolve_params(overrides, quick=quick)
         tier = resolve_tier()
-        if "engine" in params:
-            eng = str(params["engine"])
-        else:
-            eng = resolved_engine(engine)
+        # Validated either way: a stale name fails here, before any lookup.
+        eng = resolved_engine(str(params["engine"]) if "engine" in params else engine)
         if "pivoting" in params:
             piv = str(params["pivoting"])
         elif "pivoting" in spec.ambient_invariant:

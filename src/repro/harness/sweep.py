@@ -5,7 +5,7 @@ of values to try.  The executor expands the grid into its cartesian product,
 runs each combination through the content-addressed store (so repeated sweeps
 are cache hits) on a thread pool, and reports progress as jobs finish.
 
-Simulated experiments are deterministic and independent (the event engine
+Simulated experiments are deterministic and independent (the simulator
 gives bit-identical traces regardless of wall-clock interleaving), so jobs
 can run concurrently without affecting any reproduced number; the executor
 records the peak number of jobs in flight so tests can assert that the

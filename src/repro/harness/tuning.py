@@ -51,11 +51,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.options import SolveConfig
 from ..core.strategies import DEFAULT_STRATEGY, STRATEGIES
 from ..costs.accounting import CostLedger
+from ..distsim.engine import DEFAULT_ENGINE
 from .spec import ExperimentSpec, register
-
-#: Engine the tune spec defaults to — the single-threaded deterministic
-#: engine, matching ``repro.experiments.validation.DEFAULT_ENGINE``.
-DEFAULT_ENGINE = "coroutine"
 
 #: Block sizes the search tries (filtered per candidate for feasibility).
 BLOCK_SIZES = (4, 8, 16, 32, 64)
@@ -522,7 +519,9 @@ def tuned_config(artifact: Dict[str, object]) -> SolveConfig:
     if row is None:
         raise ValueError("tune artifact has no chosen row")
     nprow, _, npcol = str(row["grid"]).partition("x")
-    return SolveConfig(
+    # resolve() validates the knobs: an artifact recorded with an engine (or
+    # any knob value) that no longer exists fails here, not inside the run.
+    return SolveConfig.resolve(
         pivoting=str(row["pivoting"]),
         engine=str(artifact.get("engine", DEFAULT_ENGINE)),
         kernel_tier=str(row["kernel_tier"]),

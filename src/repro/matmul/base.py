@@ -84,7 +84,7 @@ class MatmulBackend:
         ``payload = yield from backend.share_panel(...)``).  Tag, group and
         channel are exactly the historical driver step 2.
         """
-        return broadcast.co(
+        return broadcast(
             comm,
             payload,
             root=grid.rank(myrow, pcol_owner),
@@ -123,7 +123,7 @@ class MatmulBackend:
             u12_local = pdtrsm_block_row(comm, L11, Aloc, diag_lrows, trail_lcols)
 
         # --------------------------------- broadcast U12 down grid columns
-        u12_local = yield from broadcast.co(
+        u12_local = yield from broadcast(
             comm,
             u12_local,
             root=grid.rank(prow_owner, mycol),

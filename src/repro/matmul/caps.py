@@ -299,7 +299,7 @@ def _caps_rank(comm, group, path, m, k, n, Aloc, Bloc):
             ivals = owned_intervals(k, g, q)
             if not _total(ivals):
                 continue
-            val = yield from broadcast.co(
+            val = yield from broadcast(
                 comm,
                 Bloc if q == pos else None,
                 root=group[q],

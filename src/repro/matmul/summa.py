@@ -28,7 +28,6 @@ import numpy as np
 
 from ..distsim.collectives import broadcast
 from ..distsim.engine import ExecutionEngine
-from ..distsim.engine.base import spmd_program
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter
 from ..kernels.gemm import gemm_update
@@ -38,7 +37,6 @@ from ..machines.model import MachineModel
 from .base import MatmulBackend, PdgemmResult
 
 
-@spmd_program
 def summa_rank(
     comm: Communicator,
     dA: BlockCyclic2D,
@@ -64,7 +62,7 @@ def summa_rank(
             Apanel = np.ascontiguousarray(Aloc[:, dA.block_local_cols(j0, jb)])
         else:
             Apanel = None
-        Apanel = yield from broadcast.co(
+        Apanel = yield from broadcast(
             comm,
             Apanel,
             root=grid.rank(myrow, owner_col),
@@ -78,7 +76,7 @@ def summa_rank(
             Bpanel = np.ascontiguousarray(Bloc[dB.block_local_rows(j0, jb), :])
         else:
             Bpanel = None
-        Bpanel = yield from broadcast.co(
+        Bpanel = yield from broadcast(
             comm,
             Bpanel,
             root=grid.rank(owner_row, mycol),
@@ -133,7 +131,7 @@ class SummaBackend(MatmulBackend):
 
         def rank_fn(comm: Communicator):
             return (
-                yield from summa_rank.co(
+                yield from summa_rank(
                     comm, dA, dB, A_loc[comm.rank], B_loc[comm.rank],
                     C_loc[comm.rank],
                 )

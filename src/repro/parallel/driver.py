@@ -33,7 +33,6 @@ from typing import Callable, List, Optional, Tuple, Union
 import numpy as np
 
 from ..distsim.engine import ExecutionEngine
-from ..distsim.engine.base import spmd_program
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..layouts.block_cyclic import BlockCyclic2D
@@ -75,7 +74,6 @@ class DistributedLUResult:
     trace: RunTrace
 
 
-@spmd_program
 def block_right_looking_rank(
     comm: Communicator,
     dist: BlockCyclic2D,
@@ -130,7 +128,7 @@ def block_right_looking_rank(
 
         # --------------------------- 3. apply the swaps outside the panel columns
         non_panel_lcols = np.nonzero((my_gcols < j0) | (my_gcols >= j0 + jb))[0]
-        yield from pdlaswp.co(
+        yield from pdlaswp(
             comm,
             dist,
             Aloc,
@@ -186,7 +184,7 @@ def run_block_lu(
     machine:
         Machine model pricing the run.
     engine:
-        Execution engine for the SPMD run ("threaded", "event", an engine
+        Execution engine for the SPMD run ("coroutine", "event", an engine
         instance, or ``None`` for the process-wide default).
     matmul:
         Distributed-matmul backend for the trailing update ("summa", "caps",
@@ -205,7 +203,7 @@ def run_block_lu(
 
     def rank_fn(comm: Communicator):
         return (
-            yield from block_right_looking_rank.co(
+            yield from block_right_looking_rank(
                 comm, dist, locals_in[comm.rank], panel_fn, backend
             )
         )

@@ -73,7 +73,7 @@ def make_calu_panel(
         local_panel = Aloc[np.ix_(act_lrows, panel_lcols)]
 
         # Tournament pivoting over the grid column (log2 Pr messages).
-        res = yield from ptslu_rank.co(
+        res = yield from ptslu_rank(
             comm,
             act_grows,
             local_panel,
@@ -91,7 +91,7 @@ def make_calu_panel(
         swaps = winners_to_swaps(j0, winners)
 
         # Move the winning rows to the top of the panel columns.
-        yield from pdlaswp.co(
+        yield from pdlaswp(
             comm, dist, Aloc, swaps, panel_lcols, tag=(tag, "pswap"), channel="col"
         )
 
@@ -168,7 +168,7 @@ def pcalu(
 ) -> DistributedLUResult:
     """Distributed CALU of ``A`` over ``grid`` with block size ``block_size``.
 
-    ``engine`` selects the virtual-MPI execution backend ("threaded",
+    ``engine`` selects the virtual-MPI execution engine ("coroutine",
     "event", or ``None`` for the process-wide default); ``kernel_tier``
     selects the numerical tier for the rank-local leaf factorizations (see
     :mod:`repro.kernels.tiers`); ``pivoting`` selects the panel pivoting

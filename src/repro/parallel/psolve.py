@@ -7,8 +7,7 @@ iterative refinement.  :func:`pdgesv` chains
 
 1. a distributed factorization (:func:`repro.parallel.pcalu.pcalu`, honoring
    the ``pivoting`` knob — with ``pivoting="pp"`` the factorization is
-   bit-for-bit ScaLAPACK's PDGETRF — plus ``kernel_tier`` and both execution
-   engines);
+   bit-for-bit ScaLAPACK's PDGETRF — plus ``kernel_tier`` and ``engine``);
 2. the row permutation applied to the right-hand sides (folded into the
    block-cyclic redistribution of ``b``: the driver knows the full pivot
    sequence once the factorization is gathered, so ``P b`` costs no
@@ -49,7 +48,6 @@ import numpy as np
 from ..core.options import SolveConfig
 from ..distsim.collectives import allreduce, reduce
 from ..distsim.engine import ExecutionEngine
-from ..distsim.engine.base import spmd_program
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter
@@ -165,7 +163,7 @@ def _distributed_residual(
         kb = g1 - g0
         lr0 = (k // grid.nprow) * dist.block
         root = diag_owner(dist, k)
-        acc = yield from reduce.co(
+        acc = yield from reduce(
             comm,
             (partial[lr0 : lr0 + kb], abs_partial[lr0 : lr0 + kb]),
             add,
@@ -193,7 +191,7 @@ def _distributed_residual(
         comm.charge_flops(comparisons=float(nrhs + 1))
         return (np.maximum(a[0], b[0]), max(a[1], b[1]))
 
-    global_max, global_wb = yield from allreduce.co(
+    global_max, global_wb = yield from allreduce(
         comm,
         (local_max, local_wb),
         take_max,
@@ -203,7 +201,6 @@ def _distributed_residual(
     return residual_blocks, np.asarray(global_max), float(global_wb)
 
 
-@spmd_program
 def pdgesv_rank(
     comm: Communicator,
     dist: BlockCyclic2D,
@@ -228,10 +225,10 @@ def pdgesv_rank(
     so every rank stops at the same step.  ``None`` leaves the stopping
     rule exactly as before (bit-identical paths).
     """
-    _, y_blocks = yield from pdtrsv_lower_unit.co(
+    _, y_blocks = yield from pdtrsv_lower_unit(
         comm, dist, LUloc, pb_blocks, nrhs, tag=("fwd", 0)
     )
-    x_cols, _ = yield from pdtrsv_upper.co(
+    x_cols, _ = yield from pdtrsv_upper(
         comm, dist, LUloc, y_blocks, nrhs, tag=("bwd", 0)
     )
     r_blocks, per_rhs, wb = yield from _distributed_residual(
@@ -252,10 +249,10 @@ def pdgesv_rank(
     for it in range(1, max_iterations + 1):
         if converged(backward[-1], per_rhs):
             break
-        _, dy_blocks = yield from pdtrsv_lower_unit.co(
+        _, dy_blocks = yield from pdtrsv_lower_unit(
             comm, dist, LUloc, r_blocks, nrhs, tag=("fwd", it)
         )
-        dx_cols, _ = yield from pdtrsv_upper.co(
+        dx_cols, _ = yield from pdtrsv_upper(
             comm, dist, LUloc, dy_blocks, nrhs, tag=("bwd", it)
         )
         x_cols += dx_cols
@@ -396,7 +393,7 @@ def pdgesv_solve(
     machine, engine:
         Machine model and execution engine for the solve phase (defaulting
         like :func:`pdgesv`; the factor records the engine that produced it
-        but the solve may run on any engine — all three are bit-identical).
+        but the solve may run on either engine — they are bit-identical).
     refine, tolerance:
         Refinement budget and backward-error stop, as in :func:`pdgesv`.
     rhs_slo:
@@ -448,7 +445,7 @@ def pdgesv_solve(
 
     def rank_fn(comm: Communicator):
         return (
-            yield from pdgesv_rank.co(
+            yield from pdgesv_rank(
                 comm,
                 dist,
                 LU_locals[comm.rank],

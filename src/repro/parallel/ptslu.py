@@ -35,7 +35,7 @@ from ..core.tournament import (
 )
 from ..distsim.collectives import allreduce, broadcast
 from ..distsim.engine import ExecutionEngine
-from ..distsim.engine.base import RedundantOp, spmd_program
+from ..distsim.engine.base import RedundantOp
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.batched import getf2_batched, slab_flop_counters
@@ -163,7 +163,6 @@ class _TournamentOp(RedundantOp):
         return _eliminate_winners(value[0], value[1], self.b, self.selector)
 
 
-@spmd_program
 def ptslu_rank(
     comm: Communicator,
     local_rows: np.ndarray,
@@ -258,7 +257,7 @@ def ptslu_rank(
     # same (winner rows, packed LU of the winner block), read-only.  Each
     # level exchanges the pair (row indices, candidate block) — ``b + b^2``
     # words, as in the real algorithm, whichever selector merges them.
-    winners, packed = yield from allreduce.co(
+    winners, packed = yield from allreduce(
         comm,
         (candidate.rows, candidate.block),
         _TournamentOp(comm, b, selector, kernel_tier),
@@ -347,7 +346,6 @@ def _pp_maxloc(a: Tuple, b: Tuple) -> Tuple:
     return b
 
 
-@spmd_program
 def pp_panel_rank(
     comm: Communicator,
     local_rows: np.ndarray,
@@ -402,7 +400,7 @@ def pp_panel_rank(
             comm.charge_flops(comparisons=float(active.size - 1))
         else:
             cand = (-1.0, 0.0, 1 << 60, -1, -1)
-        best = yield from allreduce.co(
+        best = yield from allreduce(
             comm, cand, _pp_maxloc, group=group, tag=(tag, "amax", jc), channel=channel
         )
         _, _, grow, owner, owner_li = best
@@ -417,7 +415,7 @@ def pp_panel_rank(
             L_local[owner_li, jc] = 1.0
         else:
             seg = None
-        seg = yield from broadcast.co(
+        seg = yield from broadcast(
             comm, seg, root=owner, group=group, tag=(tag, "prow", jc), channel=channel
         )
         U[jc, jc:] = seg
@@ -470,8 +468,8 @@ def ptslu(
     machine:
         Machine model pricing the run (default: unit-latency machine).
     engine:
-        Execution engine for the SPMD run ("threaded", "event", an
-        :class:`~repro.distsim.engine.base.ExecutionEngine` instance, or
+        Execution engine for the SPMD run ("coroutine", "event", an
+        :class:`~repro.distsim.engine.ExecutionEngine` instance, or
         ``None`` for the process-wide default).
     kernel_tier:
         Kernel tier for the rank-local arithmetic (None: process-wide
@@ -516,7 +514,7 @@ def ptslu(
         def rank_fn(comm: Communicator):
             rows = rows_per_rank[comm.rank]
             return (
-                yield from ptslu_rank.co(
+                yield from ptslu_rank(
                     comm,
                     rows,
                     A[rows, :],
@@ -535,7 +533,7 @@ def ptslu(
 
         def rank_fn(comm: Communicator):
             rows = rows_per_rank[comm.rank]
-            return (yield from pp_panel_rank.co(comm, rows, A[rows, :], b, npivots))
+            return (yield from pp_panel_rank(comm, rows, A[rows, :], b, npivots))
 
     trace = run_spmd(nprocs, rank_fn, machine=machine, engine=engine)
     results = trace.results

@@ -84,7 +84,7 @@ def make_pdgetf2_panel() -> Callable[..., Iterator]:
                 comm.charge_flops(comparisons=float(act_lrows.size - 1))
             else:
                 cand = (-1.0, 0.0, 1 << 60)
-            best = yield from allreduce.co(
+            best = yield from allreduce(
                 comm, cand, _maxloc, group=col_group, tag=(tag, "amax", jc), channel="col"
             )
             pivot_row = best[2]
@@ -92,7 +92,7 @@ def make_pdgetf2_panel() -> Callable[..., Iterator]:
             # --- swap the pivot row into the diagonal position (panel columns).
             if pivot_row != gcol and best[0] > 0.0:
                 swaps.append((gcol, pivot_row))
-                yield from pdlaswp.co(
+                yield from pdlaswp(
                     comm,
                     dist,
                     Aloc,
@@ -110,7 +110,7 @@ def make_pdgetf2_panel() -> Callable[..., Iterator]:
                 seg = Aloc[lrow, panel_lcols[jc:]].copy()
             else:
                 seg = None
-            seg = yield from broadcast.co(
+            seg = yield from broadcast(
                 comm, seg, root=root, group=col_group, tag=(tag, "prow", jc), channel="col"
             )
             pivot_val = float(seg[0])

@@ -39,7 +39,7 @@ def pdgetrf(
     machine:
         Machine model pricing the run.
     engine:
-        Virtual-MPI execution engine ("threaded", "event", an engine
+        Virtual-MPI execution engine ("coroutine", "event", an engine
         instance, or ``None`` for the process-wide default).
     matmul:
         Distributed-matmul backend for the trailing update ("summa",

@@ -21,7 +21,6 @@ from typing import Iterable, List, Sequence, Tuple
 
 import numpy as np
 
-from ..distsim.engine.base import spmd_program
 from ..distsim.vmpi import Communicator
 from ..layouts.block_cyclic import BlockCyclic2D
 
@@ -69,7 +68,6 @@ def apply_swaps_to_permutation(perm: np.ndarray, swaps: Iterable[Tuple[int, int]
     return perm
 
 
-@spmd_program
 def pdlaswp(
     comm: Communicator,
     dist: BlockCyclic2D,

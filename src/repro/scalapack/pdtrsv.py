@@ -39,7 +39,6 @@ from typing import Dict, Tuple
 import numpy as np
 
 from ..distsim.collectives import broadcast, reduce
-from ..distsim.engine.base import spmd_program
 from ..distsim.vmpi import Communicator
 from ..kernels.flops import FlopCounter
 from ..kernels.trsm import trsm_lower_unit, trsm_upper
@@ -140,7 +139,7 @@ def _pdtrsv(
                 return a + b
 
             if step > 0:
-                acc = yield from reduce.co(
+                acc = yield from reduce(
                     comm,
                     partial,
                     add,
@@ -166,7 +165,7 @@ def _pdtrsv(
         comm.charge_counter(scratch)
 
         if mycol == pcol_k:
-            xk = yield from broadcast.co(
+            xk = yield from broadcast(
                 comm,
                 xk,
                 root=root,
@@ -179,7 +178,6 @@ def _pdtrsv(
     return x_cols, x_blocks
 
 
-@spmd_program
 def pdtrsv_lower_unit(
     comm: Communicator,
     dist: BlockCyclic2D,
@@ -198,7 +196,6 @@ def pdtrsv_lower_unit(
     return (yield from _pdtrsv(comm, dist, LUloc, rhs_blocks, nrhs, tag, lower=True))
 
 
-@spmd_program
 def pdtrsv_upper(
     comm: Communicator,
     dist: BlockCyclic2D,

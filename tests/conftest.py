@@ -3,16 +3,9 @@
 from __future__ import annotations
 
 import importlib
-import os
 
 import numpy as np
 import pytest
-
-# Genuine deadlocks on the threaded engine should fail in seconds, not the
-# production default of 120 s.  ``default_timeout()`` reads this per call, so
-# setting it here covers every run_spmd in the suite; tests that need a
-# different value still pass ``timeout=`` explicitly.
-os.environ.setdefault("REPRO_VMPI_TIMEOUT", "5")
 
 
 @pytest.fixture

@@ -27,7 +27,7 @@ def test_send_recv_roundtrip():
         if comm.rank == 0:
             comm.send(1, np.arange(5.0), tag="x")
             return None
-        return comm.recv(0, tag="x")
+        return (yield from comm.co_recv(0, tag="x"))
 
     trace = run_spmd(2, prog)
     assert np.allclose(trace.results[1], np.arange(5.0))
@@ -42,10 +42,11 @@ def test_send_copies_numpy_payload():
             comm.send(1, data, tag=0)
             data[:] = -1  # mutate after send; receiver must not see it
             return None
-        return comm.recv(0, tag=0)
+        return (yield from comm.co_recv(0, tag=0))
 
     trace = run_spmd(2, prog)
     assert np.allclose(trace.results[1], 1.0)
+    assert trace.ranks[0].zero_copy_sends == 0
 
 
 def test_out_of_order_tags_are_matched():
@@ -54,8 +55,8 @@ def test_out_of_order_tags_are_matched():
             comm.send(1, "first", tag="a")
             comm.send(1, "second", tag="b")
             return None
-        second = comm.recv(0, tag="b")
-        first = comm.recv(0, tag="a")
+        second = yield from comm.co_recv(0, tag="b")
+        first = yield from comm.co_recv(0, tag="a")
         return (first, second)
 
     trace = run_spmd(2, prog)
@@ -65,11 +66,11 @@ def test_out_of_order_tags_are_matched():
 def test_deadlock_detection():
     def prog(comm):
         if comm.rank == 1:
-            return comm.recv(0, tag="never")
+            return (yield from comm.co_recv(0, tag="never"))
         return None
 
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, timeout=0.2)
+        run_spmd(2, prog)
     assert isinstance(exc.value.__cause__, DeadlockError)
 
 
@@ -80,7 +81,7 @@ def test_rank_exception_propagates():
         return comm.rank
 
     with pytest.raises(RankFailedError):
-        run_spmd(2, prog, timeout=0.2)
+        run_spmd(2, prog)
 
 
 def test_self_send_rejected():
@@ -105,7 +106,7 @@ def test_clock_advances_with_latency_and_flops():
         if comm.rank == 0:
             comm.send(1, np.zeros(4), tag=0)
         else:
-            comm.recv(0, tag=0)
+            yield from comm.co_recv(0, tag=0)
         return comm.clock
 
     trace = run_spmd(2, prog, machine=machine)
@@ -190,8 +191,8 @@ def test_channel_split_is_recorded():
             comm.send(1, 1.0, tag=0, channel="row")
             comm.send(1, 1.0, tag=1, channel="col")
         else:
-            comm.recv(0, tag=0)
-            comm.recv(0, tag=1)
+            yield from comm.co_recv(0, tag=0)
+            yield from comm.co_recv(0, tag=1)
 
     trace = run_spmd(2, prog)
     assert trace.messages_by_channel("row") == 1
@@ -203,7 +204,7 @@ def test_channel_split_is_recorded():
 def test_broadcast_delivers_to_all(p):
     def prog(comm):
         value = {"data": 42} if comm.rank == 0 else None
-        return broadcast(comm, value, root=0)
+        return (yield from broadcast(comm, value, root=0))
 
     trace = run_spmd(p, prog)
     assert all(r == {"data": 42} for r in trace.results)
@@ -215,7 +216,7 @@ def test_broadcast_from_nonzero_root(p):
 
     def prog(comm):
         value = "hello" if comm.rank == root else None
-        return broadcast(comm, value, root=root)
+        return (yield from broadcast(comm, value, root=root))
 
     trace = run_spmd(p, prog)
     assert all(r == "hello" for r in trace.results)
@@ -224,7 +225,7 @@ def test_broadcast_from_nonzero_root(p):
 @pytest.mark.parametrize("p", [2, 3, 4, 8])
 def test_reduce_sum(p):
     def prog(comm):
-        return reduce(comm, comm.rank + 1, lambda a, b: a + b, root=0)
+        return (yield from reduce(comm, comm.rank + 1, lambda a, b: a + b, root=0))
 
     trace = run_spmd(p, prog)
     assert trace.results[0] == p * (p + 1) // 2
@@ -234,7 +235,7 @@ def test_reduce_sum(p):
 @pytest.mark.parametrize("p", [1, 2, 3, 4, 6, 8])
 def test_allreduce_sum_everyone_gets_result(p):
     def prog(comm):
-        return allreduce(comm, comm.rank + 1, lambda a, b: a + b)
+        return (yield from allreduce(comm, comm.rank + 1, lambda a, b: a + b))
 
     trace = run_spmd(p, prog)
     assert all(r == p * (p + 1) // 2 for r in trace.results)
@@ -246,7 +247,7 @@ def test_allreduce_message_count_is_logarithmic(p):
     import math
 
     def prog(comm):
-        allreduce(comm, 1.0, lambda a, b: a + b)
+        yield from allreduce(comm, 1.0, lambda a, b: a + b)
 
     trace = run_spmd(p, prog, machine=unit_machine())
     assert trace.max_messages == math.log2(p)
@@ -256,8 +257,8 @@ def test_allreduce_message_count_is_logarithmic(p):
 def test_gather_and_allgather(p):
     def prog(comm):
         return (
-            gather(comm, comm.rank * 2, root=0),
-            allgather(comm, comm.rank * 2),
+            (yield from gather(comm, comm.rank * 2, root=0)),
+            (yield from allgather(comm, comm.rank * 2)),
         )
 
     trace = run_spmd(p, prog)
@@ -270,7 +271,7 @@ def test_gather_and_allgather(p):
 def test_scatter(p):
     def prog(comm):
         values = [f"item{i}" for i in range(p)] if comm.rank == 0 else None
-        return scatter(comm, values, root=0)
+        return (yield from scatter(comm, values, root=0))
 
     trace = run_spmd(p, prog)
     assert trace.results == [f"item{i}" for i in range(p)]
@@ -278,7 +279,7 @@ def test_scatter(p):
 
 def test_barrier_completes():
     def prog(comm):
-        barrier(comm)
+        yield from barrier(comm)
         return True
 
     assert all(run_spmd(4, prog).results)
@@ -290,7 +291,7 @@ def test_collective_over_subgroup():
     def prog(comm):
         group = [1, 3]
         if comm.rank in group:
-            return allreduce(comm, comm.rank, lambda a, b: a + b, group=group, tag="sub")
+            return (yield from allreduce(comm, comm.rank, lambda a, b: a + b, group=group, tag="sub"))
         return None
 
     trace = run_spmd(4, prog)
@@ -300,10 +301,10 @@ def test_collective_over_subgroup():
 
 def test_collective_wrong_group_raises():
     def prog(comm):
-        return broadcast(comm, 1, root=0, group=[0])
+        return (yield from broadcast(comm, 1, root=0, group=[0]))
 
     with pytest.raises(RankFailedError):
-        run_spmd(2, prog, timeout=0.5)
+        run_spmd(2, prog)
 
 
 @pytest.mark.parametrize("name", ["broadcast", "reduce", "scatter"])
@@ -316,13 +317,13 @@ def test_rooted_collective_rejects_root_outside_group(name):
     def prog(comm):
         group = [0, 1]
         if name == "broadcast":
-            return broadcast(comm, 1, root=3, group=group)
+            return (yield from broadcast(comm, 1, root=3, group=group))
         if name == "reduce":
-            return reduce_(comm, 1, lambda a, b: a + b, root=3, group=group)
-        return scatter(comm, [1, 2], root=3, group=group)
+            return (yield from reduce_(comm, 1, lambda a, b: a + b, root=3, group=group))
+        return (yield from scatter(comm, [1, 2], root=3, group=group))
 
     with pytest.raises(RankFailedError) as excinfo:
-        run_spmd(2, prog, timeout=0.5)
+        run_spmd(2, prog)
     cause = excinfo.value.__cause__
     assert isinstance(cause, ValueError)
     assert f"{name}: root rank 3 is not a member of group [0, 1]" in str(cause)
@@ -331,17 +332,17 @@ def test_rooted_collective_rejects_root_outside_group(name):
 def test_broadcast_singleton_group_still_validates_root():
     """The p == 1 early return must not skip the root-membership check."""
     def prog(comm):
-        return broadcast(comm, 1, root=1, group=[0])
+        return (yield from broadcast(comm, 1, root=1, group=[0]))
 
     with pytest.raises(RankFailedError):
-        run_spmd(1, prog, timeout=0.5)
+        run_spmd(1, prog)
 
 
 def test_nonassociative_order_is_deterministic():
     """allreduce applies the operator in group order (checked via string concat)."""
 
     def prog(comm):
-        return allreduce(comm, str(comm.rank), lambda a, b: a + b)
+        return (yield from allreduce(comm, str(comm.rank), lambda a, b: a + b))
 
     trace = run_spmd(4, prog)
     assert all(r == "0123" for r in trace.results)
@@ -354,14 +355,14 @@ def test_all_collectives_non_power_of_two(p):
     root = p - 1
 
     def prog(comm):
-        bcast = broadcast(comm, "payload" if comm.rank == root else None, root=root)
-        red = reduce(comm, comm.rank + 1, lambda a, b: a + b, root=root, tag="r")
-        allred = allreduce(comm, comm.rank + 1, lambda a, b: a + b, tag="ar")
-        gathered = gather(comm, comm.rank ** 2, root=root, tag="g")
-        allgathered = allgather(comm, comm.rank ** 2, tag="ag")
+        bcast = yield from broadcast(comm, "payload" if comm.rank == root else None, root=root)
+        red = yield from reduce(comm, comm.rank + 1, lambda a, b: a + b, root=root, tag="r")
+        allred = yield from allreduce(comm, comm.rank + 1, lambda a, b: a + b, tag="ar")
+        gathered = yield from gather(comm, comm.rank ** 2, root=root, tag="g")
+        allgathered = yield from allgather(comm, comm.rank ** 2, tag="ag")
         values = [10 * i for i in range(p)] if comm.rank == root else None
-        scattered = scatter(comm, values, root=root, tag="s")
-        barrier(comm, tag="b")
+        scattered = yield from scatter(comm, values, root=root, tag="s")
+        yield from barrier(comm, tag="b")
         return (bcast, red, allred, gathered, allgathered, scattered)
 
     trace = run_spmd(p, prog)
@@ -384,7 +385,7 @@ def test_allreduce_non_power_of_two_message_depth(p):
     import math
 
     def prog(comm):
-        allreduce(comm, 1.0, lambda a, b: a + b)
+        yield from allreduce(comm, 1.0, lambda a, b: a + b)
 
     trace = run_spmd(p, prog, machine=unit_machine())
     assert trace.max_messages <= math.ceil(math.log2(p)) + 1
@@ -397,7 +398,7 @@ def test_allreduce_consistent_non_power_of_two(p):
     value is also stable across runs)."""
 
     def prog(comm):
-        return allreduce(comm, str(comm.rank), lambda a, b: a + b)
+        return (yield from allreduce(comm, str(comm.rank), lambda a, b: a + b))
 
     first = run_spmd(p, prog)
     second = run_spmd(p, prog)

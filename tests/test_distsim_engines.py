@@ -1,13 +1,12 @@
-"""Cross-backend tests for the pluggable virtual-MPI execution engines.
+"""Tests for the virtual-MPI scheduler and its two engine names.
 
-The contract: the threaded, event-driven and coroutine backends must produce
-**identical** simulated quantities — message counts, word counts, flop
-counts (muladds / divides / comparisons) and per-rank clocks, hence
-critical-path times — for the same rank program, because all accounting lives
-in the shared Communicator base (and the coroutine engine's group-level
-collective evaluation mirrors the point-to-point trees bit for bit).  The
-event and coroutine engines additionally guarantee bit-for-bit reproducible
-runs and structural (instant) deadlock detection.
+One scheduler runs every SPMD program.  ``"coroutine"`` evaluates collectives
+as group-level events (:mod:`repro.distsim.engine.group_ops`); ``"event"`` is
+the same scheduler walking the collectives' point-to-point trees — the
+reference.  The contract: both produce **identical** simulated quantities —
+message counts, word counts, flop counts (muladds / divides / comparisons)
+and per-rank clocks, hence critical-path times — for the same rank program,
+bit-for-bit reproducibly, with structural (instant) deadlock detection.
 """
 
 from __future__ import annotations
@@ -29,13 +28,7 @@ from repro.distsim import (
     resolve_engine,
     run_spmd,
 )
-from repro.distsim.engine import (
-    CoroutineEngine,
-    EventEngine,
-    ExecutionEngine,
-    ThreadedEngine,
-    spmd_program,
-)
+from repro.distsim.engine import ExecutionEngine
 from repro.layouts import ProcessGrid
 from repro.machines import MachineModel, ibm_power5, unit_machine
 from repro.parallel import pcalu, ptslu
@@ -43,10 +36,10 @@ from repro.parallel.psolve import pdgesv
 from repro.randmat import randn, tall_skinny
 from repro.scalapack import pdgetrf
 
-ENGINES = ["threaded", "event", "coroutine"]
+ENGINES = ("coroutine", "event")
 
-#: Backends other than the event engine, whose traces must match it.
-OTHERS = ["threaded", "coroutine"]
+#: Engines other than the point-to-point reference, whose traces must match it.
+OTHERS = ("coroutine",)
 
 
 def assert_traces_identical(t1, t2):
@@ -68,15 +61,12 @@ def assert_traces_identical(t1, t2):
 
 # ------------------------------------------------------------ registry seam
 def test_engine_registry_lists_all_backends():
-    assert available_engines() == ["coroutine", "event", "threaded"]
-    assert isinstance(get_engine("threaded"), ThreadedEngine)
-    assert isinstance(get_engine("event"), EventEngine)
-    assert isinstance(get_engine("coroutine"), CoroutineEngine)
-    # Aliases and instances resolve too.
-    assert isinstance(resolve_engine("deterministic"), EventEngine)
-    assert isinstance(resolve_engine("coro"), CoroutineEngine)
-    assert isinstance(resolve_engine("generator"), CoroutineEngine)
-    eng = EventEngine()
+    assert available_engines() == ["coroutine", "event"]
+    for name in ENGINES:
+        assert isinstance(get_engine(name), ExecutionEngine)
+        assert get_engine(name).name == name
+    # Instances resolve too.
+    eng = get_engine("event")
     assert resolve_engine(eng) is eng
 
 
@@ -93,10 +83,10 @@ def test_unknown_engine_error_names_offender_and_lists_registered():
     with pytest.raises(UnknownEngineError) as exc:
         get_engine("quantum")
     assert exc.value.name == "quantum"
-    assert exc.value.available == ["coroutine", "event", "threaded"]
-    for name in ("quantum", "coroutine", "event", "threaded"):
+    assert exc.value.available == ["coroutine", "event"]
+    for name in ("quantum", "coroutine", "event"):
         assert name in str(exc.value)
-    # It is both a SimulationError and a ValueError, so old handlers work.
+    # It is both a SimulationError and a ValueError.
     assert isinstance(exc.value, ValueError)
 
 
@@ -113,31 +103,7 @@ def test_engine_env_var_selects_backend(monkeypatch):
     trace = run_spmd(2, lambda comm: comm.rank)
     assert trace.engine == "event"
     monkeypatch.delenv("REPRO_VMPI_ENGINE")
-    assert run_spmd(1, lambda comm: comm.rank).engine == "threaded"
-
-
-def test_timeout_env_var_configures_default(monkeypatch):
-    from repro.distsim import default_timeout
-
-    monkeypatch.setenv("REPRO_VMPI_TIMEOUT", "0.25")
-    assert default_timeout() == 0.25
-    monkeypatch.setenv("REPRO_VMPI_TIMEOUT", "not-a-number")
-    assert default_timeout() == 120.0
-    monkeypatch.delenv("REPRO_VMPI_TIMEOUT")
-    assert default_timeout() == 120.0
-
-
-def test_timeout_env_var_bounds_threaded_deadlock(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_TIMEOUT", "0.2")
-
-    def prog(comm):
-        if comm.rank == 1:
-            return comm.recv(0, tag="never")
-
-    start = time.perf_counter()
-    with pytest.raises(RankFailedError):
-        run_spmd(2, prog, engine="threaded")
-    assert time.perf_counter() - start < 5.0
+    assert run_spmd(1, lambda comm: comm.rank).engine == "coroutine"
 
 
 # ------------------------------------------------- cross-backend parity
@@ -148,22 +114,21 @@ def test_collective_program_parity(p):
         alpha_row=2e-6, beta_col=3e-8,
     )
 
-    @spmd_program
     def prog(comm):
         comm.charge_flops(muladds=10 * (comm.rank + 1), divides=comm.rank,
                           comparisons=3)
-        v = yield from allreduce.co(comm, comm.rank + 1, lambda a, b: a + b,
-                                    channel="col")
-        w = yield from broadcast.co(comm, np.arange(6.0) if comm.rank == 0 else None,
-                                    root=0, channel="row")
-        g = yield from allgather.co(comm, comm.rank * 2)
+        v = yield from allreduce(comm, comm.rank + 1, lambda a, b: a + b,
+                                 channel="col")
+        w = yield from broadcast(comm, np.arange(6.0) if comm.rank == 0 else None,
+                                 root=0, channel="row")
+        g = yield from allgather(comm, comm.rank * 2)
         return (v, float(np.sum(w)), g)
 
     traces = {e: run_spmd(p, prog, machine=machine, engine=e) for e in ENGINES}
     for other in OTHERS:
         assert_traces_identical(traces["event"], traces[other])
         assert traces["event"].results == traces[other].results
-    # The coroutine engine delivered the collectives as group events.
+    # Group delivery is the only difference between the two names.
     assert traces["coroutine"].total_group_collectives > 0
     assert traces["event"].total_group_collectives == 0
 
@@ -209,7 +174,7 @@ def test_pdgetrf_parity(other):
 @pytest.mark.parametrize("other", OTHERS)
 def test_pdgesv_parity(other):
     """End-to-end solve: factorization + triangular solves + refinement must
-    be bit-identical (traces and solutions) across all three backends."""
+    be bit-identical (traces and solutions) across both engines."""
     n = 24
     A = randn(n, seed=41)
     b = randn(n, 2, seed=42)
@@ -245,7 +210,7 @@ def test_pcalu_ragged_edge_parity(n, b, pr, pc, other):
 
 def test_pdgesv_ragged_nonpow2_three_way():
     """Satellite: pdgesv at non-power-of-two P (3x2 grid) with n % b != 0 runs
-    bit-identically on all three backends."""
+    bit-identically on both engines."""
     n = 26
     A = randn(n, seed=55)
     b = randn(n, 1, seed=56)[:, 0]
@@ -300,7 +265,7 @@ def test_ptslu_pivoting_knob_parity_across_engines(strategy, other):
 @pytest.mark.parametrize("nprocs", [3, 5, 6, 7])
 def test_ptslu_nonpow2_three_way_parity(nprocs):
     """Satellite: non-power-of-two P exercises the allreduce fold/unfold edge
-    on all three backends at once."""
+    on both engines."""
     A = tall_skinny(8 * nprocs + 3, 8, seed=nprocs)
     results = {
         e: ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine=e)
@@ -352,8 +317,12 @@ def test_event_engine_bitwise_reproducible():
 
 
 def test_event_engine_trace_tagged():
-    assert run_spmd(2, lambda c: c.rank, engine="event").engine == "event"
-    assert run_spmd(2, lambda c: c.rank, engine="threaded").engine == "threaded"
+    """The trace names its engine; a rank program with no suspension point
+    need not be a generator — its return value is the rank's result."""
+    for engine in ENGINES:
+        trace = run_spmd(3, lambda comm: comm.rank * 10, engine=engine)
+        assert trace.engine == engine
+        assert trace.results == [0, 10, 20]
 
 
 # --------------------------------------------------- event: deadlock handling
@@ -363,11 +332,11 @@ def test_event_engine_structural_deadlock_is_instant():
 
     def prog(comm):
         if comm.rank == 1:
-            return comm.recv(0, tag="never")
+            return (yield from comm.co_recv(0, tag="never"))
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="event", timeout=3600.0)
+        run_spmd(2, prog, engine="event")
     assert time.perf_counter() - start < 1.0
     cause = exc.value.__cause__
     assert isinstance(cause, DeadlockError)
@@ -381,7 +350,7 @@ def test_event_engine_structural_deadlock_is_instant():
 def test_event_engine_detects_cyclic_deadlock():
     def prog(comm):
         other = 1 - comm.rank
-        return comm.recv(other, tag="cycle")  # both wait, nobody sends
+        return (yield from comm.co_recv(other, tag="cycle"))  # nobody sends
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
@@ -394,20 +363,6 @@ def test_event_engine_detects_cyclic_deadlock():
         0: {"source": 1, "tag": "cycle"},
         1: {"source": 0, "tag": "cycle"},
     }
-
-
-def test_threaded_engine_timeout_deadlock_reports_source_and_tag(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_TIMEOUT", "0.2")
-
-    def prog(comm):
-        if comm.rank == 1:
-            return comm.recv(0, tag=("panel", 3))
-
-    with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="threaded")
-    cause = exc.value.__cause__
-    assert isinstance(cause, DeadlockError)
-    assert cause.blocked == {1: {"source": 0, "tag": ("panel", 3)}}
 
 
 def test_event_engine_rank_exception_propagates():
@@ -423,16 +378,16 @@ def test_event_engine_rank_exception_propagates():
 
 def test_event_engine_peer_failure_fails_blocked_ranks_fast():
     """A rank waiting on a crashed peer gets a structural DeadlockError
-    instead of hanging until a timeout."""
+    instead of hanging."""
 
     def prog(comm):
         if comm.rank == 0:
             raise RuntimeError("crashed before sending")
-        return comm.recv(0, tag="x")
+        return (yield from comm.co_recv(0, tag="x"))
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="event", timeout=3600.0)
+        run_spmd(2, prog, engine="event")
     assert time.perf_counter() - start < 1.0
     assert isinstance(exc.value.failures[0], RuntimeError)
     assert isinstance(exc.value.failures[1], DeadlockError)
@@ -441,23 +396,10 @@ def test_event_engine_peer_failure_fails_blocked_ranks_fast():
     assert isinstance(exc.value.__cause__, RuntimeError)
 
 
-# ------------------------------------------------------- event: zero-copy
-def test_event_engine_elides_copy_for_fresh_temporaries():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(1, np.arange(8.0) * 2.0, tag=0)  # pure temporary
-        else:
-            return comm.recv(0, tag=0)
-
-    trace = run_spmd(2, prog, engine="event")
-    assert trace.ranks[0].zero_copy_sends == 1
-    assert trace.ranks[0].words_sent == 8.0  # accounting unchanged
-    assert np.allclose(trace.results[1], np.arange(8.0) * 2.0)
-
-
+# ------------------------------------------------------- aliasing safety
 def test_event_engine_still_copies_aliased_payloads():
-    """A payload the sender can still reach is defensively copied, so
-    post-send mutation never leaks to the receiver."""
+    """Payloads are defensively copied, so post-send mutation never leaks to
+    the receiver."""
 
     def prog(comm):
         if comm.rank == 0:
@@ -465,28 +407,16 @@ def test_event_engine_still_copies_aliased_payloads():
             comm.send(1, data, tag=0)
             data[:] = -1.0
         else:
-            return comm.recv(0, tag=0)
+            return (yield from comm.co_recv(0, tag=0))
 
     trace = run_spmd(2, prog, engine="event")
     assert trace.ranks[0].zero_copy_sends == 0
     assert np.allclose(trace.results[1], 1.0)
 
 
-def test_threaded_engine_never_elides():
-    def prog(comm):
-        if comm.rank == 0:
-            comm.send(1, np.arange(4.0) + 1.0, tag=0)
-        else:
-            return comm.recv(0, tag=0)
-
-    trace = run_spmd(2, prog, engine="threaded")
-    assert trace.ranks[0].zero_copy_sends == 0
-
-
 # ----------------------------------------------------------- event: scale
 def test_event_engine_runs_paper_scale_tslu():
-    """P = 256 distributed TSLU — impractical on the threaded backend, fast
-    on the event engine."""
+    """P = 256 distributed TSLU on the point-to-point reference."""
     P, b = 256, 4
     A = tall_skinny(4 * P, b, seed=1)
     start = time.perf_counter()
@@ -495,36 +425,6 @@ def test_event_engine_runs_paper_scale_tslu():
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-10)
     assert res.trace.max_messages == 8  # log2(256)
     assert elapsed < 30.0
-
-
-def test_custom_engine_can_be_registered():
-    from repro.distsim.engine import EventEngine, register_engine, _REGISTRY
-
-    class TaggedEngine(EventEngine):
-        name = "tagged"
-
-    register_engine("tagged", TaggedEngine)
-    try:
-        trace = run_spmd(2, lambda c: c.rank, engine="tagged")
-        assert trace.engine == "tagged"
-    finally:
-        _REGISTRY.pop("tagged", None)
-
-
-def test_registering_over_an_alias_name_wins():
-    """An exact registry entry beats the built-in alias table."""
-    from repro.distsim.engine import EventEngine, register_engine, _REGISTRY
-
-    class Custom(EventEngine):
-        name = "custom-deterministic"
-
-    register_engine("deterministic", Custom)
-    try:
-        assert isinstance(get_engine("deterministic"), Custom)
-    finally:
-        _REGISTRY.pop("deterministic", None)
-    # With the override gone the alias resolves to the builtin again.
-    assert isinstance(get_engine("deterministic"), EventEngine)
 
 
 # --------------------------------------------------------- coroutine engine
@@ -550,23 +450,7 @@ def test_coroutine_engine_counts_group_collectives():
     assert_traces_identical(res_c.trace, res_e.trace)
 
 
-def test_coroutine_engine_falls_back_for_plain_rank_functions():
-    """A non-generator rank program runs through the compatibility shim (the
-    event engine's machinery) but the trace is still tagged "coroutine"."""
-
-    def prog(comm):  # plain blocking body, no yields
-        if comm.rank == 0:
-            comm.send(1, np.arange(4.0), tag=0)
-            return None
-        return comm.recv(0, tag=0)
-
-    trace = run_spmd(2, prog, engine="coroutine")
-    assert trace.engine == "coroutine"
-    assert np.allclose(trace.results[1], np.arange(4.0))
-
-
 def test_coroutine_engine_runs_generator_rank_functions_natively():
-    @spmd_program
     def prog(comm):
         if comm.rank == 0:
             comm.send(1, np.arange(4.0) * 3.0, tag="x")
@@ -583,19 +467,18 @@ def test_coroutine_engine_structural_deadlock_reports_p2p_and_collective():
     """Satellite: the coroutine deadlock error reports, per blocked rank, the
     (source, tag) or the collective it is stuck in."""
 
-    @spmd_program
     def prog(comm):
         if comm.rank == 0:
             # Joins a collective nobody else ever joins.
-            return (yield from allreduce.co(comm, 1, lambda a, b: a + b,
-                                            group=[0, 1], tag="lonely"))
+            return (yield from allreduce(comm, 1, lambda a, b: a + b,
+                                         group=[0, 1], tag="lonely"))
         if comm.rank == 1:
             return (yield from comm.co_recv(2, tag="ghost"))
         return None
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(3, prog, engine="coroutine", timeout=3600.0)
+        run_spmd(3, prog, engine="coroutine")
     assert time.perf_counter() - start < 1.0
     cause = exc.value.__cause__
     assert isinstance(cause, DeadlockError)
@@ -608,7 +491,6 @@ def test_coroutine_engine_structural_deadlock_reports_p2p_and_collective():
 
 
 def test_coroutine_engine_rank_exception_propagates():
-    @spmd_program
     def prog(comm):
         if comm.rank == 0:
             raise ValueError("boom")
@@ -621,32 +503,15 @@ def test_coroutine_engine_rank_exception_propagates():
     assert isinstance(exc.value.failures[1], DeadlockError)
 
 
-def test_coroutine_engine_blocking_recv_inside_generator_raises():
-    """A generator rank calling the *blocking* recv with no matched message
-    gets a descriptive error instead of wedging the single host thread."""
-    from repro.distsim import SimulationError
-
-    @spmd_program
-    def prog(comm):
-        yield from ()  # make it a generator
-        return comm.recv(1 - comm.rank, tag="nope")
-
-    with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="coroutine")
-    assert isinstance(exc.value.__cause__, SimulationError)
-    assert "co_recv" in str(exc.value.__cause__)
-
-
 def test_coroutine_engine_back_to_back_same_tag_collectives():
     """Repeated collectives with identical (kind, group, tag, channel) keys
     must rendezvous in FIFO order, not collapse into one event."""
 
-    @spmd_program
     def prog(comm):
         total = 0
         for _ in range(3):
-            total = yield from allreduce.co(comm, total + comm.rank + 1,
-                                            lambda a, b: a + b, tag="same")
+            total = yield from allreduce(comm, total + comm.rank + 1,
+                                         lambda a, b: a + b, tag="same")
         return total
 
     t_c = run_spmd(4, prog, engine="coroutine")
@@ -657,8 +522,7 @@ def test_coroutine_engine_back_to_back_same_tag_collectives():
 
 
 def test_coroutine_engine_runs_large_p_tslu():
-    """The tentpole: P = 2048 TSLU on one host thread in seconds — far past
-    where per-rank OS threads are practical."""
+    """P = 2048 TSLU on one host thread in seconds."""
     P, b = 2048, 2
     A = tall_skinny(2 * P, b, seed=1)
     start = time.perf_counter()
@@ -678,9 +542,9 @@ def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
 ):
     """Per panel the Pr ranks of the butterfly (fold + unfold when Pr is not a
     power of two) apply the merge Pr log2 Pr times; Pr - 1 are distinct.  The
-    coroutine engine evaluates exactly those while charging every rank what
-    the event and threaded engines — which keep the per-rank operator —
-    charge, so every RankTrace field, the factors and the solution agree."""
+    group evaluation computes exactly those while charging every rank what
+    the point-to-point reference — which keeps the per-rank operator —
+    charges, so every RankTrace field, the factors and the solution agree."""
     assert n % b != 0  # ragged last panel
     A = randn(n, seed=n)
     rhs = randn(n, 2, seed=n + 1)
@@ -699,21 +563,19 @@ def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
     pow2 = 1 << (pr.bit_length() - 1)
     per_rank_path = panels * (pow2 * (pow2.bit_length() - 1) + (pr - pow2))
     assert merges["coroutine"] == panels * (pr - 1)
-    assert merges["event"] == merges["threaded"] == per_rank_path
+    assert merges["event"] == per_rank_path
 
-    ref = results["coroutine"]
+    ref, res = results["coroutine"], results["event"]
     assert np.allclose(A @ ref.x, rhs, atol=1e-9)
-    for other in ("event", "threaded"):
-        res = results[other]
-        for t_ref, t in (
-            (ref.factorization.trace, res.factorization.trace),
-            (ref.trace, res.trace),
-        ):
-            assert_traces_identical(t_ref, t)
-        assert np.array_equal(ref.factorization.L, res.factorization.L)
-        assert np.array_equal(ref.factorization.U, res.factorization.U)
-        assert np.array_equal(ref.factorization.perm, res.factorization.perm)
-        assert np.array_equal(ref.x, res.x)
+    for t_ref, t in (
+        (ref.factorization.trace, res.factorization.trace),
+        (ref.trace, res.trace),
+    ):
+        assert_traces_identical(t_ref, t)
+    assert np.array_equal(ref.factorization.L, res.factorization.L)
+    assert np.array_equal(ref.factorization.U, res.factorization.U)
+    assert np.array_equal(ref.factorization.perm, res.factorization.perm)
+    assert np.array_equal(ref.x, res.x)
 
 
 @pytest.mark.parametrize("p,root", [(2, 0), (5, 3), (16, 0), (16, 9)])
@@ -733,7 +595,7 @@ def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
     payload = {"swaps": [(1, 2), (3, 4)], "rows": np.arange(6), "panel": np.ones((6, 2))}
 
     def prog(comm):
-        got = yield from broadcast.co(
+        got = yield from broadcast(
             comm, payload if comm.rank == root else None, root=root, channel="row"
         )
         return got["panel"].sum()

@@ -38,13 +38,13 @@ def _cache(tmp_path, **kw):
 def test_factor_key_distinct_across_every_knob():
     base = dict(
         kind="randn", n=64, seed=0, nprow=2, npcol=2, block_size=8,
-        pivoting="ca", kernel_tier="lapack", engine="threaded",
+        pivoting="ca", kernel_tier="lapack", engine="coroutine",
     )
     variants = [
         {"kind": "uniform"}, {"n": 96}, {"seed": 1}, {"nprow": 4},
         {"npcol": 1}, {"block_size": 16}, {"pivoting": "pp"},
         {"pivoting": "ca_prrp"}, {"kernel_tier": "reference"},
-        {"engine": "coroutine"},
+        {"engine": "event"},
     ]
     keys = [factor_key(**base)] + [factor_key(**{**base, **v}) for v in variants]
     assert len(set(keys)) == len(keys)
@@ -65,7 +65,7 @@ def test_generate_matrix_kinds_and_unknown_kind():
 def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
     cache = _cache(tmp_path)
     kw = dict(kind="randn", n=48, seed=7, grid=4, block_size=8,
-              engine="threaded", machine=unit_machine())
+              machine=unit_machine())
     miss = cache.fetch_or_factor(**kw)
     assert not miss.cached
     assert miss.path.is_file()
@@ -87,7 +87,7 @@ def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
 def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
     cache = _cache(tmp_path)
     kw = dict(kind="randn", n=48, seed=7, grid=4, block_size=8,
-              engine="threaded", machine=unit_machine())
+              machine=unit_machine())
     cache.fetch_or_factor(**kw)          # populate
     hit = cache.fetch_or_factor(**kw)    # disk round-trip
     assert hit.cached
@@ -96,10 +96,8 @@ def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
     rng = np.random.default_rng(0)
     b = A @ rng.standard_normal(48)
     grid = ProcessGrid.default_for(4)
-    cold = pdgesv(A, b, grid, block_size=8, machine=unit_machine(),
-                  engine="threaded")
-    warm = pdgesv_solve(hit.factor, b, machine=unit_machine(),
-                        engine="threaded")
+    cold = pdgesv(A, b, grid, block_size=8, machine=unit_machine())
+    warm = pdgesv_solve(hit.factor, b, machine=unit_machine())
     assert np.array_equal(cold.x, warm.x)
     assert cold.residual_norms == warm.residual_norms
     assert cold.backward_errors == warm.backward_errors
@@ -108,7 +106,7 @@ def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
 def test_force_recomputes_and_use_cache_false_bypasses_store(tmp_path):
     cache = _cache(tmp_path)
     kw = dict(kind="randn", n=32, seed=1, grid=4, block_size=8,
-              engine="threaded", machine=unit_machine())
+              machine=unit_machine())
     first = cache.fetch_or_factor(**kw)
     forced = cache.fetch_or_factor(force=True, **kw)
     assert not forced.cached
@@ -126,7 +124,7 @@ def test_env_var_relocates_cache(tmp_path, monkeypatch):
     cache = FactorCache()
     assert cache.root == tmp_path / "relocated"
     cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4, block_size=8,
-                          engine="threaded", machine=unit_machine())
+                          machine=unit_machine())
     assert cache.count() == 1
     assert (tmp_path / "relocated").is_dir()
 
@@ -136,7 +134,7 @@ def test_lru_cap_evicts_least_recently_used(tmp_path, monkeypatch):
     cache = _cache(tmp_path)
     kws = [
         dict(kind="randn", n=32, seed=s, grid=4, block_size=8,
-             engine="threaded", machine=unit_machine())
+             machine=unit_machine())
         for s in (0, 1, 2)
     ]
     fetches = [cache.fetch_or_factor(**kw) for kw in kws]
@@ -160,8 +158,7 @@ def test_lru_cap_evicts_least_recently_used(tmp_path, monkeypatch):
 def test_save_never_evicts_the_just_written_artifact(tmp_path):
     cache = _cache(tmp_path)
     fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, engine="threaded",
-                                  machine=unit_machine())
+                                  block_size=8, machine=unit_machine())
     tiny = FactorCache(root=cache.root, max_bytes=1)  # below any artifact
     tiny.save(fetch.factor, fetch.key, kind="randn", seed=0)
     assert tiny.count() == 1  # the write survives; the cap holds for others
@@ -180,8 +177,7 @@ def test_entries_count_bytes_purge(tmp_path):
     cache = _cache(tmp_path)
     for s in (0, 1):
         cache.fetch_or_factor(kind="randn", n=32, seed=s, grid=4,
-                              block_size=8, engine="threaded",
-                              machine=unit_machine())
+                              block_size=8, machine=unit_machine())
     entries = cache.entries()
     assert len(entries) == cache.count() == 2
     assert cache.total_bytes() == sum(int(e["bytes"]) for e in entries)
@@ -195,13 +191,11 @@ def test_entries_count_bytes_purge(tmp_path):
 def test_corrupt_artifact_is_a_miss(tmp_path):
     cache = _cache(tmp_path)
     fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, engine="threaded",
-                                  machine=unit_machine())
+                                  block_size=8, machine=unit_machine())
     fetch.path.write_bytes(b"not an npz")
     assert cache.load(fetch.key) is None
     again = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, engine="threaded",
-                                  machine=unit_machine())
+                                  block_size=8, machine=unit_machine())
     assert not again.cached  # recomputed, not served corrupt bits
     assert np.array_equal(again.factor.packed, fetch.factor.packed)
 
@@ -227,7 +221,7 @@ def test_fetch_or_factor_is_single_flight(tmp_path, monkeypatch):
         barrier.wait()
         results[i] = cache.fetch_or_factor(
             kind="randn", n=32, seed=0, grid=4, block_size=8,
-            engine="threaded", machine=unit_machine(),
+            machine=unit_machine(),
         )
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]

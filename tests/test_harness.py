@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.distsim import UnknownEngineError, run_spmd
 from repro.experiments import (
     factorization_tables,
     figure1,
@@ -153,11 +154,11 @@ def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
     spec = get_spec("panel_counts")
     default = store.fetch_or_run(spec, quick=True)
     assert default.artifact["engine"] == "coroutine"  # the spec's param default
-    threaded = store.fetch_or_run(spec, {"engine": "threaded"}, quick=True)
-    assert threaded.artifact["engine"] == "threaded"
-    assert threaded.artifact["key"] != default.artifact["key"]
+    event = store.fetch_or_run(spec, {"engine": "event"}, quick=True)
+    assert event.artifact["engine"] == "event"
+    assert event.artifact["key"] != default.artifact["key"]
     # Message counts are engine-independent (same simulated program).
-    assert threaded.rows == default.rows
+    assert event.rows == default.rows
 
 
 def test_context_key_depends_on_params_tier_and_engine():
@@ -165,8 +166,104 @@ def test_context_key_depends_on_params_tier_and_engine():
     assert base == context_key("table1", {"seed": 0}, "lapack", "event")
     assert base != context_key("table1", {"seed": 1}, "lapack", "event")
     assert base != context_key("table1", {"seed": 0}, "reference", "event")
-    assert base != context_key("table1", {"seed": 0}, "lapack", "threaded")
+    assert base != context_key("table1", {"seed": 0}, "lapack", "coroutine")
     assert base != context_key("table2", {"seed": 0}, "lapack", "event")
+
+
+def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
+    """Keys computed with an explicit engine are byte-equal to those of the
+    commit before the engines were collapsed (values pasted from it); the one
+    re-key is that specs without an ``engine`` param now default to
+    "coroutine"."""
+    from repro.harness.factor_cache import factor_key
+
+    params = {"seed": 0, "n": 64}
+    assert context_key("table1", params, "lapack", "coroutine") == (
+        "40b85c9532845980c87a3ba35b57bcba89f3ee376300390b6ca1229a09359874")
+    assert context_key("table1", params, "lapack", "event") == (
+        "62d866d3e0ca6cc724180df0db8dd817cdd2efaa2367b366e65c2a901c4845ee")
+    fixed = ("randn", 96, 3, 2, 4, 8, "ca", "lapack")
+    assert factor_key(*fixed, "coroutine", "summa") == (
+        "82a8f3d05bd50b7545d3d96cc1bdb18769423b3e96daa906d6275293ee450d27")
+    assert factor_key(*fixed, "event", "summa") == (
+        "423d95786373f5c7d71563bdba467519f86b2f903ad4dff062ae22bfe75e21c4")
+    spec = get_spec("figure1")
+    assert "engine" not in spec.params
+    assert ResultStore(root=tmp_path).run_context(spec)[2] == "coroutine"
+
+
+# ------------------------------------------ removed engine names fail early
+#: A name older scripts, environments and artifacts may still carry.
+STALE_ENGINE = "threaded"
+STALE_MESSAGE = (
+    f"unknown execution engine {STALE_ENGINE!r}; available: ['coroutine', 'event']"
+)
+
+
+def test_stale_engine_argument_raises():
+    with pytest.raises(UnknownEngineError, match="unknown execution engine") as exc:
+        run_spmd(2, lambda comm: comm.rank, engine=STALE_ENGINE)
+    assert exc.value.name == STALE_ENGINE
+    assert exc.value.available == ["coroutine", "event"]
+
+
+def test_stale_engine_env_var_raises(monkeypatch):
+    monkeypatch.setenv("REPRO_VMPI_ENGINE", STALE_ENGINE)
+    with pytest.raises(UnknownEngineError) as exc:
+        run_spmd(2, lambda comm: comm.rank)
+    assert str(exc.value) == STALE_MESSAGE
+
+
+def test_stale_engine_cli_flag_exits(tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "panel_counts", "--quick", "--engine", STALE_ENGINE], tmp_path)
+    assert STALE_MESSAGE in str(exc.value)
+
+
+def test_stale_engine_set_override_fails_before_running(tmp_path, capsys):
+    assert run_cli(["run", "panel_counts", "--quick",
+                    "--set", f"engine={STALE_ENGINE}"], tmp_path) == 1
+    assert STALE_MESSAGE in capsys.readouterr().err
+    assert not (tmp_path / "panel_counts").exists()  # nothing ran, nothing stored
+    with pytest.raises(UnknownEngineError):
+        ResultStore(root=tmp_path).run_context(
+            get_spec("panel_counts"), {"engine": STALE_ENGINE})
+
+
+def test_stale_engine_in_tune_artifact_fails_at_load(tmp_path):
+    from repro.harness.tuning import load_tuned_config
+
+    artifact = tmp_path / "tune-old.json"
+    artifact.write_text(json.dumps({
+        "spec": "tune", "engine": STALE_ENGINE,
+        "rows": [{"chosen": True, "grid": "2x2", "b": 8, "nrhs": 1,
+                  "pivoting": "ca", "kernel_tier": "auto", "matmul": "summa",
+                  "machine": "ibm_power5"}],
+    }))
+    with pytest.raises(UnknownEngineError) as exc:
+        load_tuned_config(str(artifact))
+    assert str(exc.value) == STALE_MESSAGE
+    with pytest.raises(SystemExit) as exit_exc:
+        run_cli(["serve", "--n", "32", "--requests", "1", "--tuned", str(artifact),
+                 "--factor-cache-dir", str(tmp_path / "factors")], tmp_path)
+    assert STALE_MESSAGE in str(exit_exc.value)
+    assert not (tmp_path / "factors").exists()  # failed before factoring
+
+
+def test_cache_list_still_lists_factors_of_a_removed_engine(tmp_path, capsys):
+    import dataclasses
+
+    from repro.harness.factor_cache import FactorCache, factor_key
+
+    cache = FactorCache(root=tmp_path / "factors")
+    factor = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
+                                   block_size=8).factor
+    old = dataclasses.replace(factor, engine=STALE_ENGINE, source=None)
+    cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, old.pivoting,
+                               old.kernel_tier, STALE_ENGINE), kind="randn", seed=0)
+    assert run_cli(["cache", "list", "--factor-cache-dir", str(cache.root)],
+                   tmp_path) == 0
+    assert f"/{STALE_ENGINE}/summa" in capsys.readouterr().out
 
 
 def test_artifacts_listing_and_report_surface(tmp_path):
@@ -322,11 +419,11 @@ def test_cli_set_override(tmp_path, capsys):
 
 
 def test_cli_engine_flag_takes_precedence_for_engine_param_specs(tmp_path, capsys):
-    assert run_cli(["run", "panel_counts", "--quick", "--engine", "threaded",
+    assert run_cli(["run", "panel_counts", "--quick", "--engine", "event",
                     "--format", "json"], tmp_path) == 0
     rows, meta = rows_from_json(capsys.readouterr().out)
-    assert meta["engine"] == "threaded"
-    assert meta["params"]["engine"] == "threaded"
+    assert meta["engine"] == "event"
+    assert meta["params"]["engine"] == "event"
     assert rows
 
 
@@ -560,7 +657,6 @@ def test_cli_serve_miss_then_hit_and_slo_rows(tmp_path, capsys):
     serve_args = [
         "serve", "--kind", "randn", "--n", "32", "--seed", "0", "--P", "4",
         "--b", "8", "--requests", "6", "--window", "4", "--slo", "1e-9",
-        "--engine", "threaded",
         "--factor-cache-dir", str(tmp_path / "factors"),
     ]
     assert run_cli(serve_args, tmp_path) == 0
@@ -580,7 +676,7 @@ def test_cli_bench_serve_reports_speedup(tmp_path, capsys):
     assert run_cli(
         ["bench-serve", "--kind", "randn", "--n", "32", "--P", "4",
          "--b", "8", "--requests", "8", "--windows", "1,4",
-         "--baseline-requests", "2", "--engine", "threaded",
+         "--baseline-requests", "2",
          "--factor-cache-dir", str(tmp_path / "factors")],
         tmp_path,
     ) == 0
@@ -596,7 +692,7 @@ def test_cli_cache_list_and_purge(tmp_path, capsys):
     assert run_cli(["run", "figure1"], tmp_path) == 0
     assert run_cli(
         ["serve", "--n", "32", "--P", "4", "--b", "8", "--requests", "1",
-         "--engine", "threaded", "--factor-cache-dir", factors],
+         "--factor-cache-dir", factors],
         tmp_path,
     ) == 0
     capsys.readouterr()

@@ -34,7 +34,7 @@ from repro.core.options import (
 #: from whatever the level below would resolve to in each test.
 KNOB_CASES = [
     ("pivoting", "REPRO_PIVOTING", "ca", "pp", "ca_prrp", "rook"),
-    ("engine", "REPRO_VMPI_ENGINE", "threaded", "event", "coroutine", "warp"),
+    ("engine", "REPRO_VMPI_ENGINE", "coroutine", "event", "coroutine", "warp"),
     ("kernel_tier", "REPRO_KERNEL_TIER", "auto", "reference", "lapack", "nope"),
     ("matmul", "REPRO_MATMUL", "summa", "caps", "summa", "cannon"),
 ]
@@ -154,7 +154,7 @@ def test_option_overrides_scopes_several_knobs():
     with option_overrides(pivoting="pp", matmul="caps", engine=None):
         assert get_option("pivoting").get() == "pp"
         assert get_option("matmul").get() == "caps"
-        assert get_option("engine").get() == "threaded"  # None skipped
+        assert get_option("engine").get() == "coroutine"  # None skipped
     assert get_option("pivoting").get() == "ca"
     assert get_option("matmul").get() == "summa"
 
@@ -164,16 +164,6 @@ def test_option_overrides_invalid_value_applies_nothing():
         with option_overrides(pivoting="pp", engine="warp"):
             pass  # pragma: no cover - never entered
     assert get_option("pivoting").get() == "ca"
-
-
-def test_engine_aliases_canonicalize_through_the_shared_resolver():
-    engine = get_option("engine")
-    assert engine.resolve("thread") == "threaded"
-    assert engine.resolve("deterministic") == "event"
-    assert engine.resolve("coro") == "coroutine"
-    engine.set("threads")
-    assert engine.get() == "threaded"
-    engine.set(None)
 
 
 # ---------------------------------------------------------------- SolveConfig

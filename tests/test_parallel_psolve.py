@@ -20,7 +20,7 @@ from repro.models import solve_cost, solve_message_counts, validate_solve
 from repro.parallel import pdgesv
 from repro.randmat import randn
 
-ENGINES = ("event", "threaded")
+ENGINES = ("coroutine", "event")
 
 
 def _system(n: int, nrhs: int, seed: int):
@@ -87,14 +87,14 @@ def test_pdgesv_cross_engine_parity():
         )
         for engine in ENGINES
     }
-    ev, th = runs["event"], runs["threaded"]
-    assert np.array_equal(ev.x, th.x)
-    assert ev.iterations == th.iterations
-    assert ev.residual_norms == th.residual_norms
-    assert ev.per_rhs_residuals == th.per_rhs_residuals
-    assert ev.trace.total_messages == th.trace.total_messages
-    assert ev.trace.total_words == th.trace.total_words
-    assert ev.trace.critical_path_time == th.trace.critical_path_time
+    ev, co = runs["event"], runs["coroutine"]
+    assert np.array_equal(ev.x, co.x)
+    assert ev.iterations == co.iterations
+    assert ev.residual_norms == co.residual_norms
+    assert ev.per_rhs_residuals == co.per_rhs_residuals
+    assert ev.trace.total_messages == co.trace.total_messages
+    assert ev.trace.total_words == co.trace.total_words
+    assert ev.trace.critical_path_time == co.trace.critical_path_time
 
 
 def test_pdgesv_multi_rhs_matches_looped_single_rhs():
@@ -242,7 +242,7 @@ def test_pdtrsv_reduce_messages_include_accumulation_time():
     )
 
     def prog(comm):
-        pdtrsv_lower_unit(comm, dist, locs[comm.rank], rhs_blocks[comm.rank], 1)
+        yield from pdtrsv_lower_unit(comm, dist, locs[comm.rank], rhs_blocks[comm.rank], 1)
         return comm.trace.clock
 
     trace = run_spmd(2, prog, machine=gamma_only)
@@ -264,7 +264,7 @@ def test_solve_simulated_time_within_model_envelope():
 
 
 # --------------------------------------------------- factor reuse (pdgesv_solve)
-@pytest.mark.parametrize("engine", ("coroutine",) + ENGINES)
+@pytest.mark.parametrize("engine", ENGINES)
 @pytest.mark.parametrize(
     "n,b,pr,pc,nrhs",
     [
@@ -403,8 +403,8 @@ def test_pdtrsv_zero_rhs_columns(engine):
             for k in range(nblocks)
             if diag_owner(dist, k) == comm.rank
         }
-        _, lower = pdtrsv_lower_unit(comm, dist, locs[comm.rank], dict(rhs), 0)
-        _, upper = pdtrsv_upper(comm, dist, locs[comm.rank], dict(rhs), 0)
+        _, lower = yield from pdtrsv_lower_unit(comm, dist, locs[comm.rank], dict(rhs), 0)
+        _, upper = yield from pdtrsv_upper(comm, dist, locs[comm.rank], dict(rhs), 0)
         return (
             {k: v.shape for k, v in lower.items()},
             {k: v.shape for k, v in upper.items()},

@@ -111,7 +111,7 @@ def test_ptslu_shared_tournament_results_are_read_only(engine, selector):
         rows = np.arange(8 * comm.rank, 8 * (comm.rank + 1))
         op = _TournamentOp(comm, b, selector)
         (value, _), = op.combine([((rows[:b], A[rows[:b]]), (rows[b:], A[rows[b:]]))])
-        winners, packed = yield from allreduce.co(comm, value, op, tag="t")
+        winners, packed = yield from allreduce(comm, value, op, tag="t")
         if comm.rank == vandal:
             packed[0, 0] = 0.0
         return winners, packed, value

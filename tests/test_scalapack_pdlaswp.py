@@ -48,7 +48,7 @@ def test_pdlaswp_matches_sequential_swaps(pr, pc, b):
         Aloc = locals_[comm.rank].copy()
         myrow, mycol = grid.coords(comm.rank)
         cols = np.arange(dist.local_cols(mycol).shape[0])
-        pdlaswp(comm, dist, Aloc, swaps, cols, tag="t")
+        yield from pdlaswp(comm, dist, Aloc, swaps, cols, tag="t")
         return Aloc
 
     trace = run_spmd(grid.size, prog)
@@ -71,7 +71,7 @@ def test_pdlaswp_subset_of_columns_only():
     def prog(comm):
         Aloc = locals_[comm.rank].copy()
         # Swap only the first two local columns.
-        pdlaswp(comm, dist, Aloc, swaps, np.array([0, 1]), tag="t")
+        yield from pdlaswp(comm, dist, Aloc, swaps, np.array([0, 1]), tag="t")
         return Aloc
 
     trace = run_spmd(grid.size, prog)

@@ -30,13 +30,12 @@ from repro.randmat import randn
 
 N, B = 48, 8
 GRID = ProcessGrid.default_for(4)
-ENGINE = "threaded"
 
 
 @pytest.fixture(scope="module")
 def setup():
     A = randn(N, seed=11)
-    factor = pcalu_factor(A, GRID, B, machine=unit_machine(), engine=ENGINE)
+    factor = pcalu_factor(A, GRID, B, machine=unit_machine())
     rng = np.random.default_rng(42)
     rhs = [A @ rng.standard_normal(N) for _ in range(12)]
     return A, factor, rhs
@@ -44,7 +43,6 @@ def setup():
 
 def _service(factor, **kw):
     kw.setdefault("machine", unit_machine())
-    kw.setdefault("engine", ENGINE)
     return SolveService(factor, **kw)
 
 
@@ -93,8 +91,7 @@ def test_threaded_submitters_coalesce_and_match_serial_pdgesv(setup):
     # Answers match one-at-a-time serial pdgesv to the repo's
     # batched-vs-per-column BLAS tolerance.
     for i, o in enumerate(outcomes):
-        serial = pdgesv(A, rhs[i], GRID, block_size=B,
-                        machine=unit_machine(), engine=ENGINE)
+        serial = pdgesv(A, rhs[i], GRID, block_size=B, machine=unit_machine())
         assert o.x == pytest.approx(serial.x, abs=1e-13)
 
 
@@ -109,8 +106,7 @@ def test_batches_are_bit_identical_to_coalesced_pdgesv_solve(setup):
     # bitwise the same-shape pdgesv_solve batch.
     for lo in (0, 4):
         batch = np.column_stack(rhs[lo : lo + 4])
-        direct = pdgesv_solve(factor, batch, machine=unit_machine(),
-                              engine=ENGINE)
+        direct = pdgesv_solve(factor, batch, machine=unit_machine())
         for j, o in enumerate(outcomes[lo : lo + 4]):
             assert np.array_equal(o.x, direct.x[:, j])
             assert o.iterations == direct.iterations

@@ -159,17 +159,16 @@ def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
     every rank runs its redundant merge (Pr log2 Pr = 64), the group
     evaluation each distinct one (Pr - 1 = 15) while charging all ranks the
     same.  A count ratio, so machine-independent: at least 4x."""
-    import importlib
+    from repro.core import tournament
 
-    ptslu_module = importlib.import_module("repro.parallel.ptslu")
     merges = []
-    original = ptslu_module._merge_pairs
+    original = tournament.merge_pairs
 
     def counting(pairs, *args):
         merges.append(len(pairs))
         return original(pairs, *args)
 
-    monkeypatch.setattr(ptslu_module, "_merge_pairs", counting)
+    monkeypatch.setattr(tournament, "merge_pairs", counting)
     Pr, Pc, n, b = 16, 2, 256, 16
     A = randn(n, seed=4)
     grid = ProcessGrid(Pr, Pc)

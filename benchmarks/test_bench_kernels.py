@@ -28,7 +28,7 @@ import numpy as np
 import pytest
 
 from repro.core import calu
-from repro.core.tournament import CandidateSet, _merge_round
+from repro.core.tournament import CandidateSet, merge_round
 from repro.kernels import FlopCounter, getf2, rrqr, select_rows_rrqr
 from repro.randmat import randn
 
@@ -68,7 +68,7 @@ def test_bench_kernels_getf2_tiers(benchmark):
     ref = getf2(A, kernel_tier="reference")
 
     res = benchmark.pedantic(
-        lambda: getf2(A, kernel_tier="lapack"), rounds=5, iterations=1
+        lambda: getf2(A, kernel_tier="auto"), rounds=5, iterations=1
     )
     assert np.array_equal(res.ipiv, ref.ipiv)
     assert np.array_equal(res.perm, ref.perm)
@@ -105,7 +105,7 @@ def test_bench_kernels_rrqr_select_tiers(benchmark):
     for block in blocks:
         fr, fl = FlopCounter(), FlopCounter()
         ref = select_rows_rrqr(block, 64, flops=fr, kernel_tier="reference")
-        fast = select_rows_rrqr(block, 64, flops=fl, kernel_tier="lapack")
+        fast = select_rows_rrqr(block, 64, flops=fl, kernel_tier="auto")
         assert np.array_equal(ref, fast)
         assert (fr.muladds, fr.divides, fr.comparisons) == (
             fl.muladds, fl.divides, fl.comparisons,
@@ -154,8 +154,8 @@ def test_bench_kernels_batched_tournament_round(benchmark):
 
     # Bit-identity + flop parity before timing anything.
     f_seq, f_bat = FlopCounter(), FlopCounter()
-    seq_merged, seq_U = _merge_round(pairs, b, f_seq, False)
-    bat_merged, bat_U = _merge_round(pairs, b, f_bat, True)
+    seq_merged, seq_U = merge_round(pairs, b, f_seq, kernel_tier="reference")
+    bat_merged, bat_U = merge_round(pairs, b, f_bat, kernel_tier="auto")
     assert np.array_equal(seq_U, bat_U)
     for s, t in zip(seq_merged, bat_merged):
         assert np.array_equal(s.rows, t.rows)
@@ -165,17 +165,22 @@ def test_bench_kernels_batched_tournament_round(benchmark):
     )
 
     benchmark.pedantic(
-        lambda: _merge_round(pairs, b, FlopCounter(), True), rounds=5, iterations=1
+        lambda: merge_round(pairs, b, FlopCounter(), kernel_tier="auto"),
+        rounds=5, iterations=1,
     )
     batched_seconds = benchmark.stats.stats.min
     sequential_seconds, _ = _best_of(
-        lambda: _merge_round(pairs, b, FlopCounter(), False)
+        lambda: merge_round(pairs, b, FlopCounter(), kernel_tier="reference")
     )
     speedup = sequential_seconds / batched_seconds
 
     bin_pairs = _round_pairs(P, b, butterfly=False)
-    bin_seq, _ = _best_of(lambda: _merge_round(bin_pairs, b, FlopCounter(), False))
-    bin_bat, _ = _best_of(lambda: _merge_round(bin_pairs, b, FlopCounter(), True))
+    bin_seq, _ = _best_of(
+        lambda: merge_round(bin_pairs, b, FlopCounter(), kernel_tier="reference")
+    )
+    bin_bat, _ = _best_of(
+        lambda: merge_round(bin_pairs, b, FlopCounter(), kernel_tier="auto")
+    )
 
     benchmark.extra_info["P"] = P
     benchmark.extra_info["b"] = b

@@ -17,11 +17,8 @@ from .strategies import (
     DEFAULT_STRATEGY,
     PivotingStrategy,
     available_strategies,
-    get_pivoting,
     get_strategy,
-    pivoting,
     resolve_pivoting,
-    set_pivoting,
 )
 from .tournament import (
     CandidateSet,
@@ -37,10 +34,7 @@ from .tslu import TSLUResult, tslu, tslu_partial_pivoting_reference
 
 __all__ = [
     "available_strategies",
-    "get_pivoting",
     "get_strategy",
-    "set_pivoting",
-    "pivoting",
     "resolve_pivoting",
     "PivotingStrategy",
     "DEFAULT_STRATEGY",

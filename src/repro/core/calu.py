@@ -24,6 +24,7 @@ import numpy as np
 
 from ..kernels.flops import FlopCounter
 from ..kernels.gemm import gemm_update
+from ..kernels.getf2 import PackedFactors
 from ..kernels.laswp import permute_rows_inplace
 from ..kernels.pivoting import invert_perm
 from ..kernels.trsm import trsm_lower_unit, trsm_upper
@@ -31,15 +32,15 @@ from .tslu import tslu
 
 
 @dataclass
-class CALUResult:
+class CALUResult(PackedFactors):
     """Factors produced by CALU.
 
     Attributes
     ----------
-    L:
-        ``m x k`` unit-lower-trapezoidal factor, ``k = min(m, n)``.
-    U:
-        ``k x n`` upper-trapezoidal factor.
+    packed:
+        The factored ``m x n`` working matrix, the one array the result
+        holds; ``L`` and ``U`` are built from it on demand (see
+        :class:`~repro.kernels.getf2.PackedFactors`).
     perm:
         Row permutation with ``A[perm, :] = L @ U`` (up to rounding).
     growth_history:
@@ -60,8 +61,7 @@ class CALUResult:
         ``"ca_prrp"``; see :mod:`repro.core.strategies`).
     """
 
-    L: np.ndarray
-    U: np.ndarray
+    packed: np.ndarray
     perm: np.ndarray
     growth_history: List[float] = field(default_factory=list)
     threshold_history: np.ndarray = field(default_factory=lambda: np.empty(0))
@@ -243,13 +243,8 @@ def calu(
     if strategy == "ca_prrp":
         _triangularize_prrp_panels(A, perm, b, n, flops, kernel_tier)
 
-    k = min(m, n)
-    L = np.tril(A[:, :k], -1)
-    np.fill_diagonal(L, 1.0)
-    U = np.triu(A[:k, :])
     return CALUResult(
-        L=L,
-        U=U,
+        packed=A,
         perm=perm,
         growth_history=growth,
         threshold_history=np.concatenate(thresholds) if thresholds else np.empty(0),

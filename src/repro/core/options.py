@@ -4,22 +4,22 @@ Every pluggable subsystem of this package — pivoting strategies
 (:mod:`repro.core.strategies`), kernel tiers (:mod:`repro.kernels.tiers`),
 virtual-MPI engines (:mod:`repro.distsim.engine`) and distributed-matmul
 backends (:mod:`repro.matmul`) — exposes one string *knob* resolved against a
-registry.  Historically each rolled its own resolution stack (a module-global
-override, a ``set_*`` function, a context manager, an environment variable);
-this module centralises the machinery:
+registry.  This module holds the machinery they share:
 
 * :class:`UnknownOptionError` — the shared "knob value names no registered
   option" error, raised with the offender and the available choices named.
 * :class:`Option` — one generic knob descriptor implementing the shared
   precedence rule::
 
-      explicit per-call argument  >  ambient context (set_*/context manager)
+      explicit per-call argument  >  ambient context
         >  ``REPRO_*`` environment variable  >  default
 
-  The four knob modules *register* an :class:`Option` at import time; three
-  keep their historical ``resolve_*`` / ``set_*`` / context-manager entry
-  points as thin delegations (the engine module only ``resolve_engine*``),
-  so those call signatures keep working and resolve bit-identically.
+  The four knob modules *register* an :class:`Option` at import time and
+  keep one function form of it for their hot paths (``resolve_pivoting``,
+  ``resolve_tier``, ``resolve_matmul``, ``resolve_engine*``).  The ambient
+  context has one entry point, :func:`option_overrides` (or
+  :meth:`SolveConfig.ambient` for all four knobs at once); the per-module
+  ``set_*`` / ``get_*`` / context-manager shims it replaced are gone.
 * :class:`SolveConfig` — a frozen dataclass bundling everything that
   configures a distributed solve (the four knobs plus grid shape, block size
   ``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
@@ -28,7 +28,7 @@ this module centralises the machinery:
   (:mod:`repro.harness.tuning`) searches over.
 
 Ambient state is process-wide (the knobs configure a simulation, not a
-thread), exactly as the historical per-module globals were.
+thread).
 """
 
 from __future__ import annotations
@@ -87,9 +87,8 @@ class Option:
         stay owned by the subsystem (e.g. the engine knob raises
         ``UnknownEngineError``).
 
-    An :class:`Option` carries the knob's *ambient* override — what the
-    historical per-module ``_process_*`` globals held — and implements the
-    shared precedence rule in :meth:`resolve`.
+    An :class:`Option` carries the knob's *ambient* override and implements
+    the shared precedence rule in :meth:`resolve`.
     """
 
     name: str

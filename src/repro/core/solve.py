@@ -65,9 +65,11 @@ def lu_solve(
     Parameters
     ----------
     L:
-        ``n x n`` unit-lower-triangular factor.
+        ``n x n`` unit-lower-triangular factor (only the strictly lower
+        triangle is read).
     U:
-        ``n x n`` upper-triangular factor.
+        ``n x n`` upper-triangular factor (only the upper triangle is read,
+        so a packed LU array serves as both ``L`` and ``U``).
     perm:
         Row permutation returned by the factorization.
     b:
@@ -139,7 +141,10 @@ def solve_with_refinement(
     A = np.asarray(A, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     abs_A = np.abs(A)
-    x = lu_solve(factorization.L, factorization.U, factorization.perm, b, flops=flops)
+    # Each triangular solve reads one triangle, so the packed factors serve
+    # as both ``L`` and ``U`` — nothing is unpacked.
+    packed, perm = factorization.packed, factorization.perm
+    x = lu_solve(packed, packed, perm, b, flops=flops)
     residuals: list = []
     per_rhs: list = []
     backward: list = []
@@ -151,7 +156,7 @@ def solve_with_refinement(
         backward.append(componentwise_backward_error(A, x, b, residual=r, abs_A=abs_A))
         if iterations >= max_iterations or backward[-1] <= tolerance:
             break
-        dx = lu_solve(factorization.L, factorization.U, factorization.perm, r, flops=flops)
+        dx = lu_solve(packed, packed, perm, r, flops=flops)
         x = x + dx
         iterations += 1
     return SolveResult(

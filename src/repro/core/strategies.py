@@ -26,20 +26,15 @@ registry-addressed knob — exactly like the kernel tiers
     pivoting — CALU_PRRP.  Same communication pattern as ``"ca"`` (one
     reduction over the grid column), strictly better growth bound.
 
-Selection, in order of precedence (mirroring the tier/engine knobs):
-
-1. per call: ``calu(A, ..., pivoting="ca_prrp")`` (also on ``tslu``,
-   ``ptslu``, ``pcalu`` and the stability reports);
-2. process-wide: :func:`set_pivoting` / the :func:`pivoting` context manager;
-3. environment: ``REPRO_PIVOTING``;
-4. default: ``"ca"``.
+Selected per call (``pivoting=`` on ``calu``, ``tslu``, ``ptslu``, ``pcalu``
+and the stability reports), else by the shared precedence rule of
+:mod:`repro.core.options`: ambient override > ``REPRO_PIVOTING`` > ``"ca"``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 from .options import Option, UnknownOptionError, register_option
 
@@ -107,8 +102,8 @@ STRATEGIES: Dict[str, PivotingStrategy] = {
 #: nor the environment variable is given — the paper's own algorithm.
 DEFAULT_STRATEGY = "ca"
 
-#: Environment variable consulted by :func:`get_pivoting` (consistent with
-#: ``REPRO_KERNEL_TIER`` / ``REPRO_VMPI_ENGINE`` / ``REPRO_RESULTS_DIR``).
+#: Environment variable consulted by :func:`resolve_pivoting` (consistent
+#: with ``REPRO_KERNEL_TIER`` / ``REPRO_VMPI_ENGINE`` / ``REPRO_RESULTS_DIR``).
 ENV_VAR = "REPRO_PIVOTING"
 
 
@@ -119,8 +114,8 @@ def _validate(name: str) -> str:
 
 
 #: The pivoting knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`): the functions below are thin delegations to
-#: its precedence machinery (explicit > ambient > ``REPRO_PIVOTING`` > "ca").
+#: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_pivoting`
+#: applies (explicit > ambient > ``REPRO_PIVOTING`` > "ca").
 OPTION = register_option(
     Option(
         name="pivoting",
@@ -140,23 +135,6 @@ def available_strategies() -> List[str]:
 def get_strategy(name: str) -> PivotingStrategy:
     """Look up one strategy's metadata by name."""
     return STRATEGIES[_validate(name)]
-
-
-def get_pivoting() -> str:
-    """The process-wide strategy (override > ``REPRO_PIVOTING`` > ``"ca"``)."""
-    return OPTION.get()
-
-
-def set_pivoting(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide strategy override."""
-    OPTION.set(name)
-
-
-@contextmanager
-def pivoting(name: str) -> Iterator[None]:
-    """Context manager scoping a process-wide strategy override."""
-    with OPTION.context(name):
-        yield
 
 
 def resolve_pivoting(name: Optional[str] = None) -> str:

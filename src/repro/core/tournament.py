@@ -15,21 +15,26 @@ The heart of CALU (Section 2 of the paper) is a *tournament* that selects
    the ``U`` factor computed at the root of the tree is the ``U11`` factor of
    the panel.
 
-This module implements the reduction in a scheduling-agnostic way so the same
-code drives the sequential algorithm (:mod:`repro.core.tslu`), the SPMD
-algorithm (:mod:`repro.parallel.ptslu`), and the ablation benchmarks that
-compare flat, binary-tree and butterfly schedules.
+This module is the only place that knows the tournament, and the same code
+drives the sequential and the SPMD algorithm: :func:`leaf_candidates` is the
+leaf step of :func:`tournament_pivoting` and of
+:func:`repro.parallel.ptslu.ptslu`, :func:`merge_pairs` is the body of a
+sequential reduction round and of the SPMD all-reduce operator, and
+:func:`order_winners` is the finish of every tree that carries no ``U``.  The
+selection kernel (``selector``: partial pivoting, or the strong RRQR of
+CALU_PRRP) is the one parameter.  What differs between the two drivers is the
+*schedule* — here a walk over ``flat`` / ``binary`` / ``butterfly`` pairings
+(:func:`tournament_pivoting`), there the all-reduce of :mod:`repro.distsim`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..kernels.batched import getf2_batched, slab_flop_counters
+from ..kernels.batched import batch_by_shape, getf2_batched, slab_flop_counters
 from ..kernels.flops import FlopCounter
 from ..kernels.getf2 import getf2
 from ..kernels.rgetf2 import rgetf2
@@ -158,7 +163,7 @@ def merge_candidates(
     here flows straight into the panel factors, so its bits must not depend
     on the configured kernel tier.  Batches of same-shape merges go through
     :func:`~repro.kernels.batched.getf2_batched` instead (bit-identical, one
-    call per reduction round) — see ``_merge_round``.
+    call per reduction round) — see :func:`merge_pairs`.
     """
     stacked = np.vstack([a.block, b_set.block])
     all_rows = np.concatenate([a.rows, b_set.rows])
@@ -213,11 +218,11 @@ def merge_candidates_rrqr(
     The stacked ``2b x b`` candidate block is reduced to ``b`` winners by
     strong-RRQR row selection.  Unlike :func:`merge_candidates`, no ``U``
     factor falls out of the selection — CALU_PRRP computes the panel's ``U11``
-    in a second no-pivoting elimination of the winner rows (see
-    :func:`tournament_pivoting`), so the second tuple element is ``None``.
-    That is also why this merge, unlike :func:`merge_candidates`, may run on
-    any ``kernel_tier``: only the winners' *order* leaves it, the winner rows
-    are gathered from the stacked originals.
+    from a pivoted LU of the winner block (:func:`order_winners`), so the
+    second tuple element is ``None``.  That is also why this merge, unlike
+    :func:`merge_candidates`, may run on any ``kernel_tier``: only the
+    winners' *order* leaves it, the winner rows are gathered from the stacked
+    originals.
     """
     stacked = np.vstack([a.block, b_set.block])
     all_rows = np.concatenate([a.rows, b_set.rows])
@@ -229,165 +234,163 @@ def merge_candidates_rrqr(
     return CandidateSet(rows=all_rows[chosen], block=stacked[chosen, :]), None
 
 
-def _reduce_selected(
-    candidates: List[CandidateSet],
-    b: int,
-    flops: Optional[FlopCounter],
-    schedule: str,
-    merge_fn,
-) -> Tuple[CandidateSet, int]:
-    """Schedule-shaped reduction with a pluggable merge (selection only, no U).
+def order_winners(
+    winner: CandidateSet, flops: Optional[FlopCounter] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Finish of a tree that carries no ``U``: pivoted LU of the winner block.
 
-    Supports the same three schedules as the partial-pivoting tournament.
-    Used by the ``rrqr`` selector, whose merges carry no ``U`` factor and need
-    none of the bit-compatibility batching of the ``getf2`` path.
-
-    Deliberately a separate implementation from ``_flat_reduce`` /
-    ``_binary_reduce`` / ``_butterfly_reduce`` + ``_merge_round``: those are
-    bit-locked to the seed arithmetic (and interwoven with the batched-LU
-    fast path), so they must not grow a merge-operator parameter.  The
-    scheduling conventions are shared by contract, not by code — any change
-    to the pairing order, the butterfly ``candidates[-1]`` padding rule, or
-    the charge-once-per-logical-merge flop convention there must be mirrored
-    here (and vice versa).
+    Returns ``(winner rows in elimination order, packed LU of their block)``.
+    A strong-RRQR selection order is not an elimination order (and a single
+    block was never merged), so the winners are re-ordered by partial pivoting
+    *inside* the already-chosen rows: no communication, identical on every
+    rank, and reference-tier because these bits become the panel's ``U11``.
     """
-    if schedule == "flat":
-        acc = candidates[0]
-        rounds = 0
-        for nxt in candidates[1:]:
-            acc, _ = merge_fn(acc, nxt, b, flops=flops)
-            rounds += 1
-        return acc, rounds
-    if schedule == "binary":
-        level = list(candidates)
-        rounds = 0
-        while len(level) > 1:
-            rounds += 1
-            nxt = [
-                merge_fn(level[i], level[i + 1], b, flops=flops)[0]
-                for i in range(0, len(level) - 1, 2)
-            ]
-            if len(level) % 2 == 1:
-                nxt.append(level[-1])
-            level = nxt
-        return level[0], rounds
-    if schedule == "butterfly":
-        p = len(candidates)
-        if p == 1:
-            return candidates[0], 0
-        pow2 = 1
-        while pow2 < p:
-            pow2 *= 2
-        current = list(candidates) + [candidates[-1]] * (pow2 - p)
-        rounds = 0
-        k = 1
-        while k < pow2:
-            rounds += 1
-            # Each unordered pair is computed once and shared (the redundant
-            # butterfly merges are bit-identical), but the flop ledger is
-            # charged once per logical merge so the accounted arithmetic
-            # matches the redundant parallel schedule — same convention as
-            # the batched getf2 path.
-            cache: dict = {}
-            nxt = []
-            for i in range(pow2):
-                partner = i ^ k
-                lo, hi = (i, partner) if i < partner else (partner, i)
-                if (lo, hi) not in cache:
-                    scratch = FlopCounter()
-                    winner, _ = merge_fn(current[lo], current[hi], b, flops=scratch)
-                    cache[(lo, hi)] = (winner, scratch)
-                winner, scratch = cache[(lo, hi)]
-                if flops is not None:
-                    flops.merge(scratch)
-                nxt.append(winner)
-            current = nxt
-            k *= 2
-        return current[0], rounds
-    raise ValueError(f"unknown tournament schedule {schedule!r}")
+    res = getf2(winner.block, flops=flops, kernel_tier="reference")
+    return winner.rows[res.perm], res.lu
+
+
+def leaf_candidates(
+    blocks: Sequence[Tuple[np.ndarray, np.ndarray]],
+    b: int,
+    selector: str = "getf2",
+    local_kernel: str = "getf2",
+    kernel_tier: Optional[str] = None,
+) -> List[Tuple[CandidateSet, FlopCounter]]:
+    """Leaf step over every row block: one ``(candidates, flops)`` per block.
+
+    ``getf2`` leaves on a non-reference tier are factored together, one
+    :func:`~repro.kernels.batched.getf2_batched` call per group of same-shape
+    blocks; everything else (stray shapes at the panel fringe, empty blocks,
+    ``rgetf2`` and ``rrqr`` leaves, the reference tier) goes block by block
+    through :func:`local_candidates` / :func:`local_candidates_rrqr`.  Either
+    way a block's candidates and counter are exactly what its own leaf call
+    produces, so the sequential caller sums the counters and the SPMD caller
+    charges each to its rank.
+    """
+    if selector not in ("getf2", "rrqr"):
+        raise ValueError(f"unknown tournament selector {selector!r}")
+    rows_arr = [np.asarray(r, dtype=np.int64) for r, _ in blocks]
+    blk_arr = [np.asarray(blk, dtype=np.float64) for _, blk in blocks]
+    out: List[Optional[Tuple[CandidateSet, FlopCounter]]] = [None] * len(blocks)
+    groups = (
+        batch_by_shape([blk.shape for blk in blk_arr])
+        if selector == "getf2" and local_kernel == "getf2"
+        else []
+    )
+    if groups and resolve_tier(kernel_tier) != "reference":
+        for idxs in groups:
+            # The stack is a private temporary and the candidate rows are
+            # gathered from the original blocks, so it is factored in place.
+            res = getf2_batched(np.stack([blk_arr[i] for i in idxs]), overwrite=True)
+            m_blk, n_blk = blk_arr[idxs[0]].shape
+            counters = slab_flop_counters(m_blk, n_blk, res.zero_columns)
+            for s, i in enumerate(idxs):
+                chosen = res.perm[s][: min(b, m_blk)]
+                out[i] = (
+                    CandidateSet(rows=rows_arr[i][chosen], block=blk_arr[i][chosen, :]),
+                    counters[s],
+                )
+    for i, done in enumerate(out):
+        if done is None:
+            counter = FlopCounter()
+            if selector == "rrqr":
+                cand = local_candidates_rrqr(
+                    rows_arr[i], blk_arr[i], b, flops=counter, kernel_tier=kernel_tier
+                )
+            else:
+                cand = local_candidates(
+                    rows_arr[i], blk_arr[i], b, flops=counter,
+                    local_kernel=local_kernel, kernel_tier=kernel_tier,
+                )
+            out[i] = (cand, counter)
+    return out
 
 
 def merge_pairs(
-    pairs: Sequence[Tuple[CandidateSet, CandidateSet]], b: int
-) -> Tuple[List[CandidateSet], List[FlopCounter], List[np.ndarray]]:
-    """Merge independent candidate pairs, same-shape ones in one batched LU.
-
-    Per pair, returns the winner, the flops of its merge and the leading rows
-    of its stacked factorization (``np.triu`` of them is the pair's ``U``).
-    Pairs whose stacked blocks share a shape are factored in a single
-    :func:`~repro.kernels.batched.getf2_batched` call — the arithmetic, pivot
-    choices and flop counts are bit-identical to a :func:`merge_candidates`
-    loop, only the Python-loop overhead of separate ``getf2`` calls is gone.
-    Odd-shaped pairs (short blocks at the panel fringe) use that loop.
-    """
-    n_pairs = len(pairs)
-    merged: List[Optional[CandidateSet]] = [None] * n_pairs
-    counters: List[Optional[FlopCounter]] = [None] * n_pairs
-    factors: List[Optional[np.ndarray]] = [None] * n_pairs
-    groups: dict = {}
-    for i, (a, c) in enumerate(pairs):
-        shape = (a.block.shape[0] + c.block.shape[0], a.block.shape[1])
-        groups.setdefault(shape, []).append(i)
-
-    for (mrows, ncols), idxs in groups.items():
-        if len(idxs) < 2 or mrows == 0 or ncols == 0:
-            for i in idxs:
-                counters[i] = FlopCounter()
-                merged[i], factors[i] = merge_candidates(
-                    pairs[i][0], pairs[i][1], b, flops=counters[i]
-                )
-            continue
-        stack = np.empty((len(idxs), mrows, ncols), dtype=np.float64)
-        for s, i in enumerate(idxs):
-            a, c = pairs[i]
-            stack[s, : a.block.shape[0]] = a.block
-            stack[s, a.block.shape[0] :] = c.block
-        res = getf2_batched(stack, overwrite=False)
-        slab_counts = slab_flop_counters(mrows, ncols, res.zero_columns)
-        k = min(b, mrows)
-        for s, i in enumerate(idxs):
-            a, c = pairs[i]
-            all_rows = np.concatenate([a.rows, c.rows])
-            chosen = res.perm[s][:k]
-            merged[i] = CandidateSet(rows=all_rows[chosen], block=stack[s][chosen, :])
-            counters[i] = slab_counts[s]
-            factors[i] = res.lu[s][: min(mrows, ncols), :]
-    return merged, counters, factors
-
-
-def _merge_round(
-    pairs: List[Tuple[CandidateSet, CandidateSet]],
+    pairs: Sequence[Tuple[CandidateSet, CandidateSet]],
     b: int,
-    flops: Optional[FlopCounter],
-    batched: bool,
-) -> Tuple[List[CandidateSet], Optional[np.ndarray]]:
-    """Merge one reduction round's pairs; returns (winners, U of last pair).
+    selector: str = "getf2",
+    kernel_tier: Optional[str] = None,
+) -> List[Tuple[CandidateSet, FlopCounter, Optional[np.ndarray]]]:
+    """Merge independent candidate pairs: the one tournament node evaluator.
 
-    With ``batched=True`` the round goes through :func:`merge_pairs`, and
-    repeated pairs — every butterfly level merges each ``(lo, hi)`` pair once
-    per participant, which is the redundant computation the paper trades for
-    fewer messages — are factored once and their (bit-identical) result
-    replicated, while the flop ledger is still charged once per logical
-    merge, so the accounted arithmetic matches the sequential schedule
-    exactly.  With ``batched=False`` this is exactly the seed's sequential
-    merge loop.
-
-    The rrqr selector's ``_reduce_selected`` mirrors this round's scheduling
-    conventions (pairing order, padding, per-logical-merge flop charging)
-    without sharing code — keep the two in sync when changing either.
+    Per pair, returns the winner, the flops of its merge and the factor the
+    merge leaves behind — for ``getf2`` the leading rows of the stacked LU
+    (``np.triu`` of them is the pair's ``U``), for ``rrqr`` ``None``.  Every
+    merge a sequential round or the SPMD all-reduce evaluates passes through
+    here.  ``getf2`` pairs whose stacked blocks share a shape are factored in
+    one :func:`~repro.kernels.batched.getf2_batched` call — arithmetic, pivot
+    choices and flop counts bit-identical to a :func:`merge_candidates` loop
+    (always reference-tier bits: their ``U`` becomes the panel's); stray
+    shapes use that loop.  ``rrqr`` merges pass only a row order on, so they
+    run :func:`merge_candidates_rrqr` on ``kernel_tier``.
     """
-    if not batched:
-        out: List[CandidateSet] = []
+    if selector not in ("getf2", "rrqr"):
+        raise ValueError(f"unknown tournament selector {selector!r}")
+    out: List[Optional[Tuple[CandidateSet, FlopCounter, Optional[np.ndarray]]]] = (
+        [None] * len(pairs)
+    )
+    if selector == "getf2":
+        shapes = [
+            (a.block.shape[0] + c.block.shape[0], a.block.shape[1]) for a, c in pairs
+        ]
+        for idxs in batch_by_shape(shapes):
+            mrows, ncols = shapes[idxs[0]]
+            stack = np.empty((len(idxs), mrows, ncols), dtype=np.float64)
+            for s, i in enumerate(idxs):
+                a, c = pairs[i]
+                stack[s, : a.block.shape[0]] = a.block
+                stack[s, a.block.shape[0] :] = c.block
+            res = getf2_batched(stack, overwrite=False)
+            slab_counts = slab_flop_counters(mrows, ncols, res.zero_columns)
+            k = min(b, mrows)
+            for s, i in enumerate(idxs):
+                a, c = pairs[i]
+                all_rows = np.concatenate([a.rows, c.rows])
+                chosen = res.perm[s][:k]
+                out[i] = (
+                    CandidateSet(rows=all_rows[chosen], block=stack[s][chosen, :]),
+                    slab_counts[s],
+                    res.lu[s][: min(mrows, ncols), :],
+                )
+    for i, (a, c) in enumerate(pairs):
+        if out[i] is None:
+            counter = FlopCounter()
+            if selector == "rrqr":
+                winner, factor = merge_candidates_rrqr(
+                    a, c, b, flops=counter, kernel_tier=kernel_tier
+                )
+            else:
+                winner, factor = merge_candidates(a, c, b, flops=counter)
+            out[i] = (winner, counter, factor)
+    return out
+
+
+def merge_round(
+    pairs: Sequence[Tuple[CandidateSet, CandidateSet]],
+    b: int,
+    flops: Optional[FlopCounter] = None,
+    selector: str = "getf2",
+    kernel_tier: Optional[str] = None,
+) -> Tuple[List[CandidateSet], Optional[np.ndarray]]:
+    """One reduction round: ``(winner per pair, U of the last pair or None)``.
+
+    Repeated pairs — every butterfly level merges each pair once per
+    participant, the redundant computation the paper trades for fewer
+    messages, and padded replicas share objects too — are merged once through
+    :func:`merge_pairs` and their result replicated, while the flop ledger is
+    charged once per *logical* merge, so the accounted arithmetic is that of
+    the redundant schedule.
+    """
+    if selector == "getf2" and resolve_tier(kernel_tier) == "reference":
+        # The reference tier executes every logical merge, one by one: it is
+        # the oracle the batched round (and its speedup floor) is held to.
+        winners: List[CandidateSet] = []
         U = None
         for a, c in pairs:
-            w, U = merge_candidates(a, c, b, flops=flops)
-            out.append(w)
-        return out, U
-    if not pairs:
-        return [], None
-
-    # Deduplicate repeated pairs by object identity (butterfly levels build
-    # each unordered pair twice, and padded replicas share objects too).
+            winner, U = merge_candidates(a, c, b, flops=flops)
+            winners.append(winner)
+        return winners, U
     first: dict = {}
     uniq: List[Tuple[CandidateSet, CandidateSet]] = []
     slot = []
@@ -397,11 +400,12 @@ def _merge_round(
             first[key] = len(uniq)
             uniq.append((a, c))
         slot.append(first[key])
-    merged, counters, factors = merge_pairs(uniq, b)
+    merged = merge_pairs(uniq, b, selector, kernel_tier)
     if flops is not None:
         for j in slot:
-            flops.merge(counters[j])
-    return [merged[j] for j in slot], np.triu(factors[slot[-1]])
+            flops.merge(merged[j][1])
+    factor = merged[slot[-1]][2] if slot else None
+    return [merged[j][0] for j in slot], None if factor is None else np.triu(factor)
 
 
 def tournament_pivoting(
@@ -432,10 +436,11 @@ def tournament_pivoting(
         * ``"flat"`` — sequential left fold (depth ``P - 1``); same winners in
           exact arithmetic for the same pairings order, more rounds;
         * ``"butterfly"`` — all-reduction schedule; every leaf ends with the
-          winners.  Sequentially this performs the redundant work of the
+          winners.  Sequentially this is charged the redundant work of the
           parallel butterfly and is provided for the ablation study.
     local_kernel:
-        Kernel for the leaf factorizations (``"getf2"`` or ``"rgetf2"``).
+        Kernel for the ``getf2`` selector's leaf factorizations (``"getf2"``
+        or ``"rgetf2"``); ``selector="rrqr"`` ignores it.
     kernel_tier:
         Kernel tier (None: process-wide default, see
         :mod:`repro.kernels.tiers`).  Any tier other than ``"reference"``
@@ -448,12 +453,14 @@ def tournament_pivoting(
     selector:
         Selection kernel at the leaves and merge nodes:
 
-        * ``"getf2"`` — partial-pivoting rows (the paper's ca-pivoting);
+        * ``"getf2"`` — partial-pivoting rows (the paper's ca-pivoting); the
+          ``U`` of the root merge is the panel's ``U11``, read off at no
+          charge (the distributed code instead runs the paper's no-pivoting
+          second phase, see :mod:`repro.parallel.ptslu`);
         * ``"rrqr"`` — strong-RRQR rows (CALU_PRRP, Khabou et al.,
           arXiv:1208.2451).  The selection tree carries no ``U`` factor; the
-          panel's ``U11`` is a second no-pivoting elimination of the winner
-          rows — exactly the redundant second phase the distributed code
-          (:func:`repro.parallel.ptslu.ptslu_rank`) performs anyway.
+          panel's ``U11`` is a pivoted LU of the winner block
+          (:func:`order_winners`), as in the distributed code.
 
     Returns
     -------
@@ -463,195 +470,44 @@ def tournament_pivoting(
         raise ValueError("panel width b must be >= 1")
     if len(blocks) == 0:
         raise ValueError("tournament needs at least one row block")
-    if selector == "rrqr":
-        return _tournament_rrqr(blocks, b, flops, schedule, kernel_tier)
-    if selector != "getf2":
-        raise ValueError(f"unknown tournament selector {selector!r}")
-    batched = resolve_tier(kernel_tier) != "reference"
-    if batched and local_kernel == "getf2":
-        candidates = _leaf_candidates_batched(blocks, b, flops, kernel_tier)
-    else:
-        candidates = [
-            local_candidates(
-                rows, block, b, flops=flops, local_kernel=local_kernel,
-                kernel_tier=kernel_tier,
-            )
-            for rows, block in blocks
-        ]
+    if schedule not in ("flat", "binary", "butterfly"):
+        raise ValueError(f"unknown tournament schedule {schedule!r}")
+    leaves = leaf_candidates(blocks, b, selector, local_kernel, kernel_tier)
+    if flops is not None:
+        for _, counter in leaves:
+            flops.merge(counter)
     # Drop empty blocks (they can appear when m is not a multiple of P*b).
-    candidates = [c for c in candidates if c.rows.shape[0] > 0]
-    if not candidates:
+    level = [cand for cand, _ in leaves if cand.rows.shape[0] > 0]
+    if not level:
         raise ValueError("all row blocks are empty")
 
-    if schedule == "flat":
-        return _flat_reduce(candidates, b, flops, batched)
-    if schedule == "binary":
-        return _binary_reduce(candidates, b, flops, batched)
-    if schedule == "butterfly":
-        return _butterfly_reduce(candidates, b, flops, batched)
-    raise ValueError(f"unknown tournament schedule {schedule!r}")
-
-
-def _tournament_rrqr(
-    blocks: Sequence[Tuple[np.ndarray, np.ndarray]],
-    b: int,
-    flops: Optional[FlopCounter],
-    schedule: str,
-    kernel_tier: Optional[str] = None,
-) -> TournamentResult:
-    """CALU_PRRP tournament: strong-RRQR selection, then a pivoted root LU.
-
-    The reduction tree only *selects* the winner set — strong RRQR bounds how
-    much any rejected row depends on the winners (``|L21| <= tau``), but its
-    selection order says nothing about elimination order.  The panel's
-    ``U11`` therefore comes from an LU with partial pivoting *of the winner
-    block only*: a permutation inside the already-chosen ``b`` rows, so it
-    costs no extra communication (every rank of the distributed TSLU performs
-    it redundantly after the butterfly), while keeping the diagonal-block
-    elimination as stable as GEPP.
-    """
-    candidates = [
-        local_candidates_rrqr(rows, block, b, flops=flops, kernel_tier=kernel_tier)
-        for rows, block in blocks
-    ]
-    candidates = [c for c in candidates if c.rows.shape[0] > 0]
-    if not candidates:
-        raise ValueError("all row blocks are empty")
-    winner, rounds = _reduce_selected(
-        candidates, b, flops, schedule,
-        partial(merge_candidates_rrqr, kernel_tier=kernel_tier),
-    )
-    k = min(b, winner.rows.shape[0])
-    res = getf2(winner.block[:k, :], flops=flops, kernel_tier="reference")
-    order = res.perm[:k]
-    return TournamentResult(
-        winners=winner.rows[:k][order], U=np.triu(res.lu[:k, :]), rounds=rounds
-    )
-
-
-def _leaf_candidates_batched(
-    blocks: Sequence[Tuple[np.ndarray, np.ndarray]],
-    b: int,
-    flops: Optional[FlopCounter],
-    kernel_tier: Optional[str],
-) -> List[CandidateSet]:
-    """Leaf step as batched ``getf2`` calls over same-shape block groups.
-
-    Bit-identical to looping :func:`local_candidates` with the ``getf2``
-    kernel: the batched factorization reproduces the reference pivot order
-    exactly, and the candidate rows are gathered from the original blocks.
-    Stray shapes (fringe blocks when ``m`` is not a multiple of ``P*b``) use
-    the per-block path.
-    """
-    rows_arr = [np.asarray(r, dtype=np.int64) for r, _ in blocks]
-    blk_arr = [np.asarray(blk, dtype=np.float64) for _, blk in blocks]
-    out: List[Optional[CandidateSet]] = [None] * len(blocks)
-    groups: dict = {}
-    for i, blk in enumerate(blk_arr):
-        groups.setdefault(blk.shape, []).append(i)
-    for shape, idxs in groups.items():
-        if len(idxs) < 2 or shape[0] == 0 or shape[1] == 0:
-            for i in idxs:
-                out[i] = local_candidates(
-                    rows_arr[i], blk_arr[i], b, flops=flops, kernel_tier=kernel_tier
-                )
-            continue
-        # The stack is a private temporary and the candidate rows are
-        # gathered from the original blocks, so it can be factored in place.
-        res = getf2_batched(
-            np.stack([blk_arr[i] for i in idxs]), flops=flops, overwrite=True
-        )
-        k = min(b, shape[0])
-        for s, i in enumerate(idxs):
-            chosen = res.perm[s][:k]
-            out[i] = CandidateSet(rows=rows_arr[i][chosen], block=blk_arr[i][chosen, :])
-    return out
-
-
-def _flat_reduce(
-    candidates: List[CandidateSet],
-    b: int,
-    flops: Optional[FlopCounter],
-    batched: bool = False,
-) -> TournamentResult:
-    if len(candidates) == 1:
-        return _binary_reduce(candidates, b, flops, batched)
-    # A left fold is inherently sequential; each merge depends on the last.
-    acc = candidates[0]
+    if schedule == "butterfly" and len(level) > 1:
+        # Pad to a power of two by replicating the last candidate set; the
+        # replicas never win over their originals because ties keep the first.
+        level += [level[-1]] * ((1 << (len(level) - 1).bit_length()) - len(level))
     U = None
     rounds = 0
-    for nxt in candidates[1:]:
-        acc, U = merge_candidates(acc, nxt, b, flops=flops)
+    k = 1  # butterfly partner distance; flat and binary shrink the level instead
+    while k < len(level):
         rounds += 1
-    return TournamentResult(winners=acc.rows, U=U[: acc.rows.shape[0], :], rounds=rounds)
-
-
-def _binary_reduce(
-    candidates: List[CandidateSet],
-    b: int,
-    flops: Optional[FlopCounter],
-    batched: bool = False,
-) -> TournamentResult:
-    level = list(candidates)
-    U = None
-    rounds = 0
-    while len(level) > 1:
-        rounds += 1
-        pairs = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-        nxt, U = _merge_round(pairs, b, flops, batched)
-        if len(level) % 2 == 1:
-            nxt.append(level[-1])
-        level = nxt
-    winner = level[0]
+        if schedule == "flat":  # left fold: each merge depends on the last
+            pairs, carry = [(level[0], level[1])], level[2:]
+        elif schedule == "binary":  # neighbours; an odd last set gets a bye
+            pairs = [(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
+            carry = level[len(pairs) * 2 :]
+        else:  # every participant redundantly merges with its partner
+            pairs = [
+                (level[min(i, i ^ k)], level[max(i, i ^ k)]) for i in range(len(level))
+            ]
+            carry = []
+            k *= 2
+        level, U = merge_round(pairs, b, flops, selector, kernel_tier)
+        level += carry
+    winners = level[0].rows
     if U is None:
-        # Single block: its own factorization provides U (reference tier —
-        # these bits become the panel's U11).
-        res = getf2(winner.block, flops=flops, kernel_tier="reference")
-        U = np.triu(res.lu)
-        winner = CandidateSet(rows=winner.rows[res.perm], block=winner.block[res.perm])
-    return TournamentResult(
-        winners=winner.rows, U=U[: winner.rows.shape[0], :], rounds=rounds
-    )
-
-
-def _butterfly_reduce(
-    candidates: List[CandidateSet],
-    b: int,
-    flops: Optional[FlopCounter],
-    batched: bool = False,
-) -> TournamentResult:
-    """All-reduction schedule: every participant redundantly merges at each level.
-
-    Mirrors the communication pattern of the parallel TSLU; sequentially the
-    redundant merges are executed too (that is exactly the extra work the
-    paper trades for fewer messages).  With a non-reference tier each level's
-    ``pow2`` redundant merges are one batched call.
-    """
-    p = len(candidates)
-    if p == 1:
-        return _binary_reduce(candidates, b, flops, batched)
-    # Pad to a power of two by replicating the last candidate set; the
-    # replicas never win over their originals because ties keep the first row.
-    pow2 = 1
-    while pow2 < p:
-        pow2 *= 2
-    current = list(candidates) + [candidates[-1]] * (pow2 - p)
-    rounds = 0
-    U = None
-    k = 1
-    while k < pow2:
-        rounds += 1
-        pairs = []
-        for i in range(pow2):
-            partner = i ^ k
-            lo, hi = (i, partner) if i < partner else (partner, i)
-            pairs.append((current[lo], current[hi]))
-        current, U = _merge_round(pairs, b, flops, batched)
-        k *= 2
-    winner = current[0]
-    return TournamentResult(
-        winners=winner.rows, U=U[: winner.rows.shape[0], :], rounds=rounds
-    )
+        winners, packed = order_winners(level[0], flops)
+        U = np.triu(packed)
+    return TournamentResult(winners=winners, U=U[: winners.shape[0], :], rounds=rounds)
 
 
 def partition_rows(

@@ -1,4 +1,4 @@
-"""Model-vs-simulator validation (the ablation experiment of DESIGN.md).
+"""Model-vs-simulator validation (the ``validation`` spec of ``repro run``).
 
 The performance tables (3-7) are generated from the paper's analytic cost
 formulas.  This module checks those formulas against the *measured*

@@ -33,10 +33,7 @@ from .rrqr import (
 )
 from .tiers import (
     available_tiers,
-    get_kernel_tier,
-    kernel_tier,
     resolve_tier,
-    set_kernel_tier,
 )
 from .trsm import trsm_lower_unit, trsm_right_upper, trsm_upper
 
@@ -55,9 +52,6 @@ __all__ = [
     "getf2_batched",
     "slab_flop_counters",
     "available_tiers",
-    "get_kernel_tier",
-    "kernel_tier",
-    "set_kernel_tier",
     "resolve_tier",
     "permute_rows_inplace",
     "getf2",

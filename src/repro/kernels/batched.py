@@ -25,7 +25,7 @@ winners and ``U`` factor the sequential merges would.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Optional, Sequence
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,8 +71,7 @@ def getf2_batched(
     :func:`~repro.kernels.getf2.getf2` on each ``stack[i]`` with the
     reference tier — including pivot tie-breaking and the skip-and-continue
     handling of exactly singular columns.  ``flops`` is charged with the sum
-    of the per-slab reference counts (use :func:`slab_flop_counters` when the
-    per-slab split is needed).
+    of the per-slab reference counts of :func:`slab_flop_counters`.
     """
     A = np.array(stack, dtype=np.float64, copy=not overwrite)
     if A.ndim != 3:
@@ -86,8 +85,6 @@ def getf2_batched(
     # C-contiguous, so the multiply writes sequentially and nothing is
     # allocated per column.
     work = np.empty(nb * (m - 1) * (n - 1)) if (m > 1 and n > 1) else None
-    total_muladds = 0
-    total_divides = 0
 
     for j in range(k):
         # Pivot search in column j of every slab (first maximum, like argmax
@@ -114,7 +111,6 @@ def getf2_batched(
 
         if j < m - 1:
             if not any_zero:
-                nlive = nb
                 cols = A[:, j + 1 :, j]
                 cols /= piv[:, None]
                 if j < n - 1:
@@ -129,24 +125,16 @@ def getf2_batched(
                     A[:, j + 1 :, j + 1 :] -= w
             else:
                 live = np.flatnonzero(~zero)
-                nlive = live.shape[0]
-                if nlive:
+                if live.size:
                     A[live, j + 1 :, j] /= piv[live, None]
                     if j < n - 1:
                         A[live, j + 1 :, j + 1 :] -= (
                             A[live, j + 1 :, j, None] * A[live, None, j, j + 1 :]
                         )
-            if nlive:
-                total_divides += nlive * (m - j - 1)
-                if j < n - 1:
-                    total_muladds += 2 * nlive * (m - j - 1) * (n - j - 1)
 
     if flops is not None:
-        # Comparisons are charged for every column of every slab, like the
-        # reference loop; divides/muladds only for non-singular columns.
-        flops.add_comparisons(float(nb * (k * (m - 1) - k * (k - 1) // 2)))
-        flops.add_divides(float(total_divides))
-        flops.add_muladds(float(total_muladds))
+        for counter in slab_flop_counters(m, n, zero_columns):
+            flops.merge(counter)
 
     return BatchedLUResult(
         lu=A,
@@ -192,15 +180,15 @@ def slab_flop_counters(
     ]
 
 
-def batch_by_shape(blocks: Sequence[np.ndarray]) -> List[List[int]]:
-    """Group block indices by shape, preserving first-seen order of shapes.
+def batch_by_shape(shapes: Sequence[Tuple[int, int]]) -> List[List[int]]:
+    """Indices of the blocks worth one batched call, grouped by ``(m, n)`` shape.
 
-    Only groups with at least one row and one column are returned; callers
-    handle degenerate blocks through the sequential path.
+    Returns the groups of two or more equal, non-degenerate shapes, in
+    first-seen order; callers send every index not returned (stray shapes,
+    empty blocks) through their sequential path.
     """
     groups: dict = {}
-    for i, blk in enumerate(blocks):
-        if blk.shape[0] == 0 or blk.shape[1] == 0:
-            continue
-        groups.setdefault(blk.shape, []).append(i)
-    return list(groups.values())
+    for i, shape in enumerate(shapes):
+        if len(shape) == 2 and all(shape):
+            groups.setdefault(tuple(shape), []).append(i)
+    return [idxs for idxs in groups.values() if len(idxs) > 1]

@@ -212,6 +212,27 @@ def split_lu(lu: np.ndarray, m: Optional[int] = None, n: Optional[int] = None):
     return L, U
 
 
+class PackedFactors:
+    """Mixin of results whose one factor array is ``packed`` (LAPACK's layout:
+    ``U`` on and above the diagonal, the multipliers of ``L`` strictly below).
+
+    ``L`` and ``U`` are fresh arrays built on demand, so a result retains the
+    factorization once; solvers read ``packed`` directly, one triangle each.
+    """
+
+    packed: np.ndarray
+
+    @property
+    def L(self) -> np.ndarray:
+        """The ``m x k`` unit-lower-trapezoidal factor, ``k = min(m, n)``."""
+        return split_lu(self.packed)[0]
+
+    @property
+    def U(self) -> np.ndarray:
+        """The ``k x n`` upper-trapezoidal factor."""
+        return split_lu(self.packed)[1]
+
+
 def lu_reconstruct(result: LUResult) -> np.ndarray:
     """Rebuild ``A`` from an :class:`LUResult` (for verification)."""
     m, n = result.lu.shape

@@ -43,15 +43,10 @@ The numerical kernels of this package come in *tiers*:
     stripped-down environments where :mod:`repro.kernels` is vendored
     piecemeal.)
 
-Selection, in order of precedence:
-
-1. per call: ``getf2(A, kernel_tier="lapack")`` (also ``rgetf2``,
-   ``select_rows_rrqr``; threaded through ``tournament_pivoting``, ``tslu``,
-   ``calu``, ``ptslu``, ``pcalu``);
-2. process-wide: :func:`set_kernel_tier` / the :func:`kernel_tier` context
-   manager;
-3. environment: ``REPRO_KERNEL_TIER``;
-4. default: ``auto``.
+Selected per call (``kernel_tier=`` on ``getf2``, ``rgetf2``,
+``select_rows_rrqr``; threaded through ``tournament_pivoting``, ``tslu``,
+``calu``, ``ptslu``, ``pcalu``), else by the shared precedence rule of
+:mod:`repro.core.options`: ambient override > ``REPRO_KERNEL_TIER`` > ``auto``.
 
 Kernels that record stability quantities (``track_growth=``,
 ``compute_thresholds=``) force the reference tier regardless of the knob, so
@@ -61,8 +56,7 @@ is configured.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 from ..core.options import Option, UnknownOptionError, register_option
 
@@ -73,7 +67,7 @@ TIERS = ("auto", "reference", "lapack")
 #: the environment variable is given.
 DEFAULT_TIER = "auto"
 
-#: Environment variable consulted by :func:`get_kernel_tier`.
+#: Environment variable consulted by :func:`resolve_tier`.
 ENV_VAR = "REPRO_KERNEL_TIER"
 
 try:  # pragma: no cover - exercised implicitly by every tier resolution
@@ -96,11 +90,10 @@ def _validate(tier: str) -> str:
 
 
 #: The kernel-tier knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`): the functions below are thin delegations to
-#: its precedence machinery (explicit > ambient > ``REPRO_KERNEL_TIER`` >
-#: "auto").  The tier-specific semantics — ``force_reference`` and the
-#: ``auto`` -> ``lapack``/``reference`` degradation — stay here, applied
-#: *after* the shared precedence rule picks a tier name.
+#: (:mod:`repro.core.options`), whose precedence rule picks the tier name
+#: (explicit > ambient > ``REPRO_KERNEL_TIER`` > "auto").  The tier-specific
+#: semantics — ``force_reference`` and the ``auto`` -> ``lapack``/``reference``
+#: degradation — stay here, applied *after* that rule, in :func:`resolve_tier`.
 OPTION = register_option(
     Option(
         name="kernel_tier",
@@ -115,23 +108,6 @@ OPTION = register_option(
 def available_tiers() -> list:
     """Tier names usable in this process (``lapack`` requires SciPy)."""
     return [t for t in TIERS if t != "lapack" or HAVE_LAPACK]
-
-
-def get_kernel_tier() -> str:
-    """The process-wide kernel tier (override > ``REPRO_KERNEL_TIER`` > auto)."""
-    return OPTION.get()
-
-
-def set_kernel_tier(tier: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide kernel tier override."""
-    OPTION.set(tier)
-
-
-@contextmanager
-def kernel_tier(tier: str) -> Iterator[None]:
-    """Context manager scoping a process-wide tier override."""
-    with OPTION.context(tier):
-        yield
 
 
 def resolve_tier(tier: Optional[str] = None, force_reference: bool = False) -> str:

@@ -18,19 +18,14 @@ and ``engine=`` (:mod:`repro.distsim.engine`):
     skeleton and swaps in a Strassen local product; the full recursion runs
     in the standalone :func:`pdgemm`.
 
-Selection, in order of precedence (mirroring the other knobs):
-
-1. per call: ``pcalu(A, ..., matmul="caps")`` (also on ``pdgetrf``,
-   ``pcalu_factor``, ``pdgesv`` and :func:`pdgemm`);
-2. process-wide: :func:`set_matmul` / the :func:`matmul` context manager;
-3. environment: ``REPRO_MATMUL``;
-4. default: ``"summa"``.
+Selected per call (``matmul=`` on ``pcalu``, ``pdgetrf``, ``pcalu_factor``,
+``pdgesv`` and :func:`pdgemm`), else by the shared precedence rule of
+:mod:`repro.core.options`: ambient override > ``REPRO_MATMUL`` > ``"summa"``.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -49,7 +44,7 @@ BACKENDS: Dict[str, MatmulBackend] = {
 #: nor the environment variable is given — the seed-identical algorithm.
 DEFAULT_BACKEND = "summa"
 
-#: Environment variable consulted by :func:`get_matmul` (consistent with
+#: Environment variable consulted by :func:`resolve_matmul` (consistent with
 #: ``REPRO_PIVOTING`` / ``REPRO_KERNEL_TIER`` / ``REPRO_VMPI_ENGINE``).
 ENV_VAR = "REPRO_MATMUL"
 
@@ -61,8 +56,8 @@ def _validate(name: str) -> str:
 
 
 #: The matmul knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`): the functions below are thin delegations to
-#: its precedence machinery (explicit > ambient > ``REPRO_MATMUL`` > "summa").
+#: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_matmul`
+#: applies (explicit > ambient > ``REPRO_MATMUL`` > "summa").
 OPTION = register_option(
     Option(
         name="matmul",
@@ -84,23 +79,6 @@ def get_backend(name: str) -> MatmulBackend:
     return BACKENDS[_validate(name)]
 
 
-def get_matmul() -> str:
-    """The process-wide backend (override > ``REPRO_MATMUL`` > ``"summa"``)."""
-    return OPTION.get()
-
-
-def set_matmul(name: Optional[str]) -> None:
-    """Set (or with ``None`` clear) the process-wide backend override."""
-    OPTION.set(name)
-
-
-@contextmanager
-def matmul(name: str) -> Iterator[None]:
-    """Context manager scoping a process-wide backend override."""
-    with OPTION.context(name):
-        yield
-
-
 def resolve_matmul(name: Optional[str] = None) -> str:
     """Resolve a per-call ``matmul=`` argument to a validated backend name."""
     return OPTION.resolve(name)
@@ -118,7 +96,7 @@ def pdgemm(
 ) -> PdgemmResult:
     """Distributed ``C += A @ B`` through the selected backend.
 
-    Dispatches on the ``matmul`` knob (per-call > process override >
+    Dispatches on the ``matmul`` knob (per-call > ambient override >
     ``REPRO_MATMUL`` > ``"summa"``) and returns a
     :class:`~repro.matmul.base.PdgemmResult` with the gathered product and
     the run trace.
@@ -141,10 +119,7 @@ __all__ = [
     "available_backends",
     "caps_count_ledger",
     "get_backend",
-    "get_matmul",
-    "matmul",
     "pdgemm",
     "resolve_matmul",
-    "set_matmul",
     "strassen_multiply",
 ]

@@ -35,6 +35,7 @@ import numpy as np
 from ..distsim.engine import ExecutionEngine
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
+from ..kernels.getf2 import PackedFactors
 from ..layouts.block_cyclic import BlockCyclic2D
 from ..layouts.grid import ProcessGrid
 from ..machines.model import MachineModel
@@ -52,13 +53,15 @@ PanelFactorizer = Callable[..., object]
 
 
 @dataclass
-class DistributedLUResult:
+class DistributedLUResult(PackedFactors):
     """Factors gathered from a distributed block LU run.
 
     Attributes
     ----------
-    L, U:
-        Global factors assembled from the per-rank local arrays.
+    packed:
+        The gathered ``m x n`` factored matrix, the one array the result
+        holds; ``L`` and ``U`` are built from it on demand (see
+        :class:`~repro.kernels.getf2.PackedFactors`).
     perm:
         Row permutation with ``A[perm, :] = L @ U``.
     swaps:
@@ -67,8 +70,7 @@ class DistributedLUResult:
         Per-rank communication/computation trace.
     """
 
-    L: np.ndarray
-    U: np.ndarray
+    packed: np.ndarray
     perm: np.ndarray
     swaps: List[Tuple[int, int]]
     trace: RunTrace
@@ -87,8 +89,8 @@ def block_right_looking_rank(
     by the distributed-matmul ``backend``; the default ``summa`` backend
     reproduces the historical inlined steps bit-for-bit.
 
-    Returns a dict with the rank's final local array and the swap list (the
-    latter is identical on every rank).
+    Returns a dict with the rank's final local array (which the driver takes
+    out again once gathered) and the swap list (identical on every rank).
     """
     grid = dist.grid
     myrow, mycol = grid.coords(comm.rank)
@@ -210,12 +212,9 @@ def run_block_lu(
 
     trace = run_spmd(grid.size, rank_fn, machine=machine, engine=engine)
 
-    gathered = dist.gather({r: res["Aloc"] for r, res in enumerate(trace.results)})
+    # ``pop``: the gathered matrix replaces the per-rank blocks, so the trace
+    # must not keep a second copy of the factors alive.
+    packed = dist.gather({r: res.pop("Aloc") for r, res in enumerate(trace.results)})
     swaps = trace.results[0]["swaps"]
     perm = apply_swaps_to_permutation(np.arange(m, dtype=np.int64), swaps)
-
-    kk = min(m, n)
-    L = np.tril(gathered[:, :kk], -1)
-    np.fill_diagonal(L, 1.0)
-    U = np.triu(gathered[:kk, :])
-    return DistributedLUResult(L=L, U=U, perm=perm, swaps=swaps, trace=trace)
+    return DistributedLUResult(packed=packed, perm=perm, swaps=swaps, trace=trace)

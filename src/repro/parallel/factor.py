@@ -164,7 +164,10 @@ def pcalu_factor(
         pivoting=pivoting,
         matmul=matmul,
     )
-    packed = np.tril(fact.L, -1) + fact.U
+    # The artifact's packed factors are ``tril(L, -1) + U``; on the gathered
+    # matrix that sum only turns -0.0 into +0.0, which adding 0.0 in place
+    # does without two unpacked triangles and their re-packed copy.
+    fact.packed += 0.0
     return FactoredMatrix(
         n=A.shape[0],
         block_size=block_size,
@@ -173,7 +176,7 @@ def pcalu_factor(
         pivoting=resolve_pivoting(pivoting),
         kernel_tier=resolve_tier(kernel_tier),
         engine=resolve_engine_name(engine),
-        packed=packed,
+        packed=fact.packed,
         permuted=A[fact.perm, :],
         perm=np.asarray(fact.perm, dtype=np.int64),
         matmul=resolve_matmul(matmul),

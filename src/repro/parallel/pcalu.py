@@ -45,9 +45,11 @@ def make_calu_panel(
         ``"getf2"`` (classic) or ``"rgetf2"`` (recursive) — the paper's Cl /
         Rec configurations.
     kernel_tier:
-        Kernel tier for the leaf factorizations (None: process-wide
-        default).  Tournament merges always run reference-tier arithmetic,
-        so the simulated factors do not depend on the tier.
+        Kernel tier for the leaf factorizations and, with
+        ``selector="rrqr"``, the merges (None: process-wide default).  Only a
+        row *order* ever leaves a tiered kernel — ``getf2`` merges, whose
+        ``U`` becomes the panel's, always run reference-tier arithmetic — so
+        the simulated factors do not depend on the tier.
     selector:
         Tournament selection kernel: ``"getf2"`` (partial-pivoting rows,
         CALU) or ``"rrqr"`` (strong-RRQR rows, CALU_PRRP) — see

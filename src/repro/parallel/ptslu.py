@@ -25,23 +25,16 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from ..core import tournament
 from ..core.strategies import get_strategy, resolve_pivoting
-from ..core.tournament import (
-    CandidateSet,
-    local_candidates,
-    local_candidates_rrqr,
-    merge_candidates_rrqr,
-    merge_pairs,
-)
+from ..core.tournament import CandidateSet
 from ..distsim.collectives import allreduce, broadcast
 from ..distsim.engine import ExecutionEngine
 from ..distsim.engine.base import RedundantOp
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
-from ..kernels.batched import getf2_batched, slab_flop_counters
 from ..kernels.flops import FlopCounter
-from ..kernels.getf2 import getf2, getf2_nopivot
-from ..kernels.tiers import resolve_tier
+from ..kernels.getf2 import getf2_nopivot
 from ..kernels.trsm import trsm_right_upper
 from ..layouts.block1d import Block1D, BlockCyclic1D
 from ..machines.model import MachineModel
@@ -84,64 +77,36 @@ def _shared(*arrays: np.ndarray) -> Tuple[np.ndarray, ...]:
     return arrays
 
 
-def _merge_pairs(
-    pairs: Sequence[Tuple[Tuple[np.ndarray, np.ndarray], Tuple[np.ndarray, np.ndarray]]],
-    b: int,
-    selector: str,
-    kernel_tier: Optional[str] = None,
-) -> List[Tuple[Tuple[np.ndarray, np.ndarray], FlopCounter]]:
-    """Tournament merges of independent ``(rows, block)`` operand pairs.
-
-    Every merge the host evaluates passes through here, whichever engine
-    runs the ranks.  ``getf2`` merges of one round share a batched LU (always
-    reference-tier bits: their ``U`` becomes the panel's); ``rrqr`` merges
-    pass only a row order on, so they run on ``kernel_tier``.
-    """
-    sets = [
-        (CandidateSet(rows=x[0], block=x[1]), CandidateSet(rows=y[0], block=y[1]))
-        for x, y in pairs
-    ]
-    if selector == "rrqr":
-        winners, counters = [], []
-        for a, c in sets:
-            counters.append(FlopCounter())
-            winners.append(
-                merge_candidates_rrqr(
-                    a, c, b, flops=counters[-1], kernel_tier=kernel_tier
-                )[0]
-            )
-    else:
-        winners, counters, _ = merge_pairs(sets, b)
-    return [(_shared(w.rows, w.block), cnt) for w, cnt in zip(winners, counters)]
-
-
 def _eliminate_winners(
-    rows: np.ndarray, block: np.ndarray, b: int, selector: str
+    rows: np.ndarray, block: np.ndarray, selector: str
 ) -> Tuple[Tuple[np.ndarray, np.ndarray], FlopCounter]:
     """Second phase of ca-pivoting: factor the winning block *without* pivoting.
 
     Returns ``(winner rows in elimination order, packed LU of their block)``
-    and the flops.  The RRQR selection order is not an elimination order, so
-    CALU_PRRP first re-orders the winners by a (redundant, deterministic,
-    local) partial pivoting of the winner block.
+    and the flops.  The sequential tournament reads the same ``U`` off its
+    root merge instead; here every rank pays the paper's redundant second
+    phase.  A strong-RRQR selection has no root LU on either path, so
+    CALU_PRRP shares :func:`~repro.core.tournament.order_winners`.
     """
     flops = FlopCounter()
-    k = min(b, rows.shape[0])
     if selector == "rrqr":
-        res = getf2(block[:k, :], flops=flops, kernel_tier="reference")
-        rows, packed = rows[:k][res.perm[:k]], res.lu[:k, :]
+        rows, packed = tournament.order_winners(CandidateSet(rows, block), flops)
     else:
-        rows, packed = rows[:k], getf2_nopivot(block[:k, :], flops=flops)
+        packed = getf2_nopivot(block, flops=flops)
     return _shared(rows, packed), flops
 
 
 class _TournamentOp(RedundantOp):
     """The pivot tournament as an all-reduce operator.
 
-    ``combine`` merges candidate sets; ``finish`` eliminates the winning
-    block.  Every rank of the butterfly performs both redundantly — the
-    computation the paper trades for fewer messages — which the host need
-    not repeat (see :class:`~repro.distsim.engine.base.RedundantOp`).
+    ``combine`` is :func:`~repro.core.tournament.merge_pairs` on the wire
+    format (``(rows, block)`` tuples, ``b + b^2`` words); ``finish``
+    eliminates the winning block.  Every rank of the butterfly performs both
+    redundantly — the computation the paper trades for fewer messages —
+    which the host need not repeat (see
+    :class:`~repro.distsim.engine.base.RedundantOp`).  The schedule is the
+    all-reduce's (fold + recursive doubling), not the sequential padded
+    butterfly: its pairing is what the simulated message counts are made of.
     """
 
     def __init__(
@@ -157,10 +122,14 @@ class _TournamentOp(RedundantOp):
         self.kernel_tier = kernel_tier
 
     def combine(self, pairs):
-        return _merge_pairs(pairs, self.b, self.selector, self.kernel_tier)
+        merged = tournament.merge_pairs(
+            [(CandidateSet(*x), CandidateSet(*y)) for x, y in pairs],
+            self.b, self.selector, self.kernel_tier,
+        )
+        return [(_shared(w.rows, w.block), flops) for w, flops, _ in merged]
 
     def finish(self, value):
-        return _eliminate_winners(value[0], value[1], self.b, self.selector)
+        return _eliminate_winners(value[0], value[1], self.selector)
 
 
 def ptslu_rank(
@@ -205,10 +174,10 @@ def ptslu_rank(
         leaves the simulated results bit-identical.
     precomputed_candidate:
         Optional ``(candidate, flops)`` pair computed ahead of the SPMD run
-        by the batched leaf step of :func:`ptslu` — the candidate set and the
-        flop counts are exactly what the local factorization would produce,
-        so the trace is unchanged; only the host-side Python overhead of
-        ``P`` sequential leaf factorizations is gone.
+        by :func:`~repro.core.tournament.leaf_candidates` over all ranks'
+        blocks (what :func:`ptslu` does) — exactly what this rank's own leaf
+        step produces, so the trace is unchanged; only the host-side overhead
+        of ``P`` separate leaf factorizations is gone.
     selector:
         Tournament selection kernel: ``"getf2"`` (partial-pivoting rows, the
         paper's CALU) or ``"rrqr"`` (strong-RRQR rows, CALU_PRRP).  With
@@ -228,29 +197,12 @@ def ptslu_rank(
     # does in O(1) where a materialized list costs O(P) each (O(P²) per
     # tournament round at figure-scale P).
     group = list(group) if group is not None else range(comm.size)
-    scratch = FlopCounter()
-    if precomputed_candidate is not None:
-        candidate, leaf_flops = precomputed_candidate
-        comm.charge_counter(leaf_flops)
-    elif selector == "rrqr":
-        candidate = local_candidates_rrqr(
-            np.asarray(local_rows, dtype=np.int64),
-            np.asarray(local_block, dtype=np.float64),
-            b,
-            flops=scratch,
-            kernel_tier=kernel_tier,
+    if precomputed_candidate is None:
+        (precomputed_candidate,) = tournament.leaf_candidates(
+            [(local_rows, local_block)], b, selector, local_kernel, kernel_tier
         )
-        comm.charge_counter(scratch)
-    else:
-        candidate = local_candidates(
-            np.asarray(local_rows, dtype=np.int64),
-            np.asarray(local_block, dtype=np.float64),
-            b,
-            flops=scratch,
-            local_kernel=local_kernel,
-            kernel_tier=kernel_tier,
-        )
-        comm.charge_counter(scratch)
+    candidate, leaf_flops = precomputed_candidate
+    comm.charge_counter(leaf_flops)
 
     # Butterfly all-reduction whose operator is the tournament merge and
     # whose epilogue eliminates the winner block: every rank ends up with the
@@ -271,6 +223,7 @@ def ptslu_rank(
 
     # Local rows of L: solve L_local @ U11 = A_local (columns 1..k).
     if compute_L and local_block.shape[0] > 0:
+        scratch = FlopCounter()
         L_local = trsm_right_upper(U11, np.asarray(local_block)[:, :k], flops=scratch)
         comm.charge_counter(scratch)
     else:
@@ -282,53 +235,6 @@ def ptslu_rank(
         "rows": np.asarray(local_rows, dtype=np.int64),
         "L_local": L_local,
     }
-
-
-def _batched_leaf_candidates(
-    rows_per_rank: List[np.ndarray],
-    A: np.ndarray,
-    b: int,
-) -> List[Tuple[CandidateSet, FlopCounter]]:
-    """Precompute every rank's leaf candidate set in batched ``getf2`` calls.
-
-    Ranks owning same-shape blocks are factored together; the returned
-    candidate sets and flop counters are exactly (bit-for-bit, count-for-
-    count) what :func:`~repro.core.tournament.local_candidates` computes on
-    each rank, so the simulated traces are unchanged.
-    """
-    blocks = [np.ascontiguousarray(A[rows, :]) for rows in rows_per_rank]
-    out: List[Optional[Tuple[CandidateSet, FlopCounter]]] = [None] * len(blocks)
-    groups: dict = {}
-    for i, blk in enumerate(blocks):
-        groups.setdefault(blk.shape, []).append(i)
-    for shape, idxs in groups.items():
-        m_blk, n_blk = shape
-        if m_blk == 0:
-            for i in idxs:
-                out[i] = (
-                    CandidateSet(rows=rows_per_rank[i][:0], block=blocks[i][:0]),
-                    FlopCounter(),
-                )
-            continue
-        if len(idxs) == 1:
-            i = idxs[0]
-            scratch = FlopCounter()
-            cand = local_candidates(
-                rows_per_rank[i], blocks[i], b, flops=scratch
-            )
-            out[i] = (cand, scratch)
-            continue
-        # Private temporary stack; candidates gather from the original blocks.
-        res = getf2_batched(np.stack([blocks[i] for i in idxs]), overwrite=True)
-        counters = slab_flop_counters(m_blk, n_blk, res.zero_columns)
-        k = min(b, m_blk)
-        for s, i in enumerate(idxs):
-            chosen = res.perm[s][:k]
-            cand = CandidateSet(
-                rows=rows_per_rank[i][chosen], block=blocks[i][chosen, :]
-            )
-            out[i] = (cand, counters[s])
-    return out
 
 
 def _pp_maxloc(a: Tuple, b: Tuple) -> Tuple:
@@ -474,9 +380,9 @@ def ptslu(
     kernel_tier:
         Kernel tier for the rank-local arithmetic (None: process-wide
         default).  With a non-reference tier the ``getf2`` leaf
-        factorizations of all ranks are precomputed in batched calls — the
-        candidate sets and flop charges are identical, only the host-side
-        overhead of ``P`` sequential Python-loop factorizations is removed.
+        factorizations of all ranks share batched calls — the candidate sets
+        and flop charges are identical, only the host-side overhead of ``P``
+        sequential Python-loop factorizations is removed.
     pivoting:
         Pivoting strategy (None: process-wide default, see
         :mod:`repro.core.strategies`): ``"ca"`` (the paper's tournament),
@@ -498,32 +404,24 @@ def ptslu(
     else:
         raise ValueError(f"unknown layout {layout!r}")
 
-    rows_per_rank = [dist.rows_of(p) for p in range(nprocs)]
-
-    precomputed: Optional[List[Tuple[CandidateSet, FlopCounter]]] = None
-    if (
-        strategy.tournament
-        and strategy.selector == "getf2"
-        and resolve_tier(kernel_tier) != "reference"
-        and local_kernel == "getf2"
-    ):
-        precomputed = _batched_leaf_candidates(rows_per_rank, A, b)
+    blocks = [(rows, A[rows, :]) for rows in map(dist.rows_of, range(nprocs))]
 
     if strategy.tournament:
+        # The leaf step of all ranks at once — the host batches same-shape
+        # blocks, each rank is charged exactly its own factorization.
+        leaves = tournament.leaf_candidates(
+            blocks, b, strategy.selector, local_kernel, kernel_tier
+        )
 
         def rank_fn(comm: Communicator):
-            rows = rows_per_rank[comm.rank]
             return (
                 yield from ptslu_rank(
                     comm,
-                    rows,
-                    A[rows, :],
+                    *blocks[comm.rank],
                     b,
                     local_kernel=local_kernel,
                     kernel_tier=kernel_tier,
-                    precomputed_candidate=(
-                        None if precomputed is None else precomputed[comm.rank]
-                    ),
+                    precomputed_candidate=leaves[comm.rank],
                     selector=strategy.selector,
                 )
             )
@@ -532,8 +430,7 @@ def ptslu(
         npivots = min(m, b)
 
         def rank_fn(comm: Communicator):
-            rows = rows_per_rank[comm.rank]
-            return (yield from pp_panel_rank(comm, rows, A[rows, :], b, npivots))
+            return (yield from pp_panel_rank(comm, *blocks[comm.rank], b, npivots))
 
     trace = run_spmd(nprocs, rank_fn, machine=machine, engine=engine)
     results = trace.results

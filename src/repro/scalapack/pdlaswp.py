@@ -12,7 +12,8 @@ whole factorization) and an improved reduce+broadcast scheme with
 ``(2n/b) log2 Pr`` messages.  The routine below implements the direct
 pairwise exchange (one message per swap per affected process); the analytic
 models in :mod:`repro.models` expose both variants so the effect of the
-choice can be studied (it is one of the ablations listed in DESIGN.md).
+choice can be studied (the ``swap_scheme`` ablation of
+``benchmarks/test_bench_ablations.py``).
 """
 
 from __future__ import annotations

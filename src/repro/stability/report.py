@@ -87,7 +87,7 @@ def stability_row_calu(
         compute_thresholds=True,
         pivoting=pivoting,
     )
-    x = lu_solve(res.L, res.U, res.perm, rhs)
+    x = lu_solve(res.packed, res.packed, res.perm, rhs)
     stats: ThresholdStats = threshold_stats(res.threshold_history)
     return StabilityRow(
         n=n,

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import importlib
-
 import numpy as np
 import pytest
 
@@ -28,20 +26,21 @@ def tall_panel(rng) -> np.ndarray:
 
 @pytest.fixture
 def host_merges(monkeypatch) -> list:
-    """Operand pairs per host evaluation of the distributed tournament merge.
+    """Operand pairs per host evaluation of a tournament merge.
 
-    Every merge ``ptslu``/``pcalu`` evaluates on the host, whichever engine
-    runs the ranks, passes through ``parallel.ptslu._merge_pairs``; the list
-    grows by one entry (the number of pairs) per call.
+    Every merge the host evaluates — a sequential reduction round or the
+    distributed all-reduce operator, whichever engine runs the ranks — passes
+    through ``core.tournament.merge_pairs``; the list grows by one entry (the
+    number of pairs) per call.
     """
-    # ``repro.parallel.ptslu`` the attribute is the driver function.
-    module = importlib.import_module("repro.parallel.ptslu")
-    original = module._merge_pairs
+    from repro.core import tournament
+
+    original = tournament.merge_pairs
     counted: list = []
 
     def counting(pairs, *args):
         counted.append(len(pairs))
         return original(pairs, *args)
 
-    monkeypatch.setattr(module, "_merge_pairs", counting)
+    monkeypatch.setattr(tournament, "merge_pairs", counting)
     return counted

@@ -458,13 +458,13 @@ def test_context_key_changes_when_only_pivoting_changes():
 
 def test_ambient_pivoting_is_keyed_and_recorded(tmp_path):
     """The process-wide strategy knob must produce distinct artifacts."""
-    from repro.core.strategies import pivoting as pivoting_ctx
+    from repro.core.options import option_overrides
 
     store = ResultStore(root=tmp_path)
     spec = get_spec("figure1")  # no 'pivoting' param: ambient applies
     default = store.fetch_or_run(spec)
     assert default.artifact["pivoting"] == "ca"
-    with pivoting_ctx("ca_prrp"):
+    with option_overrides(pivoting="ca_prrp"):
         prrp = store.fetch_or_run(spec)
     assert prrp.artifact["pivoting"] == "ca_prrp"
     assert prrp.artifact["key"] != default.artifact["key"]
@@ -584,13 +584,13 @@ def test_sweep_rows_tag_base_even_for_externally_built_jobs():
 def test_ambient_invariant_spec_ignores_pivoting_env(tmp_path):
     """stability_prrp factors with every strategy explicitly, so the ambient
     knob must neither re-key nor relabel its artifact."""
-    from repro.core.strategies import pivoting as pivoting_ctx
+    from repro.core.options import option_overrides
 
     store = ResultStore(root=tmp_path)
     spec = get_spec("stability_prrp")
     assert spec.ambient_invariant == ("pivoting",)
     default = store.fetch_or_run(spec, quick=True)
-    with pivoting_ctx("pp"):
+    with option_overrides(pivoting="pp"):
         same = store.fetch_or_run(spec, quick=True)
     assert same.cached  # no spurious recompute
     assert same.artifact["key"] == default.artifact["key"]

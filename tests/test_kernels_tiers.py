@@ -32,19 +32,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import calu, tslu, tournament_pivoting, partition_rows
+from repro.core.options import option_overrides
 from repro.kernels import (
     DEFAULT_TAU,
     FlopCounter,
     getf2,
     getf2_batched,
     getrf_partial_pivoting,
-    kernel_tier,
     permute_rows_inplace,
     rgetf2,
     resolve_tier,
     rrqr,
     select_rows_rrqr,
-    set_kernel_tier,
     slab_flop_counters,
 )
 from repro.kernels.tiers import HAVE_LAPACK
@@ -64,13 +63,12 @@ def test_tier_resolution_and_overrides(monkeypatch):
     # every knob by tests/test_options.py; this covers what is specific to
     # the tier knob: the "auto" degradation and force_reference.
     monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
-    set_kernel_tier(None)
     assert resolve_tier(None) == "lapack"  # auto default with scipy present
     assert resolve_tier("auto") == "lapack"
     assert resolve_tier("reference") == "reference"
     assert resolve_tier(None, force_reference=True) == "reference"
     assert resolve_tier("lapack", force_reference=True) == "reference"
-    with kernel_tier("reference"):
+    with option_overrides(kernel_tier="reference"):
         assert resolve_tier(None) == "reference"
     assert resolve_tier(None) == "lapack"
     with pytest.raises(ValueError):

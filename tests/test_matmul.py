@@ -15,17 +15,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.options import UnknownOptionError
+from repro.core.options import UnknownOptionError, option_overrides
 from repro.kernels.flops import FlopCounter
 from repro.layouts.grid import ProcessGrid
 from repro.matmul import (
     DEFAULT_BACKEND,
     available_backends,
     get_backend,
-    matmul,
     pdgemm,
     resolve_matmul,
-    set_matmul,
 )
 from repro.matmul.caps import (
     caps_count_ledger,
@@ -55,7 +53,8 @@ def test_unknown_backend_raises_unknown_option_error():
     with pytest.raises(UnknownOptionError, match="unknown matmul backend"):
         get_backend("cannon")
     with pytest.raises(ValueError, match="'cannon'"):
-        set_matmul("cannon")
+        with option_overrides(matmul="cannon"):
+            pass
     err = None
     try:
         resolve_matmul("cannon")
@@ -137,7 +136,7 @@ def test_pdgemm_dispatches_on_ambient_knob(monkeypatch):
     A = randn(16, seed=3)
     B = randn(16, seed=4)
     grid = ProcessGrid.default_for(7)
-    with matmul("caps"):
+    with option_overrides(matmul="caps"):
         res = pdgemm(A, B, grid=grid, block_size=4)
     # All CAPS traffic is point-to-point / group-wide: "any" channel only.
     assert res.trace.messages_by_channel("row") == 0

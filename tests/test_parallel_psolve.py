@@ -414,3 +414,35 @@ def test_pdtrsv_zero_rhs_columns(engine):
     for lower, upper in trace.results:
         for shape in list(lower.values()) + list(upper.values()):
             assert shape == (bsz, 0)
+
+
+# ------------------------------------------------------------------- memory
+def test_pdgesv_result_retains_one_factor_representation():
+    """What ``pdgesv`` hands back holds the factorization once — the packed
+    factors (shared by ``result.factor`` and ``result.factorization``) and
+    ``P A`` for refinement — not dense ``L`` and ``U``, their re-packing and
+    the per-rank blocks besides: at most 3 n^2 doubles (it used to be 5.5)."""
+    import gc
+    import tracemalloc
+
+    from repro.core.options import SolveConfig
+
+    n = 192
+    A, _, rhs = _system(n, 2, seed=11)
+    config = SolveConfig.resolve(grid=(4, 4), b=16)
+    pdgesv(A[:32, :32], rhs[:32], config=config)  # warm imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = pdgesv(A, rhs, config=config)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.factor.packed is res.factorization.packed
+    assert not any("Aloc" in r for r in res.factorization.trace.results)
+    assert retained <= 3 * n * n * 8, f"{retained / (8 * n * n):.2f} n^2 doubles"
+    # ... and the factors are still there for whoever asks.
+    fact = res.factorization
+    assert np.allclose(A[fact.perm], fact.L @ fact.U, atol=1e-10)

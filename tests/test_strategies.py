@@ -20,8 +20,8 @@ from repro.core.strategies import (
     available_strategies,
     get_strategy,
     resolve_pivoting,
-    set_pivoting,
 )
+from repro.core.options import option_overrides
 from repro.kernels.getf2 import getf2
 from repro.kernels.rrqr import (
     DEFAULT_TAU,
@@ -50,7 +50,8 @@ def test_unknown_strategy_rejected_everywhere():
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
         resolve_pivoting("rook")
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
-        set_pivoting("rook")
+        with option_overrides(pivoting="rook"):
+            pass
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
         calu(randn(16, seed=0), block_size=4, nblocks=2, pivoting="rook")
 
@@ -131,7 +132,6 @@ def test_tslu_pp_matches_partial_pivoting_reference():
 
 def test_tslu_default_is_bit_identical_to_ca():
     A = tall_skinny(64, 8, seed=13)
-    set_pivoting(None)
     base = tslu(A, nblocks=4)
     explicit = tslu(A, nblocks=4, pivoting="ca")
     assert np.array_equal(base.perm, explicit.perm)

@@ -9,7 +9,10 @@ diffing the two outputs (the script pins BLAS to one thread)::
     python benchmarks/digest.py > change.txt && diff parent.txt change.txt
 
 Simulated lines (``ptslu`` / ``pdgetrf`` / ``pcalu`` / ``pdgesv`` / ``pdgemm``,
-each under ``engine=coroutine`` and ``engine=event``) carry two hashes:
+each under ``engine=coroutine`` and ``engine=event``) carry two hashes.  The
+factorization drivers are called only as ``pcalu(A, config=...)`` and
+``pdgesv(A, B, config=...)``; a ``pdgetrf`` line is ``pcalu`` with
+``pivoting="pp"``.  The two hashes are:
 
 * the *parity* hash — every ``RankTrace`` field of every rank that the two
   engines must agree on (messages and words sent and received, per-channel
@@ -102,15 +105,18 @@ def trace_fields(trace):
 
 def simulated_lines(quick: bool):
     """Yield ``(config, engine, callable -> (parity objects, engine objects))``."""
+    from repro.core.options import SolveConfig
     from repro.layouts.grid import ProcessGrid
     from repro.machines import ibm_power5
     from repro.matmul import pdgemm
     from repro.parallel import pcalu, pdgesv, ptslu
     from repro.randmat import randn, tall_skinny
-    from repro.scalapack import pdgetrf
 
     def lu_outputs(res):
         return [res.L, res.U, res.perm, [list(s) for s in res.swaps]]
+
+    def config(grid, **knobs):
+        return SolveConfig.resolve(grid=grid, b=7, machine="ibm_power5", **knobs)
 
     def run_ptslu(engine, P, piv, tier, layout):
         res = ptslu(tall_skinny(8 * P + 5, 8, seed=P), P, layout=layout,
@@ -118,14 +124,13 @@ def simulated_lines(quick: bool):
         parity, eng = trace_fields(res.trace)
         return [res.L, res.U, res.perm, res.winners, parity], eng
 
-    def run_lu(fn, grid, n, **knobs):
-        res = fn(randn(n, seed=n), ProcessGrid(*grid), 7, machine=ibm_power5(), **knobs)
+    def run_pcalu(grid, n, **knobs):
+        res = pcalu(randn(n, seed=n), config=config(grid, **knobs))
         parity, eng = trace_fields(res.trace)
         return lu_outputs(res) + [parity], eng
 
     def run_pdgesv(grid, n, **knobs):
-        res = pdgesv(randn(n, seed=n), randn(n, 2, seed=n + 1), ProcessGrid(*grid), 7,
-                     machine=ibm_power5(), **knobs)
+        res = pdgesv(randn(n, seed=n), randn(n, 2, seed=n + 1), config=config(grid, **knobs))
         fparity, feng = trace_fields(res.factorization.trace)
         sparity, seng = trace_fields(res.trace)
         return [res.x, res.residual_norms, res.per_rhs_residuals, res.backward_errors,
@@ -151,8 +156,8 @@ def simulated_lines(quick: bool):
             where = f"{grid[0]}x{grid[1]} n={n} b=7"
             for mm in MATMULS:
                 yield (f"pdgetrf {where} {mm}", engine,
-                       partial(run_lu, pdgetrf, grid, n, engine=engine, matmul=mm))
-            runners = (("pcalu", partial(run_lu, pcalu)), ("pdgesv", run_pdgesv))
+                       partial(run_pcalu, grid, n, engine=engine, pivoting="pp", matmul=mm))
+            runners = (("pcalu", run_pcalu), ("pdgesv", run_pdgesv))
             for (name, run), mm, tier, piv in itertools.product(
                 runners, MATMULS, TIERS, PIVOTINGS
             ):

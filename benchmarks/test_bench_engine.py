@@ -27,8 +27,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.options import SolveConfig
 from repro.distsim import DeadlockError, RankFailedError, allreduce, run_spmd
-from repro.layouts.grid import ProcessGrid
 from repro.machines import unit_machine
 from repro.parallel import pcalu, ptslu
 from repro.parallel.psolve import pdgesv
@@ -60,8 +60,7 @@ def _pdgesv(engine: str, Pr: int, Pc: int, n: int, b: int):
     A = randn(n, seed=2)
     x = randn(n, 1, seed=3)
     rhs = A @ x
-    grid = ProcessGrid(Pr, Pc)
-    return pdgesv(A, rhs, grid, block_size=b, machine=unit_machine(), engine=engine)
+    return pdgesv(A, rhs, SolveConfig.resolve(grid=(Pr, Pc), b=b, engine=engine))
 
 
 @pytest.mark.parametrize("engine", ["event", "coroutine"])
@@ -171,12 +170,11 @@ def test_bench_pcalu_merge_dedup(benchmark, monkeypatch):
     monkeypatch.setattr(tournament, "merge_pairs", counting)
     Pr, Pc, n, b = 16, 2, 256, 16
     A = randn(n, seed=4)
-    grid = ProcessGrid(Pr, Pc)
     panels = n // b
 
     def factor(engine):
         del merges[:]
-        res = pcalu(A, grid, block_size=b, machine=unit_machine(), engine=engine)
+        res = pcalu(A, SolveConfig.resolve(grid=(Pr, Pc), b=b, engine=engine))
         return res, sum(merges) / panels
 
     res_coro, coroutine_merges = benchmark.pedantic(

@@ -18,9 +18,8 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.options import SolveConfig
 from repro.harness import SolveService
-from repro.layouts import ProcessGrid
-from repro.machines import unit_machine
 from repro.parallel import pcalu_factor, pdgesv, pdgesv_solve
 from repro.randmat import randn
 
@@ -37,23 +36,20 @@ def _percentile(values, q):
 
 
 def _setup():
-    grid = ProcessGrid.default_for(P)
+    config = SolveConfig.resolve(grid=P, b=B, engine=ENGINE)
     A = randn(N, seed=N)
-    factor = pcalu_factor(
-        A, grid, B, machine=unit_machine(), engine=ENGINE
-    )
+    factor = pcalu_factor(A, config)
     rng = np.random.default_rng(1234)
     rhs = [A @ rng.standard_normal(N) for _ in range(REQUESTS)]
-    return grid, A, factor, rhs
+    return config, A, factor, rhs
 
 
 def _serve(factor, rhs, window):
     with SolveService(
         factor,
+        factor.config,
         window=window,
         linger_s=0.005,
-        machine=unit_machine(),
-        engine=ENGINE,
         default_slo=1e-10,
     ) as service:
         start = time.perf_counter()
@@ -74,14 +70,12 @@ def _serve(factor, rhs, window):
 
 def test_bench_serving_throughput(benchmark):
     """Headline gate: window-8 service >= 3x one-cold-pdgesv-per-request."""
-    grid, A, factor, rhs = _setup()
+    config, A, factor, rhs = _setup()
 
     # Baseline: every request pays the full factorization.
     start = time.perf_counter()
     for b in rhs[:BASELINE_CALLS]:
-        res = pdgesv(
-            A, b, grid, block_size=B, machine=unit_machine(), engine=ENGINE
-        )
+        res = pdgesv(A, b, config)
         assert res.backward_errors[-1] < 1e-14
     base_rps = BASELINE_CALLS / (time.perf_counter() - start)
 
@@ -92,7 +86,7 @@ def test_bench_serving_throughput(benchmark):
     speedup = served["rps"] / base_rps
     benchmark.extra_info["n"] = N
     benchmark.extra_info["P"] = P
-    benchmark.extra_info["grid"] = f"{grid.nprow}x{grid.npcol}"
+    benchmark.extra_info["grid"] = f"{config.nprow}x{config.npcol}"
     benchmark.extra_info["requests"] = REQUESTS
     benchmark.extra_info["baseline_rps"] = base_rps
     benchmark.extra_info["service_rps"] = served["rps"]
@@ -125,19 +119,16 @@ def test_bench_serving_window_sweep(benchmark):
 
 def test_bench_factor_reuse_vs_refactor(benchmark):
     """The amortization story: pdgesv_solve vs cold pdgesv on one factor."""
-    grid, A, factor, rhs = _setup()
+    config, A, factor, rhs = _setup()
     stacked = np.column_stack(rhs[:8])
 
     start = time.perf_counter()
-    cold = pdgesv(
-        A, stacked, grid, block_size=B, machine=unit_machine(), engine=ENGINE
-    )
+    cold = pdgesv(A, stacked, config)
     cold_s = time.perf_counter() - start
 
     warm = benchmark.pedantic(
         pdgesv_solve,
-        args=(factor, stacked),
-        kwargs={"machine": unit_machine(), "engine": ENGINE},
+        args=(factor, stacked, config),
         rounds=3,
         iterations=1,
     )
@@ -145,7 +136,7 @@ def test_bench_factor_reuse_vs_refactor(benchmark):
     assert np.array_equal(cold.x, warm.x)
     assert cold.residual_norms == warm.residual_norms
     start = time.perf_counter()
-    pdgesv_solve(factor, stacked, machine=unit_machine(), engine=ENGINE)
+    pdgesv_solve(factor, stacked, config)
     warm_s = time.perf_counter() - start
     benchmark.extra_info["cold_pdgesv_s"] = cold_s
     benchmark.extra_info["warm_solve_s"] = warm_s

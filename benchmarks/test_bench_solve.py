@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from repro.core import calu_solve
-from repro.layouts import ProcessGrid
+from repro.core.options import SolveConfig
 from repro.machines import unit_machine
 from repro.models import validate_solve
 from repro.parallel import pdgesv
@@ -24,10 +24,7 @@ def _solve(n: int, b: int, pr: int, pc: int, nrhs: int):
     A = randn(n, seed=n)
     x_true = randn(n, nrhs, seed=n + 1)
     rhs = A @ x_true
-    res = pdgesv(
-        A, rhs, ProcessGrid(pr, pc), block_size=b,
-        machine=unit_machine(), engine="event",
-    )
+    res = pdgesv(A, rhs, SolveConfig.resolve(grid=(pr, pc), b=b, engine="event"))
     return A, x_true, rhs, res
 
 

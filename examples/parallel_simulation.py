@@ -22,17 +22,16 @@ import sys
 
 import numpy as np
 
-from repro.layouts import ProcessGrid
-from repro.machines import cray_xt4, ibm_power5, unit_machine
+from repro.core.options import SolveConfig
 from repro.parallel import pcalu
 from repro.randmat import randn
-from repro.scalapack import pdgetrf
 
 
-def run_once(A, grid, b, machine, label):
+def run_once(A, config, label):
     rows = []
-    for name, fn in (("CALU", pcalu), ("PDGETRF", pdgetrf)):
-        res = fn(A, grid, block_size=b, machine=machine)
+    # PDGETRF is the same driver with partial-pivoting (PDGETF2) panels.
+    for name, pivoting in (("CALU", config.pivoting), ("PDGETRF", "pp")):
+        res = pcalu(A, config.replace(pivoting=pivoting))
         err = float(np.max(np.abs(A[res.perm, :] - res.L @ res.U)))
         rows.append(
             {
@@ -57,10 +56,10 @@ def run_once(A, grid, b, machine, label):
 def main(n: int = 96, b: int = 8, pr: int = 2, pc: int = 4) -> None:
     print(f"Distributed LU comparison: n={n}, b={b}, grid={pr}x{pc}")
     A = randn(n, seed=7)
-    grid = ProcessGrid(pr, pc)
-    run_once(A, grid, b, unit_machine(), "unit-latency machine (counts message steps)")
-    run_once(A, grid, b, ibm_power5(), "IBM POWER5 model")
-    run_once(A, grid, b, cray_xt4(), "Cray XT4 model")
+    config = SolveConfig.resolve(grid=(pr, pc), b=b)
+    run_once(A, config, "unit-latency machine (counts message steps)")
+    run_once(A, config.replace(machine="ibm_power5"), "IBM POWER5 model")
+    run_once(A, config.replace(machine="cray_xt4"), "Cray XT4 model")
 
 
 if __name__ == "__main__":

@@ -26,8 +26,8 @@ registry-addressed knob — exactly like the kernel tiers
     pivoting — CALU_PRRP.  Same communication pattern as ``"ca"`` (one
     reduction over the grid column), strictly better growth bound.
 
-Selected per call (``pivoting=`` on ``calu``, ``tslu``, ``ptslu``, ``pcalu``
-and the stability reports), else by the shared precedence rule of
+Selected per call (``pivoting=`` on ``calu``, ``tslu``, ``ptslu`` and the
+stability reports; ``SolveConfig.pivoting`` for ``pcalu``), else by the shared precedence rule of
 :mod:`repro.core.options`: ambient override > ``REPRO_PIVOTING`` > ``"ca"``.
 """
 

@@ -56,6 +56,7 @@ def solve_point(
     validates the measured solve-phase message counts against
     :func:`repro.models.solve_model.solve_message_counts`.
     """
+    from ..core.options import SolveConfig
     from ..core.solve import calu_solve
     from ..layouts.grid import ProcessGrid
     from ..machines.model import unit_machine
@@ -69,16 +70,8 @@ def solve_point(
     A = randn(n, seed=seed + n)
     x_true = randn(n, nrhs, seed=seed + 7919)
     rhs = A @ x_true
-    res = pdgesv(
-        A,
-        rhs,
-        grid,
-        block_size=b,
-        machine=unit_machine(),
-        engine=engine,
-        pivoting=pivoting,
-        refine=refine,
-    )
+    config = SolveConfig.resolve(pivoting=pivoting, engine=engine, grid=grid, b=b)
+    res = pdgesv(A, rhs, config, refine=refine)
     seq = calu_solve(
         A, rhs, block_size=b, nblocks=grid.nprow, refine=refine, pivoting=pivoting
     )

@@ -23,14 +23,13 @@ from typing import Dict, List, Sequence
 
 import numpy as np
 
+from ..core.options import SolveConfig
 from ..distsim.engine import DEFAULT_ENGINE
 from ..harness import ExperimentSpec, register
-from ..layouts.grid import ProcessGrid
 from ..machines.model import unit_machine
 from ..parallel.pcalu import pcalu
 from ..parallel.ptslu import ptslu
 from ..randmat.generators import randn
-from ..scalapack.pdgetrf import pdgetrf
 
 
 def measure_panel_counts(
@@ -75,9 +74,9 @@ def measure_factorization_counts(
 ) -> List[Dict[str, float]]:
     """Measured message counts of CALU vs PDGETRF on the same small problem."""
     A = randn(n, seed=13)
-    grid = ProcessGrid(Pr, Pc)
-    calu_res = pcalu(A, grid, block_size=b, machine=unit_machine(), engine=engine)
-    ref_res = pdgetrf(A, grid, block_size=b, machine=unit_machine(), engine=engine)
+    config = SolveConfig.resolve(engine=engine, grid=(Pr, Pc), b=b)
+    calu_res = pcalu(A, config)
+    ref_res = pcalu(A, config.replace(pivoting="pp"))
     rows = []
     for name, res in (("calu", calu_res), ("pdgetrf", ref_res)):
         err = float(np.max(np.abs(A[res.perm, :] - res.L @ res.U)))

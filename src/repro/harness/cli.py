@@ -109,18 +109,42 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 
     Reads whatever configuration flags the verb defines (``--engine`` /
     ``--tier`` / ``--pivoting`` / ``--matmul`` from :func:`add_config_args`,
-    plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present);
-    unset knobs resolve through the shared precedence rule.  Invalid values
-    exit with the offender named.
+    plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
+    Precedence per field: explicit flag > the ``--tuned`` artifact's value
+    (where the verb has ``--tuned``; never its engine or machine) > ambient
+    context / ``REPRO_*`` env > default.  Invalid values exit with the
+    offender named.
     """
+    tuned: Optional[SolveConfig] = None
+    ref = getattr(args, "tuned", None)
+    if ref:
+        from .tuning import load_tuned_config
+
+        try:
+            tuned = load_tuned_config(ref, store=_store(args))
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
+        print(
+            f"tuned defaults: b={tuned.b} grid={tuned.nprow}x{tuned.npcol} "
+            f"pivoting={tuned.pivoting} tier={tuned.kernel_tier} "
+            f"matmul={tuned.matmul} (from {ref})",
+            file=sys.stderr,
+        )
+
+    def pick(flag: str, field: str) -> object:
+        value = getattr(args, flag, None)
+        if value is None or value == "":
+            return getattr(tuned, field) if tuned else None
+        return value
+
     try:
         return SolveConfig.resolve(
-            pivoting=getattr(args, "pivoting", None),
+            pivoting=pick("pivoting", "pivoting"),
             engine=getattr(args, "engine", None),
-            kernel_tier=getattr(args, "tier", None),
-            matmul=getattr(args, "matmul", None),
-            grid=getattr(args, "P", None),
-            b=getattr(args, "b", None),
+            kernel_tier=pick("tier", "kernel_tier"),
+            matmul=pick("matmul", "matmul"),
+            grid=pick("P", "grid"),
+            b=pick("b", "b"),
             nrhs=getattr(args, "requests", None),
             machine=getattr(args, "machine", None),
         )
@@ -319,46 +343,6 @@ def _request_rhs(factor, kind: str, seed: int, count: int) -> List[object]:
     return [A @ rng.standard_normal(factor.n) for _ in range(count)]
 
 
-def _serving_config(args: argparse.Namespace) -> SolveConfig:
-    """Resolve a serving verb's configuration, honoring ``--tuned``.
-
-    Precedence per field: explicit flag > tuned artifact (when ``--tuned``
-    is given) > ambient context / ``REPRO_*`` env > built-in default
-    (``P=4``, ``b=16``).
-    """
-    tuned: Optional[SolveConfig] = None
-    ref = getattr(args, "tuned", None)
-    if ref:
-        from .tuning import load_tuned_config
-
-        try:
-            tuned = load_tuned_config(ref, store=_store(args))
-        except ValueError as exc:
-            raise SystemExit(f"error: {exc}") from None
-        print(
-            f"tuned defaults: b={tuned.b} grid={tuned.nprow}x{tuned.npcol} "
-            f"pivoting={tuned.pivoting} tier={tuned.kernel_tier} "
-            f"matmul={tuned.matmul} (from {ref})",
-            file=sys.stderr,
-        )
-    try:
-        return SolveConfig.resolve(
-            pivoting=getattr(args, "pivoting", None)
-            or (tuned.pivoting if tuned else None),
-            engine=getattr(args, "engine", None),
-            kernel_tier=getattr(args, "tier", None)
-            or (tuned.kernel_tier if tuned else None),
-            matmul=getattr(args, "matmul", None)
-            or (tuned.matmul if tuned else None),
-            grid=args.P if args.P is not None else (tuned.grid if tuned else 4),
-            b=args.b if args.b is not None else (tuned.b if tuned else 16),
-            nrhs=getattr(args, "requests", None),
-            machine=getattr(args, "machine", None),
-        )
-    except UnknownOptionError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
 def cmd_tune(args: argparse.Namespace) -> int:
     store = _store(args)
     spec = get_spec("tune")
@@ -413,7 +397,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     from .factor_cache import FactorCache
     from .serving import SolveService
 
-    config = _serving_config(args)
+    config = config_from_args(args)
     cache = FactorCache(root=args.factor_cache_dir)
     fetch = cache.fetch_or_factor(
         kind=args.kind,
@@ -494,12 +478,11 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
 
     import numpy as np
 
-    from ..layouts.grid import ProcessGrid
     from ..parallel.psolve import pdgesv
     from .factor_cache import FactorCache, generate_matrix
     from .serving import SolveService
 
-    config = _serving_config(args)
+    config = config_from_args(args)
     windows = [int(w) for w in str(args.windows).split(",")]
     cache = FactorCache(root=args.factor_cache_dir)
     fetch = cache.fetch_or_factor(
@@ -511,7 +494,6 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
         force=args.force,
     )
     factor = fetch.factor
-    grid = ProcessGrid(factor.nprow, factor.npcol)
     rhs_list = _request_rhs(factor, args.kind, args.seed, args.requests)
     A = generate_matrix(args.kind, factor.n, seed=args.seed)
 
@@ -520,11 +502,7 @@ def cmd_bench_serve(args: argparse.Namespace) -> int:
     n_base = min(args.requests, args.baseline_requests)
     start = time.perf_counter()
     for b in rhs_list[:n_base]:
-        pdgesv(
-            A, b, grid, block_size=factor.block_size,
-            engine=getattr(args, "engine", None) or factor.engine,
-            pivoting=factor.pivoting,
-        )
+        pdgesv(A, b, factor.config)
     base_elapsed = time.perf_counter() - start
     base_rps = n_base / base_elapsed
     base_ms = base_elapsed / n_base * 1e3
@@ -606,17 +584,8 @@ def cmd_cache(args: argparse.Namespace) -> int:
     factors = FactorCache(root=args.factor_cache_dir)
 
     if args.action == "purge":
-        removed_results = 0
-        removed_bytes = 0
-        if store.root.is_dir():
-            for spec_dir in sorted(p for p in store.root.iterdir() if p.is_dir()):
-                for path in sorted(spec_dir.glob("*.json")):
-                    try:
-                        removed_bytes += path.stat().st_size
-                        path.unlink()
-                        removed_results += 1
-                    except OSError:
-                        pass
+        removed_bytes = sum(int(e["bytes"]) for e in store.entries())
+        removed_results = store.purge()
         factor_bytes = factors.total_bytes()
         removed_factors = factors.purge()
         print(
@@ -629,27 +598,17 @@ def cmd_cache(args: argparse.Namespace) -> int:
     rows: List[Dict[str, object]] = []
     total_count = 0
     total_bytes = 0
-    if store.root.is_dir():
-        for spec_dir in sorted(p for p in store.root.iterdir() if p.is_dir()):
-            paths = sorted(spec_dir.glob("*.json"))
-            if not paths:
-                continue
-            size = 0
-            for path in paths:
-                try:
-                    size += path.stat().st_size
-                except OSError:
-                    pass
-            rows.append(
-                {
-                    "store": "results",
-                    "entry": spec_dir.name,
-                    "artifacts": len(paths),
-                    "bytes": size,
-                }
-            )
-            total_count += len(paths)
-            total_bytes += size
+    for entry in store.entries():
+        rows.append(
+            {
+                "store": "results",
+                "entry": entry["spec"],
+                "artifacts": entry["artifacts"],
+                "bytes": entry["bytes"],
+            }
+        )
+        total_count += int(entry["artifacts"])
+        total_bytes += int(entry["bytes"])
     for entry in factors.entries():
         rows.append(
             {

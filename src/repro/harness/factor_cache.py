@@ -33,10 +33,11 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional, Union
+from typing import Dict, List, Optional
 
 import numpy as np
 
+from ..core.options import SolveConfig
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
 from .store import ENV_VAR as RESULTS_ENV_VAR  # noqa: F401  (doc cross-ref)
@@ -216,52 +217,31 @@ class FactorCache:
         kind: str = "randn",
         n: int = 96,
         seed: int = 0,
-        grid: Union[None, int, ProcessGrid] = None,
-        block_size: Optional[int] = None,
-        pivoting: Optional[str] = None,
-        kernel_tier: Optional[str] = None,
-        engine: Optional[str] = None,
-        matmul: Optional[str] = None,
-        machine=None,
-        local_kernel: str = "getf2",
+        config: Optional[SolveConfig] = None,
+        *,
         use_cache: bool = True,
         force: bool = False,
-        config=None,
     ) -> FactorFetch:
         """Serve a factorization from the cache, or compute and store it.
 
-        ``grid`` is a :class:`ProcessGrid`, a process count ``P`` (mapped to
-        the paper's near-square grid via :meth:`ProcessGrid.default_for`),
-        or ``None`` for ``P = 4``.  Single-flight per key: two concurrent
-        calls with the same key factor once.
-
-        ``config`` is an optional :class:`~repro.core.options.SolveConfig`
-        supplying defaults for the unset run-configuration arguments (grid,
-        block size, machine and the four knobs); explicit arguments win, and
-        the content key is computed from the merged, fully resolved values —
-        identical to the key the spelled-out call would produce.
+        ``config`` is the :class:`~repro.core.options.SolveConfig` of the
+        factorization (``None``: resolved from the ambient context); an unset
+        ``grid`` means ``P = 4`` on the paper's near-square grid and an unset
+        ``b`` means 16.  The content key is computed from the fully resolved
+        values.  Single-flight per key: two concurrent calls with the same
+        key factor once.
         """
         from ..core.strategies import resolve_pivoting
         from ..kernels.tiers import resolve_tier
         from ..matmul import resolve_matmul
-        from ..parallel.pcalu import _merge_config
 
-        grid, block_size, machine, engine, kernel_tier, pivoting, matmul = (
-            _merge_config(
-                config, grid, block_size, machine, engine, kernel_tier,
-                pivoting, matmul,
-            )
-        )
-        if block_size is None:
-            block_size = 16
-        if grid is None:
-            grid = ProcessGrid.default_for(4)
-        elif isinstance(grid, int):
-            grid = ProcessGrid.default_for(grid)
-        piv = resolve_pivoting(pivoting)
-        tier = resolve_tier(kernel_tier)
-        eng = resolved_engine(engine)
-        mm = resolve_matmul(matmul)
+        config = config or SolveConfig.resolve()
+        grid = config.process_grid() or ProcessGrid.default_for(4)
+        block_size = 16 if config.b is None else config.b
+        piv = resolve_pivoting(config.pivoting)
+        tier = resolve_tier(config.kernel_tier)
+        eng = resolved_engine(config.engine)
+        mm = resolve_matmul(config.matmul)
         key = factor_key(
             kind, n, seed, grid.nprow, grid.npcol, block_size, piv, tier, eng,
             matmul=mm,
@@ -275,15 +255,7 @@ class FactorCache:
                     return FactorFetch(factor=factor, cached=True, path=path)
             A = generate_matrix(kind, n, seed=seed)
             factor = pcalu_factor(
-                A,
-                grid,
-                block_size,
-                local_kernel=local_kernel,
-                machine=machine,
-                engine=eng,
-                kernel_tier=tier,
-                pivoting=piv,
-                matmul=mm,
+                A, config.replace(grid=grid, b=block_size, kernel_tier=tier)
             )
             factor.key = key
             if use_cache:

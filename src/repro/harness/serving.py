@@ -40,13 +40,11 @@ import threading
 import time
 from concurrent.futures import Future
 from dataclasses import dataclass, field
-from typing import List, Optional, Union
+from typing import List, Optional
 
 import numpy as np
 
 from ..core.options import SolveConfig
-from ..distsim.engine import ExecutionEngine
-from ..machines.model import MachineModel
 from ..parallel.factor import FactoredMatrix
 from ..parallel.psolve import pdgesv_solve
 
@@ -133,13 +131,16 @@ class SolveService:
         The :class:`~repro.parallel.factor.FactoredMatrix` every request is
         solved against (typically a
         :meth:`~repro.harness.factor_cache.FactorCache.fetch_or_factor` hit).
+    config:
+        Optional :class:`~repro.core.options.SolveConfig` whose machine and
+        engine run the solve sweeps (see
+        :func:`~repro.parallel.psolve.pdgesv_solve`) — e.g. a tuned config
+        from :func:`repro.harness.tuning.load_tuned_config`.
     window:
         Maximum right-hand-side columns coalesced into one sweep.
     linger_s:
         How long the dispatcher waits after a batch's first request for
         more requests before dispatching a partial batch.
-    machine, engine:
-        Machine model / execution engine for the solve sweeps.
     refine:
         Refinement budget per batch (the SLO loop runs within it).
     default_slo:
@@ -148,47 +149,26 @@ class SolveService:
         Start the dispatcher thread immediately.  With ``start=False`` the
         service is driven synchronously via :meth:`drain` (deterministic
         batching for tests: exactly ``ceil(pending / window)`` batches).
-    config:
-        Optional :class:`~repro.core.options.SolveConfig` supplying the
-        sweep ``machine``/``engine`` defaults when the explicit arguments
-        are unset — e.g. a tuned config loaded by ``repro serve --tuned``.
-    tuned:
-        Load ``config`` from a stored ``repro tune`` artifact instead of
-        passing one: an artifact path, a context-key prefix, or
-        ``"latest"`` (see :func:`repro.harness.tuning.load_tuned_config`).
-        Ignored when an explicit ``config`` is given.
     """
 
     def __init__(
         self,
         factor: FactoredMatrix,
+        config: Optional[SolveConfig] = None,
+        *,
         window: int = DEFAULT_WINDOW,
         linger_s: float = DEFAULT_LINGER_S,
-        machine: Optional[MachineModel] = None,
-        engine: Union[None, str, ExecutionEngine] = None,
         refine: int = 2,
         tolerance: float = 1.0e-16,
         default_slo: Optional[float] = None,
         start: bool = True,
-        config: Optional[SolveConfig] = None,
-        tuned: Optional[str] = None,
     ):
         if window < 1:
             raise ValueError("window must be >= 1")
-        if config is None and tuned is not None:
-            from .tuning import load_tuned_config
-
-            config = load_tuned_config(tuned)
-        if config is not None:
-            if machine is None:
-                machine = config.machine_model()
-            if engine is None:
-                engine = config.engine
         self.factor = factor
+        self.config = config
         self.window = int(window)
         self.linger_s = float(linger_s)
-        self.machine = machine
-        self.engine = engine
         self.refine = int(refine)
         self.tolerance = float(tolerance)
         self.default_slo = default_slo
@@ -367,8 +347,7 @@ class SolveService:
             res = pdgesv_solve(
                 self.factor,
                 B,
-                machine=self.machine,
-                engine=self.engine,
+                self.config,
                 refine=self.refine,
                 tolerance=self.tolerance,
                 rhs_slo=slo_vec if has_slo else None,

@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..kernels.tiers import resolve_tier
 from .spec import ExperimentSpec, Rows, jsonify
@@ -295,35 +295,44 @@ class ResultStore:
         return FetchResult(artifact=artifact, cached=False, path=path)
 
     # -------------------------------------------------------------- reporting
+    def _spec_paths(self, spec_name: Optional[str] = None) -> List[Tuple[str, List[Path]]]:
+        """``(spec, sorted artifact paths)`` per spec directory (or one spec's)."""
+        roots = [self.root / spec_name] if spec_name is not None else sorted(self.root.glob("*"))
+        return [(d.name, sorted(d.glob("*.json"))) for d in roots if d.is_dir()]
+
     def artifacts(self, spec_name: Optional[str] = None) -> List[Dict[str, object]]:
         """All stored artifacts (optionally for one spec), newest first."""
-        roots: Iterable[Path]
-        if spec_name is not None:
-            roots = [self.root / spec_name]
-        elif self.root.is_dir():
-            roots = sorted(p for p in self.root.iterdir() if p.is_dir())
-        else:
-            roots = []
         found: List[Tuple[float, Dict[str, object]]] = []
-        for directory in roots:
-            if not directory.is_dir():
-                continue
-            for path in sorted(directory.glob("*.json")):
-                artifact = self.load(path)
-                if artifact is None:
-                    continue
-                try:
-                    mtime = path.stat().st_mtime
-                except OSError:
-                    # The artifact vanished between load and stat (another
-                    # process pruned the store mid-listing) — skip it rather
-                    # than crash the `repro report` listing.
-                    continue
-                found.append((mtime, artifact))
+        for _, paths in self._spec_paths(spec_name):
+            for path in paths:
+                artifact, stat = self.load(path), _stat(path)
+                if artifact is not None and stat is not None:
+                    found.append((stat.st_mtime, artifact))
         found.sort(key=lambda item: item[0], reverse=True)
         return [artifact for _, artifact in found]
 
     def count(self, spec_name: str) -> int:
         """Number of cached artifacts for one spec."""
-        directory = self.root / spec_name
-        return len(list(directory.glob("*.json"))) if directory.is_dir() else 0
+        return sum(len(paths) for _, paths in self._spec_paths(spec_name))
+
+    def entries(self) -> List[Dict[str, object]]:
+        """Artifact count and bytes of every spec holding artifacts, by name."""
+        sizes = [(spec, [st.st_size for st in map(_stat, paths) if st])
+                 for spec, paths in self._spec_paths()]
+        return [{"spec": s, "artifacts": len(b), "bytes": sum(b)} for s, b in sizes if b]
+
+    def purge(self) -> int:
+        """Delete every stored artifact; returns the number removed."""
+        paths = [path for _, group in self._spec_paths() for path in group]
+        for path in paths:
+            path.unlink(missing_ok=True)
+        return len(paths)
+
+
+def _stat(path: Path) -> Optional[os.stat_result]:
+    """``path.stat()``, or ``None`` when another process pruned the store
+    mid-listing (the artifact is then skipped, not a crashed listing)."""
+    try:
+        return path.stat()
+    except OSError:
+        return None

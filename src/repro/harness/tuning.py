@@ -350,7 +350,7 @@ def simulate_config(
     A = generate_matrix(kind, n, seed=seed)
     x_true = randn(n, nrhs, seed=seed + 7919)
     rhs = A @ x_true
-    res = pdgesv(A, rhs, machine=machine, refine=refine, config=config)
+    res = pdgesv(A, rhs, config, refine=refine)
     elapsed = float(res.trace.critical_path_time)
     if res.factorization is not None:
         elapsed += float(res.factorization.trace.critical_path_time)

@@ -45,7 +45,7 @@ The numerical kernels of this package come in *tiers*:
 
 Selected per call (``kernel_tier=`` on ``getf2``, ``rgetf2``,
 ``select_rows_rrqr``; threaded through ``tournament_pivoting``, ``tslu``,
-``calu``, ``ptslu``, ``pcalu``), else by the shared precedence rule of
+``calu``, ``ptslu``; ``SolveConfig.kernel_tier`` for ``pcalu``), else by the shared precedence rule of
 :mod:`repro.core.options`: ambient override > ``REPRO_KERNEL_TIER`` > ``auto``.
 
 Kernels that record stability quantities (``track_growth=``,

@@ -18,9 +18,10 @@ and ``engine=`` (:mod:`repro.distsim.engine`):
     skeleton and swaps in a Strassen local product; the full recursion runs
     in the standalone :func:`pdgemm`.
 
-Selected per call (``matmul=`` on ``pcalu``, ``pdgetrf``, ``pcalu_factor``,
-``pdgesv`` and :func:`pdgemm`), else by the shared precedence rule of
-:mod:`repro.core.options`: ambient override > ``REPRO_MATMUL`` > ``"summa"``.
+Selected per call (the ``SolveConfig.matmul`` of ``pcalu``, ``pcalu_factor``
+and ``pdgesv``; ``matmul=`` on :func:`pdgemm`), else by the shared precedence
+rule of :mod:`repro.core.options`: ambient override > ``REPRO_MATMUL`` >
+``"summa"``.
 """
 
 from __future__ import annotations

@@ -12,7 +12,7 @@ This module factors those steps behind a backend object so the multiply
 algorithm becomes a knob (``matmul=``), exactly like ``pivoting=``,
 ``kernel_tier=`` and ``engine=``.  A backend owns two things:
 
-1. the *trailing-update adapter* used inside ``pcalu``/``pdgetrf``
+1. the *trailing-update adapter* used inside ``pcalu`` (CALU and PDGETRF)
    (:meth:`MatmulBackend.share_panel` + :meth:`MatmulBackend.update_trailing`);
 2. a *standalone* distributed ``pdgemm`` entry point
    (:meth:`MatmulBackend.pdgemm`) computing ``C += A @ B`` from scratch.

@@ -1,7 +1,7 @@
 """Distributed (SPMD) versions of TSLU and CALU running on the virtual MPI."""
 
 from .driver import DistributedLUResult, block_right_looking_rank, run_block_lu
-from .factor import FactoredMatrix, pcalu_factor, pdgetrf_factor
+from .factor import FactoredMatrix, pcalu_factor
 from .pcalu import make_calu_panel, pcalu
 from .psolve import DistributedSolveResult, pdgesv, pdgesv_rank, pdgesv_solve
 from .ptslu import PTSLUResult, pp_panel_rank, ptslu, ptslu_rank
@@ -18,7 +18,6 @@ __all__ = [
     "pdgesv_solve",
     "FactoredMatrix",
     "pcalu_factor",
-    "pdgetrf_factor",
     "DistributedSolveResult",
     "run_block_lu",
     "block_right_looking_rank",

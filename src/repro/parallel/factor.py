@@ -3,9 +3,9 @@
 The paper's economics (Section 1) say the ``O(n^3)`` factorization dominates
 and communication dominates inside it — which is exactly why a production
 solver pays it *once* and amortizes it over many ``O(n^2)`` triangular
-solves.  :func:`pcalu_factor` (and its partial-pivoting alias
-:func:`pdgetrf_factor`) runs the distributed factorization and packages
-everything the solve phase needs into a :class:`FactoredMatrix`:
+solves.  :func:`pcalu_factor` runs the distributed factorization (any
+pivoting strategy; ``pivoting="pp"`` is PDGETRF) and packages everything the
+solve phase needs into a :class:`FactoredMatrix`:
 
 * the packed factors ``tril(L, -1) + U`` (the storage convention of
   :mod:`repro.scalapack.pdtrsv`),
@@ -25,16 +25,14 @@ the factorization is skipped entirely on a cache hit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..core.options import SolveConfig
-from ..distsim.engine import ExecutionEngine
 from ..layouts.grid import ProcessGrid
-from ..machines.model import MachineModel
 from .driver import DistributedLUResult
-from .pcalu import _merge_config, pcalu
+from .pcalu import pcalu
 
 
 @dataclass
@@ -111,98 +109,39 @@ class FactoredMatrix:
         return int(self.packed.nbytes + self.permuted.nbytes + self.perm.nbytes)
 
 
-def pcalu_factor(
-    A: np.ndarray,
-    grid: Optional[ProcessGrid] = None,
-    block_size: Optional[int] = None,
-    local_kernel: str = "getf2",
-    machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
-    kernel_tier: Optional[str] = None,
-    pivoting: Optional[str] = None,
-    matmul: Optional[str] = None,
-    config: Optional[SolveConfig] = None,
-) -> FactoredMatrix:
-    """Factor ``A`` on the grid and package the result for reuse.
+def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
+    """Factor ``A`` as configured by ``config`` and package the result for reuse.
 
-    Runs :func:`repro.parallel.pcalu.pcalu` with the given knobs, then
+    Runs :func:`repro.parallel.pcalu.pcalu` under ``config``, then
     precomputes the packed factors and the permuted matrix the solve phase
     consumes.  The returned :class:`FactoredMatrix` feeds any number of
     :func:`repro.parallel.psolve.pdgesv_solve` calls, each bit-identical to
     the solve phase of a cold :func:`repro.parallel.psolve.pdgesv`.
-
-    ``config`` supplies defaults for unset arguments (explicit arguments
-    win), exactly as in :func:`~repro.parallel.pcalu.pcalu`.
     """
     from ..core.strategies import resolve_pivoting
     from ..distsim.engine import resolve_engine_name
     from ..kernels.tiers import resolve_tier
     from ..matmul import resolve_matmul
 
-    grid, block_size, machine, engine, kernel_tier, pivoting, matmul = (
-        _merge_config(
-            config, grid, block_size, machine, engine, kernel_tier, pivoting,
-            matmul,
-        )
-    )
-    if grid is None or block_size is None:
-        raise ValueError(
-            "pcalu_factor needs a process grid and a block size, either as "
-            "arguments or through config="
-        )
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("pcalu_factor expects a square matrix")
-    fact = pcalu(
-        A,
-        grid,
-        block_size,
-        local_kernel=local_kernel,
-        machine=machine,
-        engine=engine,
-        kernel_tier=kernel_tier,
-        pivoting=pivoting,
-        matmul=matmul,
-    )
+    fact = pcalu(A, config)
     # The artifact's packed factors are ``tril(L, -1) + U``; on the gathered
     # matrix that sum only turns -0.0 into +0.0, which adding 0.0 in place
     # does without two unpacked triangles and their re-packed copy.
     fact.packed += 0.0
     return FactoredMatrix(
         n=A.shape[0],
-        block_size=block_size,
-        nprow=grid.nprow,
-        npcol=grid.npcol,
-        pivoting=resolve_pivoting(pivoting),
-        kernel_tier=resolve_tier(kernel_tier),
-        engine=resolve_engine_name(engine),
+        block_size=config.b,
+        nprow=config.nprow,
+        npcol=config.npcol,
+        pivoting=resolve_pivoting(config.pivoting),
+        kernel_tier=resolve_tier(config.kernel_tier),
+        engine=resolve_engine_name(config.engine),
         packed=fact.packed,
         permuted=A[fact.perm, :],
         perm=np.asarray(fact.perm, dtype=np.int64),
-        matmul=resolve_matmul(matmul),
+        matmul=resolve_matmul(config.matmul),
         source=fact,
-    )
-
-
-def pdgetrf_factor(
-    A: np.ndarray,
-    grid: Optional[ProcessGrid] = None,
-    block_size: Optional[int] = None,
-    machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
-    kernel_tier: Optional[str] = None,
-    matmul: Optional[str] = None,
-    config: Optional[SolveConfig] = None,
-) -> FactoredMatrix:
-    """Partial-pivoting factorization artifact (bit-for-bit PDGETRF)."""
-    return pcalu_factor(
-        A,
-        grid,
-        block_size,
-        machine=machine,
-        engine=engine,
-        kernel_tier=kernel_tier,
-        pivoting="pp",
-        matmul=matmul,
-        config=config,
     )

@@ -10,40 +10,34 @@ the algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.options import SolveConfig
 from ..core.strategies import get_strategy, resolve_pivoting
-from ..distsim.engine import ExecutionEngine
 from ..distsim.vmpi import Communicator
 from ..kernels.flops import FlopCounter
 from ..kernels.trsm import trsm_right_upper
 from ..layouts.block_cyclic import BlockCyclic2D
-from ..layouts.grid import ProcessGrid
-from ..machines.model import MachineModel
+from ..scalapack.pdgetf2 import make_pdgetf2_panel
 from ..scalapack.pdlaswp import pdlaswp, winners_to_swaps
 from .driver import DistributedLUResult, run_block_lu
 from .ptslu import ptslu_rank
 
 
 def make_calu_panel(
-    local_kernel: str = "getf2",
     kernel_tier: Optional[str] = None,
     selector: str = "getf2",
 ) -> Callable[..., object]:
     """Create the CALU panel-factorization coroutine for the shared driver.
 
     The returned callable is a generator function (driven with ``yield
-    from``); its return value is the panel's swap list.
+    from``); its return value is the panel's swap list.  The tournament's
+    local (leaf) factorizations use the classic ``getf2`` kernel.
 
     Parameters
     ----------
-    local_kernel:
-        Kernel used for the local (leaf) factorizations of the tournament:
-        ``"getf2"`` (classic) or ``"rgetf2"`` (recursive) — the paper's Cl /
-        Rec configurations.
     kernel_tier:
         Kernel tier for the leaf factorizations and, with
         ``selector="rrqr"``, the merges (None: process-wide default).  Only a
@@ -81,7 +75,6 @@ def make_calu_panel(
             local_panel,
             jb,
             group=col_group,
-            local_kernel=local_kernel,
             channel="col",
             tag=(tag, "tslu"),
             compute_L=False,
@@ -122,101 +115,38 @@ def make_calu_panel(
     return panel
 
 
-def _merge_config(
-    config: Optional[SolveConfig],
-    grid,
-    block_size,
-    machine,
-    engine,
-    kernel_tier,
-    pivoting,
-    matmul,
-):
-    """Fill unset driver arguments from a :class:`SolveConfig`.
+def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
+    """Distributed LU of ``A`` as configured by ``config``.
 
-    Explicit per-call arguments always win; the config only supplies
-    defaults for arguments left ``None``, so threading a config through a
-    driver cannot change what a spelled-out call resolves to.
-    """
-    if config is not None:
-        if grid is None:
-            grid = config.process_grid()
-        if block_size is None:
-            block_size = config.b
-        if machine is None:
-            machine = config.machine_model()
-        if engine is None:
-            engine = config.engine
-        if kernel_tier is None:
-            kernel_tier = config.kernel_tier
-        if pivoting is None:
-            pivoting = config.pivoting
-        if matmul is None:
-            matmul = config.matmul
-    return grid, block_size, machine, engine, kernel_tier, pivoting, matmul
-
-
-def pcalu(
-    A: np.ndarray,
-    grid: Optional[ProcessGrid] = None,
-    block_size: Optional[int] = None,
-    local_kernel: str = "getf2",
-    machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
-    kernel_tier: Optional[str] = None,
-    pivoting: Optional[str] = None,
-    matmul: Optional[str] = None,
-    config: Optional[SolveConfig] = None,
-) -> DistributedLUResult:
-    """Distributed CALU of ``A`` over ``grid`` with block size ``block_size``.
-
-    ``engine`` selects the virtual-MPI execution engine ("coroutine",
-    "event", or ``None`` for the process-wide default); ``kernel_tier``
-    selects the numerical tier for the rank-local leaf factorizations (see
-    :mod:`repro.kernels.tiers`); ``pivoting`` selects the panel pivoting
-    strategy (``"ca"``, ``"ca_prrp"`` or ``"pp"`` — with ``"pp"`` the panel
-    is ScaLAPACK's column-by-column PDGETF2 and the run is exactly
-    :func:`repro.scalapack.pdgetrf.pdgetrf`); ``matmul`` selects the
-    distributed-matmul backend for the trailing update (``"summa"`` or
-    ``"caps"``, see :mod:`repro.matmul`).  Returns the gathered factors,
-    the pivot sequence and the per-rank communication trace (see
+    ``config`` is a :class:`~repro.core.options.SolveConfig` whose ``grid``
+    and ``b`` give the process grid and block size and whose ``machine``
+    names the machine model pricing the run (``None``: the unit machine).
+    Its knobs select the virtual-MPI ``engine``, the ``kernel_tier`` of the
+    rank-local leaf factorizations (see :mod:`repro.kernels.tiers`), the
+    panel ``pivoting`` strategy (``"ca"``, ``"ca_prrp"`` or ``"pp"``) and the
+    distributed-``matmul`` backend of the trailing update (``"summa"`` or
+    ``"caps"``, see :mod:`repro.matmul`).  With ``pivoting="pp"`` the panel
+    is ScaLAPACK's column-by-column PDGETF2, so
+    ``pcalu(A, config.replace(pivoting="pp"))`` is the PDGETRF baseline.
+    Returns the gathered factors, the pivot sequence and the per-rank
+    communication trace (see
     :class:`~repro.parallel.driver.DistributedLUResult`).
-
-    ``config`` is an optional :class:`~repro.core.options.SolveConfig`
-    supplying defaults for every unset argument above (grid, block size,
-    machine and all four knobs); explicit per-call arguments still win, so
-    ``pcalu(A, config=cfg)`` and the historical spelled-out signature
-    resolve identically.
     """
-    grid, block_size, machine, engine, kernel_tier, pivoting, matmul = (
-        _merge_config(
-            config, grid, block_size, machine, engine, kernel_tier, pivoting,
-            matmul,
-        )
-    )
-    if grid is None or block_size is None:
-        raise ValueError(
-            "pcalu needs a process grid and a block size, either as "
-            "arguments or through config="
-        )
-    strategy = get_strategy(resolve_pivoting(pivoting))
+    grid = config.process_grid()
+    if grid is None or config.b is None:
+        raise ValueError("pcalu needs a config with grid and b set")
+    strategy = get_strategy(resolve_pivoting(config.pivoting))
     if strategy.tournament:
         def panel_factory() -> Callable[..., List[Tuple[int, int]]]:
-            return make_calu_panel(
-                local_kernel=local_kernel,
-                kernel_tier=kernel_tier,
-                selector=strategy.selector,
-            )
+            return make_calu_panel(config.kernel_tier, strategy.selector)
     else:
-        from ..scalapack.pdgetf2 import make_pdgetf2_panel
-
         panel_factory = make_pdgetf2_panel
     return run_block_lu(
         A,
         grid,
-        block_size,
+        config.b,
         panel_factory=panel_factory,
-        machine=machine,
-        engine=engine,
-        matmul=matmul,
+        machine=config.machine_model(),
+        engine=config.engine,
+        matmul=config.matmul,
     )

@@ -1,13 +1,13 @@
 """End-to-end distributed solution of ``A x = b`` (``PDGESV`` analogue).
 
-This closes the factorization→solve gap: ``pcalu``/``pdgetrf`` produce
-distributed factors, and the paper's accuracy story (Table 1, Section 6.1) is
+This closes the factorization→solve gap: ``pcalu`` produces distributed
+factors, and the paper's accuracy story (Table 1, Section 6.1) is
 defined on the *solution* — residuals and componentwise backward error after
 iterative refinement.  :func:`pdgesv` chains
 
 1. a distributed factorization (:func:`repro.parallel.pcalu.pcalu`, honoring
-   the ``pivoting`` knob — with ``pivoting="pp"`` the factorization is
-   bit-for-bit ScaLAPACK's PDGETRF — plus ``kernel_tier`` and ``engine``);
+   the config's ``pivoting`` knob — with ``pivoting="pp"`` the factorization
+   is bit-for-bit ScaLAPACK's PDGETRF — plus ``kernel_tier`` and ``engine``);
 2. the row permutation applied to the right-hand sides (folded into the
    block-cyclic redistribution of ``b``: the driver knows the full pivot
    sequence once the factorization is gathered, so ``P b`` costs no
@@ -41,19 +41,16 @@ pay the ``O(n^3)`` factorization once, amortize it over any number of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.options import SolveConfig
 from ..distsim.collectives import allreduce, reduce
-from ..distsim.engine import ExecutionEngine
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter
 from ..layouts.block_cyclic import BlockCyclic2D
-from ..layouts.grid import ProcessGrid
-from ..machines.model import MachineModel
 from ..scalapack.pdtrsv import (
     RhsBlocks,
     block_bounds,
@@ -63,7 +60,6 @@ from ..scalapack.pdtrsv import (
 )
 from .driver import DistributedLUResult
 from .factor import FactoredMatrix, pcalu_factor
-from .pcalu import _merge_config
 
 
 @dataclass
@@ -287,17 +283,10 @@ def pdgesv_rank(
 def pdgesv(
     A: np.ndarray,
     b: np.ndarray,
-    grid: Optional[ProcessGrid] = None,
-    block_size: Optional[int] = None,
-    local_kernel: str = "getf2",
-    machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
-    kernel_tier: Optional[str] = None,
-    pivoting: Optional[str] = None,
-    matmul: Optional[str] = None,
+    config: SolveConfig,
+    *,
     refine: int = 2,
     tolerance: float = 1.0e-16,
-    config: Optional[SolveConfig] = None,
 ) -> DistributedSolveResult:
     """Solve ``A x = b`` end to end on the virtual process grid.
 
@@ -309,68 +298,35 @@ def pdgesv(
         Right-hand side(s): an ``n``-vector or an ``n x nrhs`` matrix (the
         triangular solves are batched over the RHS block, so the message
         count does not grow with ``nrhs``).
-    grid:
-        The process grid; both the factorization and the solve run on it.
-    block_size:
-        Block size ``b`` of the 2-D block-cyclic distribution.
-    local_kernel, kernel_tier, pivoting, matmul:
-        Passed to the factorization (:func:`repro.parallel.pcalu.pcalu`);
-        ``pivoting="pp"`` makes the factorization exactly
-        :func:`repro.scalapack.pdgetrf.pdgetrf`; ``matmul`` selects the
-        distributed-matmul backend of the trailing update.
-    machine, engine:
-        Machine model and virtual-MPI execution engine for *both* phases.
+    config:
+        The :class:`~repro.core.options.SolveConfig` of the run: its grid,
+        block size, machine and engine serve *both* phases; its
+        ``kernel_tier``, ``pivoting`` and ``matmul`` go to the factorization
+        (:func:`repro.parallel.factor.pcalu_factor`), where ``pivoting="pp"``
+        makes it exactly ScaLAPACK's PDGETRF.
     refine:
         Maximum iterative-refinement steps (default 2, as in the paper).
     tolerance:
         Refinement stops once the componentwise backward error drops below
         this (default ``1e-16``, matching
         :func:`repro.core.solve.solve_with_refinement`).
-    config:
-        Optional :class:`~repro.core.options.SolveConfig` supplying defaults
-        for every unset argument above (explicit arguments win), so
-        ``pdgesv(A, b, config=cfg)`` runs the configuration as resolved.
 
     Returns
     -------
     DistributedSolveResult
     """
-    grid, block_size, machine, engine, kernel_tier, pivoting, matmul = (
-        _merge_config(
-            config, grid, block_size, machine, engine, kernel_tier, pivoting,
-            matmul,
-        )
-    )
-    factor = pcalu_factor(
-        A,
-        grid,
-        block_size,
-        local_kernel=local_kernel,
-        machine=machine,
-        engine=engine,
-        kernel_tier=kernel_tier,
-        pivoting=pivoting,
-        matmul=matmul,
-    )
-    return pdgesv_solve(
-        factor,
-        b,
-        machine=machine,
-        engine=engine,
-        refine=refine,
-        tolerance=tolerance,
-    )
+    factor = pcalu_factor(A, config)
+    return pdgesv_solve(factor, b, config, refine=refine, tolerance=tolerance)
 
 
 def pdgesv_solve(
     factor: FactoredMatrix,
     b: np.ndarray,
-    machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
+    config: Optional[SolveConfig] = None,
+    *,
     refine: int = 2,
     tolerance: float = 1.0e-16,
     rhs_slo: Optional[np.ndarray] = None,
-    config: Optional[SolveConfig] = None,
 ) -> DistributedSolveResult:
     """Solve ``A x = b`` against an already-computed (possibly cached) factor.
 
@@ -390,10 +346,12 @@ def pdgesv_solve(
     b:
         Right-hand side(s): ``n``-vector or ``n x nrhs`` matrix; ``nrhs=0``
         is a valid empty batch and returns an empty solution.
-    machine, engine:
-        Machine model and execution engine for the solve phase (defaulting
-        like :func:`pdgesv`; the factor records the engine that produced it
-        but the solve may run on either engine — they are bit-identical).
+    config:
+        Optional :class:`~repro.core.options.SolveConfig` whose machine and
+        engine run the solve phase (``None``: the unit machine and the
+        process-wide default engine; the factor records the engine that
+        produced it but the solve may run on either engine — they are
+        bit-identical).  The solve always runs on the factor's grid.
     refine, tolerance:
         Refinement budget and backward-error stop, as in :func:`pdgesv`.
     rhs_slo:
@@ -401,16 +359,10 @@ def pdgesv_solve(
         refinement loop keeps iterating, within ``refine``, while any
         right-hand side exceeds its target.  Used by the serving layer to
         honor per-request residual SLOs inside one coalesced sweep.
-    config:
-        Optional :class:`~repro.core.options.SolveConfig` supplying the
-        solve-phase ``machine``/``engine`` defaults when the explicit
-        arguments are unset.
     """
+    machine = engine = None
     if config is not None:
-        if machine is None:
-            machine = config.machine_model()
-        if engine is None:
-            engine = config.engine
+        machine, engine = config.machine_model(), config.engine
     n = factor.n
     b = np.asarray(b, dtype=np.float64)
     one_d = b.ndim == 1

@@ -1,18 +1,18 @@
-"""Simulated ScaLAPACK baselines (PDGETF2, PDGETRF, PDLASWP, PDTRSM, PDTRSV, PDGEMM).
+"""Simulated ScaLAPACK baselines (PDGETF2, PDLASWP, PDTRSM, PDTRSV, PDGEMM).
 
 These reproduce the communication structure of the routines the paper
 compares against, on the same virtual-MPI substrate and cost model as CALU.
+PDGETRF itself is the shared block LU driver with the PDGETF2 panel:
+``repro.parallel.pcalu(A, config.replace(pivoting="pp"))``.
 """
 
 from .pdgemm import pdgemm_trailing_update
 from .pdgetf2 import make_pdgetf2_panel
-from .pdgetrf import pdgetrf
 from .pdlaswp import apply_swaps_to_permutation, pdlaswp, winners_to_swaps
 from .pdtrsm import pdtrsm_block_row
 from .pdtrsv import pdtrsv_lower_unit, pdtrsv_upper
 
 __all__ = [
-    "pdgetrf",
     "make_pdgetf2_panel",
     "pdlaswp",
     "winners_to_swaps",

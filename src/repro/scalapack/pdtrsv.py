@@ -1,7 +1,7 @@
 """Distributed triangular solves on the 2-D block-cyclic layout (``PDTRSV``).
 
-After ``pcalu`` / ``pdgetrf`` leave the packed factors distributed over the
-process grid, solving ``L y = P b`` and ``U x = y`` is a blocked substitution
+After ``pcalu`` (CALU or, with ``pivoting="pp"``, PDGETRF) leaves the packed
+factors distributed over the process grid, solving ``L y = P b`` and ``U x = y`` is a blocked substitution
 sweep over the ``ceil(n/b)`` block rows.  The routines here implement the
 left-looking (fan-in) variant:
 

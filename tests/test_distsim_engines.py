@@ -28,13 +28,19 @@ from repro.distsim import (
     resolve_engine,
     run_spmd,
 )
+from repro.core.options import SolveConfig
 from repro.distsim.engine import ExecutionEngine
 from repro.layouts import ProcessGrid
 from repro.machines import MachineModel, ibm_power5, unit_machine
-from repro.parallel import pcalu, ptslu
+from repro.parallel import pcalu, ptslu, run_block_lu
 from repro.parallel.psolve import pdgesv
 from repro.randmat import randn, tall_skinny
-from repro.scalapack import pdgetrf
+from repro.scalapack import make_pdgetf2_panel
+
+
+def p5(grid, b, engine, **knobs):
+    """The config of a run on ``grid`` with block size ``b``, priced on the POWER5."""
+    return SolveConfig.resolve(grid=grid, b=b, machine="ibm_power5", engine=engine, **knobs)
 
 ENGINES = ("coroutine", "event")
 
@@ -153,8 +159,8 @@ def test_ptslu_parity(nprocs, other):
 def test_pcalu_parity(n, b, pr, pc, other):
     A = randn(n, seed=n + b)
     grid = ProcessGrid(pr, pc)
-    res_e = pcalu(A, grid, block_size=b, machine=ibm_power5(), engine="event")
-    res_o = pcalu(A, grid, block_size=b, machine=ibm_power5(), engine=other)
+    res_e = pcalu(A, p5(grid, b, "event"))
+    res_o = pcalu(A, p5(grid, b, other))
     assert_traces_identical(res_e.trace, res_o.trace)
     assert np.array_equal(res_e.perm, res_o.perm)
     assert np.allclose(res_e.L, res_o.L)
@@ -165,8 +171,8 @@ def test_pcalu_parity(n, b, pr, pc, other):
 def test_pdgetrf_parity(other):
     A = randn(32, seed=3)
     grid = ProcessGrid(2, 2)
-    res_e = pdgetrf(A, grid, block_size=8, machine=ibm_power5(), engine="event")
-    res_o = pdgetrf(A, grid, block_size=8, machine=ibm_power5(), engine=other)
+    res_e = pcalu(A, p5(grid, 8, "event", pivoting="pp"))
+    res_o = pcalu(A, p5(grid, 8, other, pivoting="pp"))
     assert_traces_identical(res_e.trace, res_o.trace)
     assert np.array_equal(res_e.perm, res_o.perm)
 
@@ -179,8 +185,8 @@ def test_pdgesv_parity(other):
     A = randn(n, seed=41)
     b = randn(n, 2, seed=42)
     grid = ProcessGrid(2, 2)
-    res_e = pdgesv(A, b, grid, block_size=8, machine=ibm_power5(), engine="event")
-    res_o = pdgesv(A, b, grid, block_size=8, machine=ibm_power5(), engine=other)
+    res_e = pdgesv(A, b, p5(grid, 8, "event"))
+    res_o = pdgesv(A, b, p5(grid, 8, other))
     assert_traces_identical(res_e.trace, res_o.trace)
     assert_traces_identical(res_e.factorization.trace, res_o.factorization.trace)
     assert np.array_equal(res_e.x, res_o.x)
@@ -199,8 +205,8 @@ def test_pcalu_ragged_edge_parity(n, b, pr, pc, other):
     must behave identically on every engine and still factor correctly."""
     A = randn(n, seed=100 + n)
     grid = ProcessGrid(pr, pc)
-    res_e = pcalu(A, grid, block_size=b, machine=ibm_power5(), engine="event")
-    res_o = pcalu(A, grid, block_size=b, machine=ibm_power5(), engine=other)
+    res_e = pcalu(A, p5(grid, b, "event"))
+    res_o = pcalu(A, p5(grid, b, other))
     assert_traces_identical(res_e.trace, res_o.trace)
     assert np.array_equal(res_e.perm, res_o.perm)
     assert np.array_equal(res_e.L, res_o.L)  # same code path: bitwise
@@ -216,7 +222,7 @@ def test_pdgesv_ragged_nonpow2_three_way():
     b = randn(n, 1, seed=56)[:, 0]
     grid = ProcessGrid(3, 2)
     results = {
-        e: pdgesv(A, b, grid, block_size=8, machine=ibm_power5(), engine=e)
+        e: pdgesv(A, b, p5(grid, 8, e))
         for e in ENGINES
     }
     for other in OTHERS:
@@ -236,10 +242,8 @@ def test_pcalu_pivoting_knob_parity_across_engines(strategy, other):
     ragged (n=22, b=8) 2x2 problem."""
     A = randn(22, seed=7)
     grid = ProcessGrid(2, 2)
-    res_e = pcalu(A, grid, block_size=8, machine=ibm_power5(),
-                  engine="event", pivoting=strategy)
-    res_o = pcalu(A, grid, block_size=8, machine=ibm_power5(),
-                  engine=other, pivoting=strategy)
+    res_e = pcalu(A, p5(grid, 8, "event", pivoting=strategy))
+    res_o = pcalu(A, p5(grid, 8, other, pivoting=strategy))
     assert_traces_identical(res_e.trace, res_o.trace)
     assert np.array_equal(res_e.perm, res_o.perm)
     assert np.array_equal(res_e.L, res_o.L)
@@ -292,12 +296,13 @@ def test_ptslu_pp_costs_per_column_messages():
 
 
 def test_pcalu_pp_is_exactly_pdgetrf():
-    """pivoting="pp" routes the panel to PDGETF2: bit-for-bit the baseline."""
+    """pivoting="pp" routes the panel to PDGETF2: bit-for-bit the baseline
+    driver (the shared block LU with the PDGETF2 panel)."""
     A = randn(32, seed=3)
     grid = ProcessGrid(2, 2)
-    res_pp = pcalu(A, grid, block_size=8, machine=ibm_power5(), engine="event",
-                   pivoting="pp")
-    ref = pdgetrf(A, grid, block_size=8, machine=ibm_power5(), engine="event")
+    res_pp = pcalu(A, p5(grid, 8, "event", pivoting="pp"))
+    ref = run_block_lu(A, grid, 8, panel_factory=make_pdgetf2_panel,
+                       machine=ibm_power5(), engine="event")
     assert np.array_equal(res_pp.perm, ref.perm)
     assert np.array_equal(res_pp.L, ref.L)
     assert np.array_equal(res_pp.U, ref.U)
@@ -308,8 +313,8 @@ def test_pcalu_pp_is_exactly_pdgetrf():
 def test_event_engine_bitwise_reproducible():
     A = randn(32, seed=17)
     grid = ProcessGrid(2, 2)
-    first = pcalu(A, grid, block_size=8, machine=ibm_power5(), engine="event")
-    second = pcalu(A, grid, block_size=8, machine=ibm_power5(), engine="event")
+    first = pcalu(A, p5(grid, 8, "event"))
+    second = pcalu(A, p5(grid, 8, "event"))
     assert_traces_identical(first.trace, second.trace)
     assert first.trace.ranks[0].zero_copy_sends == second.trace.ranks[0].zero_copy_sends
     assert np.array_equal(first.L, second.L)
@@ -431,8 +436,8 @@ def test_event_engine_runs_paper_scale_tslu():
 def test_coroutine_engine_bitwise_reproducible():
     A = randn(32, seed=17)
     grid = ProcessGrid(2, 2)
-    first = pcalu(A, grid, block_size=8, machine=ibm_power5(), engine="coroutine")
-    second = pcalu(A, grid, block_size=8, machine=ibm_power5(), engine="coroutine")
+    first = pcalu(A, p5(grid, 8, "coroutine"))
+    second = pcalu(A, p5(grid, 8, "coroutine"))
     assert_traces_identical(first.trace, second.trace)
     assert np.array_equal(first.L, second.L)
     assert np.array_equal(first.U, second.U)  # bitwise, not just allclose
@@ -555,10 +560,7 @@ def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
     merges = {}
     for engine in ENGINES:
         del host_merges[:]
-        results[engine] = pdgesv(
-            A, rhs, grid, block_size=b, machine=ibm_power5(), engine=engine,
-            pivoting=pivoting,
-        )
+        results[engine] = pdgesv(A, rhs, p5(grid, b, engine, pivoting=pivoting))
         merges[engine] = sum(host_merges)
     pow2 = 1 << (pr.bit_length() - 1)
     per_rank_path = panels * (pow2 * (pow2.bit_length() - 1) + (pr - pow2))

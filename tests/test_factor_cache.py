@@ -23,15 +23,19 @@ import threading
 import numpy as np
 import pytest
 
+from repro.core.options import SolveConfig
 from repro.harness import FactorCache, factor_key, generate_matrix
 from repro.harness.factor_cache import ENV_MAX_BYTES, ENV_VAR
-from repro.layouts import ProcessGrid
-from repro.machines import unit_machine
 from repro.parallel import pdgesv, pdgesv_solve
 
 
 def _cache(tmp_path, **kw):
     return FactorCache(root=tmp_path / "factors", **kw)
+
+
+def p4() -> SolveConfig:
+    """P = 4 (a 2 x 2 grid), b = 8, the unit machine."""
+    return SolveConfig.resolve(grid=4, b=8)
 
 
 # --------------------------------------------------------------------- keying
@@ -64,8 +68,7 @@ def test_generate_matrix_kinds_and_unknown_kind():
 # --------------------------------------------------------------- miss-then-hit
 def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
     cache = _cache(tmp_path)
-    kw = dict(kind="randn", n=48, seed=7, grid=4, block_size=8,
-              machine=unit_machine())
+    kw = dict(kind="randn", n=48, seed=7, config=p4())
     miss = cache.fetch_or_factor(**kw)
     assert not miss.cached
     assert miss.path.is_file()
@@ -86,8 +89,7 @@ def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
 
 def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
     cache = _cache(tmp_path)
-    kw = dict(kind="randn", n=48, seed=7, grid=4, block_size=8,
-              machine=unit_machine())
+    kw = dict(kind="randn", n=48, seed=7, config=p4())
     cache.fetch_or_factor(**kw)          # populate
     hit = cache.fetch_or_factor(**kw)    # disk round-trip
     assert hit.cached
@@ -95,9 +97,8 @@ def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
     A = generate_matrix("randn", 48, seed=7)
     rng = np.random.default_rng(0)
     b = A @ rng.standard_normal(48)
-    grid = ProcessGrid.default_for(4)
-    cold = pdgesv(A, b, grid, block_size=8, machine=unit_machine())
-    warm = pdgesv_solve(hit.factor, b, machine=unit_machine())
+    cold = pdgesv(A, b, p4())
+    warm = pdgesv_solve(hit.factor, b, p4())
     assert np.array_equal(cold.x, warm.x)
     assert cold.residual_norms == warm.residual_norms
     assert cold.backward_errors == warm.backward_errors
@@ -105,8 +106,7 @@ def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
 
 def test_force_recomputes_and_use_cache_false_bypasses_store(tmp_path):
     cache = _cache(tmp_path)
-    kw = dict(kind="randn", n=32, seed=1, grid=4, block_size=8,
-              machine=unit_machine())
+    kw = dict(kind="randn", n=32, seed=1, config=p4())
     first = cache.fetch_or_factor(**kw)
     forced = cache.fetch_or_factor(force=True, **kw)
     assert not forced.cached
@@ -123,8 +123,7 @@ def test_env_var_relocates_cache(tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_VAR, str(tmp_path / "relocated"))
     cache = FactorCache()
     assert cache.root == tmp_path / "relocated"
-    cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4, block_size=8,
-                          machine=unit_machine())
+    cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     assert cache.count() == 1
     assert (tmp_path / "relocated").is_dir()
 
@@ -133,8 +132,7 @@ def test_env_var_relocates_cache(tmp_path, monkeypatch):
 def test_lru_cap_evicts_least_recently_used(tmp_path, monkeypatch):
     cache = _cache(tmp_path)
     kws = [
-        dict(kind="randn", n=32, seed=s, grid=4, block_size=8,
-             machine=unit_machine())
+        dict(kind="randn", n=32, seed=s, config=p4())
         for s in (0, 1, 2)
     ]
     fetches = [cache.fetch_or_factor(**kw) for kw in kws]
@@ -157,8 +155,7 @@ def test_lru_cap_evicts_least_recently_used(tmp_path, monkeypatch):
 
 def test_save_never_evicts_the_just_written_artifact(tmp_path):
     cache = _cache(tmp_path)
-    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, machine=unit_machine())
+    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     tiny = FactorCache(root=cache.root, max_bytes=1)  # below any artifact
     tiny.save(fetch.factor, fetch.key, kind="randn", seed=0)
     assert tiny.count() == 1  # the write survives; the cap holds for others
@@ -176,8 +173,7 @@ def test_max_bytes_env_var(tmp_path, monkeypatch):
 def test_entries_count_bytes_purge(tmp_path):
     cache = _cache(tmp_path)
     for s in (0, 1):
-        cache.fetch_or_factor(kind="randn", n=32, seed=s, grid=4,
-                              block_size=8, machine=unit_machine())
+        cache.fetch_or_factor(kind="randn", n=32, seed=s, config=p4())
     entries = cache.entries()
     assert len(entries) == cache.count() == 2
     assert cache.total_bytes() == sum(int(e["bytes"]) for e in entries)
@@ -190,12 +186,10 @@ def test_entries_count_bytes_purge(tmp_path):
 
 def test_corrupt_artifact_is_a_miss(tmp_path):
     cache = _cache(tmp_path)
-    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, machine=unit_machine())
+    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     fetch.path.write_bytes(b"not an npz")
     assert cache.load(fetch.key) is None
-    again = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                  block_size=8, machine=unit_machine())
+    again = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     assert not again.cached  # recomputed, not served corrupt bits
     assert np.array_equal(again.factor.packed, fetch.factor.packed)
 
@@ -220,8 +214,7 @@ def test_fetch_or_factor_is_single_flight(tmp_path, monkeypatch):
     def worker(i):
         barrier.wait()
         results[i] = cache.fetch_or_factor(
-            kind="randn", n=32, seed=0, grid=4, block_size=8,
-            machine=unit_machine(),
+            kind="randn", n=32, seed=0, config=p4()
         )
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]

@@ -20,6 +20,7 @@ import threading
 
 import pytest
 
+from repro.core.options import SolveConfig
 from repro.distsim import UnknownEngineError, run_spmd
 from repro.experiments import (
     factorization_tables,
@@ -256,8 +257,8 @@ def test_cache_list_still_lists_factors_of_a_removed_engine(tmp_path, capsys):
     from repro.harness.factor_cache import FactorCache, factor_key
 
     cache = FactorCache(root=tmp_path / "factors")
-    factor = cache.fetch_or_factor(kind="randn", n=32, seed=0, grid=4,
-                                   block_size=8).factor
+    factor = cache.fetch_or_factor(kind="randn", n=32, seed=0,
+                                   config=SolveConfig.resolve(grid=4, b=8)).factor
     old = dataclasses.replace(factor, engine=STALE_ENGINE, source=None)
     cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, old.pivoting,
                                old.kernel_tier, STALE_ENGINE), kind="randn", seed=0)
@@ -684,6 +685,81 @@ def test_cli_bench_serve_reports_speedup(tmp_path, capsys):
     assert "pdgesv-per-request" in out
     assert out.count("service") == 2  # one row per window
     assert "speedup_vs_pdgesv" in out
+
+
+def _tune_artifact(path, engine="coroutine"):
+    """A stored tune artifact whose winner is CAPS on the reference tier."""
+    path.write_text(json.dumps({
+        "spec": "tune", "engine": engine,
+        "rows": [{"chosen": True, "grid": "2x2", "b": 8, "nrhs": 1,
+                  "pivoting": "ca_prrp", "kernel_tier": "reference",
+                  "matmul": "caps", "machine": "ibm_power5"}],
+    }))
+    return str(path)
+
+
+def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
+    from repro.harness.cli import build_parser, config_from_args
+
+    ref = _tune_artifact(tmp_path / "tune.json", engine="event")
+    parse = build_parser().parse_args
+    tuned = config_from_args(parse(["serve", "--tuned", ref]))
+    assert (tuned.pivoting, tuned.kernel_tier, tuned.matmul) == ("ca_prrp", "reference", "caps")
+    assert (tuned.grid, tuned.b, tuned.nrhs) == ((2, 2), 8, 16)
+    # The engine and the machine never come from the artifact.
+    assert tuned.engine == "coroutine" and tuned.machine is None
+    flags = config_from_args(parse(["serve", "--tuned", ref, "--matmul", "summa",
+                                    "--P", "8", "--b", "4"]))
+    assert (flags.matmul, flags.grid, flags.b) == ("summa", (2, 4), 4)
+    assert flags.pivoting == "ca_prrp"
+    plain = config_from_args(parse(["serve"]))
+    assert (plain.grid, plain.b) == (None, None)  # the factor cache's P=4, b=16
+
+
+def test_cli_bench_serve_baseline_factors_with_the_served_config(tmp_path, monkeypatch):
+    """The cold-pdgesv baseline row runs exactly the configuration the service
+    rows serve — under --tuned too, where tier and matmul come from the
+    artifact rather than the ambient context."""
+    import repro.harness.serving as serving
+    import repro.parallel.psolve as psolve
+
+    baseline, served = [], []
+    real_pdgesv, RealService = psolve.pdgesv, serving.SolveService
+
+    def pdgesv(A, b, config, **kw):
+        baseline.append(config)
+        return real_pdgesv(A, b, config, **kw)
+
+    class Service(RealService):
+        def __init__(self, factor, *args, **kw):
+            served.append(factor.config)
+            super().__init__(factor, *args, **kw)
+
+    monkeypatch.setattr(psolve, "pdgesv", pdgesv)
+    monkeypatch.setattr(serving, "SolveService", Service)
+    ref = _tune_artifact(tmp_path / "tune.json")
+    assert run_cli(
+        ["bench-serve", "--n", "32", "--requests", "4", "--windows", "2",
+         "--baseline-requests", "2", "--tuned", ref,
+         "--factor-cache-dir", str(tmp_path / "factors")],
+        tmp_path,
+    ) == 0
+    assert len(baseline) == 2 and len(served) == 1
+    assert baseline == served * 2
+    assert (served[0].matmul, served[0].kernel_tier) == ("caps", "reference")
+
+
+def test_result_store_entries_and_purge(tmp_path):
+    store = ResultStore(root=tmp_path)
+    assert store.entries() == [] and store.purge() == 0
+    store.fetch_or_run(get_spec("figure1"))
+    store.fetch_or_run(get_spec("table2"), quick=True)
+    (tmp_path / "empty_spec").mkdir()
+    entries = store.entries()
+    assert [e["spec"] for e in entries] == ["figure1", "table2"]
+    assert all(e["artifacts"] == 1 and e["bytes"] > 0 for e in entries)
+    assert store.purge() == 2
+    assert store.entries() == [] and store.count("figure1") == 0
 
 
 def test_cli_cache_list_and_purge(tmp_path, capsys):

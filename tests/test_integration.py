@@ -8,13 +8,17 @@ import numpy as np
 import pytest
 
 from repro.core import calu, calu_solve
-from repro.layouts import ProcessGrid
+from repro.core.options import SolveConfig
 from repro.machines import ibm_power5, unit_machine
 from repro.models import calu_cost, pdgetf2_cost, pdgetrf_cost, tslu_cost
 from repro.parallel import pcalu, ptslu
 from repro.randmat import linear_system, randn, tall_skinny
-from repro.scalapack import pdgetrf
 from repro.stability import hpl_residuals
+
+
+def cfg(grid, b, **knobs):
+    """A run on ``grid`` with block size ``b`` (the unit machine by default)."""
+    return SolveConfig.resolve(grid=grid, b=b, **knobs)
 
 
 def test_end_to_end_factor_solve_verify():
@@ -35,7 +39,7 @@ def test_sequential_and_distributed_calu_agree_numerically():
     """
     A = randn(48, seed=2)
     seq = calu(A, block_size=8, nblocks=2, partition="block_cyclic")
-    par = pcalu(A, ProcessGrid(2, 2), block_size=8)
+    par = pcalu(A, cfg((2, 2), 8))
     assert np.allclose(A[par.perm, :], par.L @ par.U, atol=1e-10)
     assert np.allclose(A[seq.perm, :], seq.L @ seq.U, atol=1e-10)
     assert np.max(np.abs(seq.L)) < 10.0
@@ -57,9 +61,9 @@ def test_pdgetf2_vs_tslu_message_ratio_matches_model(P):
     """Measured per-panel message ratio is of order b, as the models predict."""
     n, b = 16 * P, 4
     A = randn(n, seed=P)
-    grid = ProcessGrid(P, 1)
-    calu_run = pcalu(A, grid, block_size=b, machine=unit_machine())
-    ref_run = pdgetrf(A, grid, block_size=b, machine=unit_machine())
+    config = cfg((P, 1), b)
+    calu_run = pcalu(A, config)
+    ref_run = pcalu(A, config.replace(pivoting="pp"))
     measured_ratio = ref_run.trace.max_messages / calu_run.trace.max_messages
     model_ratio = (
         pdgetf2_cost(n, b, P).messages_col / tslu_cost(n, b, P).messages_col
@@ -76,8 +80,7 @@ def test_full_factorization_message_counts_within_model_factor():
     implementation constants (swap scheme, extra winner broadcast)."""
     n, b, Pr, Pc = 48, 8, 2, 2
     A = randn(n, seed=5)
-    grid = ProcessGrid(Pr, Pc)
-    calu_run = pcalu(A, grid, block_size=b, machine=unit_machine())
+    calu_run = pcalu(A, cfg((Pr, Pc), b))
     model = calu_cost(n, n, b, Pr, Pc, swap_scheme="pdlaswp")
     measured = calu_run.trace.max_messages
     predicted = model.messages_col + model.messages_row
@@ -88,10 +91,10 @@ def test_simulated_times_order_algorithms_like_models():
     """Under the POWER5 model, the simulator and Eq. 2/3 agree on who wins."""
     n, b, Pr, Pc = 64, 8, 2, 2
     A = randn(n, seed=6)
-    grid = ProcessGrid(Pr, Pc)
+    config = cfg((Pr, Pc), b, machine="ibm_power5")
     machine = ibm_power5()
-    t_calu_sim = pcalu(A, grid, block_size=b, machine=machine).trace.critical_path_time
-    t_ref_sim = pdgetrf(A, grid, block_size=b, machine=machine).trace.critical_path_time
+    t_calu_sim = pcalu(A, config).trace.critical_path_time
+    t_ref_sim = pcalu(A, config.replace(pivoting="pp")).trace.critical_path_time
     t_calu_model = calu_cost(n, n, b, Pr, Pc).time(machine)
     t_ref_model = pdgetrf_cost(n, n, b, Pr, Pc).time(machine)
     assert (t_calu_sim < t_ref_sim) == (t_calu_model < t_ref_model)
@@ -102,5 +105,5 @@ def test_flop_conservation_between_sequential_and_parallel():
     n, b = 32, 8
     A = randn(n, seed=7)
     seq = calu(A, block_size=b, nblocks=2, partition="block_cyclic")
-    par = pcalu(A, ProcessGrid(2, 2), block_size=b, machine=unit_machine())
+    par = pcalu(A, cfg((2, 2), b))
     assert par.trace.total_flops == pytest.approx(seq.flops.total, rel=0.5)

@@ -216,26 +216,27 @@ def test_strassen_lower_bound_is_a_floor_for_caps():
 
 # ------------------------------------------------ LU driver integration
 def test_default_backend_is_bit_identical_through_pcalu():
+    from repro.core.options import SolveConfig
     from repro.parallel.pcalu import pcalu
 
     A = randn(48, seed=11)
-    grid = ProcessGrid(2, 2)
-    base = pcalu(A, grid, 8)
-    explicit = pcalu(A, grid, 8, matmul="summa")
+    base = pcalu(A, SolveConfig.resolve(grid=(2, 2), b=8))
+    explicit = pcalu(A, SolveConfig.resolve(grid=(2, 2), b=8, matmul="summa"))
     assert base.L.tobytes() == explicit.L.tobytes()
     assert base.U.tobytes() == explicit.U.tobytes()
     assert np.array_equal(base.perm, explicit.perm)
 
 
 def test_caps_backend_through_pcalu_factors_correctly():
+    from repro.core.options import SolveConfig
     from repro.parallel.pcalu import pcalu
 
     A = randn(48, seed=12)
-    grid = ProcessGrid(2, 2)
-    res = pcalu(A, grid, 8, matmul="caps")
+    caps = SolveConfig.resolve(grid=(2, 2), b=8, matmul="caps")
+    res = pcalu(A, caps)
     err = np.max(np.abs(A[res.perm, :] - res.L @ res.U))
     assert err < 1e-11
-    ref = pcalu(A, grid, 8, matmul="summa")
+    ref = pcalu(A, caps.replace(matmul="summa"))
     # Same pivots (pivoting is decided before the trailing update), and the
     # factors agree to roundoff — Strassen reassociates the arithmetic.
     assert np.array_equal(res.perm, ref.perm)
@@ -243,12 +244,13 @@ def test_caps_backend_through_pcalu_factors_correctly():
 
 
 def test_pdgesv_solves_with_caps_backend():
+    from repro.core.options import SolveConfig
     from repro.parallel.psolve import pdgesv
 
     n = 48
     A = randn(n, seed=13)
     x_true = randn(n, 2, seed=14)
-    res = pdgesv(A, A @ x_true, ProcessGrid(2, 2), block_size=8, matmul="caps")
+    res = pdgesv(A, A @ x_true, SolveConfig.resolve(grid=(2, 2), b=8, matmul="caps"))
     assert np.max(np.abs(res.x - x_true)) < 1e-9
 
 
@@ -264,6 +266,7 @@ def test_context_key_depends_on_matmul(tmp_path):
 
 
 def test_factor_cache_keys_and_roundtrips_matmul(tmp_path):
+    from repro.core.options import SolveConfig
     from repro.harness.factor_cache import FactorCache, factor_key
 
     k1 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "lapack", "event")
@@ -272,15 +275,13 @@ def test_factor_cache_keys_and_roundtrips_matmul(tmp_path):
     assert k1 != k2
 
     cache = FactorCache(root=tmp_path)
-    first = cache.fetch_or_factor(n=48, grid=ProcessGrid(2, 2), block_size=8,
-                                  matmul="caps")
+    caps = SolveConfig.resolve(grid=(2, 2), b=8, matmul="caps")
+    first = cache.fetch_or_factor(n=48, config=caps)
     assert not first.cached
-    again = cache.fetch_or_factor(n=48, grid=ProcessGrid(2, 2), block_size=8,
-                                  matmul="caps")
+    again = cache.fetch_or_factor(n=48, config=caps)
     assert again.cached
     assert again.factor.matmul == "caps"
-    other = cache.fetch_or_factor(n=48, grid=ProcessGrid(2, 2), block_size=8,
-                                  matmul="summa")
+    other = cache.fetch_or_factor(n=48, config=caps.replace(matmul="summa"))
     assert not other.cached  # distinct artifact per backend
     assert other.factor.matmul == "summa"
 

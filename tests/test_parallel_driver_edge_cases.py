@@ -5,42 +5,48 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.layouts import ProcessGrid
-from repro.machines import unit_machine
+from repro.core.options import SolveConfig
 from repro.parallel import pcalu
 from repro.randmat import diagonally_dominant, randn
-from repro.scalapack import pdgetrf
+
+#: CALU and PDGETRF: the one driver under its two panel strategies.
+DRIVERS = pytest.mark.parametrize("pivoting", [None, "pp"], ids=["pcalu", "pdgetrf"])
 
 
-@pytest.mark.parametrize("fn", [pcalu, pdgetrf])
-def test_matrix_smaller_than_one_block(fn):
+def cfg(grid, b, pivoting=None):
+    """A run on ``grid`` with block size ``b`` (default pivoting: CALU)."""
+    return SolveConfig.resolve(grid=grid, b=b, pivoting=pivoting)
+
+
+@DRIVERS
+def test_matrix_smaller_than_one_block(pivoting):
     """The whole matrix fits in a single panel: no trailing update at all."""
     A = randn(6, seed=1)
-    res = fn(A, ProcessGrid(2, 2), block_size=8)
+    res = pcalu(A, cfg((2, 2), 8, pivoting))
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-12)
 
 
-@pytest.mark.parametrize("fn", [pcalu, pdgetrf])
-def test_tall_rectangular_matrix(fn):
+@DRIVERS
+def test_tall_rectangular_matrix(pivoting):
     A = randn(40, seed=2)[:, :16]
-    res = fn(A, ProcessGrid(2, 2), block_size=4)
+    res = pcalu(A, cfg((2, 2), 4, pivoting))
     assert res.L.shape == (40, 16)
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-11)
 
 
-@pytest.mark.parametrize("fn", [pcalu, pdgetrf])
-def test_grid_larger_than_block_rows(fn):
+@DRIVERS
+def test_grid_larger_than_block_rows(pivoting):
     """More process rows than block rows: some ranks own nothing at times."""
     A = randn(16, seed=3)
-    res = fn(A, ProcessGrid(4, 2), block_size=4)
+    res = pcalu(A, cfg((4, 2), 4, pivoting))
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-11)
 
 
-@pytest.mark.parametrize("fn", [pcalu, pdgetrf])
-def test_no_pivoting_needed_matrix(fn):
+@DRIVERS
+def test_no_pivoting_needed_matrix(pivoting):
     """Diagonally dominant input: the factorization should barely permute."""
     A = diagonally_dominant(24, seed=4)
-    res = fn(A, ProcessGrid(2, 2), block_size=6)
+    res = pcalu(A, cfg((2, 2), 6, pivoting))
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-11)
     # Diagonal dominance keeps every diagonal entry the column winner.
     assert np.array_equal(res.perm, np.arange(24))
@@ -48,8 +54,8 @@ def test_no_pivoting_needed_matrix(fn):
 
 def test_wide_grid_and_tall_grid_agree_numerically():
     A = randn(36, seed=5)
-    r1 = pcalu(A, ProcessGrid(1, 4), block_size=6, machine=unit_machine())
-    r2 = pcalu(A, ProcessGrid(4, 1), block_size=6, machine=unit_machine())
+    r1 = pcalu(A, cfg((1, 4), 6))
+    r2 = pcalu(A, cfg((4, 1), 6))
     assert np.allclose(A[r1.perm, :], r1.L @ r1.U, atol=1e-11)
     assert np.allclose(A[r2.perm, :], r2.L @ r2.U, atol=1e-11)
     # A single process row means no column-network traffic for the panel.
@@ -60,13 +66,13 @@ def test_swaps_recorded_match_permutation():
     from repro.scalapack import apply_swaps_to_permutation
 
     A = randn(32, seed=6)
-    res = pdgetrf(A, ProcessGrid(2, 2), block_size=8)
+    res = pcalu(A, cfg((2, 2), 8, "pp"))
     perm = apply_swaps_to_permutation(np.arange(32), res.swaps)
     assert np.array_equal(perm, res.perm)
 
 
 def test_all_ranks_return_identical_swap_lists():
     A = randn(24, seed=7)
-    res = pcalu(A, ProcessGrid(2, 2), block_size=8)
+    res = pcalu(A, cfg((2, 2), 8))
     swaps = [r["swaps"] for r in res.trace.results]
     assert all(s == swaps[0] for s in swaps)

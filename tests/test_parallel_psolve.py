@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core import calu, calu_solve, solve_with_refinement
+from repro.core.options import SolveConfig
 from repro.layouts import ProcessGrid
 from repro.machines import unit_machine
 from repro.models import solve_cost, solve_message_counts, validate_solve
@@ -21,6 +22,11 @@ from repro.parallel import pdgesv
 from repro.randmat import randn
 
 ENGINES = ("coroutine", "event")
+
+
+def cfg(pr: int, pc: int, b: int, **knobs) -> SolveConfig:
+    """A ``pr x pc`` grid, block size ``b``, the unit machine, ``knobs``."""
+    return SolveConfig.resolve(grid=(pr, pc), b=b, **knobs)
 
 
 def _system(n: int, nrhs: int, seed: int):
@@ -46,10 +52,7 @@ def _system(n: int, nrhs: int, seed: int):
 def test_pdgesv_matches_sequential_calu_solve(n, b, pr, pc, nrhs, engine):
     """The acceptance bar: distributed and sequential solutions agree to 1e-12."""
     A, x_true, rhs = _system(n, nrhs, seed=pr * 10 + pc)
-    res = pdgesv(
-        A, rhs, ProcessGrid(pr, pc), block_size=b,
-        machine=unit_machine(), engine=engine,
-    )
+    res = pdgesv(A, rhs, cfg(pr, pc, b, engine=engine))
     seq = calu_solve(A, rhs, block_size=b, nblocks=pr)
     assert np.max(np.abs(res.x - seq.x)) < 1e-12
     assert np.max(np.abs(res.x - x_true)) < 1e-12
@@ -59,9 +62,7 @@ def test_pdgesv_matches_sequential_calu_solve(n, b, pr, pc, nrhs, engine):
 @pytest.mark.parametrize("pivoting", ["ca", "pp", "ca_prrp"])
 def test_pdgesv_honors_pivoting_knob(pivoting):
     A, x_true, rhs = _system(36, 2, seed=3)
-    res = pdgesv(
-        A, rhs, ProcessGrid(2, 2), block_size=8, pivoting=pivoting
-    )
+    res = pdgesv(A, rhs, cfg(2, 2, 8, pivoting=pivoting))
     seq = calu_solve(A, rhs, block_size=8, nblocks=2, pivoting=pivoting)
     assert np.max(np.abs(res.x - seq.x)) < 1e-12
     assert np.max(np.abs(res.x - x_true)) < 1e-12
@@ -71,22 +72,15 @@ def test_pdgesv_honors_pivoting_knob(pivoting):
 def test_pdgesv_kernel_tier_bit_identical():
     """The fast kernel tier must not change the simulated solution at all."""
     A, _, rhs = _system(36, 2, seed=4)
-    grid = ProcessGrid(2, 2)
-    ref = pdgesv(A, rhs, grid, block_size=8, kernel_tier="reference")
-    fast = pdgesv(A, rhs, grid, block_size=8, kernel_tier="lapack")
+    ref = pdgesv(A, rhs, cfg(2, 2, 8, kernel_tier="reference"))
+    fast = pdgesv(A, rhs, cfg(2, 2, 8, kernel_tier="lapack"))
     assert np.array_equal(ref.x, fast.x)
 
 
 def test_pdgesv_cross_engine_parity():
     """Both engines must produce identical solutions and identical traces."""
     A, _, rhs = _system(30, 2, seed=5)
-    grid = ProcessGrid(2, 3)
-    runs = {
-        engine: pdgesv(
-            A, rhs, grid, block_size=7, machine=unit_machine(), engine=engine
-        )
-        for engine in ENGINES
-    }
+    runs = {engine: pdgesv(A, rhs, cfg(2, 3, 7, engine=engine)) for engine in ENGINES}
     ev, co = runs["event"], runs["coroutine"]
     assert np.array_equal(ev.x, co.x)
     assert ev.iterations == co.iterations
@@ -104,10 +98,10 @@ def test_pdgesv_multi_rhs_matches_looped_single_rhs():
     cannot diverge from the per-column one.
     """
     A, _, rhs = _system(40, 3, seed=6)
-    grid = ProcessGrid(2, 2)
-    multi = pdgesv(A, rhs, grid, block_size=8, refine=1, tolerance=0.0)
+    config = cfg(2, 2, 8)
+    multi = pdgesv(A, rhs, config, refine=1, tolerance=0.0)
     singles = [
-        pdgesv(A, rhs[:, j], grid, block_size=8, refine=1, tolerance=0.0)
+        pdgesv(A, rhs[:, j], config, refine=1, tolerance=0.0)
         for j in range(rhs.shape[1])
     ]
     assert np.max(np.abs(multi.x - np.column_stack([s.x for s in singles]))) < 1e-12
@@ -125,7 +119,7 @@ def test_pdgesv_multi_rhs_matches_looped_single_rhs():
 def test_pdgesv_vector_rhs_round_trip():
     """A 1-D right-hand side must come back as a 1-D solution."""
     A, x_true, rhs = _system(32, 1, seed=7)
-    res = pdgesv(A, rhs[:, 0], ProcessGrid(2, 2), block_size=8)
+    res = pdgesv(A, rhs[:, 0], cfg(2, 2, 8))
     assert res.x.ndim == 1
     assert np.max(np.abs(res.x - x_true[:, 0])) < 1e-12
     assert len(res.per_rhs_residuals[0]) == 1
@@ -133,16 +127,16 @@ def test_pdgesv_vector_rhs_round_trip():
 
 def test_pdgesv_single_process_grid_sends_nothing():
     A, x_true, rhs = _system(24, 1, seed=8)
-    res = pdgesv(A, rhs, ProcessGrid(1, 1), block_size=8)
+    res = pdgesv(A, rhs, cfg(1, 1, 8))
     assert res.trace.total_messages == 0
     assert np.max(np.abs(res.x - x_true)) < 1e-12
 
 
 def test_pdgesv_input_validation():
     with pytest.raises(ValueError, match="square"):
-        pdgesv(np.zeros((4, 3)), np.zeros(4), ProcessGrid(1, 1), block_size=2)
+        pdgesv(np.zeros((4, 3)), np.zeros(4), cfg(1, 1, 2))
     with pytest.raises(ValueError, match="rows"):
-        pdgesv(np.eye(4), np.zeros(5), ProcessGrid(1, 1), block_size=2)
+        pdgesv(np.eye(4), np.zeros(5), cfg(1, 1, 2))
 
 
 # ------------------------------------------------- refinement convergence
@@ -150,7 +144,7 @@ def test_pdgesv_input_validation():
 def test_pdgesv_refinement_matches_sequential_regression(n, b, pr, pc, seed):
     """Same seed, same refinement trajectory as ``solve_with_refinement``."""
     A, _, rhs = _system(n, 1, seed=seed)
-    par = pdgesv(A, rhs, ProcessGrid(pr, pc), block_size=b)
+    par = pdgesv(A, rhs, cfg(pr, pc, b))
     seq = solve_with_refinement(A, rhs, calu(A, block_size=b, nblocks=pr))
     assert par.iterations == seq.iterations
     assert len(par.residual_norms) == len(seq.residual_norms)
@@ -187,10 +181,7 @@ def test_solve_message_counts_match_model(n, b, pr, pc, nrhs, engine):
     """On the unit-latency machine the measured solve messages are exactly
     the solve model's prediction — per channel and in total."""
     A, _, rhs = _system(n, nrhs, seed=13)
-    res = pdgesv(
-        A, rhs, ProcessGrid(pr, pc), block_size=b,
-        machine=unit_machine(), engine=engine,
-    )
+    res = pdgesv(A, rhs, cfg(pr, pc, b, engine=engine))
     check = validate_solve(
         res.trace, n, b, pr, pc, unit_machine(),
         nrhs=nrhs, refinements=res.iterations,
@@ -256,7 +247,7 @@ def test_solve_simulated_time_within_model_envelope():
     """The analytic critical path is a serial bound: the simulated (pipelined)
     time lands below it but within a small constant factor."""
     A, _, rhs = _system(48, 1, seed=17)
-    res = pdgesv(A, rhs, ProcessGrid(2, 2), block_size=8, machine=unit_machine())
+    res = pdgesv(A, rhs, cfg(2, 2, 8))
     check = validate_solve(
         res.trace, 48, 8, 2, 2, unit_machine(), nrhs=1, refinements=res.iterations
     )
@@ -280,17 +271,11 @@ def test_pdgesv_solve_bit_identical_to_cold_pdgesv(n, b, pr, pc, nrhs, engine):
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, rhs = _system(n, nrhs, seed=pr * 10 + pc)
-    grid = ProcessGrid(pr, pc)
-    cold = pdgesv(
-        A, rhs, grid, block_size=b, machine=unit_machine(), engine=engine
-    )
-    factor = pcalu_factor(
-        A, grid, b, machine=unit_machine(), engine=engine
-    )
+    config = cfg(pr, pc, b, engine=engine)
+    cold = pdgesv(A, rhs, config)
+    factor = pcalu_factor(A, config)
     for _ in range(2):  # reuse is idempotent
-        warm = pdgesv_solve(
-            factor, rhs, machine=unit_machine(), engine=engine
-        )
+        warm = pdgesv_solve(factor, rhs, config)
         assert np.array_equal(cold.x, warm.x)
         assert cold.residual_norms == warm.residual_norms
         assert cold.per_rhs_residuals == warm.per_rhs_residuals
@@ -311,9 +296,9 @@ def test_pdgesv_solve_validates_rhs_rows():
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, _ = _system(32, 1, seed=5)
-    factor = pcalu_factor(A, ProcessGrid(2, 2), 8, machine=unit_machine())
+    factor = pcalu_factor(A, cfg(2, 2, 8))
     with pytest.raises(ValueError, match="rows"):
-        pdgesv_solve(factor, np.zeros(31), machine=unit_machine())
+        pdgesv_solve(factor, np.zeros(31))
 
 
 @pytest.mark.parametrize("engine", ENGINES)
@@ -323,29 +308,22 @@ def test_pdgesv_solve_rhs_slo_drives_extra_refinement(engine):
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, rhs = _system(48, 2, seed=9)
-    factor = pcalu_factor(
-        A, ProcessGrid(2, 2), 8, machine=unit_machine(), engine=engine
-    )
-    legacy = pdgesv_solve(factor, rhs, machine=unit_machine(), engine=engine)
-    none_slo = pdgesv_solve(
-        factor, rhs, machine=unit_machine(), engine=engine, rhs_slo=None
-    )
+    config = cfg(2, 2, 8, engine=engine)
+    factor = pcalu_factor(A, config)
+    legacy = pdgesv_solve(factor, rhs, config)
+    none_slo = pdgesv_solve(factor, rhs, config, rhs_slo=None)
     assert np.array_equal(legacy.x, none_slo.x)
     assert legacy.residual_norms == none_slo.residual_norms
 
     # An infinite SLO changes nothing either (converged() degenerates to
     # the legacy tolerance check).
-    inf_slo = pdgesv_solve(
-        factor, rhs, machine=unit_machine(), engine=engine,
-        rhs_slo=np.full(2, np.inf),
-    )
+    inf_slo = pdgesv_solve(factor, rhs, config, rhs_slo=np.full(2, np.inf))
     assert np.array_equal(legacy.x, inf_slo.x)
     assert legacy.iterations == inf_slo.iterations
 
     # An unreachable SLO exhausts the refinement budget.
     hard = pdgesv_solve(
-        factor, rhs, machine=unit_machine(), engine=engine,
-        refine=3, tolerance=0.0, rhs_slo=np.full(2, 1e-300),
+        factor, rhs, config, refine=3, tolerance=0.0, rhs_slo=np.full(2, 1e-300)
     )
     assert hard.iterations == 3
     assert hard.iterations > legacy.iterations
@@ -357,10 +335,7 @@ def test_pdgesv_zero_rhs_columns(engine):
     """nrhs = 0 is served cleanly: empty solution, no refinement, and the
     triangular sweeps still run structurally (messages flow, nothing solves)."""
     A, _, _ = _system(32, 1, seed=3)
-    res = pdgesv(
-        A, np.zeros((32, 0)), ProcessGrid(2, 2), block_size=8,
-        machine=unit_machine(), engine=engine,
-    )
+    res = pdgesv(A, np.zeros((32, 0)), cfg(2, 2, 8, engine=engine))
     assert res.x.shape == (32, 0)
     assert res.iterations == 0
     assert all(r == 0.0 for r in res.residual_norms)
@@ -372,12 +347,9 @@ def test_pdgesv_solve_zero_rhs_columns_from_factor(engine):
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, _ = _system(30, 1, seed=4)  # ragged n % b
-    factor = pcalu_factor(
-        A, ProcessGrid(2, 2), 7, machine=unit_machine(), engine=engine
-    )
-    res = pdgesv_solve(
-        factor, np.zeros((30, 0)), machine=unit_machine(), engine=engine
-    )
+    config = cfg(2, 2, 7, engine=engine)
+    factor = pcalu_factor(A, config)
+    res = pdgesv_solve(factor, np.zeros((30, 0)), config)
     assert res.x.shape == (30, 0)
     assert res.iterations == 0
 
@@ -424,8 +396,6 @@ def test_pdgesv_result_retains_one_factor_representation():
     the per-rank blocks besides: at most 3 n^2 doubles (it used to be 5.5)."""
     import gc
     import tracemalloc
-
-    from repro.core.options import SolveConfig
 
     n = 192
     A, _, rhs = _system(n, 2, seed=11)

@@ -128,10 +128,11 @@ def test_real_factorization_exercises_noncontiguous_trailing_sets():
     """b=4 on a 2x2 grid gives each rank interleaved block-columns, so the
     interior panels update scattered local column sets — the ix_ branch —
     and the factorization must still be exact."""
+    from repro.core.options import SolveConfig
     from repro.parallel.pcalu import pcalu
 
     n = 48
     A = randn(n, seed=21)
-    res = pcalu(A, ProcessGrid(2, 2), 4)
+    res = pcalu(A, SolveConfig.resolve(grid=(2, 2), b=4))
     err = np.max(np.abs(A[res.perm, :] - res.L @ res.U))
     assert err < 1e-12

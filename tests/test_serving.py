@@ -22,28 +22,26 @@ import time
 import numpy as np
 import pytest
 
+from repro.core.options import SolveConfig
 from repro.harness import SolveService
-from repro.layouts import ProcessGrid
-from repro.machines import unit_machine
 from repro.parallel import pcalu_factor, pdgesv, pdgesv_solve
 from repro.randmat import randn
 
 N, B = 48, 8
-GRID = ProcessGrid.default_for(4)
+
+
+def config() -> SolveConfig:
+    """P = 4 (a 2 x 2 grid), b = 8, the unit machine."""
+    return SolveConfig.resolve(grid=4, b=B)
 
 
 @pytest.fixture(scope="module")
 def setup():
     A = randn(N, seed=11)
-    factor = pcalu_factor(A, GRID, B, machine=unit_machine())
+    factor = pcalu_factor(A, config())
     rng = np.random.default_rng(42)
     rhs = [A @ rng.standard_normal(N) for _ in range(12)]
     return A, factor, rhs
-
-
-def _service(factor, **kw):
-    kw.setdefault("machine", unit_machine())
-    return SolveService(factor, **kw)
 
 
 # ------------------------------------------------------- concurrent coalescing
@@ -54,7 +52,7 @@ def test_threaded_submitters_coalesce_and_match_serial_pdgesv(setup):
     barrier = threading.Barrier(n_requests, timeout=30)
     outcomes = [None] * n_requests
 
-    with _service(factor, window=window, linger_s=0.05) as service:
+    with SolveService(factor, window=window, linger_s=0.05) as service:
         def submitter(i):
             barrier.wait()
             outcomes[i] = service.solve(rhs[i], slo=slo, timeout=120)
@@ -91,13 +89,13 @@ def test_threaded_submitters_coalesce_and_match_serial_pdgesv(setup):
     # Answers match one-at-a-time serial pdgesv to the repo's
     # batched-vs-per-column BLAS tolerance.
     for i, o in enumerate(outcomes):
-        serial = pdgesv(A, rhs[i], GRID, block_size=B, machine=unit_machine())
+        serial = pdgesv(A, rhs[i], config())
         assert o.x == pytest.approx(serial.x, abs=1e-13)
 
 
 def test_batches_are_bit_identical_to_coalesced_pdgesv_solve(setup):
     _, factor, rhs = setup
-    with _service(factor, window=4, start=False) as service:
+    with SolveService(factor, window=4, start=False) as service:
         futures = [service.submit(b) for b in rhs[:8]]
         assert service.drain() == 2
     outcomes = [f.result(timeout=0) for f in futures]
@@ -106,7 +104,7 @@ def test_batches_are_bit_identical_to_coalesced_pdgesv_solve(setup):
     # bitwise the same-shape pdgesv_solve batch.
     for lo in (0, 4):
         batch = np.column_stack(rhs[lo : lo + 4])
-        direct = pdgesv_solve(factor, batch, machine=unit_machine())
+        direct = pdgesv_solve(factor, batch)
         for j, o in enumerate(outcomes[lo : lo + 4]):
             assert np.array_equal(o.x, direct.x[:, j])
             assert o.iterations == direct.iterations
@@ -117,7 +115,7 @@ def test_batches_are_bit_identical_to_coalesced_pdgesv_solve(setup):
 # ------------------------------------------------------------- drain semantics
 def test_drain_is_deterministic_in_submission_order(setup):
     _, factor, rhs = setup
-    service = _service(factor, window=3, start=False)
+    service = SolveService(factor, window=3, start=False)
     futures = [service.submit(b) for b in rhs[:7]]
     assert service.drain() == 3  # ceil(7/3): batches of 3, 3, 1
     batch_ids = [f.result(timeout=0).batch_id for f in futures]
@@ -130,14 +128,14 @@ def test_drain_is_deterministic_in_submission_order(setup):
 
 def test_drain_requires_stopped_dispatcher(setup):
     _, factor, _ = setup
-    with _service(factor) as service:
+    with SolveService(factor) as service:
         with pytest.raises(RuntimeError, match="start=False"):
             service.drain()
 
 
 def test_multi_column_request_stays_whole_and_bounds_by_columns(setup):
     _, factor, rhs = setup
-    service = _service(factor, window=4, start=False)
+    service = SolveService(factor, window=4, start=False)
     wide = np.column_stack(rhs[:3])  # 3 columns
     f_wide = service.submit(wide)
     f_one = service.submit(rhs[3])
@@ -155,7 +153,7 @@ def test_multi_column_request_stays_whole_and_bounds_by_columns(setup):
 
 def test_zero_column_request_is_fulfilled_immediately(setup):
     _, factor, _ = setup
-    with _service(factor, start=False) as service:
+    with SolveService(factor, start=False) as service:
         outcome = service.submit(np.zeros((N, 0))).result(timeout=0)
     assert outcome.x.shape == (N, 0)
     assert outcome.met_slo and outcome.residual == 0.0
@@ -167,8 +165,8 @@ def test_zero_column_request_is_fulfilled_immediately(setup):
 def test_slo_drives_refinement_and_miss_is_reported(setup):
     _, factor, rhs = setup
     # Absurdly tight SLO: refinement runs to its budget, miss is recorded.
-    with _service(factor, window=2, refine=2, start=False,
-                  tolerance=0.0) as service:
+    with SolveService(factor, window=2, refine=2, start=False,
+                      tolerance=0.0) as service:
         fut = service.submit(rhs[0], slo=1e-30)
         service.drain()
     o = fut.result(timeout=0)
@@ -177,7 +175,7 @@ def test_slo_drives_refinement_and_miss_is_reported(setup):
     assert service.stats.slo_misses == 1
 
     # A loose SLO is met without extra refinement.
-    with _service(factor, window=2, refine=2, start=False) as service:
+    with SolveService(factor, window=2, refine=2, start=False) as service:
         fut = service.submit(rhs[0], slo=1e-8)
         service.drain()
     o = fut.result(timeout=0)
@@ -186,8 +184,8 @@ def test_slo_drives_refinement_and_miss_is_reported(setup):
 
 def test_mixed_slos_refine_until_strictest_member_is_met(setup):
     _, factor, rhs = setup
-    with _service(factor, window=4, refine=3, start=False,
-                  tolerance=0.0) as service:
+    with SolveService(factor, window=4, refine=3, start=False,
+                      tolerance=0.0) as service:
         loose = service.submit(rhs[0], slo=1e-6)
         tight = service.submit(rhs[1], slo=1e-13)
         service.drain()
@@ -200,8 +198,8 @@ def test_mixed_slos_refine_until_strictest_member_is_met(setup):
 
 def test_default_slo_applies_when_request_has_none(setup):
     _, factor, rhs = setup
-    with _service(factor, window=2, start=False,
-                  default_slo=1e-9) as service:
+    with SolveService(factor, window=2, start=False,
+                      default_slo=1e-9) as service:
         fut = service.submit(rhs[0])
         service.drain()
     o = fut.result(timeout=0)
@@ -210,7 +208,7 @@ def test_default_slo_applies_when_request_has_none(setup):
 
 def test_stats_snapshot_and_sweep_accounting(setup):
     _, factor, rhs = setup
-    with _service(factor, window=4, start=False) as service:
+    with SolveService(factor, window=4, start=False) as service:
         futures = [service.submit(b) for b in rhs[:8]]
         service.drain()
         [f.result(timeout=0) for f in futures]
@@ -232,7 +230,7 @@ def test_stats_snapshot_and_sweep_accounting(setup):
 # ------------------------------------------------------------------- lifecycle
 def test_close_serves_queued_requests_then_rejects_new_ones(setup):
     _, factor, rhs = setup
-    service = _service(factor, window=4)
+    service = SolveService(factor, window=4)
     futures = [service.submit(b) for b in rhs[:4]]
     service.close()
     for f in futures:
@@ -244,10 +242,10 @@ def test_close_serves_queued_requests_then_rejects_new_ones(setup):
 
 def test_submit_validates_shape_and_window(setup):
     _, factor, _ = setup
-    with _service(factor, start=False) as service:
+    with SolveService(factor, start=False) as service:
         with pytest.raises(ValueError, match="right-hand side"):
             service.submit(np.zeros(N + 1))
         with pytest.raises(ValueError, match="right-hand side"):
             service.submit(np.zeros((N, 2, 2)))
     with pytest.raises(ValueError, match="window"):
-        _service(factor, window=0)
+        SolveService(factor, window=0)

@@ -6,7 +6,7 @@ ledgers), the ``tune`` spec's contract — exactly one chosen row, the chosen
 simulated time never worse than the default's, the reported gap equal to
 ``|predicted - simulated| / simulated`` — the content-addressed artifact
 round trip (miss then hit), and the tuned-defaults loading consumed by
-``repro serve --tuned`` and ``SolveService(tuned=...)``.
+``repro serve --tuned`` and ``SolveService(factor, load_tuned_config(...))``.
 """
 
 from __future__ import annotations
@@ -213,11 +213,10 @@ def test_solve_service_accepts_tuned_reference(tmp_path, monkeypatch):
     fetch = store.fetch_or_run(SPEC_TUNE, overrides=QUICK)
     config = tuned_config(fetch.artifact)
     A = generate_matrix("randn", QUICK["n"], seed=0)
-    factor = pcalu_factor(A, config.process_grid(), config.b,
-                          pivoting=config.pivoting, matmul=config.matmul)
+    factor = pcalu_factor(A, config)
     monkeypatch.setenv("REPRO_RESULTS_DIR", str(tmp_path / "results"))
-    service = SolveService(factor, start=False, tuned="latest")
-    assert service.engine == config.engine
+    service = SolveService(factor, load_tuned_config("latest"), start=False)
+    assert service.config == config
     rhs = A @ np.ones(QUICK["n"])
     future = service.submit(rhs)
     service.drain()

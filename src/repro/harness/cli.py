@@ -22,9 +22,6 @@ Subcommands
     factorization, fire concurrent solve requests at it, and report
     per-request latency/residuals plus throughput.  ``--tuned`` loads a
     stored tune artifact's winning configuration as the defaults.
-``repro bench-serve``
-    Measure serving throughput (requests/sec, p50/p95 latency) across
-    batching windows against the one-``pdgesv``-per-request baseline.
 ``repro cache``
     List or purge the content-addressed stores (experiment results and
     cached factorizations): artifact counts, bytes, per-spec breakdown.
@@ -333,7 +330,7 @@ def _serve_requests(service, rhs_list, slo):
 
 
 def _request_rhs(factor, kind: str, seed: int, count: int) -> List[object]:
-    """Deterministic per-request right-hand sides for the serving commands."""
+    """Deterministic per-request right-hand sides for ``repro serve``."""
     import numpy as np
 
     from .factor_cache import generate_matrix
@@ -471,110 +468,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         title=f"solve service: {args.kind} n={factor.n} window={args.window}",
     )
     return 1 if stats.slo_misses else 0
-
-
-def cmd_bench_serve(args: argparse.Namespace) -> int:
-    import time
-
-    import numpy as np
-
-    from ..parallel.psolve import pdgesv
-    from .factor_cache import FactorCache, generate_matrix
-    from .serving import SolveService
-
-    config = config_from_args(args)
-    windows = [int(w) for w in str(args.windows).split(",")]
-    cache = FactorCache(root=args.factor_cache_dir)
-    fetch = cache.fetch_or_factor(
-        kind=args.kind,
-        n=args.n,
-        seed=args.seed,
-        config=config,
-        use_cache=not args.no_cache,
-        force=args.force,
-    )
-    factor = fetch.factor
-    rhs_list = _request_rhs(factor, args.kind, args.seed, args.requests)
-    A = generate_matrix(args.kind, factor.n, seed=args.seed)
-
-    rows: List[Dict[str, object]] = []
-    # Baseline: one cold pdgesv (factor + solve) per request, serially.
-    n_base = min(args.requests, args.baseline_requests)
-    start = time.perf_counter()
-    for b in rhs_list[:n_base]:
-        pdgesv(A, b, factor.config)
-    base_elapsed = time.perf_counter() - start
-    base_rps = n_base / base_elapsed
-    base_ms = base_elapsed / n_base * 1e3
-    rows.append(
-        {
-            "mode": "pdgesv-per-request",
-            "window": 1,
-            "requests": n_base,
-            "batches": n_base,
-            "rps": base_rps,
-            "p50_ms": base_ms,
-            "p95_ms": base_ms,
-            "speedup_vs_pdgesv": 1.0,
-        }
-    )
-    print(
-        f"baseline: {n_base} cold pdgesv calls, {base_rps:.2f} req/s",
-        file=sys.stderr,
-    )
-
-    for window in windows:
-        start = time.perf_counter()
-        with SolveService(
-            factor,
-            window=window,
-            linger_s=args.linger,
-            default_slo=args.slo,
-            config=config,
-        ) as service:
-            outcomes = _serve_requests(service, rhs_list, slo=args.slo)
-        elapsed = time.perf_counter() - start
-        latencies = [o.latency_s * 1e3 for o in outcomes]
-        rps = args.requests / elapsed
-        rows.append(
-            {
-                "mode": "service",
-                "window": window,
-                "requests": args.requests,
-                "batches": service.stats.batches,
-                "rps": rps,
-                "p50_ms": _percentile(latencies, 50),
-                "p95_ms": _percentile(latencies, 95),
-                "speedup_vs_pdgesv": rps / base_rps,
-            }
-        )
-        print(
-            f"window={window}: {rps:.2f} req/s "
-            f"({service.stats.batches} batches, "
-            f"speedup {rps / base_rps:.2f}x vs cold pdgesv)",
-            file=sys.stderr,
-        )
-        assert all(np.isfinite(o.residual) for o in outcomes)
-
-    _emit(
-        rows,
-        args,
-        columns=("mode", "window", "requests", "batches", "rps",
-                 "p50_ms", "p95_ms", "speedup_vs_pdgesv"),
-        metadata={
-            "kind": args.kind,
-            "n": factor.n,
-            "grid": f"{factor.nprow}x{factor.npcol}",
-            "b": factor.block_size,
-            "slo": args.slo,
-            "factor_key": fetch.key,
-        },
-        title=(
-            f"serving throughput: {args.kind} n={factor.n} "
-            f"P={factor.nprow * factor.npcol}"
-        ),
-    )
-    return 0
 
 
 def cmd_cache(args: argparse.Namespace) -> int:
@@ -800,18 +693,6 @@ def build_parser() -> argparse.ArgumentParser:
                          help="refinement budget per batch")
     add_common(p_serve)
     p_serve.set_defaults(fn=cmd_serve)
-
-    p_bserve = sub.add_parser(
-        "bench-serve",
-        help="serving throughput/latency across batching windows vs cold pdgesv",
-    )
-    add_serving_common(p_bserve)
-    p_bserve.add_argument("--windows", default="1,2,4,8",
-                          help="comma-separated batching windows to measure")
-    p_bserve.add_argument("--baseline-requests", type=int, default=4,
-                          help="cold pdgesv calls timed for the baseline row")
-    add_common(p_bserve)
-    p_bserve.set_defaults(fn=cmd_bench_serve)
 
     p_cache = sub.add_parser(
         "cache", help="list or purge the result store and the factor cache"

@@ -13,7 +13,7 @@ whole factorization) and an improved reduce+broadcast scheme with
 pairwise exchange (one message per swap per affected process); the analytic
 models in :mod:`repro.models` expose both variants so the effect of the
 choice can be studied (the ``swap_scheme`` ablation of
-``benchmarks/test_bench_ablations.py``).
+``tests/test_models.py::test_calu_swap_scheme_ablation``).
 """
 
 from __future__ import annotations

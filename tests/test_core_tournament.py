@@ -17,7 +17,7 @@ from repro.core import (
 )
 from repro.core.tournament import CandidateSet
 from repro.kernels import FlopCounter, getf2
-from repro.randmat import randn
+from repro.randmat import randn, tall_skinny
 
 
 def _blocks(A, nblocks, scheme="contiguous", block=2):
@@ -114,11 +114,18 @@ def test_tournament_u_consistent_with_winners():
 
 
 def test_tournament_rounds_depth():
-    A = randn(32, 2, seed=5)
-    res_bin = tournament_pivoting(_blocks(A, 8), 2, schedule="binary")
-    res_flat = tournament_pivoting(_blocks(A, 8), 2, schedule="flat")
-    assert res_bin.rounds == 3
-    assert res_flat.rounds == 7
+    """Flat reduction takes nblocks - 1 rounds, binary and butterfly log2(nblocks),
+    and every schedule still selects a nonsingular winner block."""
+    cases = (
+        (randn(32, 2, seed=5), 8, {"flat": 7, "binary": 3, "butterfly": 3}),
+        (tall_skinny(256, 8, seed=1), 16, {"flat": 15, "binary": 4, "butterfly": 4}),
+    )
+    for A, nblocks, depth in cases:
+        b = A.shape[1]
+        for schedule, rounds in depth.items():
+            res = tournament_pivoting(_blocks(A, nblocks), b, schedule=schedule)
+            assert res.rounds == rounds, (nblocks, schedule)
+            assert abs(np.linalg.det(A[res.winners, :])) > 1e-12
 
 
 def test_tournament_winners_never_include_zero_rows():

@@ -580,6 +580,28 @@ def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
     assert np.array_equal(ref.x, res.x)
 
 
+def test_pdgesv_group_collective_counts_on_an_8x8_grid():
+    """A full P = 64 solve with 4 x 4 blocks: the group evaluation's collective
+    count is exact per phase, the point-to-point reference makes none, and
+    both runs agree bit for bit."""
+    n = 64
+    A = randn(n, seed=2)
+    rhs = A @ randn(n, 1, seed=3)
+    results = {
+        engine: pdgesv(A, rhs, SolveConfig.resolve(grid=(8, 8), b=4, engine=engine))
+        for engine in ENGINES
+    }
+    coro, event = results["coroutine"], results["event"]
+    assert coro.factorization.trace.total_group_collectives == 2176
+    assert coro.trace.total_group_collectives == 1376
+    assert event.factorization.trace.total_group_collectives == 0
+    assert event.trace.total_group_collectives == 0
+    assert_traces_identical(coro.factorization.trace, event.factorization.trace)
+    assert_traces_identical(coro.trace, event.trace)
+    assert np.array_equal(coro.x, event.x)
+    assert float(np.max(np.abs(A @ coro.x - rhs))) < 1e-10 * np.max(np.abs(rhs))
+
+
 @pytest.mark.parametrize("p,root", [(2, 0), (5, 3), (16, 0), (16, 9)])
 def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
     """Every edge of a broadcast carries the root's value: the group-level

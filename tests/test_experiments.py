@@ -16,6 +16,7 @@ from repro.experiments import (
     table2,
     validation,
 )
+from repro.harness import get_spec
 
 
 # -------------------------------------------------------------------- Figure 1
@@ -133,6 +134,88 @@ def test_validation_factorization_counts_calu_fewer_messages():
     assert by_alg["calu"]["max_messages_per_rank"] < by_alg["pdgetrf"]["max_messages_per_rank"]
     assert by_alg["calu"]["factorization_error"] < 1e-10
     assert by_alg["pdgetrf"]["factorization_error"] < 1e-10
+
+
+# ------------------------------------------- registered specs keep the paper's shape
+def _hpl_passed(rows):
+    """Table 2: every configuration passes the HPL criterion, as in the paper."""
+    assert all(r["hpl_passed"] for r in rows)
+
+
+def _table1(rows):
+    """Table 1: ca-pivoting passes HPL and keeps its pivot threshold above 0.1."""
+    _hpl_passed(rows)
+    assert all(r["tau_min"] > 0.1 for r in rows)
+
+
+def _panel_ratios(rows):
+    """Tables 3-4: TSLU (recursive) wins clearly on large, latency- or
+    memory-bound panels, and recursion matters most for the very tall ones."""
+    assert all(r["ratio_rec"] > 1.0 for r in rows if r["m"] >= 100_000)
+    tallest = [r for r in rows if r["m"] == 1_000_000]
+    assert tallest
+    assert all(r["ratio_rec"] >= r["ratio_cl"] * 0.95 for r in tallest)
+
+
+def _improvement(rows):
+    """Tables 5-6: CALU never loses badly to PDGETRF."""
+    assert all(r["improvement"] > 0.9 for r in rows)
+
+
+def _table5(rows):
+    """Table 5: on the POWER5 CALU also wins most for the small matrix on many
+    processors."""
+    _improvement(rows)
+    small = [r for r in rows if r["m"] == 1_000 and r["P"] == 32]
+    assert small and all(r["improvement"] > 1.2 for r in small)
+
+
+def _best_vs_best(rows):
+    """Table 7: best CALU beats best PDGETRF, less so as the matrix grows."""
+    assert all(r["speedup"] >= 1.0 for r in rows)
+    for machine in {r["machine"] for r in rows}:
+        series = [r["speedup"] for r in rows if r["machine"] == machine]
+        assert series == sorted(series, reverse=True)
+
+
+def _figure1(rows):
+    """Figure 1: the worked TSLU example picks GEPP's pivots."""
+    summary = rows[-1]
+    assert summary["record"] == "summary"
+    assert summary["pivots_match_gepp"]
+    assert summary["factorization_residual"] < 1e-12
+
+
+def _figure2(rows):
+    """Figure 2: CALU keeps tau_min well above zero and g_T within a small
+    multiple of n^(2/3) (the paper sees tau_min >= 0.33 at full size)."""
+    calu_rows = [r for r in rows if r["method"] == "calu"]
+    assert calu_rows
+    assert all(r["tau_min"] > 0.15 for r in calu_rows)
+    assert all(r["gT"] < 12 * r["n_two_thirds"] for r in calu_rows)
+
+
+#: spec -> (run at ``quick`` sizes?, the paper-shape check on its rows).  The
+#: model tables and Figure 1 run at their registered defaults.
+PAPER_SHAPE = {
+    "table1": (True, _table1),
+    "table2": (True, _hpl_passed),
+    "table3": (False, _panel_ratios),
+    "table4": (False, _panel_ratios),
+    "table5": (False, _table5),
+    "table6": (False, _improvement),
+    "table7": (False, _best_vs_best),
+    "figure1": (False, _figure1),
+    "figure2": (True, _figure2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PAPER_SHAPE))
+def test_registered_spec_keeps_the_paper_shape(name):
+    quick, check = PAPER_SHAPE[name]
+    rows = get_spec(name).run(quick=quick)
+    assert rows
+    check(rows)
 
 
 # -------------------------------------------------------------------- reporting

@@ -673,20 +673,6 @@ def test_cli_serve_miss_then_hit_and_slo_rows(tmp_path, capsys):
     assert "factor cache hit" in capsys.readouterr().err
 
 
-def test_cli_bench_serve_reports_speedup(tmp_path, capsys):
-    assert run_cli(
-        ["bench-serve", "--kind", "randn", "--n", "32", "--P", "4",
-         "--b", "8", "--requests", "8", "--windows", "1,4",
-         "--baseline-requests", "2",
-         "--factor-cache-dir", str(tmp_path / "factors")],
-        tmp_path,
-    ) == 0
-    out = capsys.readouterr().out
-    assert "pdgesv-per-request" in out
-    assert out.count("service") == 2  # one row per window
-    assert "speedup_vs_pdgesv" in out
-
-
 def _tune_artifact(path, engine="coroutine"):
     """A stored tune artifact whose winner is CAPS on the reference tier."""
     path.write_text(json.dumps({
@@ -714,39 +700,6 @@ def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     assert flags.pivoting == "ca_prrp"
     plain = config_from_args(parse(["serve"]))
     assert (plain.grid, plain.b) == (None, None)  # the factor cache's P=4, b=16
-
-
-def test_cli_bench_serve_baseline_factors_with_the_served_config(tmp_path, monkeypatch):
-    """The cold-pdgesv baseline row runs exactly the configuration the service
-    rows serve — under --tuned too, where tier and matmul come from the
-    artifact rather than the ambient context."""
-    import repro.harness.serving as serving
-    import repro.parallel.psolve as psolve
-
-    baseline, served = [], []
-    real_pdgesv, RealService = psolve.pdgesv, serving.SolveService
-
-    def pdgesv(A, b, config, **kw):
-        baseline.append(config)
-        return real_pdgesv(A, b, config, **kw)
-
-    class Service(RealService):
-        def __init__(self, factor, *args, **kw):
-            served.append(factor.config)
-            super().__init__(factor, *args, **kw)
-
-    monkeypatch.setattr(psolve, "pdgesv", pdgesv)
-    monkeypatch.setattr(serving, "SolveService", Service)
-    ref = _tune_artifact(tmp_path / "tune.json")
-    assert run_cli(
-        ["bench-serve", "--n", "32", "--requests", "4", "--windows", "2",
-         "--baseline-requests", "2", "--tuned", ref,
-         "--factor-cache-dir", str(tmp_path / "factors")],
-        tmp_path,
-    ) == 0
-    assert len(baseline) == 2 and len(served) == 1
-    assert baseline == served * 2
-    assert (served[0].matmul, served[0].kernel_tier) == ("caps", "reference")
 
 
 def test_result_store_entries_and_purge(tmp_path):

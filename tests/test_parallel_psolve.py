@@ -189,6 +189,8 @@ def test_solve_message_counts_match_model(n, b, pr, pc, nrhs, engine):
     assert check.messages_match, (check.measured, check.predicted)
     for key in ("words_col", "words_row", "words_any", "total_words"):
         assert check.measured[key] == pytest.approx(check.predicted[key])
+    # The latency story: the solve is message-cheap next to its factorization.
+    assert res.trace.total_messages < res.factorization.trace.total_messages
 
 
 def test_solve_message_count_independent_of_nrhs():

@@ -94,6 +94,22 @@ def test_default_config_degrades_block_size_when_infeasible():
     assert default_config(32, 49).b == 4
 
 
+def test_model_search_finds_caps_on_a_flat_grid_at_scale():
+    """At (n=512, P=49) on the POWER5 the matmul workload's predicted-time
+    winner is CAPS on a 1x49 grid, >= 1.4x ahead of the naive default: the
+    words-moved headline of arXiv:1202.3173, found from the models alone."""
+    n, P = 512, 49
+    candidates = enumerate_candidates(n, P, workload="matmul", machine="ibm_power5")
+    winner = min(candidates, key=lambda c: predicted_time(c, n, workload="matmul"))
+    naive = default_config(n, P, machine="ibm_power5")
+    assert (winner.matmul, winner.grid) == ("caps", (1, 49))
+    assert (naive.matmul, naive.grid, naive.b) == ("summa", (7, 7), 16)
+    ratio = predicted_time(naive, n, workload="matmul") / predicted_time(
+        winner, n, workload="matmul"
+    )
+    assert ratio >= 1.4
+
+
 # ------------------------------------------------------------------ prediction
 def test_predicted_ledger_distinguishes_pivoting_and_matmul():
     base = dict(engine="coroutine", kernel_tier="auto", grid=(2, 2), b=8,

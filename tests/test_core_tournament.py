@@ -113,19 +113,25 @@ def test_tournament_u_consistent_with_winners():
     assert np.allclose(res.U, U_ref, atol=1e-10)
 
 
+def _assert_schedule_depths(A, nblocks, depth):
+    b = A.shape[1]
+    for schedule, rounds in depth.items():
+        res = tournament_pivoting(_blocks(A, nblocks), b, schedule=schedule)
+        assert res.rounds == rounds, (nblocks, schedule)
+        assert abs(np.linalg.det(A[res.winners, :])) > 1e-12
+
+
 def test_tournament_rounds_depth():
     """Flat reduction takes nblocks - 1 rounds, binary and butterfly log2(nblocks),
     and every schedule still selects a nonsingular winner block."""
-    cases = (
-        (randn(32, 2, seed=5), 8, {"flat": 7, "binary": 3, "butterfly": 3}),
-        (tall_skinny(256, 8, seed=1), 16, {"flat": 15, "binary": 4, "butterfly": 4}),
+    _assert_schedule_depths(randn(32, 2, seed=5), 8, {"flat": 7, "binary": 3, "butterfly": 3})
+
+
+def test_tournament_schedule_depth_on_16_blocks():
+    """The same depths on a 256 x 8 panel split into 16 blocks."""
+    _assert_schedule_depths(
+        tall_skinny(256, 8, seed=1), 16, {"flat": 15, "binary": 4, "butterfly": 4}
     )
-    for A, nblocks, depth in cases:
-        b = A.shape[1]
-        for schedule, rounds in depth.items():
-            res = tournament_pivoting(_blocks(A, nblocks), b, schedule=schedule)
-            assert res.rounds == rounds, (nblocks, schedule)
-            assert abs(np.linalg.det(A[res.winners, :])) > 1e-12
 
 
 def test_tournament_winners_never_include_zero_rows():

@@ -31,7 +31,9 @@ BLAS, that equality does not, which is what CI runs (``--quick``).
 Sequential lines (``tslu`` / ``calu``: no simulator, no engine) hash ``L``,
 ``U``, ``perm`` and the flop ledger over pivoting x schedule x tier x partition
 x ragged shapes, on ``randn`` and exact-tie (``+-1``) panels.  ``key`` lines
-pin the default-config store and factor keys.
+pin the default-config store and factor keys, and the store key
+``ResultStore.run_config`` gives every registered spec at its defaults and
+under ``quick``.
 
 Matrix (full): ptslu P in 1,2,3,5,6,8,13,16 x ca/pp/ca_prrp x auto/reference x
 block/block-cyclic (m = 8P+5, b = 8); pdgetrf, pcalu, pdgesv on 2x2, 4x2, 3x5,
@@ -211,14 +213,22 @@ def sequential_lines(quick: bool):
 
 
 def key_lines():
+    import tempfile
+
+    from repro.harness import all_specs
     from repro.harness.factor_cache import factor_key
-    from repro.harness.store import context_key
+    from repro.harness.store import ResultStore, context_key
 
     for engine in ENGINES:
         yield (f"key context engine={engine}",
                context_key("table1", {"seed": 0, "n": 64}, "lapack", engine))
         yield (f"key factor engine={engine}",
                factor_key("randn", 96, 3, 2, 4, 8, "ca", "lapack", engine, "summa"))
+    with tempfile.TemporaryDirectory() as tmp:
+        store = ResultStore(root=tmp)
+        for spec, quick in itertools.product(all_specs(), (False, True)):
+            yield (f"key spec={spec.name}{' quick' if quick else ''}",
+                   store.run_config(spec, quick=quick)[2])
 
 
 def attempt(fn):

@@ -8,8 +8,8 @@ Cray XT4 machine models — i.e. a miniature, executable version of the paper's
 comparison, small enough to run in seconds in pure Python.
 
 The simulator is deterministic, so repeated invocations produce bit-identical
-traces; set ``REPRO_VMPI_ENGINE=event`` to cross-check the point-to-point
-evaluation of the collectives.
+traces; build the config with ``SolveConfig.resolve(engine="event")`` to
+cross-check the point-to-point evaluation of the collectives.
 
 Run with::
 

@@ -104,13 +104,13 @@ def calu(
     compute_thresholds:
         Record per-column pivot thresholds (needed for τ_min / τ_ave).
     kernel_tier:
-        Kernel tier for panels and tournaments (None: process-wide default,
+        Kernel tier for panels and tournaments (None: the ``"auto"`` default,
         see :mod:`repro.kernels.tiers`).  Requesting growth or threshold
         recording forces the reference tier so the stability experiments are
         reproducible bit-for-bit regardless of the knob.
     pivoting:
-        Pivoting strategy for the panels (None: process-wide default,
-        normally ``"ca"`` — see :mod:`repro.core.strategies`): ``"pp"``
+        Pivoting strategy for the panels (None: the ``"ca"`` default,
+        see :mod:`repro.core.strategies`): ``"pp"``
         (partial-pivoting panels, i.e. blocked GEPP), ``"ca"`` (the paper's
         tournament) or ``"ca_prrp"`` (strong-RRQR tournament, CALU_PRRP).
 

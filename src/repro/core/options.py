@@ -11,32 +11,25 @@ registry.  This module holds the machinery they share:
 * :class:`Option` — one generic knob descriptor implementing the shared
   precedence rule::
 
-      explicit per-call argument  >  ambient context
-        >  ``REPRO_*`` environment variable  >  default
+      explicit value  >  default
 
   The four knob modules *register* an :class:`Option` at import time and
   keep one function form of it for their hot paths (``resolve_pivoting``,
-  ``resolve_tier``, ``resolve_matmul``, ``resolve_engine*``).  The ambient
-  context has one entry point, :func:`option_overrides` (or
-  :meth:`SolveConfig.ambient` for all four knobs at once); the per-module
-  ``set_*`` / ``get_*`` / context-manager shims it replaced are gone.
+  ``resolve_tier``, ``resolve_matmul``, ``resolve_engine*``).  A knob is a
+  value passed in; nothing is read from process state (there is no ambient
+  override and no knob environment variable).
 * :class:`SolveConfig` — a frozen dataclass bundling everything that
   configures a distributed solve (the four knobs plus grid shape, block size
   ``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
   the drivers (:mod:`repro.parallel`), the content-addressed stores, the
   serving layer and the CLI, and is the unit the autotuner
   (:mod:`repro.harness.tuning`) searches over.
-
-Ambient state is process-wide (the knobs configure a simulation, not a
-thread).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import ExitStack, contextmanager
-from dataclasses import asdict, dataclass, field, replace
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from dataclasses import asdict, dataclass, replace
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 
 class UnknownOptionError(ValueError):
@@ -63,7 +56,7 @@ class UnknownOptionError(ValueError):
 # ---------------------------------------------------------------------------
 # The generic knob descriptor.
 
-@dataclass
+@dataclass(frozen=True)
 class Option:
     """One registry-addressed configuration knob.
 
@@ -74,66 +67,30 @@ class Option:
         (``"pivoting"``, ``"engine"``, ``"kernel_tier"``, ``"matmul"``).
     kind:
         Human-readable kind used in error messages.
-    env_var:
-        The ``REPRO_*`` environment variable consulted between the ambient
-        context and the default.
     default:
-        Value used when no explicit argument, ambient override or environment
-        variable applies.
+        Value used when no explicit value is given.
     validate:
         Callable mapping a raw value to its canonical registered name,
         raising :class:`UnknownOptionError` (or a subclass) otherwise.  The
         registering module supplies it, so registry lookups and error types
         stay owned by the subsystem (e.g. the engine knob raises
         ``UnknownEngineError``).
-
-    An :class:`Option` carries the knob's *ambient* override and implements
-    the shared precedence rule in :meth:`resolve`.
     """
 
     name: str
     kind: str
-    env_var: str
     default: str
     validate: Callable[[str], str]
-    _ambient: Optional[str] = field(default=None, repr=False)
-
-    # ----------------------------------------------------------- precedence
-    def get(self) -> str:
-        """The knob's current value without an explicit argument.
-
-        Precedence: ambient context > environment variable (ignored when
-        empty, matching every historical stack) > default.  The default is
-        trusted (it names a registered option by construction); explicit and
-        environment values are validated.
-        """
-        if self._ambient is not None:
-            return self._ambient
-        env = os.environ.get(self.env_var)
-        if env:
-            return self.validate(env)
-        return self.default
 
     def resolve(self, explicit: Optional[str] = None) -> str:
-        """Resolve a per-call argument: explicit > ambient > env > default."""
+        """Resolve a per-call argument: explicit (validated) > default.
+
+        The default is trusted (it names a registered option by
+        construction).
+        """
         if explicit is not None:
             return self.validate(explicit)
-        return self.get()
-
-    # -------------------------------------------------------- ambient state
-    def set(self, value: Optional[str]) -> None:
-        """Set (or with ``None`` clear) the ambient process-wide override."""
-        self._ambient = self.validate(value) if value is not None else None
-
-    @contextmanager
-    def context(self, value: Optional[str]) -> Iterator[None]:
-        """Scope an ambient override; nests and restores the previous value."""
-        previous = self._ambient
-        self.set(value)
-        try:
-            yield
-        finally:
-            self._ambient = previous
+        return self.default
 
 
 #: The registered knobs, in the order they appear in keys and reports.
@@ -149,17 +106,6 @@ def register_option(option: Option) -> Option:
     return option
 
 
-def get_option(name: str) -> Option:
-    """Look up a registered knob by name (loads the knob modules first)."""
-    _load_knob_modules()
-    try:
-        return OPTIONS[name]
-    except KeyError:
-        raise UnknownOptionError(
-            "configuration knob", name, sorted(OPTIONS)
-        ) from None
-
-
 def _load_knob_modules() -> None:
     """Import the four knob modules so their options are registered.
 
@@ -170,21 +116,6 @@ def _load_knob_modules() -> None:
     import repro.distsim.engine  # noqa: F401
     import repro.kernels.tiers  # noqa: F401
     import repro.matmul  # noqa: F401
-
-
-@contextmanager
-def option_overrides(**values: Optional[str]) -> Iterator[None]:
-    """Scope ambient overrides for several knobs at once (``None`` skipped).
-
-    This is what the CLI uses to apply ``--engine`` / ``--tier`` /
-    ``--pivoting`` / ``--matmul`` for the duration of one command instead of
-    mutating ``os.environ`` process-wide.
-    """
-    with ExitStack() as stack:
-        for name, value in values.items():
-            if value is not None:
-                stack.enter_context(get_option(name).context(value))
-        yield
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +130,10 @@ class SolveConfig:
     (``grid``, ``b``, ``nrhs``) and the ``machine`` name are optional —
     drivers fall back to their own arguments when a field is ``None``.
 
-    Build one with :meth:`resolve` (fills unset knobs through the shared
-    precedence rule) rather than the raw constructor, and derive variations
-    with :meth:`replace`.  The dataclass is frozen so a config can key caches
-    and travel through threads safely.
+    Build one with :meth:`resolve` (fills unset knobs with their defaults)
+    rather than the raw constructor, and derive variations with
+    :meth:`replace`.  The dataclass is frozen so a config can key caches and
+    travel through threads safely.
     """
 
     pivoting: str
@@ -323,18 +254,6 @@ class SolveConfig:
         if self.machine is not None:
             parts.append(f"machine={self.machine}")
         return " ".join(parts)
-
-    # -------------------------------------------------------------- ambient
-    @contextmanager
-    def ambient(self) -> Iterator["SolveConfig"]:
-        """Apply this config's four knobs as the ambient context, scoped."""
-        with option_overrides(
-            pivoting=self.pivoting,
-            engine=self.engine,
-            kernel_tier=self.kernel_tier,
-            matmul=self.matmul,
-        ):
-            yield self
 
 
 def normalize_grid(grid: object) -> Optional[Tuple[int, int]]:

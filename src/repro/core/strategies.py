@@ -27,8 +27,8 @@ registry-addressed knob — exactly like the kernel tiers
     reduction over the grid column), strictly better growth bound.
 
 Selected per call (``pivoting=`` on ``calu``, ``tslu``, ``ptslu`` and the
-stability reports; ``SolveConfig.pivoting`` for ``pcalu``), else by the shared precedence rule of
-:mod:`repro.core.options`: ambient override > ``REPRO_PIVOTING`` > ``"ca"``.
+stability reports; ``SolveConfig.pivoting`` for ``pcalu``); an unset value
+means ``"ca"`` (the two-level rule of :mod:`repro.core.options`).
 """
 
 from __future__ import annotations
@@ -98,13 +98,8 @@ STRATEGIES: Dict[str, PivotingStrategy] = {
     ),
 }
 
-#: Strategy used when neither a per-call argument, a process-wide override,
-#: nor the environment variable is given — the paper's own algorithm.
+#: Strategy used when no per-call value is given — the paper's own algorithm.
 DEFAULT_STRATEGY = "ca"
-
-#: Environment variable consulted by :func:`resolve_pivoting` (consistent
-#: with ``REPRO_KERNEL_TIER`` / ``REPRO_VMPI_ENGINE`` / ``REPRO_RESULTS_DIR``).
-ENV_VAR = "REPRO_PIVOTING"
 
 
 def _validate(name: str) -> str:
@@ -115,12 +110,11 @@ def _validate(name: str) -> str:
 
 #: The pivoting knob, registered into the shared configuration subsystem
 #: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_pivoting`
-#: applies (explicit > ambient > ``REPRO_PIVOTING`` > "ca").
+#: applies (explicit > "ca").
 OPTION = register_option(
     Option(
         name="pivoting",
         kind="pivoting strategy",
-        env_var=ENV_VAR,
         default=DEFAULT_STRATEGY,
         validate=_validate,
     )

@@ -118,7 +118,7 @@ def local_candidates(
         ``"getf2"`` or ``"rgetf2"`` — which sequential LU performs the local
         factorization (the paper's Cl/Rec configurations).
     kernel_tier:
-        Kernel tier for the factorization (None: process-wide default).  Only
+        Kernel tier for the factorization (None: the ``"auto"`` default).  Only
         the pivot *order* of the factorization flows into the candidate set —
         the candidate rows themselves are gathered from the original block —
         so the fast tier changes no bits of the result.
@@ -442,7 +442,7 @@ def tournament_pivoting(
         Kernel for the ``getf2`` selector's leaf factorizations (``"getf2"``
         or ``"rgetf2"``); ``selector="rrqr"`` ignores it.
     kernel_tier:
-        Kernel tier (None: process-wide default, see
+        Kernel tier (None: the ``"auto"`` default, see
         :mod:`repro.kernels.tiers`).  Any tier other than ``"reference"``
         batches each reduction round — and the ``getf2`` leaf step — into a
         single :func:`~repro.kernels.batched.getf2_batched` call; the

@@ -97,10 +97,10 @@ def tslu(
         pass over the panel).  Forces the reference kernel tier so the
         recorded thresholds replay the seed arithmetic bit-for-bit.
     kernel_tier:
-        Kernel tier for the tournament (None: process-wide default); see
+        Kernel tier for the tournament (None: the ``"auto"`` default); see
         :mod:`repro.kernels.tiers`.
     pivoting:
-        Pivoting strategy (None: process-wide default, normally ``"ca"`` —
+        Pivoting strategy (None: the ``"ca"`` default —
         see :mod:`repro.core.strategies`).  ``"ca"`` is the paper's
         tournament; ``"ca_prrp"`` swaps strong-RRQR selection into the
         tournament (CALU_PRRP); ``"pp"`` factors the whole panel with partial

@@ -14,10 +14,11 @@ registered under two names:
     exists as the reference the tests compare ``group_ops`` and the
     ``RedundantOp`` dedup against.
 
-Select per call (``run_spmd(..., engine="event")``) or process-wide via the
-``REPRO_VMPI_ENGINE`` environment variable.  The knob is registered into the
+Select per call (``run_spmd(..., engine="event")``, ``SolveConfig.engine``);
+an unset value means ``"coroutine"``.  The knob is registered into the
 shared configuration subsystem (:mod:`repro.core.options`), so it follows the
-same precedence rule as ``pivoting``/``kernel_tier``/``matmul``.
+same two-level rule (explicit > default) as
+``pivoting``/``kernel_tier``/``matmul``.
 """
 
 from __future__ import annotations
@@ -29,11 +30,8 @@ from ..errors import UnknownEngineError
 from .base import CollectiveRequest, Communicator, Envelope, RecvRequest, payload_words
 from .coroutine import ExecutionEngine
 
-#: Engine used when neither ``engine=`` nor ``REPRO_VMPI_ENGINE`` is given.
+#: Engine used when no ``engine=`` value is given.
 DEFAULT_ENGINE = "coroutine"
-
-#: Environment variable consulted between the ambient context and the default.
-ENV_VAR = "REPRO_VMPI_ENGINE"
 
 _REGISTRY = {
     "coroutine": ExecutionEngine("coroutine", group_collectives=True),
@@ -63,13 +61,11 @@ def get_engine(name: str) -> ExecutionEngine:
 
 
 #: The engine knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`): precedence is explicit > ambient >
-#: ``REPRO_VMPI_ENGINE`` > "coroutine".
+#: (:mod:`repro.core.options`): precedence is explicit > "coroutine".
 OPTION = register_option(
     Option(
         name="engine",
         kind="execution engine",
-        env_var=ENV_VAR,
         default=DEFAULT_ENGINE,
         validate=_validate,
     )
@@ -81,10 +77,10 @@ def resolve_engine_name(
 ) -> str:
     """Resolve an ``engine=`` argument to its registered *name*.
 
-    Instances report their ``name``; strings are validated; ``None`` follows
-    the shared precedence rule.  This is what keying code (the result store,
-    the factor cache) uses, so the recorded name always matches the engine
-    that would execute.
+    Instances report their ``name``; strings are validated; ``None`` means
+    :data:`DEFAULT_ENGINE`.  This is what keying code (the result store, the
+    factor cache) uses, so the recorded name always matches the engine that
+    would execute.
     """
     if isinstance(engine, ExecutionEngine):
         return engine.name
@@ -101,9 +97,8 @@ def resolve_engine(
 ) -> ExecutionEngine:
     """Resolve an ``engine=`` argument to an :class:`ExecutionEngine` instance.
 
-    ``None`` follows the shared precedence rule (ambient context >
-    ``REPRO_VMPI_ENGINE`` > :data:`DEFAULT_ENGINE`); strings are looked up in
-    the registry; instances pass through.
+    ``None`` means :data:`DEFAULT_ENGINE`; strings are looked up in the
+    registry; instances pass through.
     """
     if isinstance(engine, ExecutionEngine):
         return engine
@@ -117,7 +112,6 @@ __all__ = [
     "ExecutionEngine",
     "RecvRequest",
     "DEFAULT_ENGINE",
-    "ENV_VAR",
     "payload_words",
     "available_engines",
     "get_engine",

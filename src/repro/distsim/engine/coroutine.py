@@ -256,7 +256,7 @@ class ExecutionEngine:
     collective walks its point-to-point tree — the reference the tests
     compare :mod:`repro.distsim.engine.group_ops` against.  Selected via the
     ``engine=`` argument of :func:`repro.distsim.run_spmd` (or the
-    ``REPRO_VMPI_ENGINE`` environment variable).
+    ``engine`` field of a :class:`~repro.core.options.SolveConfig`).
     """
 
     def __init__(self, name: str, group_collectives: bool) -> None:

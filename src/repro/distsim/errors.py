@@ -10,7 +10,7 @@ class SimulationError(RuntimeError):
 
 
 class UnknownEngineError(SimulationError, UnknownOptionError):
-    """An ``engine=`` / ``REPRO_VMPI_ENGINE`` value names no registered engine.
+    """An ``engine=`` / ``SolveConfig.engine`` value names no registered engine.
 
     Subclasses :class:`~repro.core.options.UnknownOptionError` (itself a
     :class:`ValueError`) so the message shape and the ``name`` / ``available``

@@ -72,7 +72,7 @@ def run_spmd(
         ``"coroutine"``, ``"event"`` (the point-to-point reference, see
         :mod:`repro.distsim.engine`), an
         :class:`~repro.distsim.engine.ExecutionEngine` instance, or ``None``
-        to use ``REPRO_VMPI_ENGINE`` / the ``"coroutine"`` default.
+        for the ``"coroutine"`` default.
 
     Returns
     -------

@@ -191,9 +191,6 @@ SPEC_STABILITY_PRRP = register(
                  "max_error", "seed"),
         paper_ref="arXiv:1208.2451 (CALU_PRRP follow-up)",
         sweepable=("n", "P", "b", "seed", "samples"),
-        # The runner factors with every strategy explicitly, so the ambient
-        # REPRO_PIVOTING knob cannot change its rows.
-        ambient_invariant=("pivoting",),
     )
 )
 

@@ -28,7 +28,7 @@ from .spec import (
 )
 from .factor_cache import FactorCache, FactorFetch, factor_key, generate_matrix
 from .serving import ServiceStats, SolveOutcome, SolveService
-from .store import FetchResult, ResultStore, context_key, key_lock, resolved_engine
+from .store import FetchResult, ResultStore, context_key, key_lock
 from .sweep import SweepJob, SweepResult, expand_grid, run_sweep
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "ResultStore",
     "context_key",
     "key_lock",
-    "resolved_engine",
     "FactorCache",
     "FactorFetch",
     "factor_key",

@@ -26,7 +26,10 @@ Subcommands
     List or purge the content-addressed stores (experiment results and
     cached factorizations): artifact counts, bytes, per-spec breakdown.
 
-Global knobs: ``--engine`` (virtual-MPI engine), ``--tier`` (kernel tier),
+Knob flags: ``--engine`` (virtual-MPI engine), ``--tier`` (kernel tier),
+``--pivoting``, ``--matmul`` — on ``run``/``sweep``/``tune`` the spec
+parameter of that name (``--tier`` sets ``kernel_tier``), on ``serve`` the
+:class:`~repro.core.options.SolveConfig` field.  Also
 ``--results-dir`` (artifact store root, also ``REPRO_RESULTS_DIR``),
 ``--factor-cache-dir`` (factor cache root, also ``REPRO_FACTOR_CACHE_DIR``),
 ``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes).
@@ -37,12 +40,11 @@ from __future__ import annotations
 import argparse
 import ast
 import sys
-from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
-from ..core.options import SolveConfig, UnknownOptionError, option_overrides
+from ..core.options import SolveConfig, UnknownOptionError
 from ..experiments.report import format_table, rows_to_csv, rows_to_json
-from .spec import ExperimentSpec, all_specs, get_spec
+from .spec import ExperimentSpec, all_specs, get_spec, spec_names
 from .store import FetchResult, ResultStore
 from .sweep import SweepJob, run_sweep
 
@@ -79,28 +81,6 @@ def _parse_grid(items: Optional[Sequence[str]]) -> Dict[str, List[object]]:
     return grid
 
 
-@contextmanager
-def ambient_config(args: argparse.Namespace) -> Iterator[None]:
-    """Scope --engine / --tier / --pivoting / --matmul as ambient overrides.
-
-    The flags used to be threaded by mutating ``os.environ`` (engine) and
-    the per-module ``set_*`` globals process-wide; routing them through the
-    shared ambient context (:func:`repro.core.options.option_overrides`)
-    keeps one command's knobs from leaking into the process environment —
-    and restores everything when the command finishes.
-    """
-    try:
-        with option_overrides(
-            engine=getattr(args, "engine", None),
-            kernel_tier=getattr(args, "tier", None),
-            pivoting=getattr(args, "pivoting", None),
-            matmul=getattr(args, "matmul", None),
-        ):
-            yield
-    except UnknownOptionError as exc:
-        raise SystemExit(f"error: {exc}") from None
-
-
 def config_from_args(args: argparse.Namespace) -> SolveConfig:
     """Build the fully resolved :class:`SolveConfig` one command runs under.
 
@@ -108,9 +88,8 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
     ``--tier`` / ``--pivoting`` / ``--matmul`` from :func:`add_config_args`,
     plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
     Precedence per field: explicit flag > the ``--tuned`` artifact's value
-    (where the verb has ``--tuned``; never its engine or machine) > ambient
-    context / ``REPRO_*`` env > default.  Invalid values exit with the
-    offender named.
+    (where the verb has ``--tuned``; never its engine or machine) > default.
+    Invalid values exit with the offender named.
     """
     tuned: Optional[SolveConfig] = None
     ref = getattr(args, "tuned", None)
@@ -149,25 +128,41 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
         raise SystemExit(f"error: {exc}") from None
 
 
-def _with_engine(
+#: Knob flag -> the spec parameter it sets on ``run`` / ``sweep`` / ``tune``.
+KNOB_FLAGS = {"engine": "engine", "tier": "kernel_tier", "pivoting": "pivoting",
+              "matmul": "matmul"}
+
+
+def knob_overrides(
     spec: ExperimentSpec,
     overrides: Dict[str, object],
     args: argparse.Namespace,
     exclude: Sequence[str] = (),
 ) -> Dict[str, object]:
-    """Inject --engine / --pivoting / --matmul into specs taking them as params.
+    """Merge the knob flags into ``overrides`` as ``spec``'s parameters.
 
-    Such runners use their parameter, not the ambient ``REPRO_VMPI_ENGINE`` /
-    ``REPRO_PIVOTING`` / ``REPRO_MATMUL``, so the flags must flow in as
-    overrides to take precedence (an explicit ``--set engine=...`` /
-    ``--set pivoting=...`` still wins).  ``exclude`` names parameters that
-    must not be injected (sweep axes already spanning that knob).
+    A flag is the spec parameter of its name and nothing else: a flag naming
+    a parameter the spec lacks, or an unknown knob value, exits before
+    anything runs.  An explicit ``--set engine=...`` still wins; ``exclude``
+    names parameters that must not be set (sweep axes already spanning the
+    knob).
     """
-    for flag in ("engine", "pivoting", "matmul"):
+    flags: Dict[str, object] = {}
+    for flag, param in KNOB_FLAGS.items():
         value = getattr(args, flag, None)
-        if value and flag in spec.params and flag not in overrides and flag not in exclude:
-            overrides = {**overrides, flag: value}
-    return overrides
+        if not value:
+            continue
+        if param not in spec.params:
+            raise SystemExit(
+                f"error: --{flag} sets parameter {param!r}, which spec "
+                f"{spec.name!r} does not take; its parameters: {sorted(spec.params)}"
+            )
+        flags[param] = value
+    try:
+        SolveConfig.resolve(**flags)
+    except UnknownOptionError as exc:
+        raise SystemExit(f"error: {exc}") from None
+    return {**{p: v for p, v in flags.items() if p not in exclude}, **overrides}
 
 
 def _store(args: argparse.Namespace) -> ResultStore:
@@ -230,13 +225,15 @@ def cmd_list(args: argparse.Namespace) -> int:
 def cmd_run(args: argparse.Namespace) -> int:
     store = _store(args)
     overrides = _parse_set(args.set)
+    for name in [n for n in args.specs if n in spec_names()]:  # flags checked first
+        knob_overrides(get_spec(name), overrides, args)
     failures = 0
     for name in args.specs:
         try:
             spec = get_spec(name)
             fetch = store.fetch_or_run(
                 spec,
-                _with_engine(spec, overrides, args) or None,
+                knob_overrides(spec, overrides, args) or None,
                 quick=args.quick,
                 force=args.force,
                 use_cache=not args.no_cache,
@@ -263,7 +260,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if not grid:
         raise SystemExit("error: sweep requires at least one --param axis")
     base = _parse_set(args.set)
-    base = _with_engine(spec, base, args, exclude=list(grid))
+    base = knob_overrides(spec, base, args, exclude=list(grid))
 
     def progress(job: SweepJob) -> None:
         state = "cached" if job.cached else (
@@ -349,7 +346,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         value = getattr(args, name, None)
         if value is not None and name not in overrides:
             overrides[name] = value
-    overrides = _with_engine(spec, overrides, args)
+    overrides = knob_overrides(spec, overrides, args)
     try:
         fetch = store.fetch_or_run(
             spec,
@@ -573,9 +570,8 @@ def add_config_args(p: argparse.ArgumentParser) -> None:
     """Add the shared :class:`SolveConfig` knob flags to one verb's parser.
 
     Every verb that runs anything gets the same four flags from this one
-    definition; :func:`config_from_args` is the matching reader.  The flag
-    values become scoped ambient overrides (see :func:`ambient_config`) —
-    they never touch ``os.environ``.
+    definition; :func:`config_from_args` (``serve``) and
+    :func:`knob_overrides` (``run`` / ``sweep`` / ``tune``) are the readers.
     """
     p.add_argument("--engine", default=None,
                    help="virtual-MPI engine (coroutine|event)")
@@ -710,8 +706,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    with ambient_config(args):
-        return args.fn(args)
+    return args.fn(args)
 
 
 if __name__ == "__main__":  # pragma: no cover - exercised via python -m repro

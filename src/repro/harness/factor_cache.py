@@ -41,7 +41,7 @@ from ..core.options import SolveConfig
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
 from .store import ENV_VAR as RESULTS_ENV_VAR  # noqa: F401  (doc cross-ref)
-from .store import key_lock, resolved_engine
+from .store import key_lock
 
 #: Environment variable relocating the factor cache (consistent with
 #: ``REPRO_RESULTS_DIR`` for the result store).
@@ -225,26 +225,22 @@ class FactorCache:
         """Serve a factorization from the cache, or compute and store it.
 
         ``config`` is the :class:`~repro.core.options.SolveConfig` of the
-        factorization (``None``: resolved from the ambient context); an unset
+        factorization (``None``: every knob at its default); an unset
         ``grid`` means ``P = 4`` on the paper's near-square grid and an unset
-        ``b`` means 16.  The content key is computed from the fully resolved
-        values.  Single-flight per key: two concurrent calls with the same
-        key factor once.
+        ``b`` means 16.  The content key is computed from the config's
+        resolved knobs, with the kernel tier degraded (``auto`` to
+        ``lapack``/``reference``).  Single-flight per key: two concurrent
+        calls with the same key factor once.
         """
-        from ..core.strategies import resolve_pivoting
         from ..kernels.tiers import resolve_tier
-        from ..matmul import resolve_matmul
 
         config = config or SolveConfig.resolve()
         grid = config.process_grid() or ProcessGrid.default_for(4)
         block_size = 16 if config.b is None else config.b
-        piv = resolve_pivoting(config.pivoting)
         tier = resolve_tier(config.kernel_tier)
-        eng = resolved_engine(config.engine)
-        mm = resolve_matmul(config.matmul)
         key = factor_key(
-            kind, n, seed, grid.nprow, grid.npcol, block_size, piv, tier, eng,
-            matmul=mm,
+            kind, n, seed, grid.nprow, grid.npcol, block_size, config.pivoting,
+            tier, config.engine, matmul=config.matmul,
         )
         path = self.path_for(key)
 

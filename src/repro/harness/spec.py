@@ -83,13 +83,10 @@ class ExperimentSpec:
     sweepable:
         Parameter names that make sense as sweep axes (purely advisory,
         shown by ``repro list``; any param may be swept).
-    ambient_invariant:
-        Names of ambient context knobs (currently ``"pivoting"``) whose
-        process-wide setting provably does not change this spec's rows —
-        e.g. a runner that sets the knob explicitly for every value it
-        compares.  The store then keys and records the knob's *default*
-        instead of the ambient value, so flipping the environment neither
-        mislabels the artifact nor causes a spurious cache miss.
+
+    A configuration knob (``pivoting``, ``engine``, ``kernel_tier``,
+    ``matmul``) reaches a runner only as a parameter of that name; the store
+    keys and records a knob the spec does not take at its default.
     """
 
     name: str
@@ -100,7 +97,6 @@ class ExperimentSpec:
     columns: Optional[Tuple[str, ...]] = None
     paper_ref: str = ""
     sweepable: Tuple[str, ...] = ()
-    ambient_invariant: Tuple[str, ...] = ()
 
     def resolve_params(
         self, overrides: Optional[Mapping[str, object]] = None, quick: bool = False

@@ -24,11 +24,12 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
+from ..core.options import KNOBS, SolveConfig
 from ..kernels.tiers import resolve_tier
 from .spec import ExperimentSpec, Rows, jsonify
 
 #: Environment variable relocating the artifact store (consistent with
-#: ``REPRO_KERNEL_TIER`` and ``REPRO_VMPI_ENGINE``).
+#: ``REPRO_FACTOR_CACHE_DIR`` for the factor cache).
 ENV_VAR = "REPRO_RESULTS_DIR"
 
 #: Default artifact directory when neither an explicit root nor the
@@ -55,20 +56,6 @@ def key_lock(key: object) -> threading.Lock:
         return lock
 
 
-def resolved_engine(engine: Optional[str] = None) -> str:
-    """The virtual-MPI engine name that would be used by a run right now.
-
-    Delegates to the shared resolver
-    (:func:`repro.distsim.engine.resolve_engine_name`), so store keying and
-    execution follow one precedence rule (explicit > ambient context >
-    ``REPRO_VMPI_ENGINE`` > default) and can never disagree on the resolved
-    engine.
-    """
-    from ..distsim.engine import resolve_engine_name
-
-    return resolve_engine_name(engine or None)
-
-
 def context_key(
     spec_name: str,
     params: Mapping[str, object],
@@ -79,9 +66,8 @@ def context_key(
 ) -> str:
     """SHA-256 content address of one run context (hex digest).
 
-    ``pivoting`` and ``matmul`` are part of the context because the
-    process-wide knobs (``REPRO_PIVOTING`` / ``--pivoting``,
-    ``REPRO_MATMUL`` / ``--matmul``) change what every CALU-driven runner
+    ``pivoting`` and ``matmul`` are part of the context because those knobs
+    (``--pivoting``, ``--matmul``) change what every CALU-driven runner
     computes — two runs that differ only in pivoting or in the
     distributed-matmul backend must never share an artifact.
     """
@@ -128,71 +114,23 @@ class ResultStore:
         spec: ExperimentSpec,
         overrides: Optional[Mapping[str, object]] = None,
         quick: bool = False,
-        engine: Optional[str] = None,
-    ) -> Tuple[Dict[str, object], "SolveConfig", str]:
+    ) -> Tuple[Dict[str, object], SolveConfig, str]:
         """Resolve one run to ``(params, SolveConfig, context key)``.
 
-        Specs with an explicit ``engine`` (or ``pivoting`` / ``matmul``)
-        parameter pass it straight to their runner, so that value — not the
-        ambient ``REPRO_VMPI_ENGINE`` / ``REPRO_PIVOTING`` / ``REPRO_MATMUL``
-        resolution — is what the run actually uses and what gets keyed and
-        recorded.  The config's ``kernel_tier`` is the fully degraded tier
-        (``auto`` resolved to ``lapack``/``reference``), matching what the
-        key has always recorded.
+        A knob the spec takes as a parameter (``engine``, ``pivoting``, ...)
+        is passed straight to its runner, so that value is what the run uses
+        and what gets keyed and recorded; a knob the spec does not take is
+        keyed and recorded at its default.  Knob values are validated here:
+        a stale name fails before any lookup.  The config's ``kernel_tier``
+        is the fully degraded tier (``auto`` resolved to
+        ``lapack``/``reference``), matching what the key has always recorded.
         """
-        from ..core.options import SolveConfig
-        from ..core.strategies import DEFAULT_STRATEGY, resolve_pivoting
-        from ..matmul import DEFAULT_BACKEND, resolve_matmul
-
         params = spec.resolve_params(overrides, quick=quick)
-        tier = resolve_tier()
-        # Validated either way: a stale name fails here, before any lookup.
-        eng = resolved_engine(str(params["engine"]) if "engine" in params else engine)
-        if "pivoting" in params:
-            piv = str(params["pivoting"])
-        elif "pivoting" in spec.ambient_invariant:
-            # The runner provably ignores the ambient strategy (it sets the
-            # knob explicitly for everything it computes), so key and record
-            # the default rather than mislabeling the artifact and missing
-            # the cache whenever the environment changes.
-            piv = DEFAULT_STRATEGY
-        else:
-            piv = resolve_pivoting()
-        if "matmul" in params:
-            mm = str(params["matmul"])
-        elif "matmul" in spec.ambient_invariant:
-            mm = DEFAULT_BACKEND
-        else:
-            mm = resolve_matmul()
-        config = SolveConfig(
-            pivoting=piv, engine=eng, kernel_tier=tier, matmul=mm
-        )
+        config = SolveConfig.resolve(**{k: str(params[k]) for k in KNOBS if k in params})
+        config = config.replace(kernel_tier=resolve_tier(config.kernel_tier))
         return params, config, context_key(
-            spec.name, params, tier, eng, piv, mm
-        )
-
-    def run_context(
-        self,
-        spec: ExperimentSpec,
-        overrides: Optional[Mapping[str, object]] = None,
-        quick: bool = False,
-        engine: Optional[str] = None,
-    ) -> Tuple[Dict[str, object], str, str, str, str, str]:
-        """Resolve (params, kernel_tier, engine, pivoting, matmul, key).
-
-        Historical tuple view of :meth:`run_config`; the key bytes are
-        unchanged.
-        """
-        params, config, key = self.run_config(
-            spec, overrides, quick=quick, engine=engine
-        )
-        return (
-            params,
-            config.kernel_tier,
-            config.engine,
-            config.pivoting,
-            config.matmul,
-            key,
+            spec.name, params, config.kernel_tier, config.engine,
+            config.pivoting, config.matmul,
         )
 
     # -------------------------------------------------------------- load/save
@@ -227,7 +165,6 @@ class ResultStore:
         quick: bool = False,
         force: bool = False,
         use_cache: bool = True,
-        engine: Optional[str] = None,
     ) -> FetchResult:
         """Serve a run from the cache, or execute it and store the artifact.
 
@@ -239,9 +176,7 @@ class ResultStore:
         artifact and the other waits, then loads it as a cache hit instead
         of recomputing.
         """
-        params, tier, eng, piv, mm, key = self.run_context(
-            spec, overrides, quick=quick, engine=engine
-        )
+        params, config, key = self.run_config(spec, overrides, quick=quick)
         path = self.path_for(spec.name, key)
         if use_cache and not force:
             artifact = self.load(path)
@@ -259,16 +194,14 @@ class ResultStore:
                 if artifact is not None:
                     return FetchResult(artifact=artifact, cached=True, path=path)
             return self._run_and_store(
-                spec, overrides, quick, use_cache, params, tier, eng, piv, mm,
-                key, path,
+                spec, overrides, quick, use_cache, params, config, key, path
             )
         finally:
             if use_cache:
                 lock.release()
 
     def _run_and_store(
-        self, spec, overrides, quick, use_cache, params, tier, eng, piv, mm,
-        key, path,
+        self, spec, overrides, quick, use_cache, params, config, key, path
     ) -> FetchResult:
         start = time.perf_counter()
         rows = spec.run(overrides, quick=quick)
@@ -280,10 +213,10 @@ class ResultStore:
             "title": spec.title,
             "key": key,
             "params": jsonify(params),
-            "kernel_tier": tier,
-            "engine": eng,
-            "pivoting": piv,
-            "matmul": mm,
+            "kernel_tier": config.kernel_tier,
+            "engine": config.engine,
+            "pivoting": config.pivoting,
+            "matmul": config.matmul,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
             "elapsed_s": elapsed,
             "n_rows": len(rows),

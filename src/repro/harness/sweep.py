@@ -124,7 +124,6 @@ def run_sweep(
     quick: bool = False,
     force: bool = False,
     use_cache: bool = True,
-    engine: Optional[str] = None,
     progress: Optional[ProgressFn] = None,
 ) -> SweepResult:
     """Run the cartesian product of ``grid`` over ``spec`` concurrently.
@@ -165,7 +164,6 @@ def run_sweep(
                 quick=quick,
                 force=force,
                 use_cache=use_cache,
-                engine=engine,
             )
         except Exception as exc:  # surfaced via SweepResult.errors
             job.error = exc

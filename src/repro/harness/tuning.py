@@ -475,9 +475,6 @@ SPEC_TUNE = register(
         paper_ref="Section 6 (machine models) + Equations (2)/(3)",
         sweepable=("kind", "n", "nrhs", "P", "machine", "seed", "workload",
                    "engine"),
-        # Every candidate pins pivoting and matmul explicitly, so the
-        # ambient REPRO_PIVOTING / REPRO_MATMUL knobs cannot change the rows.
-        ambient_invariant=("pivoting", "matmul"),
     )
 )
 
@@ -492,9 +489,12 @@ def load_tune_artifact(
     if ref != "latest":
         path = Path(ref)
         if path.is_file():
-            with open(path, "r", encoding="utf-8") as fh:
-                artifact = json.load(fh)
-            if artifact.get("spec") != "tune":
+            try:
+                with open(path, "r", encoding="utf-8") as fh:
+                    artifact = json.load(fh)
+            except ValueError as exc:  # truncated or not JSON at all
+                raise ValueError(f"{ref} is not a readable tune artifact: {exc}") from None
+            if not isinstance(artifact, dict) or artifact.get("spec") != "tune":
                 raise ValueError(f"{ref} is not a tune artifact")
             return artifact
     if store is None:

@@ -68,8 +68,8 @@ def getf2(
         Used by the growth-factor study (Figure 2).  Requesting it forces the
         reference tier so the recorded values are reproducible bit-for-bit.
     kernel_tier:
-        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: the process-wide
-        tier, see :mod:`repro.kernels.tiers`).  The ``lapack`` tier delegates
+        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: the ``"auto"``
+        default, see :mod:`repro.kernels.tiers`).  The ``lapack`` tier delegates
         to ``scipy.linalg.lapack.dgetrf`` with closed-form flop accounting;
         factor entries agree to rounding and pivot choices match the
         reference loop in practice (identical tie-breaking; see the tiers

@@ -78,7 +78,7 @@ def getrf_blocked(
         step (used by the growth-factor experiments).  Forces the reference
         kernel tier: the recorded values depend on the factor bits.
     kernel_tier:
-        Kernel tier for the panel factorizations (None: process-wide
+        Kernel tier for the panel factorizations (None: the ``"auto"``
         default); see :mod:`repro.kernels.tiers`.
 
     Returns

@@ -47,7 +47,7 @@ def rgetf2(
     overwrite:
         If True the input array is overwritten with the factors.
     kernel_tier:
-        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: process-wide tier).
+        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: ``"auto"``).
         The ``lapack`` tier delegates the whole factorization to ``dgetrf``
         (itself a blocked/recursive implementation) and charges the closed
         form of the reference recursion's counts; singular inputs fall back

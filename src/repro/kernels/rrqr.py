@@ -330,7 +330,7 @@ def select_rows_rrqr(
     indices in selection order (the order they must occupy at the top of the
     panel).
 
-    ``kernel_tier`` (None: process-wide default) picks the kernel, see the
+    ``kernel_tier`` (None: the ``"auto"`` default) picks the kernel, see the
     module docstring; the returned indices and the ``flops`` charges do not
     depend on it.
     """

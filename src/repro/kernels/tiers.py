@@ -45,8 +45,8 @@ The numerical kernels of this package come in *tiers*:
 
 Selected per call (``kernel_tier=`` on ``getf2``, ``rgetf2``,
 ``select_rows_rrqr``; threaded through ``tournament_pivoting``, ``tslu``,
-``calu``, ``ptslu``; ``SolveConfig.kernel_tier`` for ``pcalu``), else by the shared precedence rule of
-:mod:`repro.core.options`: ambient override > ``REPRO_KERNEL_TIER`` > ``auto``.
+``calu``, ``ptslu``; ``SolveConfig.kernel_tier`` for ``pcalu``); an unset
+value means ``auto`` (the two-level rule of :mod:`repro.core.options`).
 
 Kernels that record stability quantities (``track_growth=``,
 ``compute_thresholds=``) force the reference tier regardless of the knob, so
@@ -63,12 +63,8 @@ from ..core.options import Option, UnknownOptionError, register_option
 #: Recognised tier names.
 TIERS = ("auto", "reference", "lapack")
 
-#: Tier used when neither a per-call argument, a process-wide override, nor
-#: the environment variable is given.
+#: Tier used when no per-call value is given.
 DEFAULT_TIER = "auto"
-
-#: Environment variable consulted by :func:`resolve_tier`.
-ENV_VAR = "REPRO_KERNEL_TIER"
 
 try:  # pragma: no cover - exercised implicitly by every tier resolution
     from scipy.linalg import lapack as _scipy_lapack
@@ -91,14 +87,13 @@ def _validate(tier: str) -> str:
 
 #: The kernel-tier knob, registered into the shared configuration subsystem
 #: (:mod:`repro.core.options`), whose precedence rule picks the tier name
-#: (explicit > ambient > ``REPRO_KERNEL_TIER`` > "auto").  The tier-specific
+#: (explicit > "auto").  The tier-specific
 #: semantics — ``force_reference`` and the ``auto`` -> ``lapack``/``reference``
 #: degradation — stay here, applied *after* that rule, in :func:`resolve_tier`.
 OPTION = register_option(
     Option(
         name="kernel_tier",
         kind="kernel tier",
-        env_var=ENV_VAR,
         default=DEFAULT_TIER,
         validate=_validate,
     )

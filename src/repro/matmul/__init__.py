@@ -19,9 +19,8 @@ and ``engine=`` (:mod:`repro.distsim.engine`):
     in the standalone :func:`pdgemm`.
 
 Selected per call (the ``SolveConfig.matmul`` of ``pcalu``, ``pcalu_factor``
-and ``pdgesv``; ``matmul=`` on :func:`pdgemm`), else by the shared precedence
-rule of :mod:`repro.core.options`: ambient override > ``REPRO_MATMUL`` >
-``"summa"``.
+and ``pdgesv``; ``matmul=`` on :func:`pdgemm`); an unset value means
+``"summa"`` (the two-level rule of :mod:`repro.core.options`).
 """
 
 from __future__ import annotations
@@ -41,13 +40,9 @@ BACKENDS: Dict[str, MatmulBackend] = {
     "caps": CapsBackend(),
 }
 
-#: Backend used when neither a per-call argument, a process-wide override,
-#: nor the environment variable is given — the seed-identical algorithm.
+#: Backend used when no per-call value is given — the seed-identical
+#: algorithm.
 DEFAULT_BACKEND = "summa"
-
-#: Environment variable consulted by :func:`resolve_matmul` (consistent with
-#: ``REPRO_PIVOTING`` / ``REPRO_KERNEL_TIER`` / ``REPRO_VMPI_ENGINE``).
-ENV_VAR = "REPRO_MATMUL"
 
 
 def _validate(name: str) -> str:
@@ -58,12 +53,11 @@ def _validate(name: str) -> str:
 
 #: The matmul knob, registered into the shared configuration subsystem
 #: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_matmul`
-#: applies (explicit > ambient > ``REPRO_MATMUL`` > "summa").
+#: applies (explicit > "summa").
 OPTION = register_option(
     Option(
         name="matmul",
         kind="matmul backend",
-        env_var=ENV_VAR,
         default=DEFAULT_BACKEND,
         validate=_validate,
     )
@@ -97,8 +91,7 @@ def pdgemm(
 ) -> PdgemmResult:
     """Distributed ``C += A @ B`` through the selected backend.
 
-    Dispatches on the ``matmul`` knob (per-call > ambient override >
-    ``REPRO_MATMUL`` > ``"summa"``) and returns a
+    Dispatches on the ``matmul`` knob (``None``: ``"summa"``) and returns a
     :class:`~repro.matmul.base.PdgemmResult` with the gathered product and
     the run trace.
     """
@@ -112,7 +105,6 @@ def pdgemm(
 __all__ = [
     "BACKENDS",
     "DEFAULT_BACKEND",
-    "ENV_VAR",
     "MatmulBackend",
     "PdgemmResult",
     "SummaBackend",

@@ -187,10 +187,10 @@ def run_block_lu(
         Machine model pricing the run.
     engine:
         Execution engine for the SPMD run ("coroutine", "event", an engine
-        instance, or ``None`` for the process-wide default).
+        instance, or ``None`` for the ``"coroutine"`` default).
     matmul:
         Distributed-matmul backend for the trailing update ("summa", "caps",
-        or ``None`` for the process-wide default).
+        or ``None`` for the ``"summa"`` default).
 
     Returns
     -------

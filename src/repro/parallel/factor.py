@@ -116,12 +116,11 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
     precomputes the packed factors and the permuted matrix the solve phase
     consumes.  The returned :class:`FactoredMatrix` feeds any number of
     :func:`repro.parallel.psolve.pdgesv_solve` calls, each bit-identical to
-    the solve phase of a cold :func:`repro.parallel.psolve.pdgesv`.
+    the solve phase of a cold :func:`repro.parallel.psolve.pdgesv`.  The
+    artifact records the config's knobs as resolved, with the kernel tier
+    degraded (``auto`` to ``lapack``/``reference``).
     """
-    from ..core.strategies import resolve_pivoting
-    from ..distsim.engine import resolve_engine_name
     from ..kernels.tiers import resolve_tier
-    from ..matmul import resolve_matmul
 
     A = np.asarray(A, dtype=np.float64)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
@@ -136,12 +135,12 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
         block_size=config.b,
         nprow=config.nprow,
         npcol=config.npcol,
-        pivoting=resolve_pivoting(config.pivoting),
+        pivoting=config.pivoting,
         kernel_tier=resolve_tier(config.kernel_tier),
-        engine=resolve_engine_name(config.engine),
+        engine=config.engine,
         packed=fact.packed,
         permuted=A[fact.perm, :],
         perm=np.asarray(fact.perm, dtype=np.int64),
-        matmul=resolve_matmul(config.matmul),
+        matmul=config.matmul,
         source=fact,
     )

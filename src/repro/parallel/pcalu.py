@@ -40,7 +40,7 @@ def make_calu_panel(
     ----------
     kernel_tier:
         Kernel tier for the leaf factorizations and, with
-        ``selector="rrqr"``, the merges (None: process-wide default).  Only a
+        ``selector="rrqr"``, the merges (None: the ``"auto"`` default).  Only a
         row *order* ever leaves a tiered kernel — ``getf2`` merges, whose
         ``U`` becomes the panel's, always run reference-tier arithmetic — so
         the simulated factors do not depend on the tier.

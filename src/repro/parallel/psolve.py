@@ -349,7 +349,7 @@ def pdgesv_solve(
     config:
         Optional :class:`~repro.core.options.SolveConfig` whose machine and
         engine run the solve phase (``None``: the unit machine and the
-        process-wide default engine; the factor records the engine that
+        default ``"coroutine"`` engine; the factor records the engine that
         produced it but the solve may run on either engine — they are
         bit-identical).  The solve always runs on the factor's grid.
     refine, tolerance:

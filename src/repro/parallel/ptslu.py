@@ -168,7 +168,7 @@ def ptslu_rank(
     tag:
         Tag namespace (must differ between concurrent panels).
     kernel_tier:
-        Kernel tier for the rank-local factorizations (None: process-wide
+        Kernel tier for the rank-local factorizations (None: the ``"auto"``
         default) and, with ``selector="rrqr"``, for the tournament merges.
         Only the pivot order flows into the candidate set, so the fast tier
         leaves the simulated results bit-identical.
@@ -376,15 +376,15 @@ def ptslu(
     engine:
         Execution engine for the SPMD run ("coroutine", "event", an
         :class:`~repro.distsim.engine.ExecutionEngine` instance, or
-        ``None`` for the process-wide default).
+        ``None`` for the ``"coroutine"`` default).
     kernel_tier:
-        Kernel tier for the rank-local arithmetic (None: process-wide
+        Kernel tier for the rank-local arithmetic (None: the ``"auto"``
         default).  With a non-reference tier the ``getf2`` leaf
         factorizations of all ranks share batched calls — the candidate sets
         and flop charges are identical, only the host-side overhead of ``P``
         sequential Python-loop factorizations is removed.
     pivoting:
-        Pivoting strategy (None: process-wide default, see
+        Pivoting strategy (None: the ``"ca"`` default, see
         :mod:`repro.core.strategies`): ``"ca"`` (the paper's tournament),
         ``"ca_prrp"`` (strong-RRQR tournament — same ``log2 P`` messages) or
         ``"pp"`` (column-by-column partial pivoting, ``~2 b log2 P``

@@ -96,19 +96,15 @@ def test_unknown_engine_error_names_offender_and_lists_registered():
     assert isinstance(exc.value, ValueError)
 
 
-def test_unknown_engine_env_var_raises_named_error(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_ENGINE", "warp-drive")
+def test_unknown_engine_config_value_raises_named_error():
     with pytest.raises(UnknownEngineError) as exc:
-        run_spmd(2, lambda comm: comm.rank)
+        SolveConfig.resolve(engine="warp-drive")
     assert exc.value.name == "warp-drive"
     assert "coroutine" in str(exc.value)
 
 
-def test_engine_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_ENGINE", "event")
-    trace = run_spmd(2, lambda comm: comm.rank)
-    assert trace.engine == "event"
-    monkeypatch.delenv("REPRO_VMPI_ENGINE")
+def test_engine_argument_selects_backend():
+    assert run_spmd(2, lambda comm: comm.rank, engine="event").engine == "event"
     assert run_spmd(1, lambda comm: comm.rank).engine == "coroutine"
 
 

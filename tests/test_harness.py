@@ -190,7 +190,7 @@ def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
         "423d95786373f5c7d71563bdba467519f86b2f903ad4dff062ae22bfe75e21c4")
     spec = get_spec("figure1")
     assert "engine" not in spec.params
-    assert ResultStore(root=tmp_path).run_context(spec)[2] == "coroutine"
+    assert ResultStore(root=tmp_path).run_config(spec)[1].engine == "coroutine"
 
 
 # ------------------------------------------ removed engine names fail early
@@ -208,10 +208,9 @@ def test_stale_engine_argument_raises():
     assert exc.value.available == ["coroutine", "event"]
 
 
-def test_stale_engine_env_var_raises(monkeypatch):
-    monkeypatch.setenv("REPRO_VMPI_ENGINE", STALE_ENGINE)
+def test_stale_engine_config_value_raises():
     with pytest.raises(UnknownEngineError) as exc:
-        run_spmd(2, lambda comm: comm.rank)
+        SolveConfig.resolve(engine=STALE_ENGINE)
     assert str(exc.value) == STALE_MESSAGE
 
 
@@ -227,7 +226,7 @@ def test_stale_engine_set_override_fails_before_running(tmp_path, capsys):
     assert STALE_MESSAGE in capsys.readouterr().err
     assert not (tmp_path / "panel_counts").exists()  # nothing ran, nothing stored
     with pytest.raises(UnknownEngineError):
-        ResultStore(root=tmp_path).run_context(
+        ResultStore(root=tmp_path).run_config(
             get_spec("panel_counts"), {"engine": STALE_ENGINE})
 
 
@@ -457,19 +456,34 @@ def test_context_key_changes_when_only_pivoting_changes():
     assert base != context_key("stability", {"seed": 0}, "lapack", "event", "pp")
 
 
-def test_ambient_pivoting_is_keyed_and_recorded(tmp_path):
-    """The process-wide strategy knob must produce distinct artifacts."""
-    from repro.core.options import option_overrides
-
+@pytest.mark.parametrize("name", ["figure1", "stability_prrp", "tune"])
+def test_spec_without_a_knob_param_keys_and_records_the_default(tmp_path, name):
+    """A knob a spec does not take is keyed and recorded at its default."""
     store = ResultStore(root=tmp_path)
-    spec = get_spec("figure1")  # no 'pivoting' param: ambient applies
-    default = store.fetch_or_run(spec)
-    assert default.artifact["pivoting"] == "ca"
-    with option_overrides(pivoting="ca_prrp"):
-        prrp = store.fetch_or_run(spec)
-    assert prrp.artifact["pivoting"] == "ca_prrp"
-    assert prrp.artifact["key"] != default.artifact["key"]
-    assert not prrp.cached
+    spec = get_spec(name)
+    params, config, key = store.run_config(spec, quick=True)
+    assert (config.pivoting, config.matmul) == ("ca", "summa")
+    assert config.engine == params.get("engine", "coroutine")
+    assert key == context_key(name, params, config.kernel_tier, config.engine)
+
+
+@pytest.mark.parametrize("argv,flag,param", [
+    (["run", "figure1", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
+    (["run", "table1", "figure1", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
+    (["run", "panel_counts", "--quick", "--tier", "reference"], "--tier", "kernel_tier"),
+    (["sweep", "figure1", "--param", "schedule=binary", "--matmul", "caps"],
+     "--matmul", "matmul"),
+    (["tune", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
+])
+def test_knob_flag_without_spec_param_fails_before_running(tmp_path, argv, flag, param):
+    """A knob flag is the spec parameter of its name: when the spec lacks it
+    the command exits non-zero, names the spec's parameters, runs nothing."""
+    with pytest.raises(SystemExit) as exc:
+        run_cli(argv, tmp_path)
+    message = str(exc.value)
+    assert message.startswith(f"error: {flag} sets parameter {param!r}")
+    assert "its parameters: [" in message
+    assert list(tmp_path.iterdir()) == []  # nothing ran, nothing stored
 
 
 def test_pivoting_param_specs_record_the_strategy_actually_used(tmp_path):
@@ -582,22 +596,6 @@ def test_sweep_rows_tag_base_even_for_externally_built_jobs():
     assert rows == [{"param:m": 64, "param:P": 2, "value": 42}]
 
 
-def test_ambient_invariant_spec_ignores_pivoting_env(tmp_path):
-    """stability_prrp factors with every strategy explicitly, so the ambient
-    knob must neither re-key nor relabel its artifact."""
-    from repro.core.options import option_overrides
-
-    store = ResultStore(root=tmp_path)
-    spec = get_spec("stability_prrp")
-    assert spec.ambient_invariant == ("pivoting",)
-    default = store.fetch_or_run(spec, quick=True)
-    with option_overrides(pivoting="pp"):
-        same = store.fetch_or_run(spec, quick=True)
-    assert same.cached  # no spurious recompute
-    assert same.artifact["key"] == default.artifact["key"]
-    assert same.artifact["pivoting"] == "ca"  # labeled with the default
-
-
 def test_fetch_or_run_is_single_flight_per_key(tmp_path):
     """Concurrent fetches of one context key compute exactly once: the
     first thread runs and stores, the rest wait on the per-key lock and are
@@ -700,6 +698,22 @@ def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     assert flags.pivoting == "ca_prrp"
     plain = config_from_args(parse(["serve"]))
     assert (plain.grid, plain.b) == (None, None)  # the factor cache's P=4, b=16
+
+
+def test_truncated_tune_artifact_raises_value_error_naming_the_path(tmp_path):
+    from repro.harness.tuning import load_tune_artifact
+
+    _tune_artifact(tmp_path / "tune.json")
+    truncated = tmp_path / "tune-truncated.json"
+    truncated.write_text((tmp_path / "tune.json").read_text()[:40])
+    with pytest.raises(ValueError) as exc:
+        load_tune_artifact(str(truncated))
+    assert str(truncated) in str(exc.value)
+    with pytest.raises(SystemExit) as exit_exc:
+        run_cli(["serve", "--n", "32", "--requests", "1", "--tuned", str(truncated),
+                 "--factor-cache-dir", str(tmp_path / "factors")], tmp_path)
+    assert str(exit_exc.value).startswith(f"error: {truncated}")
+    assert not (tmp_path / "factors").exists()  # failed before factoring
 
 
 def test_result_store_entries_and_purge(tmp_path):

@@ -32,7 +32,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import calu, tslu, tournament_pivoting, partition_rows
-from repro.core.options import option_overrides
 from repro.kernels import (
     DEFAULT_TAU,
     FlopCounter,
@@ -58,19 +57,16 @@ def _counts(f: FlopCounter):
 
 
 # ------------------------------------------------------------ tier selection
-def test_tier_resolution_and_overrides(monkeypatch):
-    # The generic precedence levels (ambient/env/default) are covered for
-    # every knob by tests/test_options.py; this covers what is specific to
-    # the tier knob: the "auto" degradation and force_reference.
-    monkeypatch.delenv("REPRO_KERNEL_TIER", raising=False)
+def test_tier_resolution_and_overrides():
+    # The generic precedence levels (explicit/default) are covered for every
+    # knob by tests/test_options.py; this covers what is specific to the
+    # tier knob: the "auto" degradation and force_reference.
     assert resolve_tier(None) == "lapack"  # auto default with scipy present
     assert resolve_tier("auto") == "lapack"
     assert resolve_tier("reference") == "reference"
+    assert resolve_tier("lapack") == "lapack"
     assert resolve_tier(None, force_reference=True) == "reference"
     assert resolve_tier("lapack", force_reference=True) == "reference"
-    with option_overrides(kernel_tier="reference"):
-        assert resolve_tier(None) == "reference"
-    assert resolve_tier(None) == "lapack"
     with pytest.raises(ValueError):
         resolve_tier("nope")
 

@@ -1,7 +1,7 @@
 """Tests for the pluggable distributed-matmul layer (summa / caps).
 
-Covers the backend registry and its knobs (``matmul=`` argument,
-process-wide override, ``REPRO_MATMUL``), the local Strassen kernel, the
+Covers the backend registry and its knob (``matmul=`` argument,
+``SolveConfig.matmul``), the local Strassen kernel, the
 standalone ``pdgemm`` entry point for both backends, exact agreement of the
 measured per-channel message/word totals with the analytic ledgers of
 :mod:`repro.models.matmul_model` on multiple engines, the Strassen bandwidth
@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.options import UnknownOptionError, option_overrides
+from repro.core.options import SolveConfig, UnknownOptionError
 from repro.kernels.flops import FlopCounter
 from repro.layouts.grid import ProcessGrid
 from repro.matmul import (
@@ -53,8 +53,7 @@ def test_unknown_backend_raises_unknown_option_error():
     with pytest.raises(UnknownOptionError, match="unknown matmul backend"):
         get_backend("cannon")
     with pytest.raises(ValueError, match="'cannon'"):
-        with option_overrides(matmul="cannon"):
-            pass
+        SolveConfig.resolve(matmul="cannon")
     err = None
     try:
         resolve_matmul("cannon")
@@ -66,9 +65,8 @@ def test_unknown_backend_raises_unknown_option_error():
     assert err.available == ["caps", "summa"]
 
 
-# The precedence rule (explicit > ambient > REPRO_MATMUL > default) and the
-# context-manager nesting are covered for every knob at once by the
-# parametrized suite in tests/test_options.py.
+# The precedence rule (explicit > default) is covered for every knob at once
+# by the parametrized suite in tests/test_options.py.
 
 
 # ------------------------------------------------------------- local Strassen
@@ -131,18 +129,19 @@ def test_pdgemm_matches_dense_product(backend):
     assert np.max(np.abs(result.C - (C0 + A @ B))) < 1e-12
 
 
-def test_pdgemm_dispatches_on_ambient_knob(monkeypatch):
-    monkeypatch.delenv("REPRO_MATMUL", raising=False)
+def test_pdgemm_dispatches_on_matmul_knob():
     A = randn(16, seed=3)
     B = randn(16, seed=4)
     grid = ProcessGrid.default_for(7)
-    with option_overrides(matmul="caps"):
-        res = pdgemm(A, B, grid=grid, block_size=4)
+    res = pdgemm(A, B, grid=grid, block_size=4, matmul="caps")
     # All CAPS traffic is point-to-point / group-wide: "any" channel only.
     assert res.trace.messages_by_channel("row") == 0
     assert res.trace.messages_by_channel("col") == 0
     assert res.trace.messages_by_channel("any") > 0
     assert np.max(np.abs(res.C - A @ B)) < 1e-12
+    # Unset, the knob means the default backend: SUMMA's row/col broadcasts.
+    default = pdgemm(A, B, grid=grid, block_size=4)
+    assert default.trace.messages_by_channel("row") > 0
 
 
 def test_pdgemm_shape_validation():

@@ -1,7 +1,7 @@
 """Tests for the pluggable pivoting-strategy layer (pp / ca / ca_prrp).
 
-Covers the strategy registry and its knobs (``pivoting=`` argument,
-process-wide override, ``REPRO_PIVOTING``), the strong rank-revealing QR
+Covers the strategy registry and its knob (``pivoting=`` argument,
+``SolveConfig.pivoting``), the strong rank-revealing QR
 kernel behind CALU_PRRP, the three strategies through ``tslu``/``calu``, and
 the paper-grid acceptance comparison: at (n=1024, P=32, b=32) every strategy
 factors to ``max|A[perm] - L U| < 1e-12`` and CALU_PRRP's growth factor does
@@ -21,7 +21,7 @@ from repro.core.strategies import (
     get_strategy,
     resolve_pivoting,
 )
-from repro.core.options import option_overrides
+from repro.core.options import SolveConfig
 from repro.kernels.getf2 import getf2
 from repro.kernels.rrqr import (
     DEFAULT_TAU,
@@ -43,23 +43,21 @@ def test_registry_lists_all_three_strategies():
     assert not get_strategy("pp").tournament
 
 
-# The precedence rule (explicit > ambient > REPRO_PIVOTING > default) and
-# the context-manager nesting are covered for every knob at once by the
-# parametrized suite in tests/test_options.py.
+# The precedence rule (explicit > default) is covered for every knob at once
+# by the parametrized suite in tests/test_options.py.
 def test_unknown_strategy_rejected_everywhere():
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
         resolve_pivoting("rook")
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
-        with option_overrides(pivoting="rook"):
-            pass
+        SolveConfig.resolve(pivoting="rook")
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
         calu(randn(16, seed=0), block_size=4, nblocks=2, pivoting="rook")
 
 
-def test_env_var_drives_calu(monkeypatch):
+def test_explicit_pivoting_drives_calu():
     A = randn(48, seed=9)
-    monkeypatch.setenv("REPRO_PIVOTING", "ca_prrp")
-    res = calu(A, block_size=8, nblocks=2)
+    assert calu(A, block_size=8, nblocks=2).pivoting == DEFAULT_STRATEGY
+    res = calu(A, block_size=8, nblocks=2, pivoting="ca_prrp")
     assert res.pivoting == "ca_prrp"
     assert factorization_error(A, res) < 1e-12
 

@@ -9,24 +9,24 @@ diffing the two outputs (the script pins BLAS to one thread)::
     python benchmarks/digest.py > change.txt && diff parent.txt change.txt
 
 Simulated lines (``ptslu`` / ``pdgetrf`` / ``pcalu`` / ``pdgesv`` / ``pdgemm``,
-each under ``engine=coroutine`` and ``engine=event``) carry two hashes.  The
-factorization drivers are called only as ``pcalu(A, config=...)`` and
+each under ``engine=coroutine``, the one registered engine) carry two hashes.
+The factorization drivers are called only as ``pcalu(A, config=...)`` and
 ``pdgesv(A, B, config=...)``; a ``pdgetrf`` line is ``pcalu`` with
 ``pivoting="pp"``.  The two hashes are:
 
-* the *parity* hash — every ``RankTrace`` field of every rank that the two
-  engines must agree on (messages and words sent and received, per-channel
-  counts, muladds, divides, comparisons, clock, ``zero_copy_sends``) plus the
-  outputs as raw bytes (ptslu: ``L``, ``U``, ``perm``, ``winners``; pdgetrf /
-  pcalu: ``L``, ``U``, ``perm``, ``swaps``; pdgesv: ``x``, residual, per-RHS
-  and backward-error histories, iterations, ``L``, ``U``, ``perm``, factor and
+* the *simulated* hash — every simulated ``RankTrace`` field of every rank
+  (messages and words sent and received, per-channel counts, muladds,
+  divides, comparisons, clock, ``zero_copy_sends``) plus the outputs as raw
+  bytes (ptslu: ``L``, ``U``, ``perm``, ``winners``; pdgetrf / pcalu: ``L``,
+  ``U``, ``perm``, ``swaps``; pdgesv: ``x``, residual, per-RHS and
+  backward-error histories, iterations, ``L``, ``U``, ``perm``, factor and
   solve traces; pdgemm: ``C``);
-* the *engine* hash — what legitimately differs between the engines
-  (``group_collectives`` per rank, ``RunTrace.engine``).
+* the *engine* hash — the engine's own bookkeeping (``group_collectives``
+  per rank, ``RunTrace.engine``).
 
-The script itself asserts that every ``engine=event`` line has the parity hash
-of its ``engine=coroutine`` twin: the raw hashes depend on the platform's
-BLAS, that equality does not, which is what CI runs (``--quick``).
+The raw hashes depend on the platform's BLAS, so they are compared only
+between two runs on one machine.  ``--quick`` runs a small sub-matrix; CI
+runs it as a smoke test (it must exit 0 and no line may read ``raised``).
 
 Sequential lines (``tslu`` / ``calu``: no simulator, no engine) hash ``L``,
 ``U``, ``perm`` and the flop ledger over pivoting x schedule x tier x partition
@@ -54,7 +54,7 @@ import sys
 from functools import partial
 from pathlib import Path
 
-ENGINES = ("coroutine", "event")
+ENGINES = ("coroutine",)
 PIVOTINGS = ("ca", "pp", "ca_prrp")
 TIERS = ("auto", "reference")
 MATMULS = ("summa", "caps")
@@ -93,8 +93,8 @@ def sha(*objs) -> str:
 
 
 def trace_fields(trace):
-    """``(what both engines must agree on, what may differ)`` of a RunTrace."""
-    parity = [
+    """``(simulated quantities, engine bookkeeping)`` of a RunTrace."""
+    simulated = [
         (
             r.rank, r.messages_sent, r.messages_received, r.words_sent,
             r.words_received, r.messages_by_channel, r.words_by_channel,
@@ -102,11 +102,11 @@ def trace_fields(trace):
         )
         for r in trace.ranks
     ]
-    return parity, ([r.group_collectives for r in trace.ranks], trace.engine)
+    return simulated, ([r.group_collectives for r in trace.ranks], trace.engine)
 
 
 def simulated_lines(quick: bool):
-    """Yield ``(config, engine, callable -> (parity objects, engine objects))``."""
+    """Yield ``(config, engine, callable -> (simulated objects, engine objects))``."""
     from repro.core.options import SolveConfig
     from repro.layouts.grid import ProcessGrid
     from repro.machines import ibm_power5
@@ -123,27 +123,27 @@ def simulated_lines(quick: bool):
     def run_ptslu(engine, P, piv, tier, layout):
         res = ptslu(tall_skinny(8 * P + 5, 8, seed=P), P, layout=layout,
                     machine=ibm_power5(), engine=engine, kernel_tier=tier, pivoting=piv)
-        parity, eng = trace_fields(res.trace)
-        return [res.L, res.U, res.perm, res.winners, parity], eng
+        sim, eng = trace_fields(res.trace)
+        return [res.L, res.U, res.perm, res.winners, sim], eng
 
     def run_pcalu(grid, n, **knobs):
         res = pcalu(randn(n, seed=n), config=config(grid, **knobs))
-        parity, eng = trace_fields(res.trace)
-        return lu_outputs(res) + [parity], eng
+        sim, eng = trace_fields(res.trace)
+        return lu_outputs(res) + [sim], eng
 
     def run_pdgesv(grid, n, **knobs):
         res = pdgesv(randn(n, seed=n), randn(n, 2, seed=n + 1), config=config(grid, **knobs))
-        fparity, feng = trace_fields(res.factorization.trace)
-        sparity, seng = trace_fields(res.trace)
+        fsim, feng = trace_fields(res.factorization.trace)
+        ssim, seng = trace_fields(res.trace)
         return [res.x, res.residual_norms, res.per_rhs_residuals, res.backward_errors,
-                res.iterations, lu_outputs(res.factorization), fparity, sparity], [feng, seng]
+                res.iterations, lu_outputs(res.factorization), fsim, ssim], [feng, seng]
 
     def run_pdgemm(engine, grid, shape, mm):
         m, k, n = shape
         res = pdgemm(randn(m, k, seed=1), randn(k, n, seed=2), grid=ProcessGrid(*grid),
                      block_size=7, matmul=mm, machine=ibm_power5(), engine=engine)
-        parity, eng = trace_fields(res.trace)
-        return [res.C, parity], eng
+        sim, eng = trace_fields(res.trace)
+        return [res.C, sim], eng
 
     procs = (3, 8) if quick else (1, 2, 3, 5, 6, 8, 13, 16)
     grids = ((2, 2), (3, 5)) if quick else ((2, 2), (4, 2), (3, 5), (1, 4), (4, 1), (4, 4))
@@ -244,34 +244,24 @@ def main(argv=None) -> int:
     parser.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                         help="the src/ directory to import repro from (default: this checkout)")
     parser.add_argument("--quick", action="store_true",
-                        help="a small sub-matrix (CI: checks event == coroutine parity)")
+                        help="a small sub-matrix (the CI smoke test)")
     args = parser.parse_args(argv)
     sys.path.insert(0, args.src)
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before numpy loads: threaded BLAS sums differ
 
-    parity_of = {}
-    mismatched = []
     for config, engine, fn in simulated_lines(args.quick):
         result = attempt(fn)
         if isinstance(result, str):
-            parity = engine_hash = result
+            simulated = engine_hash = result
         else:
-            parity, engine_hash = sha(result[0]), sha(result[1])
-        print(f"{config.replace(' ', f' engine={engine} ', 1)}  {parity}  {engine_hash}")
-        if parity_of.setdefault(config, parity) != parity:
-            mismatched.append(config)
+            simulated, engine_hash = sha(result[0]), sha(result[1])
+        print(f"{config.replace(' ', f' engine={engine} ', 1)}  {simulated}  {engine_hash}")
     for config, fn in sequential_lines(args.quick):
         result = attempt(fn)
         print(f"{config}  {result if isinstance(result, str) else sha(result)}")
     for config, key in key_lines():
         print(f"{config}  {key}")
-    sys.stdout.flush()
-    if mismatched:
-        print(f"digest: {len(mismatched)} engine=event line(s) differ from their "
-              f"engine=coroutine twin: {mismatched[:5]}", file=sys.stderr)
-        return 1
-    print(f"digest: {len(parity_of)} event/coroutine pairs agree", file=sys.stderr)
     return 0
 
 

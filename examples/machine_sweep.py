@@ -12,8 +12,9 @@ prints:
 * a latency/bandwidth/flops breakdown for one configuration, showing where
   CALU's advantage comes from,
 * a simulator cross-check at the paper's process counts: measured TSLU
-  message counts at P = 64..888 on the deterministic event engine, which is
-  what makes those process counts tractable in pure Python.
+  message counts at P = 64..888 on the deterministic virtual-MPI scheduler,
+  whose group-level collectives make those process counts tractable in pure
+  Python.
 
 Run with::
 
@@ -62,7 +63,7 @@ def main() -> None:
               f"total={bd['total']:.4e}s")
 
     print("\n== Simulator cross-check: TSLU messages at paper-scale P "
-          "(deterministic event engine) ==")
+          "(deterministic virtual-MPI scheduler) ==")
     rows = measure_panel_scaling(Ps=(64, 128, 256, 888), b=4, rows_per_rank=8)
     print(format_table(
         rows, columns=["P", "m", "b", "max_messages_per_rank", "expected_log2P"]

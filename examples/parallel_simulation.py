@@ -8,8 +8,8 @@ Cray XT4 machine models — i.e. a miniature, executable version of the paper's
 comparison, small enough to run in seconds in pure Python.
 
 The simulator is deterministic, so repeated invocations produce bit-identical
-traces; build the config with ``SolveConfig.resolve(engine="event")`` to
-cross-check the point-to-point evaluation of the collectives.
+traces; every collective charges each rank the messages of its tree, as
+stated in closed form by ``tests/test_collectives_closed_form.py``.
 
 Run with::
 

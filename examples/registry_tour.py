@@ -6,7 +6,7 @@ Everything ``python -m repro`` does is a thin layer over this API:
 1. list the registered specs and their parameters;
 2. run one spec through the content-addressed result store (the second call
    is a cache hit served from ``results/`` — or ``$REPRO_RESULTS_DIR``);
-3. sweep a parameter grid concurrently through the event engine.
+3. sweep a parameter grid concurrently, each point its own simulated run.
 
 Run with::
 
@@ -38,7 +38,7 @@ def main() -> None:
         print(f"  second call: cached={again.cached} (bit-identical rows: "
               f"{again.rows == first.rows})")
 
-        print("\n== Sweep: measured TSLU panel messages over (P, b), event engine ==")
+        print("\n== Sweep: measured TSLU panel messages over (P, b), simulated ==")
         result = run_sweep(
             get_spec("panel_counts"),
             grid={"P": (2, 4, 8), "b": (4, 8)},

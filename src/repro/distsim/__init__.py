@@ -10,15 +10,14 @@ single-threaded scheduler (:mod:`repro.distsim.engine`): exactly one rank
 runs at a time, the next is always the runnable rank with the smallest
 ``(simulated clock, rank)``, and deadlock is detected structurally (no rank
 runnable ⇒ fail immediately, naming what each rank waits on).  Collectives
-are evaluated as single group-level events with per-rank cost attribution;
-``engine="event"`` turns that off so they walk their point-to-point trees —
-the reference the tests compare the group evaluation against.
+are evaluated as single group-level events that charge each rank every
+message of the collective's tree; ``tests/test_collectives_closed_form.py``
+states those charges in closed form.
 
 **Determinism guarantee** — the simulated quantities (message counts, word
 counts, flop counts, per-rank clocks and hence critical-path times) are a
 pure function of the rank programs and the machine model: identical across
-repeated runs and across both engine names.  The host-side execution order
-is reproducible too.
+repeated runs.  The host-side execution order is reproducible too.
 """
 
 from .collectives import (

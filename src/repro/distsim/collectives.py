@@ -1,12 +1,12 @@
-"""Collective operations built from point-to-point messages.
+"""The collective operations of the virtual MPI.
 
 ScaLAPACK's drivers and CALU both rely on broadcasts, reductions and
 all-reductions along rows and columns of the process grid.  The paper's model
 prices each collective over ``P`` processes as ``log2(P)`` communication
-steps; the implementations below use binomial trees (broadcast, reduce,
-gather, scatter) and a recursive-doubling butterfly (all-reduce / all-gather),
-which have exactly that depth, so the simulated critical path matches the
-model's assumption.
+steps; each collective here is priced as binomial trees (broadcast, reduce,
+gather) or a recursive-doubling butterfly (all-reduce / all-gather) of
+exactly that depth, and the scatter as linear root-sends, so the simulated
+critical path matches the model's assumption.
 
 All collectives operate over an explicit *group*: an ordered list of world
 ranks.  This is how "the column of the grid holding block-column j" or "the
@@ -14,12 +14,11 @@ process row holding block-row j" are expressed.  Every rank in the group must
 call the collective with the same group (same order); other ranks must not.
 
 Each collective is a generator function for use inside rank programs
-(``value = yield from broadcast(comm, ...)``).  With
-``comm.group_collectives`` (the default engine), a collective yields one
-group-level :class:`~repro.distsim.engine.base.CollectiveRequest` instead of
-walking its point-to-point tree; the scheduler evaluates the same tree
-centrally (:mod:`repro.distsim.engine.group_ops`) with bit-identical per-rank
-cost attribution, so traces match either way.
+(``value = yield from broadcast(comm, ...)``).  Over more than one rank it
+yields one group-level :class:`~repro.distsim.engine.base.CollectiveRequest`;
+the scheduler evaluates its communication tree centrally
+(:mod:`repro.distsim.engine.group_ops`), charging every participant each
+message of that tree.  A one-member group sends nothing and returns at once.
 """
 
 from __future__ import annotations
@@ -107,35 +106,8 @@ def broadcast(
     rootpos = _root_position("broadcast", root, group)
     if p == 1:
         return value
-    if comm.group_collectives:
-        return (
-            yield CollectiveRequest(
-                kind="broadcast",
-                group=group,
-                pos=me,
-                rootpos=rootpos,
-                value=value,
-                op=None,
-                tag=tag,
-                channel=channel,
-            )
-        )
-    # Re-index so the root is position 0.
-    vrank = (me - rootpos) % p
-
-    # Binomial tree: in round k, ranks with vrank < 2**k that have the data
-    # send it to vrank + 2**k.
-    received = value if vrank == 0 else None
-    k = 1
-    while k < p:
-        if vrank < k and vrank + k < p:
-            dest = group[(vrank + k + rootpos) % p]
-            comm.send(dest, received, tag=(tag, k), channel=channel)
-        elif k <= vrank < 2 * k:
-            src = group[(vrank - k + rootpos) % p]
-            received = yield from comm.co_recv(src, tag=(tag, k))
-        k *= 2
-    return received
+    return (yield CollectiveRequest(kind="broadcast", group=group, pos=me, rootpos=rootpos,
+                                    value=value, op=None, tag=tag, channel=channel))
 
 
 def reduce(
@@ -157,36 +129,10 @@ def reduce(
     p = len(group)
     me = _position(comm, group)
     rootpos = _root_position("reduce", root, group)
-    if comm.group_collectives and p > 1:
-        return (
-            yield CollectiveRequest(
-                kind="reduce",
-                group=group,
-                pos=me,
-                rootpos=rootpos,
-                value=value,
-                op=op,
-                tag=tag,
-                channel=channel,
-            )
-        )
-    vrank = (me - rootpos) % p
-
-    acc = value
-    k = 1
-    while k < p:
-        if vrank % (2 * k) == 0:
-            partner = vrank + k
-            if partner < p:
-                src = group[(partner + rootpos) % p]
-                other = yield from comm.co_recv(src, tag=(tag, k))
-                acc = op(other, acc)
-        elif vrank % (2 * k) == k:
-            dest = group[(vrank - k + rootpos) % p]
-            comm.send(dest, acc, tag=(tag, k), channel=channel)
-            return None if comm.rank != root else acc
-        k *= 2
-    return acc if comm.rank == root else None
+    if p == 1:
+        return value
+    return (yield CollectiveRequest(kind="reduce", group=group, pos=me, rootpos=rootpos,
+                                    value=value, op=op, tag=tag, channel=channel))
 
 
 def allreduce(
@@ -209,8 +155,9 @@ def allreduce(
     implementations do.
 
     With a :class:`~repro.distsim.engine.base.RedundantOp` every rank gets
-    ``op.finish(reduced)``, charged to it.  Here each rank evaluates its own
-    applications; the group-level evaluation computes each distinct one once.
+    ``op.finish(reduced)``, charged to it; the group-level evaluation
+    computes each distinct application once and charges every rank that
+    performs it.
     """
     group = _norm_group(comm, group)
     p = len(group)
@@ -218,52 +165,8 @@ def allreduce(
     redundant = isinstance(op, RedundantOp)
     if p == 1:
         return op.finish_charged(value) if redundant else value
-    if comm.group_collectives:
-        return (
-            yield CollectiveRequest(
-                kind="allreduce",
-                group=group,
-                pos=me,
-                rootpos=0,
-                value=value,
-                op=op,
-                tag=tag,
-                channel=channel,
-            )
-        )
-
-    # Largest power of two <= p.
-    pow2 = 1
-    while pow2 * 2 <= p:
-        pow2 *= 2
-    rem = p - pow2
-
-    acc = value
-    # Fold ranks beyond the power-of-two boundary onto their partners.
-    if me >= pow2:
-        dest = group[me - pow2]
-        comm.send(dest, acc, tag=(tag, "fold"), channel=channel)
-    elif me < rem:
-        other = yield from comm.co_recv(group[me + pow2], tag=(tag, "fold"))
-        acc = op(other, acc)
-
-    if me < pow2:
-        k = 1
-        while k < pow2:
-            partner = me ^ k
-            other = yield from comm.co_sendrecv(
-                group[partner], acc, tag=(tag, k), channel=channel
-            )
-            # Keep a deterministic order: lower position's contribution first.
-            acc = op(other, acc) if partner < me else op(acc, other)
-            k *= 2
-
-    # Un-fold: send the result back to the folded ranks.
-    if me < rem:
-        comm.send(group[me + pow2], acc, tag=(tag, "unfold"), channel=channel)
-    elif me >= pow2:
-        acc = yield from comm.co_recv(group[me - pow2], tag=(tag, "unfold"))
-    return op.finish_charged(acc) if redundant else acc
+    return (yield CollectiveRequest(kind="allreduce", group=group, pos=me, rootpos=0,
+                                    value=value, op=op, tag=tag, channel=channel))
 
 
 def gather(
@@ -329,26 +232,11 @@ def scatter(
     rootpos = _root_position("scatter", root, group)
     if comm.rank == root and (values is None or len(values) != len(group)):
         raise ValueError("root must supply one value per group member")
-    if comm.group_collectives and len(group) > 1:
-        return (
-            yield CollectiveRequest(
-                kind="scatter",
-                group=group,
-                pos=me,
-                rootpos=rootpos,
-                value=list(values) if comm.rank == root else None,
-                op=None,
-                tag=tag,
-                channel=channel,
-            )
-        )
-    if comm.rank == root:
-        for pos, dest in enumerate(group):
-            if dest == root:
-                continue
-            comm.send(dest, values[pos], tag=(tag, pos), channel=channel)
+    if len(group) == 1:
         return values[rootpos]
-    return (yield from comm.co_recv(root, tag=(tag, me)))
+    value = list(values) if comm.rank == root else None
+    return (yield CollectiveRequest(kind="scatter", group=group, pos=me, rootpos=rootpos,
+                                    value=value, op=None, tag=tag, channel=channel))
 
 
 def barrier(

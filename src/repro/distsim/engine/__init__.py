@@ -1,24 +1,21 @@
 """The execution engine of the virtual MPI and its ``engine`` knob.
 
 One scheduler (:mod:`repro.distsim.engine.coroutine`) runs every SPMD
-program; the simulated cost model lives in the shared
-:class:`~repro.distsim.engine.base.Communicator`.  The scheduler is
-registered under two names:
+program, registered as ``"coroutine"``; collectives rendezvous as single
+group-level events evaluated centrally (:mod:`repro.distsim.engine.group_ops`),
+and the simulated cost model lives in the shared
+:class:`~repro.distsim.engine.base.Communicator`.
 
-``coroutine`` (default)
-    Collectives rendezvous as single group-level events evaluated centrally
-    (:mod:`repro.distsim.engine.group_ops`).
-``event``
-    The same scheduler with group delivery off: every collective walks its
-    point-to-point tree.  Traces are bit-identical to ``coroutine``'s; it
-    exists as the reference the tests compare ``group_ops`` and the
-    ``RedundantOp`` dedup against.
-
-Select per call (``run_spmd(..., engine="event")``, ``SolveConfig.engine``);
-an unset value means ``"coroutine"``.  The knob is registered into the
-shared configuration subsystem (:mod:`repro.core.options`), so it follows the
-same two-level rule (explicit > default) as
-``pivoting``/``kernel_tier``/``matmul``.
+The knob has one legal value and stays a knob: the frozen end-to-end
+benchmark passes ``engine="coroutine"`` to ``SolveConfig.resolve`` and to
+store overrides, and the result store and factor cache key the engine name,
+so ``SolveConfig.engine``, the specs' ``engine`` parameters,
+:func:`resolve_engine` / :func:`resolve_engine_name`, :func:`get_engine` and
+:func:`available_engines` keep those keys byte-identical.  Any other name —
+``"event"`` included — raises :class:`~repro.distsim.errors.UnknownEngineError`.
+The knob is registered into the shared configuration subsystem
+(:mod:`repro.core.options`), so it follows the same two-level rule
+(explicit > default) as ``pivoting``/``kernel_tier``/``matmul``.
 """
 
 from __future__ import annotations
@@ -33,10 +30,7 @@ from .coroutine import ExecutionEngine
 #: Engine used when no ``engine=`` value is given.
 DEFAULT_ENGINE = "coroutine"
 
-_REGISTRY = {
-    "coroutine": ExecutionEngine("coroutine", group_collectives=True),
-    "event": ExecutionEngine("event", group_collectives=False),
-}
+_REGISTRY = {"coroutine": ExecutionEngine("coroutine")}
 
 
 def available_engines() -> list:

@@ -14,9 +14,8 @@ The coroutine protocol
 A rank program is a generator function ``prog(comm, *args)``.  ``send``
 never blocks in this simulator, so a receive is the only suspension point:
 the program yields a :class:`RecvRequest` (via :meth:`Communicator.co_recv`)
-or a :class:`CollectiveRequest` (via the group branch of
-:mod:`repro.distsim.collectives`) and the scheduler resumes it with the
-matched envelope / collective result.  Programs compose with plain
+or a :class:`CollectiveRequest` (via :mod:`repro.distsim.collectives`) and
+the scheduler resumes it with the matched envelope / collective result.  Programs compose with plain
 ``yield from``: ``value = yield from broadcast(comm, ...)``.
 """
 
@@ -84,9 +83,7 @@ class CollectiveRequest:
     keyed by ``(kind, group, tag, channel, rootpos)`` and evaluates the
     collective centrally with exact per-rank cost attribution
     (:mod:`repro.distsim.engine.group_ops`); the coroutine is resumed with
-    its rank's result.  With ``comm.group_collectives`` off (the ``"event"``
-    reference) the collectives walk their point-to-point trees instead and
-    this request is never yielded.
+    its rank's result.
     """
 
     kind: str  # "broadcast" | "reduce" | "allreduce" | "scatter"
@@ -115,8 +112,7 @@ class RedundantOp:
 
     Subclasses implement :meth:`combine` and may override :meth:`finish`;
     neither may modify its operands, and what they return is shared between
-    ranks.  Calling the operator — what the point-to-point all-reduce does —
-    evaluates one application and charges the calling rank.
+    ranks.
     """
 
     def __init__(self, comm: "Communicator") -> None:
@@ -149,11 +145,6 @@ class RedundantOp:
         self.charge(flops)
         return result
 
-    def __call__(self, x: Any, y: Any) -> Any:
-        ((value, flops),) = self.combine([(x, y)])
-        self.charge(flops)
-        return value
-
 
 class Communicator:
     """Handle through which a rank communicates and charges costs.
@@ -162,9 +153,7 @@ class Communicator:
     :meth:`send`, :meth:`co_recv`, plus collective operations provided as
     free functions in :mod:`repro.distsim.collectives`.
 
-    ``deliver(dest, envelope)`` is the scheduler's transport;
-    ``group_collectives`` makes the collectives rendezvous as single
-    group-level events instead of walking their point-to-point trees.
+    ``deliver(dest, envelope)`` is the scheduler's transport.
     """
 
     def __init__(
@@ -174,14 +163,12 @@ class Communicator:
         machine: MachineModel,
         trace: RankTrace,
         deliver: Callable[[int, Envelope], None],
-        group_collectives: bool,
     ) -> None:
         self._rank = rank
         self._size = size
         self._machine = machine
         self._trace = trace
         self._deliver = deliver
-        self.group_collectives = group_collectives
         # Messages received but not yet matched by tag/source.
         self._stash: List[Envelope] = []
 
@@ -295,8 +282,8 @@ class Communicator:
     ):
         """Exchange messages with a partner (send to ``dest``, receive from ``source``).
 
-        ``source`` defaults to ``dest`` — the pairwise exchange used at every
-        level of the TSLU butterfly.  The send part never blocks.
+        ``source`` defaults to ``dest`` — the pairwise row exchange of
+        ``pdlaswp``.  The send part never blocks.
         """
         if source is None:
             source = dest

@@ -13,11 +13,10 @@ rank group yields one group-level
 :class:`~repro.distsim.engine.base.CollectiveRequest`; the scheduler
 rendezvouses the ``len(group)`` participants on a single event and evaluates
 the collective's communication tree centrally
-(:mod:`repro.distsim.engine.group_ops`) with per-rank cost attribution that
-is bit-identical to the point-to-point evaluation — one event instead of
-``O(P)`` suspensions and envelope deliveries per collective.  Point-to-point
-traffic (e.g. the pairwise exchanges of ``pdlaswp``) flows through stash +
-wake.
+(:mod:`repro.distsim.engine.group_ops`), charging each rank every message of
+that tree — one event instead of ``O(P)`` suspensions and envelope
+deliveries per collective.  Point-to-point traffic (e.g. the pairwise
+exchanges of ``pdlaswp``) flows through stash + wake.
 
 The interleaving is a pure function of the rank programs and the machine
 model, so repeated runs are bit-for-bit identical, and deadlock is detected
@@ -249,19 +248,14 @@ def _rank_program(fn: Callable[..., Any], comm: Communicator, args, kwargs):
 
 
 class ExecutionEngine:
-    """The scheduler under one of its two registered names.
+    """The scheduler under its registered name (``"coroutine"``).
 
-    ``"coroutine"`` (the default) delivers collectives as group-level events;
-    ``"event"`` is the same scheduler with ``group_collectives`` off, so every
-    collective walks its point-to-point tree — the reference the tests
-    compare :mod:`repro.distsim.engine.group_ops` against.  Selected via the
-    ``engine=`` argument of :func:`repro.distsim.run_spmd` (or the
-    ``engine`` field of a :class:`~repro.core.options.SolveConfig`).
+    Selected via the ``engine=`` argument of :func:`repro.distsim.run_spmd`
+    (or the ``engine`` field of a :class:`~repro.core.options.SolveConfig`).
     """
 
-    def __init__(self, name: str, group_collectives: bool) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.group_collectives = group_collectives
 
     def run(
         self,
@@ -282,8 +276,7 @@ class ExecutionEngine:
         sched = _CoroutineScheduler(nprocs)
         for st in sched.states:
             st.comm = Communicator(
-                st.rank, nprocs, machine, traces[st.rank], sched.deliver,
-                self.group_collectives,
+                st.rank, nprocs, machine, traces[st.rank], sched.deliver
             )
             st.gen = _rank_program(fn, st.comm, args, kwargs)
         sched.run()

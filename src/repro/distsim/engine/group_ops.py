@@ -2,16 +2,17 @@
 
 When every participant of a collective has yielded its
 :class:`~repro.distsim.engine.base.CollectiveRequest`, the scheduler hands
-the whole group to :func:`evaluate_collective`, which replays the *same*
-communication tree the point-to-point implementation in
-:mod:`repro.distsim.collectives` would walk — binomial broadcast/reduce,
-fold + recursive-doubling butterfly + unfold for the all-reduce, linear
-root-sends for the scatter — but as plain Python loops over the group,
-charging each participant's trace directly.
+the whole group to :func:`evaluate_collective`, which evaluates the
+collective's communication tree — binomial broadcast/reduce, fold +
+recursive-doubling butterfly + unfold for the all-reduce, linear root-sends
+for the scatter — as plain Python loops over the group, charging each
+participant's trace directly.
 
-The contract is **bit identity** with the point-to-point evaluation
-(``engine="event"``), pinned by the parity suite.  That dictates several details mirrored
-from ``collectives.py`` and ``Communicator.send``/``recv`` exactly:
+The contract is that every participant is charged exactly what delivering
+each message of that tree through ``Communicator.send``/``co_recv`` would
+charge, pinned by the closed-form collective test
+(``tests/test_collectives_closed_form.py``) and the digest
+(``benchmarks/digest.py``).  That dictates several details:
 
 * per edge, the sender records the send and advances its clock *before* the
   receiver records the receive and max-syncs with the sender's post-send
@@ -31,8 +32,8 @@ from ``collectives.py`` and ``Communicator.send``/``recv`` exactly:
   would have computed it, at the point in its sequence where it would have;
 * a broadcast sizes its payload once, not once per edge that carries it;
 * top-level ndarray payloads are copied per edge (what ``send`` does
-  defensively); tuples/dicts are shared by reference, as point-to-point
-  delivery shares them.
+  defensively); tuples/dicts are shared by reference, as ``send`` shares
+  them.
 
 One collective here replaces ``O(P)`` scheduler suspensions and envelope
 deliveries with a single event — the vectorization that lets figure-scale
@@ -177,7 +178,7 @@ def _eval_allreduce(
             partner = me ^ k
             edges[me].charge_recv(words_sent[partner], avails[partner])
         # Deterministic association order: lower position's contribution
-        # first, exactly as the point-to-point butterfly applies it.
+        # first.
         if shared is None:
             payloads = [_ship(acc[me]) for me in range(pow2)]
             acc[:pow2] = [
@@ -245,8 +246,9 @@ def evaluate_collective(
 
     ``comms``/``values``/``ops`` are indexed by group position (the order of
     the collective's ``group`` list).  Every participant's
-    ``group_collectives`` diagnostic counter is bumped; all other counters
-    follow the point-to-point tree exactly.
+    ``group_collectives`` diagnostic counter is bumped (the frozen end-to-end
+    benchmark reports it as ``distsim.group_collectives``); all other
+    counters follow the communication tree message by message.
     """
     edges = [_Edge(comm, channel) for comm in comms]
     for edge in edges:

@@ -25,8 +25,8 @@ class RankTrace:
     rank:
         The process's linear rank.
     messages_sent / messages_received:
-        Point-to-point message counts.  Collectives are built from
-        point-to-point messages so their cost is captured automatically.
+        Message counts.  A collective charges every message of its
+        communication tree, so its cost is captured here too.
     words_sent / words_received:
         8-byte words moved (numpy payloads count their size; small control
         payloads count a fixed overhead of 1 word).
@@ -43,12 +43,11 @@ class RankTrace:
     zero_copy_sends:
         Always 0; kept because ``benchmarks/e2e`` reads it.
     group_collectives:
-        Number of collectives this rank completed through a single group-level
-        event instead of point-to-point messages (0 under ``engine="event"``;
-        see :mod:`repro.distsim.engine.group_ops`).  Purely diagnostic — the
-        message/word/flop counters and the clock charged per rank are
-        identical to the point-to-point evaluation, so this field is *not*
-        part of :meth:`RunTrace.summary`.
+        Number of collectives this rank completed as a single group-level
+        event (see :mod:`repro.distsim.engine.group_ops`).  Purely
+        diagnostic and *not* part of :meth:`RunTrace.summary`; kept because
+        the frozen end-to-end benchmark reports it as
+        ``distsim.group_collectives``.
     """
 
     rank: int
@@ -87,8 +86,8 @@ class RunTrace:
     results:
         The values returned by each rank's SPMD function.
     engine:
-        Name of the execution engine that produced this trace ("coroutine"
-        or "event"); empty for hand-built traces.
+        Name of the execution engine that produced this trace
+        ("coroutine"); empty for hand-built traces.
     """
 
     ranks: List[RankTrace]
@@ -102,7 +101,7 @@ class RunTrace:
 
     @property
     def total_messages(self) -> int:
-        """Total point-to-point messages sent by all ranks."""
+        """Total messages sent by all ranks."""
         return sum(t.messages_sent for t in self.ranks)
 
     @property
@@ -134,8 +133,8 @@ class RunTrace:
     def total_group_collectives(self) -> int:
         """Collectives delivered as single group-level events (diagnostic).
 
-        Zero under ``engine="event"``; deliberately kept out of
-        :meth:`summary` because summaries are compared across engines.
+        Kept out of :meth:`summary`; the frozen end-to-end benchmark reports
+        it as ``distsim.group_collectives``.
         """
         return sum(t.group_collectives for t in self.ranks)
 

@@ -3,9 +3,9 @@
 The paper's experiments ran on MPI over 64-888 processors.  This module
 provides an in-process substitute: :func:`run_spmd` executes ``P`` copies of
 the same rank program, each bound to a :class:`Communicator` for its rank.
-Collectives (:mod:`repro.distsim.collectives`) are priced as the
-point-to-point messages a real MPI implementation would send, so every one
-of them is visible to the cost ledger.
+Collectives (:mod:`repro.distsim.collectives`) are priced as every message
+of the tree a real MPI implementation would send, so each one of them is
+visible to the cost ledger.
 
 Rank programs are generator functions stepped by one deterministic
 single-threaded scheduler (:mod:`repro.distsim.engine`): the runnable rank
@@ -69,10 +69,11 @@ def run_spmd(
         Machine model pricing communication and arithmetic; defaults to
         :func:`repro.machines.model.unit_machine` (count message steps).
     engine:
-        ``"coroutine"``, ``"event"`` (the point-to-point reference, see
+        ``"coroutine"`` (the one registered engine, see
         :mod:`repro.distsim.engine`), an
         :class:`~repro.distsim.engine.ExecutionEngine` instance, or ``None``
-        for the ``"coroutine"`` default.
+        for that default.  Any other name raises
+        :class:`~repro.distsim.errors.UnknownEngineError`.
 
     Returns
     -------

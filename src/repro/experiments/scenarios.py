@@ -6,7 +6,7 @@ arbitrary grids over them, e.g.::
 
     python -m repro sweep stability --param P=4,16,64 --param b=8,32
     python -m repro sweep panel --param m=10000,100000 --param P=16,64
-    python -m repro sweep panel_counts --param P=2,4,8 --set engine=event
+    python -m repro sweep panel_counts --param P=2,4,8 --set m=256
 
 Each scenario returns one (or a few) rows per parameter combination; the
 sweep executor expands the cartesian product, runs the jobs concurrently and

@@ -10,10 +10,10 @@ simulator, at sizes small enough to execute in Python:
 * over a full factorization, CALU's per-process message count must be lower
   than PDGETRF's by roughly a factor ``b`` (up to the swap-scheme constant).
 
-These measurements run on the default engine (:mod:`repro.distsim.engine`),
+These measurements run on the virtual-MPI engine (:mod:`repro.distsim.engine`),
 which makes them reproducible bit for bit and keeps process counts in the
-thousands tractable; pass ``engine="event"`` to cross-check against the
-point-to-point evaluation of the collectives (the traces are identical).
+thousands tractable; its collectives charge exactly the messages of their
+trees (``tests/test_collectives_closed_form.py`` states them in closed form).
 """
 
 from __future__ import annotations

@@ -26,10 +26,11 @@ Subcommands
     List or purge the content-addressed stores (experiment results and
     cached factorizations): artifact counts, bytes, per-spec breakdown.
 
-Knob flags: ``--engine`` (virtual-MPI engine), ``--tier`` (kernel tier),
-``--pivoting``, ``--matmul`` — on ``run``/``sweep``/``tune`` the spec
-parameter of that name (``--tier`` sets ``kernel_tier``), on ``serve`` the
-:class:`~repro.core.options.SolveConfig` field.  Also
+Knob flags: ``--tier`` (kernel tier), ``--pivoting``, ``--matmul`` — on
+``run``/``sweep``/``tune`` the spec parameter of that name (``--tier`` sets
+``kernel_tier``), on ``serve`` the :class:`~repro.core.options.SolveConfig`
+field.  The engine has one value, so it has no flag; ``--set engine=...``
+still reaches a spec that takes the parameter.  Also
 ``--results-dir`` (artifact store root, also ``REPRO_RESULTS_DIR``),
 ``--factor-cache-dir`` (factor cache root, also ``REPRO_FACTOR_CACHE_DIR``),
 ``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes).
@@ -84,8 +85,8 @@ def _parse_grid(items: Optional[Sequence[str]]) -> Dict[str, List[object]]:
 def config_from_args(args: argparse.Namespace) -> SolveConfig:
     """Build the fully resolved :class:`SolveConfig` one command runs under.
 
-    Reads whatever configuration flags the verb defines (``--engine`` /
-    ``--tier`` / ``--pivoting`` / ``--matmul`` from :func:`add_config_args`,
+    Reads whatever configuration flags the verb defines (``--tier`` /
+    ``--pivoting`` / ``--matmul`` from :func:`add_config_args`,
     plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
     Precedence per field: explicit flag > the ``--tuned`` artifact's value
     (where the verb has ``--tuned``; never its engine or machine) > default.
@@ -116,7 +117,6 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
     try:
         return SolveConfig.resolve(
             pivoting=pick("pivoting", "pivoting"),
-            engine=getattr(args, "engine", None),
             kernel_tier=pick("tier", "kernel_tier"),
             matmul=pick("matmul", "matmul"),
             grid=pick("P", "grid"),
@@ -129,8 +129,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 
 
 #: Knob flag -> the spec parameter it sets on ``run`` / ``sweep`` / ``tune``.
-KNOB_FLAGS = {"engine": "engine", "tier": "kernel_tier", "pivoting": "pivoting",
-              "matmul": "matmul"}
+KNOB_FLAGS = {"tier": "kernel_tier", "pivoting": "pivoting", "matmul": "matmul"}
 
 
 def knob_overrides(
@@ -143,7 +142,7 @@ def knob_overrides(
 
     A flag is the spec parameter of its name and nothing else: a flag naming
     a parameter the spec lacks, or an unknown knob value, exits before
-    anything runs.  An explicit ``--set engine=...`` still wins; ``exclude``
+    anything runs.  An explicit ``--set pivoting=...`` still wins; ``exclude``
     names parameters that must not be set (sweep axes already spanning the
     knob).
     """
@@ -569,12 +568,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def add_config_args(p: argparse.ArgumentParser) -> None:
     """Add the shared :class:`SolveConfig` knob flags to one verb's parser.
 
-    Every verb that runs anything gets the same four flags from this one
+    Every verb that runs anything gets the same three flags from this one
     definition; :func:`config_from_args` (``serve``) and
     :func:`knob_overrides` (``run`` / ``sweep`` / ``tune``) are the readers.
     """
-    p.add_argument("--engine", default=None,
-                   help="virtual-MPI engine (coroutine|event)")
     p.add_argument("--tier", default=None,
                    help="kernel tier (auto|reference|lapack)")
     p.add_argument("--pivoting", default=None,

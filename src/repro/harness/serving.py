@@ -194,7 +194,8 @@ class SolveService:
         ``b`` is an ``n``-vector or an ``n x k`` block of right-hand sides
         (the whole request is served by one batch).  ``slo`` is the
         per-request max-abs residual target, defaulting to the service's
-        ``default_slo``.
+        ``default_slo``.  A right-hand side of the wrong shape or with a NaN
+        or infinite entry raises ``ValueError`` here and never joins a batch.
         """
         if self._closed:
             raise RuntimeError("SolveService is closed")
@@ -206,6 +207,8 @@ class SolveService:
                 f"right-hand side has shape {b.shape}, expected "
                 f"({self.factor.n},) or ({self.factor.n}, k)"
             )
+        if not np.isfinite(B).all():
+            raise ValueError("b has non-finite entries (NaN or Inf)")
         pending = _Pending(
             B=B,
             one_d=one_d,

@@ -186,8 +186,8 @@ def run_block_lu(
     machine:
         Machine model pricing the run.
     engine:
-        Execution engine for the SPMD run ("coroutine", "event", an engine
-        instance, or ``None`` for the ``"coroutine"`` default).
+        Execution engine for the SPMD run ("coroutine", an engine instance,
+        or ``None`` for that default).
     matmul:
         Distributed-matmul backend for the trailing update ("summa", "caps",
         or ``None`` for the ``"summa"`` default).
@@ -195,8 +195,15 @@ def run_block_lu(
     Returns
     -------
     DistributedLUResult
+
+    Raises
+    ------
+    ValueError
+        If ``A`` has a NaN or infinite entry, before any rank starts.
     """
     A = np.asarray(A, dtype=np.float64)
+    if not np.isfinite(A).all():
+        raise ValueError("A has non-finite entries (NaN or Inf)")
     m, n = A.shape
     dist = BlockCyclic2D(m, n, block_size, grid)
     locals_in = dist.scatter(A)

@@ -350,8 +350,8 @@ def pdgesv_solve(
         Optional :class:`~repro.core.options.SolveConfig` whose machine and
         engine run the solve phase (``None``: the unit machine and the
         default ``"coroutine"`` engine; the factor records the engine that
-        produced it but the solve may run on either engine — they are
-        bit-identical).  The solve always runs on the factor's grid.
+        produced it, and the solve may run on any registered engine).  The
+        solve always runs on the factor's grid.
     refine, tolerance:
         Refinement budget and backward-error stop, as in :func:`pdgesv`.
     rhs_slo:
@@ -359,6 +359,12 @@ def pdgesv_solve(
         refinement loop keeps iterating, within ``refine``, while any
         right-hand side exceeds its target.  Used by the serving layer to
         honor per-request residual SLOs inside one coalesced sweep.
+
+    Raises
+    ------
+    ValueError
+        If ``b`` has the wrong number of rows or a NaN or infinite entry, or
+        ``rhs_slo`` the wrong shape — before any rank starts.
     """
     machine = engine = None
     if config is not None:
@@ -371,6 +377,8 @@ def pdgesv_solve(
         raise ValueError(
             f"right-hand side has {B.shape[0]} rows, expected {n}"
         )
+    if not np.isfinite(B).all():
+        raise ValueError("b has non-finite entries (NaN or Inf)")
     nrhs = B.shape[1]
     if rhs_slo is not None:
         rhs_slo = np.asarray(rhs_slo, dtype=np.float64)

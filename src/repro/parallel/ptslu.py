@@ -374,9 +374,9 @@ def ptslu(
     machine:
         Machine model pricing the run (default: unit-latency machine).
     engine:
-        Execution engine for the SPMD run ("coroutine", "event", an
+        Execution engine for the SPMD run ("coroutine", an
         :class:`~repro.distsim.engine.ExecutionEngine` instance, or
-        ``None`` for the ``"coroutine"`` default).
+        ``None`` for that default).
     kernel_tier:
         Kernel tier for the rank-local arithmetic (None: the ``"auto"``
         default).  With a non-reference tier the ``getf2`` leaf

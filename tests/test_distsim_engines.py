@@ -1,16 +1,21 @@
-"""Tests for the virtual-MPI scheduler and its two engine names.
+"""Tests for the virtual-MPI scheduler and its engine registry.
 
-One scheduler runs every SPMD program.  ``"coroutine"`` evaluates collectives
-as group-level events (:mod:`repro.distsim.engine.group_ops`); ``"event"`` is
-the same scheduler walking the collectives' point-to-point trees — the
-reference.  The contract: both produce **identical** simulated quantities —
-message counts, word counts, flop counts (muladds / divides / comparisons)
-and per-rank clocks, hence critical-path times — for the same rank program,
-bit-for-bit reproducibly, with structural (instant) deadlock detection.
+One scheduler runs every SPMD program, registered as ``"coroutine"``; its
+collectives are group-level events (:mod:`repro.distsim.engine.group_ops`).
+What each collective charges is stated in closed form in
+``tests/test_collectives_closed_form.py``.  The driver-level ``*_parity``
+tests here compare every ``RankTrace`` field of a run against
+:data:`REFERENCE`: fingerprints recorded from a point-to-point evaluation of
+the same cells, which delivered every message of every collective through
+``Communicator.send`` / ``co_recv``.  The scheduler's own guarantees —
+bit-for-bit reproducibility, structural (instant) deadlock detection, failure
+propagation, FIFO rendezvous — are tested directly; ``test_event_engine_*``
+names the discrete-event scheduler.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 import numpy as np
@@ -38,77 +43,128 @@ from repro.randmat import randn, tall_skinny
 from repro.scalapack import make_pdgetf2_panel
 
 
-def p5(grid, b, engine, **knobs):
+def p5(grid, b, engine=None, **knobs):
     """The config of a run on ``grid`` with block size ``b``, priced on the POWER5."""
     return SolveConfig.resolve(grid=grid, b=b, machine="ibm_power5", engine=engine, **knobs)
 
-ENGINES = ("coroutine", "event")
 
-#: Engines other than the point-to-point reference, whose traces must match it.
-OTHERS = ("coroutine",)
+def fingerprint(trace) -> str:
+    """Every simulated quantity of every rank, in rank order, hashed."""
+    h = hashlib.sha256()
+    for r in trace.ranks:
+        h.update(repr((
+            r.messages_sent, r.messages_received, r.words_sent, r.words_received,
+            sorted(r.messages_by_channel.items()), sorted(r.words_by_channel.items()),
+            r.flops.muladds, r.flops.divides, r.flops.comparisons, r.clock,
+        )).encode())
+    return h.hexdigest()[:16]
+
+
+#: ``fingerprint`` of each cell's trace(s) under point-to-point delivery
+#: (factorization first, then solve, for ``pdgesv`` cells).
+REFERENCE = {
+    "collective_program 2": "e2dffbf6a5e08917",
+    "collective_program 3": "6e0a91b9312c85fc",
+    "collective_program 5": "405cea66b3245041",
+    "collective_program 8": "b1551530d7cdb2fc",
+    "ptslu 2": "594277fff8d112fd",
+    "ptslu 4": "6119ad1a29f18c44",
+    "ptslu 5": "97d1bbcbce1c693d",
+    "ptslu 8": "355ff988d1c56c01",
+    "pcalu 16 4 2 2": "abfed2ba09a8d729",
+    "pcalu 32 8 2 2": "58ef3b344ef7f24a",
+    "pcalu 36 6 2 3": "c5516dad7dcf2991",
+    "pdgetrf": "cb22d2c3d64a5ae0",
+    "pdgesv": ("4f9b272acdee7eaa", "f86c112d4a66a0a4"),
+    "ragged 22 8 2 2": "f590c167d1934e63",
+    "ragged 21 8 2 2": "ff208512535635ca",
+    "ragged 26 8 2 3": "4f08dfeed3e61eb7",
+    "ragged 23 8 3 2": "c2c80ef4f7bb4a84",
+    "pdgesv 3x2": ("4533a3c288da3f0f", "aceebbea8fea7028"),
+    "pcalu knob pp": "52091bacca50fb45",
+    "pcalu knob ca": "2d8db513ed20dda5",
+    "pcalu knob ca_prrp": "abb23435ef4f95b9",
+    "ptslu knob pp": "0dfbdbb5b800117b",
+    "ptslu knob ca": "52615cbbbb33a93b",
+    "ptslu knob ca_prrp": "24f5c3347c29e8dd",
+    "ptslu nonpow2 3": "b99086eb368c4a44",
+    "ptslu nonpow2 5": "322792f14e4e7d3c",
+    "ptslu nonpow2 6": "113f8e8ed4a814ce",
+    "ptslu nonpow2 7": "61bd681c5fa5d794",
+    "merges 52 8 4 4 ca": ("d55b28d114dbdd36", "ee6a19056a8a824e"),
+    "merges 52 8 4 4 ca_prrp": ("dce13e16fc10046c", "f5ef4c6889f193f8"),
+    "merges 47 8 3 5 ca": ("e0fe37c5609845ae", "963745da2695c84a"),
+    "merges 47 8 3 5 ca_prrp": ("05f034a4df9b0a1f", "1fc963cb7a96211a"),
+    "grid8": ("3b43065a809e1084", "7e34e5b1cf63a460"),
+    "counts ptslu8": "08124982da9a6802",
+    "back_to_back": "e3e7a2b24495e5a1",
+}
+
+
+def solve_fingerprints(res):
+    return fingerprint(res.factorization.trace), fingerprint(res.trace)
 
 
 def assert_traces_identical(t1, t2):
     """Every simulated quantity must match rank for rank, bit for bit."""
     assert t1.nprocs == t2.nprocs
-    for a, b in zip(t1.ranks, t2.ranks):
-        assert a.messages_sent == b.messages_sent, a.rank
-        assert a.messages_received == b.messages_received, a.rank
-        assert a.words_sent == b.words_sent, a.rank
-        assert a.words_received == b.words_received, a.rank
-        assert a.messages_by_channel == b.messages_by_channel, a.rank
-        assert a.words_by_channel == b.words_by_channel, a.rank
-        assert a.flops.muladds == b.flops.muladds, a.rank
-        assert a.flops.divides == b.flops.divides, a.rank
-        assert a.flops.comparisons == b.flops.comparisons, a.rank
-        assert a.clock == b.clock, a.rank
+    assert fingerprint(t1) == fingerprint(t2)
     assert t1.critical_path_time == t2.critical_path_time
+
+
+def assert_lu(A, res):
+    assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-11)
 
 
 # ------------------------------------------------------------ registry seam
 def test_engine_registry_lists_all_backends():
-    assert available_engines() == ["coroutine", "event"]
-    for name in ENGINES:
-        assert isinstance(get_engine(name), ExecutionEngine)
-        assert get_engine(name).name == name
+    assert available_engines() == ["coroutine"]
+    engine = get_engine("coroutine")
+    assert isinstance(engine, ExecutionEngine)
+    assert engine.name == "coroutine"
     # Instances resolve too.
-    eng = get_engine("event")
-    assert resolve_engine(eng) is eng
+    assert resolve_engine(engine) is engine
 
 
 def test_engine_registry_rejects_unknown():
-    with pytest.raises(ValueError, match="unknown execution engine"):
-        get_engine("quantum")
+    for name in ("quantum", "event"):
+        with pytest.raises(ValueError, match="unknown execution engine"):
+            get_engine(name)
     with pytest.raises(TypeError):
         resolve_engine(3.14)
 
 
 def test_unknown_engine_error_names_offender_and_lists_registered():
-    """Satellite: the lookup failure is a named error carrying the bad name
-    and every registered engine name, and the message lists them."""
+    """The lookup failure is a named error carrying the bad name and every
+    registered engine name, and the message lists them."""
     with pytest.raises(UnknownEngineError) as exc:
-        get_engine("quantum")
-    assert exc.value.name == "quantum"
-    assert exc.value.available == ["coroutine", "event"]
-    for name in ("quantum", "coroutine", "event"):
+        get_engine("event")
+    assert exc.value.name == "event"
+    assert exc.value.available == ["coroutine"]
+    for name in ("event", "coroutine"):
         assert name in str(exc.value)
     # It is both a SimulationError and a ValueError.
     assert isinstance(exc.value, ValueError)
 
 
 def test_unknown_engine_config_value_raises_named_error():
-    with pytest.raises(UnknownEngineError) as exc:
-        SolveConfig.resolve(engine="warp-drive")
-    assert exc.value.name == "warp-drive"
-    assert "coroutine" in str(exc.value)
+    for name in ("warp-drive", "event"):
+        with pytest.raises(UnknownEngineError) as exc:
+            SolveConfig.resolve(engine=name)
+        assert exc.value.name == name
+        assert "coroutine" in str(exc.value)
 
 
 def test_engine_argument_selects_backend():
-    assert run_spmd(2, lambda comm: comm.rank, engine="event").engine == "event"
+    assert run_spmd(2, lambda comm: comm.rank, engine="coroutine").engine == "coroutine"
     assert run_spmd(1, lambda comm: comm.rank).engine == "coroutine"
+    ran = []
+    with pytest.raises(UnknownEngineError):
+        run_spmd(2, lambda comm: ran.append(comm.rank), engine="event")
+    assert ran == []  # rejected before any rank starts
 
 
-# ------------------------------------------------- cross-backend parity
+# ------------------------------------------ parity with point-to-point delivery
 @pytest.mark.parametrize("p", [2, 3, 5, 8])
 def test_collective_program_parity(p):
     machine = MachineModel(
@@ -126,68 +182,52 @@ def test_collective_program_parity(p):
         g = yield from allgather(comm, comm.rank * 2)
         return (v, float(np.sum(w)), g)
 
-    traces = {e: run_spmd(p, prog, machine=machine, engine=e) for e in ENGINES}
-    for other in OTHERS:
-        assert_traces_identical(traces["event"], traces[other])
-        assert traces["event"].results == traces[other].results
-    # Group delivery is the only difference between the two names.
-    assert traces["coroutine"].total_group_collectives > 0
-    assert traces["event"].total_group_collectives == 0
+    trace = run_spmd(p, prog, machine=machine)
+    assert fingerprint(trace) == REFERENCE[f"collective_program {p}"]
+    assert trace.results == [(p * (p + 1) // 2, 15.0, list(range(0, 2 * p, 2)))] * p
+    assert trace.total_group_collectives == 3 * p
 
 
 @pytest.mark.parametrize("nprocs", [2, 4, 5, 8])
-@pytest.mark.parametrize("other", OTHERS)
-def test_ptslu_parity(nprocs, other):
+@pytest.mark.parametrize("engine", available_engines())
+def test_ptslu_parity(nprocs, engine):
     A = tall_skinny(64, 8, seed=nprocs)
-    res_e = ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine="event")
-    res_o = ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine=other)
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.winners, res_o.winners)
-    assert np.allclose(res_e.L, res_o.L)
-    assert np.allclose(res_e.U, res_o.U)
+    res = ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine=engine)
+    assert fingerprint(res.trace) == REFERENCE[f"ptslu {nprocs}"]
+    assert_lu(A, res)
 
 
 @pytest.mark.parametrize(
     "n,b,pr,pc",
     [(16, 4, 2, 2), (32, 8, 2, 2), (36, 6, 2, 3)],
 )
-@pytest.mark.parametrize("other", OTHERS)
-def test_pcalu_parity(n, b, pr, pc, other):
+@pytest.mark.parametrize("engine", available_engines())
+def test_pcalu_parity(n, b, pr, pc, engine):
     A = randn(n, seed=n + b)
-    grid = ProcessGrid(pr, pc)
-    res_e = pcalu(A, p5(grid, b, "event"))
-    res_o = pcalu(A, p5(grid, b, other))
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.perm, res_o.perm)
-    assert np.allclose(res_e.L, res_o.L)
-    assert np.allclose(res_e.U, res_o.U)
+    res = pcalu(A, p5(ProcessGrid(pr, pc), b, engine))
+    assert fingerprint(res.trace) == REFERENCE[f"pcalu {n} {b} {pr} {pc}"]
+    assert_lu(A, res)
 
 
-@pytest.mark.parametrize("other", OTHERS)
-def test_pdgetrf_parity(other):
+@pytest.mark.parametrize("engine", available_engines())
+def test_pdgetrf_parity(engine):
     A = randn(32, seed=3)
-    grid = ProcessGrid(2, 2)
-    res_e = pcalu(A, p5(grid, 8, "event", pivoting="pp"))
-    res_o = pcalu(A, p5(grid, 8, other, pivoting="pp"))
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.perm, res_o.perm)
+    res = pcalu(A, p5(ProcessGrid(2, 2), 8, engine, pivoting="pp"))
+    assert fingerprint(res.trace) == REFERENCE["pdgetrf"]
+    assert_lu(A, res)
 
 
-@pytest.mark.parametrize("other", OTHERS)
-def test_pdgesv_parity(other):
-    """End-to-end solve: factorization + triangular solves + refinement must
-    be bit-identical (traces and solutions) across both engines."""
+@pytest.mark.parametrize("engine", available_engines())
+def test_pdgesv_parity(engine):
+    """End-to-end solve: factorization, triangular solves and refinement
+    charge every rank what point-to-point delivery charges."""
     n = 24
     A = randn(n, seed=41)
     b = randn(n, 2, seed=42)
-    grid = ProcessGrid(2, 2)
-    res_e = pdgesv(A, b, p5(grid, 8, "event"))
-    res_o = pdgesv(A, b, p5(grid, 8, other))
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert_traces_identical(res_e.factorization.trace, res_o.factorization.trace)
-    assert np.array_equal(res_e.x, res_o.x)
-    assert res_e.residual_norms == res_o.residual_norms
-    assert res_e.backward_errors == res_o.backward_errors
+    res = pdgesv(A, b, p5(ProcessGrid(2, 2), 8, engine))
+    assert solve_fingerprints(res) == REFERENCE["pdgesv"]
+    assert np.allclose(A @ res.x, b, atol=1e-9)
+    assert len(res.residual_norms) == len(res.backward_errors) == res.iterations + 1
 
 
 # ------------------------------------------- ragged panels + pivoting knob
@@ -195,87 +235,52 @@ def test_pdgesv_parity(other):
     "n,b,pr,pc",
     [(22, 8, 2, 2), (21, 8, 2, 2), (26, 8, 2, 3), (23, 8, 3, 2)],
 )
-@pytest.mark.parametrize("other", OTHERS)
-def test_pcalu_ragged_edge_parity(n, b, pr, pc, other):
+@pytest.mark.parametrize("engine", available_engines())
+def test_pcalu_ragged_edge_parity(n, b, pr, pc, engine):
     """n % block_size != 0 (and non-power-of-two grids): the fringe panel
-    must behave identically on every engine and still factor correctly."""
+    is charged as under point-to-point delivery and still factors correctly."""
     A = randn(n, seed=100 + n)
-    grid = ProcessGrid(pr, pc)
-    res_e = pcalu(A, p5(grid, b, "event"))
-    res_o = pcalu(A, p5(grid, b, other))
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.perm, res_o.perm)
-    assert np.array_equal(res_e.L, res_o.L)  # same code path: bitwise
-    assert np.array_equal(res_e.U, res_o.U)
-    assert np.allclose(A[res_e.perm, :], res_e.L @ res_e.U, atol=1e-11)
+    res = pcalu(A, p5(ProcessGrid(pr, pc), b, engine))
+    assert fingerprint(res.trace) == REFERENCE[f"ragged {n} {b} {pr} {pc}"]
+    assert_lu(A, res)
 
 
 def test_pdgesv_ragged_nonpow2_three_way():
-    """Satellite: pdgesv at non-power-of-two P (3x2 grid) with n % b != 0 runs
-    bit-identically on both engines."""
+    """pdgesv at non-power-of-two P (3x2 grid) with n % b != 0."""
     n = 26
     A = randn(n, seed=55)
     b = randn(n, 1, seed=56)[:, 0]
-    grid = ProcessGrid(3, 2)
-    results = {
-        e: pdgesv(A, b, p5(grid, 8, e))
-        for e in ENGINES
-    }
-    for other in OTHERS:
-        assert_traces_identical(results["event"].trace, results[other].trace)
-        assert_traces_identical(
-            results["event"].factorization.trace,
-            results[other].factorization.trace,
-        )
-        assert np.array_equal(results["event"].x, results[other].x)
-    assert np.allclose(A @ results["coroutine"].x, b, atol=1e-9)
+    res = pdgesv(A, b, p5(ProcessGrid(3, 2), 8))
+    assert solve_fingerprints(res) == REFERENCE["pdgesv 3x2"]
+    assert np.allclose(A @ res.x, b, atol=1e-9)
 
 
 @pytest.mark.parametrize("strategy", ["pp", "ca", "ca_prrp"])
-@pytest.mark.parametrize("other", OTHERS)
-def test_pcalu_pivoting_knob_parity_across_engines(strategy, other):
-    """Every pivoting strategy must run identically on every engine, on a
-    ragged (n=22, b=8) 2x2 problem."""
+@pytest.mark.parametrize("engine", available_engines())
+def test_pcalu_pivoting_knob_parity_across_engines(strategy, engine):
+    """Every pivoting strategy, on a ragged (n=22, b=8) 2x2 problem."""
     A = randn(22, seed=7)
-    grid = ProcessGrid(2, 2)
-    res_e = pcalu(A, p5(grid, 8, "event", pivoting=strategy))
-    res_o = pcalu(A, p5(grid, 8, other, pivoting=strategy))
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.perm, res_o.perm)
-    assert np.array_equal(res_e.L, res_o.L)
-    assert np.array_equal(res_e.U, res_o.U)
-    assert np.allclose(A[res_e.perm, :], res_e.L @ res_e.U, atol=1e-11)
+    res = pcalu(A, p5(ProcessGrid(2, 2), 8, engine, pivoting=strategy))
+    assert fingerprint(res.trace) == REFERENCE[f"pcalu knob {strategy}"]
+    assert_lu(A, res)
 
 
 @pytest.mark.parametrize("strategy", ["pp", "ca", "ca_prrp"])
-@pytest.mark.parametrize("other", OTHERS)
-def test_ptslu_pivoting_knob_parity_across_engines(strategy, other):
+@pytest.mark.parametrize("engine", available_engines())
+def test_ptslu_pivoting_knob_parity_across_engines(strategy, engine):
     A = tall_skinny(52, 8, seed=3)  # 52 rows over 4 ranks: uneven blocks
-    res_e = ptslu(A, nprocs=4, machine=ibm_power5(), engine="event",
-                  pivoting=strategy)
-    res_o = ptslu(A, nprocs=4, machine=ibm_power5(), engine=other,
-                  pivoting=strategy)
-    assert_traces_identical(res_e.trace, res_o.trace)
-    assert np.array_equal(res_e.winners, res_o.winners)
-    assert np.array_equal(res_e.L, res_o.L)
-    assert np.array_equal(res_e.U, res_o.U)
-    assert np.allclose(A[res_e.perm, :], res_e.L @ res_e.U, atol=1e-11)
+    res = ptslu(A, nprocs=4, machine=ibm_power5(), engine=engine, pivoting=strategy)
+    assert fingerprint(res.trace) == REFERENCE[f"ptslu knob {strategy}"]
+    assert_lu(A, res)
 
 
 @pytest.mark.parametrize("nprocs", [3, 5, 6, 7])
 def test_ptslu_nonpow2_three_way_parity(nprocs):
-    """Satellite: non-power-of-two P exercises the allreduce fold/unfold edge
-    on both engines."""
+    """Non-power-of-two P exercises the all-reduce fold/unfold edge."""
     A = tall_skinny(8 * nprocs + 3, 8, seed=nprocs)
-    results = {
-        e: ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine=e)
-        for e in ENGINES
-    }
-    for other in OTHERS:
-        assert_traces_identical(results["event"].trace, results[other].trace)
-        assert np.array_equal(results["event"].winners, results[other].winners)
-        assert np.array_equal(results["event"].L, results[other].L)
-        assert np.array_equal(results["event"].U, results[other].U)
+    res = ptslu(A, nprocs=nprocs, machine=ibm_power5())
+    assert fingerprint(res.trace) == REFERENCE[f"ptslu nonpow2 {nprocs}"]
+    assert_lu(A, res)
 
 
 def test_ptslu_pp_costs_per_column_messages():
@@ -283,8 +288,8 @@ def test_ptslu_pp_costs_per_column_messages():
     pivoting sends ~2 b log2 P messages per panel, the tournament log2 P."""
     P, b = 8, 8
     A = tall_skinny(16 * b, b, seed=5)
-    res_ca = ptslu(A, nprocs=P, engine="event", pivoting="ca")
-    res_pp = ptslu(A, nprocs=P, engine="event", pivoting="pp")
+    res_ca = ptslu(A, nprocs=P, pivoting="ca")
+    res_pp = ptslu(A, nprocs=P, pivoting="pp")
     assert res_ca.trace.max_messages == np.log2(P)  # one butterfly
     # pp: per column one all-reduce + one broadcast over log2(P) levels.
     assert res_pp.trace.max_messages >= 2 * b * np.log2(P) / 2
@@ -296,37 +301,25 @@ def test_pcalu_pp_is_exactly_pdgetrf():
     driver (the shared block LU with the PDGETF2 panel)."""
     A = randn(32, seed=3)
     grid = ProcessGrid(2, 2)
-    res_pp = pcalu(A, p5(grid, 8, "event", pivoting="pp"))
+    res_pp = pcalu(A, p5(grid, 8, pivoting="pp"))
     ref = run_block_lu(A, grid, 8, panel_factory=make_pdgetf2_panel,
-                       machine=ibm_power5(), engine="event")
+                       machine=ibm_power5())
     assert np.array_equal(res_pp.perm, ref.perm)
     assert np.array_equal(res_pp.L, ref.L)
     assert np.array_equal(res_pp.U, ref.U)
     assert_traces_identical(res_pp.trace, ref.trace)
 
 
-# ---------------------------------------------------------- event: determinism
-def test_event_engine_bitwise_reproducible():
-    A = randn(32, seed=17)
-    grid = ProcessGrid(2, 2)
-    first = pcalu(A, p5(grid, 8, "event"))
-    second = pcalu(A, p5(grid, 8, "event"))
-    assert_traces_identical(first.trace, second.trace)
-    assert first.trace.ranks[0].zero_copy_sends == second.trace.ranks[0].zero_copy_sends
-    assert np.array_equal(first.L, second.L)
-    assert np.array_equal(first.U, second.U)  # bitwise, not just allclose
-
-
+# ---------------------------------------------------------- scheduler: tags
 def test_event_engine_trace_tagged():
     """The trace names its engine; a rank program with no suspension point
     need not be a generator — its return value is the rank's result."""
-    for engine in ENGINES:
-        trace = run_spmd(3, lambda comm: comm.rank * 10, engine=engine)
-        assert trace.engine == engine
-        assert trace.results == [0, 10, 20]
+    trace = run_spmd(3, lambda comm: comm.rank * 10)
+    assert trace.engine == "coroutine"
+    assert trace.results == [0, 10, 20]
 
 
-# --------------------------------------------------- event: deadlock handling
+# ----------------------------------------------- scheduler: deadlock handling
 def test_event_engine_structural_deadlock_is_instant():
     """No timeout involved: an unmatched receive fails as soon as the
     scheduler observes that no rank is runnable."""
@@ -337,13 +330,13 @@ def test_event_engine_structural_deadlock_is_instant():
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="event")
+        run_spmd(2, prog)
     assert time.perf_counter() - start < 1.0
     cause = exc.value.__cause__
     assert isinstance(cause, DeadlockError)
     assert "structural deadlock" in str(cause)
-    # Satellite: the error reports, per blocked rank, the (source, tag) it
-    # was waiting on — both in the message and as structured data.
+    # The error reports, per blocked rank, the (source, tag) it was waiting
+    # on — both in the message and as structured data.
     assert cause.blocked == {1: {"source": 0, "tag": "never"}}
     assert "rank 1 waiting for (source=0, tag='never')" in str(cause)
 
@@ -355,7 +348,7 @@ def test_event_engine_detects_cyclic_deadlock():
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="event")
+        run_spmd(2, prog)
     assert time.perf_counter() - start < 1.0
     cause = exc.value.__cause__
     assert isinstance(cause, DeadlockError)
@@ -373,7 +366,7 @@ def test_event_engine_rank_exception_propagates():
         return comm.rank
 
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(3, prog, engine="event")
+        run_spmd(3, prog)
     assert isinstance(exc.value.__cause__, ValueError)
 
 
@@ -388,7 +381,7 @@ def test_event_engine_peer_failure_fails_blocked_ranks_fast():
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="event")
+        run_spmd(2, prog)
     assert time.perf_counter() - start < 1.0
     assert isinstance(exc.value.failures[0], RuntimeError)
     assert isinstance(exc.value.failures[1], DeadlockError)
@@ -410,18 +403,18 @@ def test_event_engine_still_copies_aliased_payloads():
         else:
             return (yield from comm.co_recv(0, tag=0))
 
-    trace = run_spmd(2, prog, engine="event")
+    trace = run_spmd(2, prog)
     assert trace.ranks[0].zero_copy_sends == 0
     assert np.allclose(trace.results[1], 1.0)
 
 
-# ----------------------------------------------------------- event: scale
+# ----------------------------------------------------------- scheduler: scale
 def test_event_engine_runs_paper_scale_tslu():
-    """P = 256 distributed TSLU on the point-to-point reference."""
+    """P = 256 distributed TSLU: one butterfly of log2(P) messages per rank."""
     P, b = 256, 4
     A = tall_skinny(4 * P, b, seed=1)
     start = time.perf_counter()
-    res = ptslu(A, nprocs=P, machine=unit_machine(), engine="event")
+    res = ptslu(A, nprocs=P, machine=unit_machine())
     elapsed = time.perf_counter() - start
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-10)
     assert res.trace.max_messages == 8  # log2(256)
@@ -435,20 +428,19 @@ def test_coroutine_engine_bitwise_reproducible():
     first = pcalu(A, p5(grid, 8, "coroutine"))
     second = pcalu(A, p5(grid, 8, "coroutine"))
     assert_traces_identical(first.trace, second.trace)
+    assert first.trace.ranks[0].zero_copy_sends == second.trace.ranks[0].zero_copy_sends
     assert np.array_equal(first.L, second.L)
     assert np.array_equal(first.U, second.U)  # bitwise, not just allclose
 
 
 def test_coroutine_engine_counts_group_collectives():
     """Collectives over a rank group complete as ONE group-level event
-    (diagnostic counter), while the charged messages/words/clocks stay
-    bit-identical to the point-to-point evaluation."""
+    (diagnostic counter), while the charged messages/words/clocks stay those
+    of point-to-point delivery."""
     A = tall_skinny(64, 8, seed=2)
-    res_c = ptslu(A, nprocs=8, machine=unit_machine(), engine="coroutine")
-    res_e = ptslu(A, nprocs=8, machine=unit_machine(), engine="event")
-    assert res_c.trace.total_group_collectives == 8  # one butterfly per rank
-    assert res_e.trace.total_group_collectives == 0
-    assert_traces_identical(res_c.trace, res_e.trace)
+    res = ptslu(A, nprocs=8, machine=unit_machine(), engine="coroutine")
+    assert res.trace.total_group_collectives == 8  # one butterfly per rank
+    assert fingerprint(res.trace) == REFERENCE["counts ptslu8"]
 
 
 def test_coroutine_engine_runs_generator_rank_functions_natively():
@@ -465,8 +457,8 @@ def test_coroutine_engine_runs_generator_rank_functions_natively():
 
 
 def test_coroutine_engine_structural_deadlock_reports_p2p_and_collective():
-    """Satellite: the coroutine deadlock error reports, per blocked rank, the
-    (source, tag) or the collective it is stuck in."""
+    """The deadlock error reports, per blocked rank, the (source, tag) or the
+    collective it is stuck in."""
 
     def prog(comm):
         if comm.rank == 0:
@@ -515,11 +507,10 @@ def test_coroutine_engine_back_to_back_same_tag_collectives():
                                          lambda a, b: a + b, tag="same")
         return total
 
-    t_c = run_spmd(4, prog, engine="coroutine")
-    t_e = run_spmd(4, prog, engine="event")
-    assert t_c.results == t_e.results
-    assert_traces_identical(t_c, t_e)
-    assert t_c.total_group_collectives == 12  # 3 rounds x 4 ranks
+    trace = run_spmd(4, prog, engine="coroutine")
+    assert trace.results == [210] * 4  # 10, then 4 * 10 + 10, then 4 * 50 + 10
+    assert fingerprint(trace) == REFERENCE["back_to_back"]
+    assert trace.total_group_collectives == 12  # 3 rounds x 4 ranks
 
 
 def test_coroutine_engine_runs_large_p_tslu():
@@ -543,59 +534,32 @@ def test_pdgesv_coroutine_evaluates_pr_minus_1_merges_per_panel(
 ):
     """Per panel the Pr ranks of the butterfly (fold + unfold when Pr is not a
     power of two) apply the merge Pr log2 Pr times; Pr - 1 are distinct.  The
-    group evaluation computes exactly those while charging every rank what
-    the point-to-point reference — which keeps the per-rank operator —
-    charges, so every RankTrace field, the factors and the solution agree."""
+    group evaluation computes exactly those while charging every rank each
+    application it would perform itself, so the traces are those of
+    point-to-point delivery with a per-rank operator."""
     assert n % b != 0  # ragged last panel
     A = randn(n, seed=n)
     rhs = randn(n, 2, seed=n + 1)
-    grid = ProcessGrid(pr, pc)
     panels = -(-n // b)
 
-    results = {}
-    merges = {}
-    for engine in ENGINES:
-        del host_merges[:]
-        results[engine] = pdgesv(A, rhs, p5(grid, b, engine, pivoting=pivoting))
-        merges[engine] = sum(host_merges)
-    pow2 = 1 << (pr.bit_length() - 1)
-    per_rank_path = panels * (pow2 * (pow2.bit_length() - 1) + (pr - pow2))
-    assert merges["coroutine"] == panels * (pr - 1)
-    assert merges["event"] == per_rank_path
-
-    ref, res = results["coroutine"], results["event"]
-    assert np.allclose(A @ ref.x, rhs, atol=1e-9)
-    for t_ref, t in (
-        (ref.factorization.trace, res.factorization.trace),
-        (ref.trace, res.trace),
-    ):
-        assert_traces_identical(t_ref, t)
-    assert np.array_equal(ref.factorization.L, res.factorization.L)
-    assert np.array_equal(ref.factorization.U, res.factorization.U)
-    assert np.array_equal(ref.factorization.perm, res.factorization.perm)
-    assert np.array_equal(ref.x, res.x)
+    res = pdgesv(A, rhs, p5(ProcessGrid(pr, pc), b, pivoting=pivoting))
+    assert sum(host_merges) == panels * (pr - 1)
+    assert solve_fingerprints(res) == REFERENCE[f"merges {n} {b} {pr} {pc} {pivoting}"]
+    assert np.allclose(A @ res.x, rhs, atol=1e-9)
 
 
 def test_pdgesv_group_collective_counts_on_an_8x8_grid():
     """A full P = 64 solve with 4 x 4 blocks: the group evaluation's collective
-    count is exact per phase, the point-to-point reference makes none, and
-    both runs agree bit for bit."""
+    count is exact per phase, and every rank is charged what point-to-point
+    delivery charges."""
     n = 64
     A = randn(n, seed=2)
     rhs = A @ randn(n, 1, seed=3)
-    results = {
-        engine: pdgesv(A, rhs, SolveConfig.resolve(grid=(8, 8), b=4, engine=engine))
-        for engine in ENGINES
-    }
-    coro, event = results["coroutine"], results["event"]
-    assert coro.factorization.trace.total_group_collectives == 2176
-    assert coro.trace.total_group_collectives == 1376
-    assert event.factorization.trace.total_group_collectives == 0
-    assert event.trace.total_group_collectives == 0
-    assert_traces_identical(coro.factorization.trace, event.factorization.trace)
-    assert_traces_identical(coro.trace, event.trace)
-    assert np.array_equal(coro.x, event.x)
-    assert float(np.max(np.abs(A @ coro.x - rhs))) < 1e-10 * np.max(np.abs(rhs))
+    res = pdgesv(A, rhs, SolveConfig.resolve(grid=(8, 8), b=4))
+    assert res.factorization.trace.total_group_collectives == 2176
+    assert res.trace.total_group_collectives == 1376
+    assert solve_fingerprints(res) == REFERENCE["grid8"]
+    assert float(np.max(np.abs(A @ res.x - rhs))) < 1e-10 * np.max(np.abs(rhs))
 
 
 @pytest.mark.parametrize("p,root", [(2, 0), (5, 3), (16, 0), (16, 9)])
@@ -620,8 +584,8 @@ def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
         )
         return got["panel"].sum()
 
-    res_c = run_spmd(p, prog, machine=ibm_power5(), engine="coroutine")
+    res = run_spmd(p, prog, machine=ibm_power5(), engine="coroutine")
     assert len(sized) == 1 and sized[0] is payload
-    res_e = run_spmd(p, prog, machine=ibm_power5(), engine="event")
-    assert_traces_identical(res_e, res_c)
-    assert res_c.results == res_e.results == [12.0] * p
+    assert res.results == [12.0] * p
+    words = original(payload)
+    assert res.total_words == (p - 1) * words  # p - 1 edges, each the full payload

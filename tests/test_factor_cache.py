@@ -48,7 +48,7 @@ def test_factor_key_distinct_across_every_knob():
         {"kind": "uniform"}, {"n": 96}, {"seed": 1}, {"nprow": 4},
         {"npcol": 1}, {"block_size": 16}, {"pivoting": "pp"},
         {"pivoting": "ca_prrp"}, {"kernel_tier": "reference"},
-        {"engine": "event"},
+        {"engine": "threaded"},  # the key of another engine's factor
     ]
     keys = [factor_key(**base)] + [factor_key(**{**base, **v}) for v in variants]
     assert len(set(keys)) == len(keys)

@@ -8,7 +8,8 @@ The contract under test:
   bit-identical rows, recomputes under ``--force``, and honours
   ``REPRO_RESULTS_DIR``;
 * the sweep executor expands grids, runs jobs genuinely concurrently
-  (including through the event engine), and caches every grid point;
+  (including through the discrete-event scheduler), and caches every grid
+  point;
 * CSV/JSON serialization round-trips row sets exactly;
 * the ``python -m repro`` CLI wires all of the above together.
 """
@@ -150,25 +151,28 @@ def test_results_dir_env_var_relocates_store(tmp_path, monkeypatch):
 
 
 def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
-    """Specs with an ``engine`` parameter key/record that value, not the env."""
+    """Specs with an ``engine`` parameter key/record that value, not the env;
+    spelling out the default is the same run, and an unregistered name fails
+    before anything runs."""
     store = ResultStore(root=tmp_path)
     spec = get_spec("panel_counts")
     default = store.fetch_or_run(spec, quick=True)
     assert default.artifact["engine"] == "coroutine"  # the spec's param default
-    event = store.fetch_or_run(spec, {"engine": "event"}, quick=True)
-    assert event.artifact["engine"] == "event"
-    assert event.artifact["key"] != default.artifact["key"]
-    # Message counts are engine-independent (same simulated program).
-    assert event.rows == default.rows
+    explicit = store.fetch_or_run(spec, {"engine": "coroutine"}, quick=True)
+    assert explicit.cached
+    assert explicit.artifact["key"] == default.artifact["key"]
+    with pytest.raises(UnknownEngineError):
+        store.fetch_or_run(spec, {"engine": "event"}, quick=True)
+    assert store.count("panel_counts") == 1
 
 
 def test_context_key_depends_on_params_tier_and_engine():
-    base = context_key("table1", {"seed": 0}, "lapack", "event")
-    assert base == context_key("table1", {"seed": 0}, "lapack", "event")
-    assert base != context_key("table1", {"seed": 1}, "lapack", "event")
-    assert base != context_key("table1", {"seed": 0}, "reference", "event")
-    assert base != context_key("table1", {"seed": 0}, "lapack", "coroutine")
-    assert base != context_key("table2", {"seed": 0}, "lapack", "event")
+    base = context_key("table1", {"seed": 0}, "lapack", "coroutine")
+    assert base == context_key("table1", {"seed": 0}, "lapack", "coroutine")
+    assert base != context_key("table1", {"seed": 1}, "lapack", "coroutine")
+    assert base != context_key("table1", {"seed": 0}, "reference", "coroutine")
+    assert base != context_key("table1", {"seed": 0}, "lapack", STALE_ENGINE)
+    assert base != context_key("table2", {"seed": 0}, "lapack", "coroutine")
 
 
 def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
@@ -197,7 +201,7 @@ def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
 #: A name older scripts, environments and artifacts may still carry.
 STALE_ENGINE = "threaded"
 STALE_MESSAGE = (
-    f"unknown execution engine {STALE_ENGINE!r}; available: ['coroutine', 'event']"
+    f"unknown execution engine {STALE_ENGINE!r}; available: ['coroutine']"
 )
 
 
@@ -205,7 +209,7 @@ def test_stale_engine_argument_raises():
     with pytest.raises(UnknownEngineError, match="unknown execution engine") as exc:
         run_spmd(2, lambda comm: comm.rank, engine=STALE_ENGINE)
     assert exc.value.name == STALE_ENGINE
-    assert exc.value.available == ["coroutine", "event"]
+    assert exc.value.available == ["coroutine"]
 
 
 def test_stale_engine_config_value_raises():
@@ -214,10 +218,16 @@ def test_stale_engine_config_value_raises():
     assert str(exc.value) == STALE_MESSAGE
 
 
-def test_stale_engine_cli_flag_exits(tmp_path):
-    with pytest.raises(SystemExit) as exc:
-        run_cli(["run", "panel_counts", "--quick", "--engine", STALE_ENGINE], tmp_path)
-    assert STALE_MESSAGE in str(exc.value)
+def test_stale_engine_cli_flag_exits(tmp_path, capsys):
+    """The engine has no flag of its own; ``--set engine=event`` names the
+    registered engines and fails before anything runs or is stored."""
+    with pytest.raises(SystemExit):  # argparse: no such option
+        run_cli(["run", "solve", "--quick", "--engine", "coroutine"], tmp_path)
+    assert "unrecognized arguments: --engine" in capsys.readouterr().err
+    assert run_cli(["run", "solve", "--quick", "--set", "engine=event"], tmp_path) == 1
+    assert "unknown execution engine 'event'; available: ['coroutine']" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "solve").exists()
 
 
 def test_stale_engine_set_override_fails_before_running(tmp_path, capsys):
@@ -285,17 +295,18 @@ def test_expand_grid_cartesian_product_in_order():
 
 
 def test_sweep_concurrent_jobs_through_event_engine(tmp_path):
-    """≥4 grid points, genuinely concurrent, each running the event engine.
+    """≥4 grid points, genuinely concurrent, each running the discrete-event
+    scheduler of the virtual MPI.
 
     Every job first waits on a barrier — the sweep cannot finish unless all
     four jobs are in flight simultaneously — and then measures a TSLU panel
-    on the deterministic event engine.
+    on its own deterministic SPMD run.
     """
     barrier = threading.Barrier(4, timeout=30)
 
     def concurrent_panel_counts(m, b, P):
         barrier.wait()
-        return [measure_panel_counts(m=m, b=b, P=P, engine="event")]
+        return [measure_panel_counts(m=m, b=b, P=P)]
 
     spec = ExperimentSpec(
         name="_test_concurrent_panel",
@@ -419,11 +430,11 @@ def test_cli_set_override(tmp_path, capsys):
 
 
 def test_cli_engine_flag_takes_precedence_for_engine_param_specs(tmp_path, capsys):
-    assert run_cli(["run", "panel_counts", "--quick", "--engine", "event",
+    assert run_cli(["run", "panel_counts", "--quick", "--set", "engine=coroutine",
                     "--format", "json"], tmp_path) == 0
     rows, meta = rows_from_json(capsys.readouterr().out)
-    assert meta["engine"] == "event"
-    assert meta["params"]["engine"] == "event"
+    assert meta["engine"] == "coroutine"
+    assert meta["params"]["engine"] == "coroutine"
     assert rows
 
 
@@ -685,7 +696,7 @@ def _tune_artifact(path, engine="coroutine"):
 def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     from repro.harness.cli import build_parser, config_from_args
 
-    ref = _tune_artifact(tmp_path / "tune.json", engine="event")
+    ref = _tune_artifact(tmp_path / "tune.json")
     parse = build_parser().parse_args
     tuned = config_from_args(parse(["serve", "--tuned", ref]))
     assert (tuned.pivoting, tuned.kernel_tier, tuned.matmul) == ("ca_prrp", "reference", "caps")

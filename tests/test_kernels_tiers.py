@@ -424,16 +424,15 @@ def test_calu_auto_bit_identical(n, b, P, monkeypatch):
 def test_ptslu_auto_bit_identical_and_same_trace():
     A = tall_skinny(67, 5, seed=11)  # m not a multiple of P*b
     for pivoting in ("ca", "ca_prrp"):
-        for engine in ("event", "coroutine"):
-            auto = ptslu(A, nprocs=6, engine=engine, kernel_tier="auto", pivoting=pivoting)
-            ref = ptslu(A, nprocs=6, engine=engine, kernel_tier="reference", pivoting=pivoting)
-            assert np.array_equal(auto.winners, ref.winners), (pivoting, engine)
-            assert np.array_equal(auto.perm, ref.perm), (pivoting, engine)
-            assert np.array_equal(auto.L, ref.L), (pivoting, engine)
-            assert np.array_equal(auto.U, ref.U), (pivoting, engine)
-            assert auto.trace.summary() == ref.trace.summary(), (pivoting, engine)
-            for got, want in zip(auto.trace.ranks, ref.trace.ranks):
-                assert got == want, (pivoting, engine)
+        auto = ptslu(A, nprocs=6, kernel_tier="auto", pivoting=pivoting)
+        ref = ptslu(A, nprocs=6, kernel_tier="reference", pivoting=pivoting)
+        assert np.array_equal(auto.winners, ref.winners), pivoting
+        assert np.array_equal(auto.perm, ref.perm), pivoting
+        assert np.array_equal(auto.L, ref.L), pivoting
+        assert np.array_equal(auto.U, ref.U), pivoting
+        assert auto.trace.summary() == ref.trace.summary(), pivoting
+        for got, want in zip(auto.trace.ranks, ref.trace.ranks):
+            assert got == want, pivoting
 
 
 # ------------------------------------------------- stability forces reference

@@ -29,10 +29,11 @@ from repro.core.options import (
     normalize_grid,
 )
 
-#: (knob, default, a valid non-default value, bad).
+#: (knob, default, a valid explicit value, bad).  The engine has one legal
+#: value, so its explicit value is the default and ``event`` is bad.
 KNOB_CASES = [
     ("pivoting", "ca", "pp", "rook"),
-    ("engine", "coroutine", "event", "warp"),
+    ("engine", "coroutine", "coroutine", "event"),
     ("kernel_tier", "auto", "reference", "nope"),
     ("matmul", "summa", "caps", "cannon"),
 ]
@@ -74,8 +75,8 @@ class TestPrecedence:
 
 # ---------------------------------------------------------------- SolveConfig
 def test_solveconfig_resolve_uses_shared_precedence():
-    config = SolveConfig.resolve(engine="event", matmul="caps", grid=4, b=8, nrhs=3)
-    assert config.engine == "event" and config.matmul == "caps"  # explicit
+    config = SolveConfig.resolve(engine="coroutine", matmul="caps", grid=4, b=8, nrhs=3)
+    assert config.engine == "coroutine" and config.matmul == "caps"  # explicit
     assert config.pivoting == "ca" and config.kernel_tier == "auto"  # default
     assert config.grid == (2, 2) and config.P == 4
     assert config.b == 8 and config.nrhs == 3
@@ -86,6 +87,9 @@ def test_solveconfig_resolve_accepts_engine_instances():
 
     config = SolveConfig.resolve(engine=get_engine("coroutine"))
     assert config.engine == "coroutine"
+    for bad in ("event", "warp"):
+        with pytest.raises(UnknownOptionError):
+            SolveConfig.resolve(engine=bad)
 
 
 def test_solveconfig_replace_validates_knobs_and_normalizes_grid():

@@ -76,3 +76,36 @@ def test_all_ranks_return_identical_swap_lists():
     res = pcalu(A, cfg((2, 2), 8))
     swaps = [r["swaps"] for r in res.trace.results]
     assert all(s == swaps[0] for s in swaps)
+
+
+# ------------------------------------------------------- non-finite input
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_input_fails_up_front_naming_it(monkeypatch, bad):
+    """A NaN or infinity in ``A`` (pcalu, pcalu_factor, pdgesv) or in ``b``
+    (pdgesv_solve) raises a plain ValueError naming the input before any
+    rank starts."""
+    from repro.distsim import vmpi
+    from repro.parallel import pcalu_factor, pdgesv, pdgesv_solve
+    from repro.parallel import driver, psolve
+
+    n, config = 32, cfg((2, 2), 8)
+    A = randn(n, seed=4)
+    b = randn(n, 2, seed=5)
+    factor = pcalu_factor(A, config)
+    A_bad, b_bad = A.copy(), b.copy()
+    A_bad[7, 3] = bad
+    b_bad[30, 1] = bad
+
+    def no_ranks(*args, **kwargs):
+        raise AssertionError("a rank started")
+
+    for module in (vmpi, driver, psolve):
+        monkeypatch.setattr(module, "run_spmd", no_ranks)
+    for call in (lambda: pcalu(A_bad, config), lambda: pcalu_factor(A_bad, config),
+                 lambda: pdgesv(A_bad, b, config)):
+        with pytest.raises(ValueError, match="^A has non-finite entries"):
+            call()
+    with pytest.raises(ValueError, match="^b has non-finite entries"):
+        pdgesv_solve(factor, b_bad, config)
+    with pytest.raises(ValueError, match="^b has non-finite entries"):
+        pdgesv_solve(factor, b_bad[:, 1], config)

@@ -1,7 +1,7 @@
 """Tests for the end-to-end distributed solve (pdtrsv + pdgesv).
 
 The contract: ``pdgesv`` must reproduce the sequential ``calu_solve``
-solution to tight tolerance on both execution engines — including
+solution to tight tolerance — including
 non-power-of-two process grids and ragged ``n % b`` — batched multi-RHS
 solves must match looped single-RHS solves, refinement must converge the way
 ``solve_with_refinement`` does, and the solve phase's message counts must
@@ -15,13 +15,14 @@ import pytest
 
 from repro.core import calu, calu_solve, solve_with_refinement
 from repro.core.options import SolveConfig
+from repro.distsim import available_engines
 from repro.layouts import ProcessGrid
 from repro.machines import unit_machine
 from repro.models import solve_cost, solve_message_counts, validate_solve
 from repro.parallel import pdgesv
 from repro.randmat import randn
 
-ENGINES = ("coroutine", "event")
+ENGINES = available_engines()
 
 
 def cfg(pr: int, pc: int, b: int, **knobs) -> SolveConfig:
@@ -78,17 +79,19 @@ def test_pdgesv_kernel_tier_bit_identical():
 
 
 def test_pdgesv_cross_engine_parity():
-    """Both engines must produce identical solutions and identical traces."""
+    """The solve phase on a 2 x 3 grid charges what point-to-point delivery of
+    every collective message charged (values recorded from that evaluation),
+    and a second run reproduces the solution bit for bit."""
     A, _, rhs = _system(30, 2, seed=5)
-    runs = {engine: pdgesv(A, rhs, cfg(2, 3, 7, engine=engine)) for engine in ENGINES}
-    ev, co = runs["event"], runs["coroutine"]
-    assert np.array_equal(ev.x, co.x)
-    assert ev.iterations == co.iterations
-    assert ev.residual_norms == co.residual_norms
-    assert ev.per_rhs_residuals == co.per_rhs_residuals
-    assert ev.trace.total_messages == co.trace.total_messages
-    assert ev.trace.total_words == co.trace.total_words
-    assert ev.trace.critical_path_time == co.trace.critical_path_time
+    first, again = (pdgesv(A, rhs, cfg(2, 3, 7)) for _ in range(2))
+    assert first.iterations == 2
+    assert (first.trace.messages_by_channel("row"), first.trace.messages_by_channel("col"),
+            first.trace.messages_by_channel("any")) == (78, 30, 36)
+    assert first.trace.total_words == 1800.0
+    assert first.trace.critical_path_time == 72.0
+    assert np.array_equal(first.x, again.x)
+    assert first.residual_norms == again.residual_norms
+    assert first.per_rhs_residuals == again.per_rhs_residuals
 
 
 def test_pdgesv_multi_rhs_matches_looped_single_rhs():

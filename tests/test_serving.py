@@ -249,3 +249,21 @@ def test_submit_validates_shape_and_window(setup):
             service.submit(np.zeros((N, 2, 2)))
     with pytest.raises(ValueError, match="window"):
         SolveService(factor, window=0)
+
+
+def test_non_finite_request_fails_alone_at_submit(setup):
+    """A right-hand side with a NaN is rejected at ``submit``; the requests
+    around it are served exactly as they would be without it."""
+    _, factor, rhs = setup
+    bad = rhs[3].copy()
+    bad[5] = np.nan
+    with SolveService(factor, window=4, start=False) as service:
+        futures = [service.submit(b) for b in rhs[:3]]
+        with pytest.raises(ValueError, match="^b has non-finite entries"):
+            service.submit(bad)
+        assert service.drain() == 1
+    with SolveService(factor, window=4, start=False) as service:
+        alone = [service.submit(b) for b in rhs[:3]]
+        assert service.drain() == 1
+    for got, want in zip(futures, alone):
+        assert np.array_equal(got.result(timeout=0).x, want.result(timeout=0).x)

@@ -29,24 +29,34 @@ between two runs on one machine.  ``--quick`` runs a small sub-matrix; CI
 runs it as a smoke test (it must exit 0 and no line may read ``raised``).
 
 Sequential lines (``tslu`` / ``calu``: no simulator, no engine) hash ``L``,
-``U``, ``perm`` and the flop ledger over pivoting x schedule x tier x partition
-x ragged shapes, on ``randn`` and exact-tie (``+-1``) panels.  ``key`` lines
-pin the default-config store and factor keys, and the store key
-``ResultStore.run_config`` gives every registered spec at its defaults and
-under ``quick``.
+``U``, ``perm`` and the flop ledger over pivoting x schedule x partition x
+ragged shapes, on ``randn`` and exact-tie (``+-1``) panels.  ``calu ...
+record`` lines run the same ``calu`` grid with ``track_growth=True,
+compute_thresholds=True`` — the recording runs, which keep the kernels'
+reference loops — and hash ``packed``, ``perm``, the growth and threshold
+histories and the flop ledger.  ``key`` lines pin the default-config store
+and factor keys, and the store key ``ResultStore.run_config`` gives every
+registered spec at its defaults and under ``quick``.
 
-Matrix (full): ptslu P in 1,2,3,5,6,8,13,16 x ca/pp/ca_prrp x auto/reference x
+Matrix (full): ptslu P in 1,2,3,5,6,8,13,16 x ca/pp/ca_prrp x
 block/block-cyclic (m = 8P+5, b = 8); pdgetrf, pcalu, pdgesv on 2x2, 4x2, 3x5,
-1x4, 4x1, 4x4 x n in 40,53 (b = 7, ragged) x ca/pp/ca_prrp x summa/caps x
-auto/reference (ibm_power5, nrhs = 2); pdgemm on five grids x summa/caps x two
-shapes — the 860-line matrix of ``BENCH_18.digest.txt`` — plus tslu on 64x8,
-53x7 x P in 1,3,4,8 and calu on n in 40,53 (b = 7) x P in 2,4.
+1x4, 4x1, 4x4 x n in 40,53 (b = 7, ragged) x ca/pp/ca_prrp x summa/caps
+(ibm_power5, nrhs = 2); pdgemm on five grids x summa/caps x two shapes; tslu
+on 64x8, 53x7 x P in 1,3,4,8 and calu (plain and record) on n in 40,53
+(b = 7) x P in 2,4, each x ca/pp/ca_prrp x binary/flat/butterfly x
+contiguous/block-cyclic.  706 lines.
+
+The script runs unchanged against trees from before the kernel tier was
+removed (``--src``): drivers are called without a tier (their default was
+``auto``), and the two literal key lines pass the tier the old key functions
+took as an argument, the ``"lapack"`` every default key recorded.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import inspect
 import itertools
 import os
 import struct
@@ -56,7 +66,6 @@ from pathlib import Path
 
 ENGINES = ("coroutine",)
 PIVOTINGS = ("ca", "pp", "ca_prrp")
-TIERS = ("auto", "reference")
 MATMULS = ("summa", "caps")
 
 
@@ -120,9 +129,9 @@ def simulated_lines(quick: bool):
     def config(grid, **knobs):
         return SolveConfig.resolve(grid=grid, b=7, machine="ibm_power5", **knobs)
 
-    def run_ptslu(engine, P, piv, tier, layout):
+    def run_ptslu(engine, P, piv, layout):
         res = ptslu(tall_skinny(8 * P + 5, 8, seed=P), P, layout=layout,
-                    machine=ibm_power5(), engine=engine, kernel_tier=tier, pivoting=piv)
+                    machine=ibm_power5(), engine=engine, pivoting=piv)
         sim, eng = trace_fields(res.trace)
         return [res.L, res.U, res.perm, res.winners, sim], eng
 
@@ -149,23 +158,18 @@ def simulated_lines(quick: bool):
     grids = ((2, 2), (3, 5)) if quick else ((2, 2), (4, 2), (3, 5), (1, 4), (4, 1), (4, 4))
     sizes = (53,) if quick else (40, 53)
     for engine in ENGINES:
-        for P, piv, tier, layout in itertools.product(
-            procs, PIVOTINGS, TIERS, ("block", "block_cyclic")
-        ):
-            yield (f"ptslu P={P} {piv} {tier} {layout}", engine,
-                   partial(run_ptslu, engine, P, piv, tier, layout))
+        for P, piv, layout in itertools.product(procs, PIVOTINGS, ("block", "block_cyclic")):
+            yield (f"ptslu P={P} {piv} {layout}", engine,
+                   partial(run_ptslu, engine, P, piv, layout))
         for grid, n in itertools.product(grids, sizes):
             where = f"{grid[0]}x{grid[1]} n={n} b=7"
             for mm in MATMULS:
                 yield (f"pdgetrf {where} {mm}", engine,
                        partial(run_pcalu, grid, n, engine=engine, pivoting="pp", matmul=mm))
             runners = (("pcalu", run_pcalu), ("pdgesv", run_pdgesv))
-            for (name, run), mm, tier, piv in itertools.product(
-                runners, MATMULS, TIERS, PIVOTINGS
-            ):
-                yield (f"{name} {where} {piv} {mm} {tier}", engine,
-                       partial(run, grid, n, engine=engine, pivoting=piv, matmul=mm,
-                               kernel_tier=tier))
+            for (name, run), mm, piv in itertools.product(runners, MATMULS, PIVOTINGS):
+                yield (f"{name} {where} {piv} {mm}", engine,
+                       partial(run, grid, n, engine=engine, pivoting=piv, matmul=mm))
         for grid in ((2, 2),) if quick else ((2, 2), (3, 5), (1, 4), (4, 1), (4, 4)):
             for shape, mm in itertools.product(((40, 33, 29), (32, 32, 32)), MATMULS):
                 yield (f"pdgemm {grid[0]}x{grid[1]} {'x'.join(map(str, shape))} {mm}", engine,
@@ -185,31 +189,38 @@ def sequential_lines(quick: bool):
             return tall_skinny(m, b, seed=m)
         return np.sign(tall_skinny(m, b, seed=m + 1))  # exact ties everywhere
 
-    def run_tslu(kind, m, b, P, piv, sched, tier, part):
+    def run_tslu(kind, m, b, P, piv, sched, part):
         flops = FlopCounter()
         res = tslu(panel(kind, m, b), P, flops=flops, schedule=sched, partition=part,
-                   kernel_tier=tier, pivoting=piv)
+                   pivoting=piv)
         return [res.L, res.U, res.perm, res.winners, res.tournament.rounds, flops]
 
-    def run_calu(n, P, piv, sched, tier, part):
-        res = calu(randn(n, seed=n), 7, P, schedule=sched, partition=part,
-                   kernel_tier=tier, pivoting=piv)
+    def run_calu(n, P, piv, sched, part):
+        res = calu(randn(n, seed=n), 7, P, schedule=sched, partition=part, pivoting=piv)
         return [res.L, res.U, res.perm, res.flops]
 
+    def run_calu_record(n, P, piv, sched, part):
+        res = calu(randn(n, seed=n), 7, P, schedule=sched, partition=part, pivoting=piv,
+                   track_growth=True, compute_thresholds=True)
+        return [res.packed, res.perm, res.growth_history, res.threshold_history, res.flops]
+
     knobs = list(itertools.product(
-        PIVOTINGS, ("binary", "flat", "butterfly"), TIERS, ("contiguous", "block_cyclic")
+        PIVOTINGS, ("binary", "flat", "butterfly"), ("contiguous", "block_cyclic")
     ))
     shapes = ((53, 7),) if quick else ((64, 8), (53, 7))
     for kind, (m, b), P in itertools.product(
         ("randn", "tie"), shapes, (3, 8) if quick else (1, 3, 4, 8)
     ):
-        for piv, sched, tier, part in knobs:
-            yield (f"tslu {kind} {m}x{b} P={P} {piv} {sched} {tier} {part}",
-                   partial(run_tslu, kind, m, b, P, piv, sched, tier, part))
-    for n, P in itertools.product((53,) if quick else (40, 53), (4,) if quick else (2, 4)):
-        for piv, sched, tier, part in knobs:
-            yield (f"calu n={n} b=7 P={P} {piv} {sched} {tier} {part}",
-                   partial(run_calu, n, P, piv, sched, tier, part))
+        for piv, sched, part in knobs:
+            yield (f"tslu {kind} {m}x{b} P={P} {piv} {sched} {part}",
+                   partial(run_tslu, kind, m, b, P, piv, sched, part))
+    calu_grid = itertools.product((53,) if quick else (40, 53), (4,) if quick else (2, 4))
+    for n, P in calu_grid:
+        for (piv, sched, part), (suffix, run) in itertools.product(
+            knobs, (("", run_calu), (" record", run_calu_record))
+        ):
+            yield (f"calu n={n} b=7 P={P} {piv} {sched} {part}{suffix}",
+                   partial(run, n, P, piv, sched, part))
 
 
 def key_lines():
@@ -219,11 +230,19 @@ def key_lines():
     from repro.harness.factor_cache import factor_key
     from repro.harness.store import ResultStore, context_key
 
+    def keyed(fn, *args, **kwargs):
+        # Trees from before the tier removal take it as an argument; the
+        # current ones key the same "lapack" as a constant.
+        if "kernel_tier" in inspect.signature(fn).parameters:
+            kwargs["kernel_tier"] = "lapack"
+        return fn(*args, **kwargs)
+
     for engine in ENGINES:
         yield (f"key context engine={engine}",
-               context_key("table1", {"seed": 0, "n": 64}, "lapack", engine))
+               keyed(context_key, "table1", {"seed": 0, "n": 64}, engine=engine))
         yield (f"key factor engine={engine}",
-               factor_key("randn", 96, 3, 2, 4, 8, "ca", "lapack", engine, "summa"))
+               keyed(factor_key, "randn", 96, 3, 2, 4, 8, "ca", engine=engine,
+                     matmul="summa"))
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(root=tmp)
         for spec, quick in itertools.product(all_specs(), (False, True)):

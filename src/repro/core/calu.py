@@ -80,7 +80,6 @@ def calu(
     partition: str = "block_cyclic",
     track_growth: bool = False,
     compute_thresholds: bool = False,
-    kernel_tier: Optional[str] = None,
     pivoting: Optional[str] = None,
 ) -> CALUResult:
     """Factor ``A`` with communication-avoiding LU (ca-pivoting panels).
@@ -103,11 +102,10 @@ def calu(
         Record the growth history needed for the growth factor g_T.
     compute_thresholds:
         Record per-column pivot thresholds (needed for τ_min / τ_ave).
-    kernel_tier:
-        Kernel tier for panels and tournaments (None: the ``"auto"`` default,
-        see :mod:`repro.kernels.tiers`).  Requesting growth or threshold
-        recording forces the reference tier so the stability experiments are
-        reproducible bit-for-bit regardless of the knob.
+        Recording either runs the ``"pp"`` panels and the CALU_PRRP
+        post-pass on :func:`~repro.kernels.getf2.getf2`'s reference loop, so
+        the recorded histories replay its bits; tournaments are
+        bit-identical either way.
     pivoting:
         Pivoting strategy for the panels (None: the ``"ca"`` default,
         see :mod:`repro.core.strategies`): ``"pp"``
@@ -141,9 +139,7 @@ def calu(
     strategy = resolve_pivoting(pivoting)
     b = min(block_size, n)
     flops = FlopCounter()
-    if track_growth or compute_thresholds:
-        # Stability recording must replay the reference arithmetic exactly.
-        kernel_tier = "reference"
+    record = track_growth or compute_thresholds
     # Global permutation accumulated panel by panel: perm[i] = original row of
     # the row currently stored at position i of the working matrix.
     perm = np.arange(m, dtype=np.int64)
@@ -166,8 +162,8 @@ def calu(
             partition=partition,
             block_size=jb,
             compute_thresholds=compute_thresholds,
-            kernel_tier=kernel_tier,
             pivoting=strategy,
+            reference=record,
         )
         if compute_thresholds:
             thresholds.append(pres.threshold_history)
@@ -241,7 +237,7 @@ def calu(
             growth.append(float(np.max(np.abs(A))))
 
     if strategy == "ca_prrp":
-        _triangularize_prrp_panels(A, perm, b, n, flops, kernel_tier)
+        _triangularize_prrp_panels(A, perm, b, n, flops, record)
 
     return CALUResult(
         packed=A,
@@ -261,7 +257,7 @@ def _triangularize_prrp_panels(
     b: int,
     n: int,
     flops: FlopCounter,
-    kernel_tier: Optional[str],
+    reference: bool,
 ) -> None:
     """Turn the block-form PRRP factorization into triangular L/U, in place.
 
@@ -279,7 +275,8 @@ def _triangularize_prrp_panels(
     :func:`calu` returns for every strategy.  The growth recorded *before*
     this pass is the block-form growth factor of the PRRP analysis; this pass
     only reshapes factors (its b x b GEPP growth is local and does not
-    compound across panels).
+    compound across panels).  ``reference`` runs the GEPP on
+    :func:`~repro.kernels.getf2.getf2`'s loop (set by recording runs).
     """
     from ..kernels.getf2 import getf2
 
@@ -287,7 +284,7 @@ def _triangularize_prrp_panels(
     for j in range(0, n, b):
         jb = min(b, n - j)
         k = min(m - j, jb)
-        res = getf2(A[j : j + k, j : j + k], flops=flops, kernel_tier=kernel_tier)
+        res = getf2(A[j : j + k, j : j + k], flops=flops, reference=reference)
         p = res.perm
         L11 = np.tril(res.lu[:, :k], -1)
         np.fill_diagonal(L11, 1.0)

@@ -1,9 +1,9 @@
 """The configuration subsystem: one precedence rule, one ``SolveConfig``.
 
 Every pluggable subsystem of this package — pivoting strategies
-(:mod:`repro.core.strategies`), kernel tiers (:mod:`repro.kernels.tiers`),
-virtual-MPI engines (:mod:`repro.distsim.engine`) and distributed-matmul
-backends (:mod:`repro.matmul`) — exposes one string *knob* resolved against a
+(:mod:`repro.core.strategies`), virtual-MPI engines
+(:mod:`repro.distsim.engine`) and distributed-matmul backends
+(:mod:`repro.matmul`) — exposes one string *knob* resolved against a
 registry.  This module holds the machinery they share:
 
 * :class:`UnknownOptionError` — the shared "knob value names no registered
@@ -13,13 +13,13 @@ registry.  This module holds the machinery they share:
 
       explicit value  >  default
 
-  The four knob modules *register* an :class:`Option` at import time and
+  The three knob modules *register* an :class:`Option` at import time and
   keep one function form of it for their hot paths (``resolve_pivoting``,
-  ``resolve_tier``, ``resolve_matmul``, ``resolve_engine*``).  A knob is a
+  ``resolve_matmul``, ``resolve_engine*``).  A knob is a
   value passed in; nothing is read from process state (there is no ambient
   override and no knob environment variable).
 * :class:`SolveConfig` — a frozen dataclass bundling everything that
-  configures a distributed solve (the four knobs plus grid shape, block size
+  configures a distributed solve (the three knobs plus grid shape, block size
   ``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
   the drivers (:mod:`repro.parallel`), the content-addressed stores, the
   serving layer and the CLI, and is the unit the autotuner
@@ -38,7 +38,7 @@ class UnknownOptionError(ValueError):
     Attributes
     ----------
     kind:
-        Human-readable knob kind (``"pivoting strategy"``, ``"kernel tier"``,
+        Human-readable knob kind (``"pivoting strategy"``,
         ``"execution engine"``, ``"matmul backend"``).
     name:
         The offending value.
@@ -64,7 +64,7 @@ class Option:
     ----------
     name:
         Knob name — the :class:`SolveConfig` field it populates
-        (``"pivoting"``, ``"engine"``, ``"kernel_tier"``, ``"matmul"``).
+        (``"pivoting"``, ``"engine"``, ``"matmul"``).
     kind:
         Human-readable kind used in error messages.
     default:
@@ -97,7 +97,7 @@ class Option:
 OPTIONS: Dict[str, Option] = {}
 
 #: The knob names every :class:`SolveConfig` carries.
-KNOBS = ("pivoting", "engine", "kernel_tier", "matmul")
+KNOBS = ("pivoting", "engine", "matmul")
 
 
 def register_option(option: Option) -> Option:
@@ -107,14 +107,13 @@ def register_option(option: Option) -> Option:
 
 
 def _load_knob_modules() -> None:
-    """Import the four knob modules so their options are registered.
+    """Import the three knob modules so their options are registered.
 
     Lazy so that :mod:`repro.core.options` itself stays import-light (the
     knob modules import it, not the other way around).
     """
     import repro.core.strategies  # noqa: F401
     import repro.distsim.engine  # noqa: F401
-    import repro.kernels.tiers  # noqa: F401
     import repro.matmul  # noqa: F401
 
 
@@ -125,8 +124,8 @@ def _load_knob_modules() -> None:
 class SolveConfig:
     """Everything that configures one distributed factorization/solve.
 
-    The four registry knobs (``pivoting``, ``engine``, ``kernel_tier``,
-    ``matmul``) are always concrete resolved names; the layout parameters
+    The three registry knobs (``pivoting``, ``engine``, ``matmul``) are
+    always concrete resolved names; the layout parameters
     (``grid``, ``b``, ``nrhs``) and the ``machine`` name are optional —
     drivers fall back to their own arguments when a field is ``None``.
 
@@ -138,7 +137,6 @@ class SolveConfig:
 
     pivoting: str
     engine: str
-    kernel_tier: str
     matmul: str
     grid: Optional[Tuple[int, int]] = None
     b: Optional[int] = None
@@ -165,14 +163,21 @@ class SolveConfig:
         is recorded) or ``None``; ``grid`` accepts a ``(Pr, Pc)`` tuple, a
         :class:`~repro.layouts.grid.ProcessGrid`, a process count ``P``
         (mapped to the paper's near-square grid) or ``None``.
+
+        ``kernel_tier`` is no knob: the kernels pick their own code path.  It
+        accepts ``None`` or ``"auto"`` (ignored) because the end-to-end
+        benchmark (``benchmarks/e2e/workloads.py``) still passes
+        ``kernel_tier="auto"``; any other value raises
+        :class:`UnknownOptionError`.
         """
         _load_knob_modules()
+        if kernel_tier not in (None, "auto"):
+            raise UnknownOptionError("kernel tier", kernel_tier, ["auto"])
         if engine is not None and not isinstance(engine, str):
             engine = getattr(engine, "name", None)
         return cls(
             pivoting=OPTIONS["pivoting"].resolve(pivoting),
             engine=OPTIONS["engine"].resolve(engine),
-            kernel_tier=OPTIONS["kernel_tier"].resolve(kernel_tier),
             matmul=OPTIONS["matmul"].resolve(matmul),
             grid=normalize_grid(grid),
             b=int(b) if b is not None else None,
@@ -242,7 +247,6 @@ class SolveConfig:
         parts = [
             f"pivoting={self.pivoting}",
             f"engine={self.engine}",
-            f"kernel_tier={self.kernel_tier}",
             f"matmul={self.matmul}",
         ]
         if self.grid is not None:

@@ -179,7 +179,11 @@ def calu_solve(
     """One-call convenience: factor ``A`` with CALU and solve ``A x = b``.
 
     This is the "quickstart" entry point exercised by
-    ``examples/quickstart.py``.
+    ``examples/quickstart.py``.  Complex ``A`` or ``b`` raises
+    ``ValueError``: only real systems are supported.
     """
+    for name, x in (("A", A), ("b", b)):
+        if np.iscomplexobj(x):
+            raise ValueError(f"{name} is complex; only real systems are supported")
     fact = calu(A, block_size=block_size, nblocks=nblocks, **calu_kwargs)
     return solve_with_refinement(A, b, fact, max_iterations=refine)

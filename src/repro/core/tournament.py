@@ -39,7 +39,6 @@ from ..kernels.flops import FlopCounter
 from ..kernels.getf2 import getf2
 from ..kernels.rgetf2 import rgetf2
 from ..kernels.rrqr import select_rows_rrqr
-from ..kernels.tiers import resolve_tier
 
 #: The local factorization kernels selectable for the leaf step (the paper's
 #: "Cl" = classic DGETF2 and "Rec" = recursive RGETF2 configurations).
@@ -100,7 +99,6 @@ def local_candidates(
     b: int,
     flops: Optional[FlopCounter] = None,
     local_kernel: str = "getf2",
-    kernel_tier: Optional[str] = None,
 ) -> CandidateSet:
     """Leaf step of the tournament: select up to ``b`` candidate rows of one block.
 
@@ -116,12 +114,10 @@ def local_candidates(
         Optional flop counter charged with the local factorization.
     local_kernel:
         ``"getf2"`` or ``"rgetf2"`` — which sequential LU performs the local
-        factorization (the paper's Cl/Rec configurations).
-    kernel_tier:
-        Kernel tier for the factorization (None: the ``"auto"`` default).  Only
-        the pivot *order* of the factorization flows into the candidate set —
-        the candidate rows themselves are gathered from the original block —
-        so the fast tier changes no bits of the result.
+        factorization (the paper's Cl/Rec configurations).  It runs on
+        ``dgetrf``: only the pivot *order* of the factorization flows into
+        the candidate set — the candidate rows themselves are gathered from
+        the original block — so its rounding changes no bits of the result.
     """
     rows = np.asarray(rows, dtype=np.int64)
     block = np.asarray(block, dtype=np.float64)
@@ -134,7 +130,7 @@ def local_candidates(
     if local_kernel == "rgetf2" and block.shape[0] < block.shape[1]:
         # The recursive kernel requires a tall block; fall back for stubs.
         kernel = getf2
-    res = kernel(block, flops=flops, kernel_tier=kernel_tier)
+    res = kernel(block, flops=flops)
     chosen = res.perm[:k]
     return CandidateSet(rows=rows[chosen], block=block[chosen, :])
 
@@ -159,9 +155,9 @@ def merge_candidates(
 
     Notes
     -----
-    Merges always run reference-tier arithmetic: the ``U`` factor computed
-    here flows straight into the panel factors, so its bits must not depend
-    on the configured kernel tier.  Batches of same-shape merges go through
+    Merges always run :func:`~repro.kernels.getf2.getf2`'s reference loop:
+    the ``U`` factor computed here flows straight into the panel factors, so
+    its bits are contractual.  Batches of same-shape merges go through
     :func:`~repro.kernels.batched.getf2_batched` instead (bit-identical, one
     call per reduction round) — see :func:`merge_pairs`.
     """
@@ -169,7 +165,7 @@ def merge_candidates(
     all_rows = np.concatenate([a.rows, b_set.rows])
     if stacked.shape[0] == 0:
         return CandidateSet(rows=all_rows, block=stacked), np.zeros((0, 0))
-    res = getf2(stacked, flops=flops, kernel_tier="reference")
+    res = getf2(stacked, flops=flops, reference=True)
     k = min(b, stacked.shape[0])
     chosen = res.perm[:k]
     winner = CandidateSet(rows=all_rows[chosen], block=stacked[chosen, :])
@@ -183,16 +179,13 @@ def local_candidates_rrqr(
     block: np.ndarray,
     b: int,
     flops: Optional[FlopCounter] = None,
-    kernel_tier: Optional[str] = None,
 ) -> CandidateSet:
     """Leaf step of the CALU_PRRP tournament: strong-RRQR row selection.
 
     Same contract as :func:`local_candidates`, but the candidates are the rows
     a strong rank-revealing QR of ``block.T`` picks — every rejected row is a
     ``tau``-bounded combination of the selected ones, which is what bounds the
-    PRRP growth factor (Khabou et al., arXiv:1208.2451).  ``kernel_tier``
-    picks the selection kernel; selection and flop charges do not depend on
-    it (see :mod:`repro.kernels.rrqr`).
+    PRRP growth factor (Khabou et al., arXiv:1208.2451).
     """
     rows = np.asarray(rows, dtype=np.int64)
     block = np.asarray(block, dtype=np.float64)
@@ -200,9 +193,7 @@ def local_candidates_rrqr(
         raise ValueError("block shape must match the number of row indices")
     if block.shape[0] == 0:
         return CandidateSet(rows=rows[:0], block=block[:0])
-    chosen = select_rows_rrqr(
-        block, min(b, block.shape[0]), flops=flops, kernel_tier=kernel_tier
-    )
+    chosen = select_rows_rrqr(block, min(b, block.shape[0]), flops=flops)
     return CandidateSet(rows=rows[chosen], block=block[chosen, :])
 
 
@@ -211,7 +202,6 @@ def merge_candidates_rrqr(
     b_set: CandidateSet,
     b: int,
     flops: Optional[FlopCounter] = None,
-    kernel_tier: Optional[str] = None,
 ) -> Tuple[CandidateSet, None]:
     """Internal CALU_PRRP tournament node: strong-RRQR merge of two candidate sets.
 
@@ -220,7 +210,7 @@ def merge_candidates_rrqr(
     factor falls out of the selection — CALU_PRRP computes the panel's ``U11``
     from a pivoted LU of the winner block (:func:`order_winners`), so the
     second tuple element is ``None``.  That is also why this merge, unlike
-    :func:`merge_candidates`, may run on any ``kernel_tier``: only the
+    :func:`merge_candidates`, may take ``dgeqp3``'s verified pivots: only the
     winners' *order* leaves it, the winner rows are gathered from the stacked
     originals.
     """
@@ -228,9 +218,7 @@ def merge_candidates_rrqr(
     all_rows = np.concatenate([a.rows, b_set.rows])
     if stacked.shape[0] == 0:
         return CandidateSet(rows=all_rows, block=stacked), None
-    chosen = select_rows_rrqr(
-        stacked, min(b, stacked.shape[0]), flops=flops, kernel_tier=kernel_tier
-    )
+    chosen = select_rows_rrqr(stacked, min(b, stacked.shape[0]), flops=flops)
     return CandidateSet(rows=all_rows[chosen], block=stacked[chosen, :]), None
 
 
@@ -243,9 +231,10 @@ def order_winners(
     A strong-RRQR selection order is not an elimination order (and a single
     block was never merged), so the winners are re-ordered by partial pivoting
     *inside* the already-chosen rows: no communication, identical on every
-    rank, and reference-tier because these bits become the panel's ``U11``.
+    rank, and on the reference loop because these bits become the panel's
+    ``U11``.
     """
-    res = getf2(winner.block, flops=flops, kernel_tier="reference")
+    res = getf2(winner.block, flops=flops, reference=True)
     return winner.rows[res.perm], res.lu
 
 
@@ -254,15 +243,14 @@ def leaf_candidates(
     b: int,
     selector: str = "getf2",
     local_kernel: str = "getf2",
-    kernel_tier: Optional[str] = None,
 ) -> List[Tuple[CandidateSet, FlopCounter]]:
     """Leaf step over every row block: one ``(candidates, flops)`` per block.
 
-    ``getf2`` leaves on a non-reference tier are factored together, one
+    ``getf2`` leaves are factored together, one
     :func:`~repro.kernels.batched.getf2_batched` call per group of same-shape
     blocks; everything else (stray shapes at the panel fringe, empty blocks,
-    ``rgetf2`` and ``rrqr`` leaves, the reference tier) goes block by block
-    through :func:`local_candidates` / :func:`local_candidates_rrqr`.  Either
+    ``rgetf2`` and ``rrqr`` leaves) goes block by block through
+    :func:`local_candidates` / :func:`local_candidates_rrqr`.  Either
     way a block's candidates and counter are exactly what its own leaf call
     produces, so the sequential caller sums the counters and the SPMD caller
     charges each to its rank.
@@ -277,30 +265,26 @@ def leaf_candidates(
         if selector == "getf2" and local_kernel == "getf2"
         else []
     )
-    if groups and resolve_tier(kernel_tier) != "reference":
-        for idxs in groups:
-            # The stack is a private temporary and the candidate rows are
-            # gathered from the original blocks, so it is factored in place.
-            res = getf2_batched(np.stack([blk_arr[i] for i in idxs]), overwrite=True)
-            m_blk, n_blk = blk_arr[idxs[0]].shape
-            counters = slab_flop_counters(m_blk, n_blk, res.zero_columns)
-            for s, i in enumerate(idxs):
-                chosen = res.perm[s][: min(b, m_blk)]
-                out[i] = (
-                    CandidateSet(rows=rows_arr[i][chosen], block=blk_arr[i][chosen, :]),
-                    counters[s],
-                )
+    for idxs in groups:
+        # The stack is a private temporary and the candidate rows are
+        # gathered from the original blocks, so it is factored in place.
+        res = getf2_batched(np.stack([blk_arr[i] for i in idxs]), overwrite=True)
+        m_blk, n_blk = blk_arr[idxs[0]].shape
+        counters = slab_flop_counters(m_blk, n_blk, res.zero_columns)
+        for s, i in enumerate(idxs):
+            chosen = res.perm[s][: min(b, m_blk)]
+            out[i] = (
+                CandidateSet(rows=rows_arr[i][chosen], block=blk_arr[i][chosen, :]),
+                counters[s],
+            )
     for i, done in enumerate(out):
         if done is None:
             counter = FlopCounter()
             if selector == "rrqr":
-                cand = local_candidates_rrqr(
-                    rows_arr[i], blk_arr[i], b, flops=counter, kernel_tier=kernel_tier
-                )
+                cand = local_candidates_rrqr(rows_arr[i], blk_arr[i], b, flops=counter)
             else:
                 cand = local_candidates(
-                    rows_arr[i], blk_arr[i], b, flops=counter,
-                    local_kernel=local_kernel, kernel_tier=kernel_tier,
+                    rows_arr[i], blk_arr[i], b, flops=counter, local_kernel=local_kernel
                 )
             out[i] = (cand, counter)
     return out
@@ -310,7 +294,6 @@ def merge_pairs(
     pairs: Sequence[Tuple[CandidateSet, CandidateSet]],
     b: int,
     selector: str = "getf2",
-    kernel_tier: Optional[str] = None,
 ) -> List[Tuple[CandidateSet, FlopCounter, Optional[np.ndarray]]]:
     """Merge independent candidate pairs: the one tournament node evaluator.
 
@@ -321,9 +304,9 @@ def merge_pairs(
     here.  ``getf2`` pairs whose stacked blocks share a shape are factored in
     one :func:`~repro.kernels.batched.getf2_batched` call — arithmetic, pivot
     choices and flop counts bit-identical to a :func:`merge_candidates` loop
-    (always reference-tier bits: their ``U`` becomes the panel's); stray
+    (always reference-loop bits: their ``U`` becomes the panel's); stray
     shapes use that loop.  ``rrqr`` merges pass only a row order on, so they
-    run :func:`merge_candidates_rrqr` on ``kernel_tier``.
+    run :func:`merge_candidates_rrqr` one by one.
     """
     if selector not in ("getf2", "rrqr"):
         raise ValueError(f"unknown tournament selector {selector!r}")
@@ -357,9 +340,7 @@ def merge_pairs(
         if out[i] is None:
             counter = FlopCounter()
             if selector == "rrqr":
-                winner, factor = merge_candidates_rrqr(
-                    a, c, b, flops=counter, kernel_tier=kernel_tier
-                )
+                winner, factor = merge_candidates_rrqr(a, c, b, flops=counter)
             else:
                 winner, factor = merge_candidates(a, c, b, flops=counter)
             out[i] = (winner, counter, factor)
@@ -371,7 +352,6 @@ def merge_round(
     b: int,
     flops: Optional[FlopCounter] = None,
     selector: str = "getf2",
-    kernel_tier: Optional[str] = None,
 ) -> Tuple[List[CandidateSet], Optional[np.ndarray]]:
     """One reduction round: ``(winner per pair, U of the last pair or None)``.
 
@@ -382,15 +362,6 @@ def merge_round(
     charged once per *logical* merge, so the accounted arithmetic is that of
     the redundant schedule.
     """
-    if selector == "getf2" and resolve_tier(kernel_tier) == "reference":
-        # The reference tier executes every logical merge, one by one: it is
-        # the oracle the batched round (and its speedup floor) is held to.
-        winners: List[CandidateSet] = []
-        U = None
-        for a, c in pairs:
-            winner, U = merge_candidates(a, c, b, flops=flops)
-            winners.append(winner)
-        return winners, U
     first: dict = {}
     uniq: List[Tuple[CandidateSet, CandidateSet]] = []
     slot = []
@@ -400,7 +371,7 @@ def merge_round(
             first[key] = len(uniq)
             uniq.append((a, c))
         slot.append(first[key])
-    merged = merge_pairs(uniq, b, selector, kernel_tier)
+    merged = merge_pairs(uniq, b, selector)
     if flops is not None:
         for j in slot:
             flops.merge(merged[j][1])
@@ -414,7 +385,6 @@ def tournament_pivoting(
     flops: Optional[FlopCounter] = None,
     schedule: str = "binary",
     local_kernel: str = "getf2",
-    kernel_tier: Optional[str] = None,
     selector: str = "getf2",
 ) -> TournamentResult:
     """Run the full ca-pivoting tournament over a partitioned panel.
@@ -440,16 +410,11 @@ def tournament_pivoting(
           parallel butterfly and is provided for the ablation study.
     local_kernel:
         Kernel for the ``getf2`` selector's leaf factorizations (``"getf2"``
-        or ``"rgetf2"``); ``selector="rrqr"`` ignores it.
-    kernel_tier:
-        Kernel tier (None: the ``"auto"`` default, see
-        :mod:`repro.kernels.tiers`).  Any tier other than ``"reference"``
-        batches each reduction round — and the ``getf2`` leaf step — into a
-        single :func:`~repro.kernels.batched.getf2_batched` call; the
-        winners, ``U`` factor and flop charges are bit-identical to the
-        sequential reference schedule.  With ``selector="rrqr"`` the tier
-        picks the selection kernel of leaves and merges alike (same
-        selection and charges on every tier, see :mod:`repro.kernels.rrqr`).
+        or ``"rgetf2"``); ``selector="rrqr"`` ignores it.  Each reduction
+        round — and the ``getf2`` leaf step — is one
+        :func:`~repro.kernels.batched.getf2_batched` call; the winners, ``U``
+        factor and flop charges are bit-identical to executing every logical
+        merge one at a time through :func:`merge_candidates`.
     selector:
         Selection kernel at the leaves and merge nodes:
 
@@ -472,7 +437,7 @@ def tournament_pivoting(
         raise ValueError("tournament needs at least one row block")
     if schedule not in ("flat", "binary", "butterfly"):
         raise ValueError(f"unknown tournament schedule {schedule!r}")
-    leaves = leaf_candidates(blocks, b, selector, local_kernel, kernel_tier)
+    leaves = leaf_candidates(blocks, b, selector, local_kernel)
     if flops is not None:
         for _, counter in leaves:
             flops.merge(counter)
@@ -501,7 +466,7 @@ def tournament_pivoting(
             ]
             carry = []
             k *= 2
-        level, U = merge_round(pairs, b, flops, selector, kernel_tier)
+        level, U = merge_round(pairs, b, flops, selector)
         level += carry
     winners = level[0].rows
     if U is None:

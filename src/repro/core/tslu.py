@@ -66,8 +66,8 @@ def tslu(
     block_size: Optional[int] = None,
     row_indices: Optional[Sequence[int]] = None,
     compute_thresholds: bool = False,
-    kernel_tier: Optional[str] = None,
     pivoting: Optional[str] = None,
+    reference: bool = False,
 ) -> TSLUResult:
     """Factor a tall-skinny panel ``A`` (``m x b``) with ca-pivoting.
 
@@ -94,11 +94,7 @@ def tslu(
         larger matrix); purely cosmetic for the returned permutation.
     compute_thresholds:
         Also compute the per-column pivot-threshold history (costs one extra
-        pass over the panel).  Forces the reference kernel tier so the
-        recorded thresholds replay the seed arithmetic bit-for-bit.
-    kernel_tier:
-        Kernel tier for the tournament (None: the ``"auto"`` default); see
-        :mod:`repro.kernels.tiers`.
+        pass over the panel).  Implies ``reference``.
     pivoting:
         Pivoting strategy (None: the ``"ca"`` default —
         see :mod:`repro.core.strategies`).  ``"ca"`` is the paper's
@@ -106,6 +102,11 @@ def tslu(
         tournament (CALU_PRRP); ``"pp"`` factors the whole panel with partial
         pivoting (``nblocks`` only affects communication modelling, which the
         sequential algorithm does not perform).
+    reference:
+        Factor a ``"pp"`` panel on :func:`~repro.kernels.getf2.getf2`'s
+        reference loop instead of ``dgetrf``, so recording runs replay the
+        loop's bits (:func:`repro.core.calu.calu` sets it when it records
+        growth).  Tournament panels are bit-identical either way.
 
     Returns
     -------
@@ -121,9 +122,6 @@ def tslu(
         raise ValueError("nblocks must be >= 1")
 
     strategy = get_strategy(resolve_pivoting(pivoting))
-    if compute_thresholds:
-        # Stability recording must replay the reference arithmetic exactly.
-        kernel_tier = "reference"
     k = min(m, b)
 
     getf2_L: Optional[np.ndarray] = None
@@ -133,7 +131,7 @@ def tslu(
         # of the classic factorization, U its upper-triangular factor.
         from ..kernels.getf2 import getf2
 
-        res = getf2(A, flops=flops, kernel_tier=kernel_tier)
+        res = getf2(A, flops=flops, reference=reference or compute_thresholds)
         tres = TournamentResult(
             winners=np.asarray(res.perm[:k], dtype=np.int64),
             U=np.triu(res.lu[:k, :]),
@@ -157,7 +155,7 @@ def tslu(
         blocks = [(g, A[g, :]) for g in groups]
         tres = tournament_pivoting(
             blocks, b, flops=flops, schedule=schedule, local_kernel=local_kernel,
-            kernel_tier=kernel_tier, selector=strategy.selector,
+            selector=strategy.selector,
         )
     winners = tres.winners[:k]
 

@@ -15,7 +15,7 @@ so ``SolveConfig.engine``, the specs' ``engine`` parameters,
 ``"event"`` included — raises :class:`~repro.distsim.errors.UnknownEngineError`.
 The knob is registered into the shared configuration subsystem
 (:mod:`repro.core.options`), so it follows the same two-level rule
-(explicit > default) as ``pivoting``/``kernel_tier``/``matmul``.
+(explicit > default) as ``pivoting``/``matmul``.
 """
 
 from __future__ import annotations

@@ -14,7 +14,7 @@ class UnknownEngineError(SimulationError, UnknownOptionError):
 
     Subclasses :class:`~repro.core.options.UnknownOptionError` (itself a
     :class:`ValueError`) so the message shape and the ``name`` / ``available``
-    attributes are shared with the pivoting/tier/matmul knobs.
+    attributes are shared with the pivoting/matmul knobs.
     """
 
     def __init__(self, name, available):

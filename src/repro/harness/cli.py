@@ -26,12 +26,12 @@ Subcommands
     List or purge the content-addressed stores (experiment results and
     cached factorizations): artifact counts, bytes, per-spec breakdown.
 
-Knob flags: ``--tier`` (kernel tier), ``--pivoting``, ``--matmul`` — on
-``run``/``sweep``/``tune`` the spec parameter of that name (``--tier`` sets
-``kernel_tier``), on ``serve`` the :class:`~repro.core.options.SolveConfig`
-field.  The engine has one value, so it has no flag; ``--set engine=...``
-still reaches a spec that takes the parameter.  Also
-``--results-dir`` (artifact store root, also ``REPRO_RESULTS_DIR``),
+Knob flags: ``--pivoting``, ``--matmul`` — on ``run``/``sweep``/``tune``
+the spec parameter of that name, on ``serve`` the
+:class:`~repro.core.options.SolveConfig` field.  The engine has one value,
+so it has no flag; ``--set engine=...`` still reaches a spec that takes the
+parameter.  Also ``--results-dir`` (artifact store root, also
+``REPRO_RESULTS_DIR``),
 ``--factor-cache-dir`` (factor cache root, also ``REPRO_FACTOR_CACHE_DIR``),
 ``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes).
 """
@@ -85,8 +85,8 @@ def _parse_grid(items: Optional[Sequence[str]]) -> Dict[str, List[object]]:
 def config_from_args(args: argparse.Namespace) -> SolveConfig:
     """Build the fully resolved :class:`SolveConfig` one command runs under.
 
-    Reads whatever configuration flags the verb defines (``--tier`` /
-    ``--pivoting`` / ``--matmul`` from :func:`add_config_args`,
+    Reads whatever configuration flags the verb defines (``--pivoting`` /
+    ``--matmul`` from :func:`add_config_args`,
     plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
     Precedence per field: explicit flag > the ``--tuned`` artifact's value
     (where the verb has ``--tuned``; never its engine or machine) > default.
@@ -103,8 +103,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
             raise SystemExit(f"error: {exc}") from None
         print(
             f"tuned defaults: b={tuned.b} grid={tuned.nprow}x{tuned.npcol} "
-            f"pivoting={tuned.pivoting} tier={tuned.kernel_tier} "
-            f"matmul={tuned.matmul} (from {ref})",
+            f"pivoting={tuned.pivoting} matmul={tuned.matmul} (from {ref})",
             file=sys.stderr,
         )
 
@@ -117,7 +116,6 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
     try:
         return SolveConfig.resolve(
             pivoting=pick("pivoting", "pivoting"),
-            kernel_tier=pick("tier", "kernel_tier"),
             matmul=pick("matmul", "matmul"),
             grid=pick("P", "grid"),
             b=pick("b", "b"),
@@ -129,7 +127,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 
 
 #: Knob flag -> the spec parameter it sets on ``run`` / ``sweep`` / ``tune``.
-KNOB_FLAGS = {"tier": "kernel_tier", "pivoting": "pivoting", "matmul": "matmul"}
+KNOB_FLAGS = {"pivoting": "pivoting", "matmul": "matmul"}
 
 
 def knob_overrides(
@@ -191,7 +189,7 @@ def _status_line(fetch: FetchResult, spec: ExperimentSpec) -> str:
     ref = f" [{spec.paper_ref}]" if spec.paper_ref else ""
     return (
         f"{spec.name}{ref}: {fetch.artifact['n_rows']} rows ({source}; "
-        f"tier={fetch.artifact['kernel_tier']}, engine={fetch.artifact['engine']}, "
+        f"engine={fetch.artifact['engine']}, "
         f"pivoting={fetch.artifact.get('pivoting', 'ca')}, "
         f"matmul={fetch.artifact.get('matmul', 'summa')}, "
         f"key={fetch.artifact['key'][:12]})"
@@ -364,8 +362,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         return 1
     print(
         f"tune winner: b={winner['b']} grid={winner['grid']} "
-        f"pivoting={winner['pivoting']} tier={winner['kernel_tier']} "
-        f"matmul={winner['matmul']} predicted={winner['predicted_s']:.4g}s "
+        f"pivoting={winner['pivoting']} matmul={winner['matmul']} "
+        f"predicted={winner['predicted_s']:.4g}s "
         f"simulated={winner['simulated_s']:.4g}s gap={winner['gap']:.1%} "
         f"({winner['enumerated']} candidates enumerated)",
         file=sys.stderr,
@@ -405,8 +403,8 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"factor cache {'hit' if fetch.cached else 'miss'} "
         f"(key={fetch.key[:12]}, kind={args.kind}, n={factor.n}, "
         f"grid={factor.nprow}x{factor.npcol}, b={factor.block_size}, "
-        f"pivoting={factor.pivoting}, tier={factor.kernel_tier}, "
-        f"engine={factor.engine}, matmul={factor.matmul})",
+        f"pivoting={factor.pivoting}, engine={factor.engine}, "
+        f"matmul={factor.matmul})",
         file=sys.stderr,
     )
 
@@ -505,7 +503,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 "entry": (
                     f"{entry.get('kind', '?')} n={entry['n']} "
                     f"{entry['nprow']}x{entry['npcol']} b={entry['block_size']} "
-                    f"{entry['pivoting']}/{entry['kernel_tier']}/{entry['engine']}"
+                    f"{entry['pivoting']}/{entry['engine']}"
                     f"/{entry.get('matmul', 'summa')}"
                 ),
                 "artifacts": 1,
@@ -554,7 +552,7 @@ def cmd_report(args: argparse.Namespace) -> int:
         columns = artifact.get("columns")
         title = (
             f"{artifact['spec']} ({artifact.get('paper_ref') or 'scenario'}; "
-            f"tier={artifact['kernel_tier']}, engine={artifact['engine']}, "
+            f"engine={artifact['engine']}, "
             f"pivoting={artifact.get('pivoting', 'ca')}, "
             f"matmul={artifact.get('matmul', 'summa')}, "
             f"key={artifact['key'][:12]}, {artifact['created_at']})"
@@ -568,12 +566,10 @@ def cmd_report(args: argparse.Namespace) -> int:
 def add_config_args(p: argparse.ArgumentParser) -> None:
     """Add the shared :class:`SolveConfig` knob flags to one verb's parser.
 
-    Every verb that runs anything gets the same three flags from this one
+    Every verb that runs anything gets the same two flags from this one
     definition; :func:`config_from_args` (``serve``) and
     :func:`knob_overrides` (``run`` / ``sweep`` / ``tune``) are the readers.
     """
-    p.add_argument("--tier", default=None,
-                   help="kernel tier (auto|reference|lapack)")
     p.add_argument("--pivoting", default=None,
                    help="pivoting strategy (pp|ca|ca_prrp)")
     p.add_argument("--matmul", default=None,

@@ -8,8 +8,8 @@ factor's identity is the SHA-256 of everything that determines its bits —
 * the matrix spec: generator ``kind`` (a :mod:`repro.randmat` family), size
   ``n`` and ``seed``;
 * the run configuration: grid shape ``Pr x Pc``, block size ``b``, and the
-  resolved ``pivoting`` strategy, ``kernel_tier``, ``engine`` and ``matmul``
-  backend (all keyed exactly like the result store keys them: a factor
+  resolved ``pivoting`` strategy, ``engine`` and ``matmul`` backend (all
+  keyed exactly like the result store keys them: a factor
   produced by CALU_PRRP — or by the Strassen trailing update — must never be
   served to a plain CALU request).
 
@@ -41,7 +41,7 @@ from ..core.options import SolveConfig
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
 from .store import ENV_VAR as RESULTS_ENV_VAR  # noqa: F401  (doc cross-ref)
-from .store import key_lock
+from .store import KEYED_KERNEL_TIER, key_lock
 
 #: Environment variable relocating the factor cache (consistent with
 #: ``REPRO_RESULTS_DIR`` for the result store).
@@ -82,7 +82,6 @@ def factor_key(
     npcol: int,
     block_size: int,
     pivoting: str,
-    kernel_tier: str,
     engine: str,
     matmul: str = "summa",
 ) -> str:
@@ -96,7 +95,7 @@ def factor_key(
             "npcol": int(npcol),
             "block_size": int(block_size),
             "pivoting": pivoting,
-            "kernel_tier": kernel_tier,
+            "kernel_tier": KEYED_KERNEL_TIER,
             "engine": engine,
             "matmul": matmul,
         },
@@ -156,7 +155,6 @@ class FactorCache:
                     nprow=int(meta["nprow"]),
                     npcol=int(meta["npcol"]),
                     pivoting=str(meta["pivoting"]),
-                    kernel_tier=str(meta["kernel_tier"]),
                     engine=str(meta["engine"]),
                     packed=np.asarray(data["packed"], dtype=np.float64),
                     permuted=np.asarray(data["permuted"], dtype=np.float64),
@@ -190,7 +188,6 @@ class FactorCache:
             "nprow": factor.nprow,
             "npcol": factor.npcol,
             "pivoting": factor.pivoting,
-            "kernel_tier": factor.kernel_tier,
             "engine": factor.engine,
             "matmul": factor.matmul,
         }
@@ -228,19 +225,15 @@ class FactorCache:
         factorization (``None``: every knob at its default); an unset
         ``grid`` means ``P = 4`` on the paper's near-square grid and an unset
         ``b`` means 16.  The content key is computed from the config's
-        resolved knobs, with the kernel tier degraded (``auto`` to
-        ``lapack``/``reference``).  Single-flight per key: two concurrent
-        calls with the same key factor once.
+        resolved knobs.  Single-flight per key: two concurrent calls with the
+        same key factor once.
         """
-        from ..kernels.tiers import resolve_tier
-
         config = config or SolveConfig.resolve()
         grid = config.process_grid() or ProcessGrid.default_for(4)
         block_size = 16 if config.b is None else config.b
-        tier = resolve_tier(config.kernel_tier)
         key = factor_key(
             kind, n, seed, grid.nprow, grid.npcol, block_size, config.pivoting,
-            tier, config.engine, matmul=config.matmul,
+            config.engine, matmul=config.matmul,
         )
         path = self.path_for(key)
 
@@ -250,9 +243,7 @@ class FactorCache:
                 if factor is not None:
                     return FactorFetch(factor=factor, cached=True, path=path)
             A = generate_matrix(kind, n, seed=seed)
-            factor = pcalu_factor(
-                A, config.replace(grid=grid, b=block_size, kernel_tier=tier)
-            )
+            factor = pcalu_factor(A, config.replace(grid=grid, b=block_size))
             factor.key = key
             if use_cache:
                 self.save(factor, key, kind=kind, seed=seed)

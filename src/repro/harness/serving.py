@@ -194,11 +194,14 @@ class SolveService:
         ``b`` is an ``n``-vector or an ``n x k`` block of right-hand sides
         (the whole request is served by one batch).  ``slo`` is the
         per-request max-abs residual target, defaulting to the service's
-        ``default_slo``.  A right-hand side of the wrong shape or with a NaN
-        or infinite entry raises ``ValueError`` here and never joins a batch.
+        ``default_slo``.  A right-hand side that is complex, of the wrong
+        shape or with a NaN or infinite entry raises ``ValueError`` here and
+        never joins a batch.
         """
         if self._closed:
             raise RuntimeError("SolveService is closed")
+        if np.iscomplexobj(b):
+            raise ValueError("b is complex; only real right-hand sides are supported")
         b = np.asarray(b, dtype=np.float64)
         one_d = b.ndim == 1
         B = b[:, None] if one_d else b

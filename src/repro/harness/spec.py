@@ -84,9 +84,9 @@ class ExperimentSpec:
         Parameter names that make sense as sweep axes (purely advisory,
         shown by ``repro list``; any param may be swept).
 
-    A configuration knob (``pivoting``, ``engine``, ``kernel_tier``,
-    ``matmul``) reaches a runner only as a parameter of that name; the store
-    keys and records a knob the spec does not take at its default.
+    A configuration knob (``pivoting``, ``engine``, ``matmul``) reaches a
+    runner only as a parameter of that name; the store keys and records a
+    knob the spec does not take at its default.
     """
 
     name: str

@@ -1,12 +1,11 @@
 """Content-addressed result store for experiment artifacts.
 
 Each run of a registered spec is identified by the SHA-256 of its *context*:
-the spec name, the fully resolved parameters, the resolved kernel tier, the
-virtual-MPI engine, the resolved pivoting strategy and the resolved
-distributed-matmul backend.  The artifact — rows
-plus metadata — is written as JSON under ``results/<spec>/<spec>-<key12>.json``
-(relocatable via the ``REPRO_RESULTS_DIR`` environment variable or an
-explicit root), so a re-run with the same context is a cache hit that loads
+the spec name, the fully resolved parameters, the virtual-MPI engine, the
+resolved pivoting strategy and the resolved distributed-matmul backend.  The
+artifact — rows plus metadata — is written as JSON under
+``results/<spec>/<spec>-<key12>.json`` (relocatable via the
+``REPRO_RESULTS_DIR`` environment variable or an explicit root), so a re-run with the same context is a cache hit that loads
 bit-identical rows, and ``--force`` recomputes in place.
 
 JSON round-trips Python floats exactly (shortest-repr), so cached rows are
@@ -25,7 +24,6 @@ from pathlib import Path
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..core.options import KNOBS, SolveConfig
-from ..kernels.tiers import resolve_tier
 from .spec import ExperimentSpec, Rows, jsonify
 
 #: Environment variable relocating the artifact store (consistent with
@@ -38,6 +36,12 @@ DEFAULT_ROOT = "results"
 
 #: Artifact schema version (bumped on incompatible layout changes).
 SCHEMA_VERSION = 1
+
+#: The ``kernel_tier`` entry of every context and factor key.  Kernels pick
+#: their own code path and nothing configures a tier; keying the value every
+#: default key has recorded keeps existing keys — and the artifacts stored
+#: under them — valid.
+KEYED_KERNEL_TIER = "lapack"
 
 #: Process-wide per-key locks making cached runs single-flight: two
 #: concurrent fetches of the same context key compute once — the second
@@ -59,7 +63,6 @@ def key_lock(key: object) -> threading.Lock:
 def context_key(
     spec_name: str,
     params: Mapping[str, object],
-    kernel_tier: str,
     engine: str,
     pivoting: str = "ca",
     matmul: str = "summa",
@@ -75,7 +78,7 @@ def context_key(
         {
             "spec": spec_name,
             "params": jsonify(dict(params)),
-            "kernel_tier": kernel_tier,
+            "kernel_tier": KEYED_KERNEL_TIER,
             "engine": engine,
             "pivoting": pivoting,
             "matmul": matmul,
@@ -121,16 +124,12 @@ class ResultStore:
         is passed straight to its runner, so that value is what the run uses
         and what gets keyed and recorded; a knob the spec does not take is
         keyed and recorded at its default.  Knob values are validated here:
-        a stale name fails before any lookup.  The config's ``kernel_tier``
-        is the fully degraded tier (``auto`` resolved to
-        ``lapack``/``reference``), matching what the key has always recorded.
+        a stale name fails before any lookup.
         """
         params = spec.resolve_params(overrides, quick=quick)
         config = SolveConfig.resolve(**{k: str(params[k]) for k in KNOBS if k in params})
-        config = config.replace(kernel_tier=resolve_tier(config.kernel_tier))
         return params, config, context_key(
-            spec.name, params, config.kernel_tier, config.engine,
-            config.pivoting, config.matmul,
+            spec.name, params, config.engine, config.pivoting, config.matmul
         )
 
     # -------------------------------------------------------------- load/save
@@ -213,7 +212,6 @@ class ResultStore:
             "title": spec.title,
             "key": key,
             "params": jsonify(params),
-            "kernel_tier": config.kernel_tier,
             "engine": config.engine,
             "pivoting": config.pivoting,
             "matmul": config.matmul,

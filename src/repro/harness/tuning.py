@@ -4,8 +4,8 @@ Layer 2 of the configuration subsystem built on
 :class:`~repro.core.options.SolveConfig`: given a workload — matrix family
 ``kind``, size ``n``, right-hand-side count ``nrhs``, target ``machine`` and
 process count ``P`` — enumerate the reachable slice of the configuration
-space (block size ``b``, grid shape ``Pr x Pc``, pivoting strategy, kernel
-tier, distributed-matmul backend), rank every candidate by *predicted* time
+space (block size ``b``, grid shape ``Pr x Pc``, pivoting strategy,
+distributed-matmul backend), rank every candidate by *predicted* time
 under the paper's analytic models priced on the machine model, then
 *simulate* the top-k candidates (plus the built-in default configuration)
 on the virtual-MPI engine to confirm the ranking.  The winner is the
@@ -35,11 +35,10 @@ Model notes
   ratio of the representative local update
   (:func:`caps_flop_ratio`), mirroring the exact flop accounting of
   :mod:`repro.matmul.caps` (:func:`strassen_flop_count`).
-* The analytic models are *tier-blind*: the kernel tier changes which local
-  kernel computes the panel, not the counts the simulator charges, so every
-  tier ties on predicted (and simulated) time.  Tiers are still enumerated,
-  but candidates identical up to the tier are simulated once and the tie
-  breaks toward ``"auto"`` (the enumeration order).
+* Which kernel body computes a panel (the reference loop or LAPACK) is
+  chosen by the code, not configured, and changes no count the simulator
+  charges, so it is no search axis.  :func:`tuned_config` ignores the
+  ``kernel_tier`` column of tune rows that carry one.
 """
 
 from __future__ import annotations
@@ -90,17 +89,6 @@ def feasible(n: int, b: int, Pr: int, Pc: int) -> bool:
     return nblocks >= Pr and nblocks >= Pc
 
 
-def searchable_tiers() -> Tuple[str, ...]:
-    """Kernel tiers the search enumerates, preference order first.
-
-    ``auto`` leads so it wins the (exact) predicted-time tie; ``lapack`` is
-    only offered when scipy is importable.
-    """
-    from ..kernels.tiers import HAVE_LAPACK
-
-    return ("auto", "lapack", "reference") if HAVE_LAPACK else ("auto", "reference")
-
-
 def enumerate_candidates(
     n: int,
     P: int,
@@ -111,13 +99,11 @@ def enumerate_candidates(
     block_sizes: Sequence[int] = BLOCK_SIZES,
     pivotings: Optional[Sequence[str]] = None,
     matmuls: Sequence[str] = ("summa", "caps"),
-    tiers: Optional[Sequence[str]] = None,
 ) -> List[SolveConfig]:
     """Every feasible :class:`SolveConfig` candidate, in preference order.
 
     The order matters: the predicted-time sort is stable, so exact ties
-    (e.g. ``ca`` vs ``ca_prrp``, or any two kernel tiers) resolve to the
-    earlier candidate here.
+    (e.g. ``ca`` vs ``ca_prrp``) resolve to the earlier candidate here.
     """
     if workload not in WORKLOADS:
         raise ValueError(f"unknown workload {workload!r}; choose from {WORKLOADS}")
@@ -127,8 +113,6 @@ def enumerate_candidates(
         pivotings = tuple(sorted(STRATEGIES)) if workload == "solve" else (
             DEFAULT_STRATEGY,
         )
-    if tiers is None:
-        tiers = searchable_tiers()
     out: List[SolveConfig] = []
     for Pr, Pc in grid_shapes(P):
         for b in block_sizes:
@@ -136,19 +120,17 @@ def enumerate_candidates(
                 continue
             for pivoting in pivotings:
                 for matmul in matmuls:
-                    for tier in tiers:
-                        out.append(
-                            SolveConfig(
-                                pivoting=pivoting,
-                                engine=engine,
-                                kernel_tier=tier,
-                                matmul=matmul,
-                                grid=(Pr, Pc),
-                                b=b,
-                                nrhs=nrhs,
-                                machine=machine,
-                            )
+                    out.append(
+                        SolveConfig(
+                            pivoting=pivoting,
+                            engine=engine,
+                            matmul=matmul,
+                            grid=(Pr, Pc),
+                            b=b,
+                            nrhs=nrhs,
+                            machine=machine,
                         )
+                    )
     return out
 
 
@@ -164,7 +146,7 @@ def default_config(
     Built-in defaults everywhere: ``b = 16`` (degraded to the largest
     feasible block size on small problems), the near-square
     :meth:`~repro.layouts.grid.ProcessGrid.default_for` grid, default
-    pivoting, ``auto`` tier, SUMMA trailing update.
+    pivoting, SUMMA trailing update.
     """
     from ..layouts.grid import ProcessGrid
     from ..matmul import DEFAULT_BACKEND
@@ -184,7 +166,6 @@ def default_config(
     return SolveConfig(
         pivoting=DEFAULT_STRATEGY,
         engine=engine,
-        kernel_tier="auto",
         matmul=DEFAULT_BACKEND,
         grid=(grid.nprow, grid.npcol),
         b=b,
@@ -374,10 +355,10 @@ def tune_point(
 
     Enumerates every feasible candidate, ranks by predicted time, simulates
     the ``top_k`` best-predicted candidates plus the built-in default, and
-    marks the smallest simulated time ``chosen``.  Candidates identical up
-    to the kernel tier share one simulation (the models and the simulator
-    are tier-blind); the default row is always present, so the chosen
-    configuration's simulated time is ≤ the default's by construction.
+    marks the smallest simulated time ``chosen``.  A top-k candidate equal
+    to the default shares its simulation; the default row is always
+    present, so the chosen configuration's simulated time is ≤ the
+    default's by construction.
     """
     candidates = enumerate_candidates(
         n, P, workload=workload, machine=machine, nrhs=nrhs, engine=engine
@@ -392,32 +373,20 @@ def tune_point(
 
     baseline = default_config(n, P, machine=machine, nrhs=nrhs, engine=engine)
 
-    def sim_signature(config: SolveConfig) -> Tuple[object, ...]:
-        # The kernel tier changes which local kernel runs, not the counts
-        # the simulator charges — tier-twin candidates share a simulation.
-        return (config.b, config.grid, config.pivoting, config.matmul)
+    selected = [
+        (prediction, candidates[index])
+        for prediction, index in ranked[: max(int(top_k), 1)]
+    ]
 
-    selected: List[Tuple[float, SolveConfig]] = []
-    seen = set()
-    for prediction, index in ranked:
-        signature = sim_signature(candidates[index])
-        if signature in seen:
-            continue
-        seen.add(signature)
-        selected.append((prediction, candidates[index]))
-        if len(selected) >= max(int(top_k), 1):
-            break
-
-    simulations: Dict[Tuple[object, ...], float] = {}
+    simulations: Dict[SolveConfig, float] = {}
 
     def simulated(config: SolveConfig) -> float:
-        signature = sim_signature(config)
-        if signature not in simulations:
-            simulations[signature] = simulate_config(
+        if config not in simulations:
+            simulations[config] = simulate_config(
                 config, kind=kind, n=n, nrhs=nrhs, seed=seed, refine=refine,
                 workload=workload,
             )
-        return simulations[signature]
+        return simulations[config]
 
     entries = [
         (
@@ -447,7 +416,6 @@ def tune_point(
                 "b": config.b,
                 "grid": f"{config.nprow}x{config.npcol}",
                 "pivoting": config.pivoting,
-                "kernel_tier": config.kernel_tier,
                 "matmul": config.matmul,
                 "predicted_s": prediction,
                 "simulated_s": sim,
@@ -470,7 +438,7 @@ SPEC_TUNE = register(
                 "workload": "solve", "engine": DEFAULT_ENGINE},
         quick={"n": 48, "nrhs": 1, "top_k": 2},
         columns=("candidate", "workload", "n", "P", "nrhs", "b", "grid",
-                 "pivoting", "kernel_tier", "matmul", "predicted_s",
+                 "pivoting", "matmul", "predicted_s",
                  "simulated_s", "gap", "chosen", "enumerated", "seed"),
         paper_ref="Section 6 (machine models) + Equations (2)/(3)",
         sweepable=("kind", "n", "nrhs", "P", "machine", "seed", "workload",
@@ -524,7 +492,6 @@ def tuned_config(artifact: Dict[str, object]) -> SolveConfig:
     return SolveConfig.resolve(
         pivoting=str(row["pivoting"]),
         engine=str(artifact.get("engine", DEFAULT_ENGINE)),
-        kernel_tier=str(row["kernel_tier"]),
         matmul=str(row["matmul"]),
         grid=(int(nprow), int(npcol)),
         b=int(row["b"]),

@@ -31,10 +31,6 @@ from .rrqr import (
     rrqr,
     select_rows_rrqr,
 )
-from .tiers import (
-    available_tiers,
-    resolve_tier,
-)
 from .trsm import trsm_lower_unit, trsm_right_upper, trsm_upper
 
 __all__ = [
@@ -51,8 +47,6 @@ __all__ = [
     "BlockedLUResult",
     "getf2_batched",
     "slab_flop_counters",
-    "available_tiers",
-    "resolve_tier",
     "permute_rows_inplace",
     "getf2",
     "rgetf2",

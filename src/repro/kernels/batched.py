@@ -68,8 +68,8 @@ def getf2_batched(
     """Factor every slab of an ``nb x m x n`` stack with partial pivoting.
 
     Bit-identical, slab for slab, to calling
-    :func:`~repro.kernels.getf2.getf2` on each ``stack[i]`` with the
-    reference tier — including pivot tie-breaking and the skip-and-continue
+    :func:`~repro.kernels.getf2.getf2` on each ``stack[i]`` with
+    ``reference=True`` — including pivot tie-breaking and the skip-and-continue
     handling of exactly singular columns.  ``flops`` is charged with the sum
     of the per-slab reference counts of :func:`slab_flop_counters`.
     """

@@ -123,8 +123,8 @@ class FlopFormulas:
 
     # ------------------------------------------------------------------
     # Exact (not leading-order) counts, matching the reference loops step
-    # for step.  These are what the optimized kernel tiers charge so that
-    # flop ledgers are identical between tiers (all counts are integers
+    # for step.  These are what the LAPACK-backed kernel paths charge so
+    # that flop ledgers are identical to the loops' (all counts are integers
     # well below 2**53, hence exact in float64 regardless of order).
     # ------------------------------------------------------------------
 

@@ -15,9 +15,9 @@ from __future__ import annotations
 from typing import NamedTuple, Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .flops import FlopCounter, FlopFormulas
-from .tiers import lapack_module, resolve_tier
 
 
 class LUResult(NamedTuple):
@@ -48,7 +48,7 @@ def getf2(
     flops: Optional[FlopCounter] = None,
     overwrite: bool = False,
     track_growth: Optional[list] = None,
-    kernel_tier: Optional[str] = None,
+    reference: bool = False,
 ) -> LUResult:
     """Factor ``A = P^T L U`` using unblocked Gaussian elimination with partial pivoting.
 
@@ -65,15 +65,17 @@ def getf2(
     track_growth:
         Optional list; if given, the maximum absolute value of the (active
         part of the) matrix after each elimination step is appended to it.
-        Used by the growth-factor study (Figure 2).  Requesting it forces the
-        reference tier so the recorded values are reproducible bit-for-bit.
-    kernel_tier:
-        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: the ``"auto"``
-        default, see :mod:`repro.kernels.tiers`).  The ``lapack`` tier delegates
-        to ``scipy.linalg.lapack.dgetrf`` with closed-form flop accounting;
-        factor entries agree to rounding and pivot choices match the
-        reference loop in practice (identical tie-breaking; see the tiers
-        module for the near-tie caveat).
+        Used by the growth-factor study (Figure 2).  Requesting it implies
+        ``reference`` so the recorded values are reproducible bit-for-bit.
+    reference:
+        Run the per-column loop below instead of ``dgetrf``.  By default the
+        factorization is delegated to ``scipy.linalg.lapack.dgetrf`` with
+        closed-form flop accounting: the ledger is exact, pivot choices match
+        the loop (``IDAMAX`` breaks ties towards the first maximum like
+        ``numpy.argmax``), but factor entries agree to rounding only, because
+        LAPACK scales by a reciprocal and vendor BLAS uses FMA.  Call sites
+        whose factor bits are contractual (tournament merges, recording runs)
+        pass ``True``; the tests hold ``dgetrf`` to this loop.
 
     Returns
     -------
@@ -84,8 +86,7 @@ def getf2(
         raise ValueError("getf2 expects a 2-D array")
     m, n = A.shape
     k = min(m, n)
-    tier = resolve_tier(kernel_tier, force_reference=track_growth is not None)
-    if tier == "lapack" and k > 0:
+    if not reference and track_growth is None and k > 0:
         return _getf2_lapack(A, flops)
     ipiv = np.arange(k, dtype=np.int64)
     singular = False
@@ -143,7 +144,7 @@ def getf2(
 
 
 def _getf2_lapack(A: np.ndarray, flops: Optional[FlopCounter]) -> LUResult:
-    """Fast tier: ``dgetrf`` with exact closed-form flop accounting.
+    """``dgetrf`` with exact closed-form flop accounting.
 
     ``A`` is this call's private working array (the public entry point has
     already honoured ``overwrite``); the factors are copied back into it so
@@ -151,7 +152,7 @@ def _getf2_lapack(A: np.ndarray, flops: Optional[FlopCounter]) -> LUResult:
     """
     m, n = A.shape
     k = min(m, n)
-    lu, piv, info = lapack_module().dgetrf(A)
+    lu, piv, info = lapack.dgetrf(A)
     if info < 0:  # pragma: no cover - argument errors cannot happen here
         raise ValueError(f"dgetrf: illegal argument {-info}")
     A[...] = lu
@@ -176,9 +177,10 @@ def getf2_nopivot(
     """LU factorization *without* pivoting; returns the packed LU array.
 
     Used for the second phase of ca-pivoting: once the tournament has placed
-    good pivot rows on the diagonal, the block is eliminated in order.  Raises
-    ``ZeroDivisionError`` only implicitly through inf/nan entries — callers
-    that may feed singular blocks should check the diagonal themselves.
+    good pivot rows on the diagonal, the block is eliminated in order.  A zero
+    diagonal entry is skipped (its column is left uneliminated, nothing is
+    divided by it), so a singular block comes back without an error —
+    callers that may feed one should check the diagonal themselves.
     """
     A = np.array(A, dtype=np.float64, copy=not overwrite)
     m, n = A.shape

@@ -57,7 +57,6 @@ def getrf_blocked(
     flops: Optional[FlopCounter] = None,
     panel_kernel: str = "getf2",
     track_growth: bool = False,
-    kernel_tier: Optional[str] = None,
 ) -> BlockedLUResult:
     """Blocked right-looking LU with partial pivoting.
 
@@ -75,11 +74,9 @@ def getrf_blocked(
         panel factorization — the same choice the paper exposes for TSLU.
     track_growth:
         Record the max absolute entry of the working matrix after each panel
-        step (used by the growth-factor experiments).  Forces the reference
-        kernel tier: the recorded values depend on the factor bits.
-    kernel_tier:
-        Kernel tier for the panel factorizations (None: the ``"auto"``
-        default); see :mod:`repro.kernels.tiers`.
+        step (used by the growth-factor experiments).  Runs the panels on
+        the kernels' reference loops: the recorded values depend on the
+        factor bits.
 
     Returns
     -------
@@ -92,14 +89,12 @@ def getrf_blocked(
     ipiv = np.arange(k, dtype=np.int64)
     growth: list = []
     panel_fn = {"getf2": getf2, "rgetf2": rgetf2}[panel_kernel]
-    if track_growth:
-        kernel_tier = "reference"
 
     for j in range(0, k, b):
         jb = min(b, k - j)
         # Factor the current panel A[j:, j:j+jb].
         panel = A[j:, j : j + jb]
-        res = panel_fn(panel, flops=flops, kernel_tier=kernel_tier)
+        res = panel_fn(panel, flops=flops, reference=track_growth)
         A[j:, j : j + jb] = res.lu
         ipiv[j : j + jb] = res.ipiv + j
 
@@ -135,19 +130,18 @@ def getrf_partial_pivoting(
     A: np.ndarray,
     flops: Optional[FlopCounter] = None,
     track_growth: bool = False,
-    kernel_tier: Optional[str] = None,
 ) -> BlockedLUResult:
     """Gaussian elimination with partial pivoting (GEPP) reference.
 
     Unblocked elimination of the whole matrix; identical pivot sequence to
     LAPACK's ``getrf``.  Provided as the stability baseline of the paper's
-    Table 2 ("LU with partial pivoting").  ``track_growth`` forces the
-    reference tier (inside :func:`~repro.kernels.getf2.getf2`).
+    Table 2 ("LU with partial pivoting").  ``track_growth`` runs
+    :func:`~repro.kernels.getf2.getf2`'s reference loop.
     """
     A = np.asarray(A, dtype=np.float64)
     m, n = A.shape
     history: list = [] if track_growth else None  # type: ignore[assignment]
-    res = getf2(A, flops=flops, track_growth=history, kernel_tier=kernel_tier)
+    res = getf2(A, flops=flops, track_growth=history)
     L, U = split_lu(res.lu, m, n)
     return BlockedLUResult(
         L=L,

@@ -16,11 +16,11 @@ from __future__ import annotations
 from typing import Optional
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .flops import FlopCounter, FlopFormulas
 from .getf2 import LUResult, getf2
 from .pivoting import ipiv_to_perm
-from .tiers import lapack_module, resolve_tier
 
 
 def rgetf2(
@@ -28,7 +28,7 @@ def rgetf2(
     flops: Optional[FlopCounter] = None,
     threshold: int = 8,
     overwrite: bool = False,
-    kernel_tier: Optional[str] = None,
+    reference: bool = False,
 ) -> LUResult:
     """Factor ``A = P^T L U`` with recursive partial-pivoting LU.
 
@@ -46,13 +46,12 @@ def rgetf2(
         the arithmetic.
     overwrite:
         If True the input array is overwritten with the factors.
-    kernel_tier:
-        ``"reference"``, ``"lapack"`` or ``"auto"`` (None: ``"auto"``).
-        The ``lapack`` tier delegates the whole factorization to ``dgetrf``
-        (itself a blocked/recursive implementation) and charges the closed
-        form of the reference recursion's counts; singular inputs fall back
-        to the reference recursion so the skip-singular-column semantics are
-        preserved exactly.
+    reference:
+        Run the recursion below instead of ``dgetrf``.  By default the whole
+        factorization is delegated to ``dgetrf`` (itself a blocked/recursive
+        implementation), charging the closed form of the recursion's counts;
+        singular inputs fall back to the recursion so the skip-singular-column
+        semantics are preserved exactly.
 
     Returns
     -------
@@ -63,7 +62,7 @@ def rgetf2(
     m, n = A.shape
     if m < n:
         raise ValueError("rgetf2 requires m >= n (tall panel)")
-    if resolve_tier(kernel_tier) == "lapack" and n > 0:
+    if not reference and n > 0:
         res = _rgetf2_lapack(A, flops, threshold)
         if res is not None:
             return res
@@ -76,9 +75,9 @@ def rgetf2(
 def _rgetf2_lapack(
     A: np.ndarray, flops: Optional[FlopCounter], threshold: int
 ) -> Optional[LUResult]:
-    """Fast tier: whole-panel ``dgetrf``; None when the input is singular."""
+    """Whole-panel ``dgetrf``; None when the input is singular."""
     m, n = A.shape
-    lu, piv, info = lapack_module().dgetrf(A)
+    lu, piv, info = lapack.dgetrf(A)
     if info > 0:
         # Singular panel: replay the reference recursion (rare, and the only
         # way to reproduce its skip-singular-column behaviour exactly).

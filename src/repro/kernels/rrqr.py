@@ -26,30 +26,32 @@ tournament uses (:func:`select_rows_rrqr`) and the full panel form
 (:func:`prrp_panel`) with ``L21 = A21 (Q R11)^{-1}`` available directly from
 the interaction matrix, no triangular solve against the panel required.
 
-What is contractual across kernel tiers (:mod:`repro.kernels.tiers`) and
-execution engines is the *selection* (which rows, in which order) and the
+What is contractual is the *selection* (which rows, in which order) and the
 *flop ledger* — nothing else of the factorization leaves
 :func:`select_rows_rrqr`, and the tournament gathers the selected rows from
-the original block.
+the original block.  The selection runs one fast path that verifies its own
+answer and falls back to the reference:
 
-* The ``reference`` tier is the Householder / Businger-Golub loop below
-  (plain NumPy, ties towards the lowest index) followed by the Gu-Eisenstat
-  strengthening loop.  :func:`rrqr` and :func:`prrp_panel` always run it and
-  accumulate ``Q``; the selection runs the same arithmetic on ``R`` alone.
-* The ``lapack`` tier takes the pivots of ``dgeqp3`` and *verifies* them on
+* The reference is the Householder / Businger-Golub loop below (plain
+  NumPy, ties towards the lowest index) followed by the Gu-Eisenstat
+  strengthening loop (:func:`_strong_rrqr`).  :func:`rrqr` and
+  :func:`prrp_panel` always run it and accumulate ``Q``; the selection runs
+  the same arithmetic on ``R`` alone.
+* The selection first takes the pivots of ``dgeqp3`` and *verifies* them on
   the factor that produced them: every pivot must have been the greedy
   choice by a clear margin (:data:`PIVOT_GAP`, which is also a numerical-rank
   guard on ``diag(R11)``), and ``max |R11^{-1} R12| <= tau`` — the reference
   loop's own acceptance test — must hold.  A block that fails either (ties
   between duplicate rows, rank deficiency, a violated threshold, a zero
   block, ``info != 0``) is handed to the reference kernel, swap loop
-  included.  So the ``tau`` bound is checked on every selection on every
-  tier, and the tiers cannot rank columns differently within rounding.
+  included.  So the ``tau`` bound is checked on every selection, and the two
+  kernels cannot rank columns differently within rounding.
 
 The ledger charges what the reference algorithm performs, *including* the
-``Q`` update the selection never reads and the fast tier never executes
+``Q`` update the selection never reads and ``dgeqp3`` never executes
 (:meth:`~repro.kernels.flops.FlopFormulas.rrqr_select_exact` is the loop's
-count in closed form), so simulated costs do not depend on the tier.
+count in closed form), so simulated costs do not depend on which kernel
+answered.
 """
 
 from __future__ import annotations
@@ -58,9 +60,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.linalg import lapack
 
 from .flops import FlopCounter, FlopFormulas
-from .tiers import lapack_module, resolve_tier
 
 #: Default strong-RRQR column threshold.  ``tau >= 1`` is required for the
 #: swap loop to terminate; the Khabou et al. experiments use a small constant
@@ -73,15 +75,15 @@ DEFAULT_TAU = 2.0
 #: and zero swaps are performed).
 MAX_SWAPS_PER_COLUMN = 8
 
-#: The ``lapack`` tier believes a pivot only if its squared trailing norm beat
-#: every rival's (for the last pivot of a square ``R11``: zero) by more than
-#: ``PIVOT_GAP`` times the largest squared column norm.  Either kernel's norms
-#: carry a rounding error of roughly ``k * eps`` of that (1e-14 at k = 64), so
-#: four orders of margin mean the reference loop ranks the columns alike; ties
-#: and pivots picked among rounding noise — where LAPACK's downdated norms and
-#: position-dependent BLAS kernels do not reproduce the reference's
-#: lowest-index tie-break — fail it.  On the pivots themselves it is the
-#: numerical-rank guard ``|R[k-1, k-1]| > 1e-6 |R[0, 0]|``.
+#: The selection believes a ``dgeqp3`` pivot only if its squared trailing norm
+#: beat every rival's (for the last pivot of a square ``R11``: zero) by more
+#: than ``PIVOT_GAP`` times the largest squared column norm.  Either kernel's
+#: norms carry a rounding error of roughly ``k * eps`` of that (1e-14 at
+#: k = 64), so four orders of margin mean the reference loop ranks the columns
+#: alike; ties and pivots picked among rounding noise — where LAPACK's
+#: downdated norms and position-dependent BLAS kernels do not reproduce the
+#: reference's lowest-index tie-break — fail it.  On the pivots themselves it
+#: is the numerical-rank guard ``|R[k-1, k-1]| > 1e-6 |R[0, 0]|``.
 PIVOT_GAP = 1.0e-12
 
 
@@ -291,7 +293,6 @@ def _lapack_pivots(
     ``k`` pivoted steps without a zero column or a swap, which is what the
     ledger is charged.  ``None`` sends the caller to the reference kernel.
     """
-    lapack = lapack_module()
     qr, jpvt, _, _, info = lapack.dgeqp3(A)
     if info != 0:
         return None
@@ -319,7 +320,6 @@ def select_rows_rrqr(
     nselect: int,
     tau: float = DEFAULT_TAU,
     flops: Optional[FlopCounter] = None,
-    kernel_tier: Optional[str] = None,
 ) -> np.ndarray:
     """Indices of up to ``nselect`` pivot rows of ``block``, by strong RRQR.
 
@@ -330,9 +330,9 @@ def select_rows_rrqr(
     indices in selection order (the order they must occupy at the top of the
     panel).
 
-    ``kernel_tier`` (None: the ``"auto"`` default) picks the kernel, see the
-    module docstring; the returned indices and the ``flops`` charges do not
-    depend on it.
+    ``dgeqp3`` answers when its pivots verify, :func:`_strong_rrqr`
+    otherwise (see the module docstring); the returned indices and the
+    ``flops`` charges do not depend on which one did.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 2:
@@ -343,7 +343,7 @@ def select_rows_rrqr(
         return np.empty(0, dtype=np.int64)
     steps = min(k, block.shape[1])
     perm = None
-    if steps > 0 and resolve_tier(kernel_tier) == "lapack":
+    if steps > 0:
         perm = _lapack_pivots(block.T, steps, tau, flops)
     if perm is None:
         perm = _strong_rrqr(block.T, steps, tau, flops, want_q=False).perm

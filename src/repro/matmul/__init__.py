@@ -3,8 +3,7 @@
 The Schur-complement update of CALU/PDGETRF — and the general distributed
 product ``C += A @ B`` — is served by a registry-addressed backend, making
 the multiply algorithm a first-class knob exactly like ``pivoting=``
-(:mod:`repro.core.strategies`), ``kernel_tier=`` (:mod:`repro.kernels.tiers`)
-and ``engine=`` (:mod:`repro.distsim.engine`):
+(:mod:`repro.core.strategies`) and ``engine=`` (:mod:`repro.distsim.engine`):
 
 ``"summa"`` (the default)
     The classical broadcast-then-local-GEMM algorithm — bit-identical

@@ -9,8 +9,8 @@ a distributed matrix multiply:
 * the local Schur-complement update ``A22 -= L21 @ U12``.
 
 This module factors those steps behind a backend object so the multiply
-algorithm becomes a knob (``matmul=``), exactly like ``pivoting=``,
-``kernel_tier=`` and ``engine=``.  A backend owns two things:
+algorithm becomes a knob (``matmul=``), exactly like ``pivoting=`` and
+``engine=``.  A backend owns two things:
 
 1. the *trailing-update adapter* used inside ``pcalu`` (CALU and PDGETRF)
    (:meth:`MatmulBackend.share_panel` + :meth:`MatmulBackend.update_trailing`);

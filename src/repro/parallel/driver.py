@@ -199,8 +199,11 @@ def run_block_lu(
     Raises
     ------
     ValueError
-        If ``A`` has a NaN or infinite entry, before any rank starts.
+        If ``A`` is complex or has a NaN or infinite entry, before any rank
+        starts.
     """
+    if np.iscomplexobj(A):
+        raise ValueError("A is complex; only real matrices are supported")
     A = np.asarray(A, dtype=np.float64)
     if not np.isfinite(A).all():
         raise ValueError("A has non-finite entries (NaN or Inf)")

@@ -13,7 +13,7 @@ solve phase needs into a :class:`FactoredMatrix`:
   against),
 * the pivot sequence ``perm``,
 * the layout/grid/strategy metadata (``n``, block size, grid shape,
-  pivoting, kernel tier, engine) that determines the artifact's identity.
+  pivoting, engine, matmul backend) that determines the artifact's identity.
 
 :func:`repro.parallel.psolve.pdgesv_solve` consumes a ``FactoredMatrix`` and
 is bit-identical to the solve phase of a cold
@@ -48,8 +48,8 @@ class FactoredMatrix:
     nprow, npcol:
         Process-grid shape the factorization ran on (the solve phase reuses
         the same grid so the factor blocks are already in place).
-    pivoting, kernel_tier, engine, matmul:
-        The resolved strategy/tier/engine/matmul-backend that produced the
+    pivoting, engine, matmul:
+        The resolved strategy/engine/matmul-backend that produced the
         factors — part of the artifact's identity in the factor cache (two
         factorizations differing in any of these are distinct artifacts).
     packed:
@@ -74,7 +74,6 @@ class FactoredMatrix:
     nprow: int
     npcol: int
     pivoting: str
-    kernel_tier: str
     engine: str
     packed: np.ndarray
     permuted: np.ndarray
@@ -98,7 +97,6 @@ class FactoredMatrix:
         return SolveConfig(
             pivoting=self.pivoting,
             engine=self.engine,
-            kernel_tier=self.kernel_tier,
             matmul=self.matmul,
             grid=(self.nprow, self.npcol),
             b=self.block_size,
@@ -117,15 +115,12 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
     consumes.  The returned :class:`FactoredMatrix` feeds any number of
     :func:`repro.parallel.psolve.pdgesv_solve` calls, each bit-identical to
     the solve phase of a cold :func:`repro.parallel.psolve.pdgesv`.  The
-    artifact records the config's knobs as resolved, with the kernel tier
-    degraded (``auto`` to ``lapack``/``reference``).
+    artifact records the config's knobs as resolved.
     """
-    from ..kernels.tiers import resolve_tier
-
-    A = np.asarray(A, dtype=np.float64)
+    A = np.asarray(A)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("pcalu_factor expects a square matrix")
-    fact = pcalu(A, config)
+    fact = pcalu(A, config)  # rejects complex or non-finite A before any cast
     # The artifact's packed factors are ``tril(L, -1) + U``; on the gathered
     # matrix that sum only turns -0.0 into +0.0, which adding 0.0 in place
     # does without two unpacked triangles and their re-packed copy.
@@ -136,10 +131,9 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
         nprow=config.nprow,
         npcol=config.npcol,
         pivoting=config.pivoting,
-        kernel_tier=resolve_tier(config.kernel_tier),
         engine=config.engine,
         packed=fact.packed,
-        permuted=A[fact.perm, :],
+        permuted=np.asarray(A[fact.perm, :], dtype=np.float64),
         perm=np.asarray(fact.perm, dtype=np.int64),
         matmul=config.matmul,
         source=fact,

@@ -10,7 +10,7 @@ the algorithm.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
@@ -26,10 +26,7 @@ from .driver import DistributedLUResult, run_block_lu
 from .ptslu import ptslu_rank
 
 
-def make_calu_panel(
-    kernel_tier: Optional[str] = None,
-    selector: str = "getf2",
-) -> Callable[..., object]:
+def make_calu_panel(selector: str = "getf2") -> Callable[..., object]:
     """Create the CALU panel-factorization coroutine for the shared driver.
 
     The returned callable is a generator function (driven with ``yield
@@ -38,12 +35,6 @@ def make_calu_panel(
 
     Parameters
     ----------
-    kernel_tier:
-        Kernel tier for the leaf factorizations and, with
-        ``selector="rrqr"``, the merges (None: the ``"auto"`` default).  Only a
-        row *order* ever leaves a tiered kernel — ``getf2`` merges, whose
-        ``U`` becomes the panel's, always run reference-tier arithmetic — so
-        the simulated factors do not depend on the tier.
     selector:
         Tournament selection kernel: ``"getf2"`` (partial-pivoting rows,
         CALU) or ``"rrqr"`` (strong-RRQR rows, CALU_PRRP) — see
@@ -78,7 +69,6 @@ def make_calu_panel(
             channel="col",
             tag=(tag, "tslu"),
             compute_L=False,
-            kernel_tier=kernel_tier,
             selector=selector,
         )
         winners = res["winners"]
@@ -121,9 +111,8 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
     ``config`` is a :class:`~repro.core.options.SolveConfig` whose ``grid``
     and ``b`` give the process grid and block size and whose ``machine``
     names the machine model pricing the run (``None``: the unit machine).
-    Its knobs select the virtual-MPI ``engine``, the ``kernel_tier`` of the
-    rank-local leaf factorizations (see :mod:`repro.kernels.tiers`), the
-    panel ``pivoting`` strategy (``"ca"``, ``"ca_prrp"`` or ``"pp"``) and the
+    Its knobs select the virtual-MPI ``engine``, the panel ``pivoting``
+    strategy (``"ca"``, ``"ca_prrp"`` or ``"pp"``) and the
     distributed-``matmul`` backend of the trailing update (``"summa"`` or
     ``"caps"``, see :mod:`repro.matmul`).  With ``pivoting="pp"`` the panel
     is ScaLAPACK's column-by-column PDGETF2, so
@@ -138,7 +127,7 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
     strategy = get_strategy(resolve_pivoting(config.pivoting))
     if strategy.tournament:
         def panel_factory() -> Callable[..., List[Tuple[int, int]]]:
-            return make_calu_panel(config.kernel_tier, strategy.selector)
+            return make_calu_panel(strategy.selector)
     else:
         panel_factory = make_pdgetf2_panel
     return run_block_lu(

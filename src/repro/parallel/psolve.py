@@ -7,7 +7,7 @@ iterative refinement.  :func:`pdgesv` chains
 
 1. a distributed factorization (:func:`repro.parallel.pcalu.pcalu`, honoring
    the config's ``pivoting`` knob — with ``pivoting="pp"`` the factorization
-   is bit-for-bit ScaLAPACK's PDGETRF — plus ``kernel_tier`` and ``engine``);
+   is bit-for-bit ScaLAPACK's PDGETRF — plus ``matmul`` and ``engine``);
 2. the row permutation applied to the right-hand sides (folded into the
    block-cyclic redistribution of ``b``: the driver knows the full pivot
    sequence once the factorization is gathered, so ``P b`` costs no
@@ -301,7 +301,7 @@ def pdgesv(
     config:
         The :class:`~repro.core.options.SolveConfig` of the run: its grid,
         block size, machine and engine serve *both* phases; its
-        ``kernel_tier``, ``pivoting`` and ``matmul`` go to the factorization
+        ``pivoting`` and ``matmul`` go to the factorization
         (:func:`repro.parallel.factor.pcalu_factor`), where ``pivoting="pp"``
         makes it exactly ScaLAPACK's PDGETRF.
     refine:
@@ -363,13 +363,16 @@ def pdgesv_solve(
     Raises
     ------
     ValueError
-        If ``b`` has the wrong number of rows or a NaN or infinite entry, or
-        ``rhs_slo`` the wrong shape — before any rank starts.
+        If ``b`` is complex or has the wrong number of rows or a NaN or
+        infinite entry, or ``rhs_slo`` the wrong shape — before any rank
+        starts.
     """
     machine = engine = None
     if config is not None:
         machine, engine = config.machine_model(), config.engine
     n = factor.n
+    if np.iscomplexobj(b):
+        raise ValueError("b is complex; only real right-hand sides are supported")
     b = np.asarray(b, dtype=np.float64)
     one_d = b.ndim == 1
     B = b[:, None] if one_d else b

@@ -114,17 +114,15 @@ class _TournamentOp(RedundantOp):
         comm: Communicator,
         b: int,
         selector: str,
-        kernel_tier: Optional[str] = None,
     ) -> None:
         super().__init__(comm)
         self.b = b
         self.selector = selector
-        self.kernel_tier = kernel_tier
 
     def combine(self, pairs):
         merged = tournament.merge_pairs(
             [(CandidateSet(*x), CandidateSet(*y)) for x, y in pairs],
-            self.b, self.selector, self.kernel_tier,
+            self.b, self.selector,
         )
         return [(_shared(w.rows, w.block), flops) for w, flops, _ in merged]
 
@@ -142,7 +140,6 @@ def ptslu_rank(
     channel: str = "col",
     tag: str = "tslu",
     compute_L: bool = True,
-    kernel_tier: Optional[str] = None,
     precomputed_candidate: Optional[Tuple[CandidateSet, FlopCounter]] = None,
     selector: str = "getf2",
 ):
@@ -167,11 +164,6 @@ def ptslu_rank(
         column).
     tag:
         Tag namespace (must differ between concurrent panels).
-    kernel_tier:
-        Kernel tier for the rank-local factorizations (None: the ``"auto"``
-        default) and, with ``selector="rrqr"``, for the tournament merges.
-        Only the pivot order flows into the candidate set, so the fast tier
-        leaves the simulated results bit-identical.
     precomputed_candidate:
         Optional ``(candidate, flops)`` pair computed ahead of the SPMD run
         by :func:`~repro.core.tournament.leaf_candidates` over all ranks'
@@ -199,7 +191,7 @@ def ptslu_rank(
     group = list(group) if group is not None else range(comm.size)
     if precomputed_candidate is None:
         (precomputed_candidate,) = tournament.leaf_candidates(
-            [(local_rows, local_block)], b, selector, local_kernel, kernel_tier
+            [(local_rows, local_block)], b, selector, local_kernel
         )
     candidate, leaf_flops = precomputed_candidate
     comm.charge_counter(leaf_flops)
@@ -212,7 +204,7 @@ def ptslu_rank(
     winners, packed = yield from allreduce(
         comm,
         (candidate.rows, candidate.block),
-        _TournamentOp(comm, b, selector, kernel_tier),
+        _TournamentOp(comm, b, selector),
         group=group,
         tag=tag,
         channel=channel,
@@ -354,7 +346,6 @@ def ptslu(
     local_kernel: str = "getf2",
     machine: Optional[MachineModel] = None,
     engine: Union[None, str, ExecutionEngine] = None,
-    kernel_tier: Optional[str] = None,
     pivoting: Optional[str] = None,
 ) -> PTSLUResult:
     """Driver: distribute an ``m x b`` panel, run SPMD TSLU, gather the factors.
@@ -377,12 +368,6 @@ def ptslu(
         Execution engine for the SPMD run ("coroutine", an
         :class:`~repro.distsim.engine.ExecutionEngine` instance, or
         ``None`` for that default).
-    kernel_tier:
-        Kernel tier for the rank-local arithmetic (None: the ``"auto"``
-        default).  With a non-reference tier the ``getf2`` leaf
-        factorizations of all ranks share batched calls — the candidate sets
-        and flop charges are identical, only the host-side overhead of ``P``
-        sequential Python-loop factorizations is removed.
     pivoting:
         Pivoting strategy (None: the ``"ca"`` default, see
         :mod:`repro.core.strategies`): ``"ca"`` (the paper's tournament),
@@ -410,7 +395,7 @@ def ptslu(
         # The leaf step of all ranks at once — the host batches same-shape
         # blocks, each rank is charged exactly its own factorization.
         leaves = tournament.leaf_candidates(
-            blocks, b, strategy.selector, local_kernel, kernel_tier
+            blocks, b, strategy.selector, local_kernel
         )
 
         def rank_fn(comm: Communicator):
@@ -420,7 +405,6 @@ def ptslu(
                     *blocks[comm.rank],
                     b,
                     local_kernel=local_kernel,
-                    kernel_tier=kernel_tier,
                     precomputed_candidate=leaves[comm.rank],
                     selector=strategy.selector,
                 )

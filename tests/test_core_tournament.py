@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,12 +11,11 @@ from hypothesis import strategies as st
 
 from repro.core import (
     local_candidates,
-    local_candidates_rrqr,
     merge_candidates,
-    merge_candidates_rrqr,
     partition_rows,
     tournament_pivoting,
 )
+from repro.core import tournament
 from repro.core.tournament import CandidateSet
 from repro.kernels import FlopCounter, getf2
 from repro.randmat import randn, tall_skinny
@@ -165,41 +166,6 @@ def test_tournament_block_cyclic_vs_contiguous_same_winner_set_quality():
 
 
 # ------------------------------------------------- one walker, against the paper
-def _oracle_tournament(blocks, b, schedule, selector, local_kernel):
-    """The tournament as Section 2 states it: every logical merge executed, one
-    at a time, through the per-node functions, on the reference tier, one ledger.
-    Returns what ``tournament_pivoting`` must reproduce bit for bit."""
-    flops = FlopCounter()
-    if selector == "rrqr":
-        leaf = lambda r, blk: local_candidates_rrqr(r, blk, b, flops, "reference")
-        merge = lambda x, y: merge_candidates_rrqr(x, y, b, flops, "reference")
-    else:
-        leaf = lambda r, blk: local_candidates(r, blk, b, flops, local_kernel, "reference")
-        merge = lambda x, y: merge_candidates(x, y, b, flops)
-    level = [c for c in (leaf(r, blk) for r, blk in blocks) if c.rows.shape[0]]
-    U, rounds = None, 0
-    if schedule == "flat":
-        for nxt in level[1:]:
-            (level[0], U), rounds = merge(level[0], nxt), rounds + 1
-    elif schedule == "binary":
-        while len(level) > 1:
-            merged = [merge(level[i], level[i + 1]) for i in range(0, len(level) - 1, 2)]
-            U, rounds = merged[-1][1], rounds + 1
-            level = [w for w, _ in merged] + level[len(merged) * 2:]
-    elif len(level) > 1:
-        pow2 = 1 << (len(level) - 1).bit_length()
-        level += [level[-1]] * (pow2 - len(level))
-        for k in (1 << s for s in range(pow2.bit_length() - 1)):
-            merged = [merge(level[min(i, i ^ k)], level[max(i, i ^ k)]) for i in range(pow2)]
-            U, rounds = merged[-1][1], rounds + 1
-            level = [w for w, _ in merged]
-    rows = level[0].rows
-    if U is None:  # no root LU: rrqr, or a single block
-        res = getf2(level[0].block, flops=flops, kernel_tier="reference")
-        rows, U = rows[res.perm], np.triu(res.lu)
-    return rows, U[: rows.shape[0]], rounds, flops
-
-
 def _hostile_panel(kind, m, b, seed):
     A = np.random.default_rng(seed).standard_normal((m, b))
     if kind == "tie":  # every pivot search is an exact tie
@@ -209,7 +175,7 @@ def _hostile_panel(kind, m, b, seed):
     return A
 
 
-@pytest.mark.parametrize("tier", ["auto", "reference"])
+@pytest.mark.parametrize("leaves", ["auto", "reference"])
 @pytest.mark.parametrize("schedule", ["flat", "binary", "butterfly"])
 @pytest.mark.parametrize("selector", ["getf2", "rrqr"])
 @given(
@@ -222,20 +188,28 @@ def _hostile_panel(kind, m, b, seed):
 )
 @settings(deadline=None, max_examples=20, suppress_health_check=list(HealthCheck))
 def test_tournament_matches_the_one_merge_at_a_time_oracle(
-    selector, schedule, tier, shape, nblocks, kind, scheme, local_kernel, seed
+    tournament_oracle, reference_leaves, selector, schedule, leaves, shape, nblocks,
+    kind, scheme, local_kernel, seed,
 ):
-    """Batching, deduplication and the shared walker change no bit: winners, ``U``,
-    rounds and all three ledger fields equal the naive tournament, on every
-    selector x schedule x tier, including exact-tie and zero-column panels."""
+    """Batching, deduplication, the LAPACK-backed leaves and the shared walker
+    change no bit: winners, ``U``, rounds and all three ledger fields equal the
+    naive tournament on the reference kernel bodies (``tests/conftest.py``), on
+    every selector x schedule, including exact-tie and zero-column panels.
+    ``leaves="reference"`` swaps the oracle's own leaves in, isolating the
+    merges and the walker."""
     m, b = shape
     A = _hostile_panel(kind, m, b, seed)
     blocks = _blocks(A, nblocks, scheme, block=b)
     flops = FlopCounter()
-    res = tournament_pivoting(
-        blocks, b, flops=flops, schedule=schedule, local_kernel=local_kernel,
-        kernel_tier=tier, selector=selector,
-    )
-    rows, U, rounds, expected = _oracle_tournament(blocks, b, schedule, selector, local_kernel)
+    with mock.patch.object(
+        tournament, "leaf_candidates",
+        reference_leaves if leaves == "reference" else tournament.leaf_candidates,
+    ):
+        res = tournament_pivoting(
+            blocks, b, flops=flops, schedule=schedule, local_kernel=local_kernel,
+            selector=selector,
+        )
+    rows, U, rounds, expected = tournament_oracle(blocks, b, schedule, selector, local_kernel)
     assert np.array_equal(res.winners, rows)
     assert res.U.tobytes() == U.tobytes()
     assert res.rounds == rounds

@@ -4,7 +4,7 @@ The contract under test:
 
 * :func:`repro.harness.factor_key` is injective over every knob that
   changes the factorization's bits (kind, n, seed, grid shape, block size,
-  pivoting, kernel tier, engine);
+  pivoting, engine);
 * a miss factors and persists, a hit round-trips the arrays bit-for-bit
   and never re-factors;
 * ``REPRO_FACTOR_CACHE_DIR`` relocates the store and
@@ -42,12 +42,12 @@ def p4() -> SolveConfig:
 def test_factor_key_distinct_across_every_knob():
     base = dict(
         kind="randn", n=64, seed=0, nprow=2, npcol=2, block_size=8,
-        pivoting="ca", kernel_tier="lapack", engine="coroutine",
+        pivoting="ca", engine="coroutine",
     )
     variants = [
         {"kind": "uniform"}, {"n": 96}, {"seed": 1}, {"nprow": 4},
         {"npcol": 1}, {"block_size": 16}, {"pivoting": "pp"},
-        {"pivoting": "ca_prrp"}, {"kernel_tier": "reference"},
+        {"pivoting": "ca_prrp"},
         {"engine": "threaded"},  # the key of another engine's factor
     ]
     keys = [factor_key(**base)] + [factor_key(**{**base, **v}) for v in variants]
@@ -80,8 +80,7 @@ def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
     assert np.array_equal(hit.factor.packed, miss.factor.packed)
     assert np.array_equal(hit.factor.permuted, miss.factor.permuted)
     assert np.array_equal(hit.factor.perm, miss.factor.perm)
-    for attr in ("n", "block_size", "nprow", "npcol", "pivoting",
-                 "kernel_tier", "engine"):
+    for attr in ("n", "block_size", "nprow", "npcol", "pivoting", "engine"):
         assert getattr(hit.factor, attr) == getattr(miss.factor, attr)
     # The cached artifact carries no in-process factorization trace.
     assert hit.factor.source is None and miss.factor.source is not None
@@ -192,6 +191,25 @@ def test_corrupt_artifact_is_a_miss(tmp_path):
     again = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     assert not again.cached  # recomputed, not served corrupt bits
     assert np.array_equal(again.factor.packed, fetch.factor.packed)
+
+
+def test_artifact_with_a_kernel_tier_field_still_loads(tmp_path):
+    """``.npz`` files written while the tier was configurable carry a
+    ``kernel_tier`` meta field; the reader ignores it."""
+    import json
+
+    cache = _cache(tmp_path)
+    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
+    with np.load(fetch.path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    for tier in ("auto", "reference", "lapack"):
+        arrays["meta"] = np.array(json.dumps({**meta, "kernel_tier": tier}))
+        with open(fetch.path, "wb") as fh:
+            np.savez(fh, **arrays)
+        loaded = cache.load(fetch.key)
+        assert loaded is not None and loaded.config == fetch.factor.config
+        assert np.array_equal(loaded.packed, fetch.factor.packed)
 
 
 # --------------------------------------------------------------- single-flight

@@ -124,7 +124,7 @@ def test_cache_miss_then_hit_bit_identical(tmp_path):
     assert json.dumps(second.rows) == json.dumps(first.rows)
     # Metadata captured alongside the rows.
     assert second.artifact["spec"] == "table2"
-    assert second.artifact["kernel_tier"] in ("reference", "lapack")
+    assert "kernel_tier" not in second.artifact  # the code picks kernel paths
     assert second.artifact["engine"]
     assert second.artifact["n_rows"] == len(first.rows)
 
@@ -166,13 +166,17 @@ def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
     assert store.count("panel_counts") == 1
 
 
-def test_context_key_depends_on_params_tier_and_engine():
-    base = context_key("table1", {"seed": 0}, "lapack", "coroutine")
-    assert base == context_key("table1", {"seed": 0}, "lapack", "coroutine")
-    assert base != context_key("table1", {"seed": 1}, "lapack", "coroutine")
-    assert base != context_key("table1", {"seed": 0}, "reference", "coroutine")
-    assert base != context_key("table1", {"seed": 0}, "lapack", STALE_ENGINE)
-    assert base != context_key("table2", {"seed": 0}, "lapack", "coroutine")
+def test_context_key_depends_on_params_tier_and_engine(monkeypatch):
+    import repro.harness.store as store_module
+
+    base = context_key("table1", {"seed": 0}, "coroutine")
+    assert base == context_key("table1", {"seed": 0}, "coroutine")
+    assert base != context_key("table1", {"seed": 1}, "coroutine")
+    assert base != context_key("table1", {"seed": 0}, STALE_ENGINE)
+    assert base != context_key("table2", {"seed": 0}, "coroutine")
+    # The tier entry is one constant, still hashed into every key.
+    monkeypatch.setattr(store_module, "KEYED_KERNEL_TIER", "reference")
+    assert base != context_key("table1", {"seed": 0}, "coroutine")
 
 
 def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
@@ -183,11 +187,11 @@ def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
     from repro.harness.factor_cache import factor_key
 
     params = {"seed": 0, "n": 64}
-    assert context_key("table1", params, "lapack", "coroutine") == (
+    assert context_key("table1", params, "coroutine") == (
         "40b85c9532845980c87a3ba35b57bcba89f3ee376300390b6ca1229a09359874")
-    assert context_key("table1", params, "lapack", "event") == (
+    assert context_key("table1", params, "event") == (
         "62d866d3e0ca6cc724180df0db8dd817cdd2efaa2367b366e65c2a901c4845ee")
-    fixed = ("randn", 96, 3, 2, 4, 8, "ca", "lapack")
+    fixed = ("randn", 96, 3, 2, 4, 8, "ca")
     assert factor_key(*fixed, "coroutine", "summa") == (
         "82a8f3d05bd50b7545d3d96cc1bdb18769423b3e96daa906d6275293ee450d27")
     assert factor_key(*fixed, "event", "summa") == (
@@ -269,8 +273,8 @@ def test_cache_list_still_lists_factors_of_a_removed_engine(tmp_path, capsys):
     factor = cache.fetch_or_factor(kind="randn", n=32, seed=0,
                                    config=SolveConfig.resolve(grid=4, b=8)).factor
     old = dataclasses.replace(factor, engine=STALE_ENGINE, source=None)
-    cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, old.pivoting,
-                               old.kernel_tier, STALE_ENGINE), kind="randn", seed=0)
+    cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, old.pivoting, STALE_ENGINE),
+               kind="randn", seed=0)
     assert run_cli(["cache", "list", "--factor-cache-dir", str(cache.root)],
                    tmp_path) == 0
     assert f"/{STALE_ENGINE}/summa" in capsys.readouterr().out
@@ -410,7 +414,7 @@ def test_cli_run_quick_caches_and_matches_spec(tmp_path, capsys):
     rows, meta = rows_from_json(captured.out)
     assert rows == get_spec("table1").run(quick=True)
     assert meta["spec"] == "table1"
-    assert meta["kernel_tier"] in ("reference", "lapack")
+    assert "kernel_tier" not in meta
     # --force recomputes.
     assert run_cli(["run", "table1", "--quick", "--force"], tmp_path) == 0
     assert "ran in" in capsys.readouterr().err
@@ -461,10 +465,10 @@ def test_cli_report_empty_store_errors(tmp_path, capsys):
 
 # ------------------------------------------------------- pivoting in the key
 def test_context_key_changes_when_only_pivoting_changes():
-    base = context_key("stability", {"seed": 0}, "lapack", "event", "ca")
-    assert base == context_key("stability", {"seed": 0}, "lapack", "event", "ca")
-    assert base != context_key("stability", {"seed": 0}, "lapack", "event", "ca_prrp")
-    assert base != context_key("stability", {"seed": 0}, "lapack", "event", "pp")
+    base = context_key("stability", {"seed": 0}, "event", "ca")
+    assert base == context_key("stability", {"seed": 0}, "event", "ca")
+    assert base != context_key("stability", {"seed": 0}, "event", "ca_prrp")
+    assert base != context_key("stability", {"seed": 0}, "event", "pp")
 
 
 @pytest.mark.parametrize("name", ["figure1", "stability_prrp", "tune"])
@@ -475,13 +479,13 @@ def test_spec_without_a_knob_param_keys_and_records_the_default(tmp_path, name):
     params, config, key = store.run_config(spec, quick=True)
     assert (config.pivoting, config.matmul) == ("ca", "summa")
     assert config.engine == params.get("engine", "coroutine")
-    assert key == context_key(name, params, config.kernel_tier, config.engine)
+    assert key == context_key(name, params, config.engine)
 
 
 @pytest.mark.parametrize("argv,flag,param", [
     (["run", "figure1", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
     (["run", "table1", "figure1", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
-    (["run", "panel_counts", "--quick", "--tier", "reference"], "--tier", "kernel_tier"),
+    (["run", "panel_counts", "--quick", "--matmul", "caps"], "--matmul", "matmul"),
     (["sweep", "figure1", "--param", "schedule=binary", "--matmul", "caps"],
      "--matmul", "matmul"),
     (["tune", "--quick", "--pivoting", "pp"], "--pivoting", "pivoting"),
@@ -683,7 +687,8 @@ def test_cli_serve_miss_then_hit_and_slo_rows(tmp_path, capsys):
 
 
 def _tune_artifact(path, engine="coroutine"):
-    """A stored tune artifact whose winner is CAPS on the reference tier."""
+    """A stored tune artifact whose winner is CAPS, written while the kernel
+    tier was a search axis (its ``kernel_tier`` column is ignored)."""
     path.write_text(json.dumps({
         "spec": "tune", "engine": engine,
         "rows": [{"chosen": True, "grid": "2x2", "b": 8, "nrhs": 1,
@@ -699,7 +704,7 @@ def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     ref = _tune_artifact(tmp_path / "tune.json")
     parse = build_parser().parse_args
     tuned = config_from_args(parse(["serve", "--tuned", ref]))
-    assert (tuned.pivoting, tuned.kernel_tier, tuned.matmul) == ("ca_prrp", "reference", "caps")
+    assert (tuned.pivoting, tuned.matmul) == ("ca_prrp", "caps")
     assert (tuned.grid, tuned.b, tuned.nrhs) == ((2, 2), 8, 16)
     # The engine and the machine never come from the artifact.
     assert tuned.engine == "coroutine" and tuned.machine is None

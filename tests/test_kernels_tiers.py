@@ -1,37 +1,46 @@
-"""Property tests for the kernel tiers and the batched tournament.
+"""Property tests for the kernels' two code paths and the batched tournament.
 
-The contract under test:
+Where a kernel has two bodies — the reference Python loop and a LAPACK
+call — the code picks one per call site (``reference=True`` only where the
+factor bits are contractual); nothing configures it.  The contract under
+test:
 
 * the batched kernel (:func:`repro.kernels.getf2_batched`) is **bit-identical**
   per slab to the reference ``getf2`` loop — factors, pivots, permutations,
   singularity flags and flop counts;
-* the LAPACK tier picks **identical pivots** (and therefore permutations and
-  tournament winners) and charges **exactly** the reference flop counts; its
-  factor entries agree to rounding (LAPACK scales by a reciprocal and vendor
-  BLAS uses FMA, so factor bits legitimately differ — every call site where
-  bits matter pins the reference tier instead);
+* the default ``dgetrf`` path picks **identical pivots** (and therefore
+  permutations and tournament winners) and charges **exactly** the reference
+  flop counts; its factor entries agree to rounding (LAPACK scales by a
+  reciprocal and vendor BLAS uses FMA, so factor bits legitimately differ —
+  every call site where bits matter passes ``reference=True`` instead);
 * the strong-RRQR selection (:func:`repro.kernels.select_rows_rrqr`) returns
-  the **same rows in the same order** and charges the **same ledger** on both
-  tiers; the LAPACK tier verifies ``max |R11^{-1} R12| <= tau`` on its own
-  factor and hands everything doubtful to the reference kernel;
-* the batched tournament (``kernel_tier="auto"``) returns bit-identical
-  winners, permutations and ``U`` factors to the sequential reference
-  schedule, across non-power-of-two ``P``, panel sizes that do not divide
-  ``m``, and singular blocks;
-* stability recording (growth, thresholds) forces the reference tier, so the
-  recorded histories are unchanged by the knob.
+  the **same rows in the same order** and charges the **same ledger** as the
+  reference ``_strong_rrqr`` loop; its ``dgeqp3`` path verifies
+  ``max |R11^{-1} R12| <= tau`` on its own factor and hands everything
+  doubtful to the reference kernel;
+* the batched tournament returns bit-identical winners, permutations and
+  ``U`` factors to the one-merge-at-a-time reference schedule, across
+  non-power-of-two ``P``, panel sizes that do not divide ``m``, and singular
+  blocks;
+* stability recording (growth, thresholds) replays the reference loops, and
+  the tournament's kernel paths change no recorded value.
+
+The reference helpers (``reference_select``, ``reference_leaves``,
+``tournament_oracle``) are the fixtures of ``tests/conftest.py``.
 """
 
 from __future__ import annotations
 
 import importlib
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import lapack
 
-from repro.core import calu, tslu, tournament_pivoting, partition_rows
+from repro.core import calu, tournament, tslu, tournament_pivoting, partition_rows
 from repro.kernels import (
     DEFAULT_TAU,
     FlopCounter,
@@ -40,44 +49,28 @@ from repro.kernels import (
     getrf_partial_pivoting,
     permute_rows_inplace,
     rgetf2,
-    resolve_tier,
     rrqr,
     select_rows_rrqr,
     slab_flop_counters,
 )
-from repro.kernels.tiers import HAVE_LAPACK
 from repro.parallel import ptslu
 from repro.randmat import randn, tall_skinny
 
-pytestmark = pytest.mark.skipif(not HAVE_LAPACK, reason="scipy LAPACK unavailable")
+# ``repro.kernels.rrqr`` the attribute is the function; this is the module.
+rrqr_module = importlib.import_module("repro.kernels.rrqr")
 
 
 def _counts(f: FlopCounter):
     return (f.muladds, f.divides, f.comparisons)
 
 
-# ------------------------------------------------------------ tier selection
-def test_tier_resolution_and_overrides():
-    # The generic precedence levels (explicit/default) are covered for every
-    # knob by tests/test_options.py; this covers what is specific to the
-    # tier knob: the "auto" degradation and force_reference.
-    assert resolve_tier(None) == "lapack"  # auto default with scipy present
-    assert resolve_tier("auto") == "lapack"
-    assert resolve_tier("reference") == "reference"
-    assert resolve_tier("lapack") == "lapack"
-    assert resolve_tier(None, force_reference=True) == "reference"
-    assert resolve_tier("lapack", force_reference=True) == "reference"
-    with pytest.raises(ValueError):
-        resolve_tier("nope")
-
-
-# ------------------------------------------------------------- LAPACK tier
+# ------------------------------------------------------------- dgetrf path
 @pytest.mark.parametrize("m,n", [(1, 1), (8, 4), (33, 17), (64, 32), (40, 7), (7, 9), (12, 12)])
 def test_lapack_tier_identical_pivots_and_exact_flops(m, n):
     A = randn(m, n, seed=m * 31 + n)
     fr, fl = FlopCounter(), FlopCounter()
-    ref = getf2(A, flops=fr, kernel_tier="reference")
-    fast = getf2(A, flops=fl, kernel_tier="lapack")
+    ref = getf2(A, flops=fr, reference=True)
+    fast = getf2(A, flops=fl)
     assert np.array_equal(ref.ipiv, fast.ipiv)
     assert np.array_equal(ref.perm, fast.perm)
     assert ref.singular == fast.singular
@@ -91,8 +84,8 @@ def test_lapack_tier_singular_columns_exact_flops(zero_cols):
     for c in zero_cols:
         A[:, c] = 0.0
     fr, fl = FlopCounter(), FlopCounter()
-    ref = getf2(A, flops=fr, kernel_tier="reference")
-    fast = getf2(A, flops=fl, kernel_tier="lapack")
+    ref = getf2(A, flops=fr, reference=True)
+    fast = getf2(A, flops=fl)
     assert ref.singular and fast.singular
     assert np.array_equal(ref.ipiv, fast.ipiv)
     assert np.array_equal(ref.perm, fast.perm)
@@ -101,15 +94,15 @@ def test_lapack_tier_singular_columns_exact_flops(zero_cols):
 
 def test_lapack_tier_overwrite_contract():
     A = randn(8, 8, seed=1)
-    res = getf2(A, overwrite=True, kernel_tier="lapack")
+    res = getf2(A, overwrite=True)
     assert res.lu is A
 
 
 def test_rgetf2_lapack_tier_matches_reference():
     A = randn(48, 24, seed=9)
     fr, fl = FlopCounter(), FlopCounter()
-    ref = rgetf2(A, flops=fr, kernel_tier="reference")
-    fast = rgetf2(A, flops=fl, kernel_tier="lapack")
+    ref = rgetf2(A, flops=fr, reference=True)
+    fast = rgetf2(A, flops=fl)
     assert np.array_equal(ref.perm, fast.perm)
     assert _counts(fr) == _counts(fl)
     assert np.allclose(ref.lu, fast.lu, atol=1e-10)
@@ -129,7 +122,7 @@ def test_batched_getf2_bit_identical_to_reference(nb, m, n):
     per_slab = slab_flop_counters(m, n, res.zero_columns)
     for i in range(nb):
         fi = FlopCounter()
-        ref = getf2(stack[i], flops=fi, kernel_tier="reference")
+        ref = getf2(stack[i], flops=fi, reference=True)
         assert np.array_equal(res.lu[i], ref.lu)  # bitwise, not allclose
         assert np.array_equal(res.ipiv[i], ref.ipiv)
         assert np.array_equal(res.perm[i], ref.perm)
@@ -150,16 +143,12 @@ def test_batched_getf2_bit_identical_property(nb, m, n, seed):
     stack = np.random.default_rng(seed).standard_normal((nb, m, n))
     res = getf2_batched(stack)
     for i in range(nb):
-        ref = getf2(stack[i], kernel_tier="reference")
+        ref = getf2(stack[i], reference=True)
         assert np.array_equal(res.lu[i], ref.lu)
         assert np.array_equal(res.perm[i], ref.perm)
 
 
 # ------------------------------------------------------ strong-RRQR selection
-# ``repro.kernels.rrqr`` the attribute is the function; this is the module.
-rrqr_module = importlib.import_module("repro.kernels.rrqr")
-
-
 def _kahan(n, theta=1.2):
     """Kahan's matrix: column pivoting leaves it alone, yet the last column
     depends strongly on the first n-1 — the classic input on which QRCP
@@ -174,7 +163,7 @@ def _rrqr_cases():
     rng = np.random.default_rng(42)
     leaf = rng.standard_normal((128, 64))
     halves = [
-        blk[select_rows_rrqr(blk, 64, kernel_tier="reference")]
+        blk[select_rows_rrqr(blk, 64)]
         for blk in (leaf, rng.standard_normal((128, 64)))
     ]
     dup = rng.standard_normal((24, 8))
@@ -183,7 +172,7 @@ def _rrqr_cases():
     dup[17] = dup[2]
     low_rank = rng.standard_normal((20, 5)) @ rng.standard_normal((5, 8))
     graded = 10.0 ** -np.linspace(0, 12, 24)[:, None] * rng.standard_normal((24, 16))
-    # (id, block, nselect, selection comes from the fast tier itself)
+    # (id, block, nselect, selection comes from the dgeqp3 path itself)
     return [
         ("leaf_128x64", leaf, 64, True),
         ("leaf_70x16", rng.standard_normal((70, 16)), 16, True),
@@ -209,10 +198,12 @@ _RRQR_CASES = _rrqr_cases()
 @pytest.mark.parametrize(
     "block,nselect,fast", [c[1:] for c in _RRQR_CASES], ids=[c[0] for c in _RRQR_CASES]
 )
-def test_rrqr_selection_and_ledger_agree_across_tiers(monkeypatch, block, nselect, fast):
+def test_rrqr_selection_and_ledger_agree_across_tiers(
+    monkeypatch, reference_select, block, nselect, fast
+):
     fr, fl = FlopCounter(), FlopCounter()
-    ref = select_rows_rrqr(block, nselect, flops=fr, kernel_tier="reference")
-    got = select_rows_rrqr(block, nselect, flops=fl, kernel_tier="lapack")
+    ref = reference_select(block, nselect, flops=fr)
+    got = select_rows_rrqr(block, nselect, flops=fl)
     assert np.array_equal(ref, got)
     assert got.dtype == np.int64
     assert _counts(fr) == _counts(fl)
@@ -223,15 +214,15 @@ def test_rrqr_selection_and_ledger_agree_across_tiers(monkeypatch, block, nselec
         assert np.array_equal(full.perm[: ref.size], ref)
         assert _counts(fq) == _counts(fr)
 
-    # Which kernel produced the fast tier's answer is part of the contract:
-    # clean blocks never enter the Python loop, doubtful ones always do.
+    # Which kernel produced the selection is part of the contract: clean
+    # blocks never enter the Python loop, doubtful ones always do.
     calls = []
     original = rrqr_module._strong_rrqr
     monkeypatch.setattr(
         rrqr_module, "_strong_rrqr",
         lambda *a, **kw: calls.append(1) or original(*a, **kw),
     )
-    select_rows_rrqr(block, nselect, kernel_tier="lapack")
+    select_rows_rrqr(block, nselect)
     assert bool(calls) == (not fast and block.shape[0] > 0)
 
 
@@ -243,24 +234,23 @@ def test_rrqr_kahan_takes_a_strengthening_swap_on_both_tiers(monkeypatch):
     assert res.swaps == 1
     assert np.max(np.abs(res.interaction)) <= DEFAULT_TAU
 
-    real = rrqr_module.lapack_module()
     checked = []
 
     class _Spy:
-        dgeqp3 = staticmethod(real.dgeqp3)
+        dgeqp3 = staticmethod(lapack.dgeqp3)
 
         @staticmethod
         def dtrtrs(*args, **kwargs):
-            out = real.dtrtrs(*args, **kwargs)
+            out = lapack.dtrtrs(*args, **kwargs)
             checked.append(float(np.max(np.abs(out[0]))))
             return out
 
-    monkeypatch.setattr(rrqr_module, "lapack_module", lambda: _Spy)
-    assert np.array_equal(select_rows_rrqr(K.T, 23, kernel_tier="lapack"), res.perm[:23])
+    monkeypatch.setattr(rrqr_module, "lapack", _Spy)
+    assert np.array_equal(select_rows_rrqr(K.T, 23), res.perm[:23])
     assert len(checked) == 1 and checked[0] > DEFAULT_TAU
 
 
-def test_rrqr_lapack_tier_falls_back_on_a_bad_permutation(monkeypatch):
+def test_rrqr_lapack_tier_falls_back_on_a_bad_permutation(monkeypatch, reference_select):
     """A ``dgeqp3`` that returns a valid QR in a *bad* column order (the weak
     rows first, a threshold-violating selection) must not be believed: the
     reference kernel runs and the selection keeps ``max |L21| <= tau``."""
@@ -269,11 +259,10 @@ def test_rrqr_lapack_tier_falls_back_on_a_bad_permutation(monkeypatch):
     block[:8] *= 1e-3  # rows 0..7 are the worst possible selection
     weak = np.linalg.solve(block[:8].T, block[8:].T)
     assert np.max(np.abs(weak)) > DEFAULT_TAU
-    real = rrqr_module.lapack_module()
 
     class _NoPivoting:
         calls = 0
-        dtrtrs = staticmethod(real.dtrtrs)
+        dtrtrs = staticmethod(lapack.dtrtrs)
 
         @classmethod
         def dgeqp3(cls, a):
@@ -281,10 +270,10 @@ def test_rrqr_lapack_tier_falls_back_on_a_bad_permutation(monkeypatch):
             r = np.linalg.qr(a, mode="r")
             return r, np.arange(1, a.shape[1] + 1, dtype=np.int32), None, None, 0
 
-    monkeypatch.setattr(rrqr_module, "lapack_module", lambda: _NoPivoting)
+    monkeypatch.setattr(rrqr_module, "lapack", _NoPivoting)
     fr, fl = FlopCounter(), FlopCounter()
-    ref = select_rows_rrqr(block, 8, flops=fr, kernel_tier="reference")
-    got = select_rows_rrqr(block, 8, flops=fl, kernel_tier="lapack")
+    ref = reference_select(block, 8, flops=fr)
+    got = select_rows_rrqr(block, 8, flops=fl)
     assert _NoPivoting.calls == 1
     assert np.array_equal(got, ref)
     assert _counts(fr) == _counts(fl)
@@ -295,26 +284,26 @@ def test_rrqr_lapack_tier_falls_back_on_a_bad_permutation(monkeypatch):
 
 def test_rrqr_lapack_tier_rejects_failed_factorization(monkeypatch):
     block = randn(16, 4, seed=3)
-    real = rrqr_module.lapack_module()
 
     class _Failing:
         @staticmethod
         def dgeqp3(a):
-            return real.dgeqp3(a)[:4] + (-1,)
+            return lapack.dgeqp3(a)[:4] + (-1,)
 
     def reference_ran(*args, **kwargs):
         raise AssertionError("reference ran")
 
-    monkeypatch.setattr(rrqr_module, "lapack_module", lambda: _Failing)
+    monkeypatch.setattr(rrqr_module, "lapack", _Failing)
     monkeypatch.setattr(rrqr_module, "_strong_rrqr", reference_ran)
     with pytest.raises(AssertionError, match="reference ran"):
-        select_rows_rrqr(block, 4, kernel_tier="lapack")
+        select_rows_rrqr(block, 4)
 
 
-@pytest.mark.parametrize("tier", ["reference", "lapack"])
-def test_rrqr_selection_rejects_sub_one_tau_on_every_tier(tier):
+@pytest.mark.parametrize("path", ["reference", "lapack"])
+def test_rrqr_selection_rejects_sub_one_tau_on_every_tier(reference_select, path):
+    select = reference_select if path == "reference" else select_rows_rrqr
     with pytest.raises(ValueError, match="tau"):
-        select_rows_rrqr(randn(8, 4, seed=1), 4, tau=0.5, kernel_tier=tier)
+        select(randn(8, 4, seed=1), 4, tau=0.5)
 
 
 @settings(max_examples=40, deadline=None)
@@ -324,80 +313,72 @@ def test_rrqr_selection_rejects_sub_one_tau_on_every_tier(tier):
     k=st.integers(1, 12),
     seed=st.integers(0, 2**16),
 )
-def test_rrqr_tiers_agree_property(m, n, k, seed):
+def test_rrqr_tiers_agree_property(reference_select, m, n, k, seed):
     block = np.random.default_rng(seed).standard_normal((m, n))
     fr, fl = FlopCounter(), FlopCounter()
-    ref = select_rows_rrqr(block, k, flops=fr, kernel_tier="reference")
-    got = select_rows_rrqr(block, k, flops=fl, kernel_tier="lapack")
+    ref = reference_select(block, k, flops=fr)
+    got = select_rows_rrqr(block, k, flops=fl)
     assert np.array_equal(ref, got)
     assert _counts(fr) == _counts(fl)
 
 
+def _assert_matches_oracle(oracle, blocks, b, schedule, selector):
+    flops = FlopCounter()
+    res = tournament_pivoting(blocks, b, flops=flops, schedule=schedule, selector=selector)
+    rows, U, rounds, expected = oracle(blocks, b, schedule, selector, "getf2")
+    assert np.array_equal(res.winners, rows)
+    assert np.array_equal(res.U, U)  # bitwise
+    assert res.rounds == rounds
+    assert _counts(flops) == _counts(expected)
+
+
 @pytest.mark.parametrize("schedule", ["binary", "butterfly", "flat"])
 @pytest.mark.parametrize("P,b", [(1, 4), (3, 4), (5, 2), (8, 8)])
-def test_rrqr_tournament_auto_bit_identical_to_reference(schedule, P, b):
+def test_rrqr_tournament_auto_bit_identical_to_reference(tournament_oracle, schedule, P, b):
     m = P * b * 2 + 3
     A = randn(m, b, seed=P * 1000 + b)
     A[m // 2] = 0.0
     blocks = [(g, A[g, :]) for g in partition_rows(m, P)]
-    fa, fr = FlopCounter(), FlopCounter()
-    auto = tournament_pivoting(
-        blocks, b, flops=fa, schedule=schedule, kernel_tier="auto", selector="rrqr"
-    )
-    ref = tournament_pivoting(
-        blocks, b, flops=fr, schedule=schedule, kernel_tier="reference", selector="rrqr"
-    )
-    assert np.array_equal(auto.winners, ref.winners)
-    assert np.array_equal(auto.U, ref.U)
-    assert auto.rounds == ref.rounds
-    assert _counts(fa) == _counts(fr)
+    _assert_matches_oracle(tournament_oracle, blocks, b, schedule, "rrqr")
 
 
 # --------------------------------------------------------- batched tournament
 @pytest.mark.parametrize("schedule", ["binary", "butterfly", "flat"])
 @pytest.mark.parametrize("P,b", [(1, 4), (2, 3), (3, 4), (5, 2), (8, 8), (13, 3)])
-def test_tournament_auto_bit_identical_to_reference(schedule, P, b):
+def test_tournament_auto_bit_identical_to_reference(tournament_oracle, schedule, P, b):
     m = P * b * 2 + 3  # m not a multiple of P*b
     A = randn(m, b, seed=P * 1000 + b)
     A[m // 2] = 0.0  # a singular (zero) row in some block
     blocks = [(g, A[g, :]) for g in partition_rows(m, P)]
-    fa, fr = FlopCounter(), FlopCounter()
-    auto = tournament_pivoting(blocks, b, flops=fa, schedule=schedule, kernel_tier="auto")
-    ref = tournament_pivoting(blocks, b, flops=fr, schedule=schedule, kernel_tier="reference")
-    assert np.array_equal(auto.winners, ref.winners)
-    assert np.array_equal(auto.U, ref.U)  # bitwise
-    assert auto.rounds == ref.rounds
-    assert _counts(fa) == _counts(fr)
+    _assert_matches_oracle(tournament_oracle, blocks, b, schedule, "getf2")
 
 
-def test_tournament_all_zero_panel_auto_matches_reference():
+def test_tournament_all_zero_panel_auto_matches_reference(tournament_oracle):
     A = np.zeros((16, 2))
     A[3] = [1.0, 2.0]
     A[11] = [3.0, -1.0]
     blocks = [(g, A[g, :]) for g in partition_rows(16, 4)]
-    auto = tournament_pivoting(blocks, 2, kernel_tier="auto")
-    ref = tournament_pivoting(blocks, 2, kernel_tier="reference")
-    assert np.array_equal(auto.winners, ref.winners)
-    assert np.array_equal(auto.U, ref.U)
+    _assert_matches_oracle(tournament_oracle, blocks, 2, "binary", "getf2")
 
 
 @pytest.mark.parametrize("m,b,P", [(30, 5, 4), (67, 5, 6), (64, 8, 8)])
-def test_tslu_auto_bit_identical(m, b, P):
+def test_tslu_auto_bit_identical(monkeypatch, reference_leaves, m, b, P):
     A = tall_skinny(m, b, seed=m + b + P)
-    auto = tslu(A, nblocks=P, kernel_tier="auto")
-    ref = tslu(A, nblocks=P, kernel_tier="reference")
-    assert np.array_equal(auto.perm, ref.perm)
-    assert np.array_equal(auto.winners, ref.winners)
-    assert np.array_equal(auto.L, ref.L)
-    assert np.array_equal(auto.U, ref.U)
+    auto = tslu(A, nblocks=P)
+    monkeypatch.setattr(tournament, "leaf_candidates", reference_leaves)
+    for ref in (tslu(A, nblocks=P), tslu(A, nblocks=P, reference=True)):
+        assert np.array_equal(auto.perm, ref.perm)
+        assert np.array_equal(auto.winners, ref.winners)
+        assert np.array_equal(auto.L, ref.L)
+        assert np.array_equal(auto.U, ref.U)
 
 
 @pytest.mark.parametrize("n,b,P", [(48, 8, 4), (50, 7, 3), (64, 16, 8)])
-def test_calu_auto_bit_identical(n, b, P, monkeypatch):
+def test_calu_auto_bit_identical(n, b, P, reference_leaves):
     A = randn(n, seed=n + b)
 
-    def factor(tier, pivoting):
-        return calu(A, block_size=b, nblocks=P, kernel_tier=tier, pivoting=pivoting)
+    def factor(pivoting, **kwargs):
+        return calu(A, block_size=b, nblocks=P, pivoting=pivoting, **kwargs)
 
     def same_bits(got, want):
         return (
@@ -407,25 +388,31 @@ def test_calu_auto_bit_identical(n, b, P, monkeypatch):
             and _counts(got.flops) == _counts(want.flops)
         )
 
-    for tier in ("auto", "lapack"):
-        assert same_bits(factor(tier, "ca"), factor("reference", "ca")), tier
-        # CALU_PRRP finishes with a tiered GEPP of each diagonal block, so its
-        # factors agree across tiers to rounding only (as ``getf2``'s do) ...
-        got, ref = factor(tier, "ca_prrp"), factor("reference", "ca_prrp")
-        assert np.array_equal(got.perm, ref.perm), tier
-        assert _counts(got.flops) == _counts(ref.flops), tier
-        assert np.allclose(got.L, ref.L, atol=1e-12) and np.allclose(got.U, ref.U, atol=1e-11)
-        # ... but the *selection* kernel's tier changes no bit of them.
-        with monkeypatch.context() as patch:
-            patch.setattr(rrqr_module, "resolve_tier", lambda *a, **kw: "reference")
-            assert same_bits(factor(tier, "ca_prrp"), got), tier
+    fast_ca, fast_prrp = factor("ca"), factor("ca_prrp")
+    # Recording runs the reference loops; on ca panels that changes no bit.
+    assert same_bits(fast_ca, factor("ca", track_growth=True))
+    # CALU_PRRP finishes with a GEPP of each diagonal block, which recording
+    # runs on the reference loop, so its factors agree to rounding only (as
+    # ``getf2``'s do) ...
+    ref = factor("ca_prrp", track_growth=True)
+    assert np.array_equal(fast_prrp.perm, ref.perm)
+    assert _counts(fast_prrp.flops) == _counts(ref.flops)
+    assert np.allclose(fast_prrp.L, ref.L, atol=1e-12)
+    assert np.allclose(fast_prrp.U, ref.U, atol=1e-11)
+    # ... but the tournament's kernel paths change no bit of either.
+    with mock.patch.object(tournament, "leaf_candidates", reference_leaves), \
+            mock.patch.object(rrqr_module, "_lapack_pivots", lambda *a: None):
+        assert same_bits(factor("ca"), fast_ca)
+        assert same_bits(factor("ca_prrp"), fast_prrp)
 
 
-def test_ptslu_auto_bit_identical_and_same_trace():
+def test_ptslu_auto_bit_identical_and_same_trace(monkeypatch, reference_leaves):
     A = tall_skinny(67, 5, seed=11)  # m not a multiple of P*b
-    for pivoting in ("ca", "ca_prrp"):
-        auto = ptslu(A, nprocs=6, kernel_tier="auto", pivoting=pivoting)
-        ref = ptslu(A, nprocs=6, kernel_tier="reference", pivoting=pivoting)
+    fast = {piv: ptslu(A, nprocs=6, pivoting=piv) for piv in ("ca", "ca_prrp")}
+    monkeypatch.setattr(tournament, "leaf_candidates", reference_leaves)
+    monkeypatch.setattr(rrqr_module, "_lapack_pivots", lambda *a: None)
+    for pivoting, auto in fast.items():
+        ref = ptslu(A, nprocs=6, pivoting=pivoting)
         assert np.array_equal(auto.winners, ref.winners), pivoting
         assert np.array_equal(auto.perm, ref.perm), pivoting
         assert np.array_equal(auto.L, ref.L), pivoting
@@ -435,15 +422,26 @@ def test_ptslu_auto_bit_identical_and_same_trace():
             assert got == want, pivoting
 
 
-# ------------------------------------------------- stability forces reference
-def test_growth_recording_is_tier_independent():
+# ------------------------------------------------- recording replays the loops
+def test_growth_recording_is_tier_independent(monkeypatch, reference_leaves):
+    """Recording runs do not need a reference tournament: with every leaf and
+    selection forced onto the reference kernels the histories are unchanged."""
     A = randn(48, seed=21)
-    auto = calu(A, block_size=8, nblocks=4, track_growth=True,
-                compute_thresholds=True, kernel_tier="auto")
-    ref = calu(A, block_size=8, nblocks=4, track_growth=True,
-               compute_thresholds=True, kernel_tier="reference")
-    assert auto.growth_history == ref.growth_history
-    assert np.array_equal(auto.threshold_history, ref.threshold_history)
+
+    def recorded():
+        return [
+            calu(A, block_size=8, nblocks=4, track_growth=True,
+                 compute_thresholds=True, pivoting=pivoting)
+            for pivoting in ("ca", "ca_prrp", "pp")
+        ]
+
+    fast = recorded()
+    monkeypatch.setattr(tournament, "leaf_candidates", reference_leaves)
+    monkeypatch.setattr(rrqr_module, "_lapack_pivots", lambda *a: None)
+    for auto, ref in zip(fast, recorded()):
+        assert auto.growth_history == ref.growth_history, auto.pivoting
+        assert np.array_equal(auto.threshold_history, ref.threshold_history)
+        assert np.array_equal(auto.packed, ref.packed), auto.pivoting
 
 
 def test_getf2_incremental_growth_matches_full_matrix_scan():
@@ -475,10 +473,12 @@ def test_getf2_incremental_growth_matches_full_matrix_scan():
 
 def test_gepp_growth_unchanged_under_auto_tier():
     A = randn(32, seed=8)
-    g_auto = getrf_partial_pivoting(A, track_growth=True, kernel_tier="auto")
-    g_ref = getrf_partial_pivoting(A, track_growth=True, kernel_tier="reference")
-    assert g_auto.growth_history == g_ref.growth_history
-    assert np.array_equal(g_auto.U, g_ref.U)
+    history: list = []
+    g = getrf_partial_pivoting(A, track_growth=True)
+    ref = getf2(A, track_growth=history)
+    assert g.growth_history == history
+    assert np.array_equal(g.U, np.triu(getf2(A, reference=True).lu))
+    assert np.array_equal(g.U, np.triu(ref.lu))
 
 
 # --------------------------------------------------------------- permutation

@@ -258,19 +258,19 @@ def test_pdgesv_solves_with_caps_backend():
 def test_context_key_depends_on_matmul(tmp_path):
     from repro.harness.store import context_key
 
-    k1 = context_key("solve", {"n": 48}, "lapack", "coroutine", "ca", "summa")
-    k2 = context_key("solve", {"n": 48}, "lapack", "coroutine", "ca", "caps")
+    k1 = context_key("solve", {"n": 48}, "coroutine", "ca", "summa")
+    k2 = context_key("solve", {"n": 48}, "coroutine", "ca", "caps")
     assert k1 != k2
-    # Default keeps historical five-argument call sites working.
-    assert context_key("solve", {"n": 48}, "lapack", "coroutine", "ca") == k1
+    # The matmul default is "summa".
+    assert context_key("solve", {"n": 48}, "coroutine", "ca") == k1
 
 
 def test_factor_cache_keys_and_roundtrips_matmul(tmp_path):
     from repro.core.options import SolveConfig
     from repro.harness.factor_cache import FactorCache, factor_key
 
-    k1 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "lapack", "coroutine")
-    k2 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "lapack", "coroutine",
+    k1 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "coroutine")
+    k2 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "coroutine",
                     matmul="caps")
     assert k1 != k2
 

@@ -1,7 +1,7 @@
 """The shared configuration subsystem: Option precedence and SolveConfig.
 
 One parametrized suite covers every registered knob (pivoting, engine,
-kernel_tier, matmul) at both levels of the shared precedence rule —
+matmul) at both levels of the shared precedence rule —
 
     explicit value > default
 
@@ -17,9 +17,8 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core.strategies  # noqa: F401  (registers the four knobs)
+import repro.core.strategies  # noqa: F401  (registers the three knobs)
 import repro.distsim.engine  # noqa: F401
-import repro.kernels.tiers  # noqa: F401
 import repro.matmul  # noqa: F401
 from repro.core.options import (
     KNOBS,
@@ -34,7 +33,6 @@ from repro.core.options import (
 KNOB_CASES = [
     ("pivoting", "ca", "pp", "rook"),
     ("engine", "coroutine", "coroutine", "event"),
-    ("kernel_tier", "auto", "reference", "nope"),
     ("matmul", "summa", "caps", "cannon"),
 ]
 
@@ -42,7 +40,8 @@ KNOB_IDS = [case[0] for case in KNOB_CASES]
 
 
 # ------------------------------------------------------------------ registry
-def test_all_four_knobs_are_registered():
+def test_all_knobs_are_registered():
+    assert KNOBS == ("pivoting", "engine", "matmul")  # the kernel tier is no knob
     assert set(KNOBS) <= set(OPTIONS)
     for name, default, *_ in KNOB_CASES:
         option = OPTIONS[name]
@@ -77,9 +76,19 @@ class TestPrecedence:
 def test_solveconfig_resolve_uses_shared_precedence():
     config = SolveConfig.resolve(engine="coroutine", matmul="caps", grid=4, b=8, nrhs=3)
     assert config.engine == "coroutine" and config.matmul == "caps"  # explicit
-    assert config.pivoting == "ca" and config.kernel_tier == "auto"  # default
+    assert config.pivoting == "ca"  # default
     assert config.grid == (2, 2) and config.P == 4
     assert config.b == 8 and config.nrhs == 3
+
+
+@pytest.mark.parametrize("tier", ["reference", "lapack", "nope"])
+def test_solveconfig_resolve_rejects_every_kernel_tier_but_auto(tier):
+    """``kernel_tier`` is accepted and ignored as ``None`` or ``"auto"`` only."""
+    assert SolveConfig.resolve(kernel_tier="auto") == SolveConfig.resolve()
+    assert not hasattr(SolveConfig.resolve(kernel_tier=None), "kernel_tier")
+    with pytest.raises(UnknownOptionError) as excinfo:
+        SolveConfig.resolve(kernel_tier=tier)
+    assert excinfo.value.name == tier and excinfo.value.available == ["auto"]
 
 
 def test_solveconfig_resolve_accepts_engine_instances():

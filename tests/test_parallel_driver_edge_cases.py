@@ -109,3 +109,35 @@ def test_non_finite_input_fails_up_front_naming_it(monkeypatch, bad):
         pdgesv_solve(factor, b_bad, config)
     with pytest.raises(ValueError, match="^b has non-finite entries"):
         pdgesv_solve(factor, b_bad[:, 1], config)
+
+
+# ---------------------------------------------------------------- complex input
+def _complex_reproducers():
+    from repro.core import calu_solve
+    from repro.harness.serving import SolveService
+    from repro.parallel import pcalu_factor, pdgesv, pdgesv_solve
+
+    n, config = 16, cfg((2, 2), 4)
+    A, b = randn(n, seed=6), randn(n, 2, seed=7)
+    factor = pcalu_factor(A, config)
+    return {
+        "pdgesv_A": ("A", lambda: pdgesv(A + 1j * A, b, config)),
+        "pdgesv_b": ("b", lambda: pdgesv(A, b + 1j, config)),
+        "pcalu": ("A", lambda: pcalu(A + 1j * A, config)),
+        "pdgesv_solve": ("b", lambda: pdgesv_solve(factor, b + 1j, config)),
+        "calu_solve": ("A", lambda: calu_solve(A + 1j * A, b, block_size=4)),
+        "service_submit": ("b", lambda: SolveService(factor, start=False).submit(b + 1j)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_complex_reproducers()))
+def test_complex_input_fails_up_front_naming_it(case):
+    """Casting a complex input to float64 would drop its imaginary part (and
+    only warn), so every entry point rejects it first, naming the input."""
+    import warnings
+
+    name, call = _complex_reproducers()[case]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a ComplexWarning means the cast ran
+        with pytest.raises(ValueError, match=f"^{name} is complex"):
+            call()

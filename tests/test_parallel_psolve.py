@@ -70,12 +70,17 @@ def test_pdgesv_honors_pivoting_knob(pivoting):
     assert res.factorization.trace.nprocs == 4
 
 
-def test_pdgesv_kernel_tier_bit_identical():
-    """The fast kernel tier must not change the simulated solution at all."""
+def test_pdgesv_kernel_tier_bit_identical(monkeypatch, reference_leaves):
+    """The LAPACK-backed tournament leaves must not change the simulated
+    solution at all: forcing them onto the reference kernels changes no bit."""
+    from repro.core import tournament
+
     A, _, rhs = _system(36, 2, seed=4)
-    ref = pdgesv(A, rhs, cfg(2, 2, 8, kernel_tier="reference"))
-    fast = pdgesv(A, rhs, cfg(2, 2, 8, kernel_tier="lapack"))
+    fast = pdgesv(A, rhs, cfg(2, 2, 8))
+    monkeypatch.setattr(tournament, "leaf_candidates", reference_leaves)
+    ref = pdgesv(A, rhs, cfg(2, 2, 8))
     assert np.array_equal(ref.x, fast.x)
+    assert ref.factorization.trace.summary() == fast.factorization.trace.summary()
 
 
 def test_pdgesv_cross_engine_parity():

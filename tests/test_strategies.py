@@ -238,8 +238,8 @@ def test_calu_pp_flop_ledger_matches_blocked_gepp():
     from repro.kernels.getrf import getrf_blocked
 
     A = randn(96, seed=16)
-    res = calu(A, block_size=16, nblocks=4, pivoting="pp", kernel_tier="reference")
+    res = calu(A, block_size=16, nblocks=4, pivoting="pp", track_growth=True)
     ref = FlopCounter()
-    getrf_blocked(A, block_size=16, flops=ref, kernel_tier="reference")
+    getrf_blocked(A, block_size=16, flops=ref, track_growth=True)
     assert res.flops.muladds == ref.muladds
     assert res.flops.divides == ref.divides

@@ -72,7 +72,7 @@ def test_caps_flop_ratio_is_one_when_recursion_cannot_fire():
     assert caps_flop_ratio(256, 16, 1, 1) < 1.0
 
 
-def test_enumerate_candidates_covers_the_space_and_orders_tiers():
+def test_enumerate_candidates_covers_the_space():
     candidates = enumerate_candidates(64, 4, machine="ibm_power5", nrhs=1)
     assert candidates, "n=64 P=4 must have feasible candidates"
     seen_grids = {c.grid for c in candidates}
@@ -80,9 +80,10 @@ def test_enumerate_candidates_covers_the_space_and_orders_tiers():
     assert {c.pivoting for c in candidates} == {"pp", "ca", "ca_prrp"}
     assert {c.matmul for c in candidates} == {"summa", "caps"}
     assert all(feasible(64, c.b, *c.grid) for c in candidates)
-    # "auto" leads each tier group so it wins exact predicted-time ties.
-    tiers = [c.kernel_tier for c in candidates]
-    assert tiers[0] == "auto"
+    assert len(set(candidates)) == len(candidates)  # no twins to deduplicate
+    # The tune spec's defaults (n=96) and --quick (n=48), both at P=4.
+    assert len(enumerate_candidates(96, 4)) == 66
+    assert len(enumerate_candidates(48, 4)) == 48
     # The matmul workload pins the pivoting axis.
     mm = enumerate_candidates(64, 4, workload="matmul")
     assert {c.pivoting for c in mm} == {"ca"}
@@ -112,8 +113,7 @@ def test_model_search_finds_caps_on_a_flat_grid_at_scale():
 
 # ------------------------------------------------------------------ prediction
 def test_predicted_ledger_distinguishes_pivoting_and_matmul():
-    base = dict(engine="coroutine", kernel_tier="auto", grid=(2, 2), b=8,
-                machine="ibm_power5")
+    base = dict(engine="coroutine", grid=(2, 2), b=8, machine="ibm_power5")
     ca = SolveConfig(pivoting="ca", matmul="summa", **base)
     pp = SolveConfig(pivoting="pp", matmul="summa", **base)
     caps = SolveConfig(pivoting="ca", matmul="caps", **base)
@@ -127,8 +127,8 @@ def test_predicted_ledger_distinguishes_pivoting_and_matmul():
 
 
 def test_predicted_ledger_matmul_workload_prices_both_backends():
-    base = dict(pivoting="ca", engine="coroutine", kernel_tier="auto",
-                grid=(2, 2), b=8, machine="ibm_power5")
+    base = dict(pivoting="ca", engine="coroutine", grid=(2, 2), b=8,
+                machine="ibm_power5")
     summa = SolveConfig(matmul="summa", **base)
     caps = SolveConfig(matmul="caps", **base)
     lsum = predicted_ledger(summa, 64, workload="matmul")
@@ -172,7 +172,7 @@ def test_tune_point_simulated_candidates_have_distinct_configs(tune_rows):
         (r["b"], r["grid"], r["pivoting"], r["matmul"]) for r in tune_rows
     ]
     # The default may coincide with a top-k candidate's signature, but the
-    # top-k entries themselves are deduplicated (tier twins simulate once).
+    # top-k entries themselves are distinct candidates.
     top = signatures[1:]
     assert len(top) == len(set(top))
 
@@ -210,6 +210,20 @@ def test_tune_spec_round_trips_through_the_store(tmp_path, tune_rows):
         assert f"{config.nprow}x{config.npcol}" == chosen["grid"]
     assert tuned_config(load_tune_artifact("latest", store=store)).machine == \
         QUICK.get("machine", "ibm_power5")
+
+
+@pytest.mark.parametrize("tier", ["auto", "reference", "lapack"])
+def test_tune_artifact_with_a_kernel_tier_column_loads(tier):
+    """Tune rows written while the tier was a search axis carry a
+    ``kernel_tier`` column; :func:`tuned_config` ignores it."""
+    row = {"candidate": "top1", "b": 8, "grid": "1x4", "pivoting": "ca_prrp",
+           "kernel_tier": tier, "matmul": "caps", "nrhs": 2,
+           "machine": "ibm_power5", "chosen": True}
+    artifact = {"spec": "tune", "engine": "coroutine", "rows": [row]}
+    assert tuned_config(artifact) == SolveConfig.resolve(
+        pivoting="ca_prrp", engine="coroutine", matmul="caps", grid=(1, 4), b=8,
+        nrhs=2, machine="ibm_power5",
+    )
 
 
 def test_load_tune_artifact_errors_name_the_problem(tmp_path):

@@ -9,8 +9,7 @@ diffing the two outputs (the script pins BLAS to one thread)::
     python benchmarks/digest.py > change.txt && diff parent.txt change.txt
 
 Simulated lines (``ptslu`` / ``pdgetrf`` / ``pcalu`` / ``pdgesv`` / ``pdgemm``,
-each under ``engine=coroutine``, the one registered engine) carry two hashes.
-The factorization drivers are called only as ``pcalu(A, config=...)`` and
+all on the one scheduler) carry two hashes.  The factorization drivers are called only as ``pcalu(A, config=...)`` and
 ``pdgesv(A, B, config=...)``; a ``pdgetrf`` line is ``pcalu`` with
 ``pivoting="pp"``.  The two hashes are:
 
@@ -21,8 +20,8 @@ The factorization drivers are called only as ``pcalu(A, config=...)`` and
   ``U``, ``perm``, ``swaps``; pdgesv: ``x``, residual, per-RHS and
   backward-error histories, iterations, ``L``, ``U``, ``perm``, factor and
   solve traces; pdgemm: ``C``);
-* the *engine* hash — the engine's own bookkeeping (``group_collectives``
-  per rank, ``RunTrace.engine``).
+* the *engine* hash — the scheduler's own bookkeeping (``group_collectives``
+  per rank).
 
 The raw hashes depend on the platform's BLAS, so they are compared only
 between two runs on one machine.  ``--quick`` runs a small sub-matrix; CI
@@ -46,10 +45,11 @@ on 64x8, 53x7 x P in 1,3,4,8 and calu (plain and record) on n in 40,53
 (b = 7) x P in 2,4, each x ca/pp/ca_prrp x binary/flat/butterfly x
 contiguous/block-cyclic.  706 lines.
 
-The script runs unchanged against trees from before the kernel tier was
-removed (``--src``): drivers are called without a tier (their default was
-``auto``), and the two literal key lines pass the tier the old key functions
-took as an argument, the ``"lapack"`` every default key recorded.
+The script runs unchanged against trees from before the kernel tier and the
+engine stopped being knobs (``--src``): drivers are called without either
+(their defaults were ``auto`` and ``coroutine``), and the two literal key
+lines pass what the old key functions took as arguments — the ``"lapack"``
+tier and the ``"coroutine"`` engine every default key recorded.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ import sys
 from functools import partial
 from pathlib import Path
 
-ENGINES = ("coroutine",)
 PIVOTINGS = ("ca", "pp", "ca_prrp")
 MATMULS = ("summa", "caps")
 
@@ -111,11 +110,11 @@ def trace_fields(trace):
         )
         for r in trace.ranks
     ]
-    return simulated, ([r.group_collectives for r in trace.ranks], trace.engine)
+    return simulated, [r.group_collectives for r in trace.ranks]
 
 
 def simulated_lines(quick: bool):
-    """Yield ``(config, engine, callable -> (simulated objects, engine objects))``."""
+    """Yield ``(config, callable -> (simulated objects, engine objects))``."""
     from repro.core.options import SolveConfig
     from repro.layouts.grid import ProcessGrid
     from repro.machines import ibm_power5
@@ -129,9 +128,9 @@ def simulated_lines(quick: bool):
     def config(grid, **knobs):
         return SolveConfig.resolve(grid=grid, b=7, machine="ibm_power5", **knobs)
 
-    def run_ptslu(engine, P, piv, layout):
+    def run_ptslu(P, piv, layout):
         res = ptslu(tall_skinny(8 * P + 5, 8, seed=P), P, layout=layout,
-                    machine=ibm_power5(), engine=engine, pivoting=piv)
+                    machine=ibm_power5(), pivoting=piv)
         sim, eng = trace_fields(res.trace)
         return [res.L, res.U, res.perm, res.winners, sim], eng
 
@@ -147,33 +146,30 @@ def simulated_lines(quick: bool):
         return [res.x, res.residual_norms, res.per_rhs_residuals, res.backward_errors,
                 res.iterations, lu_outputs(res.factorization), fsim, ssim], [feng, seng]
 
-    def run_pdgemm(engine, grid, shape, mm):
+    def run_pdgemm(grid, shape, mm):
         m, k, n = shape
         res = pdgemm(randn(m, k, seed=1), randn(k, n, seed=2), grid=ProcessGrid(*grid),
-                     block_size=7, matmul=mm, machine=ibm_power5(), engine=engine)
+                     block_size=7, matmul=mm, machine=ibm_power5())
         sim, eng = trace_fields(res.trace)
         return [res.C, sim], eng
 
     procs = (3, 8) if quick else (1, 2, 3, 5, 6, 8, 13, 16)
     grids = ((2, 2), (3, 5)) if quick else ((2, 2), (4, 2), (3, 5), (1, 4), (4, 1), (4, 4))
     sizes = (53,) if quick else (40, 53)
-    for engine in ENGINES:
-        for P, piv, layout in itertools.product(procs, PIVOTINGS, ("block", "block_cyclic")):
-            yield (f"ptslu P={P} {piv} {layout}", engine,
-                   partial(run_ptslu, engine, P, piv, layout))
-        for grid, n in itertools.product(grids, sizes):
-            where = f"{grid[0]}x{grid[1]} n={n} b=7"
-            for mm in MATMULS:
-                yield (f"pdgetrf {where} {mm}", engine,
-                       partial(run_pcalu, grid, n, engine=engine, pivoting="pp", matmul=mm))
-            runners = (("pcalu", run_pcalu), ("pdgesv", run_pdgesv))
-            for (name, run), mm, piv in itertools.product(runners, MATMULS, PIVOTINGS):
-                yield (f"{name} {where} {piv} {mm}", engine,
-                       partial(run, grid, n, engine=engine, pivoting=piv, matmul=mm))
-        for grid in ((2, 2),) if quick else ((2, 2), (3, 5), (1, 4), (4, 1), (4, 4)):
-            for shape, mm in itertools.product(((40, 33, 29), (32, 32, 32)), MATMULS):
-                yield (f"pdgemm {grid[0]}x{grid[1]} {'x'.join(map(str, shape))} {mm}", engine,
-                       partial(run_pdgemm, engine, grid, shape, mm))
+    for P, piv, layout in itertools.product(procs, PIVOTINGS, ("block", "block_cyclic")):
+        yield f"ptslu P={P} {piv} {layout}", partial(run_ptslu, P, piv, layout)
+    for grid, n in itertools.product(grids, sizes):
+        where = f"{grid[0]}x{grid[1]} n={n} b=7"
+        for mm in MATMULS:
+            yield (f"pdgetrf {where} {mm}",
+                   partial(run_pcalu, grid, n, pivoting="pp", matmul=mm))
+        runners = (("pcalu", run_pcalu), ("pdgesv", run_pdgesv))
+        for (name, run), mm, piv in itertools.product(runners, MATMULS, PIVOTINGS):
+            yield f"{name} {where} {piv} {mm}", partial(run, grid, n, pivoting=piv, matmul=mm)
+    for grid in ((2, 2),) if quick else ((2, 2), (3, 5), (1, 4), (4, 1), (4, 4)):
+        for shape, mm in itertools.product(((40, 33, 29), (32, 32, 32)), MATMULS):
+            yield (f"pdgemm {grid[0]}x{grid[1]} {'x'.join(map(str, shape))} {mm}",
+                   partial(run_pdgemm, grid, shape, mm))
 
 
 def sequential_lines(quick: bool):
@@ -231,18 +227,17 @@ def key_lines():
     from repro.harness.store import ResultStore, context_key
 
     def keyed(fn, *args, **kwargs):
-        # Trees from before the tier removal take it as an argument; the
-        # current ones key the same "lapack" as a constant.
-        if "kernel_tier" in inspect.signature(fn).parameters:
-            kwargs["kernel_tier"] = "lapack"
+        # Older trees take the tier and the engine as arguments; the current
+        # ones key the same "lapack" and "coroutine" as constants.
+        params = inspect.signature(fn).parameters
+        for name, value in (("kernel_tier", "lapack"), ("engine", "coroutine")):
+            if name in params:
+                kwargs[name] = value
         return fn(*args, **kwargs)
 
-    for engine in ENGINES:
-        yield (f"key context engine={engine}",
-               keyed(context_key, "table1", {"seed": 0, "n": 64}, engine=engine))
-        yield (f"key factor engine={engine}",
-               keyed(factor_key, "randn", 96, 3, 2, 4, 8, "ca", engine=engine,
-                     matmul="summa"))
+    yield "key context", keyed(context_key, "table1", {"seed": 0, "n": 64})
+    yield "key factor", keyed(factor_key, "randn", 96, 3, 2, 4, 8, pivoting="ca",
+                              matmul="summa")
     with tempfile.TemporaryDirectory() as tmp:
         store = ResultStore(root=tmp)
         for spec, quick in itertools.product(all_specs(), (False, True)):
@@ -269,13 +264,13 @@ def main(argv=None) -> int:
     for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(var, "1")  # before numpy loads: threaded BLAS sums differ
 
-    for config, engine, fn in simulated_lines(args.quick):
+    for config, fn in simulated_lines(args.quick):
         result = attempt(fn)
         if isinstance(result, str):
             simulated = engine_hash = result
         else:
             simulated, engine_hash = sha(result[0]), sha(result[1])
-        print(f"{config.replace(' ', f' engine={engine} ', 1)}  {simulated}  {engine_hash}")
+        print(f"{config}  {simulated}  {engine_hash}")
     for config, fn in sequential_lines(args.quick):
         result = attempt(fn)
         print(f"{config}  {result if isinstance(result, str) else sha(result)}")

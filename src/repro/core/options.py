@@ -1,9 +1,8 @@
 """The configuration subsystem: one precedence rule, one ``SolveConfig``.
 
-Every pluggable subsystem of this package — pivoting strategies
-(:mod:`repro.core.strategies`), virtual-MPI engines
-(:mod:`repro.distsim.engine`) and distributed-matmul backends
-(:mod:`repro.matmul`) — exposes one string *knob* resolved against a
+Both pluggable subsystems of this package — pivoting strategies
+(:mod:`repro.core.strategies`) and distributed-matmul backends
+(:mod:`repro.matmul`) — expose one string *knob* resolved against a
 registry.  This module holds the machinery they share:
 
 * :class:`UnknownOptionError` — the shared "knob value names no registered
@@ -13,13 +12,14 @@ registry.  This module holds the machinery they share:
 
       explicit value  >  default
 
-  The three knob modules *register* an :class:`Option` at import time and
+  The two knob modules *register* an :class:`Option` at import time and
   keep one function form of it for their hot paths (``resolve_pivoting``,
-  ``resolve_matmul``, ``resolve_engine*``).  A knob is a
-  value passed in; nothing is read from process state (there is no ambient
-  override and no knob environment variable).
+  ``resolve_matmul``).  A knob is a value passed in; nothing is read from
+  process state (there is no ambient override and no knob environment
+  variable).  The simulator has one scheduler and the kernels pick their own
+  code path, so neither an engine nor a kernel tier is a knob.
 * :class:`SolveConfig` — a frozen dataclass bundling everything that
-  configures a distributed solve (the three knobs plus grid shape, block size
+  configures a distributed solve (the two knobs plus grid shape, block size
   ``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
   the drivers (:mod:`repro.parallel`), the content-addressed stores, the
   serving layer and the CLI, and is the unit the autotuner
@@ -39,7 +39,7 @@ class UnknownOptionError(ValueError):
     ----------
     kind:
         Human-readable knob kind (``"pivoting strategy"``,
-        ``"execution engine"``, ``"matmul backend"``).
+        ``"matmul backend"``).
     name:
         The offending value.
     available:
@@ -64,17 +64,15 @@ class Option:
     ----------
     name:
         Knob name — the :class:`SolveConfig` field it populates
-        (``"pivoting"``, ``"engine"``, ``"matmul"``).
+        (``"pivoting"``, ``"matmul"``).
     kind:
         Human-readable kind used in error messages.
     default:
         Value used when no explicit value is given.
     validate:
         Callable mapping a raw value to its canonical registered name,
-        raising :class:`UnknownOptionError` (or a subclass) otherwise.  The
-        registering module supplies it, so registry lookups and error types
-        stay owned by the subsystem (e.g. the engine knob raises
-        ``UnknownEngineError``).
+        raising :class:`UnknownOptionError` otherwise.  The registering
+        module supplies it, so registry lookups stay owned by the subsystem.
     """
 
     name: str
@@ -97,7 +95,7 @@ class Option:
 OPTIONS: Dict[str, Option] = {}
 
 #: The knob names every :class:`SolveConfig` carries.
-KNOBS = ("pivoting", "engine", "matmul")
+KNOBS = ("pivoting", "matmul")
 
 
 def register_option(option: Option) -> Option:
@@ -107,13 +105,12 @@ def register_option(option: Option) -> Option:
 
 
 def _load_knob_modules() -> None:
-    """Import the three knob modules so their options are registered.
+    """Import the two knob modules so their options are registered.
 
     Lazy so that :mod:`repro.core.options` itself stays import-light (the
     knob modules import it, not the other way around).
     """
     import repro.core.strategies  # noqa: F401
-    import repro.distsim.engine  # noqa: F401
     import repro.matmul  # noqa: F401
 
 
@@ -124,8 +121,8 @@ def _load_knob_modules() -> None:
 class SolveConfig:
     """Everything that configures one distributed factorization/solve.
 
-    The three registry knobs (``pivoting``, ``engine``, ``matmul``) are
-    always concrete resolved names; the layout parameters
+    The two registry knobs (``pivoting``, ``matmul``) are always concrete
+    resolved names; the layout parameters
     (``grid``, ``b``, ``nrhs``) and the ``machine`` name are optional —
     drivers fall back to their own arguments when a field is ``None``.
 
@@ -136,7 +133,6 @@ class SolveConfig:
     """
 
     pivoting: str
-    engine: str
     matmul: str
     grid: Optional[Tuple[int, int]] = None
     b: Optional[int] = None
@@ -148,7 +144,7 @@ class SolveConfig:
     def resolve(
         cls,
         pivoting: Optional[str] = None,
-        engine: object = None,
+        engine: Optional[str] = None,
         kernel_tier: Optional[str] = None,
         matmul: Optional[str] = None,
         grid: object = None,
@@ -158,26 +154,24 @@ class SolveConfig:
     ) -> "SolveConfig":
         """Build a config, resolving each knob per the shared precedence rule.
 
-        ``engine`` accepts a name, an
-        :class:`~repro.distsim.engine.ExecutionEngine` instance (its ``name``
-        is recorded) or ``None``; ``grid`` accepts a ``(Pr, Pc)`` tuple, a
+        ``grid`` accepts a ``(Pr, Pc)`` tuple, a
         :class:`~repro.layouts.grid.ProcessGrid`, a process count ``P``
         (mapped to the paper's near-square grid) or ``None``.
 
-        ``kernel_tier`` is no knob: the kernels pick their own code path.  It
-        accepts ``None`` or ``"auto"`` (ignored) because the end-to-end
-        benchmark (``benchmarks/e2e/workloads.py``) still passes
-        ``kernel_tier="auto"``; any other value raises
-        :class:`UnknownOptionError`.
+        ``engine`` and ``kernel_tier`` are no knobs: the simulator has one
+        scheduler and the kernels pick their own code path.  They accept
+        ``None`` or their one legal value (``"coroutine"``, ``"auto"``;
+        ignored) because the end-to-end benchmark
+        (``benchmarks/e2e/workloads.py``) still passes them; any other value
+        raises :class:`UnknownOptionError`.
         """
         _load_knob_modules()
+        if engine not in (None, "coroutine"):
+            raise UnknownOptionError("execution engine", engine, ["coroutine"])
         if kernel_tier not in (None, "auto"):
             raise UnknownOptionError("kernel tier", kernel_tier, ["auto"])
-        if engine is not None and not isinstance(engine, str):
-            engine = getattr(engine, "name", None)
         return cls(
             pivoting=OPTIONS["pivoting"].resolve(pivoting),
-            engine=OPTIONS["engine"].resolve(engine),
             matmul=OPTIONS["matmul"].resolve(matmul),
             grid=normalize_grid(grid),
             b=int(b) if b is not None else None,
@@ -246,7 +240,6 @@ class SolveConfig:
         """One-line ``key=value`` rendering for status lines and logs."""
         parts = [
             f"pivoting={self.pivoting}",
-            f"engine={self.engine}",
             f"matmul={self.matmul}",
         ]
         if self.grid is not None:

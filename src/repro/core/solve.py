@@ -168,6 +168,19 @@ def solve_with_refinement(
     )
 
 
+def checked_operand(name: str, x, rows: Optional[int] = None) -> np.ndarray:
+    """``x`` as float64, or a ``ValueError`` naming it (not exported: no tracer span)."""
+    if np.iscomplexobj(x):
+        kind = "matrices" if name == "A" else "right-hand sides"
+        raise ValueError(f"{name} is complex; only real {kind} are supported")
+    x = np.asarray(x, dtype=np.float64)
+    if rows is not None and (x.ndim not in (1, 2) or x.shape[0] != rows):
+        raise ValueError(f"right-hand side has shape {x.shape}, expected ({rows},) or ({rows}, k)")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} has non-finite entries (NaN or Inf)")
+    return x
+
+
 def calu_solve(
     A: np.ndarray,
     b: np.ndarray,
@@ -178,12 +191,9 @@ def calu_solve(
 ) -> SolveResult:
     """One-call convenience: factor ``A`` with CALU and solve ``A x = b``.
 
-    This is the "quickstart" entry point exercised by
-    ``examples/quickstart.py``.  Complex ``A`` or ``b`` raises
-    ``ValueError``: only real systems are supported.
+    ``examples/quickstart.py``'s entry point; rejects a malformed ``A`` or ``b`` up front.
     """
-    for name, x in (("A", A), ("b", b)):
-        if np.iscomplexobj(x):
-            raise ValueError(f"{name} is complex; only real systems are supported")
+    A = checked_operand("A", A)
+    b = checked_operand("b", b, rows=A.shape[0] if A.ndim == 2 else None)
     fact = calu(A, block_size=block_size, nblocks=nblocks, **calu_kwargs)
     return solve_with_refinement(A, b, fact, max_iterations=refine)

@@ -6,8 +6,8 @@ factor.  Khabou-Demmel-Grigori-Gu (arXiv:1208.2451) sharpen the trade by
 replacing the partial-pivoting selection inside the tournament with a strong
 rank-revealing QR of the transposed block (CALU_PRRP), bounding the growth by
 ``(1 + 2b)^(n/b)``.  This module makes the pivoting choice a first-class,
-registry-addressed knob — exactly like the virtual-MPI engines
-(:mod:`repro.distsim.engine`) and the matmul backends (:mod:`repro.matmul`):
+registry-addressed knob — exactly like the matmul backends
+(:mod:`repro.matmul`):
 
 ``"pp"``
     Partial pivoting on the whole panel (GEPP panels).  The communication

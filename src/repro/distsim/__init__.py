@@ -6,8 +6,9 @@ every message/word/flop is charged to a per-rank trace priced under a
 :class:`~repro.machines.model.MachineModel`.
 
 SPMD programs are generator functions stepped by one deterministic
-single-threaded scheduler (:mod:`repro.distsim.engine`): exactly one rank
-runs at a time, the next is always the runnable rank with the smallest
+single-threaded scheduler (:mod:`repro.distsim.engine.coroutine`) that
+:func:`run_spmd` calls directly; nothing selects it.  Exactly one rank runs
+at a time, the next is always the runnable rank with the smallest
 ``(simulated clock, rank)``, and deadlock is detected structurally (no rank
 runnable ⇒ fail immediately, naming what each rank waits on).  Collectives
 are evaluated as single group-level events that charge each rank every
@@ -29,13 +30,7 @@ from .collectives import (
     reduce,
     scatter,
 )
-from .engine import ExecutionEngine, available_engines, get_engine, resolve_engine
-from .errors import (
-    DeadlockError,
-    RankFailedError,
-    SimulationError,
-    UnknownEngineError,
-)
+from .errors import DeadlockError, RankFailedError, SimulationError
 from .tracing import RankTrace, RunTrace
 from .vmpi import Communicator, payload_words, run_spmd
 
@@ -43,16 +38,11 @@ __all__ = [
     "Communicator",
     "run_spmd",
     "payload_words",
-    "ExecutionEngine",
-    "available_engines",
-    "get_engine",
-    "resolve_engine",
     "RankTrace",
     "RunTrace",
     "SimulationError",
     "DeadlockError",
     "RankFailedError",
-    "UnknownEngineError",
     "broadcast",
     "reduce",
     "allreduce",

@@ -247,48 +247,37 @@ def _rank_program(fn: Callable[..., Any], comm: Communicator, args, kwargs):
     return out
 
 
-class ExecutionEngine:
-    """The scheduler under its registered name (``"coroutine"``).
+def run(
+    nprocs: int,
+    fn: Callable[..., Any],
+    args: Tuple[Any, ...],
+    kwargs: dict,
+    machine: MachineModel,
+) -> RunTrace:
+    """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks.
 
-    Selected via the ``engine=`` argument of :func:`repro.distsim.run_spmd`
-    (or the ``engine`` field of a :class:`~repro.core.options.SolveConfig`).
+    When ranks failed for mixed reasons, the chained ``__cause__`` is the
+    lowest-ranked *root* failure: DeadlockErrors are secondary whenever a
+    rank crashed outright (its crash is what left the others waiting), so
+    they are only used as the cause when every failure is a deadlock.
     """
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-
-    def run(
-        self,
-        nprocs: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        kwargs: dict,
-        machine: MachineModel,
-    ) -> RunTrace:
-        """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks.
-
-        When ranks failed for mixed reasons, the chained ``__cause__`` is the
-        lowest-ranked *root* failure: DeadlockErrors are secondary whenever a
-        rank crashed outright (its crash is what left the others waiting), so
-        they are only used as the cause when every failure is a deadlock.
-        """
-        traces = [RankTrace(rank=r) for r in range(nprocs)]
-        sched = _CoroutineScheduler(nprocs)
-        for st in sched.states:
-            st.comm = Communicator(
-                st.rank, nprocs, machine, traces[st.rank], sched.deliver
-            )
-            st.gen = _rank_program(fn, st.comm, args, kwargs)
-        sched.run()
-        failures = sched.failures
-        if failures:
-            cause = next(
-                (
-                    failures[r]
-                    for r in sorted(failures)
-                    if not isinstance(failures[r], DeadlockError)
-                ),
-                failures[min(failures)],
-            )
-            raise RankFailedError(failures) from cause
-        return RunTrace(ranks=traces, results=sched.results, engine=self.name)
+    traces = [RankTrace(rank=r) for r in range(nprocs)]
+    sched = _CoroutineScheduler(nprocs)
+    for st in sched.states:
+        st.comm = Communicator(
+            st.rank, nprocs, machine, traces[st.rank], sched.deliver
+        )
+        st.gen = _rank_program(fn, st.comm, args, kwargs)
+    sched.run()
+    failures = sched.failures
+    if failures:
+        cause = next(
+            (
+                failures[r]
+                for r in sorted(failures)
+                if not isinstance(failures[r], DeadlockError)
+            ),
+            failures[min(failures)],
+        )
+        raise RankFailedError(failures) from cause
+    return RunTrace(ranks=traces, results=sched.results)

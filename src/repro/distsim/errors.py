@@ -2,23 +2,9 @@
 
 from __future__ import annotations
 
-from ..core.options import UnknownOptionError
-
 
 class SimulationError(RuntimeError):
     """Base class for errors raised by the virtual MPI runtime."""
-
-
-class UnknownEngineError(SimulationError, UnknownOptionError):
-    """An ``engine=`` / ``SolveConfig.engine`` value names no registered engine.
-
-    Subclasses :class:`~repro.core.options.UnknownOptionError` (itself a
-    :class:`ValueError`) so the message shape and the ``name`` / ``available``
-    attributes are shared with the pivoting/matmul knobs.
-    """
-
-    def __init__(self, name, available):
-        UnknownOptionError.__init__(self, "execution engine", name, available)
 
 
 class DeadlockError(SimulationError):

@@ -85,14 +85,10 @@ class RunTrace:
         The per-rank traces, indexed by rank.
     results:
         The values returned by each rank's SPMD function.
-    engine:
-        Name of the execution engine that produced this trace
-        ("coroutine"); empty for hand-built traces.
     """
 
     ranks: List[RankTrace]
     results: List[object] = field(default_factory=list)
-    engine: str = ""
 
     @property
     def nprocs(self) -> int:

@@ -36,10 +36,11 @@ counts, flops, and their weighted sum) are reproduced exactly.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional, Union
+from typing import Any, Callable, Optional
 
 from ..machines.model import MachineModel, unit_machine
-from .engine import Communicator, ExecutionEngine, payload_words, resolve_engine
+from .engine import Communicator, payload_words
+from .engine.coroutine import run
 from .tracing import RunTrace
 
 __all__ = ["Communicator", "run_spmd", "payload_words"]
@@ -50,7 +51,6 @@ def run_spmd(
     fn: Callable[..., Any],
     *args: Any,
     machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
     **kwargs: Any,
 ) -> RunTrace:
     """Run ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks.
@@ -68,12 +68,9 @@ def run_spmd(
     machine:
         Machine model pricing communication and arithmetic; defaults to
         :func:`repro.machines.model.unit_machine` (count message steps).
-    engine:
-        ``"coroutine"`` (the one registered engine, see
-        :mod:`repro.distsim.engine`), an
-        :class:`~repro.distsim.engine.ExecutionEngine` instance, or ``None``
-        for that default.  Any other name raises
-        :class:`~repro.distsim.errors.UnknownEngineError`.
+    **kwargs:
+        Passed to every rank's ``fn`` (``engine=`` too: no keyword selects
+        the scheduler).
 
     Returns
     -------
@@ -88,6 +85,4 @@ def run_spmd(
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")
-    return resolve_engine(engine).run(
-        nprocs, fn, args, kwargs, machine or unit_machine()
-    )
+    return run(nprocs, fn, args, kwargs, machine or unit_machine())

@@ -21,20 +21,19 @@ from typing import Dict, List
 import numpy as np
 
 from ..harness import ExperimentSpec, register
+from ..harness.store import KEYED_ENGINE
 from .runners import (
     factorization_point,
     panel_point,
     pivoting_comparison,
     stability_point,
 )
-from .validation import DEFAULT_ENGINE, measure_panel_counts
+from .validation import measure_panel_counts
 
 
-def panel_counts(
-    m: int = 128, b: int = 8, P: int = 4, engine: str = DEFAULT_ENGINE
-) -> List[Dict[str, object]]:
+def panel_counts(m: int = 128, b: int = 8, P: int = 4) -> List[Dict[str, object]]:
     """Measured TSLU panel message counts on the simulator (one row)."""
-    return [measure_panel_counts(m=m, b=b, P=P, engine=engine)]
+    return [measure_panel_counts(m=m, b=b, P=P)]
 
 
 def solve_point(
@@ -45,7 +44,6 @@ def solve_point(
     seed: int = 0,
     pivoting: str = "ca",
     refine: int = 2,
-    engine: str = DEFAULT_ENGINE,
 ) -> List[Dict[str, object]]:
     """End-to-end distributed solve at one (n, P, b, nrhs) point (one row).
 
@@ -70,7 +68,7 @@ def solve_point(
     A = randn(n, seed=seed + n)
     x_true = randn(n, nrhs, seed=seed + 7919)
     rhs = A @ x_true
-    config = SolveConfig.resolve(pivoting=pivoting, engine=engine, grid=grid, b=b)
+    config = SolveConfig.resolve(pivoting=pivoting, grid=grid, b=b)
     res = pdgesv(A, rhs, config, refine=refine)
     seq = calu_solve(
         A, rhs, block_size=b, nblocks=grid.nprow, refine=refine, pivoting=pivoting
@@ -112,7 +110,6 @@ def matmul_tradeoff(
     P: int = 49,
     b: int = 8,
     matmul: str = "summa",
-    engine: str = DEFAULT_ENGINE,
     seed: int = 0,
 ) -> List[Dict[str, object]]:
     """Words/messages trade-off of one distributed ``C += A B`` (one row).
@@ -136,8 +133,7 @@ def matmul_tradeoff(
     A = randn(n, seed=seed + n)
     B = randn(n, seed=seed + n + 104729)
     result = pdgemm(
-        A, B, grid=grid, block_size=b, matmul=matmul,
-        machine=unit_machine(), engine=engine,
+        A, B, grid=grid, block_size=b, matmul=matmul, machine=unit_machine()
     )
     max_abs_error = float(np.max(np.abs(result.C - A @ B)))
     check = validate_matmul(
@@ -224,14 +220,14 @@ SPEC_SOLVE = register(
         title="End-to-end distributed solve: pdgesv accuracy + solve-model validation",
         runner=solve_point,
         params={"n": 96, "P": 4, "b": 16, "nrhs": 2, "seed": 0,
-                "pivoting": "ca", "refine": 2, "engine": DEFAULT_ENGINE},
+                "pivoting": "ca", "refine": 2, "engine": KEYED_ENGINE},
         quick={"n": 48, "P": 2, "b": 8, "nrhs": 1},
         columns=("n", "P", "grid", "b", "nrhs", "pivoting", "iterations",
                  "residual", "wb", "max_abs_error", "vs_sequential",
                  "solve_messages", "model_messages", "messages_match",
                  "time_ratio", "seed"),
         paper_ref="Section 6.1 (HPL accuracy on the solution of Ax=b)",
-        sweepable=("n", "P", "b", "nrhs", "seed", "pivoting", "engine"),
+        sweepable=("n", "P", "b", "nrhs", "seed", "pivoting"),
     )
 )
 
@@ -241,14 +237,14 @@ SPEC_MATMUL_TRADEOFF = register(
         title="Distributed matmul point: SUMMA vs CAPS words/messages trade-off",
         runner=matmul_tradeoff,
         params={"n": 64, "P": 49, "b": 8, "matmul": "summa",
-                "engine": DEFAULT_ENGINE, "seed": 0},
+                "engine": KEYED_ENGINE, "seed": 0},
         quick={"n": 32, "P": 7, "b": 4},
         columns=("n", "P", "grid", "b", "matmul", "max_abs_error", "messages",
                  "words", "model_messages", "model_words", "messages_match",
                  "words_match", "words_per_proc", "lower_bound_words_per_proc",
                  "seed"),
         paper_ref="arXiv:1202.3173 (CAPS)",
-        sweepable=("n", "P", "b", "matmul", "engine", "seed"),
+        sweepable=("n", "P", "b", "matmul", "seed"),
     )
 )
 
@@ -257,10 +253,10 @@ SPEC_PANEL_COUNTS = register(
         name="panel_counts",
         title="Simulator point: measured TSLU panel message counts",
         runner=panel_counts,
-        params={"m": 128, "b": 8, "P": 4, "engine": DEFAULT_ENGINE},
+        params={"m": 128, "b": 8, "P": 4, "engine": KEYED_ENGINE},
         quick={"m": 64, "b": 4},
         columns=("m", "b", "P", "max_messages_per_rank", "expected_log2P",
                  "max_words_per_rank"),
-        sweepable=("m", "b", "P", "engine"),
+        sweepable=("m", "b", "P"),
     )
 )

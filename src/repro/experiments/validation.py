@@ -10,7 +10,7 @@ simulator, at sizes small enough to execute in Python:
 * over a full factorization, CALU's per-process message count must be lower
   than PDGETRF's by roughly a factor ``b`` (up to the swap-scheme constant).
 
-These measurements run on the virtual-MPI engine (:mod:`repro.distsim.engine`),
+These measurements run on the virtual-MPI simulator (:mod:`repro.distsim`),
 which makes them reproducible bit for bit and keeps process counts in the
 thousands tractable; its collectives charge exactly the messages of their
 trees (``tests/test_collectives_closed_form.py`` states them in closed form).
@@ -24,20 +24,18 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from ..core.options import SolveConfig
-from ..distsim.engine import DEFAULT_ENGINE
 from ..harness import ExperimentSpec, register
+from ..harness.store import KEYED_ENGINE
 from ..machines.model import unit_machine
 from ..parallel.pcalu import pcalu
 from ..parallel.ptslu import ptslu
 from ..randmat.generators import randn
 
 
-def measure_panel_counts(
-    m: int = 128, b: int = 8, P: int = 4, engine: str = DEFAULT_ENGINE
-) -> Dict[str, float]:
+def measure_panel_counts(m: int = 128, b: int = 8, P: int = 4) -> Dict[str, float]:
     """Measured per-rank message counts of one TSLU panel on the simulator."""
     A = randn(m, b, seed=11)
-    res = ptslu(A, nprocs=P, layout="block", machine=unit_machine(), engine=engine)
+    res = ptslu(A, nprocs=P, layout="block", machine=unit_machine())
     return {
         "m": m,
         "b": b,
@@ -54,7 +52,6 @@ def measure_panel_scaling(
     Ps: Sequence[int] = (64, 128, 256, 888),
     b: int = 4,
     rows_per_rank: int = 8,
-    engine: str = DEFAULT_ENGINE,
 ) -> List[Dict[str, float]]:
     """TSLU panel message counts at the paper's process counts (64..888).
 
@@ -63,18 +60,16 @@ def measure_panel_scaling(
     """
     rows = []
     for P in Ps:
-        rows.append(
-            measure_panel_counts(m=P * rows_per_rank, b=b, P=P, engine=engine)
-        )
+        rows.append(measure_panel_counts(m=P * rows_per_rank, b=b, P=P))
     return rows
 
 
 def measure_factorization_counts(
-    n: int = 64, b: int = 8, Pr: int = 2, Pc: int = 2, engine: str = DEFAULT_ENGINE
+    n: int = 64, b: int = 8, Pr: int = 2, Pc: int = 2
 ) -> List[Dict[str, float]]:
     """Measured message counts of CALU vs PDGETRF on the same small problem."""
     A = randn(n, seed=13)
-    config = SolveConfig.resolve(engine=engine, grid=(Pr, Pc), b=b)
+    config = SolveConfig.resolve(grid=(Pr, Pc), b=b)
     calu_res = pcalu(A, config)
     ref_res = pcalu(A, config.replace(pivoting="pp"))
     rows = []
@@ -104,7 +99,6 @@ def run(
     fact_b: int = 8,
     fact_Pr: int = 2,
     fact_Pc: int = 2,
-    engine: str = DEFAULT_ENGINE,
 ) -> List[Dict[str, object]]:
     """Registry runner: panel + factorization measurements in one row set.
 
@@ -114,11 +108,9 @@ def run(
     """
     rows: List[Dict[str, object]] = [
         {"record": "tslu_panel",
-         **measure_panel_counts(m=panel_m, b=panel_b, P=panel_P, engine=engine)}
+         **measure_panel_counts(m=panel_m, b=panel_b, P=panel_P)}
     ]
-    for row in measure_factorization_counts(
-        n=fact_n, b=fact_b, Pr=fact_Pr, Pc=fact_Pc, engine=engine
-    ):
+    for row in measure_factorization_counts(n=fact_n, b=fact_b, Pr=fact_Pr, Pc=fact_Pc):
         rows.append({"record": "factorization", **row})
     return rows
 
@@ -130,13 +122,13 @@ SPEC = register(
         runner=run,
         params={"panel_m": 128, "panel_b": 8, "panel_P": 4,
                 "fact_n": 64, "fact_b": 8, "fact_Pr": 2, "fact_Pc": 2,
-                "engine": DEFAULT_ENGINE},
+                "engine": KEYED_ENGINE},
         quick={"panel_m": 64, "panel_b": 4, "fact_n": 32},
         columns=("record", "algorithm", "m", "n", "b", "P", "grid",
                  "max_messages_per_rank", "expected_log2P", "total_messages",
                  "total_words", "max_words_per_rank", "critical_path_steps",
                  "factorization_error"),
         paper_ref="Section 5 (model validation)",
-        sweepable=("panel_P", "panel_b", "engine"),
+        sweepable=("panel_P", "panel_b"),
     )
 )

@@ -8,7 +8,7 @@ The harness is the platform layer the experiments plug into:
   to make sure the built-ins are present.
 * :mod:`repro.harness.store` — content-addressed :class:`ResultStore`
   (``results/`` or ``REPRO_RESULTS_DIR``): the SHA-256 of spec + resolved
-  params + engine + pivoting + matmul addresses a JSON artifact, so repeated
+  params + pivoting + matmul addresses a JSON artifact, so repeated
   runs are cache hits with bit-identical rows.
 * :mod:`repro.harness.sweep` — parameter-grid expansion and the concurrent
   sweep executor.

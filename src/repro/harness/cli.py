@@ -28,9 +28,10 @@ Subcommands
 
 Knob flags: ``--pivoting``, ``--matmul`` — on ``run``/``sweep``/``tune``
 the spec parameter of that name, on ``serve`` the
-:class:`~repro.core.options.SolveConfig` field.  The engine has one value,
-so it has no flag; ``--set engine=...`` still reaches a spec that takes the
-parameter.  Also ``--results-dir`` (artifact store root, also
+:class:`~repro.core.options.SolveConfig` field.  The simulator has one
+scheduler, so no flag selects an engine; the ``engine`` parameter some specs
+key accepts only ``coroutine`` (``--set engine=...`` is validated).  Also
+``--results-dir`` (artifact store root, also
 ``REPRO_RESULTS_DIR``),
 ``--factor-cache-dir`` (factor cache root, also ``REPRO_FACTOR_CACHE_DIR``),
 ``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes).
@@ -89,7 +90,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
     ``--matmul`` from :func:`add_config_args`,
     plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
     Precedence per field: explicit flag > the ``--tuned`` artifact's value
-    (where the verb has ``--tuned``; never its engine or machine) > default.
+    (where the verb has ``--tuned``; never its machine) > default.
     Invalid values exit with the offender named.
     """
     tuned: Optional[SolveConfig] = None
@@ -403,7 +404,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         f"factor cache {'hit' if fetch.cached else 'miss'} "
         f"(key={fetch.key[:12]}, kind={args.kind}, n={factor.n}, "
         f"grid={factor.nprow}x{factor.npcol}, b={factor.block_size}, "
-        f"pivoting={factor.pivoting}, engine={factor.engine}, "
+        f"pivoting={factor.pivoting}, "
         f"matmul={factor.matmul})",
         file=sys.stderr,
     )
@@ -503,8 +504,7 @@ def cmd_cache(args: argparse.Namespace) -> int:
                 "entry": (
                     f"{entry.get('kind', '?')} n={entry['n']} "
                     f"{entry['nprow']}x{entry['npcol']} b={entry['block_size']} "
-                    f"{entry['pivoting']}/{entry['engine']}"
-                    f"/{entry.get('matmul', 'summa')}"
+                    f"{entry['pivoting']}/{entry.get('matmul', 'summa')}"
                 ),
                 "artifacts": 1,
                 "bytes": entry["bytes"],

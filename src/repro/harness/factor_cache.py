@@ -8,8 +8,9 @@ factor's identity is the SHA-256 of everything that determines its bits —
 * the matrix spec: generator ``kind`` (a :mod:`repro.randmat` family), size
   ``n`` and ``seed``;
 * the run configuration: grid shape ``Pr x Pc``, block size ``b``, and the
-  resolved ``pivoting`` strategy, ``engine`` and ``matmul`` backend (all
-  keyed exactly like the result store keys them: a factor
+  resolved ``pivoting`` strategy and ``matmul`` backend (keyed, with the
+  constant engine and kernel-tier entries, exactly like the result store
+  keys them: a factor
   produced by CALU_PRRP — or by the Strassen trailing update — must never be
   served to a plain CALU request).
 
@@ -41,7 +42,7 @@ from ..core.options import SolveConfig
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
 from .store import ENV_VAR as RESULTS_ENV_VAR  # noqa: F401  (doc cross-ref)
-from .store import KEYED_KERNEL_TIER, key_lock
+from .store import KEYED_ENGINE, KEYED_KERNEL_TIER, key_lock
 
 #: Environment variable relocating the factor cache (consistent with
 #: ``REPRO_RESULTS_DIR`` for the result store).
@@ -82,7 +83,6 @@ def factor_key(
     npcol: int,
     block_size: int,
     pivoting: str,
-    engine: str,
     matmul: str = "summa",
 ) -> str:
     """SHA-256 content address of one factorization (hex digest)."""
@@ -96,7 +96,7 @@ def factor_key(
             "block_size": int(block_size),
             "pivoting": pivoting,
             "kernel_tier": KEYED_KERNEL_TIER,
-            "engine": engine,
+            "engine": KEYED_ENGINE,
             "matmul": matmul,
         },
         sort_keys=True,
@@ -155,7 +155,6 @@ class FactorCache:
                     nprow=int(meta["nprow"]),
                     npcol=int(meta["npcol"]),
                     pivoting=str(meta["pivoting"]),
-                    engine=str(meta["engine"]),
                     packed=np.asarray(data["packed"], dtype=np.float64),
                     permuted=np.asarray(data["permuted"], dtype=np.float64),
                     perm=np.asarray(data["perm"], dtype=np.int64),
@@ -188,7 +187,6 @@ class FactorCache:
             "nprow": factor.nprow,
             "npcol": factor.npcol,
             "pivoting": factor.pivoting,
-            "engine": factor.engine,
             "matmul": factor.matmul,
         }
         path = self.path_for(key)
@@ -233,7 +231,7 @@ class FactorCache:
         block_size = 16 if config.b is None else config.b
         key = factor_key(
             kind, n, seed, grid.nprow, grid.npcol, block_size, config.pivoting,
-            config.engine, matmul=config.matmul,
+            matmul=config.matmul,
         )
         path = self.path_for(key)
 

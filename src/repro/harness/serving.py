@@ -45,6 +45,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.options import SolveConfig
+from ..core.solve import checked_operand
 from ..parallel.factor import FactoredMatrix
 from ..parallel.psolve import pdgesv_solve
 
@@ -132,8 +133,8 @@ class SolveService:
         solved against (typically a
         :meth:`~repro.harness.factor_cache.FactorCache.fetch_or_factor` hit).
     config:
-        Optional :class:`~repro.core.options.SolveConfig` whose machine and
-        engine run the solve sweeps (see
+        Optional :class:`~repro.core.options.SolveConfig` whose machine
+        prices the solve sweeps (see
         :func:`~repro.parallel.psolve.pdgesv_solve`) — e.g. a tuned config
         from :func:`repro.harness.tuning.load_tuned_config`.
     window:
@@ -200,18 +201,9 @@ class SolveService:
         """
         if self._closed:
             raise RuntimeError("SolveService is closed")
-        if np.iscomplexobj(b):
-            raise ValueError("b is complex; only real right-hand sides are supported")
-        b = np.asarray(b, dtype=np.float64)
+        b = checked_operand("b", b, rows=self.factor.n)
         one_d = b.ndim == 1
         B = b[:, None] if one_d else b
-        if B.ndim != 2 or B.shape[0] != self.factor.n:
-            raise ValueError(
-                f"right-hand side has shape {b.shape}, expected "
-                f"({self.factor.n},) or ({self.factor.n}, k)"
-            )
-        if not np.isfinite(B).all():
-            raise ValueError("b has non-finite entries (NaN or Inf)")
         pending = _Pending(
             B=B,
             one_d=one_d,

@@ -24,6 +24,8 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.options import SolveConfig
+
 #: A runner's output: one dict per row of the reproduced table/figure.
 Rows = List[Dict[str, object]]
 
@@ -68,8 +70,8 @@ class ExperimentSpec:
     title:
         One-line human description shown by ``repro list``.
     runner:
-        Callable accepting exactly the keys of ``params`` as keyword
-        arguments and returning a list of row dicts.
+        Callable accepting exactly the keys of ``params`` but ``engine`` as
+        keyword arguments and returning a list of row dicts.
     params:
         Default parameter values.  These are the only overridable axes; an
         unknown override raises, so typos fail loudly.
@@ -84,9 +86,11 @@ class ExperimentSpec:
         Parameter names that make sense as sweep axes (purely advisory,
         shown by ``repro list``; any param may be swept).
 
-    A configuration knob (``pivoting``, ``engine``, ``matmul``) reaches a
-    runner only as a parameter of that name; the store keys and records a
-    knob the spec does not take at its default.
+    A configuration knob (``pivoting``, ``matmul``) reaches a runner only
+    as a parameter of that name; the store keys and records a knob the spec
+    does not take at its default.  An ``engine`` parameter is keyed but never
+    run: the simulator has one scheduler, so its one legal value
+    (``"coroutine"``) is validated here and kept out of the runner call.
     """
 
     name: str
@@ -112,6 +116,8 @@ class ExperimentSpec:
                     f"available: {sorted(self.params)}"
                 )
             resolved[key] = value
+        if "engine" in resolved:
+            SolveConfig.resolve(engine=resolved["engine"])
         return resolved
 
     def run(
@@ -119,6 +125,7 @@ class ExperimentSpec:
     ) -> Rows:
         """Run the spec and return normalized rows."""
         params = self.resolve_params(overrides, quick=quick)
+        params.pop("engine", None)
         return jsonify_rows(self.runner(**params))
 
 

@@ -1,8 +1,9 @@
 """Content-addressed result store for experiment artifacts.
 
 Each run of a registered spec is identified by the SHA-256 of its *context*:
-the spec name, the fully resolved parameters, the virtual-MPI engine, the
-resolved pivoting strategy and the resolved distributed-matmul backend.  The
+the spec name, the fully resolved parameters, the resolved pivoting strategy,
+the resolved distributed-matmul backend, and constant engine and kernel-tier
+entries.  The
 artifact — rows plus metadata — is written as JSON under
 ``results/<spec>/<spec>-<key12>.json`` (relocatable via the
 ``REPRO_RESULTS_DIR`` environment variable or an explicit root), so a re-run with the same context is a cache hit that loads
@@ -43,6 +44,11 @@ SCHEMA_VERSION = 1
 #: under them — valid.
 KEYED_KERNEL_TIER = "lapack"
 
+#: The ``engine`` entry of every context and factor key, and of every stored
+#: artifact.  The simulator has one scheduler and nothing configures it; this
+#: is the name every key has recorded, so existing keys stay valid.
+KEYED_ENGINE = "coroutine"
+
 #: Process-wide per-key locks making cached runs single-flight: two
 #: concurrent fetches of the same context key compute once — the second
 #: waits and is then served the artifact the first one stored.  Keyed by
@@ -63,7 +69,6 @@ def key_lock(key: object) -> threading.Lock:
 def context_key(
     spec_name: str,
     params: Mapping[str, object],
-    engine: str,
     pivoting: str = "ca",
     matmul: str = "summa",
 ) -> str:
@@ -79,7 +84,7 @@ def context_key(
             "spec": spec_name,
             "params": jsonify(dict(params)),
             "kernel_tier": KEYED_KERNEL_TIER,
-            "engine": engine,
+            "engine": KEYED_ENGINE,
             "pivoting": pivoting,
             "matmul": matmul,
         },
@@ -120,16 +125,16 @@ class ResultStore:
     ) -> Tuple[Dict[str, object], SolveConfig, str]:
         """Resolve one run to ``(params, SolveConfig, context key)``.
 
-        A knob the spec takes as a parameter (``engine``, ``pivoting``, ...)
-        is passed straight to its runner, so that value is what the run uses
-        and what gets keyed and recorded; a knob the spec does not take is
-        keyed and recorded at its default.  Knob values are validated here:
-        a stale name fails before any lookup.
+        A knob the spec takes as a parameter (``pivoting``, ``matmul``) is
+        passed straight to its runner, so that value is what the run uses and
+        what gets keyed and recorded; a knob the spec does not take is keyed
+        and recorded at its default.  Knob values (and a spec's ``engine``)
+        are validated here: a stale name fails before any lookup.
         """
         params = spec.resolve_params(overrides, quick=quick)
         config = SolveConfig.resolve(**{k: str(params[k]) for k in KNOBS if k in params})
         return params, config, context_key(
-            spec.name, params, config.engine, config.pivoting, config.matmul
+            spec.name, params, config.pivoting, config.matmul
         )
 
     # -------------------------------------------------------------- load/save
@@ -212,7 +217,7 @@ class ResultStore:
             "title": spec.title,
             "key": key,
             "params": jsonify(params),
-            "engine": config.engine,
+            "engine": KEYED_ENGINE,
             "pivoting": config.pivoting,
             "matmul": config.matmul,
             "created_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),

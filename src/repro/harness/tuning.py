@@ -8,7 +8,7 @@ space (block size ``b``, grid shape ``Pr x Pc``, pivoting strategy,
 distributed-matmul backend), rank every candidate by *predicted* time
 under the paper's analytic models priced on the machine model, then
 *simulate* the top-k candidates (plus the built-in default configuration)
-on the virtual-MPI engine to confirm the ranking.  The winner is the
+on the virtual-MPI simulator to confirm the ranking.  The winner is the
 candidate with the smallest simulated time — the default is always in the
 simulated pool, so the tuned configuration can never lose to it — and every
 simulated row records the predicted-vs-simulated ``gap``
@@ -37,8 +37,9 @@ Model notes
   :mod:`repro.matmul.caps` (:func:`strassen_flop_count`).
 * Which kernel body computes a panel (the reference loop or LAPACK) is
   chosen by the code, not configured, and changes no count the simulator
-  charges, so it is no search axis.  :func:`tuned_config` ignores the
-  ``kernel_tier`` column of tune rows that carry one.
+  charges, so it is no search axis; nor is the engine (the simulator has
+  one scheduler).  :func:`tuned_config` ignores the ``kernel_tier`` column
+  of tune rows and the ``engine`` of artifacts that carry one.
 """
 
 from __future__ import annotations
@@ -50,8 +51,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from ..core.options import SolveConfig
 from ..core.strategies import DEFAULT_STRATEGY, STRATEGIES
 from ..costs.accounting import CostLedger
-from ..distsim.engine import DEFAULT_ENGINE
 from .spec import ExperimentSpec, register
+from .store import KEYED_ENGINE
 
 #: Block sizes the search tries (filtered per candidate for feasibility).
 BLOCK_SIZES = (4, 8, 16, 32, 64)
@@ -95,7 +96,6 @@ def enumerate_candidates(
     workload: str = "solve",
     machine: Optional[str] = None,
     nrhs: Optional[int] = None,
-    engine: str = DEFAULT_ENGINE,
     block_sizes: Sequence[int] = BLOCK_SIZES,
     pivotings: Optional[Sequence[str]] = None,
     matmuls: Sequence[str] = ("summa", "caps"),
@@ -123,7 +123,6 @@ def enumerate_candidates(
                     out.append(
                         SolveConfig(
                             pivoting=pivoting,
-                            engine=engine,
                             matmul=matmul,
                             grid=(Pr, Pc),
                             b=b,
@@ -139,7 +138,6 @@ def default_config(
     P: int,
     machine: Optional[str] = None,
     nrhs: Optional[int] = None,
-    engine: str = DEFAULT_ENGINE,
 ) -> SolveConfig:
     """The configuration an untuned run would use (the baseline to beat).
 
@@ -165,7 +163,6 @@ def default_config(
             )
     return SolveConfig(
         pivoting=DEFAULT_STRATEGY,
-        engine=engine,
         matmul=DEFAULT_BACKEND,
         grid=(grid.nprow, grid.npcol),
         b=b,
@@ -321,7 +318,7 @@ def simulate_config(
         B = randn(n, seed=seed + n + 104729)
         result = pdgemm(
             A, B, grid=grid, block_size=config.b, matmul=config.matmul,
-            machine=machine, engine=config.engine,
+            machine=machine,
         )
         return float(result.trace.critical_path_time)
 
@@ -349,7 +346,6 @@ def tune_point(
     top_k: int = 3,
     refine: int = 2,
     workload: str = "solve",
-    engine: str = DEFAULT_ENGINE,
 ) -> List[Dict[str, object]]:
     """Search the configuration space for one workload (one row per sim).
 
@@ -361,7 +357,7 @@ def tune_point(
     default's by construction.
     """
     candidates = enumerate_candidates(
-        n, P, workload=workload, machine=machine, nrhs=nrhs, engine=engine
+        n, P, workload=workload, machine=machine, nrhs=nrhs
     )
     if not candidates:
         raise ValueError(f"no feasible configuration for n={n}, P={P}")
@@ -371,7 +367,7 @@ def tune_point(
     ]
     ranked = sorted(zip(predictions, range(len(candidates))))
 
-    baseline = default_config(n, P, machine=machine, nrhs=nrhs, engine=engine)
+    baseline = default_config(n, P, machine=machine, nrhs=nrhs)
 
     selected = [
         (prediction, candidates[index])
@@ -435,14 +431,13 @@ SPEC_TUNE = register(
         runner=tune_point,
         params={"kind": "randn", "n": 96, "nrhs": 2, "P": 4,
                 "machine": "ibm_power5", "seed": 0, "top_k": 3, "refine": 2,
-                "workload": "solve", "engine": DEFAULT_ENGINE},
+                "workload": "solve", "engine": KEYED_ENGINE},
         quick={"n": 48, "nrhs": 1, "top_k": 2},
         columns=("candidate", "workload", "n", "P", "nrhs", "b", "grid",
                  "pivoting", "matmul", "predicted_s",
                  "simulated_s", "gap", "chosen", "enumerated", "seed"),
         paper_ref="Section 6 (machine models) + Equations (2)/(3)",
-        sweepable=("kind", "n", "nrhs", "P", "machine", "seed", "workload",
-                   "engine"),
+        sweepable=("kind", "n", "nrhs", "P", "machine", "seed", "workload"),
     )
 )
 
@@ -487,11 +482,10 @@ def tuned_config(artifact: Dict[str, object]) -> SolveConfig:
     if row is None:
         raise ValueError("tune artifact has no chosen row")
     nprow, _, npcol = str(row["grid"]).partition("x")
-    # resolve() validates the knobs: an artifact recorded with an engine (or
-    # any knob value) that no longer exists fails here, not inside the run.
+    # resolve() validates the knobs: an artifact recorded with a knob value
+    # that no longer exists fails here, not inside the run.
     return SolveConfig.resolve(
         pivoting=str(row["pivoting"]),
-        engine=str(artifact.get("engine", DEFAULT_ENGINE)),
         matmul=str(row["matmul"]),
         grid=(int(nprow), int(npcol)),
         b=int(row["b"]),

@@ -7,8 +7,8 @@ independent merges (``pow2`` redundant merges per butterfly level), and the
 leaf step performs ``P`` independent block factorizations.  Running each of
 those through the per-column Python loop of
 :func:`~repro.kernels.getf2.getf2` makes the *local arithmetic* the wall
-clock bottleneck once the communication side is simulated by the event
-engine.
+clock bottleneck once the communication side is simulated
+(:mod:`repro.distsim`).
 
 :func:`getf2_batched` eliminates that overhead by broadcasting the reference
 elimination over a batch axis: one ``argmax`` per column finds all slab

@@ -3,7 +3,7 @@
 The Schur-complement update of CALU/PDGETRF — and the general distributed
 product ``C += A @ B`` — is served by a registry-addressed backend, making
 the multiply algorithm a first-class knob exactly like ``pivoting=``
-(:mod:`repro.core.strategies`) and ``engine=`` (:mod:`repro.distsim.engine`):
+(:mod:`repro.core.strategies`):
 
 ``"summa"`` (the default)
     The classical broadcast-then-local-GEMM algorithm — bit-identical
@@ -86,7 +86,6 @@ def pdgemm(
     block_size: int = 16,
     matmul: Optional[str] = None,
     machine=None,
-    engine=None,
 ) -> PdgemmResult:
     """Distributed ``C += A @ B`` through the selected backend.
 
@@ -96,8 +95,7 @@ def pdgemm(
     """
     backend = get_backend(resolve_matmul(matmul))
     return backend.pdgemm(
-        A, B, C=C, grid=grid, block_size=block_size,
-        machine=machine, engine=engine,
+        A, B, C=C, grid=grid, block_size=block_size, machine=machine
     )
 
 

@@ -9,8 +9,8 @@ a distributed matrix multiply:
 * the local Schur-complement update ``A22 -= L21 @ U12``.
 
 This module factors those steps behind a backend object so the multiply
-algorithm becomes a knob (``matmul=``), exactly like ``pivoting=`` and
-``engine=``.  A backend owns two things:
+algorithm becomes a knob (``matmul=``), exactly like ``pivoting=``.  A
+backend owns two things:
 
 1. the *trailing-update adapter* used inside ``pcalu`` (CALU and PDGETRF)
    (:meth:`MatmulBackend.share_panel` + :meth:`MatmulBackend.update_trailing`);
@@ -146,6 +146,6 @@ class MatmulBackend:
 
     # ------------------------------------------------------ standalone pdgemm
     def pdgemm(self, A, B, C=None, grid=None, block_size=16,
-               machine=None, engine=None) -> PdgemmResult:
+               machine=None) -> PdgemmResult:
         """Distributed ``C += A @ B`` from scratch (scatter, run, gather)."""
         raise NotImplementedError

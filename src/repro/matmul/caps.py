@@ -45,12 +45,11 @@ the property asserted by ``validate_matmul``.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..distsim.collectives import broadcast
-from ..distsim.engine import ExecutionEngine
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter, FlopFormulas
 from ..layouts.grid import ProcessGrid
@@ -599,7 +598,6 @@ class CapsBackend(MatmulBackend):
         grid: Optional[ProcessGrid] = None,
         block_size: int = 16,
         machine: Optional[MachineModel] = None,
-        engine: Union[None, str, ExecutionEngine] = None,
     ) -> PdgemmResult:
         """Compute ``C += A @ B`` with the CAPS Strassen recursion.
 
@@ -633,7 +631,7 @@ class CapsBackend(MatmulBackend):
                 )
             )
 
-        trace = run_spmd(P, rank_fn, machine=machine, engine=engine)
+        trace = run_spmd(P, rank_fn, machine=machine)
 
         Cout = np.zeros((m, n)) if C is None else np.array(C, dtype=np.float64)
         if Cout.shape != (m, n):

@@ -22,12 +22,11 @@ Per-channel message/word counts of the standalone ``pdgemm`` are closed-form
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from ..distsim.collectives import broadcast
-from ..distsim.engine import ExecutionEngine
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter
 from ..kernels.gemm import gemm_update
@@ -107,7 +106,6 @@ class SummaBackend(MatmulBackend):
         grid: Optional[ProcessGrid] = None,
         block_size: int = 16,
         machine: Optional[MachineModel] = None,
-        engine: Union[None, str, ExecutionEngine] = None,
     ) -> PdgemmResult:
         """Compute ``C += A @ B`` with SUMMA over a 2-D block-cyclic layout."""
         A = np.asarray(A, dtype=np.float64)
@@ -137,6 +135,6 @@ class SummaBackend(MatmulBackend):
                 )
             )
 
-        trace = run_spmd(grid.size, rank_fn, machine=machine, engine=engine)
+        trace = run_spmd(grid.size, rank_fn, machine=machine)
         Cout = dC.gather({r: res for r, res in enumerate(trace.results)})
         return PdgemmResult(C=Cout, trace=trace)

@@ -28,11 +28,11 @@ factor ``b`` in latency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple, Union
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from ..distsim.engine import ExecutionEngine
+from ..core.solve import checked_operand
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.getf2 import PackedFactors
@@ -167,7 +167,6 @@ def run_block_lu(
     block_size: int,
     panel_factory: Callable[[], PanelFactorizer],
     machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
     matmul: Optional[str] = None,
 ) -> DistributedLUResult:
     """Scatter ``A``, run the distributed factorization, gather the factors.
@@ -185,9 +184,6 @@ def run_block_lu(
         (a factory so each run gets a fresh, stateless callback).
     machine:
         Machine model pricing the run.
-    engine:
-        Execution engine for the SPMD run ("coroutine", an engine instance,
-        or ``None`` for that default).
     matmul:
         Distributed-matmul backend for the trailing update ("summa", "caps",
         or ``None`` for the ``"summa"`` default).
@@ -202,11 +198,7 @@ def run_block_lu(
         If ``A`` is complex or has a NaN or infinite entry, before any rank
         starts.
     """
-    if np.iscomplexobj(A):
-        raise ValueError("A is complex; only real matrices are supported")
-    A = np.asarray(A, dtype=np.float64)
-    if not np.isfinite(A).all():
-        raise ValueError("A has non-finite entries (NaN or Inf)")
+    A = checked_operand("A", A)
     m, n = A.shape
     dist = BlockCyclic2D(m, n, block_size, grid)
     locals_in = dist.scatter(A)
@@ -220,7 +212,7 @@ def run_block_lu(
             )
         )
 
-    trace = run_spmd(grid.size, rank_fn, machine=machine, engine=engine)
+    trace = run_spmd(grid.size, rank_fn, machine=machine)
 
     # ``pop``: the gathered matrix replaces the per-rank blocks, so the trace
     # must not keep a second copy of the factors alive.

@@ -13,7 +13,7 @@ solve phase needs into a :class:`FactoredMatrix`:
   against),
 * the pivot sequence ``perm``,
 * the layout/grid/strategy metadata (``n``, block size, grid shape,
-  pivoting, engine, matmul backend) that determines the artifact's identity.
+  pivoting, matmul backend) that determines the artifact's identity.
 
 :func:`repro.parallel.psolve.pdgesv_solve` consumes a ``FactoredMatrix`` and
 is bit-identical to the solve phase of a cold
@@ -48,8 +48,8 @@ class FactoredMatrix:
     nprow, npcol:
         Process-grid shape the factorization ran on (the solve phase reuses
         the same grid so the factor blocks are already in place).
-    pivoting, engine, matmul:
-        The resolved strategy/engine/matmul-backend that produced the
+    pivoting, matmul:
+        The resolved strategy and matmul backend that produced the
         factors — part of the artifact's identity in the factor cache (two
         factorizations differing in any of these are distinct artifacts).
     packed:
@@ -74,7 +74,6 @@ class FactoredMatrix:
     nprow: int
     npcol: int
     pivoting: str
-    engine: str
     packed: np.ndarray
     permuted: np.ndarray
     perm: np.ndarray
@@ -96,7 +95,6 @@ class FactoredMatrix:
         """
         return SolveConfig(
             pivoting=self.pivoting,
-            engine=self.engine,
             matmul=self.matmul,
             grid=(self.nprow, self.npcol),
             b=self.block_size,
@@ -131,7 +129,6 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
         nprow=config.nprow,
         npcol=config.npcol,
         pivoting=config.pivoting,
-        engine=config.engine,
         packed=fact.packed,
         permuted=np.asarray(A[fact.perm, :], dtype=np.float64),
         perm=np.asarray(fact.perm, dtype=np.int64),

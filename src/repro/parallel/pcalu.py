@@ -111,10 +111,9 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
     ``config`` is a :class:`~repro.core.options.SolveConfig` whose ``grid``
     and ``b`` give the process grid and block size and whose ``machine``
     names the machine model pricing the run (``None``: the unit machine).
-    Its knobs select the virtual-MPI ``engine``, the panel ``pivoting``
-    strategy (``"ca"``, ``"ca_prrp"`` or ``"pp"``) and the
-    distributed-``matmul`` backend of the trailing update (``"summa"`` or
-    ``"caps"``, see :mod:`repro.matmul`).  With ``pivoting="pp"`` the panel
+    Its knobs select the panel ``pivoting`` strategy (``"ca"``,
+    ``"ca_prrp"`` or ``"pp"``) and the distributed-``matmul`` backend of the
+    trailing update (``"summa"`` or ``"caps"``, see :mod:`repro.matmul`).  With ``pivoting="pp"`` the panel
     is ScaLAPACK's column-by-column PDGETF2, so
     ``pcalu(A, config.replace(pivoting="pp"))`` is the PDGETRF baseline.
     Returns the gathered factors, the pivot sequence and the per-rank
@@ -136,6 +135,5 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
         config.b,
         panel_factory=panel_factory,
         machine=config.machine_model(),
-        engine=config.engine,
         matmul=config.matmul,
     )

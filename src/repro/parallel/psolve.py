@@ -7,7 +7,7 @@ iterative refinement.  :func:`pdgesv` chains
 
 1. a distributed factorization (:func:`repro.parallel.pcalu.pcalu`, honoring
    the config's ``pivoting`` knob — with ``pivoting="pp"`` the factorization
-   is bit-for-bit ScaLAPACK's PDGETRF — plus ``matmul`` and ``engine``);
+   is bit-for-bit ScaLAPACK's PDGETRF — plus ``matmul``);
 2. the row permutation applied to the right-hand sides (folded into the
    block-cyclic redistribution of ``b``: the driver knows the full pivot
    sequence once the factorization is gathered, so ``P b`` costs no
@@ -46,6 +46,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.options import SolveConfig
+from ..core.solve import checked_operand
 from ..distsim.collectives import allreduce, reduce
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
@@ -300,7 +301,7 @@ def pdgesv(
         count does not grow with ``nrhs``).
     config:
         The :class:`~repro.core.options.SolveConfig` of the run: its grid,
-        block size, machine and engine serve *both* phases; its
+        block size and machine serve *both* phases; its
         ``pivoting`` and ``matmul`` go to the factorization
         (:func:`repro.parallel.factor.pcalu_factor`), where ``pivoting="pp"``
         makes it exactly ScaLAPACK's PDGETRF.
@@ -314,7 +315,15 @@ def pdgesv(
     Returns
     -------
     DistributedSolveResult
+
+    Raises
+    ------
+    ValueError
+        If ``A`` or ``b`` fails :func:`pdgesv_solve`'s checks — before the
+        factorization runs.
     """
+    A = checked_operand("A", A)
+    checked_operand("b", b, rows=A.shape[0] if A.ndim == 2 else None)
     factor = pcalu_factor(A, config)
     return pdgesv_solve(factor, b, config, refine=refine, tolerance=tolerance)
 
@@ -347,11 +356,9 @@ def pdgesv_solve(
         Right-hand side(s): ``n``-vector or ``n x nrhs`` matrix; ``nrhs=0``
         is a valid empty batch and returns an empty solution.
     config:
-        Optional :class:`~repro.core.options.SolveConfig` whose machine and
-        engine run the solve phase (``None``: the unit machine and the
-        default ``"coroutine"`` engine; the factor records the engine that
-        produced it, and the solve may run on any registered engine).  The
-        solve always runs on the factor's grid.
+        Optional :class:`~repro.core.options.SolveConfig` whose machine
+        prices the solve phase (``None``: the unit machine).  The solve
+        always runs on the factor's grid.
     refine, tolerance:
         Refinement budget and backward-error stop, as in :func:`pdgesv`.
     rhs_slo:
@@ -363,25 +370,15 @@ def pdgesv_solve(
     Raises
     ------
     ValueError
-        If ``b`` is complex or has the wrong number of rows or a NaN or
-        infinite entry, or ``rhs_slo`` the wrong shape — before any rank
-        starts.
+        If ``b`` is complex, not an ``n``-vector or ``n x nrhs`` matrix, or
+        has a NaN or infinite entry, or ``rhs_slo`` has the wrong shape —
+        before any rank starts.
     """
-    machine = engine = None
-    if config is not None:
-        machine, engine = config.machine_model(), config.engine
+    machine = None if config is None else config.machine_model()
     n = factor.n
-    if np.iscomplexobj(b):
-        raise ValueError("b is complex; only real right-hand sides are supported")
-    b = np.asarray(b, dtype=np.float64)
+    b = checked_operand("b", b, rows=n)
     one_d = b.ndim == 1
     B = b[:, None] if one_d else b
-    if B.shape[0] != n:
-        raise ValueError(
-            f"right-hand side has {B.shape[0]} rows, expected {n}"
-        )
-    if not np.isfinite(B).all():
-        raise ValueError("b has non-finite entries (NaN or Inf)")
     nrhs = B.shape[1]
     if rhs_slo is not None:
         rhs_slo = np.asarray(rhs_slo, dtype=np.float64)
@@ -421,7 +418,7 @@ def pdgesv_solve(
             )
         )
 
-    trace = run_spmd(grid.size, rank_fn, machine=machine, engine=engine)
+    trace = run_spmd(grid.size, rank_fn, machine=machine)
 
     x = np.zeros((n, nrhs))
     for res in trace.results:

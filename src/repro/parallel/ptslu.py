@@ -21,7 +21,7 @@ the latency win over ScaLAPACK's PDGETF2 (2 messages *per column*, i.e.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from ..core import tournament
 from ..core.strategies import get_strategy, resolve_pivoting
 from ..core.tournament import CandidateSet
 from ..distsim.collectives import allreduce, broadcast
-from ..distsim.engine import ExecutionEngine
 from ..distsim.engine.base import RedundantOp
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
@@ -345,7 +344,6 @@ def ptslu(
     block_size: Optional[int] = None,
     local_kernel: str = "getf2",
     machine: Optional[MachineModel] = None,
-    engine: Union[None, str, ExecutionEngine] = None,
     pivoting: Optional[str] = None,
 ) -> PTSLUResult:
     """Driver: distribute an ``m x b`` panel, run SPMD TSLU, gather the factors.
@@ -364,10 +362,6 @@ def ptslu(
         Local factorization kernel (``"getf2"`` / ``"rgetf2"``).
     machine:
         Machine model pricing the run (default: unit-latency machine).
-    engine:
-        Execution engine for the SPMD run ("coroutine", an
-        :class:`~repro.distsim.engine.ExecutionEngine` instance, or
-        ``None`` for that default).
     pivoting:
         Pivoting strategy (None: the ``"ca"`` default, see
         :mod:`repro.core.strategies`): ``"ca"`` (the paper's tournament),
@@ -416,7 +410,7 @@ def ptslu(
         def rank_fn(comm: Communicator):
             return (yield from pp_panel_rank(comm, *blocks[comm.rank], b, npivots))
 
-    trace = run_spmd(nprocs, rank_fn, machine=machine, engine=engine)
+    trace = run_spmd(nprocs, rank_fn, machine=machine)
     results = trace.results
 
     # A private copy: the ranks' winner rows are shared and read-only.

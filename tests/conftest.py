@@ -24,12 +24,23 @@ def tall_panel(rng) -> np.ndarray:
     return rng.standard_normal((48, 6))
 
 
+@pytest.fixture(params=["coroutine"])
+def scheduler(request) -> str:
+    """The name of the one scheduler every SPMD run goes through.
+
+    A one-value parameter that no code reads: the SPMD tests that once ran
+    per engine take it (or ``parametrize("scheduler", ["coroutine"])`` where
+    their ids put it last), so their ids (``[coroutine-…]``) are unchanged.
+    """
+    return request.param
+
+
 @pytest.fixture
 def host_merges(monkeypatch) -> list:
     """Operand pairs per host evaluation of a tournament merge.
 
     Every merge the host evaluates — a sequential reduction round or the
-    distributed all-reduce operator, whichever engine runs the ranks — passes
+    distributed all-reduce operator of an SPMD run — passes
     through ``core.tournament.merge_pairs``; the list grows by one entry (the
     number of pairs) per call.
     """

@@ -23,7 +23,6 @@ import pytest
 from repro.distsim import (
     allgather,
     allreduce,
-    available_engines,
     barrier,
     broadcast,
     gather,
@@ -158,32 +157,26 @@ def contribution(rank):
     return np.full(W, float(rank + 1))
 
 
-def run(p, prog, engine):
-    return run_spmd(p, prog, machine=STEPS, engine=engine)
-
-
-@pytest.fixture(params=available_engines())
-def engine(request):
-    """Every registered engine must meet the closed forms."""
-    return request.param
+def run(p, prog):
+    return run_spmd(p, prog, machine=STEPS)
 
 
 # ------------------------------------------------------------------ rooted
 @pytest.mark.parametrize("p", SIZES)
-def test_broadcast_closed_form(engine, p):
+def test_broadcast_closed_form(scheduler, p):
     for root in range(p):
         for channel in CHANNELS:
             def prog(comm):
                 value = contribution(root) if comm.rank == root else None
                 return (yield from broadcast(comm, value, root=root, channel=channel))
 
-            trace = run(p, prog, engine)
+            trace = run(p, prog)
             check(trace, expect_broadcast(p, root), channel, tree_messages(p))
             assert all(np.array_equal(x, contribution(root)) for x in trace.results)
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_reduce_closed_form(engine, p):
+def test_reduce_closed_form(scheduler, p):
     total = sum(contribution(r) for r in range(p))
     for root in range(p):
         for channel in CHANNELS:
@@ -191,14 +184,14 @@ def test_reduce_closed_form(engine, p):
                 return (yield from reduce(comm, contribution(comm.rank), np.add,
                                           root=root, channel=channel))
 
-            trace = run(p, prog, engine)
+            trace = run(p, prog)
             check(trace, expect_reduce(p, root, reduce_words), channel, tree_messages(p))
             for rank, x in enumerate(trace.results):
                 assert np.array_equal(x, total) if rank == root else x is None
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_scatter_closed_form(engine, p):
+def test_scatter_closed_form(scheduler, p):
     values = [contribution(r) for r in range(p)]
     for root in range(p):
         for channel in CHANNELS:
@@ -206,13 +199,13 @@ def test_scatter_closed_form(engine, p):
                 mine = values if comm.rank == root else None
                 return (yield from scatter(comm, mine, root=root, channel=channel))
 
-            trace = run(p, prog, engine)
+            trace = run(p, prog)
             check(trace, expect_scatter(p, root), channel, tree_messages(p))
             assert all(np.array_equal(x, values[r]) for r, x in enumerate(trace.results))
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_gather_closed_form(engine, p):
+def test_gather_closed_form(scheduler, p):
     values = [contribution(r) for r in range(p)]
     for root in range(p):
         for channel in CHANNELS:
@@ -220,7 +213,7 @@ def test_gather_closed_form(engine, p):
                 return (yield from gather(comm, values[comm.rank], root=root,
                                           channel=channel))
 
-            trace = run(p, prog, engine)
+            trace = run(p, prog)
             check(trace, expect_reduce(p, root, gather_words), channel, tree_messages(p))
             for rank, x in enumerate(trace.results):
                 if rank == root:
@@ -232,14 +225,14 @@ def test_gather_closed_form(engine, p):
 
 # ---------------------------------------------------------------- unrooted
 @pytest.mark.parametrize("p", SIZES)
-def test_allreduce_closed_form(engine, p):
+def test_allreduce_closed_form(scheduler, p):
     total = sum(contribution(r) for r in range(p))
     for channel in CHANNELS:
         def prog(comm):
             return (yield from allreduce(comm, contribution(comm.rank), np.add,
                                          channel=channel))
 
-        trace = run(p, prog, engine)
+        trace = run(p, prog)
         check(trace, expect_allreduce(p), channel, butterfly_messages(p))
         assert all(np.array_equal(x, total) for x in trace.results)
 
@@ -255,7 +248,7 @@ class _CountingSum(RedundantOp):
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_redundant_allreduce_closed_form(engine, p):
+def test_redundant_allreduce_closed_form(scheduler, p):
     pow2, rem, L = butterfly_shape(p)
     total = sum(contribution(r) for r in range(p))
     for channel in CHANNELS:
@@ -263,7 +256,7 @@ def test_redundant_allreduce_closed_form(engine, p):
             return (yield from allreduce(comm, contribution(comm.rank),
                                          _CountingSum(comm), channel=channel))
 
-        trace = run(p, prog, engine)
+        trace = run(p, prog)
         check(trace, expect_allreduce(p), channel, butterfly_messages(p))
         for pos, r in enumerate(trace.ranks):
             combines = L + int(pos < rem) if pos < pow2 else 0
@@ -272,13 +265,13 @@ def test_redundant_allreduce_closed_form(engine, p):
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_allgather_closed_form(engine, p):
+def test_allgather_closed_form(scheduler, p):
     values = [contribution(r) for r in range(p)]
     for channel in CHANNELS:
         def prog(comm):
             return (yield from allgather(comm, values[comm.rank], channel=channel))
 
-        trace = run(p, prog, engine)
+        trace = run(p, prog)
         check(trace, expect_allreduce(p, allgather_words), channel, butterfly_messages(p))
         for x in trace.results:
             assert len(x) == p
@@ -286,12 +279,12 @@ def test_allgather_closed_form(engine, p):
 
 
 @pytest.mark.parametrize("p", SIZES)
-def test_barrier_closed_form(engine, p):
+def test_barrier_closed_form(scheduler, p):
     for channel in CHANNELS:
         def prog(comm):
             return (yield from barrier(comm, channel=channel))
 
-        trace = run(p, prog, engine)
+        trace = run(p, prog)
         expected = [(s, r, s, r, c) for s, r, _, _, c in expect_allreduce(p)]
         check(trace, expected, channel, butterfly_messages(p))
         assert trace.results == [None] * p
@@ -302,7 +295,7 @@ def test_barrier_closed_form(engine, p):
     (5, (4, 0, 1, 2, 3), (3, 2, 1, 0, 4)),
     (6, (4, 0, 5, 1, 2, 3), (4, 3, 2, 1, 0, 5)),
 ])
-def test_non_commutative_association_order(engine, p, allreduced, reduced):
+def test_non_commutative_association_order(scheduler, p, allreduced, reduced):
     """Tuple concatenation: the fold, the butterfly's lower-position-first
     rule and the reduce tree's ``op(child, own)`` fix one order (the reduce
     is rooted at the last rank)."""
@@ -315,7 +308,7 @@ def test_non_commutative_association_order(engine, p, allreduced, reduced):
         at_root = yield from reduce(comm, (comm.rank,), concat, root=p - 1)
         return every, at_root
 
-    results = run(p, prog, engine).results
+    results = run(p, prog).results
     assert [every for every, _ in results] == [allreduced] * p
     assert [at_root for _, at_root in results] == [None] * (p - 1) + [reduced]
 
@@ -329,7 +322,7 @@ SKEWED = MachineModel(name="skewed", gamma=0.0, gamma_d=0.0, alpha=1.0, beta=0.2
     (5, [41.25, 37.75, 37.75, 37.75, 41.25]),
     (6, [49.0, 49.0, 45.0, 45.0, 49.0, 49.0]),
 ])
-def test_clocks_from_non_uniform_start(engine, p, clocks):
+def test_clocks_from_non_uniform_start(scheduler, p, clocks):
     """Each rank starts late by its own amount; every kind runs on both
     channels with distinct row latency and column bandwidth."""
 
@@ -345,10 +338,10 @@ def test_clocks_from_non_uniform_start(engine, p, clocks):
         yield from allgather(comm, comm.rank, channel="col")
         return comm.clock
 
-    assert run_spmd(p, prog, machine=SKEWED, engine=engine).results == clocks
+    assert run_spmd(p, prog, machine=SKEWED).results == clocks
 
 
-def test_receivers_get_their_own_ndarray_copies(engine):
+def test_receivers_get_their_own_ndarray_copies(scheduler):
     """A receiver mutating a top-level ndarray it was sent leaves every other
     rank's copy — and the sender's — intact."""
     p = 7
@@ -364,7 +357,7 @@ def test_receivers_get_their_own_ndarray_copies(engine):
         yield from barrier(comm)
         return got, part, summed
 
-    for rank, (got, part, summed) in enumerate(run_spmd(p, prog, engine=engine).results):
+    for rank, (got, part, summed) in enumerate(run_spmd(p, prog).results):
         assert np.array_equal(got, np.full(3, float(rank)))
         assert np.array_equal(part, np.full(2, float(rank)))
         assert np.array_equal(summed, np.full(2, float(p + rank)))

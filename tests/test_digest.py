@@ -19,8 +19,8 @@ def test_quick_digest_runs_and_no_line_raised(capsys):
     kinds = {line.split()[0] for line in lines}
     assert kinds == {"ptslu", "pdgetrf", "pcalu", "pdgesv", "pdgemm", "tslu", "calu", "key"}
     # Default-config store and factor keys, as pinned in tests/test_harness.py.
-    assert ("key factor engine=coroutine  "
+    assert ("key factor  "
             "82a8f3d05bd50b7545d3d96cc1bdb18769423b3e96daa906d6275293ee450d27") in lines
-    # One line per configuration; every simulated one on the one engine.
-    assert not [line for line in lines if " engine=" in line and " engine=coroutine " not in line]
+    # One line per configuration; no engine axis left to name.
+    assert not [line for line in lines if "engine=" in line]
     assert len({line.split("  ")[0] for line in lines}) == len(lines)

@@ -1,6 +1,6 @@
-"""Tests for the virtual-MPI scheduler and its engine registry.
+"""Tests for the virtual-MPI scheduler.
 
-One scheduler runs every SPMD program, registered as ``"coroutine"``; its
+One scheduler runs every SPMD program and nothing selects it; its
 collectives are group-level events (:mod:`repro.distsim.engine.group_ops`).
 What each collective charges is stated in closed form in
 ``tests/test_collectives_closed_form.py``.  The driver-level ``*_parity``
@@ -9,8 +9,9 @@ tests here compare every ``RankTrace`` field of a run against
 the same cells, which delivered every message of every collective through
 ``Communicator.send`` / ``co_recv``.  The scheduler's own guarantees —
 bit-for-bit reproducibility, structural (instant) deadlock detection, failure
-propagation, FIFO rendezvous — are tested directly; ``test_event_engine_*``
-names the discrete-event scheduler.
+propagation, FIFO rendezvous — are tested directly (``test_scheduler_*``,
+``test_coroutine_engine_*``).  ``SolveConfig.resolve(engine=...)`` still
+accepts the scheduler's name, ``"coroutine"``, and rejects every other.
 """
 
 from __future__ import annotations
@@ -24,17 +25,12 @@ import pytest
 from repro.distsim import (
     DeadlockError,
     RankFailedError,
-    UnknownEngineError,
     allgather,
     allreduce,
-    available_engines,
     broadcast,
-    get_engine,
-    resolve_engine,
     run_spmd,
 )
-from repro.core.options import SolveConfig
-from repro.distsim.engine import ExecutionEngine
+from repro.core.options import SolveConfig, UnknownOptionError
 from repro.layouts import ProcessGrid
 from repro.machines import MachineModel, ibm_power5, unit_machine
 from repro.parallel import pcalu, ptslu, run_block_lu
@@ -43,9 +39,9 @@ from repro.randmat import randn, tall_skinny
 from repro.scalapack import make_pdgetf2_panel
 
 
-def p5(grid, b, engine=None, **knobs):
+def p5(grid, b, **knobs):
     """The config of a run on ``grid`` with block size ``b``, priced on the POWER5."""
-    return SolveConfig.resolve(grid=grid, b=b, machine="ibm_power5", engine=engine, **knobs)
+    return SolveConfig.resolve(grid=grid, b=b, machine="ibm_power5", **knobs)
 
 
 def fingerprint(trace) -> str:
@@ -116,52 +112,31 @@ def assert_lu(A, res):
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-11)
 
 
-# ------------------------------------------------------------ registry seam
-def test_engine_registry_lists_all_backends():
-    assert available_engines() == ["coroutine"]
-    engine = get_engine("coroutine")
-    assert isinstance(engine, ExecutionEngine)
-    assert engine.name == "coroutine"
-    # Instances resolve too.
-    assert resolve_engine(engine) is engine
-
-
-def test_engine_registry_rejects_unknown():
-    for name in ("quantum", "event"):
-        with pytest.raises(ValueError, match="unknown execution engine"):
-            get_engine(name)
-    with pytest.raises(TypeError):
-        resolve_engine(3.14)
-
-
+# ------------------------------------------------------ no engine to select
 def test_unknown_engine_error_names_offender_and_lists_registered():
-    """The lookup failure is a named error carrying the bad name and every
-    registered engine name, and the message lists them."""
-    with pytest.raises(UnknownEngineError) as exc:
-        get_engine("event")
+    """``SolveConfig.resolve(engine=)`` takes only the scheduler's name; any
+    other fails with a named error listing it, in the knobs' message shape."""
+    with pytest.raises(UnknownOptionError) as exc:
+        SolveConfig.resolve(engine="event")
     assert exc.value.name == "event"
     assert exc.value.available == ["coroutine"]
-    for name in ("event", "coroutine"):
-        assert name in str(exc.value)
-    # It is both a SimulationError and a ValueError.
+    assert str(exc.value) == "unknown execution engine 'event'; available: ['coroutine']"
     assert isinstance(exc.value, ValueError)
 
 
 def test_unknown_engine_config_value_raises_named_error():
     for name in ("warp-drive", "event"):
-        with pytest.raises(UnknownEngineError) as exc:
+        with pytest.raises(UnknownOptionError) as exc:
             SolveConfig.resolve(engine=name)
         assert exc.value.name == name
         assert "coroutine" in str(exc.value)
+    assert SolveConfig.resolve(engine="coroutine") == SolveConfig.resolve()
 
 
-def test_engine_argument_selects_backend():
-    assert run_spmd(2, lambda comm: comm.rank, engine="coroutine").engine == "coroutine"
-    assert run_spmd(1, lambda comm: comm.rank).engine == "coroutine"
-    ran = []
-    with pytest.raises(UnknownEngineError):
-        run_spmd(2, lambda comm: ran.append(comm.rank), engine="event")
-    assert ran == []  # rejected before any rank starts
+def test_run_spmd_passes_engine_to_the_rank_program():
+    """``engine=`` selects nothing: like any keyword, it reaches every rank."""
+    trace = run_spmd(2, lambda comm, engine: (comm.rank, engine), engine="event")
+    assert trace.results == [(0, "event"), (1, "event")]
 
 
 # ------------------------------------------ parity with point-to-point delivery
@@ -189,10 +164,9 @@ def test_collective_program_parity(p):
 
 
 @pytest.mark.parametrize("nprocs", [2, 4, 5, 8])
-@pytest.mark.parametrize("engine", available_engines())
-def test_ptslu_parity(nprocs, engine):
+def test_ptslu_parity(nprocs, scheduler):
     A = tall_skinny(64, 8, seed=nprocs)
-    res = ptslu(A, nprocs=nprocs, machine=ibm_power5(), engine=engine)
+    res = ptslu(A, nprocs=nprocs, machine=ibm_power5())
     assert fingerprint(res.trace) == REFERENCE[f"ptslu {nprocs}"]
     assert_lu(A, res)
 
@@ -201,30 +175,27 @@ def test_ptslu_parity(nprocs, engine):
     "n,b,pr,pc",
     [(16, 4, 2, 2), (32, 8, 2, 2), (36, 6, 2, 3)],
 )
-@pytest.mark.parametrize("engine", available_engines())
-def test_pcalu_parity(n, b, pr, pc, engine):
+def test_pcalu_parity(n, b, pr, pc, scheduler):
     A = randn(n, seed=n + b)
-    res = pcalu(A, p5(ProcessGrid(pr, pc), b, engine))
+    res = pcalu(A, p5(ProcessGrid(pr, pc), b))
     assert fingerprint(res.trace) == REFERENCE[f"pcalu {n} {b} {pr} {pc}"]
     assert_lu(A, res)
 
 
-@pytest.mark.parametrize("engine", available_engines())
-def test_pdgetrf_parity(engine):
+def test_pdgetrf_parity(scheduler):
     A = randn(32, seed=3)
-    res = pcalu(A, p5(ProcessGrid(2, 2), 8, engine, pivoting="pp"))
+    res = pcalu(A, p5(ProcessGrid(2, 2), 8, pivoting="pp"))
     assert fingerprint(res.trace) == REFERENCE["pdgetrf"]
     assert_lu(A, res)
 
 
-@pytest.mark.parametrize("engine", available_engines())
-def test_pdgesv_parity(engine):
+def test_pdgesv_parity(scheduler):
     """End-to-end solve: factorization, triangular solves and refinement
     charge every rank what point-to-point delivery charges."""
     n = 24
     A = randn(n, seed=41)
     b = randn(n, 2, seed=42)
-    res = pdgesv(A, b, p5(ProcessGrid(2, 2), 8, engine))
+    res = pdgesv(A, b, p5(ProcessGrid(2, 2), 8))
     assert solve_fingerprints(res) == REFERENCE["pdgesv"]
     assert np.allclose(A @ res.x, b, atol=1e-9)
     assert len(res.residual_norms) == len(res.backward_errors) == res.iterations + 1
@@ -235,12 +206,11 @@ def test_pdgesv_parity(engine):
     "n,b,pr,pc",
     [(22, 8, 2, 2), (21, 8, 2, 2), (26, 8, 2, 3), (23, 8, 3, 2)],
 )
-@pytest.mark.parametrize("engine", available_engines())
-def test_pcalu_ragged_edge_parity(n, b, pr, pc, engine):
+def test_pcalu_ragged_edge_parity(n, b, pr, pc, scheduler):
     """n % block_size != 0 (and non-power-of-two grids): the fringe panel
     is charged as under point-to-point delivery and still factors correctly."""
     A = randn(n, seed=100 + n)
-    res = pcalu(A, p5(ProcessGrid(pr, pc), b, engine))
+    res = pcalu(A, p5(ProcessGrid(pr, pc), b))
     assert fingerprint(res.trace) == REFERENCE[f"ragged {n} {b} {pr} {pc}"]
     assert_lu(A, res)
 
@@ -256,20 +226,18 @@ def test_pdgesv_ragged_nonpow2_three_way():
 
 
 @pytest.mark.parametrize("strategy", ["pp", "ca", "ca_prrp"])
-@pytest.mark.parametrize("engine", available_engines())
-def test_pcalu_pivoting_knob_parity_across_engines(strategy, engine):
+def test_pcalu_pivoting_knob_parity_across_engines(strategy, scheduler):
     """Every pivoting strategy, on a ragged (n=22, b=8) 2x2 problem."""
     A = randn(22, seed=7)
-    res = pcalu(A, p5(ProcessGrid(2, 2), 8, engine, pivoting=strategy))
+    res = pcalu(A, p5(ProcessGrid(2, 2), 8, pivoting=strategy))
     assert fingerprint(res.trace) == REFERENCE[f"pcalu knob {strategy}"]
     assert_lu(A, res)
 
 
 @pytest.mark.parametrize("strategy", ["pp", "ca", "ca_prrp"])
-@pytest.mark.parametrize("engine", available_engines())
-def test_ptslu_pivoting_knob_parity_across_engines(strategy, engine):
+def test_ptslu_pivoting_knob_parity_across_engines(strategy, scheduler):
     A = tall_skinny(52, 8, seed=3)  # 52 rows over 4 ranks: uneven blocks
-    res = ptslu(A, nprocs=4, machine=ibm_power5(), engine=engine, pivoting=strategy)
+    res = ptslu(A, nprocs=4, machine=ibm_power5(), pivoting=strategy)
     assert fingerprint(res.trace) == REFERENCE[f"ptslu knob {strategy}"]
     assert_lu(A, res)
 
@@ -311,16 +279,15 @@ def test_pcalu_pp_is_exactly_pdgetrf():
 
 
 # ---------------------------------------------------------- scheduler: tags
-def test_event_engine_trace_tagged():
-    """The trace names its engine; a rank program with no suspension point
-    need not be a generator — its return value is the rank's result."""
+def test_scheduler_runs_plain_rank_functions():
+    """A rank program with no suspension point need not be a generator — its
+    return value is the rank's result."""
     trace = run_spmd(3, lambda comm: comm.rank * 10)
-    assert trace.engine == "coroutine"
     assert trace.results == [0, 10, 20]
 
 
 # ----------------------------------------------- scheduler: deadlock handling
-def test_event_engine_structural_deadlock_is_instant():
+def test_scheduler_structural_deadlock_is_instant():
     """No timeout involved: an unmatched receive fails as soon as the
     scheduler observes that no rank is runnable."""
 
@@ -341,7 +308,7 @@ def test_event_engine_structural_deadlock_is_instant():
     assert "rank 1 waiting for (source=0, tag='never')" in str(cause)
 
 
-def test_event_engine_detects_cyclic_deadlock():
+def test_scheduler_detects_cyclic_deadlock():
     def prog(comm):
         other = 1 - comm.rank
         return (yield from comm.co_recv(other, tag="cycle"))  # nobody sends
@@ -359,7 +326,7 @@ def test_event_engine_detects_cyclic_deadlock():
     }
 
 
-def test_event_engine_rank_exception_propagates():
+def test_scheduler_rank_exception_propagates():
     def prog(comm):
         if comm.rank == 0:
             raise ValueError("boom")
@@ -370,7 +337,7 @@ def test_event_engine_rank_exception_propagates():
     assert isinstance(exc.value.__cause__, ValueError)
 
 
-def test_event_engine_peer_failure_fails_blocked_ranks_fast():
+def test_scheduler_peer_failure_fails_blocked_ranks_fast():
     """A rank waiting on a crashed peer gets a structural DeadlockError
     instead of hanging."""
 
@@ -391,7 +358,7 @@ def test_event_engine_peer_failure_fails_blocked_ranks_fast():
 
 
 # ------------------------------------------------------- aliasing safety
-def test_event_engine_still_copies_aliased_payloads():
+def test_scheduler_still_copies_aliased_payloads():
     """Payloads are defensively copied, so post-send mutation never leaks to
     the receiver."""
 
@@ -409,7 +376,7 @@ def test_event_engine_still_copies_aliased_payloads():
 
 
 # ----------------------------------------------------------- scheduler: scale
-def test_event_engine_runs_paper_scale_tslu():
+def test_scheduler_runs_paper_scale_tslu():
     """P = 256 distributed TSLU: one butterfly of log2(P) messages per rank."""
     P, b = 256, 4
     A = tall_skinny(4 * P, b, seed=1)
@@ -425,8 +392,8 @@ def test_event_engine_runs_paper_scale_tslu():
 def test_coroutine_engine_bitwise_reproducible():
     A = randn(32, seed=17)
     grid = ProcessGrid(2, 2)
-    first = pcalu(A, p5(grid, 8, "coroutine"))
-    second = pcalu(A, p5(grid, 8, "coroutine"))
+    first = pcalu(A, p5(grid, 8))
+    second = pcalu(A, p5(grid, 8))
     assert_traces_identical(first.trace, second.trace)
     assert first.trace.ranks[0].zero_copy_sends == second.trace.ranks[0].zero_copy_sends
     assert np.array_equal(first.L, second.L)
@@ -438,7 +405,7 @@ def test_coroutine_engine_counts_group_collectives():
     (diagnostic counter), while the charged messages/words/clocks stay those
     of point-to-point delivery."""
     A = tall_skinny(64, 8, seed=2)
-    res = ptslu(A, nprocs=8, machine=unit_machine(), engine="coroutine")
+    res = ptslu(A, nprocs=8, machine=unit_machine())
     assert res.trace.total_group_collectives == 8  # one butterfly per rank
     assert fingerprint(res.trace) == REFERENCE["counts ptslu8"]
 
@@ -451,8 +418,7 @@ def test_coroutine_engine_runs_generator_rank_functions_natively():
         got = yield from comm.co_recv(0, tag="x")
         return float(np.sum(got))
 
-    trace = run_spmd(2, prog, engine="coroutine")
-    assert trace.engine == "coroutine"
+    trace = run_spmd(2, prog)
     assert trace.results == ["sent", 18.0]
 
 
@@ -471,7 +437,7 @@ def test_coroutine_engine_structural_deadlock_reports_p2p_and_collective():
 
     start = time.perf_counter()
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(3, prog, engine="coroutine")
+        run_spmd(3, prog)
     assert time.perf_counter() - start < 1.0
     cause = exc.value.__cause__
     assert isinstance(cause, DeadlockError)
@@ -490,7 +456,7 @@ def test_coroutine_engine_rank_exception_propagates():
         return (yield from comm.co_recv(0, tag="never-sent"))
 
     with pytest.raises(RankFailedError) as exc:
-        run_spmd(2, prog, engine="coroutine")
+        run_spmd(2, prog)
     # Root cause is the crash, not the deadlock it induced in rank 1.
     assert isinstance(exc.value.__cause__, ValueError)
     assert isinstance(exc.value.failures[1], DeadlockError)
@@ -507,7 +473,7 @@ def test_coroutine_engine_back_to_back_same_tag_collectives():
                                          lambda a, b: a + b, tag="same")
         return total
 
-    trace = run_spmd(4, prog, engine="coroutine")
+    trace = run_spmd(4, prog)
     assert trace.results == [210] * 4  # 10, then 4 * 10 + 10, then 4 * 50 + 10
     assert fingerprint(trace) == REFERENCE["back_to_back"]
     assert trace.total_group_collectives == 12  # 3 rounds x 4 ranks
@@ -518,7 +484,7 @@ def test_coroutine_engine_runs_large_p_tslu():
     P, b = 2048, 2
     A = tall_skinny(2 * P, b, seed=1)
     start = time.perf_counter()
-    res = ptslu(A, nprocs=P, machine=unit_machine(), engine="coroutine")
+    res = ptslu(A, nprocs=P, machine=unit_machine())
     elapsed = time.perf_counter() - start
     assert res.trace.max_messages == 11  # log2(2048)
     assert res.trace.total_group_collectives == P
@@ -584,7 +550,7 @@ def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
         )
         return got["panel"].sum()
 
-    res = run_spmd(p, prog, machine=ibm_power5(), engine="coroutine")
+    res = run_spmd(p, prog, machine=ibm_power5())
     assert len(sized) == 1 and sized[0] is payload
     assert res.results == [12.0] * p
     words = original(payload)

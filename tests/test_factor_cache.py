@@ -4,7 +4,7 @@ The contract under test:
 
 * :func:`repro.harness.factor_key` is injective over every knob that
   changes the factorization's bits (kind, n, seed, grid shape, block size,
-  pivoting, engine);
+  pivoting, matmul backend);
 * a miss factors and persists, a hit round-trips the arrays bit-for-bit
   and never re-factors;
 * ``REPRO_FACTOR_CACHE_DIR`` relocates the store and
@@ -42,13 +42,13 @@ def p4() -> SolveConfig:
 def test_factor_key_distinct_across_every_knob():
     base = dict(
         kind="randn", n=64, seed=0, nprow=2, npcol=2, block_size=8,
-        pivoting="ca", engine="coroutine",
+        pivoting="ca",
     )
     variants = [
         {"kind": "uniform"}, {"n": 96}, {"seed": 1}, {"nprow": 4},
         {"npcol": 1}, {"block_size": 16}, {"pivoting": "pp"},
         {"pivoting": "ca_prrp"},
-        {"engine": "threaded"},  # the key of another engine's factor
+        {"matmul": "caps"},
     ]
     keys = [factor_key(**base)] + [factor_key(**{**base, **v}) for v in variants]
     assert len(set(keys)) == len(keys)
@@ -80,10 +80,32 @@ def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
     assert np.array_equal(hit.factor.packed, miss.factor.packed)
     assert np.array_equal(hit.factor.permuted, miss.factor.permuted)
     assert np.array_equal(hit.factor.perm, miss.factor.perm)
-    for attr in ("n", "block_size", "nprow", "npcol", "pivoting", "engine"):
+    for attr in ("n", "block_size", "nprow", "npcol", "pivoting", "matmul"):
         assert getattr(hit.factor, attr) == getattr(miss.factor, attr)
     # The cached artifact carries no in-process factorization trace.
     assert hit.factor.source is None and miss.factor.source is not None
+
+
+def test_factor_recording_an_engine_still_loads(tmp_path):
+    """Factors written before the engine stopped being a knob carry an
+    ``engine`` in their metadata, even one no longer accepted; the loader
+    ignores it and serves the factor under its unchanged key."""
+    import json
+
+    cache = _cache(tmp_path)
+    miss = cache.fetch_or_factor(kind="randn", n=32, seed=2, config=p4())
+    with np.load(miss.path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    assert "engine" not in meta
+    arrays["meta"] = np.array(json.dumps({**meta, "engine": "event"}))
+    with open(miss.path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+    hit = cache.fetch_or_factor(kind="randn", n=32, seed=2, config=p4())
+    assert hit.cached and hit.key == miss.key
+    assert np.array_equal(hit.factor.packed, miss.factor.packed)
+    assert hit.factor.config == miss.factor.config
 
 
 def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):

@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import threading
 
+import numpy as np
 import pytest
 
-from repro.core.options import SolveConfig
-from repro.distsim import UnknownEngineError, run_spmd
+from repro.core.options import SolveConfig, UnknownOptionError
 from repro.experiments import (
     factorization_tables,
     figure1,
@@ -151,9 +151,9 @@ def test_results_dir_env_var_relocates_store(tmp_path, monkeypatch):
 
 
 def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
-    """Specs with an ``engine`` parameter key/record that value, not the env;
-    spelling out the default is the same run, and an unregistered name fails
-    before anything runs."""
+    """Specs with an ``engine`` parameter key/record its one legal value;
+    spelling it out is the same run, and any other name fails before
+    anything runs."""
     store = ResultStore(root=tmp_path)
     spec = get_spec("panel_counts")
     default = store.fetch_or_run(spec, quick=True)
@@ -161,7 +161,7 @@ def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
     explicit = store.fetch_or_run(spec, {"engine": "coroutine"}, quick=True)
     assert explicit.cached
     assert explicit.artifact["key"] == default.artifact["key"]
-    with pytest.raises(UnknownEngineError):
+    with pytest.raises(UnknownOptionError):
         store.fetch_or_run(spec, {"engine": "event"}, quick=True)
     assert store.count("panel_counts") == 1
 
@@ -169,36 +169,49 @@ def test_engine_param_specs_record_the_engine_actually_used(tmp_path):
 def test_context_key_depends_on_params_tier_and_engine(monkeypatch):
     import repro.harness.store as store_module
 
-    base = context_key("table1", {"seed": 0}, "coroutine")
-    assert base == context_key("table1", {"seed": 0}, "coroutine")
-    assert base != context_key("table1", {"seed": 1}, "coroutine")
-    assert base != context_key("table1", {"seed": 0}, STALE_ENGINE)
-    assert base != context_key("table2", {"seed": 0}, "coroutine")
-    # The tier entry is one constant, still hashed into every key.
+    base = context_key("table1", {"seed": 0})
+    assert base == context_key("table1", {"seed": 0})
+    assert base != context_key("table1", {"seed": 1})
+    assert base != context_key("table2", {"seed": 0})
+    # The tier and engine entries are constants, still hashed into every key.
+    monkeypatch.setattr(store_module, "KEYED_ENGINE", STALE_ENGINE)
+    assert base != context_key("table1", {"seed": 0})
+    monkeypatch.undo()
     monkeypatch.setattr(store_module, "KEYED_KERNEL_TIER", "reference")
-    assert base != context_key("table1", {"seed": 0}, "coroutine")
+    assert base != context_key("table1", {"seed": 0})
 
 
 def test_explicit_engine_keys_are_stable_and_the_default_is_coroutine(tmp_path):
-    """Keys computed with an explicit engine are byte-equal to those of the
-    commit before the engines were collapsed (values pasted from it); the one
-    re-key is that specs without an ``engine`` param now default to
-    "coroutine"."""
+    """The keys carry the constant ``"coroutine"`` engine entry, so they are
+    byte-equal to those computed with an explicit ``"coroutine"`` before the
+    engine stopped being a knob (values pasted from that commit), for specs
+    with and without an ``engine`` param."""
     from repro.harness.factor_cache import factor_key
 
     params = {"seed": 0, "n": 64}
-    assert context_key("table1", params, "coroutine") == (
+    assert context_key("table1", params) == (
         "40b85c9532845980c87a3ba35b57bcba89f3ee376300390b6ca1229a09359874")
-    assert context_key("table1", params, "event") == (
-        "62d866d3e0ca6cc724180df0db8dd817cdd2efaa2367b366e65c2a901c4845ee")
     fixed = ("randn", 96, 3, 2, 4, 8, "ca")
-    assert factor_key(*fixed, "coroutine", "summa") == (
+    assert factor_key(*fixed, "summa") == (
         "82a8f3d05bd50b7545d3d96cc1bdb18769423b3e96daa906d6275293ee450d27")
-    assert factor_key(*fixed, "event", "summa") == (
-        "423d95786373f5c7d71563bdba467519f86b2f903ad4dff062ae22bfe75e21c4")
+    store = ResultStore(root=tmp_path)
     spec = get_spec("figure1")
     assert "engine" not in spec.params
-    assert ResultStore(root=tmp_path).run_config(spec)[1].engine == "coroutine"
+    assert store.run_config(spec)[2] == context_key("figure1", spec.params)
+
+
+def test_benchmark_solve_override_keeps_its_key_and_hits(tmp_path):
+    """The end-to-end benchmark's ``fetch_or_run(get_spec("solve"),
+    overrides={"engine": "coroutine"})`` keys what it always keyed (value
+    pasted from the commit before the engine stopped being a knob), records
+    the engine, and is a cache hit the second time."""
+    store = ResultStore(root=tmp_path)
+    cold = store.fetch_or_run(get_spec("solve"), overrides={"engine": "coroutine"})
+    assert cold.artifact["key"] == (
+        "e8036a213adff2a7f64a9d3243b515ce005598f537dc5273e7be8ba8a4b89bb1")
+    assert cold.artifact["engine"] == "coroutine" and not cold.cached
+    warm = store.fetch_or_run(get_spec("solve"), overrides={"engine": "coroutine"})
+    assert warm.cached and warm.rows == cold.rows
 
 
 # ------------------------------------------ removed engine names fail early
@@ -210,14 +223,23 @@ STALE_MESSAGE = (
 
 
 def test_stale_engine_argument_raises():
-    with pytest.raises(UnknownEngineError, match="unknown execution engine") as exc:
-        run_spmd(2, lambda comm: comm.rank, engine=STALE_ENGINE)
+    """A direct ``spec.run`` validates the keyed engine before its runner,
+    and never passes the engine to the runner."""
+    import dataclasses
+
+    ran = []
+    spec = dataclasses.replace(get_spec("panel_counts"),
+                               runner=lambda **params: ran.append(params) or [])
+    with pytest.raises(UnknownOptionError, match="unknown execution engine") as exc:
+        spec.run({"engine": STALE_ENGINE})
     assert exc.value.name == STALE_ENGINE
     assert exc.value.available == ["coroutine"]
+    assert ran == []
+    assert spec.run({"engine": "coroutine"}) == [] and "engine" not in ran[0]
 
 
 def test_stale_engine_config_value_raises():
-    with pytest.raises(UnknownEngineError) as exc:
+    with pytest.raises(UnknownOptionError) as exc:
         SolveConfig.resolve(engine=STALE_ENGINE)
     assert str(exc.value) == STALE_MESSAGE
 
@@ -239,29 +261,25 @@ def test_stale_engine_set_override_fails_before_running(tmp_path, capsys):
                     "--set", f"engine={STALE_ENGINE}"], tmp_path) == 1
     assert STALE_MESSAGE in capsys.readouterr().err
     assert not (tmp_path / "panel_counts").exists()  # nothing ran, nothing stored
-    with pytest.raises(UnknownEngineError):
+    with pytest.raises(UnknownOptionError):
         ResultStore(root=tmp_path).run_config(
             get_spec("panel_counts"), {"engine": STALE_ENGINE})
 
 
-def test_stale_engine_in_tune_artifact_fails_at_load(tmp_path):
-    from repro.harness.tuning import load_tuned_config
-
+def test_stale_engine_in_tune_artifact_is_ignored(tmp_path, capsys):
+    """Readers ignore a tune artifact's recorded engine, as they ignore its
+    ``kernel_tier`` column: ``serve --tuned`` runs on the recorded winner."""
     artifact = tmp_path / "tune-old.json"
     artifact.write_text(json.dumps({
         "spec": "tune", "engine": STALE_ENGINE,
         "rows": [{"chosen": True, "grid": "2x2", "b": 8, "nrhs": 1,
-                  "pivoting": "ca", "kernel_tier": "auto", "matmul": "summa",
+                  "pivoting": "pp", "kernel_tier": "auto", "matmul": "summa",
                   "machine": "ibm_power5"}],
     }))
-    with pytest.raises(UnknownEngineError) as exc:
-        load_tuned_config(str(artifact))
-    assert str(exc.value) == STALE_MESSAGE
-    with pytest.raises(SystemExit) as exit_exc:
-        run_cli(["serve", "--n", "32", "--requests", "1", "--tuned", str(artifact),
-                 "--factor-cache-dir", str(tmp_path / "factors")], tmp_path)
-    assert STALE_MESSAGE in str(exit_exc.value)
-    assert not (tmp_path / "factors").exists()  # failed before factoring
+    assert run_cli(["serve", "--n", "32", "--requests", "1", "--tuned", str(artifact),
+                    "--factor-cache-dir", str(tmp_path / "factors")], tmp_path) == 0
+    err = capsys.readouterr().err
+    assert "grid=2x2, b=8, pivoting=pp, matmul=summa" in err
 
 
 def test_cache_list_still_lists_factors_of_a_removed_engine(tmp_path, capsys):
@@ -272,12 +290,18 @@ def test_cache_list_still_lists_factors_of_a_removed_engine(tmp_path, capsys):
     cache = FactorCache(root=tmp_path / "factors")
     factor = cache.fetch_or_factor(kind="randn", n=32, seed=0,
                                    config=SolveConfig.resolve(grid=4, b=8)).factor
-    old = dataclasses.replace(factor, engine=STALE_ENGINE, source=None)
-    cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, old.pivoting, STALE_ENGINE),
-               kind="randn", seed=0)
+    old = dataclasses.replace(factor, pivoting="pp", source=None)
+    path = cache.save(old, factor_key("randn", 32, 0, 2, 2, 8, "pp"), kind="randn", seed=0)
+    with np.load(path) as data:  # the metadata of an older factor names its engine
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    arrays["meta"] = np.array(json.dumps({**meta, "engine": STALE_ENGINE}))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
     assert run_cli(["cache", "list", "--factor-cache-dir", str(cache.root)],
                    tmp_path) == 0
-    assert f"/{STALE_ENGINE}/summa" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "randn n=32 2x2 b=8 pp/summa" in out and "randn n=32 2x2 b=8 ca/summa" in out
 
 
 def test_artifacts_listing_and_report_surface(tmp_path):
@@ -465,10 +489,10 @@ def test_cli_report_empty_store_errors(tmp_path, capsys):
 
 # ------------------------------------------------------- pivoting in the key
 def test_context_key_changes_when_only_pivoting_changes():
-    base = context_key("stability", {"seed": 0}, "event", "ca")
-    assert base == context_key("stability", {"seed": 0}, "event", "ca")
-    assert base != context_key("stability", {"seed": 0}, "event", "ca_prrp")
-    assert base != context_key("stability", {"seed": 0}, "event", "pp")
+    base = context_key("stability", {"seed": 0}, "ca")
+    assert base == context_key("stability", {"seed": 0}, "ca")
+    assert base != context_key("stability", {"seed": 0}, "ca_prrp")
+    assert base != context_key("stability", {"seed": 0}, "pp")
 
 
 @pytest.mark.parametrize("name", ["figure1", "stability_prrp", "tune"])
@@ -478,8 +502,8 @@ def test_spec_without_a_knob_param_keys_and_records_the_default(tmp_path, name):
     spec = get_spec(name)
     params, config, key = store.run_config(spec, quick=True)
     assert (config.pivoting, config.matmul) == ("ca", "summa")
-    assert config.engine == params.get("engine", "coroutine")
-    assert key == context_key(name, params, config.engine)
+    assert params.get("engine", "coroutine") == "coroutine"
+    assert key == context_key(name, params)
 
 
 @pytest.mark.parametrize("argv,flag,param", [
@@ -686,11 +710,11 @@ def test_cli_serve_miss_then_hit_and_slo_rows(tmp_path, capsys):
     assert "factor cache hit" in capsys.readouterr().err
 
 
-def _tune_artifact(path, engine="coroutine"):
+def _tune_artifact(path):
     """A stored tune artifact whose winner is CAPS, written while the kernel
     tier was a search axis (its ``kernel_tier`` column is ignored)."""
     path.write_text(json.dumps({
-        "spec": "tune", "engine": engine,
+        "spec": "tune", "engine": "coroutine",
         "rows": [{"chosen": True, "grid": "2x2", "b": 8, "nrhs": 1,
                   "pivoting": "ca_prrp", "kernel_tier": "reference",
                   "matmul": "caps", "machine": "ibm_power5"}],
@@ -706,8 +730,8 @@ def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     tuned = config_from_args(parse(["serve", "--tuned", ref]))
     assert (tuned.pivoting, tuned.matmul) == ("ca_prrp", "caps")
     assert (tuned.grid, tuned.b, tuned.nrhs) == ((2, 2), 8, 16)
-    # The engine and the machine never come from the artifact.
-    assert tuned.engine == "coroutine" and tuned.machine is None
+    # The machine never comes from the artifact.
+    assert tuned.machine is None
     flags = config_from_args(parse(["serve", "--tuned", ref, "--matmul", "summa",
                                     "--P", "8", "--b", "4"]))
     assert (flags.matmul, flags.grid, flags.b) == ("summa", (2, 4), 4)

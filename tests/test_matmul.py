@@ -4,7 +4,7 @@ Covers the backend registry and its knob (``matmul=`` argument,
 ``SolveConfig.matmul``), the local Strassen kernel, the
 standalone ``pdgemm`` entry point for both backends, exact agreement of the
 measured per-channel message/word totals with the analytic ledgers of
-:mod:`repro.models.matmul_model` on multiple engines, the Strassen bandwidth
+:mod:`repro.models.matmul_model` on the simulator, the Strassen bandwidth
 lower bound as a floor, the CAPS-beats-SUMMA words-moved acceptance point,
 bit-identity of the default backend through the LU driver, and the
 re-keying of the result store and the factor cache on the new knob.
@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from repro.core.options import SolveConfig, UnknownOptionError
-from repro.distsim import available_engines
 from repro.kernels.flops import FlopCounter
 from repro.layouts.grid import ProcessGrid
 from repro.matmul import (
@@ -153,7 +152,7 @@ def test_pdgemm_shape_validation():
 
 
 # ------------------------------------------------- ledgers: measured == model
-@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize(
     "backend,n,P,b",
     [
@@ -165,11 +164,11 @@ def test_pdgemm_shape_validation():
         ("caps", 18, 7, 4),  # odd dims -> bcast leaf
     ],
 )
-def test_measured_counts_match_model_exactly(backend, n, P, b, engine):
+def test_measured_counts_match_model_exactly(backend, n, P, b, scheduler):
     A = randn(n, seed=5 + n)
     B = randn(n, seed=6 + n)
     grid = ProcessGrid.default_for(P)
-    res = pdgemm(A, B, grid=grid, block_size=b, matmul=backend, engine=engine)
+    res = pdgemm(A, B, grid=grid, block_size=b, matmul=backend)
     check = validate_matmul(res.trace, backend, n, n, n, grid, block_size=b)
     assert check.messages_match, (check.measured, check.predicted)
     assert check.words_match, (check.measured, check.predicted)
@@ -258,20 +257,19 @@ def test_pdgesv_solves_with_caps_backend():
 def test_context_key_depends_on_matmul(tmp_path):
     from repro.harness.store import context_key
 
-    k1 = context_key("solve", {"n": 48}, "coroutine", "ca", "summa")
-    k2 = context_key("solve", {"n": 48}, "coroutine", "ca", "caps")
+    k1 = context_key("solve", {"n": 48}, "ca", "summa")
+    k2 = context_key("solve", {"n": 48}, "ca", "caps")
     assert k1 != k2
     # The matmul default is "summa".
-    assert context_key("solve", {"n": 48}, "coroutine", "ca") == k1
+    assert context_key("solve", {"n": 48}, "ca") == k1
 
 
 def test_factor_cache_keys_and_roundtrips_matmul(tmp_path):
     from repro.core.options import SolveConfig
     from repro.harness.factor_cache import FactorCache, factor_key
 
-    k1 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "coroutine")
-    k2 = factor_key("randn", 48, 0, 2, 2, 8, "ca", "coroutine",
-                    matmul="caps")
+    k1 = factor_key("randn", 48, 0, 2, 2, 8, "ca")
+    k2 = factor_key("randn", 48, 0, 2, 2, 8, "ca", matmul="caps")
     assert k1 != k2
 
     cache = FactorCache(root=tmp_path)

@@ -1,7 +1,7 @@
 """The shared configuration subsystem: Option precedence and SolveConfig.
 
-One parametrized suite covers every registered knob (pivoting, engine,
-matmul) at both levels of the shared precedence rule —
+One parametrized suite covers every registered knob (pivoting, matmul) at
+both levels of the shared precedence rule —
 
     explicit value > default
 
@@ -9,16 +9,16 @@ matmul) at both levels of the shared precedence rule —
 the available choices.  Nothing is read from process state: there is no
 ambient override and no knob environment variable.
 
-The :class:`SolveConfig` half covers resolution, field normalization
-(grid/engine instances), ``replace`` validation and the machine-model lookup.
+The :class:`SolveConfig` half covers resolution, grid normalization, the
+one-legal-value ``engine`` and ``kernel_tier`` keywords, ``replace``
+validation and the machine-model lookup.
 """
 
 from __future__ import annotations
 
 import pytest
 
-import repro.core.strategies  # noqa: F401  (registers the three knobs)
-import repro.distsim.engine  # noqa: F401
+import repro.core.strategies  # noqa: F401  (registers the two knobs)
 import repro.matmul  # noqa: F401
 from repro.core.options import (
     KNOBS,
@@ -28,11 +28,9 @@ from repro.core.options import (
     normalize_grid,
 )
 
-#: (knob, default, a valid explicit value, bad).  The engine has one legal
-#: value, so its explicit value is the default and ``event`` is bad.
+#: (knob, default, a valid explicit value, bad).
 KNOB_CASES = [
     ("pivoting", "ca", "pp", "rook"),
-    ("engine", "coroutine", "coroutine", "event"),
     ("matmul", "summa", "caps", "cannon"),
 ]
 
@@ -41,7 +39,7 @@ KNOB_IDS = [case[0] for case in KNOB_CASES]
 
 # ------------------------------------------------------------------ registry
 def test_all_knobs_are_registered():
-    assert KNOBS == ("pivoting", "engine", "matmul")  # the kernel tier is no knob
+    assert KNOBS == ("pivoting", "matmul")  # neither engine nor kernel tier is a knob
     assert set(KNOBS) <= set(OPTIONS)
     for name, default, *_ in KNOB_CASES:
         option = OPTIONS[name]
@@ -75,7 +73,7 @@ class TestPrecedence:
 # ---------------------------------------------------------------- SolveConfig
 def test_solveconfig_resolve_uses_shared_precedence():
     config = SolveConfig.resolve(engine="coroutine", matmul="caps", grid=4, b=8, nrhs=3)
-    assert config.engine == "coroutine" and config.matmul == "caps"  # explicit
+    assert config.matmul == "caps"  # explicit
     assert config.pivoting == "ca"  # default
     assert config.grid == (2, 2) and config.P == 4
     assert config.b == 8 and config.nrhs == 3
@@ -91,14 +89,14 @@ def test_solveconfig_resolve_rejects_every_kernel_tier_but_auto(tier):
     assert excinfo.value.name == tier and excinfo.value.available == ["auto"]
 
 
-def test_solveconfig_resolve_accepts_engine_instances():
-    from repro.distsim.engine import get_engine
-
-    config = SolveConfig.resolve(engine=get_engine("coroutine"))
-    assert config.engine == "coroutine"
-    for bad in ("event", "warp"):
-        with pytest.raises(UnknownOptionError):
-            SolveConfig.resolve(engine=bad)
+@pytest.mark.parametrize("engine", ["event", "warp", "Coroutine"])
+def test_solveconfig_resolve_rejects_every_engine_but_coroutine(engine):
+    """``engine`` is accepted and ignored as ``None`` or ``"coroutine"`` only."""
+    assert SolveConfig.resolve(engine="coroutine") == SolveConfig.resolve()
+    assert not hasattr(SolveConfig.resolve(), "engine")
+    with pytest.raises(UnknownOptionError) as excinfo:
+        SolveConfig.resolve(engine=engine)
+    assert excinfo.value.name == engine and excinfo.value.available == ["coroutine"]
 
 
 def test_solveconfig_replace_validates_knobs_and_normalizes_grid():

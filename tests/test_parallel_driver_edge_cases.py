@@ -141,3 +141,54 @@ def test_complex_input_fails_up_front_naming_it(case):
         warnings.simplefilter("error")  # a ComplexWarning means the cast ran
         with pytest.raises(ValueError, match=f"^{name} is complex"):
             call()
+
+
+# ------------------------------------------------------ malformed operands
+def _operand_reproducers():
+    from repro.core import calu_solve
+    from repro.harness.serving import SolveService
+    from repro.parallel import pcalu_factor, pdgesv, pdgesv_solve
+
+    n, config = 16, cfg((2, 2), 4)
+    A, b = randn(n, seed=8), randn(n, 1, seed=9)[:, 0]
+    factor = pcalu_factor(A, config)
+    A_nan, b_nan = A.copy(), b.copy()
+    A_nan[3, 5], b_nan[11] = np.nan, np.nan
+    b3, b0 = b.reshape(n, 1, 1), np.array(1.0)
+    shape = "^right-hand side has shape"
+    return {
+        "pdgesv_3d_b": (shape, lambda: pdgesv(A, b3, config)),
+        "pdgesv_0d_b": (shape, lambda: pdgesv(A, b0, config)),
+        "pdgesv_nan_b": ("^b has non-finite", lambda: pdgesv(A, b_nan, config)),
+        "pdgesv_rows_b": (shape, lambda: pdgesv(A, b[1:], config)),
+        "pdgesv_solve_3d_b": (shape, lambda: pdgesv_solve(factor, b3, config)),
+        "pdgesv_solve_0d_b": (shape, lambda: pdgesv_solve(factor, b0, config)),
+        "calu_solve_nan_A": ("^A has non-finite", lambda: calu_solve(A_nan, b, block_size=4)),
+        "calu_solve_nan_b": ("^b has non-finite", lambda: calu_solve(A, b_nan, block_size=4)),
+        "calu_solve_3d_b": (shape, lambda: calu_solve(A, b3, block_size=4)),
+        "service_submit_3d_b": (shape, lambda: SolveService(factor, start=False).submit(b3)),
+    }
+
+
+@pytest.mark.parametrize("case", list(_operand_reproducers()))
+def test_malformed_operand_fails_up_front_naming_it(monkeypatch, case):
+    """One operand check guards every solver entry point: a complex,
+    non-finite or misshapen operand raises a ValueError naming it before any
+    factorization runs — in ``pdgesv`` before ``pcalu_factor``, so before
+    any rank starts."""
+    from repro.core import solve
+    from repro.distsim import vmpi
+    from repro.parallel import driver, factor, psolve
+
+    match, call = _operand_reproducers()[case]
+
+    def never(*args, **kwargs):
+        raise AssertionError("the operands were not checked first")
+
+    for module in (vmpi, driver, psolve):
+        monkeypatch.setattr(module, "run_spmd", never)
+    monkeypatch.setattr(psolve, "pcalu_factor", never)
+    monkeypatch.setattr(factor, "pcalu", never)
+    monkeypatch.setattr(solve, "calu", never)
+    with pytest.raises(ValueError, match=match):
+        call()

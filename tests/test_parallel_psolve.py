@@ -15,15 +15,11 @@ import pytest
 
 from repro.core import calu, calu_solve, solve_with_refinement
 from repro.core.options import SolveConfig
-from repro.distsim import available_engines
 from repro.layouts import ProcessGrid
 from repro.machines import unit_machine
 from repro.models import solve_cost, solve_message_counts, validate_solve
 from repro.parallel import pdgesv
 from repro.randmat import randn
-
-ENGINES = available_engines()
-
 
 def cfg(pr: int, pc: int, b: int, **knobs) -> SolveConfig:
     """A ``pr x pc`` grid, block size ``b``, the unit machine, ``knobs``."""
@@ -38,7 +34,7 @@ def _system(n: int, nrhs: int, seed: int):
 
 
 # ------------------------------------------------------------------ accuracy
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize(
     "n,b,pr,pc,nrhs",
     [
@@ -50,10 +46,10 @@ def _system(n: int, nrhs: int, seed: int):
         (40, 16, 2, 1, 3),    # single process column
     ],
 )
-def test_pdgesv_matches_sequential_calu_solve(n, b, pr, pc, nrhs, engine):
+def test_pdgesv_matches_sequential_calu_solve(n, b, pr, pc, nrhs, scheduler):
     """The acceptance bar: distributed and sequential solutions agree to 1e-12."""
     A, x_true, rhs = _system(n, nrhs, seed=pr * 10 + pc)
-    res = pdgesv(A, rhs, cfg(pr, pc, b, engine=engine))
+    res = pdgesv(A, rhs, cfg(pr, pc, b))
     seq = calu_solve(A, rhs, block_size=b, nblocks=pr)
     assert np.max(np.abs(res.x - seq.x)) < 1e-12
     assert np.max(np.abs(res.x - x_true)) < 1e-12
@@ -143,7 +139,7 @@ def test_pdgesv_single_process_grid_sends_nothing():
 def test_pdgesv_input_validation():
     with pytest.raises(ValueError, match="square"):
         pdgesv(np.zeros((4, 3)), np.zeros(4), cfg(1, 1, 2))
-    with pytest.raises(ValueError, match="rows"):
+    with pytest.raises(ValueError, match="right-hand side has shape"):
         pdgesv(np.eye(4), np.zeros(5), cfg(1, 1, 2))
 
 
@@ -180,16 +176,16 @@ def test_sequential_per_rhs_residuals_recorded():
 
 
 # ------------------------------------------------------- model validation
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize(
     "n,b,pr,pc,nrhs",
     [(32, 8, 2, 2, 1), (30, 7, 2, 3, 2), (33, 5, 3, 2, 1), (48, 8, 2, 4, 3)],
 )
-def test_solve_message_counts_match_model(n, b, pr, pc, nrhs, engine):
+def test_solve_message_counts_match_model(n, b, pr, pc, nrhs, scheduler):
     """On the unit-latency machine the measured solve messages are exactly
     the solve model's prediction — per channel and in total."""
     A, _, rhs = _system(n, nrhs, seed=13)
-    res = pdgesv(A, rhs, cfg(pr, pc, b, engine=engine))
+    res = pdgesv(A, rhs, cfg(pr, pc, b))
     check = validate_solve(
         res.trace, n, b, pr, pc, unit_machine(),
         nrhs=nrhs, refinements=res.iterations,
@@ -265,7 +261,7 @@ def test_solve_simulated_time_within_model_envelope():
 
 
 # --------------------------------------------------- factor reuse (pdgesv_solve)
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize(
     "n,b,pr,pc,nrhs",
     [
@@ -274,14 +270,14 @@ def test_solve_simulated_time_within_model_envelope():
         (33, 5, 3, 2, 3),     # ragged, non-power-of-two P, Pr > Pc
     ],
 )
-def test_pdgesv_solve_bit_identical_to_cold_pdgesv(n, b, pr, pc, nrhs, engine):
+def test_pdgesv_solve_bit_identical_to_cold_pdgesv(n, b, pr, pc, nrhs, scheduler):
     """The factor-cache acceptance bar: reusing a ``FactoredMatrix`` is
     bit-for-bit the solve phase of a cold ``pdgesv`` — solution, residual
     history, backward errors, and the solve-phase trace."""
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, rhs = _system(n, nrhs, seed=pr * 10 + pc)
-    config = cfg(pr, pc, b, engine=engine)
+    config = cfg(pr, pc, b)
     cold = pdgesv(A, rhs, config)
     factor = pcalu_factor(A, config)
     for _ in range(2):  # reuse is idempotent
@@ -307,18 +303,18 @@ def test_pdgesv_solve_validates_rhs_rows():
 
     A, _, _ = _system(32, 1, seed=5)
     factor = pcalu_factor(A, cfg(2, 2, 8))
-    with pytest.raises(ValueError, match="rows"):
+    with pytest.raises(ValueError, match="right-hand side has shape"):
         pdgesv_solve(factor, np.zeros(31))
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pdgesv_solve_rhs_slo_drives_extra_refinement(engine):
+@pytest.mark.parametrize("scheduler", ["coroutine"])
+def test_pdgesv_solve_rhs_slo_drives_extra_refinement(scheduler):
     """A finite per-RHS SLO keeps refining past the backward-error stop;
     ``rhs_slo=None`` preserves the legacy stopping rule bit-for-bit."""
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, rhs = _system(48, 2, seed=9)
-    config = cfg(2, 2, 8, engine=engine)
+    config = cfg(2, 2, 8)
     factor = pcalu_factor(A, config)
     legacy = pdgesv_solve(factor, rhs, config)
     none_slo = pdgesv_solve(factor, rhs, config, rhs_slo=None)
@@ -340,32 +336,32 @@ def test_pdgesv_solve_rhs_slo_drives_extra_refinement(engine):
 
 
 # ------------------------------------------------------------------ empty RHS
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pdgesv_zero_rhs_columns(engine):
+@pytest.mark.parametrize("scheduler", ["coroutine"])
+def test_pdgesv_zero_rhs_columns(scheduler):
     """nrhs = 0 is served cleanly: empty solution, no refinement, and the
     triangular sweeps still run structurally (messages flow, nothing solves)."""
     A, _, _ = _system(32, 1, seed=3)
-    res = pdgesv(A, np.zeros((32, 0)), cfg(2, 2, 8, engine=engine))
+    res = pdgesv(A, np.zeros((32, 0)), cfg(2, 2, 8))
     assert res.x.shape == (32, 0)
     assert res.iterations == 0
     assert all(r == 0.0 for r in res.residual_norms)
     assert all(len(step) == 0 for step in res.per_rhs_residuals)
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pdgesv_solve_zero_rhs_columns_from_factor(engine):
+@pytest.mark.parametrize("scheduler", ["coroutine"])
+def test_pdgesv_solve_zero_rhs_columns_from_factor(scheduler):
     from repro.parallel import pcalu_factor, pdgesv_solve
 
     A, _, _ = _system(30, 1, seed=4)  # ragged n % b
-    config = cfg(2, 2, 7, engine=engine)
+    config = cfg(2, 2, 7)
     factor = pcalu_factor(A, config)
     res = pdgesv_solve(factor, np.zeros((30, 0)), config)
     assert res.x.shape == (30, 0)
     assert res.iterations == 0
 
 
-@pytest.mark.parametrize("engine", ENGINES)
-def test_pdtrsv_zero_rhs_columns(engine):
+@pytest.mark.parametrize("scheduler", ["coroutine"])
+def test_pdtrsv_zero_rhs_columns(scheduler):
     """Both triangular sweeps accept a zero-column RHS block."""
     from repro.distsim import run_spmd
     from repro.layouts.block_cyclic import BlockCyclic2D
@@ -392,7 +388,7 @@ def test_pdtrsv_zero_rhs_columns(engine):
             {k: v.shape for k, v in upper.items()},
         )
 
-    trace = run_spmd(grid.size, prog, machine=unit_machine(), engine=engine)
+    trace = run_spmd(grid.size, prog, machine=unit_machine())
     for lower, upper in trace.results:
         for shape in list(lower.values()) + list(upper.values()):
             assert shape == (bsz, 0)

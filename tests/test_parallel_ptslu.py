@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from repro.core import tslu
-from repro.distsim import available_engines
 from repro.machines import ibm_power5, unit_machine
 from repro.parallel import ptslu
 from repro.randmat import figure1_matrix, tall_skinny
@@ -79,7 +78,7 @@ def test_ptslu_coroutine_engine_evaluates_each_distinct_merge_once(
     and charges each rank every application it performs (the per-rank counts
     are stated in closed form in ``test_collectives_closed_form.py``)."""
     A = tall_skinny(8 * nprocs + 3, 4, seed=nprocs)
-    res = ptslu(A, nprocs, machine=ibm_power5(), engine="coroutine", pivoting=pivoting)
+    res = ptslu(A, nprocs, machine=ibm_power5(), pivoting=pivoting)
     assert sum(host_merges) == nprocs - 1
     pow2 = 1 << (nprocs.bit_length() - 1)
     assert [r.messages_sent for r in res.trace.ranks] == [
@@ -89,9 +88,9 @@ def test_ptslu_coroutine_engine_evaluates_each_distinct_merge_once(
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-12)
 
 
-@pytest.mark.parametrize("engine", available_engines())
+@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize("selector", ["getf2", "rrqr"])
-def test_ptslu_shared_tournament_results_are_read_only(engine, selector):
+def test_ptslu_shared_tournament_results_are_read_only(scheduler, selector):
     """The deduplicated merges hand one (rows, block) pair and one packed
     winner factor to every rank of a block: an in-place edit by one rank must
     raise rather than corrupt what the other ranks hold."""
@@ -110,7 +109,7 @@ def test_ptslu_shared_tournament_results_are_read_only(engine, selector):
             packed[0, 0] = 0.0
         return winners, packed, value
 
-    trace = run_spmd(nprocs, tournament, None, engine=engine)
+    trace = run_spmd(nprocs, tournament, None)
     for winners, packed, value in trace.results:
         assert not winners.flags.writeable and not packed.flags.writeable
         assert not value[0].flags.writeable and not value[1].flags.writeable
@@ -118,6 +117,6 @@ def test_ptslu_shared_tournament_results_are_read_only(engine, selector):
     assert len({id(packed) for _, packed, _ in trace.results}) == 1
 
     with pytest.raises(RankFailedError) as err:
-        run_spmd(nprocs, tournament, 2, engine=engine)
+        run_spmd(nprocs, tournament, 2)
     assert list(err.value.failures) == [2]
     assert "read-only" in str(err.value.failures[2])

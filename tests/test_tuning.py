@@ -113,7 +113,7 @@ def test_model_search_finds_caps_on_a_flat_grid_at_scale():
 
 # ------------------------------------------------------------------ prediction
 def test_predicted_ledger_distinguishes_pivoting_and_matmul():
-    base = dict(engine="coroutine", grid=(2, 2), b=8, machine="ibm_power5")
+    base = dict(grid=(2, 2), b=8, machine="ibm_power5")
     ca = SolveConfig(pivoting="ca", matmul="summa", **base)
     pp = SolveConfig(pivoting="pp", matmul="summa", **base)
     caps = SolveConfig(pivoting="ca", matmul="caps", **base)
@@ -127,8 +127,7 @@ def test_predicted_ledger_distinguishes_pivoting_and_matmul():
 
 
 def test_predicted_ledger_matmul_workload_prices_both_backends():
-    base = dict(pivoting="ca", engine="coroutine", grid=(2, 2), b=8,
-                machine="ibm_power5")
+    base = dict(pivoting="ca", grid=(2, 2), b=8, machine="ibm_power5")
     summa = SolveConfig(matmul="summa", **base)
     caps = SolveConfig(matmul="caps", **base)
     lsum = predicted_ledger(summa, 64, workload="matmul")
@@ -221,9 +220,35 @@ def test_tune_artifact_with_a_kernel_tier_column_loads(tier):
            "machine": "ibm_power5", "chosen": True}
     artifact = {"spec": "tune", "engine": "coroutine", "rows": [row]}
     assert tuned_config(artifact) == SolveConfig.resolve(
-        pivoting="ca_prrp", engine="coroutine", matmul="caps", grid=(1, 4), b=8,
+        pivoting="ca_prrp", matmul="caps", grid=(1, 4), b=8,
         nrhs=2, machine="ibm_power5",
     )
+
+
+@pytest.mark.parametrize("engine", ["coroutine", "event"])
+def test_tune_artifact_recording_an_engine_loads(tmp_path, engine):
+    """A tune artifact in the format stores have always written records an
+    ``engine`` (in ``params`` and at the top level), even one no longer
+    accepted; readers ignore it."""
+    import json
+
+    row = {"candidate": "top1", "workload": "solve", "kind": "randn", "n": 48,
+           "P": 4, "nrhs": 1, "machine": "ibm_power5", "b": 8, "grid": "2x2",
+           "pivoting": "pp", "matmul": "summa", "predicted_s": 1e-3,
+           "simulated_s": 1e-3, "gap": 0.0, "chosen": True, "enumerated": 48,
+           "seed": 0}
+    params = {**SPEC_TUNE.params, "n": 48, "nrhs": 1, "top_k": 2,
+              "engine": engine}
+    artifact = {"schema": 1, "spec": "tune", "key": "ab" * 32, "params": params,
+                "engine": engine, "pivoting": "ca", "matmul": "summa",
+                "created_at": "2026-01-01T00:00:00Z", "rows": [row]}
+    path = tmp_path / "tune" / "tune-abababababab.json"
+    path.parent.mkdir()
+    path.write_text(json.dumps(artifact))
+    expected = SolveConfig.resolve(pivoting="pp", grid=(2, 2), b=8, nrhs=1,
+                                   machine="ibm_power5")
+    assert load_tuned_config(str(path)) == expected
+    assert load_tuned_config("latest", store=ResultStore(root=tmp_path)) == expected
 
 
 def test_load_tune_artifact_errors_name_the_problem(tmp_path):

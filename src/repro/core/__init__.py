@@ -18,7 +18,6 @@ from .strategies import (
     PivotingStrategy,
     available_strategies,
     get_strategy,
-    resolve_pivoting,
 )
 from .tournament import (
     CandidateSet,
@@ -35,7 +34,6 @@ from .tslu import TSLUResult, tslu, tslu_partial_pivoting_reference
 __all__ = [
     "available_strategies",
     "get_strategy",
-    "resolve_pivoting",
     "PivotingStrategy",
     "DEFAULT_STRATEGY",
     "local_candidates_rrqr",

@@ -134,9 +134,9 @@ def calu(
     if nblocks < 1:
         raise ValueError("nblocks must be >= 1")
 
-    from .strategies import resolve_pivoting
+    from .strategies import get_strategy
 
-    strategy = resolve_pivoting(pivoting)
+    strategy = get_strategy(pivoting).name
     b = min(block_size, n)
     flops = FlopCounter()
     record = track_growth or compute_thresholds

@@ -5,9 +5,9 @@ of latency over partial pivoting at the price of a modestly larger growth
 factor.  Khabou-Demmel-Grigori-Gu (arXiv:1208.2451) sharpen the trade by
 replacing the partial-pivoting selection inside the tournament with a strong
 rank-revealing QR of the transposed block (CALU_PRRP), bounding the growth by
-``(1 + 2b)^(n/b)``.  This module makes the pivoting choice a first-class,
-registry-addressed knob — exactly like the matmul backends
-(:mod:`repro.matmul`):
+``(1 + 2b)^(n/b)``.  This module makes the pivoting choice a knob: one table of
+names, :data:`STRATEGIES`, with one lookup, :func:`get_strategy` — exactly
+like the matmul backends (:mod:`repro.matmul`):
 
 ``"pp"``
     Partial pivoting on the whole panel (GEPP panels).  The communication
@@ -27,7 +27,7 @@ registry-addressed knob — exactly like the matmul backends
 
 Selected per call (``pivoting=`` on ``calu``, ``tslu``, ``ptslu`` and the
 stability reports; ``SolveConfig.pivoting`` for ``pcalu``); an unset value
-means ``"ca"`` (the two-level rule of :mod:`repro.core.options`).
+means ``"ca"``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from .options import Option, UnknownOptionError, register_option
+from .options import UnknownOptionError
 
 
 @dataclass(frozen=True)
@@ -101,35 +101,15 @@ STRATEGIES: Dict[str, PivotingStrategy] = {
 DEFAULT_STRATEGY = "ca"
 
 
-def _validate(name: str) -> str:
-    if name not in STRATEGIES:
-        raise UnknownOptionError("pivoting strategy", name, available_strategies())
-    return name
-
-
-#: The pivoting knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_pivoting`
-#: applies (explicit > "ca").
-OPTION = register_option(
-    Option(
-        name="pivoting",
-        kind="pivoting strategy",
-        default=DEFAULT_STRATEGY,
-        validate=_validate,
-    )
-)
-
-
 def available_strategies() -> List[str]:
     """Registered strategy names, sorted."""
     return sorted(STRATEGIES)
 
 
-def get_strategy(name: str) -> PivotingStrategy:
-    """Look up one strategy's metadata by name."""
-    return STRATEGIES[_validate(name)]
-
-
-def resolve_pivoting(name: Optional[str] = None) -> str:
-    """Resolve a per-call ``pivoting=`` argument to a validated strategy name."""
-    return OPTION.resolve(name)
+def get_strategy(name: Optional[str] = None) -> PivotingStrategy:
+    """Look up one strategy by name (``None``: :data:`DEFAULT_STRATEGY`)."""
+    if name is None:
+        name = DEFAULT_STRATEGY
+    if name not in STRATEGIES:
+        raise UnknownOptionError("pivoting strategy", name, available_strategies())
+    return STRATEGIES[name]

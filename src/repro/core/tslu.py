@@ -19,7 +19,7 @@ import numpy as np
 
 from ..kernels.flops import FlopCounter
 from ..kernels.trsm import trsm_right_upper
-from .strategies import get_strategy, resolve_pivoting
+from .strategies import get_strategy
 from .tournament import TournamentResult, partition_rows, tournament_pivoting
 
 
@@ -121,7 +121,7 @@ def tslu(
     if nblocks < 1:
         raise ValueError("nblocks must be >= 1")
 
-    strategy = get_strategy(resolve_pivoting(pivoting))
+    strategy = get_strategy(pivoting)
     k = min(m, b)
 
     getf2_L: Optional[np.ndarray] = None

@@ -8,8 +8,8 @@ to the paper's parameter grid and register the result as an
 :class:`~repro.harness.spec.ExperimentSpec`.
 
 Machine models are addressed by *name* here (``"ibm_power5"``, ``"cray_xt4"``,
-``"unit"``) so that spec parameters stay JSON-serializable and hashable for
-the content-addressed result store.
+the names of :data:`repro.machines.MACHINES`) so that spec parameters stay
+JSON-serializable and hashable for the content-addressed result store.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from ..machines.model import MachineModel, unit_machine
-from ..machines.nersc import cray_xt4, ibm_power5
+from ..machines.model import MachineModel
+from ..machines.nersc import get_machine
 from ..models.compare import (
     PAPER_GRIDS,
     best_vs_best,
@@ -31,24 +31,12 @@ from ..stability.report import stability_row_calu, stability_row_gepp
 
 Rows = List[Dict[str, object]]
 
-#: Machine models addressable by name in spec parameters.
-MACHINES = {
-    "ibm_power5": ibm_power5,
-    "cray_xt4": cray_xt4,
-    "unit": unit_machine,
-}
-
 
 def resolve_machine(machine: Union[str, MachineModel]) -> MachineModel:
     """Resolve a machine name (or pass a model through)."""
     if isinstance(machine, MachineModel):
         return machine
-    try:
-        return MACHINES[machine]()
-    except KeyError:
-        raise KeyError(
-            f"unknown machine {machine!r}; available: {sorted(MACHINES)}"
-        ) from None
+    return get_machine(machine)
 
 
 # ------------------------------------------------------------ stability sweeps

@@ -34,7 +34,8 @@ key accepts only ``coroutine`` (``--set engine=...`` is validated).  Also
 ``--results-dir`` (artifact store root, also
 ``REPRO_RESULTS_DIR``),
 ``--factor-cache-dir`` (factor cache root, also ``REPRO_FACTOR_CACHE_DIR``),
-``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes).
+``--format text|csv|json|markdown``, ``--quick`` (scaled-down sizes) and
+``--set KEY=VALUE`` (``serve`` runs no spec, so it takes neither).
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ import ast
 import sys
 from typing import Dict, List, Optional, Sequence
 
-from ..core.options import SolveConfig, UnknownOptionError
+from ..core.options import KNOBS, SolveConfig, UnknownOptionError
 from ..experiments.report import format_table, rows_to_csv, rows_to_json
 from .spec import ExperimentSpec, all_specs, get_spec, spec_names
 from .store import FetchResult, ResultStore
@@ -127,10 +128,6 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
         raise SystemExit(f"error: {exc}") from None
 
 
-#: Knob flag -> the spec parameter it sets on ``run`` / ``sweep`` / ``tune``.
-KNOB_FLAGS = {"pivoting": "pivoting", "matmul": "matmul"}
-
-
 def knob_overrides(
     spec: ExperimentSpec,
     overrides: Dict[str, object],
@@ -146,16 +143,16 @@ def knob_overrides(
     knob).
     """
     flags: Dict[str, object] = {}
-    for flag, param in KNOB_FLAGS.items():
-        value = getattr(args, flag, None)
+    for knob in KNOBS:
+        value = getattr(args, knob, None)
         if not value:
             continue
-        if param not in spec.params:
+        if knob not in spec.params:
             raise SystemExit(
-                f"error: --{flag} sets parameter {param!r}, which spec "
+                f"error: --{knob} sets parameter {knob!r}, which spec "
                 f"{spec.name!r} does not take; its parameters: {sorted(spec.params)}"
             )
-        flags[param] = value
+        flags[knob] = value
     try:
         SolveConfig.resolve(**flags)
     except UnknownOptionError as exc:
@@ -583,19 +580,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, cache: bool = True) -> None:
+    def add_common(
+        p: argparse.ArgumentParser, cache: bool = True, spec: bool = True
+    ) -> None:
         p.add_argument("--format", choices=FORMATS, default="text",
                        help="output format (default: text)")
         p.add_argument("--results-dir", default=None,
                        help="artifact store root (default: $REPRO_RESULTS_DIR or results/)")
         if cache:
             add_config_args(p)
-            p.add_argument("--quick", action="store_true",
-                           help="scaled-down sizes for smoke runs")
             p.add_argument("--force", action="store_true",
                            help="recompute even on a cache hit")
             p.add_argument("--no-cache", action="store_true",
                            help="bypass the result store entirely")
+        if cache and spec:  # only spec-driven verbs read these two
+            p.add_argument("--quick", action="store_true",
+                           help="scaled-down sizes for smoke runs")
             p.add_argument("--set", action="append", metavar="KEY=VALUE",
                            help="override one spec parameter (repeatable)")
 
@@ -680,7 +680,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="max RHS columns coalesced into one sweep")
     p_serve.add_argument("--refine", type=int, default=2,
                          help="refinement budget per batch")
-    add_common(p_serve)
+    add_common(p_serve, spec=False)
     p_serve.set_defaults(fn=cmd_serve)
 
     p_cache = sub.add_parser(

@@ -58,21 +58,15 @@ DEFAULT_ROOT = "factors"
 #: Artifact schema version (bumped on incompatible layout changes).
 SCHEMA_VERSION = 1
 
-#: Matrix generator families a factor key may name (the square families of
-#: :func:`repro.randmat.generators.linear_system`).
-MATRIX_KINDS = ("randn", "uniform", "toeplitz", "diagonally_dominant")
-
 
 def generate_matrix(kind: str, n: int, seed: int = 0) -> np.ndarray:
-    """Instantiate the matrix a factor key describes."""
-    from ..randmat import generators
+    """Instantiate the matrix a factor key describes.
 
-    if kind not in MATRIX_KINDS:
-        raise ValueError(
-            f"unknown matrix kind {kind!r}; choose from {sorted(MATRIX_KINDS)}"
-        )
-    fn = getattr(generators, "toeplitz_random" if kind == "toeplitz" else kind)
-    return np.asarray(fn(n, seed=seed), dtype=np.float64)
+    ``kind`` names one of :data:`repro.randmat.generators.KINDS`.
+    """
+    from ..randmat.generators import square_matrix
+
+    return np.asarray(square_matrix(kind, n, seed=seed), dtype=np.float64)
 
 
 def factor_key(

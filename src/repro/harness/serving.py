@@ -199,8 +199,6 @@ class SolveService:
         shape or with a NaN or infinite entry raises ``ValueError`` here and
         never joins a batch.
         """
-        if self._closed:
-            raise RuntimeError("SolveService is closed")
         b = checked_operand("b", b, rows=self.factor.n)
         one_d = b.ndim == 1
         B = b[:, None] if one_d else b
@@ -210,24 +208,29 @@ class SolveService:
             slo=self.default_slo if slo is None else float(slo),
             submitted_at=time.perf_counter(),
         )
-        if B.shape[1] == 0:
-            # A degenerate (zero-column) request never joins a sweep: it is
-            # fulfilled immediately with an empty solution.
-            pending.future.set_result(
-                SolveOutcome(
-                    x=np.zeros((self.factor.n, 0)),
-                    residual=0.0,
-                    residual_history=[],
-                    iterations=0,
-                    slo=pending.slo,
-                    met_slo=True,
-                    latency_s=0.0,
-                    batch_id=0,
-                    batch_size=0,
-                )
+        # Check and enqueue under the lock ``close`` holds to enqueue its
+        # sentinel, so no request can land behind it and never be served.
+        with self._lock:
+            if self._closed:
+                raise RuntimeError("SolveService is closed")
+            if B.shape[1] > 0:
+                self._queue.put(pending)
+                return pending.future
+        # A degenerate (zero-column) request never joins a sweep: it is
+        # fulfilled immediately with an empty solution.
+        pending.future.set_result(
+            SolveOutcome(
+                x=np.zeros((self.factor.n, 0)),
+                residual=0.0,
+                residual_history=[],
+                iterations=0,
+                slo=pending.slo,
+                met_slo=True,
+                latency_s=0.0,
+                batch_id=0,
+                batch_size=0,
             )
-            return pending.future
-        self._queue.put(pending)
+        )
         return pending.future
 
     def solve(
@@ -256,11 +259,13 @@ class SolveService:
 
     def close(self, timeout: Optional[float] = 5.0) -> None:
         """Stop accepting requests, serve what is queued, stop the thread."""
-        if self._closed:
-            return
-        self._closed = True
+        with self._lock:
+            if self._closed:
+                return
+            self._closed = True
+            if self._thread is not None:
+                self._queue.put(None)
         if self._thread is not None:
-            self._queue.put(None)
             self._thread.join(timeout=timeout)
         else:
             while self._collect_and_serve(block=False):

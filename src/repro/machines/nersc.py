@@ -26,6 +26,7 @@ report); the absolute GFLOP/s values are only indicative.
 
 from __future__ import annotations
 
+from ..core.options import UnknownOptionError
 from .model import MachineModel
 
 
@@ -68,8 +69,16 @@ def cray_xt4(efficiency: float = 0.45) -> MachineModel:
     )
 
 
-#: Mapping used by the experiment harness to select a machine by name.
+#: The machine models addressable by name (``SolveConfig.machine``, spec
+#: parameters).
 MACHINES = {
     "ibm_power5": ibm_power5,
     "cray_xt4": cray_xt4,
 }
+
+
+def get_machine(name: str) -> MachineModel:
+    """The named machine model; an unknown name raises :class:`UnknownOptionError`."""
+    if name not in MACHINES:
+        raise UnknownOptionError("machine", name, sorted(MACHINES))
+    return MACHINES[name]()

@@ -1,9 +1,9 @@
 """Pluggable distributed matmul: SUMMA (classical) vs CAPS (Strassen).
 
 The Schur-complement update of CALU/PDGETRF — and the general distributed
-product ``C += A @ B`` — is served by a registry-addressed backend, making
-the multiply algorithm a first-class knob exactly like ``pivoting=``
-(:mod:`repro.core.strategies`):
+product ``C += A @ B`` — is served by a backend picked by name from one table,
+:data:`BACKENDS`, with one lookup, :func:`get_backend` — the same shape as the
+``pivoting=`` knob (:mod:`repro.core.strategies`):
 
 ``"summa"`` (the default)
     The classical broadcast-then-local-GEMM algorithm — bit-identical
@@ -19,16 +19,16 @@ the multiply algorithm a first-class knob exactly like ``pivoting=``
 
 Selected per call (the ``SolveConfig.matmul`` of ``pcalu``, ``pcalu_factor``
 and ``pdgesv``; ``matmul=`` on :func:`pdgemm`); an unset value means
-``"summa"`` (the two-level rule of :mod:`repro.core.options`).
+``"summa"``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
-from ..core.options import Option, UnknownOptionError, register_option
+from ..core.options import UnknownOptionError
 from .base import MatmulBackend, PdgemmResult
 from .caps import CapsBackend, caps_count_ledger, strassen_multiply
 from .summa import SummaBackend
@@ -44,38 +44,13 @@ BACKENDS: Dict[str, MatmulBackend] = {
 DEFAULT_BACKEND = "summa"
 
 
-def _validate(name: str) -> str:
+def get_backend(name: Optional[str] = None) -> MatmulBackend:
+    """Look up one backend object by name (``None``: :data:`DEFAULT_BACKEND`)."""
+    if name is None:
+        name = DEFAULT_BACKEND
     if name not in BACKENDS:
-        raise UnknownOptionError("matmul backend", name, available_backends())
-    return name
-
-
-#: The matmul knob, registered into the shared configuration subsystem
-#: (:mod:`repro.core.options`), whose precedence rule :func:`resolve_matmul`
-#: applies (explicit > "summa").
-OPTION = register_option(
-    Option(
-        name="matmul",
-        kind="matmul backend",
-        default=DEFAULT_BACKEND,
-        validate=_validate,
-    )
-)
-
-
-def available_backends() -> List[str]:
-    """Registered backend names, sorted."""
-    return sorted(BACKENDS)
-
-
-def get_backend(name: str) -> MatmulBackend:
-    """Look up one backend object by name."""
-    return BACKENDS[_validate(name)]
-
-
-def resolve_matmul(name: Optional[str] = None) -> str:
-    """Resolve a per-call ``matmul=`` argument to a validated backend name."""
-    return OPTION.resolve(name)
+        raise UnknownOptionError("matmul backend", name, sorted(BACKENDS))
+    return BACKENDS[name]
 
 
 def pdgemm(
@@ -93,7 +68,7 @@ def pdgemm(
     :class:`~repro.matmul.base.PdgemmResult` with the gathered product and
     the run trace.
     """
-    backend = get_backend(resolve_matmul(matmul))
+    backend = get_backend(matmul)
     return backend.pdgemm(
         A, B, C=C, grid=grid, block_size=block_size, machine=machine
     )
@@ -106,10 +81,8 @@ __all__ = [
     "PdgemmResult",
     "SummaBackend",
     "CapsBackend",
-    "available_backends",
     "caps_count_ledger",
     "get_backend",
     "pdgemm",
-    "resolve_matmul",
     "strassen_multiply",
 ]

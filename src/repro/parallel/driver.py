@@ -39,7 +39,7 @@ from ..kernels.getf2 import PackedFactors
 from ..layouts.block_cyclic import BlockCyclic2D
 from ..layouts.grid import ProcessGrid
 from ..machines.model import MachineModel
-from ..matmul import MatmulBackend, get_backend, resolve_matmul
+from ..matmul import MatmulBackend, get_backend
 from ..scalapack.pdlaswp import apply_swaps_to_permutation, pdlaswp
 
 #: Signature of a panel factorization callback.
@@ -203,7 +203,7 @@ def run_block_lu(
     dist = BlockCyclic2D(m, n, block_size, grid)
     locals_in = dist.scatter(A)
     panel_fn = panel_factory()
-    backend = get_backend(resolve_matmul(matmul))
+    backend = get_backend(matmul)
 
     def rank_fn(comm: Communicator):
         return (

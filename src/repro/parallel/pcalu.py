@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 import numpy as np
 
 from ..core.options import SolveConfig
-from ..core.strategies import get_strategy, resolve_pivoting
+from ..core.strategies import get_strategy
 from ..distsim.vmpi import Communicator
 from ..kernels.flops import FlopCounter
 from ..kernels.trsm import trsm_right_upper
@@ -123,7 +123,7 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
     grid = config.process_grid()
     if grid is None or config.b is None:
         raise ValueError("pcalu needs a config with grid and b set")
-    strategy = get_strategy(resolve_pivoting(config.pivoting))
+    strategy = get_strategy(config.pivoting)
     if strategy.tournament:
         def panel_factory() -> Callable[..., List[Tuple[int, int]]]:
             return make_calu_panel(strategy.selector)

@@ -319,11 +319,11 @@ def pdgesv(
     Raises
     ------
     ValueError
-        If ``A`` or ``b`` fails :func:`pdgesv_solve`'s checks — before the
-        factorization runs.
+        If ``b`` fails :func:`pdgesv_solve`'s checks (before the
+        factorization runs) or ``A`` fails :func:`pcalu_factor`'s (before
+        any rank starts).  With both bad, ``b`` is named.
     """
-    A = checked_operand("A", A)
-    checked_operand("b", b, rows=A.shape[0] if A.ndim == 2 else None)
+    checked_operand("b", b, rows=np.shape(A)[0] if np.ndim(A) == 2 else None)
     factor = pcalu_factor(A, config)
     return pdgesv_solve(factor, b, config, refine=refine, tolerance=tolerance)
 

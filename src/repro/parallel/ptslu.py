@@ -26,7 +26,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core import tournament
-from ..core.strategies import get_strategy, resolve_pivoting
+from ..core.strategies import get_strategy
 from ..core.tournament import CandidateSet
 from ..distsim.collectives import allreduce, broadcast
 from ..distsim.engine.base import RedundantOp
@@ -375,7 +375,7 @@ def ptslu(
     """
     A = np.asarray(A, dtype=np.float64)
     m, b = A.shape
-    strategy = get_strategy(resolve_pivoting(pivoting))
+    strategy = get_strategy(pivoting)
     if layout == "block":
         dist: object = Block1D(m, nprocs)
     elif layout == "block_cyclic":

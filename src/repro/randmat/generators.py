@@ -93,6 +93,22 @@ def figure1_matrix() -> np.ndarray:
     return np.array([col0, col1], dtype=np.float64).T
 
 
+#: The square matrix families a linear system or a cached factor may name.
+KINDS = {
+    "randn": randn,
+    "uniform": uniform,
+    "toeplitz": toeplitz_random,
+    "diagonally_dominant": diagonally_dominant,
+}
+
+
+def square_matrix(kind: str, n: int, seed: Optional[int] = 0) -> np.ndarray:
+    """The ``n x n`` matrix of family ``kind`` (one of :data:`KINDS`)."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown matrix kind {kind!r}; choose from {sorted(KINDS)}")
+    return KINDS[kind](n, seed=seed)
+
+
 def linear_system(
     n: int, seed: Optional[int] = 0, kind: str = "randn"
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -102,15 +118,7 @@ def linear_system(
     convention used by the HPL benchmark whose residual tests the paper
     reuses.
     """
-    generators = {
-        "randn": randn,
-        "uniform": uniform,
-        "toeplitz": toeplitz_random,
-        "diagonally_dominant": diagonally_dominant,
-    }
-    if kind not in generators:
-        raise ValueError(f"unknown matrix kind {kind!r}; choose from {sorted(generators)}")
-    A = generators[kind](n, seed=seed)
+    A = square_matrix(kind, n, seed=seed)
     x_true = np.ones(n)
     b = A @ x_true
     return A, b, x_true

@@ -35,6 +35,21 @@ def test_figure1_rounds_shrink_to_single_winner_set():
     assert len(res["rounds"][-1]) == 1
 
 
+def test_unknown_machine_through_a_runner_spec():
+    """Runner specs and ``SolveConfig.machine_model`` share one machine table
+    and one lookup, so an unknown name fails the same way through either."""
+    from repro.core.options import SolveConfig, UnknownOptionError
+
+    with pytest.raises(UnknownOptionError) as excinfo:
+        get_spec("factorization").run(overrides={"machine": "unit"})
+    assert str(excinfo.value) == (
+        "unknown machine 'unit'; available: ['cray_xt4', 'ibm_power5']"
+    )
+    with pytest.raises(UnknownOptionError) as same:
+        SolveConfig.resolve(machine="unit").machine_model()
+    assert str(same.value) == str(excinfo.value)
+
+
 # -------------------------------------------------------------------- Figure 2
 def test_figure2_small_run_trends():
     rows = figure2.run(sizes=(64, 128), configs=((2, 8), (4, 8)), samples=1)

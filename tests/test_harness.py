@@ -710,6 +710,19 @@ def test_cli_serve_miss_then_hit_and_slo_rows(tmp_path, capsys):
     assert "factor cache hit" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", [["--set", "n=1000"], ["--quick"]])
+def test_cli_serve_rejects_spec_flags_before_factoring(tmp_path, capsys, flag):
+    """``serve`` runs no spec, so ``--set`` / ``--quick`` are usage errors
+    (exit 2), not flags silently ignored after a factorization."""
+    factors = tmp_path / "factors"
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(["serve", "--n", "48", "--P", "4", "--b", "8", "--requests", "2",
+                 "--factor-cache-dir", str(factors), *flag], tmp_path)
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not factors.exists() or not any(factors.iterdir())
+
+
 def _tune_artifact(path):
     """A stored tune artifact whose winner is CAPS, written while the kernel
     tier was a search axis (its ``kernel_tier`` column is ignored)."""

@@ -18,13 +18,7 @@ import pytest
 from repro.core.options import SolveConfig, UnknownOptionError
 from repro.kernels.flops import FlopCounter
 from repro.layouts.grid import ProcessGrid
-from repro.matmul import (
-    DEFAULT_BACKEND,
-    available_backends,
-    get_backend,
-    pdgemm,
-    resolve_matmul,
-)
+from repro.matmul import BACKENDS, DEFAULT_BACKEND, get_backend, pdgemm
 from repro.matmul.caps import (
     caps_count_ledger,
     node_kind,
@@ -43,8 +37,8 @@ from repro.randmat.generators import randn
 
 # ------------------------------------------------------------------ registry
 def test_registry_lists_both_backends():
-    assert available_backends() == ["caps", "summa"]
-    assert DEFAULT_BACKEND == "summa"
+    assert sorted(BACKENDS) == ["caps", "summa"]
+    assert DEFAULT_BACKEND == "summa" and get_backend() is BACKENDS["summa"]
     assert get_backend("summa").name == "summa"
     assert get_backend("caps").name == "caps"
 
@@ -56,13 +50,14 @@ def test_unknown_backend_raises_unknown_option_error():
         SolveConfig.resolve(matmul="cannon")
     err = None
     try:
-        resolve_matmul("cannon")
+        get_backend("cannon")
     except UnknownOptionError as exc:
         err = exc
     assert err is not None
     assert err.kind == "matmul backend"
     assert err.name == "cannon"
     assert err.available == ["caps", "summa"]
+    assert str(err) == "unknown matmul backend 'cannon'; available: ['caps', 'summa']"
 
 
 # The precedence rule (explicit > default) is covered for every knob at once

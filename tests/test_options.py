@@ -1,7 +1,8 @@
-"""The shared configuration subsystem: Option precedence and SolveConfig.
+"""The configuration subsystem: the two knob tables and SolveConfig.
 
-One parametrized suite covers every registered knob (pivoting, matmul) at
-both levels of the shared precedence rule —
+One parametrized suite covers both knobs (pivoting, matmul) through their one
+lookup each (``get_strategy`` / ``get_backend``) and through
+``SolveConfig.resolve``, at both levels of the rule —
 
     explicit value > default
 
@@ -18,15 +19,9 @@ from __future__ import annotations
 
 import pytest
 
-import repro.core.strategies  # noqa: F401  (registers the two knobs)
-import repro.matmul  # noqa: F401
-from repro.core.options import (
-    KNOBS,
-    OPTIONS,
-    SolveConfig,
-    UnknownOptionError,
-    normalize_grid,
-)
+from repro.core.options import KNOBS, SolveConfig, UnknownOptionError, normalize_grid
+from repro.core.strategies import get_strategy
+from repro.matmul import get_backend
 
 #: (knob, default, a valid explicit value, bad).
 KNOB_CASES = [
@@ -36,33 +31,35 @@ KNOB_CASES = [
 
 KNOB_IDS = [case[0] for case in KNOB_CASES]
 
+#: Each knob's one lookup: name (``None``: the default) -> table entry.
+LOOKUPS = {"pivoting": get_strategy, "matmul": get_backend}
+
 
 # ------------------------------------------------------------------ registry
 def test_all_knobs_are_registered():
     assert KNOBS == ("pivoting", "matmul")  # neither engine nor kernel tier is a knob
-    assert set(KNOBS) <= set(OPTIONS)
+    assert set(KNOBS) == set(LOOKUPS)
     for name, default, *_ in KNOB_CASES:
-        option = OPTIONS[name]
-        assert option.name == name
-        assert option.default == default
+        assert LOOKUPS[name]().name == default
 
 
 # -------------------------------------------------- the two precedence levels
 @pytest.mark.parametrize("name,default,value,bad", KNOB_CASES, ids=KNOB_IDS)
 class TestPrecedence:
     def test_default_when_nothing_is_set(self, name, default, value, bad):
-        option = OPTIONS[name]
-        assert option.resolve() == default
-        assert option.resolve(None) == default
+        lookup = LOOKUPS[name]
+        assert lookup().name == default
+        assert lookup(None) is lookup(default)
         assert getattr(SolveConfig.resolve(), name) == default
 
     def test_explicit_beats_default(self, name, default, value, bad):
-        assert OPTIONS[name].resolve(value) == value
+        assert LOOKUPS[name](value).name == value
         assert getattr(SolveConfig.resolve(**{name: value}), name) == value
 
     def test_invalid_explicit_value_names_offender(self, name, default, value, bad):
-        for resolve in (OPTIONS[name].resolve,
-                        lambda v: SolveConfig.resolve(**{name: v})):
+        for resolve in (LOOKUPS[name],
+                        lambda v: SolveConfig.resolve(**{name: v}),
+                        lambda v: SolveConfig.resolve().replace(**{name: v})):
             with pytest.raises(UnknownOptionError) as excinfo:
                 resolve(bad)
             assert excinfo.value.name == bad
@@ -126,12 +123,3 @@ def test_normalize_grid_forms():
     assert normalize_grid((4, 2)) == (4, 2)
     assert normalize_grid([3, 5]) == (3, 5)
     assert normalize_grid(ProcessGrid(2, 8)) == (2, 8)
-
-
-def test_solveconfig_describe_and_as_dict_round_trip():
-    config = SolveConfig.resolve(grid=(2, 4), b=16, nrhs=2, machine="cray_xt4")
-    text = config.describe()
-    assert "grid=2x4" in text and "b=16" in text and "machine=cray_xt4" in text
-    as_dict = config.as_dict()
-    assert as_dict["grid"] == [2, 4]
-    assert SolveConfig(**{**as_dict, "grid": tuple(as_dict["grid"])}) == config

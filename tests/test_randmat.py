@@ -71,6 +71,15 @@ def test_linear_system_consistency():
         linear_system(8, kind="unknown")
 
 
+def test_linear_system_unknown_kind_names_the_kinds():
+    with pytest.raises(ValueError) as excinfo:
+        linear_system(8, kind="hilbert")
+    assert str(excinfo.value) == (
+        "unknown matrix kind 'hilbert'; choose from "
+        "['diagonally_dominant', 'randn', 'toeplitz', 'uniform']"
+    )
+
+
 @pytest.mark.parametrize("kind", ["randn", "uniform", "toeplitz", "diagonally_dominant"])
 def test_linear_system_kinds(kind):
     A, b, x = linear_system(12, seed=10, kind=kind)

@@ -240,6 +240,23 @@ def test_close_serves_queued_requests_then_rejects_new_ones(setup):
     service.close()  # idempotent
 
 
+def test_close_during_submit_rejects_the_request(setup):
+    """A ``close`` landing between ``submit``'s validation and its enqueue
+    (here: from inside the right-hand side's ``__array__``) must not strand
+    the request behind the close sentinel: ``submit`` raises instead."""
+    _, factor, rhs = setup
+    service = SolveService(factor, window=4)
+
+    class ClosesService:
+        def __array__(self, dtype=None, copy=None):
+            service.close()
+            return np.asarray(rhs[0], dtype=dtype)
+
+    with pytest.raises(RuntimeError, match="^SolveService is closed$"):
+        service.submit(ClosesService())
+    assert service.stats.requests == 0
+
+
 def test_submit_validates_shape_and_window(setup):
     _, factor, _ = setup
     with SolveService(factor, start=False) as service:

@@ -19,7 +19,6 @@ from repro.core.strategies import (
     DEFAULT_STRATEGY,
     available_strategies,
     get_strategy,
-    resolve_pivoting,
 )
 from repro.core.options import SolveConfig
 from repro.kernels.getf2 import getf2
@@ -37,7 +36,7 @@ from repro.stability.report import stability_row_calu
 # ------------------------------------------------------------------ registry
 def test_registry_lists_all_three_strategies():
     assert available_strategies() == ["ca", "ca_prrp", "pp"]
-    assert DEFAULT_STRATEGY == "ca"
+    assert DEFAULT_STRATEGY == "ca" and get_strategy() is get_strategy("ca")
     assert get_strategy("ca").tournament and get_strategy("ca").selector == "getf2"
     assert get_strategy("ca_prrp").selector == "rrqr"
     assert not get_strategy("pp").tournament
@@ -46,8 +45,11 @@ def test_registry_lists_all_three_strategies():
 # The precedence rule (explicit > default) is covered for every knob at once
 # by the parametrized suite in tests/test_options.py.
 def test_unknown_strategy_rejected_everywhere():
-    with pytest.raises(ValueError, match="unknown pivoting strategy"):
-        resolve_pivoting("rook")
+    with pytest.raises(
+        ValueError,
+        match=r"^unknown pivoting strategy 'rook'; available: \['ca', 'ca_prrp', 'pp'\]$",
+    ):
+        get_strategy("rook")
     with pytest.raises(ValueError, match="unknown pivoting strategy"):
         SolveConfig.resolve(pivoting="rook")
     with pytest.raises(ValueError, match="unknown pivoting strategy"):

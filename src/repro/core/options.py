@@ -117,13 +117,13 @@ class SolveConfig:
         )
 
     def replace(self, **changes: object) -> "SolveConfig":
-        """A copy with the given fields replaced (knob values validated)."""
+        """A copy with the given fields replaced (a ``None`` knob: the default)."""
         from ..matmul import get_backend
         from .strategies import get_strategy
 
         for knob, lookup in (("pivoting", get_strategy), ("matmul", get_backend)):
-            if changes.get(knob) is not None:
-                changes[knob] = lookup(str(changes[knob])).name
+            if knob in changes:
+                changes[knob] = lookup(changes[knob]).name
         if "grid" in changes:
             changes["grid"] = normalize_grid(changes["grid"])
         return replace(self, **changes)

@@ -19,11 +19,14 @@ deliveries per collective.  Point-to-point traffic (e.g. the pairwise
 exchanges of ``pdlaswp``) flows through stash + wake.
 
 The interleaving is a pure function of the rank programs and the machine
-model, so repeated runs are bit-for-bit identical, and deadlock is detected
-structurally: when no rank is runnable and some are suspended, every
-suspended rank fails at once with a
-:class:`~repro.distsim.errors.DeadlockError` naming the ``(source, tag)`` or
-the collective it waits on.
+model, so repeated runs are bit-for-bit identical.  The first failure ends
+the run: the scheduler steps no rank after it, closes every live rank
+generator in rank order (so their ``finally`` blocks run) and raises one
+:class:`~repro.distsim.errors.RankFailedError` chained from the failing
+rank's own exception.  Deadlock is detected structurally: when no rank is
+runnable and some are suspended, the lowest suspended rank fails with a
+:class:`~repro.distsim.errors.DeadlockError` naming, for every suspended
+rank, the ``(source, tag)`` or the collective it waits on.
 """
 
 from __future__ import annotations
@@ -47,16 +50,17 @@ _DONE = "done"
 class _RankState:
     """Book-keeping the scheduler holds for one rank coroutine."""
 
-    __slots__ = ("rank", "comm", "gen", "status", "waiting", "resume_value", "pending_exc")
+    __slots__ = ("rank", "comm", "gen", "status", "request", "resume_value")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
         self.comm: Optional[Communicator] = None
         self.gen = None
         self.status = _READY
-        self.waiting: Optional[Any] = None  # RecvRequest or CollectiveRequest
+        # The last RecvRequest or CollectiveRequest the rank yielded: what it
+        # waits on while BLOCKED or JOINED, and its tag names where it failed.
+        self.request: Optional[Any] = None
         self.resume_value: Any = None
-        self.pending_exc: Optional[BaseException] = None
 
 
 class _CoroutineScheduler:
@@ -74,7 +78,6 @@ class _CoroutineScheduler:
         self.heap: List[Tuple[float, int]] = [(0.0, r) for r in range(nprocs)]
         self.n_done = 0
         self.results: List[Any] = [None] * nprocs
-        self.failures: Dict[int, BaseException] = {}
         # Rendezvous buckets: key -> FIFO list of partially-filled instances,
         # each mapping group position -> its CollectiveRequest.  The FIFO
         # handles back-to-back same-key collectives (e.g. repeated barriers):
@@ -86,34 +89,36 @@ class _CoroutineScheduler:
         nprocs = len(self.states)
         while self.n_done < nprocs:
             if not self.heap:
-                self._inject_deadlock()
+                self._fail_deadlock()
             _, rank = heapq.heappop(self.heap)
             self._step(self.states[rank])
 
     def _step(self, st: _RankState) -> None:
+        value, st.resume_value = st.resume_value, None
         try:
-            if st.pending_exc is not None:
-                exc, st.pending_exc = st.pending_exc, None
-                request = st.gen.throw(exc)
-            else:
-                value, st.resume_value = st.resume_value, None
-                request = st.gen.send(value)
+            request = st.gen.send(value)
         except StopIteration as stop:
             self.results[st.rank] = stop.value
-            self._finish(st)
+            st.status = _DONE
+            st.gen = None
+            st.request = None
+            self.n_done += 1
         except BaseException as exc:  # noqa: BLE001 - reported to the caller
-            self.failures[st.rank] = exc
-            self._finish(st)
+            self._fail(st, exc)
         else:
             self._handle_request(st, request)
 
-    def _finish(self, st: _RankState) -> None:
-        st.status = _DONE
-        st.gen = None
-        self.n_done += 1
+    def _fail(self, st: _RankState, exc: BaseException) -> None:
+        """End the run: close every live rank generator, raise for ``st``."""
+        tag = st.request.tag if st.request is not None else None
+        for s in self.states:
+            if s.gen is not None:
+                s.gen.close()
+        raise RankFailedError(st.rank, tag, exc) from exc
 
     def _handle_request(self, st: _RankState, request: Any) -> None:
         if isinstance(request, RecvRequest):
+            st.request = request
             stash = st.comm._stash
             for i, env in enumerate(stash):
                 if env.source == request.source and env.tag == request.tag:
@@ -121,27 +126,24 @@ class _CoroutineScheduler:
                     heapq.heappush(self.heap, (st.comm.clock, st.rank))
                     return
             st.status = _BLOCKED
-            st.waiting = request
         elif isinstance(request, CollectiveRequest):
+            st.request = request
             self._join_collective(st, request)
         else:
-            st.pending_exc = SimulationError(
-                f"rank {st.rank} yielded an unknown request: {request!r}"
-            )
-            heapq.heappush(self.heap, (st.comm.clock, st.rank))
+            msg = f"rank {st.rank} yielded an unknown request: {request!r}"
+            self._fail(st, SimulationError(msg))
 
     # ------------------------------------------------------- point-to-point
     def deliver(self, dest: int, env: Envelope) -> None:
         st = self.states[dest]
         if (
             st.status is _BLOCKED
-            and st.waiting.source == env.source
-            and st.waiting.tag == env.tag
+            and st.request.source == env.source
+            and st.request.tag == env.tag
         ):
             # Nothing else can match (the rank scanned its stash before
             # suspending), so resolve the wait directly.
             st.status = _READY
-            st.waiting = None
             st.resume_value = env
             heapq.heappush(self.heap, (st.comm.clock, st.rank))
         else:
@@ -166,10 +168,12 @@ class _CoroutineScheduler:
             buckets.remove(bucket)
             if not buckets:
                 del self.pending_collectives[key]
-            self._finish_collective(req.group, req.kind, req.channel, bucket)
+            try:
+                self._finish_collective(req.group, req.kind, req.channel, bucket)
+            except Exception as exc:  # noqa: BLE001 - e.g. a reduction operator
+                self._fail(st, exc)  # charged to the rank that completed it
         else:
             st.status = _JOINED
-            st.waiting = req
 
     def _finish_collective(
         self,
@@ -192,24 +196,21 @@ class _CoroutineScheduler:
         for pos in range(p):
             st = self.states[group[pos]]
             st.status = _READY
-            st.waiting = None
             st.resume_value = results[pos]
             heapq.heappush(self.heap, (st.comm.clock, st.rank))
 
     # -------------------------------------------------------------- deadlock
-    def _inject_deadlock(self) -> None:
-        """No rank is runnable and some are suspended: fail them all, now.
+    def _fail_deadlock(self) -> None:
+        """No rank is runnable and some are suspended: fail the lowest one.
 
-        Every suspended rank is re-queued with a pending
-        :class:`DeadlockError` describing, per rank, the ``(source, tag)`` or
-        the collective it was waiting on; the ranks then unwind one by one in
-        deterministic heap order.
+        The :class:`DeadlockError` describes, per suspended rank, the
+        ``(source, tag)`` or the collective it was waiting on.
         """
         blocked = [s for s in self.states if s.status in (_BLOCKED, _JOINED)]
         info: Dict[int, Dict[str, Any]] = {}
         parts: List[str] = []
         for s in blocked:
-            w = s.waiting
+            w = s.request
             if isinstance(w, CollectiveRequest):
                 info[s.rank] = {
                     "collective": w.kind,
@@ -226,12 +227,7 @@ class _CoroutineScheduler:
                     f"rank {s.rank} waiting for (source={w.source}, tag={w.tag!r})"
                 )
         message = "structural deadlock: no rank is runnable [" + "; ".join(parts) + "]"
-        self.pending_collectives.clear()
-        for s in blocked:
-            s.pending_exc = DeadlockError(message, blocked=info)
-            s.status = _READY
-            s.waiting = None
-            heapq.heappush(self.heap, (s.comm.clock, s.rank))
+        self._fail(blocked[0], DeadlockError(message, blocked=info))
 
 
 def _rank_program(fn: Callable[..., Any], comm: Communicator, args, kwargs):
@@ -256,10 +252,8 @@ def run(
 ) -> RunTrace:
     """Execute ``fn(comm, *args, **kwargs)`` on ``nprocs`` virtual ranks.
 
-    When ranks failed for mixed reasons, the chained ``__cause__`` is the
-    lowest-ranked *root* failure: DeadlockErrors are secondary whenever a
-    rank crashed outright (its crash is what left the others waiting), so
-    they are only used as the cause when every failure is a deadlock.
+    The first rank failure (an exception, an unknown yielded request or a
+    structural deadlock) raises :class:`RankFailedError` from it.
     """
     traces = [RankTrace(rank=r) for r in range(nprocs)]
     sched = _CoroutineScheduler(nprocs)
@@ -269,15 +263,4 @@ def run(
         )
         st.gen = _rank_program(fn, st.comm, args, kwargs)
     sched.run()
-    failures = sched.failures
-    if failures:
-        cause = next(
-            (
-                failures[r]
-                for r in sorted(failures)
-                if not isinstance(failures[r], DeadlockError)
-            ),
-            failures[min(failures)],
-        )
-        raise RankFailedError(failures) from cause
     return RunTrace(ranks=traces, results=sched.results)

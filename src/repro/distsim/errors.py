@@ -30,13 +30,17 @@ class DeadlockError(SimulationError):
 
 
 class RankFailedError(SimulationError):
-    """One or more ranks raised an exception during an SPMD run.
+    """A rank failed, which ended the SPMD run.
 
-    The original exception of the lowest failing rank is chained as the
-    ``__cause__`` of this error.
+    The failing rank's own exception (a :class:`DeadlockError` for a
+    structural deadlock) is chained as ``__cause__`` and is the one entry of
+    ``failures``.  ``tag`` is the tag of the last receive or collective the
+    rank yielded (``None`` if it failed before its first one).
     """
 
-    def __init__(self, failures):
-        self.failures = dict(failures)
-        ranks = ", ".join(str(r) for r in sorted(self.failures))
-        super().__init__(f"SPMD ranks failed: {ranks}")
+    def __init__(self, rank, tag, cause):
+        self.rank = rank
+        self.tag = tag
+        self.failures = {rank: cause}
+        where = f" after {tag!r}" if tag is not None else ""
+        super().__init__(f"rank {rank} failed{where}: {type(cause).__name__}: {cause}")

@@ -80,8 +80,10 @@ def run_spmd(
     Raises
     ------
     RankFailedError
-        If any rank raises (or deadlocks); the first failing rank's exception
-        is chained.
+        At the first rank failure, which ends the run: no other rank is
+        stepped and every live rank generator is closed.  It is chained from
+        that rank's exception (a ``DeadlockError`` when no rank is runnable
+        and some wait), and names the rank and the tag it last yielded.
     """
     if nprocs < 1:
         raise ValueError("need at least one rank")

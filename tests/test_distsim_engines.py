@@ -25,6 +25,7 @@ import pytest
 from repro.distsim import (
     DeadlockError,
     RankFailedError,
+    SimulationError,
     allgather,
     allreduce,
     broadcast,
@@ -306,6 +307,9 @@ def test_scheduler_structural_deadlock_is_instant():
     # on — both in the message and as structured data.
     assert cause.blocked == {1: {"source": 0, "tag": "never"}}
     assert "rank 1 waiting for (source=0, tag='never')" in str(cause)
+    assert list(exc.value.failures) == [1]
+    assert exc.value.rank == 1 and exc.value.tag == "never"
+    assert str(exc.value).startswith("rank 1 failed after 'never': DeadlockError: ")
 
 
 def test_scheduler_detects_cyclic_deadlock():
@@ -324,6 +328,8 @@ def test_scheduler_detects_cyclic_deadlock():
         0: {"source": 1, "tag": "cycle"},
         1: {"source": 0, "tag": "cycle"},
     }
+    # One failure, charged to the lowest blocked rank.
+    assert list(exc.value.failures) == [0] and exc.value.failures[0] is cause
 
 
 def test_scheduler_rank_exception_propagates():
@@ -338,8 +344,8 @@ def test_scheduler_rank_exception_propagates():
 
 
 def test_scheduler_peer_failure_fails_blocked_ranks_fast():
-    """A rank waiting on a crashed peer gets a structural DeadlockError
-    instead of hanging."""
+    """A crashed peer ends the run at once: the rank that would wait on it is
+    closed, not left to hang or to fail with a secondary DeadlockError."""
 
     def prog(comm):
         if comm.rank == 0:
@@ -350,11 +356,68 @@ def test_scheduler_peer_failure_fails_blocked_ranks_fast():
     with pytest.raises(RankFailedError) as exc:
         run_spmd(2, prog)
     assert time.perf_counter() - start < 1.0
-    assert isinstance(exc.value.failures[0], RuntimeError)
-    assert isinstance(exc.value.failures[1], DeadlockError)
-    # The chained cause is the root failure (the crash), not the secondary
-    # deadlock it induced in the waiting rank.
+    assert list(exc.value.failures) == [0]
+    assert exc.value.rank == 0 and exc.value.tag is None
     assert isinstance(exc.value.__cause__, RuntimeError)
+    assert exc.value.failures[0] is exc.value.__cause__
+    assert str(exc.value) == "rank 0 failed: RuntimeError: crashed before sending"
+
+
+def test_scheduler_first_failure_steps_no_other_rank():
+    """Rank 0 fails at clock 0; rank 1, runnable at the same clock, is never
+    stepped."""
+    progress = []
+
+    def prog(comm):
+        if comm.rank == 0:
+            raise ValueError("boom")
+        progress.append(comm.rank)
+        yield from comm.co_recv(0, tag="never-sent")
+
+    with pytest.raises(RankFailedError) as exc:
+        run_spmd(2, prog)
+    assert list(exc.value.failures) == [0]
+    assert progress == []
+
+
+def test_scheduler_first_failure_closes_suspended_peers():
+    """A peer suspended in ``co_recv`` is closed, so its ``finally`` runs;
+    the error names the failing rank and the tag it last yielded."""
+    closed = []
+
+    def prog(comm):
+        if comm.rank == 0:
+            yield from comm.co_recv(1, tag="hello")
+            raise ValueError("boom")
+        comm.send(0, 1.0, tag="hello")
+        try:
+            yield from comm.co_recv(0, tag="x")
+        finally:
+            closed.append(comm.rank)
+
+    with pytest.raises(RankFailedError) as exc:
+        run_spmd(2, prog)
+    assert closed == [1]
+    assert list(exc.value.failures) == [0]
+    assert exc.value.rank == 0 and exc.value.tag == "hello"
+    assert str(exc.value) == "rank 0 failed after 'hello': ValueError: boom"
+
+
+def test_scheduler_unknown_request_fails_the_run():
+    """A rank yielding something that is no request fails the run as a
+    SimulationError naming that rank."""
+
+    def prog(comm):
+        if comm.rank == 1:
+            yield object()
+        return comm.rank
+
+    with pytest.raises(RankFailedError) as exc:
+        run_spmd(2, prog)
+    cause = exc.value.__cause__
+    assert type(cause) is SimulationError
+    assert "rank 1 yielded an unknown request" in str(cause)
+    assert list(exc.value.failures) == [1] and exc.value.rank == 1
 
 
 # ------------------------------------------------------- aliasing safety
@@ -449,6 +512,23 @@ def test_coroutine_engine_structural_deadlock_reports_p2p_and_collective():
     assert "rank 1 waiting for (source=2, tag='ghost')" in str(cause)
 
 
+def test_scheduler_collective_operator_failure_fails_the_run():
+    """An operator the host evaluates for a collective fails the run like a
+    rank would: charged to the rank whose arrival completed the collective."""
+
+    def bad_op(a, b):
+        raise ValueError("bad operator")
+
+    def prog(comm):
+        return (yield from allreduce(comm, comm.rank, bad_op, tag="t"))
+
+    with pytest.raises(RankFailedError) as exc:
+        run_spmd(2, prog)
+    assert isinstance(exc.value.__cause__, ValueError)
+    assert list(exc.value.failures) == [1]
+    assert str(exc.value) == "rank 1 failed after 't': ValueError: bad operator"
+
+
 def test_coroutine_engine_rank_exception_propagates():
     def prog(comm):
         if comm.rank == 0:
@@ -457,9 +537,9 @@ def test_coroutine_engine_rank_exception_propagates():
 
     with pytest.raises(RankFailedError) as exc:
         run_spmd(2, prog)
-    # Root cause is the crash, not the deadlock it induced in rank 1.
+    # The one failure is the crash; rank 1 is closed, not deadlocked.
     assert isinstance(exc.value.__cause__, ValueError)
-    assert isinstance(exc.value.failures[1], DeadlockError)
+    assert list(exc.value.failures) == [0]
 
 
 def test_coroutine_engine_back_to_back_same_tag_collectives():

@@ -105,6 +105,14 @@ def test_solveconfig_replace_validates_knobs_and_normalizes_grid():
         config.replace(pivoting="rook")
 
 
+def test_solveconfig_replace_none_knob_takes_the_default():
+    """``None`` means the default in ``replace`` as in ``resolve``, never a
+    config whose knob is ``None``."""
+    assert SolveConfig.resolve(pivoting="pp").replace(
+        pivoting=None, matmul=None
+    ) == SolveConfig.resolve()
+
+
 def test_solveconfig_machine_model_lookup():
     assert SolveConfig.resolve().machine_model() is None
     model = SolveConfig.resolve(machine="ibm_power5").machine_model()

@@ -192,3 +192,29 @@ def test_malformed_operand_fails_up_front_naming_it(monkeypatch, case):
     monkeypatch.setattr(solve, "calu", never)
     with pytest.raises(ValueError, match=match):
         call()
+
+
+# ----------------------------------------------------------- singular input
+@pytest.mark.parametrize("pivoting", ["pp", "ca", "ca_prrp"])
+@pytest.mark.parametrize("kind", ["zero_column", "all_zero"])
+def test_singular_matrix_fails_once_naming_rank_and_tag(kind, pivoting):
+    """An exactly singular ``A`` ends the SPMD run at the first rank that
+    fails: one ``RankFailedError`` with one entry, chained from that rank's
+    ``LinAlgError``, naming the rank and the tag it last yielded."""
+    from repro.distsim import RankFailedError
+    from repro.parallel import pdgesv
+
+    n = 32
+    A = randn(n, seed=8)
+    if kind == "zero_column":
+        A[:, 5] = 0.0
+    else:
+        A[:] = 0.0
+    with pytest.raises(RankFailedError) as exc:
+        pdgesv(A, randn(n, 1, seed=9), cfg((2, 2), 8, pivoting))
+    err = exc.value
+    assert list(err.failures) == [err.rank]
+    assert isinstance(err.__cause__, np.linalg.LinAlgError)
+    assert err.failures[err.rank] is err.__cause__
+    assert err.tag is not None
+    assert str(err).startswith(f"rank {err.rank} failed after {err.tag!r}: LinAlgError: ")

@@ -88,9 +88,8 @@ def test_ptslu_coroutine_engine_evaluates_each_distinct_merge_once(
     assert np.allclose(A[res.perm, :], res.L @ res.U, atol=1e-12)
 
 
-@pytest.mark.parametrize("scheduler", ["coroutine"])
 @pytest.mark.parametrize("selector", ["getf2", "rrqr"])
-def test_ptslu_shared_tournament_results_are_read_only(scheduler, selector):
+def test_ptslu_shared_tournament_results_are_read_only(selector):
     """The deduplicated merges hand one (rows, block) pair and one packed
     winner factor to every rank of a block: an in-place edit by one rank must
     raise rather than corrupt what the other ranks hold."""
@@ -119,4 +118,5 @@ def test_ptslu_shared_tournament_results_are_read_only(scheduler, selector):
     with pytest.raises(RankFailedError) as err:
         run_spmd(nprocs, tournament, 2)
     assert list(err.value.failures) == [2]
-    assert "read-only" in str(err.value.failures[2])
+    assert err.value.rank == 2 and err.value.tag == "t"
+    assert "read-only" in str(err.value.__cause__)

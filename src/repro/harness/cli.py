@@ -469,13 +469,11 @@ def cmd_cache(args: argparse.Namespace) -> int:
     factors = FactorCache(root=args.factor_cache_dir)
 
     if args.action == "purge":
-        removed_bytes = sum(int(e["bytes"]) for e in store.entries())
-        removed_results = store.purge()
-        factor_bytes = factors.total_bytes()
-        removed_factors = factors.purge()
+        sizes = [sum(st.st_size for _, st in s.files()) for s in (store, factors)]
+        removed = [s.purge() for s in (store, factors)]  # loadable or not
         print(
-            f"purged {removed_results} result artifacts ({removed_bytes} bytes) "
-            f"and {removed_factors} cached factors ({factor_bytes} bytes)",
+            f"purged {removed[0]} result artifacts ({sizes[0]} bytes) "
+            f"and {removed[1]} cached factors ({sizes[1]} bytes)",
             file=sys.stderr,
         )
         return 0

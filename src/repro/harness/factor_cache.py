@@ -1,51 +1,44 @@
 """Content-addressed cache of distributed factorizations (``FactorCache``).
 
-The result store (:mod:`repro.harness.store`) caches experiment *rows*; this
-module applies the same content-addressing discipline to the expensive part
-of the solve pipeline itself: the ``O(n^3)`` distributed factorization.  A
-factor's identity is the SHA-256 of everything that determines its bits —
+The result store caches experiment *rows*; this cache holds the expensive
+part of the solve pipeline itself, the ``O(n^3)`` distributed factorization.
+Both follow the one store policy of :mod:`repro.harness.store` (content key,
+schema, root lookup, atomic write, single-flight fetch, a file that does not
+decode is a miss, listings of loadable artifacts, ``purge`` over every
+artifact file); only the format and the LRU cap live here.  A factor's key
+hashes everything that determines its bits: the matrix (generator ``kind``,
+``n``, ``seed``), the grid shape, the block size, ``pivoting``, ``matmul``
+and the constant engine and kernel-tier entries, so a factor produced by
+CALU_PRRP or by the Strassen update is never served to a plain CALU request.
 
-* the matrix spec: generator ``kind`` (a :mod:`repro.randmat` family), size
-  ``n`` and ``seed``;
-* the run configuration: grid shape ``Pr x Pc``, block size ``b``, and the
-  resolved ``pivoting`` strategy and ``matmul`` backend (keyed, with the
-  constant engine and kernel-tier entries, exactly like the result store
-  keys them: a factor
-  produced by CALU_PRRP — or by the Strassen trailing update — must never be
-  served to a plain CALU request).
-
-Artifacts are ``.npz`` files (packed factors + permuted matrix + pivot
-sequence + a JSON metadata record) under ``factors/`` — relocatable via
-``REPRO_FACTOR_CACHE_DIR`` — with an LRU size cap
-(``REPRO_FACTOR_CACHE_MAX_BYTES`` or the ``max_bytes`` argument): cache hits
-refresh an artifact's recency, and writes evict the least-recently-used
-artifacts once the cap is exceeded.
-
-:meth:`FactorCache.fetch_or_factor` is single-flight per key, like
-:meth:`repro.harness.store.ResultStore.fetch_or_run`: concurrent requests
-for the same factor compute it once.
+Artifacts are ``factor-<key16>.npz`` files (packed factors, permuted matrix,
+pivot sequence and a JSON ``meta`` record) under ``factors/`` or
+``REPRO_FACTOR_CACHE_DIR``.  The LRU cap (``REPRO_FACTOR_CACHE_MAX_BYTES`` or
+``max_bytes``) counts every artifact file: hits refresh recency, and writes
+evict the least recently used files until the cache fits.
 """
 
 from __future__ import annotations
 
-import hashlib
+import contextlib
 import json
 import os
-import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.options import SolveConfig
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
-from .store import ENV_VAR as RESULTS_ENV_VAR  # noqa: F401  (doc cross-ref)
-from .store import KEYED_ENGINE, KEYED_KERNEL_TIER, key_lock
+from .store import (
+    KEYED_ENGINE, KEYED_KERNEL_TIER, SCHEMA_VERSION, checked, content_key,
+    delete_files, read_artifact, single_flight, stat_files, store_root,
+    write_atomic,
+)
 
-#: Environment variable relocating the factor cache (consistent with
-#: ``REPRO_RESULTS_DIR`` for the result store).
+#: Environment variable relocating the factor cache.
 ENV_VAR = "REPRO_FACTOR_CACHE_DIR"
 
 #: Environment variable capping the cache size in bytes (LRU eviction).
@@ -54,9 +47,6 @@ ENV_MAX_BYTES = "REPRO_FACTOR_CACHE_MAX_BYTES"
 #: Default artifact directory when neither an explicit root nor the
 #: environment variable is given.
 DEFAULT_ROOT = "factors"
-
-#: Artifact schema version (bumped on incompatible layout changes).
-SCHEMA_VERSION = 1
 
 
 def generate_matrix(kind: str, n: int, seed: int = 0) -> np.ndarray:
@@ -69,34 +59,46 @@ def generate_matrix(kind: str, n: int, seed: int = 0) -> np.ndarray:
     return np.asarray(square_matrix(kind, n, seed=seed), dtype=np.float64)
 
 
-def factor_key(
-    kind: str,
-    n: int,
-    seed: int,
-    nprow: int,
-    npcol: int,
-    block_size: int,
-    pivoting: str,
-    matmul: str = "summa",
-) -> str:
+def factor_key(kind: str, n: int, seed: int, nprow: int, npcol: int,
+               block_size: int, pivoting: str, matmul: str = "summa") -> str:
     """SHA-256 content address of one factorization (hex digest)."""
-    canonical = json.dumps(
-        {
-            "kind": kind,
-            "n": int(n),
-            "seed": int(seed),
-            "nprow": int(nprow),
-            "npcol": int(npcol),
-            "block_size": int(block_size),
-            "pivoting": pivoting,
-            "kernel_tier": KEYED_KERNEL_TIER,
-            "engine": KEYED_ENGINE,
-            "matmul": matmul,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key({
+        "kind": kind,
+        "n": int(n),
+        "seed": int(seed),
+        "nprow": int(nprow),
+        "npcol": int(npcol),
+        "block_size": int(block_size),
+        "pivoting": pivoting,
+        "kernel_tier": KEYED_KERNEL_TIER,
+        "engine": KEYED_ENGINE,
+        "matmul": matmul,
+    })
+
+
+#: The factor fields its ``.npz`` meta records after schema, key, kind, seed.
+_META_FIELDS = ("n", "block_size", "nprow", "npcol", "pivoting", "matmul")
+
+
+def _read_meta(path: Path) -> Dict[str, object]:
+    with np.load(path, allow_pickle=False) as data:
+        return checked(json.loads(str(data["meta"])))
+
+
+def _read_factor(path: Path, key: str) -> FactoredMatrix:
+    with np.load(path, allow_pickle=False) as data:
+        meta = checked(json.loads(str(data["meta"])))
+        if meta["key"] != key:
+            raise ValueError(f"{path} holds another key")
+        return FactoredMatrix(
+            **{f: int(meta[f]) for f in ("n", "block_size", "nprow", "npcol")},
+            pivoting=str(meta["pivoting"]),
+            packed=np.asarray(data["packed"], dtype=np.float64),
+            permuted=np.asarray(data["permuted"], dtype=np.float64),
+            perm=np.asarray(data["perm"], dtype=np.int64),
+            matmul=str(meta.get("matmul", "summa")),
+            key=key,
+        )
 
 
 @dataclass
@@ -115,12 +117,8 @@ class FactorFetch:
 class FactorCache:
     """LRU-capped, content-addressed store of :class:`FactoredMatrix` artifacts."""
 
-    def __init__(
-        self,
-        root: Optional[os.PathLike] = None,
-        max_bytes: Optional[int] = None,
-    ):
-        self.root = Path(root or os.environ.get(ENV_VAR) or DEFAULT_ROOT)
+    def __init__(self, root: Optional[os.PathLike] = None, max_bytes: Optional[int] = None):
+        self.root = store_root(root, ENV_VAR, DEFAULT_ROOT)
         if max_bytes is None:
             env = os.environ.get(ENV_MAX_BYTES)
             max_bytes = int(env) if env else None
@@ -132,70 +130,30 @@ class FactorCache:
 
     # -------------------------------------------------------------- load/save
     def load(self, key: str) -> Optional[FactoredMatrix]:
-        """Load a cached factor by key, or ``None`` when absent/unreadable.
+        """Load a cached factor by key, or ``None`` when it is not loadable.
 
         A hit refreshes the artifact's mtime, which is what the LRU
         eviction orders by.
         """
         path = self.path_for(key)
-        try:
-            with np.load(path, allow_pickle=False) as data:
-                meta = json.loads(str(data["meta"]))
-                if meta.get("schema") != SCHEMA_VERSION or meta.get("key") != key:
-                    return None
-                factor = FactoredMatrix(
-                    n=int(meta["n"]),
-                    block_size=int(meta["block_size"]),
-                    nprow=int(meta["nprow"]),
-                    npcol=int(meta["npcol"]),
-                    pivoting=str(meta["pivoting"]),
-                    packed=np.asarray(data["packed"], dtype=np.float64),
-                    permuted=np.asarray(data["permuted"], dtype=np.float64),
-                    perm=np.asarray(data["perm"], dtype=np.int64),
-                    matmul=str(meta.get("matmul", "summa")),
-                    key=key,
-                )
-        except (OSError, KeyError, ValueError):
-            return None
-        try:
-            os.utime(path)
-        except OSError:
-            pass
+        factor = read_artifact(path, lambda p: _read_factor(p, key))
+        if factor is not None:
+            with contextlib.suppress(OSError):
+                os.utime(path)
         return factor
 
-    def save(
-        self,
-        factor: FactoredMatrix,
-        key: str,
-        kind: str = "explicit",
-        seed: Optional[int] = None,
-    ) -> Path:
+    def save(self, factor: FactoredMatrix, key: str, kind: str = "explicit",
+             seed: Optional[int] = None) -> Path:
         """Atomically persist a factor under its content address."""
-        meta = {
-            "schema": SCHEMA_VERSION,
-            "key": key,
-            "kind": kind,
-            "seed": seed,
-            "n": factor.n,
-            "block_size": factor.block_size,
-            "nprow": factor.nprow,
-            "npcol": factor.npcol,
-            "pivoting": factor.pivoting,
-            "matmul": factor.matmul,
-        }
-        path = self.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique per writer: concurrent processes may race on the same key.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}.npz")
-        with open(tmp, "wb") as fh:
-            np.savez(
-                fh,
-                meta=np.array(json.dumps(meta)),
-                packed=factor.packed,
-                permuted=factor.permuted,
-                perm=factor.perm,
-            )
-        os.replace(tmp, path)
+        meta = {"schema": SCHEMA_VERSION, "key": key, "kind": kind, "seed": seed,
+                **{f: getattr(factor, f) for f in _META_FIELDS}}
+        path = write_atomic(self.path_for(key), lambda fh: np.savez(
+            fh,
+            meta=np.array(json.dumps(meta)),
+            packed=factor.packed,
+            permuted=factor.permuted,
+            perm=factor.perm,
+        ))
         factor.key = key
         self._enforce_cap(keep=path)
         return path
@@ -227,39 +185,32 @@ class FactorCache:
             kind, n, seed, grid.nprow, grid.npcol, block_size, config.pivoting,
             matmul=config.matmul,
         )
-        path = self.path_for(key)
 
-        with key_lock(("factor", str(self.root), key)):
-            if use_cache and not force:
-                factor = self.load(key)
-                if factor is not None:
-                    return FactorFetch(factor=factor, cached=True, path=path)
+        def compute() -> FactoredMatrix:
             A = generate_matrix(kind, n, seed=seed)
             factor = pcalu_factor(A, config.replace(grid=grid, b=block_size))
             factor.key = key
             if use_cache:
                 self.save(factor, key, kind=kind, seed=seed)
-            return FactorFetch(factor=factor, cached=False, path=path)
+            return factor
+
+        factor, cached = single_flight(self, key, lambda: self.load(key), compute,
+                                       use_cache=use_cache, force=force)
+        return FactorFetch(factor=factor, cached=cached, path=self.path_for(key))
 
     # -------------------------------------------------------------- reporting
+    def files(self) -> List[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of every artifact file, loadable or not."""
+        return stat_files(self.root.glob("factor-*.npz"))
+
     def entries(self) -> List[Dict[str, object]]:
-        """Metadata of every cached factor, most recently used first."""
-        if not self.root.is_dir():
-            return []
+        """Metadata of every loadable factor, most recently used first."""
         found = []
-        for path in sorted(self.root.glob("factor-*.npz")):
-            try:
-                stat = path.stat()
-                with np.load(path, allow_pickle=False) as data:
-                    meta = json.loads(str(data["meta"]))
-            except (OSError, KeyError, ValueError):
-                continue
-            if meta.get("schema") != SCHEMA_VERSION:
-                continue
-            meta["bytes"] = stat.st_size
-            meta["mtime"] = stat.st_mtime
-            meta["path"] = str(path)
-            found.append(meta)
+        for path, st in self.files():
+            meta = read_artifact(path, _read_meta)
+            if meta is not None:
+                found.append({**meta, "bytes": st.st_size, "mtime": st.st_mtime,
+                              "path": str(path)})
         found.sort(key=lambda m: m["mtime"], reverse=True)
         return found
 
@@ -270,35 +221,24 @@ class FactorCache:
         return sum(int(e["bytes"]) for e in self.entries())
 
     def purge(self) -> int:
-        """Delete every cached factor; returns the number removed."""
-        removed = 0
-        for entry in self.entries():
-            try:
-                os.unlink(entry["path"])
-                removed += 1
-            except OSError:
-                pass
-        return removed
+        """Delete every artifact file, loadable or not; returns the number removed."""
+        return delete_files(self.files())
 
     # --------------------------------------------------------------- eviction
     def _enforce_cap(self, keep: Optional[Path] = None) -> None:
-        """Evict least-recently-used artifacts until under ``max_bytes``.
+        """Evict least-recently-used artifact files until under ``max_bytes``.
 
-        The just-written artifact (``keep``) is never evicted, so a single
-        oversized factor still caches (the cap then holds for everything
-        else).
+        Every artifact file counts, loadable or not.  The just-written
+        artifact (``keep``) is never evicted, so a single oversized factor
+        still caches (the cap then holds for everything else).
         """
         if self.max_bytes is None:
             return
-        entries = self.entries()  # most recently used first
-        total = sum(int(e["bytes"]) for e in entries)
-        for entry in reversed(entries):  # least recently used first
+        files = sorted(self.files(), key=lambda f: f[1].st_mtime)  # LRU first
+        total = sum(st.st_size for _, st in files)
+        for path, st in files:
             if total <= self.max_bytes:
                 break
-            if keep is not None and Path(entry["path"]) == keep:
-                continue
-            try:
-                os.unlink(entry["path"])
-                total -= int(entry["bytes"])
-            except OSError:
-                pass
+            if path != keep:
+                path.unlink(missing_ok=True)
+                total -= st.st_size

@@ -1,20 +1,32 @@
-"""Content-addressed result store for experiment artifacts.
+"""Content-addressed artifact stores: the one store policy and the result store.
 
-Each run of a registered spec is identified by the SHA-256 of its *context*:
-the spec name, the fully resolved parameters, the resolved pivoting strategy,
-the resolved distributed-matmul backend, and constant engine and kernel-tier
-entries.  The
-artifact — rows plus metadata — is written as JSON under
-``results/<spec>/<spec>-<key12>.json`` (relocatable via the
-``REPRO_RESULTS_DIR`` environment variable or an explicit root), so a re-run with the same context is a cache hit that loads
-bit-identical rows, and ``--force`` recomputes in place.
+:class:`ResultStore` keeps experiment rows as JSON under
+``results/<spec>/<spec>-<key12>.json``; :class:`~repro.harness.factor_cache.
+FactorCache` keeps factorizations as ``.npz`` under ``factors/``.  Both follow
+one policy, implemented once by the helpers below; only the file formats and
+the factor cache's LRU cap are store-specific:
 
-JSON round-trips Python floats exactly (shortest-repr), so cached rows are
-bit-for-bit the rows the runner produced; the test suite enforces this.
+* the address is the SHA-256 of the canonical JSON of what determines the
+  artifact (:func:`content_key`), and every file records :data:`SCHEMA_VERSION`;
+* the root is the explicit argument, else the store's environment variable
+  (``REPRO_RESULTS_DIR``, ``REPRO_FACTOR_CACHE_DIR``), else its default;
+* writes go to a per-writer temp file no listing glob matches, then are
+  renamed into place (:func:`write_atomic`);
+* fetches are single-flight per ``(store, root, key)`` (:func:`single_flight`);
+* a file that fails to decode in any way — truncated, another format, another
+  schema — is a miss (:func:`read_artifact`), and the recompute overwrites it;
+* listings (``entries``, ``count``, ``artifacts``) show loadable artifacts,
+  while ``purge`` and the LRU cap act on every artifact file, loadable or not.
+
+A result's context key hashes the spec, its resolved parameters, pivoting,
+matmul and constant engine and kernel-tier entries; ``--force`` recomputes in
+place.  JSON round-trips Python floats exactly, so cached rows are bit-for-bit
+the rows the runner produced.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -22,20 +34,21 @@ import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import BinaryIO, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, TypeVar
 
 from ..core.options import KNOBS, SolveConfig
 from .spec import ExperimentSpec, Rows, jsonify
 
-#: Environment variable relocating the artifact store (consistent with
-#: ``REPRO_FACTOR_CACHE_DIR`` for the factor cache).
+T = TypeVar("T")
+
+#: Environment variable relocating the artifact store.
 ENV_VAR = "REPRO_RESULTS_DIR"
 
 #: Default artifact directory when neither an explicit root nor the
 #: environment variable is given.
 DEFAULT_ROOT = "results"
 
-#: Artifact schema version (bumped on incompatible layout changes).
+#: Artifact schema version of both stores (bumped on incompatible changes).
 SCHEMA_VERSION = 1
 
 #: The ``kernel_tier`` entry of every context and factor key.  Kernels pick
@@ -49,10 +62,7 @@ KEYED_KERNEL_TIER = "lapack"
 #: is the name every key has recorded, so existing keys stay valid.
 KEYED_ENGINE = "coroutine"
 
-#: Process-wide per-key locks making cached runs single-flight: two
-#: concurrent fetches of the same context key compute once — the second
-#: waits and is then served the artifact the first one stored.  Keyed by
-#: (store root, context key) so distinct stores never contend.
+#: Process-wide per-key locks making cached fetches single-flight.
 _KEY_LOCKS: Dict[object, threading.Lock] = {}
 _KEY_LOCKS_GUARD = threading.Lock()
 
@@ -66,6 +76,98 @@ def key_lock(key: object) -> threading.Lock:
         return lock
 
 
+# ----------------------------------------------------------- the store policy
+def content_key(fields: Mapping[str, object]) -> str:
+    """SHA-256 hex digest of the canonical JSON of ``fields``."""
+    canonical = json.dumps(fields, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def store_root(root: Optional[os.PathLike], env_var: str, default: str) -> Path:
+    """The explicit ``root``, else ``$env_var``, else ``default``."""
+    return Path(root or os.environ.get(env_var) or default)
+
+
+def write_atomic(path: Path, write: Callable[[BinaryIO], None]) -> Path:
+    """Write ``path`` through ``write(fh)`` under a temp name, then rename.
+
+    The temp name, ``.<name>.<pid>.<thread>.tmp``, is unique per writer and
+    matches no listing glob, so a writer killed mid-write leaves a file that
+    no load, listing, purge or cap ever opens.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_json(path: Path) -> object:
+    """The JSON document stored at ``path``."""
+    return json.loads(path.read_bytes())
+
+
+def checked(meta: object) -> Dict[str, object]:
+    """``meta`` when it is an artifact record of this schema, else ValueError."""
+    if not isinstance(meta, dict) or meta.get("schema") != SCHEMA_VERSION:
+        raise ValueError(f"not a schema-{SCHEMA_VERSION} artifact")
+    return meta
+
+
+def read_artifact(path: Path, decode: Callable[[Path], T]) -> Optional[T]:
+    """``decode(path)``, or ``None`` — a miss — when decoding fails at all."""
+    try:
+        return decode(path)
+    except Exception:  # absent, truncated, another format or another schema
+        return None
+
+
+def single_flight(store, key: str, load: Callable[[], Optional[T]],
+                  compute: Callable[[], T], use_cache: bool = True,
+                  force: bool = False) -> Tuple[T, bool]:
+    """``(value, cached)``: a stored hit, or ``compute()`` once per key.
+
+    Double-checked: a hit returns without locking; a miss takes the lock of
+    ``(store class, store root, key)`` and loads again, so a thread that
+    waited on another's compute is served the artifact it stored.
+    ``force`` skips both loads; ``use_cache=False`` also skips the lock.
+    """
+    if use_cache and not force:
+        hit = load()
+        if hit is not None:
+            return hit, True
+    if not use_cache:
+        return compute(), False
+    with key_lock((type(store).__name__, str(store.root), key)):
+        hit = None if force else load()
+        return (hit, True) if hit is not None else (compute(), False)
+
+
+def stat_files(paths: Iterable[Path]) -> List[Tuple[Path, os.stat_result]]:
+    """``(path, stat)`` per path, sorted; a file deleted meanwhile is skipped."""
+    found = []
+    for path in sorted(paths):
+        with contextlib.suppress(OSError):
+            found.append((path, path.stat()))
+    return found
+
+
+def delete_files(files: Iterable[Tuple[Path, os.stat_result]]) -> int:
+    """Unlink every listed file; returns the number this call removed."""
+    removed = 0
+    for path, _ in files:
+        with contextlib.suppress(FileNotFoundError):
+            path.unlink()
+            removed += 1
+    return removed
+
+
+# --------------------------------------------------------------- result store
 def context_key(
     spec_name: str,
     params: Mapping[str, object],
@@ -79,19 +181,14 @@ def context_key(
     computes — two runs that differ only in pivoting or in the
     distributed-matmul backend must never share an artifact.
     """
-    canonical = json.dumps(
-        {
-            "spec": spec_name,
-            "params": jsonify(dict(params)),
-            "kernel_tier": KEYED_KERNEL_TIER,
-            "engine": KEYED_ENGINE,
-            "pivoting": pivoting,
-            "matmul": matmul,
-        },
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return content_key({
+        "spec": spec_name,
+        "params": jsonify(dict(params)),
+        "kernel_tier": KEYED_KERNEL_TIER,
+        "engine": KEYED_ENGINE,
+        "pivoting": pivoting,
+        "matmul": matmul,
+    })
 
 
 @dataclass
@@ -111,7 +208,7 @@ class ResultStore:
     """Content-addressed JSON artifact store under a ``results/`` root."""
 
     def __init__(self, root: Optional[os.PathLike] = None):
-        self.root = Path(root or os.environ.get(ENV_VAR) or DEFAULT_ROOT)
+        self.root = store_root(root, ENV_VAR, DEFAULT_ROOT)
 
     # ------------------------------------------------------------- addressing
     def path_for(self, spec_name: str, key: str) -> Path:
@@ -139,27 +236,14 @@ class ResultStore:
 
     # -------------------------------------------------------------- load/save
     def load(self, path: Path) -> Optional[Dict[str, object]]:
-        """Load an artifact, or None when absent/unreadable."""
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                artifact = json.load(fh)
-        except (OSError, ValueError):
-            return None
-        if artifact.get("schema") != SCHEMA_VERSION:
-            return None
-        return artifact
+        """Load an artifact, or None when it is not a loadable artifact."""
+        return read_artifact(path, lambda p: checked(read_json(p)))
 
     def save(self, artifact: Dict[str, object]) -> Path:
         """Atomically write an artifact to its content address."""
-        path = self.path_for(artifact["spec"], artifact["key"])
-        path.parent.mkdir(parents=True, exist_ok=True)
-        # Unique per writer: two sweep threads may race on the same key.
-        tmp = path.with_suffix(f".tmp.{os.getpid()}.{threading.get_ident()}")
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(artifact, fh, indent=1)
-            fh.write("\n")
-        os.replace(tmp, path)
-        return path
+        text = json.dumps(artifact, indent=1) + "\n"
+        return write_atomic(self.path_for(artifact["spec"], artifact["key"]),
+                            lambda fh: fh.write(text.encode("utf-8")))
 
     # ------------------------------------------------------------------- runs
     def fetch_or_run(
@@ -173,40 +257,20 @@ class ResultStore:
         """Serve a run from the cache, or execute it and store the artifact.
 
         ``force`` recomputes and overwrites; ``use_cache=False`` bypasses the
-        store entirely (nothing read, nothing written).
-
-        Cached runs are single-flight: two concurrent calls with the same
-        context key take a per-key lock, so one computes and stores the
-        artifact and the other waits, then loads it as a cache hit instead
-        of recomputing.
+        store entirely (nothing read, nothing written).  Single-flight per
+        context key: concurrent calls run the spec once, the others are
+        served the stored artifact as cache hits.
         """
         params, config, key = self.run_config(spec, overrides, quick=quick)
         path = self.path_for(spec.name, key)
-        if use_cache and not force:
-            artifact = self.load(path)
-            if artifact is not None:
-                return FetchResult(artifact=artifact, cached=True, path=path)
+        artifact, cached = single_flight(
+            self, key, lambda: self.load(path),
+            lambda: self._run(spec, overrides, quick, use_cache, params, config, key),
+            use_cache=use_cache, force=force,
+        )
+        return FetchResult(artifact=artifact, cached=cached, path=path)
 
-        if use_cache:
-            lock = key_lock((str(self.root), key))
-            lock.acquire()
-        try:
-            if use_cache and not force:
-                # Another thread may have computed and stored the artifact
-                # while this one waited on the key lock.
-                artifact = self.load(path)
-                if artifact is not None:
-                    return FetchResult(artifact=artifact, cached=True, path=path)
-            return self._run_and_store(
-                spec, overrides, quick, use_cache, params, config, key, path
-            )
-        finally:
-            if use_cache:
-                lock.release()
-
-    def _run_and_store(
-        self, spec, overrides, quick, use_cache, params, config, key, path
-    ) -> FetchResult:
+    def _run(self, spec, overrides, quick, use_cache, params, config, key):
         start = time.perf_counter()
         rows = spec.run(overrides, quick=quick)
         elapsed = time.perf_counter() - start
@@ -228,47 +292,34 @@ class ResultStore:
         }
         if use_cache:
             self.save(artifact)
-        return FetchResult(artifact=artifact, cached=False, path=path)
+        return artifact
 
     # -------------------------------------------------------------- reporting
-    def _spec_paths(self, spec_name: Optional[str] = None) -> List[Tuple[str, List[Path]]]:
-        """``(spec, sorted artifact paths)`` per spec directory (or one spec's)."""
-        roots = [self.root / spec_name] if spec_name is not None else sorted(self.root.glob("*"))
-        return [(d.name, sorted(d.glob("*.json"))) for d in roots if d.is_dir()]
+    def files(self, spec_name: Optional[str] = None) -> List[Tuple[Path, os.stat_result]]:
+        """``(path, stat)`` of every artifact file (or one spec's), loadable or not."""
+        return stat_files(self.root.glob(f"{spec_name or '*'}/*.json"))
+
+    def _loadable(self, spec_name: Optional[str] = None):
+        """``(path, stat, artifact)`` of every loadable artifact."""
+        found = ((path, st, self.load(path)) for path, st in self.files(spec_name))
+        return [entry for entry in found if entry[2] is not None]
 
     def artifacts(self, spec_name: Optional[str] = None) -> List[Dict[str, object]]:
         """All stored artifacts (optionally for one spec), newest first."""
-        found: List[Tuple[float, Dict[str, object]]] = []
-        for _, paths in self._spec_paths(spec_name):
-            for path in paths:
-                artifact, stat = self.load(path), _stat(path)
-                if artifact is not None and stat is not None:
-                    found.append((stat.st_mtime, artifact))
-        found.sort(key=lambda item: item[0], reverse=True)
-        return [artifact for _, artifact in found]
+        found = sorted(self._loadable(spec_name), key=lambda e: e[1].st_mtime, reverse=True)
+        return [artifact for _, _, artifact in found]
 
     def count(self, spec_name: str) -> int:
-        """Number of cached artifacts for one spec."""
-        return sum(len(paths) for _, paths in self._spec_paths(spec_name))
+        """Number of loadable artifacts for one spec."""
+        return len(self._loadable(spec_name))
 
     def entries(self) -> List[Dict[str, object]]:
-        """Artifact count and bytes of every spec holding artifacts, by name."""
-        sizes = [(spec, [st.st_size for st in map(_stat, paths) if st])
-                 for spec, paths in self._spec_paths()]
-        return [{"spec": s, "artifacts": len(b), "bytes": sum(b)} for s, b in sizes if b]
+        """Loadable-artifact count and bytes of every spec holding any, by name."""
+        sizes: Dict[str, List[int]] = {}
+        for path, st, _ in self._loadable():
+            sizes.setdefault(path.parent.name, []).append(st.st_size)
+        return [{"spec": s, "artifacts": len(b), "bytes": sum(b)} for s, b in sizes.items()]
 
     def purge(self) -> int:
-        """Delete every stored artifact; returns the number removed."""
-        paths = [path for _, group in self._spec_paths() for path in group]
-        for path in paths:
-            path.unlink(missing_ok=True)
-        return len(paths)
-
-
-def _stat(path: Path) -> Optional[os.stat_result]:
-    """``path.stat()``, or ``None`` when another process pruned the store
-    mid-listing (the artifact is then skipped, not a crashed listing)."""
-    try:
-        return path.stat()
-    except OSError:
-        return None
+        """Delete every artifact file, loadable or not; returns the number removed."""
+        return delete_files(self.files())

@@ -44,7 +44,6 @@ Model notes
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -447,18 +446,14 @@ def load_tune_artifact(
     ref: str = "latest", store=None
 ) -> Dict[str, object]:
     """Load one stored tune artifact by path, key prefix, or ``"latest"``."""
-    from .store import ResultStore
+    from .store import ResultStore, read_artifact, read_json
 
     if ref != "latest":
         path = Path(ref)
         if path.is_file():
-            try:
-                with open(path, "r", encoding="utf-8") as fh:
-                    artifact = json.load(fh)
-            except ValueError as exc:  # truncated or not JSON at all
-                raise ValueError(f"{ref} is not a readable tune artifact: {exc}") from None
+            artifact = read_artifact(path, read_json)
             if not isinstance(artifact, dict) or artifact.get("spec") != "tune":
-                raise ValueError(f"{ref} is not a tune artifact")
+                raise ValueError(f"{ref} is not a readable tune artifact")
             return artifact
     if store is None:
         store = ResultStore()

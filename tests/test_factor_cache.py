@@ -18,6 +18,7 @@ The contract under test:
 from __future__ import annotations
 
 import itertools
+import json
 import threading
 
 import numpy as np
@@ -90,8 +91,6 @@ def test_factor_recording_an_engine_still_loads(tmp_path):
     """Factors written before the engine stopped being a knob carry an
     ``engine`` in their metadata, even one no longer accepted; the loader
     ignores it and serves the factor under its unchanged key."""
-    import json
-
     cache = _cache(tmp_path)
     miss = cache.fetch_or_factor(kind="randn", n=32, seed=2, config=p4())
     with np.load(miss.path) as data:
@@ -205,21 +204,104 @@ def test_entries_count_bytes_purge(tmp_path):
     assert cache.count() == 0 and cache.total_bytes() == 0
 
 
-def test_corrupt_artifact_is_a_miss(tmp_path):
+def _truncate(cut):
+    def corrupt(path):
+        data = path.read_bytes()
+        path.write_bytes(data[:cut(len(data))])
+    return corrupt
+
+
+def _restamp_schema(path, schema=0):
+    """Rewrite a factor file with its ``meta`` claiming another schema."""
+    with np.load(path) as data:
+        arrays = {name: data[name] for name in data.files}
+    meta = json.loads(str(arrays["meta"]))
+    arrays["meta"] = np.array(json.dumps({**meta, "schema": schema}))
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
+
+
+#: Ways a factor file goes bad.  A cut ``.npz`` raises ``BadZipFile``, not a
+#: ``ValueError``; the n = 32 factor below is 18 446 bytes, so "half" and
+#: "last-10" cut at 9 223 and 18 436.
+CORRUPTIONS = {
+    "not-an-npz": lambda path: path.write_bytes(b"not an npz"),
+    "cut-10": _truncate(lambda size: 10),
+    "cut-100": _truncate(lambda size: 100),
+    "cut-half": _truncate(lambda size: size // 2),
+    "cut-last-10": _truncate(lambda size: size - 10),
+    "schema-0": _restamp_schema,
+}
+
+
+@pytest.mark.parametrize("corruption", list(CORRUPTIONS))
+def test_corrupt_artifact_is_a_miss(tmp_path, corruption):
     cache = _cache(tmp_path)
     fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
-    fetch.path.write_bytes(b"not an npz")
+    CORRUPTIONS[corruption](fetch.path)
     assert cache.load(fetch.key) is None
+    assert cache.entries() == [] and cache.count() == 0 and cache.total_bytes() == 0
     again = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     assert not again.cached  # recomputed, not served corrupt bits
-    assert np.array_equal(again.factor.packed, fetch.factor.packed)
+    for name in ("packed", "permuted", "perm"):
+        assert np.array_equal(getattr(again.factor, name), getattr(fetch.factor, name))
+    assert cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4()).cached
+
+
+def test_stray_partial_temp_file_is_never_opened(tmp_path):
+    """A writer killed mid-write leaves its temp file; no listing, purge,
+    cap or fetch may trip over it."""
+    cache = _cache(tmp_path)
+    fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
+    stray = fetch.path.with_name(f".{fetch.path.name}.999.1.tmp")
+    # Older writers named temp files factor-<key16>.tmp.<pid>.<tid>.npz: by
+    # name an artifact file, so it is never listed but is purged and capped.
+    old_stray = fetch.path.with_name(f"factor-{fetch.key[:16]}.tmp.999.1.npz")
+    for path in (stray, old_stray):
+        path.write_bytes(fetch.path.read_bytes()[:100])
+    assert [e["path"] for e in cache.entries()] == [str(fetch.path)]
+    assert cache.count() == 1 and cache.total_bytes() == fetch.path.stat().st_size
+    assert len(cache.files()) == 2
+    capped = FactorCache(root=cache.root, max_bytes=1)
+    other = capped.fetch_or_factor(kind="randn", n=32, seed=1, config=p4())
+    assert not other.cached and [e["seed"] for e in capped.entries()] == [1]
+    assert [path for path, _ in capped.files()] == [other.path]
+    assert capped.purge() == 1 and capped.files() == []
+    assert stray.is_file()  # a temp file is no artifact
+
+
+def test_listing_shows_loadable_factors_and_purge_removes_every_file(tmp_path):
+    cache = _cache(tmp_path)
+    good, cut, stale = (
+        cache.fetch_or_factor(kind="randn", n=32, seed=s, config=p4()) for s in (0, 1, 2)
+    )
+    _truncate(lambda size: size // 2)(cut.path)
+    _restamp_schema(stale.path)
+    assert [e["seed"] for e in cache.entries()] == [0]
+    assert cache.count() == 1 and cache.total_bytes() == good.path.stat().st_size
+    assert len(cache.files()) == 3
+    assert cache.purge() == 3
+    assert list(cache.root.iterdir()) == []
+
+
+def test_lru_cap_counts_unloadable_files(tmp_path):
+    import os
+
+    cache = _cache(tmp_path)
+    fetches = [cache.fetch_or_factor(kind="randn", n=32, seed=s, config=p4())
+               for s in (0, 1, 2)]
+    _truncate(lambda size: size // 2)(fetches[1].path)
+    _restamp_schema(fetches[2].path)
+    for t, f in enumerate(fetches):
+        os.utime(f.path, (1000.0 + t, 1000.0 + t))
+    keep = fetches[0].path
+    FactorCache(root=cache.root, max_bytes=keep.stat().st_size)._enforce_cap(keep=keep)
+    assert [path for path, _ in cache.files()] == [keep]
 
 
 def test_artifact_with_a_kernel_tier_field_still_loads(tmp_path):
     """``.npz`` files written while the tier was configurable carry a
     ``kernel_tier`` meta field; the reader ignores it."""
-    import json
-
     cache = _cache(tmp_path)
     fetch = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     with np.load(fetch.path) as data:

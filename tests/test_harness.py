@@ -782,6 +782,66 @@ def test_result_store_entries_and_purge(tmp_path):
     assert store.entries() == [] and store.count("figure1") == 0
 
 
+@pytest.mark.parametrize("cut", ["empty", "cut-10", "cut-half", "cut-last-2"])
+def test_truncated_result_artifact_is_a_miss(tmp_path, cut):
+    store, spec = ResultStore(root=tmp_path), get_spec("figure1")
+    first = store.fetch_or_run(spec)
+    text = first.path.read_text()
+    size = {"empty": 0, "cut-10": 10, "cut-half": len(text) // 2,
+            "cut-last-2": len(text) - 2}[cut]
+    first.path.write_text(text[:size])
+    assert store.load(first.path) is None
+    again = store.fetch_or_run(spec)
+    assert not again.cached and again.rows == first.rows  # recomputed, same bits
+    assert store.fetch_or_run(spec).cached
+
+
+def test_result_store_lists_loadable_artifacts_and_purges_every_file(tmp_path):
+    store = ResultStore(root=tmp_path)
+    good = store.fetch_or_run(get_spec("figure1"))
+    corrupt = good.path.with_name("figure1-000000000000.json")
+    corrupt.write_text(good.path.read_text()[:100])
+    stray = good.path.with_name(f".{good.path.name}.999.1.tmp")  # killed writer
+    stray.write_text("{")
+    assert store.entries() == [
+        {"spec": "figure1", "artifacts": 1, "bytes": good.path.stat().st_size}
+    ]
+    assert store.count("figure1") == 1 and len(store.artifacts()) == 1
+    assert len(store.files()) == 2
+    assert store.purge() == 2
+    assert list(tmp_path.glob("*/*.json")) == [] and stray.is_file()
+
+
+def test_write_atomic_failure_leaves_no_file(tmp_path):
+    from repro.harness.store import write_atomic
+
+    def failing(fh):
+        fh.write(b'{"partial": ')
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_atomic(tmp_path / "spec" / "spec-0.json", failing)
+    assert list((tmp_path / "spec").iterdir()) == []
+
+
+def test_cli_cache_purge_leaves_no_artifact_file_after_corruption(tmp_path, capsys):
+    factors = tmp_path / "factors"
+    assert run_cli(["run", "figure1"], tmp_path) == 0
+    assert run_cli(["serve", "--n", "32", "--P", "4", "--b", "8", "--requests", "1",
+                    "--factor-cache-dir", str(factors)], tmp_path) == 0
+    (factor,) = factors.glob("factor-*.npz")
+    (factor.parent / f".{factor.name}.999.1.tmp").write_bytes(factor.read_bytes()[:100])
+    (result,) = tmp_path.glob("figure1/*.json")
+    result.write_text(result.read_text()[:40])
+    capsys.readouterr()
+    assert run_cli(["cache", "list", "--factor-cache-dir", str(factors)], tmp_path) == 0
+    out = capsys.readouterr().out
+    assert "randn n=32" in out and "figure1" not in out  # the cut JSON is not listed
+    assert run_cli(["cache", "purge", "--factor-cache-dir", str(factors)], tmp_path) == 0
+    assert capsys.readouterr().err.startswith("purged 1 result artifacts")
+    assert list(tmp_path.glob("*/*.json")) == list(factors.glob("factor-*.npz")) == []
+
+
 def test_cli_cache_list_and_purge(tmp_path, capsys):
     factors = str(tmp_path / "factors")
     # Populate both stores: one experiment artifact, one factor.

@@ -35,7 +35,10 @@ compute_thresholds=True`` — the recording runs, which keep the kernels'
 reference loops — and hash ``packed``, ``perm``, the growth and threshold
 histories and the flop ledger.  ``key`` lines pin the default-config store
 and factor keys, and the store key ``ResultStore.run_config`` gives every
-registered spec at its defaults and under ``quick``.
+registered spec at its defaults and under ``quick``.  ``rows`` lines hash
+``json.dumps(spec.run(quick=...))`` of every registered spec: both settings
+in the full matrix, the ``quick`` rows under ``--quick`` (the full rows take
+about 20 s, most of it ``figure2`` and ``table2``).
 
 Matrix (full): ptslu P in 1,2,3,5,6,8,13,16 x ca/pp/ca_prrp x
 block/block-cyclic (m = 8P+5, b = 8); pdgetrf, pcalu, pdgesv on 2x2, 4x2, 3x5,
@@ -43,7 +46,7 @@ block/block-cyclic (m = 8P+5, b = 8); pdgetrf, pcalu, pdgesv on 2x2, 4x2, 3x5,
 (ibm_power5, nrhs = 2); pdgemm on five grids x summa/caps x two shapes; tslu
 on 64x8, 53x7 x P in 1,3,4,8 and calu (plain and record) on n in 40,53
 (b = 7) x P in 2,4, each x ca/pp/ca_prrp x binary/flat/butterfly x
-contiguous/block-cyclic.  706 lines.
+contiguous/block-cyclic.  742 lines.
 
 The script runs unchanged against trees from before the kernel tier and the
 engine stopped being knobs (``--src``): drivers are called without either
@@ -58,6 +61,7 @@ import argparse
 import hashlib
 import inspect
 import itertools
+import json
 import os
 import struct
 import sys
@@ -245,6 +249,14 @@ def key_lines():
                    store.run_config(spec, quick=quick)[2])
 
 
+def rows_lines(quick: bool):
+    """Yield ``(config, callable -> rows)`` for every registered spec."""
+    from repro.harness import all_specs
+
+    for spec, q in itertools.product(all_specs(), (True,) if quick else (False, True)):
+        yield f"rows spec={spec.name}{' quick' if q else ''}", partial(spec.run, quick=q)
+
+
 def attempt(fn):
     """``fn()``, or the name of what it raised (a defined answer is a digest too)."""
     try:
@@ -276,6 +288,11 @@ def main(argv=None) -> int:
         print(f"{config}  {result if isinstance(result, str) else sha(result)}")
     for config, key in key_lines():
         print(f"{config}  {key}")
+    for config, fn in rows_lines(args.quick):
+        rows = attempt(fn)
+        if not isinstance(rows, str):
+            rows = hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+        print(f"{config}  {rows}")
     return 0
 
 

@@ -4,24 +4,28 @@ Importing this package registers every built-in experiment into the
 :mod:`repro.harness` registry (the CLI and benchmarks do this implicitly via
 :func:`repro.harness.load_builtin_specs`).
 
-============  ==============  ========================================
-Experiment    Spec name       Module / direct entry point
-============  ==============  ========================================
-Figure 1      ``figure1``     :func:`repro.experiments.figure1.run`
-Figure 2      ``figure2``     :func:`repro.experiments.figure2.run`
-Table 1       ``table1``      :func:`repro.experiments.table1.run`
-Table 2       ``table2``      :func:`repro.experiments.table2.run`
-Table 3       ``table3``      :func:`repro.experiments.panel_tables.run_table3`
-Table 4       ``table4``      :func:`repro.experiments.panel_tables.run_table4`
-Table 5       ``table5``      :func:`repro.experiments.factorization_tables.run_table5`
-Table 6       ``table6``      :func:`repro.experiments.factorization_tables.run_table6`
-Table 7       ``table7``      :func:`repro.experiments.factorization_tables.run_table7`
-Validation    ``validation``  :func:`repro.experiments.validation.run`
-============  ==============  ========================================
+============  ==============  ===============================================
+Experiment    Spec name       Rows: a grid or sample mean over
+============  ==============  ===============================================
+Figure 1      ``figure1``     the worked example (:mod:`.figure1`)
+Figure 2      ``figure2``     the growth point ``stability_prrp`` samples
+Table 1       ``table1``      ``stability``'s row, per (n, P, b)
+Table 2       ``table2``      GEPP stability rows, sampled
+Table 3       ``table3``      ``panel`` on IBM POWER5
+Table 4       ``table4``      ``panel`` on Cray XT4
+Table 5       ``table5``      ``factorization`` on IBM POWER5
+Table 6       ``table6``      ``factorization`` on Cray XT4
+Table 7       ``table7``      the best ``factorization`` grid per algorithm
+Validation    ``validation``  simulator counts (:mod:`.validation`)
+============  ==============  ===============================================
 
-Beyond the paper's grids, :mod:`repro.experiments.scenarios` registers
-sweepable single-point specs (``stability``, ``panel``, ``factorization``,
-``panel_counts``) for ``python -m repro sweep``.
+Every row is computed by one function of :mod:`repro.experiments.runners`;
+run any of them as ``repro.harness.get_spec(name).run(...)`` or ``python -m
+repro run <name>``.  Beyond the paper's grids,
+:mod:`repro.experiments.scenarios` registers the sweepable single-point specs
+(``stability``, ``stability_prrp``, ``panel``, ``factorization``,
+``panel_counts``, ``solve``, ``matmul_tradeoff``) for ``python -m repro
+sweep``.
 """
 
 from . import (

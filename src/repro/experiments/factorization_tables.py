@@ -10,17 +10,21 @@ The rows are produced by the analytic models (Equations 2 and 3) under the
 calibrated machine models; a validation benchmark checks the models against
 the simulator's measured message counts at small sizes.
 
-Thin registered specs over :mod:`repro.experiments.runners`
-(``table5`` = IBM POWER5, ``table6`` = Cray XT4, ``table7`` = best vs best).
+Tables 5-6 are a grid over :func:`repro.experiments.runners.factorization_point`,
+the single point the ``factorization`` spec registers
+(:func:`repro.experiments.runners.factorization_table`; ``table5`` = IBM
+POWER5, ``table6`` = Cray XT4).  Table 7
+(:func:`repro.experiments.runners.best_vs_best_sweep`) takes the best of the
+same comparison over the same process grids.  Address each as
+``get_spec(name).run(...)``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Sequence
 
 from ..harness import ExperimentSpec, register
-from ..machines.model import MachineModel
-from .runners import best_vs_best_sweep, factorization_sweep
+from .runners import best_vs_best_sweep, factorization_table
 
 #: The paper's sweep (Tables 5-6).
 PAPER_ORDERS: Sequence[int] = (1_000, 5_000, 10_000)
@@ -34,42 +38,11 @@ QUICK = {"orders": (1_000,), "blocks": (50,), "proc_counts": (4, 16)}
 COLUMNS = ("m", "b", "P", "grid", "improvement", "calu_gflops", "percent_peak")
 
 
-def run(
-    machine: Union[str, MachineModel],
-    orders: Sequence[int] = PAPER_ORDERS,
-    blocks: Sequence[int] = PAPER_BLOCKS,
-    proc_counts: Sequence[int] = PAPER_PROC_COUNTS,
-) -> List[Dict[str, object]]:
-    """Evaluate the PDGETRF/CALU sweep of Table 5 (POWER5) or 6 (XT4)."""
-    return factorization_sweep(machine, orders, blocks, proc_counts)
-
-
-def run_table5(**kwargs) -> List[Dict[str, object]]:
-    """Table 5: PDGETRF/CALU on the IBM POWER5 model."""
-    return run(kwargs.pop("machine", "ibm_power5"), **kwargs)
-
-
-def run_table6(**kwargs) -> List[Dict[str, object]]:
-    """Table 6: PDGETRF/CALU on the Cray XT4 model."""
-    return run(kwargs.pop("machine", "cray_xt4"), **kwargs)
-
-
-def run_table7(
-    machines: Union[Dict[str, MachineModel], Sequence[str], None] = None,
-    orders: Sequence[int] = PAPER_ORDERS,
-    proc_counts: Sequence[int] = (8, 16, 32, 64),
-    blocks: Sequence[int] = PAPER_BLOCKS,
-) -> List[Dict[str, object]]:
-    """Table 7: best-CALU vs best-PDGETRF speedups on both machines."""
-    machines = machines if machines is not None else ("ibm_power5", "cray_xt4")
-    return best_vs_best_sweep(machines, orders, proc_counts, blocks)
-
-
 SPEC_TABLE5 = register(
     ExperimentSpec(
         name="table5",
         title="PDGETRF/CALU time ratio and GFLOP/s, IBM POWER5 (model)",
-        runner=run,
+        runner=factorization_table,
         params={"machine": "ibm_power5", "orders": PAPER_ORDERS,
                 "blocks": PAPER_BLOCKS, "proc_counts": PAPER_PROC_COUNTS},
         quick=QUICK,
@@ -83,7 +56,7 @@ SPEC_TABLE6 = register(
     ExperimentSpec(
         name="table6",
         title="PDGETRF/CALU time ratio and GFLOP/s, Cray XT4 (model)",
-        runner=run,
+        runner=factorization_table,
         params={"machine": "cray_xt4", "orders": PAPER_ORDERS,
                 "blocks": PAPER_BLOCKS, "proc_counts": PAPER_PROC_COUNTS},
         quick=QUICK,
@@ -97,7 +70,7 @@ SPEC_TABLE7 = register(
     ExperimentSpec(
         name="table7",
         title="Best-CALU vs best-PDGETRF speedups, both machines (model)",
-        runner=run_table7,
+        runner=best_vs_best_sweep,
         params={"machines": ("ibm_power5", "cray_xt4"), "orders": PAPER_ORDERS,
                 "proc_counts": (8, 16, 32, 64), "blocks": PAPER_BLOCKS},
         quick={"orders": (1_000,), "proc_counts": (16, 64), "blocks": (50, 100)},

@@ -5,16 +5,19 @@ The paper plots, for standard-normal matrices of order 2^10..2^13 and several
 ca-pivoting (left plot — it tracks ``c · n^(2/3)`` with c ≈ 1.5, like partial
 pivoting) and the minimum pivot threshold (right plot — always above 0.33).
 
-``run`` regenerates both series.  Default sizes are reduced (2^8..2^10) so
-the experiment completes in seconds in pure Python; pass ``sizes=(1024, 2048,
-4096, 8192)`` to match the paper exactly (minutes of runtime).  Thin
-registered spec over
-:func:`repro.experiments.runners.growth_threshold_series` (``figure2``).
+``get_spec("figure2").run(...)`` regenerates both series through
+:func:`repro.experiments.runners.growth_threshold_series`: per (n, P, b), the
+mean ``g_T``, least ``tau_min`` and mean ``tau_ave`` over ``samples >= 1``
+random matrices (the paper uses two for the largest sizes), plus the
+partial-pivoting reference curve when ``include_gepp``.  Default sizes are
+reduced (2^8..2^10) so the experiment completes in seconds in pure Python;
+pass ``sizes=(1024, 2048, 4096, 8192)`` to match the paper exactly (minutes
+of runtime).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..harness import ExperimentSpec, register
 from .runners import growth_threshold_series
@@ -26,43 +29,11 @@ DEFAULT_CONFIGS: Sequence[Tuple[int, int]] = ((4, 16), (4, 32), (8, 16), (8, 32)
 DEFAULT_SIZES: Sequence[int] = (256, 512, 1024)
 
 
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    configs: Sequence[Tuple[int, int]] = DEFAULT_CONFIGS,
-    samples: int = 2,
-    include_gepp: bool = True,
-    seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Compute growth-factor and threshold series for randn matrices.
-
-    Parameters
-    ----------
-    sizes:
-        Matrix orders ``n``.
-    configs:
-        ``(P, b)`` pairs for ca-pivoting.
-    samples:
-        Number of random samples averaged per point (the paper uses two for
-        the largest sizes).
-    include_gepp:
-        Also compute the partial-pivoting reference curve.
-    seed:
-        Base random seed.
-
-    Returns
-    -------
-    list of dict
-        One row per (n, P, b) with averaged ``gT``, ``tau_min``, ``tau_ave``
-        and the ``n^(2/3)`` reference.
-    """
-    return growth_threshold_series(sizes, configs, samples, include_gepp, seed=seed)
-
-
 SPEC = register(
     ExperimentSpec(
         name="figure2",
         title="Growth factor g_T and pivot thresholds vs matrix size",
-        runner=run,
+        runner=growth_threshold_series,
         params={"sizes": DEFAULT_SIZES, "configs": DEFAULT_CONFIGS,
                 "samples": 2, "include_gepp": True, "seed": 0},
         quick={"sizes": (64, 128), "configs": ((2, 8), (4, 8)), "samples": 1},

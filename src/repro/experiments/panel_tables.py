@@ -13,17 +13,18 @@ the ``b x`` latency reduction and the local-kernel speedup.  A separate
 validation benchmark checks the models' message counts against the simulator
 on small panels.
 
-Thin registered specs over :func:`repro.experiments.runners.panel_ratio_sweep`
-(``table3`` = IBM POWER5, ``table4`` = Cray XT4).
+Each table is a grid over :func:`repro.experiments.runners.panel_point`, the
+single point the ``panel`` spec registers
+(:func:`repro.experiments.runners.panel_table`; ``table3`` = IBM POWER5,
+``table4`` = Cray XT4, both ``get_spec(name).run(...)``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, Sequence
 
 from ..harness import ExperimentSpec, register
-from ..machines.model import MachineModel
-from .runners import panel_ratio_sweep
+from .runners import panel_table
 
 #: The paper's sweep (Tables 3-4).
 PAPER_HEIGHTS: Sequence[int] = (1_000, 5_000, 10_000, 100_000, 1_000_000)
@@ -35,32 +36,6 @@ QUICK = {"heights": (10_000, 100_000), "widths": (50,), "procs": (4, 16)}
 
 #: Report columns shared by Tables 3 and 4.
 COLUMNS = ("m", "n=b", "P", "ratio_rec", "ratio_cl", "tslu_gflops_rec")
-
-
-def run(
-    machine: Union[str, MachineModel],
-    heights: Sequence[int] = PAPER_HEIGHTS,
-    widths: Sequence[int] = PAPER_WIDTHS,
-    procs: Sequence[int] = PAPER_PROCS,
-) -> List[Dict[str, object]]:
-    """Evaluate the PDGETF2/TSLU ratio sweep for one machine.
-
-    Returns one row per (m, b, P) with the ratio for both local kernels
-    (the paper's "Rec" and "Cl" columns).  Rows where the panel does not fit
-    the process count (fewer rows than ``P * b``) are skipped, mirroring the
-    missing entries of the paper's tables.
-    """
-    return panel_ratio_sweep(machine, heights, widths, procs)
-
-
-def run_table3(**kwargs) -> List[Dict[str, object]]:
-    """Table 3: PDGETF2/TSLU ratios on the IBM POWER5 model."""
-    return run(kwargs.pop("machine", "ibm_power5"), **kwargs)
-
-
-def run_table4(**kwargs) -> List[Dict[str, object]]:
-    """Table 4: PDGETF2/TSLU ratios on the Cray XT4 model."""
-    return run(kwargs.pop("machine", "cray_xt4"), **kwargs)
 
 
 def best_improvement(rows: Sequence[Dict[str, object]]) -> Dict[str, object]:
@@ -78,7 +53,7 @@ SPEC_TABLE3 = register(
     ExperimentSpec(
         name="table3",
         title="PDGETF2/TSLU panel time ratios, IBM POWER5 (model)",
-        runner=run,
+        runner=panel_table,
         params={"machine": "ibm_power5", "heights": PAPER_HEIGHTS,
                 "widths": PAPER_WIDTHS, "procs": PAPER_PROCS},
         quick=QUICK,
@@ -92,7 +67,7 @@ SPEC_TABLE4 = register(
     ExperimentSpec(
         name="table4",
         title="PDGETF2/TSLU panel time ratios, Cray XT4 (model)",
-        runner=run,
+        runner=panel_table,
         params={"machine": "cray_xt4", "heights": PAPER_HEIGHTS,
                 "widths": PAPER_WIDTHS, "procs": PAPER_PROCS},
         quick=QUICK,

@@ -1,45 +1,80 @@
-"""Shared experiment runners behind the registered specs.
+"""The row functions behind the registered specs.
 
-Before the registry refactor every ``experiments/table*.py`` module carried
-its own copy of the same three loops (stability sweep, panel-model sweep,
-factorization-model sweep).  This module is the single home of that plumbing;
-the table/figure modules are now thin declarative wrappers that bind a runner
-to the paper's parameter grid and register the result as an
-:class:`~repro.harness.spec.ExperimentSpec`.
+Each measurement has one row function here, and every paper table or figure
+is a grid (or a sample mean) over the single-point function its scenario
+spec registers:
 
-Machine models are addressed by *name* here (``"ibm_power5"``, ``"cray_xt4"``,
-the names of :data:`repro.machines.MACHINES`) so that spec parameters stay
-JSON-serializable and hashable for the content-addressed result store.
+* Tables 3-4 are a grid over :func:`panel_point` (the ``panel`` spec);
+* Tables 5-6 are a grid over :func:`factorization_point` (``factorization``);
+  Table 7 takes the best of :func:`repro.models.compare_factorization` over
+  the same process grids;
+* Table 1 and the ``stability`` spec report :func:`stability_dict` rows;
+* Table 2, Figure 2 and ``stability_prrp`` average over
+  :func:`sample_matrices`, and Figure 2's ``calu`` rows and
+  ``stability_prrp`` share :func:`growth_point`.
+
+The table and figure modules only bind these functions to the paper's
+parameter grids.  Machine models are addressed by *name* (``"ibm_power5"``,
+``"cray_xt4"``, the names of :data:`repro.machines.MACHINES`) so that spec
+parameters stay JSON-serializable and hashable for the content-addressed
+result store.  Process counts map to grids by
+:meth:`repro.layouts.grid.ProcessGrid.default_for` (the paper's 2x2 .. 8x8
+at P = 4 .. 64).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+import itertools
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..machines.model import MachineModel
+from ..core.calu import factorization_error
+from ..core.strategies import available_strategies
+from ..layouts.grid import ProcessGrid
 from ..machines.nersc import get_machine
-from ..models.compare import (
-    PAPER_GRIDS,
-    best_vs_best,
-    compare_factorization,
-    compare_panel,
-)
+from ..models.compare import best_vs_best, compare_factorization, compare_panel
 from ..randmat.generators import randn
-from ..stability.report import stability_row_calu, stability_row_gepp
+from ..stability.report import (
+    StabilityRow,
+    recorded_calu,
+    stability_row_calu,
+    stability_row_gepp,
+)
 
 Rows = List[Dict[str, object]]
 
 
-def resolve_machine(machine: Union[str, MachineModel]) -> MachineModel:
-    """Resolve a machine name (or pass a model through)."""
-    if isinstance(machine, MachineModel):
-        return machine
-    return get_machine(machine)
+def grid_rows(point: Callable[..., Rows], *axes: Sequence, **fixed) -> Rows:
+    """The rows of ``point`` at every combination of ``axes`` (last fastest)."""
+    return [row for args in itertools.product(*axes) for row in point(*args, **fixed)]
 
 
-# ------------------------------------------------------------ stability sweeps
+def calu_fits(n: int, P: int, b: int) -> bool:
+    """Whether CALU(P, b) has a panel to play on an order-``n`` matrix."""
+    return b < n and P * b <= n
+
+
+def sample_matrices(
+    n: int, samples: int, seed: int, stride: int = 1000
+) -> Iterator[np.ndarray]:
+    """The sample matrices ``randn(n, seed + stride * s + n)`` of a sample mean.
+
+    ``samples < 1`` has no mean, so it raises before any matrix is factored.
+    """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples!r}")
+    return (randn(n, seed=seed + stride * s + n) for s in range(samples))
+
+
+# ------------------------------------------------------------------ stability
+def stability_dict(row: StabilityRow) -> Dict[str, object]:
+    """A stability row as a report row, with its HPL verdict."""
+    d = row.as_dict()
+    d["hpl_passed"] = row.residuals.passed
+    return d
+
+
 def calu_stability_sweep(
     sweep: Sequence[Tuple[int, Sequence[Tuple[int, int]]]], seed: int = 0
 ) -> Rows:
@@ -48,23 +83,17 @@ def calu_stability_sweep(
     for n, configs in sweep:
         A = randn(n, seed=seed + n)
         for P, b in configs:
-            if b >= n or P * b > n:
-                continue
-            row = stability_row_calu(A, P=P, b=b)
-            d = row.as_dict()
-            d["hpl_passed"] = row.residuals.passed
-            rows.append(d)
+            if calu_fits(n, P, b):
+                rows.append(stability_dict(stability_row_calu(A, P=P, b=b)))
     return rows
 
 
 def gepp_stability_rows(sizes: Sequence[int], samples: int, seed: int = 0) -> Rows:
-    """Averaged GEPP stability rows, one per matrix order (Table 2)."""
+    """Sample-averaged GEPP stability rows, one per matrix order (Table 2)."""
     rows: Rows = []
     for n in sizes:
-        collected = []
-        for s in range(samples):
-            A = randn(n, seed=seed + 7919 * s + n)
-            collected.append(stability_row_gepp(A))
+        matrices = sample_matrices(n, samples, seed, stride=7919)
+        collected = [stability_row_gepp(A) for A in matrices]
         rows.append(
             {
                 "n": n,
@@ -81,6 +110,34 @@ def gepp_stability_rows(sizes: Sequence[int], samples: int, seed: int = 0) -> Ro
     return rows
 
 
+def growth_point(
+    n: int, P: int, b: int, samples: int, seed: int,
+    pivoting: Optional[str] = None, error: bool = False,
+) -> Dict[str, float]:
+    """Sample-mean growth and thresholds of recorded ``calu`` at one (n, P, b).
+
+    Mean ``gT``, least ``tau_min`` and mean ``tau_ave`` over
+    :func:`sample_matrices`; with ``error``, also the largest factorization
+    error ``max_error``.
+    """
+    gts, tmins, taves, errs = [], [], [], []
+    for A in sample_matrices(n, samples, seed):
+        res, growth, stats = recorded_calu(A, P, b, pivoting=pivoting)
+        gts.append(growth)
+        tmins.append(stats.minimum)
+        taves.append(stats.average)
+        if error:
+            errs.append(factorization_error(A, res))
+    point = {
+        "gT": float(np.mean(gts)),
+        "tau_min": float(np.min(tmins)),
+        "tau_ave": float(np.mean(taves)),
+    }
+    if error:
+        point["max_error"] = float(np.max(errs))
+    return point
+
+
 def growth_threshold_series(
     sizes: Sequence[int],
     configs: Sequence[Tuple[int, int]],
@@ -91,46 +148,17 @@ def growth_threshold_series(
     """Growth-factor / threshold series for randn matrices (Figure 2)."""
     rows: Rows = []
     for n in sizes:
+        n_two_thirds = float(n) ** (2.0 / 3.0)
         for P, b in configs:
-            if b >= n or P * b > n:
-                continue
-            gts, tmins, taves = [], [], []
-            for s in range(samples):
-                A = randn(n, seed=seed + 1000 * s + n)
-                row = stability_row_calu(A, P=P, b=b)
-                gts.append(row.growth)
-                tmins.append(row.tau_min)
-                taves.append(row.tau_ave)
-            rows.append(
-                {
-                    "n": n,
-                    "P": P,
-                    "b": b,
-                    "method": "calu",
-                    "gT": float(np.mean(gts)),
-                    "tau_min": float(np.min(tmins)),
-                    "tau_ave": float(np.mean(taves)),
-                    "n_two_thirds": float(n) ** (2.0 / 3.0),
-                }
-            )
+            if calu_fits(n, P, b):
+                rows.append({"n": n, "P": P, "b": b, "method": "calu",
+                             **growth_point(n, P, b, samples, seed),
+                             "n_two_thirds": n_two_thirds})
         if include_gepp:
-            gts = []
-            for s in range(samples):
-                A = randn(n, seed=seed + 1000 * s + n)
-                row = stability_row_gepp(A)
-                gts.append(row.growth)
-            rows.append(
-                {
-                    "n": n,
-                    "P": 1,
-                    "b": n,
-                    "method": "gepp",
-                    "gT": float(np.mean(gts)),
-                    "tau_min": 1.0,
-                    "tau_ave": 1.0,
-                    "n_two_thirds": float(n) ** (2.0 / 3.0),
-                }
-            )
+            gts = [stability_row_gepp(A).growth for A in sample_matrices(n, samples, seed)]
+            rows.append({"n": n, "P": 1, "b": n, "method": "gepp",
+                         "gT": float(np.mean(gts)), "tau_min": 1.0, "tau_ave": 1.0,
+                         "n_two_thirds": n_two_thirds})
     return rows
 
 
@@ -147,17 +175,14 @@ def stability_point(
     """
     A = randn(n, seed=seed + n)
     if method == "calu":
-        if b >= n or P * b > n:
+        if not calu_fits(n, P, b):
             return []
         row = stability_row_calu(A, P=P, b=b, pivoting=pivoting)
     elif method == "gepp":
         row = stability_row_gepp(A)
     else:
         raise ValueError(f"unknown method {method!r}; use 'calu' or 'gepp'")
-    d = row.as_dict()
-    d["hpl_passed"] = row.residuals.passed
-    d["seed"] = seed
-    return [d]
+    return [{**stability_dict(row), "seed": seed}]
 
 
 def pivoting_comparison(
@@ -165,170 +190,112 @@ def pivoting_comparison(
 ) -> Rows:
     """Three-way growth/threshold comparison at one (n, P, b) grid point.
 
-    Runs ``calu`` with every registered pivoting strategy (``pp``, ``ca``,
-    ``ca_prrp``) on the same random matrices and reports the sample-averaged
-    growth factor, threshold statistics and factorization error side by side
-    — the CALU vs CALU_PRRP comparison of Khabou et al. (arXiv:1208.2451) as
-    a sweepable scenario.  One row per strategy.
+    Runs :func:`growth_point` with every registered pivoting strategy
+    (``pp``, ``ca``, ``ca_prrp``) on the same random matrices and reports the
+    sample-averaged growth factor, threshold statistics and factorization
+    error side by side — the CALU vs CALU_PRRP comparison of Khabou et al.
+    (arXiv:1208.2451) as a sweepable scenario.  One row per strategy.
     """
-    from ..core.calu import calu, factorization_error
-    from ..core.strategies import available_strategies
-    from ..stability.growth import trefethen_schreiber_growth
-    from ..stability.threshold import threshold_stats
-
-    if b >= n or P * b > n:
+    if not calu_fits(n, P, b):
         return []
-    rows: Rows = []
-    for strat in available_strategies():
-        gts, tmins, taves, errs = [], [], [], []
-        for s in range(samples):
-            A = randn(n, seed=seed + 1000 * s + n)
-            res = calu(
-                A,
-                block_size=b,
-                nblocks=P,
-                pivoting=strat,
-                track_growth=True,
-                compute_thresholds=True,
-            )
-            gts.append(trefethen_schreiber_growth(A, res.growth_history))
-            stats = threshold_stats(res.threshold_history)
-            tmins.append(stats.minimum)
-            taves.append(stats.average)
-            errs.append(factorization_error(A, res))
-        rows.append(
-            {
-                "n": n,
-                "P": P,
-                "b": b,
-                "pivoting": strat,
-                "S": samples,
-                "gT": float(np.mean(gts)),
-                "tau_min": float(np.min(tmins)),
-                "tau_ave": float(np.mean(taves)),
-                "max_error": float(np.max(errs)),
-                "seed": seed,
-            }
-        )
-    return rows
+    return [
+        {"n": n, "P": P, "b": b, "pivoting": strat, "S": samples,
+         **growth_point(n, P, b, samples, seed, pivoting=strat, error=True),
+         "seed": seed}
+        for strat in available_strategies()
+    ]
 
 
-# ------------------------------------------------------------- model sweeps
-def panel_ratio_sweep(
-    machine: Union[str, MachineModel],
-    heights: Sequence[int],
-    widths: Sequence[int],
-    procs: Sequence[int],
-) -> Rows:
-    """PDGETF2/TSLU ratio sweep for one machine (Tables 3-4)."""
-    model = resolve_machine(machine)
-    rows: Rows = []
-    for m in heights:
-        for b in widths:
-            for P in procs:
-                if m < P * b:
-                    continue
-                rows.append(panel_point_row(m, b, P, model))
-    return rows
+# ------------------------------------------------------------- model points
+def panel_point(m: int, b: int, P: int, machine: str = "ibm_power5") -> Rows:
+    """PDGETF2/TSLU comparison at one (m, b, P), both local kernels.
 
-
-def panel_point_row(
-    m: int, b: int, P: int, machine: Union[str, MachineModel]
-) -> Dict[str, object]:
-    """One PDGETF2/TSLU comparison row (both local kernels)."""
-    model = resolve_machine(machine)
-    rec = compare_panel(m, b, P, model, local_kernel="rgetf2")
-    cla = compare_panel(m, b, P, model, local_kernel="getf2")
-    return {
-        "m": m,
-        "n=b": b,
-        "P": P,
-        "ratio_rec": rec.ratio,
-        "ratio_cl": cla.ratio,
-        "tslu_gflops_rec": rec.tslu_gflops,
-        "t_tslu_rec": rec.t_tslu,
-        "t_pdgetf2": rec.t_pdgetf2,
-    }
-
-
-def panel_point(
-    m: int, b: int, P: int, machine: str = "ibm_power5"
-) -> Rows:
-    """Sweepable single-point version of the panel-ratio comparison."""
+    No row when the panel does not fit the process count (fewer rows than
+    ``P * b``), mirroring the missing entries of the paper's tables.
+    """
     if m < P * b:
         return []
-    return [panel_point_row(m, b, P, machine)]
+    model = get_machine(machine)
+    rec = compare_panel(m, b, P, model, local_kernel="rgetf2")
+    cla = compare_panel(m, b, P, model, local_kernel="getf2")
+    return [
+        {
+            "m": m,
+            "n=b": b,
+            "P": P,
+            "ratio_rec": rec.ratio,
+            "ratio_cl": cla.ratio,
+            "tslu_gflops_rec": rec.tslu_gflops,
+            "t_tslu_rec": rec.t_tslu,
+            "t_pdgetf2": rec.t_pdgetf2,
+        }
+    ]
 
 
-def factorization_sweep(
-    machine: Union[str, MachineModel],
-    orders: Sequence[int],
-    blocks: Sequence[int],
-    proc_counts: Sequence[int],
+def panel_table(
+    machine: str, heights: Sequence[int], widths: Sequence[int], procs: Sequence[int]
 ) -> Rows:
-    """PDGETRF/CALU sweep for one machine (Tables 5-6)."""
-    model = resolve_machine(machine)
-    rows: Rows = []
-    for m in orders:
-        for b in blocks:
-            for P in proc_counts:
-                Pr, Pc = PAPER_GRIDS[P]
-                if m < Pr * b or m < Pc * b:
-                    # The paper leaves these entries blank (matrix too small).
-                    continue
-                rows.append(factorization_point_row(m, b, Pr, Pc, model))
-    return rows
+    """PDGETF2/TSLU ratios for one machine (Tables 3-4)."""
+    return grid_rows(panel_point, heights, widths, procs, machine=machine)
 
 
-def factorization_point_row(
-    m: int, b: int, Pr: int, Pc: int, machine: Union[str, MachineModel]
-) -> Dict[str, object]:
-    """One PDGETRF/CALU comparison row on a ``Pr x Pc`` grid."""
-    model = resolve_machine(machine)
-    cmp_ = compare_factorization(m, b, Pr, Pc, model)
-    return {
-        "m": m,
-        "b": b,
-        "P": Pr * Pc,
-        "grid": f"{Pr}x{Pc}",
-        "improvement": cmp_.ratio,
-        "calu_gflops": cmp_.calu_gflops,
-        "percent_peak": cmp_.percent_of_peak(model),
-        "t_calu": cmp_.t_calu,
-        "t_pdgetrf": cmp_.t_pdgetrf,
-    }
+def grid_shape(P: int) -> Tuple[int, int]:
+    """The ``(Pr, Pc)`` process grid the tables use for ``P`` processes."""
+    grid = ProcessGrid.default_for(P)
+    return grid.nprow, grid.npcol
 
 
-def factorization_point(
-    m: int, b: int, P: int, machine: str = "ibm_power5"
-) -> Rows:
-    """Sweepable single-point version of the PDGETRF/CALU comparison."""
-    Pr, Pc = PAPER_GRIDS[P]
+def factorization_point(m: int, b: int, P: int, machine: str = "ibm_power5") -> Rows:
+    """PDGETRF/CALU comparison at one (m, b, P) on its ``Pr x Pc`` grid.
+
+    No row when the matrix is too small for the grid (the paper leaves
+    these entries blank).
+    """
+    Pr, Pc = grid_shape(P)
     if m < Pr * b or m < Pc * b:
         return []
-    return [factorization_point_row(m, b, Pr, Pc, machine)]
+    model = get_machine(machine)
+    cmp_ = compare_factorization(m, b, Pr, Pc, model)
+    return [
+        {
+            "m": m,
+            "b": b,
+            "P": Pr * Pc,
+            "grid": f"{Pr}x{Pc}",
+            "improvement": cmp_.ratio,
+            "calu_gflops": cmp_.calu_gflops,
+            "percent_peak": cmp_.percent_of_peak(model),
+            "t_calu": cmp_.t_calu,
+            "t_pdgetrf": cmp_.t_pdgetrf,
+        }
+    ]
+
+
+def factorization_table(
+    machine: str, orders: Sequence[int], blocks: Sequence[int],
+    proc_counts: Sequence[int],
+) -> Rows:
+    """PDGETRF/CALU ratios and CALU GFLOP/s for one machine (Tables 5-6)."""
+    return grid_rows(factorization_point, orders, blocks, proc_counts, machine=machine)
 
 
 def best_vs_best_sweep(
-    machines: Union[Sequence[str], Dict[str, MachineModel]],
+    machines: Sequence[str],
     orders: Sequence[int],
     proc_counts: Sequence[int],
     blocks: Sequence[int],
 ) -> Rows:
     """Best-CALU vs best-PDGETRF speedups per machine and order (Table 7).
 
-    ``machines`` is a sequence of machine names, or (for API compatibility
-    with the pre-registry ``run_table7``) a mapping of name to model.
+    ``machines`` is a sequence of machine names; a bare name is one machine
+    (a sweep over the ``machines`` axis passes one name per job).
     """
-    grids: List[Tuple[int, int]] = [PAPER_GRIDS[p] for p in proc_counts]
-    if isinstance(machines, dict):
-        items = list(machines.items())
-    else:
-        items = [(name, resolve_machine(name)) for name in machines]
+    if isinstance(machines, str):
+        machines = (machines,)
+    grids = [grid_shape(P) for P in proc_counts]
     rows: Rows = []
-    for name, model in items:
+    for name in machines:
+        model = get_machine(name)
         for m in orders:
-            entry = best_vs_best(m, model, grids, blocks)
-            entry["machine"] = name
-            rows.append(entry)
+            rows.append({**best_vs_best(m, model, grids, blocks), "machine": name})
     return rows

@@ -6,14 +6,15 @@ the componentwise backward error ``w_b`` before refinement, and the three HPL
 residuals — all of which must pass the HPL criterion (< 16).
 
 Default sizes are reduced to 2^8..2^10 so the sweep runs in seconds; the
-original sizes can be requested explicitly.  The module is a thin registered
-spec over :func:`repro.experiments.runners.calu_stability_sweep`; address it
-as ``table1`` through the registry / ``python -m repro run table1``.
+original sizes can be requested explicitly.  The rows are
+:func:`repro.experiments.runners.calu_stability_sweep` over the grid below;
+address them as ``get_spec("table1").run(...)`` / ``python -m repro run
+table1``.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..harness import ExperimentSpec, register
 from .runners import calu_stability_sweep
@@ -40,19 +41,11 @@ QUICK_SWEEP: Sequence[Tuple[int, Sequence[Tuple[int, int]]]] = (
 )
 
 
-def run(
-    sweep: Sequence[Tuple[int, Sequence[Tuple[int, int]]]] = DEFAULT_SWEEP,
-    seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Run the CALU stability sweep; returns one dict per (n, P, b) row."""
-    return calu_stability_sweep(sweep, seed=seed)
-
-
 SPEC = register(
     ExperimentSpec(
         name="table1",
         title="HPL accuracy tests for ca-pivoting (CALU)",
-        runner=run,
+        runner=calu_stability_sweep,
         params={"sweep": DEFAULT_SWEEP, "seed": 0},
         quick={"sweep": QUICK_SWEEP},
         columns=("n", "P", "b", "gT", "tau_ave", "tau_min", "wb",

@@ -2,13 +2,14 @@
 
 Same metrics as Table 1, computed with Gaussian elimination with partial
 pivoting, averaged over a small number of samples per size.  CALU's values
-(Table 1) should be of the same order of magnitude.  Thin registered spec
-over :func:`repro.experiments.runners.gepp_stability_rows` (``table2``).
+(Table 1) should be of the same order of magnitude.  The rows are
+:func:`repro.experiments.runners.gepp_stability_rows`: a sample mean over
+``samples >= 1`` matrices per order (``get_spec("table2").run(...)``).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Sequence
 
 from ..harness import ExperimentSpec, register
 from .runners import gepp_stability_rows
@@ -20,20 +21,11 @@ DEFAULT_SIZES: Sequence[int] = (256, 512, 1024)
 DEFAULT_SAMPLES = 3
 
 
-def run(
-    sizes: Sequence[int] = DEFAULT_SIZES,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> List[Dict[str, object]]:
-    """Run the GEPP stability sweep; one averaged row per matrix order."""
-    return gepp_stability_rows(sizes, samples, seed=seed)
-
-
 SPEC = register(
     ExperimentSpec(
         name="table2",
         title="HPL accuracy tests for partial pivoting (GEPP)",
-        runner=run,
+        runner=gepp_stability_rows,
         params={"sizes": DEFAULT_SIZES, "samples": DEFAULT_SAMPLES, "seed": 0},
         quick={"sizes": (64, 128), "samples": 1},
         columns=("n", "S", "gT", "wb", "HPL1", "HPL2", "HPL3", "hpl_passed"),

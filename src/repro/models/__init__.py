@@ -2,7 +2,6 @@
 
 from .calu_model import calu_cost, calu_flops
 from .compare import (
-    PAPER_GRIDS,
     FactorizationComparison,
     MatmulValidation,
     PanelComparison,
@@ -48,5 +47,4 @@ __all__ = [
     "recursive_speedup",
     "PanelComparison",
     "FactorizationComparison",
-    "PAPER_GRIDS",
 ]

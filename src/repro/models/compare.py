@@ -9,7 +9,7 @@ produce exactly the quantities the paper's tables report: time ratios
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..machines.model import MachineModel
 from .calu_model import calu_cost, calu_flops
@@ -345,13 +345,3 @@ def validate_matmul(
         measured=measured,
         lower_bound_words_per_proc=bound,
     )
-
-
-#: The process grids the paper uses for P = 4 .. 64.
-PAPER_GRIDS: Dict[int, Tuple[int, int]] = {
-    4: (2, 2),
-    8: (2, 4),
-    16: (4, 4),
-    32: (4, 8),
-    64: (8, 8),
-}

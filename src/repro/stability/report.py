@@ -9,11 +9,11 @@ and the three HPL residuals — i.e. one row of the paper's stability tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from ..core.calu import calu
+from ..core.calu import CALUResult, calu
 from ..core.solve import componentwise_backward_error, lu_solve
 from ..kernels.getrf import getrf_partial_pivoting
 from .growth import trefethen_schreiber_growth
@@ -57,6 +57,20 @@ class StabilityRow:
         return out
 
 
+def recorded_calu(
+    A: np.ndarray,
+    P: int,
+    b: int,
+    schedule: str = "binary",
+    pivoting: Optional[str] = None,
+) -> Tuple[CALUResult, float, ThresholdStats]:
+    """CALU(P, b) of ``A`` with growth and thresholds recorded: ``(result, g_T, stats)``."""
+    res = calu(A, block_size=b, nblocks=P, schedule=schedule, track_growth=True,
+               compute_thresholds=True, pivoting=pivoting)
+    return res, trefethen_schreiber_growth(A, res.growth_history), threshold_stats(
+        res.threshold_history)
+
+
 def stability_row_calu(
     A: np.ndarray,
     P: int,
@@ -78,23 +92,14 @@ def stability_row_calu(
     A = np.asarray(A, dtype=np.float64)
     n = A.shape[0]
     rhs = A @ np.ones(n) if rhs is None else np.asarray(rhs, dtype=np.float64)
-    res = calu(
-        A,
-        block_size=b,
-        nblocks=P,
-        schedule=schedule,
-        track_growth=True,
-        compute_thresholds=True,
-        pivoting=pivoting,
-    )
+    res, growth, stats = recorded_calu(A, P, b, schedule=schedule, pivoting=pivoting)
     x = lu_solve(res.packed, res.packed, res.perm, rhs)
-    stats: ThresholdStats = threshold_stats(res.threshold_history)
     return StabilityRow(
         n=n,
         P=P,
         b=b,
         method="calu" if res.pivoting == "ca" else f"calu[{res.pivoting}]",
-        growth=trefethen_schreiber_growth(A, res.growth_history),
+        growth=growth,
         tau_ave=stats.average,
         tau_min=stats.minimum,
         wb=componentwise_backward_error(A, x, rhs),

@@ -17,7 +17,9 @@ def test_quick_digest_runs_and_no_line_raised(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert not [line for line in lines if " raised " in line]
     kinds = {line.split()[0] for line in lines}
-    assert kinds == {"ptslu", "pdgetrf", "pcalu", "pdgesv", "pdgemm", "tslu", "calu", "key"}
+    assert kinds == {
+        "ptslu", "pdgetrf", "pcalu", "pdgesv", "pdgemm", "tslu", "calu", "key", "rows"
+    }
     # Default-config store and factor keys, as pinned in tests/test_harness.py.
     assert ("key factor  "
             "82a8f3d05bd50b7545d3d96cc1bdb18769423b3e96daa906d6275293ee450d27") in lines

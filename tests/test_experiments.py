@@ -6,17 +6,17 @@ import numpy as np
 import pytest
 
 from repro.experiments import (
-    factorization_tables,
     figure1,
-    figure2,
     format_table,
     panel_tables,
     rows_to_csv,
-    table1,
-    table2,
     validation,
 )
-from repro.harness import get_spec
+from repro.harness import ResultStore, get_spec, run_sweep
+
+
+def run_spec(name, quick=False, **overrides):
+    return get_spec(name).run(overrides, quick=quick)
 
 
 # -------------------------------------------------------------------- Figure 1
@@ -52,7 +52,7 @@ def test_unknown_machine_through_a_runner_spec():
 
 # -------------------------------------------------------------------- Figure 2
 def test_figure2_small_run_trends():
-    rows = figure2.run(sizes=(64, 128), configs=((2, 8), (4, 8)), samples=1)
+    rows = run_spec("figure2", sizes=(64, 128), configs=((2, 8), (4, 8)), samples=1)
     calu_rows = [r for r in rows if r["method"] == "calu"]
     assert calu_rows, "no CALU rows produced"
     for r in calu_rows:
@@ -64,25 +64,69 @@ def test_figure2_small_run_trends():
     assert g128 > 0.5 * g64
 
 
+def test_figure2_calu_rows_are_the_stability_prrp_ca_point():
+    """Figure 2's calu rows and ``stability_prrp``'s ``ca`` row are one
+    measurement: the same sample means at the same (n, P, b)."""
+    fig = run_spec("figure2", sizes=(64,), configs=((2, 8),), samples=2,
+                   include_gepp=False)
+    prrp = run_spec("stability_prrp", n=64, P=2, b=8, samples=2)
+    (ca,) = [r for r in prrp if r["pivoting"] == "ca"]
+    assert [(r["gT"], r["tau_min"], r["tau_ave"]) for r in fig] == [
+        (ca["gT"], ca["tau_min"], ca["tau_ave"])
+    ]
+
+
+@pytest.mark.parametrize("name", ["table2", "figure2", "stability_prrp"])
+def test_samples_below_one_fails_before_anything_runs(name, monkeypatch, tmp_path):
+    """A sample mean over no samples has no value: ``samples=0`` raises a
+    ``ValueError`` naming ``samples`` before any matrix is factored, and the
+    store keeps nothing."""
+    from repro.experiments import runners
+
+    def factored(*args, **kwargs):
+        raise AssertionError("a matrix was factored")
+
+    monkeypatch.setattr(runners, "recorded_calu", factored)
+    monkeypatch.setattr(runners, "stability_row_gepp", factored)
+    with pytest.raises(ValueError, match="samples"):
+        run_spec(name, quick=True, samples=0)
+    store = ResultStore(root=tmp_path)
+    with pytest.raises(ValueError, match="samples"):
+        store.fetch_or_run(get_spec(name), {"samples": 0}, quick=True)
+    assert not list(tmp_path.rglob("*.json"))
+
+
 # ------------------------------------------------------------------ Tables 1-2
 def test_table1_rows_pass_hpl():
-    rows = table1.run(sweep=((64, ((2, 8), (4, 8))), (128, ((4, 16),))))
+    rows = run_spec("table1", sweep=((64, ((2, 8), (4, 8))), (128, ((4, 16),))))
     assert len(rows) == 3
     assert all(r["hpl_passed"] for r in rows)
     assert all(r["tau_min"] > 0 for r in rows)
 
 
+def test_table1_rows_are_stability_points():
+    """Table 1 is the ``stability`` scenario over its (n, P, b) grid."""
+    rows = run_spec("table1", quick=True)
+    points = [
+        row
+        for n, configs in get_spec("table1").quick["sweep"]
+        for P, b in configs
+        for row in run_spec("stability", n=n, P=P, b=b)
+    ]
+    assert rows == [{k: v for k, v in p.items() if k != "seed"} for p in points]
+
+
 def test_table2_rows_pass_hpl():
-    rows = table2.run(sizes=(64, 128), samples=2)
+    rows = run_spec("table2", sizes=(64, 128), samples=2)
     assert len(rows) == 2
     assert all(r["hpl_passed"] for r in rows)
     assert all(r["method"] == "gepp" for r in rows)
 
 
 # ------------------------------------------------------------------ Tables 3-4
-@pytest.mark.parametrize("runner", [panel_tables.run_table3, panel_tables.run_table4])
-def test_panel_tables_structure(runner):
-    rows = runner(heights=(10_000, 100_000), widths=(50, 150), procs=(4, 16, 64))
+@pytest.mark.parametrize("name", ["table3", "table4"], ids=["run_table3", "run_table4"])
+def test_panel_tables_structure(name):
+    rows = run_spec(name, heights=(10_000, 100_000), widths=(50, 150), procs=(4, 16, 64))
     assert rows
     for r in rows:
         assert r["ratio_rec"] > 0 and r["ratio_cl"] > 0
@@ -90,27 +134,41 @@ def test_panel_tables_structure(runner):
 
 
 def test_panel_tables_skip_too_small_configurations():
-    rows = panel_tables.run_table3(heights=(1_000,), widths=(50,), procs=(4, 64))
+    rows = run_spec("table3", heights=(1_000,), widths=(50,), procs=(4, 64))
     assert all(r["P"] != 64 for r in rows)  # 1000 < 64*50 -> skipped
 
 
+def test_panel_tables_are_a_grid_over_the_panel_point():
+    grid = {"heights": (1_000, 10_000), "widths": (50, 150), "procs": (4, 64)}
+    for name in ("table3", "table4"):
+        machine = get_spec(name).params["machine"]
+        points = [
+            row
+            for m in grid["heights"]
+            for b in grid["widths"]
+            for P in grid["procs"]
+            for row in run_spec("panel", m=m, b=b, P=P, machine=machine)
+        ]
+        assert run_spec(name, **grid) == points
+
+
 def test_panel_tables_best_improvement_reasonable():
-    rows = panel_tables.run_table3()
+    rows = run_spec("table3")
     best = panel_tables.best_improvement(rows)
     assert best["best_ratio"] > 1.5  # TSLU clearly wins somewhere
 
 
 def test_tslu_beats_pdgetf2_on_large_latency_bound_panels():
     """The shape claim of Tables 3-4: the ratio is > 1 in the latency regime."""
-    for runner in (panel_tables.run_table3, panel_tables.run_table4):
-        rows = runner(heights=(10_000,), widths=(50,), procs=(32, 64))
+    for name in ("table3", "table4"):
+        rows = run_spec(name, heights=(10_000,), widths=(50,), procs=(32, 64))
         assert all(r["ratio_rec"] > 1.0 for r in rows)
 
 
 # ------------------------------------------------------------------ Tables 5-7
-@pytest.mark.parametrize("runner", [factorization_tables.run_table5, factorization_tables.run_table6])
-def test_factorization_tables_structure(runner):
-    rows = runner(orders=(1_000, 10_000), blocks=(50,), proc_counts=(4, 64))
+@pytest.mark.parametrize("name", ["table5", "table6"], ids=["run_table5", "run_table6"])
+def test_factorization_tables_structure(name):
+    rows = run_spec(name, orders=(1_000, 10_000), blocks=(50,), proc_counts=(4, 64))
     assert rows
     for r in rows:
         assert r["improvement"] > 0
@@ -118,14 +176,50 @@ def test_factorization_tables_structure(runner):
         assert 0 < r["percent_peak"] <= 100
 
 
+def test_factorization_tables_are_a_grid_over_the_factorization_point():
+    grid = {"orders": (1_000, 5_000), "blocks": (50, 150), "proc_counts": (4, 12, 64)}
+    for name in ("table5", "table6"):
+        machine = get_spec(name).params["machine"]
+        points = [
+            row
+            for m in grid["orders"]
+            for b in grid["blocks"]
+            for P in grid["proc_counts"]
+            for row in run_spec("factorization", m=m, b=b, P=P, machine=machine)
+        ]
+        assert run_spec(name, **grid) == points
+
+
 def test_table5_improvement_grows_with_process_count():
-    rows = factorization_tables.run_table5(orders=(1_000,), blocks=(50,), proc_counts=(4, 16, 64))
+    rows = run_spec("table5", orders=(1_000,), blocks=(50,), proc_counts=(4, 16, 64))
     imps = [r["improvement"] for r in rows]
     assert imps == sorted(imps)
 
 
+@pytest.mark.parametrize("name, overrides", [
+    ("factorization", {"P": 12}),
+    ("table5", {"proc_counts": (12,)}),
+], ids=["factorization", "table5"])
+def test_any_process_count_runs_on_its_default_grid(name, overrides):
+    """P outside the paper's 4..64 runs on ``ProcessGrid.default_for(P)``."""
+    rows = run_spec(name, quick=True, **overrides)
+    assert rows and {(r["P"], r["grid"]) for r in rows} == {(12, "3x4")}
+
+
+@pytest.mark.parametrize("name, overrides", [
+    ("factorization", {"P": 0}),
+    ("table5", {"proc_counts": (0,)}),
+    ("table7", {"proc_counts": (0,)}),
+], ids=["factorization", "table5", "table7"])
+def test_zero_processes_fails_before_anything_is_stored(name, overrides, tmp_path):
+    store = ResultStore(root=tmp_path)
+    with pytest.raises(ValueError, match="at least one process"):
+        store.fetch_or_run(get_spec(name), overrides, quick=True)
+    assert not list(tmp_path.rglob("*.json"))
+
+
 def test_table7_speedups_and_shape():
-    rows = factorization_tables.run_table7(orders=(1_000, 10_000), proc_counts=(16, 64), blocks=(50, 100))
+    rows = run_spec("table7", orders=(1_000, 10_000), proc_counts=(16, 64), blocks=(50, 100))
     assert len(rows) == 4
     for r in rows:
         assert r["speedup"] >= 1.0
@@ -135,6 +229,19 @@ def test_table7_speedups_and_shape():
         by_machine.setdefault(r["machine"], {})[r["m"]] = r["speedup"]
     for mach, d in by_machine.items():
         assert d[1_000] >= d[10_000]
+
+
+def test_table7_sweeps_its_machines_axis(tmp_path):
+    """A sweep over ``machines`` passes one bare name per job: each job is
+    that one machine's rows, not one machine per character."""
+    spec = get_spec("table7")
+    result = run_sweep(spec, {"machines": ["ibm_power5", "cray_xt4"]},
+                       store=ResultStore(root=tmp_path), quick=True, jobs=1)
+    assert not result.errors
+    both = run_spec("table7", quick=True)
+    for job in result.jobs:
+        name = job.overrides["machines"]
+        assert job.result.rows == [r for r in both if r["machine"] == name]
 
 
 # ------------------------------------------------------------------- validation

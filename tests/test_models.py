@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from repro.costs import CostLedger
+from repro.layouts.grid import ProcessGrid
 from repro.machines import MachineModel, cray_xt4, generic_cluster, ibm_power5, unit_machine
 from repro.models import (
-    PAPER_GRIDS,
     best_vs_best,
     calu_cost,
     calu_flops,
@@ -21,6 +21,18 @@ from repro.models import (
     recursive_speedup,
     tslu_cost,
 )
+
+
+def paper_grid(P):
+    grid = ProcessGrid.default_for(P)
+    return grid.nprow, grid.npcol
+
+
+def test_default_grids_are_the_papers():
+    """The paper runs P = 4..64 on 2x2, 2x4, 4x4, 4x8 and 8x8 grids."""
+    assert [paper_grid(P) for P in (4, 8, 16, 32, 64)] == [
+        (2, 2), (2, 4), (4, 4), (4, 8), (8, 8)
+    ]
 
 
 # ------------------------------------------------------------------ CostLedger
@@ -183,7 +195,7 @@ def test_compare_factorization_converges_at_scale():
 
 
 def test_best_vs_best_speedup_at_least_one():
-    grids = [PAPER_GRIDS[p] for p in (8, 16, 32, 64)]
+    grids = [paper_grid(p) for p in (8, 16, 32, 64)]
     row = best_vs_best(5_000, ibm_power5(), grids, (50, 100, 150))
     assert row["speedup"] >= 1.0
     assert row["calu_gflops"] > 0
@@ -193,7 +205,7 @@ def test_best_vs_best_speedup_at_least_one():
 def test_speedup_decreases_with_matrix_size(machine_factory):
     """Latency matters less as the matrix grows (paper, Tables 5-7)."""
     machine = machine_factory()
-    grids = [PAPER_GRIDS[p] for p in (8, 16, 32, 64)]
+    grids = [paper_grid(p) for p in (8, 16, 32, 64)]
     speedups = [
         best_vs_best(m, machine, grids, (50, 100, 150))["speedup"]
         for m in (1_000, 5_000, 10_000)

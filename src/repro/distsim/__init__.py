@@ -29,6 +29,7 @@ from .collectives import (
     gather,
     reduce,
     scatter,
+    step,
 )
 from .errors import DeadlockError, RankFailedError, SimulationError
 from .tracing import RankTrace, RunTrace
@@ -50,4 +51,5 @@ __all__ = [
     "allgather",
     "scatter",
     "barrier",
+    "step",
 ]

@@ -19,6 +19,10 @@ yields one group-level :class:`~repro.distsim.engine.base.CollectiveRequest`;
 the scheduler evaluates its communication tree centrally
 (:mod:`repro.distsim.engine.group_ops`), charging every participant each
 message of that tree.  A one-member group sends nothing and returns at once.
+
+:func:`step` is the same mechanism for a whole algorithmic step: the host
+runs the step's evaluator once over every member's value (a *step op*; the
+contract is in :mod:`repro.distsim.engine.group_ops`).
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ from __future__ import annotations
 from typing import Any, Callable, List, Optional, Sequence
 
 from .engine.base import CollectiveRequest, RedundantOp
+from .engine.group_ops import StepFailure, StepGroup
 from .vmpi import Communicator
 
 
@@ -247,3 +252,32 @@ def barrier(
 ) -> None:
     """Synchronise all ranks of the group (an all-reduce of nothing)."""
     yield from allreduce(comm, 0, lambda a, b: 0, group=group, tag=tag, channel=channel)
+
+
+def step(
+    comm: Communicator,
+    value: Any,
+    evaluator: Callable[[StepGroup, List[Any]], List[Any]],
+    group: Optional[Sequence[int]] = None,
+    tag: Any = "step",
+) -> Any:
+    """Join a step op: ``evaluator`` runs once, on the host, over the group.
+
+    Every member passes its own ``value`` and the same ``evaluator``;
+    ``evaluator(step_group, values)`` receives a
+    :class:`~repro.distsim.engine.group_ops.StepGroup` and the values in
+    group order, charges each member what that member's own program would
+    have, and returns one result per member.  This rank gets its own.  A
+    one-member group runs the evaluator inline and raises its failure as
+    the rank's own.
+    """
+    group = _norm_group(comm, group)
+    me = _position(comm, group)
+    if len(group) == 1:
+        try:
+            return evaluator(StepGroup([comm], [None]), [value])[0]
+        except StepFailure as failure:
+            cause = failure.cause
+        raise cause
+    return (yield CollectiveRequest(kind="step", group=group, pos=me, rootpos=0,
+                                    value=value, op=evaluator, tag=tag, channel="any"))

@@ -84,9 +84,17 @@ class CollectiveRequest:
     collective centrally with exact per-rank cost attribution
     (:mod:`repro.distsim.engine.group_ops`); the coroutine is resumed with
     its rank's result.
+
+    For ``kind="step"`` (a *step op*, :func:`repro.distsim.collectives.step`)
+    ``op`` is the step's evaluator, ``evaluator(group, values)``: the host
+    calls the first member's once over every member's ``value`` and it
+    returns one result per member, having charged each member what its own
+    program would have (contract in :mod:`repro.distsim.engine.group_ops`).
+    ``rootpos`` is 0 and ``channel`` is ``"any"``; the inner collectives
+    carry their own.
     """
 
-    kind: str  # "broadcast" | "reduce" | "allreduce" | "scatter"
+    kind: str  # "broadcast" | "reduce" | "allreduce" | "scatter" | "step"
     #: Participating world ranks in group order: a tuple, or a ``range`` for
     #: the default all-ranks group (hashes and ``index``-es in O(1)).
     group: Sequence[int]

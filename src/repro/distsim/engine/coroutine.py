@@ -15,8 +15,10 @@ rendezvouses the ``len(group)`` participants on a single event and evaluates
 the collective's communication tree centrally
 (:mod:`repro.distsim.engine.group_ops`), charging each rank every message of
 that tree — one event instead of ``O(P)`` suspensions and envelope
-deliveries per collective.  Point-to-point traffic (e.g. the pairwise
-exchanges of ``pdlaswp``) flows through stash + wake.
+deliveries per collective.  A *step op* (``kind="step"``) is one such event
+for a whole algorithmic step: its evaluator runs once over every member and
+evaluates the step's inner collectives the same way.  Point-to-point traffic
+(e.g. the pairwise exchanges of ``pdlaswp``) flows through stash + wake.
 
 The interleaving is a pure function of the rank programs and the machine
 model, so repeated runs are bit-for-bit identical.  The first failure ends
@@ -39,7 +41,7 @@ from ...machines.model import MachineModel
 from ..errors import DeadlockError, RankFailedError, SimulationError
 from ..tracing import RankTrace, RunTrace
 from .base import CollectiveRequest, Communicator, Envelope, RecvRequest
-from .group_ops import evaluate_collective
+from .group_ops import StepFailure, evaluate_collective
 
 _READY = "ready"
 _BLOCKED = "blocked"  # suspended on a RecvRequest
@@ -50,7 +52,7 @@ _DONE = "done"
 class _RankState:
     """Book-keeping the scheduler holds for one rank coroutine."""
 
-    __slots__ = ("rank", "comm", "gen", "status", "request", "resume_value")
+    __slots__ = ("rank", "comm", "gen", "status", "request", "tag", "resume_value")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
@@ -58,8 +60,11 @@ class _RankState:
         self.gen = None
         self.status = _READY
         # The last RecvRequest or CollectiveRequest the rank yielded: what it
-        # waits on while BLOCKED or JOINED, and its tag names where it failed.
+        # waits on while BLOCKED or JOINED.
         self.request: Optional[Any] = None
+        # What a failure of the rank names: the tag of the last receive or
+        # collective it took part in (for a step op, the step's inner one).
+        self.tag: Any = None
         self.resume_value: Any = None
 
 
@@ -110,15 +115,15 @@ class _CoroutineScheduler:
 
     def _fail(self, st: _RankState, exc: BaseException) -> None:
         """End the run: close every live rank generator, raise for ``st``."""
-        tag = st.request.tag if st.request is not None else None
         for s in self.states:
             if s.gen is not None:
                 s.gen.close()
-        raise RankFailedError(st.rank, tag, exc) from exc
+        raise RankFailedError(st.rank, st.tag, exc) from exc
 
     def _handle_request(self, st: _RankState, request: Any) -> None:
         if isinstance(request, RecvRequest):
             st.request = request
+            st.tag = request.tag
             stash = st.comm._stash
             for i, env in enumerate(stash):
                 if env.source == request.source and env.tag == request.tag:
@@ -128,6 +133,8 @@ class _CoroutineScheduler:
             st.status = _BLOCKED
         elif isinstance(request, CollectiveRequest):
             st.request = request
+            if request.kind != "step":
+                st.tag = request.tag
             self._join_collective(st, request)
         else:
             msg = f"rank {st.rank} yielded an unknown request: {request!r}"
@@ -170,6 +177,10 @@ class _CoroutineScheduler:
                 del self.pending_collectives[key]
             try:
                 self._finish_collective(req.group, req.kind, req.channel, bucket)
+            except StepFailure as failure:  # charged to the member it names
+                failed = self.states[failure.rank]
+                failed.tag = failure.tag
+                self._fail(failed, failure.cause)
             except Exception as exc:  # noqa: BLE001 - e.g. a reduction operator
                 self._fail(st, exc)  # charged to the rank that completed it
         else:
@@ -183,18 +194,21 @@ class _CoroutineScheduler:
         bucket: Dict[int, CollectiveRequest],
     ) -> None:
         p = len(group)
-        comms = [self.states[group[pos]].comm for pos in range(p)]
+        members = [self.states[group[pos]] for pos in range(p)]
+        comms = [st.comm for st in members]
         requests = [bucket[pos] for pos in range(p)]
         rootpos = requests[0].rootpos
         if kind == "scatter":
             values: List[Any] = requests[rootpos].value
         else:
             values = [r.value for r in requests]
+        tags = [st.tag for st in members] if kind == "step" else None
         results = evaluate_collective(
-            comms, kind, values, [r.op for r in requests], rootpos, channel
+            comms, kind, values, [r.op for r in requests], rootpos, channel, tags
         )
-        for pos in range(p):
-            st = self.states[group[pos]]
+        for pos, st in enumerate(members):
+            if tags is not None:
+                st.tag = tags[pos]
             st.status = _READY
             st.resume_value = results[pos]
             heapq.heappush(self.heap, (st.comm.clock, st.rank))

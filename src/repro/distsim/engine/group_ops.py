@@ -30,7 +30,8 @@ charge, pinned by the closed-form collective test
   application once — ``P - 1`` per all-reduce where the ranks perform
   ``P log2 P`` — and charges the returned flop count to every rank that
   would have computed it, at the point in its sequence where it would have;
-* a broadcast sizes its payload once, not once per edge that carries it;
+* a broadcast sizes its payload once, not once per edge that carries it,
+  and an all-reduce round sizes a value its positions share once;
 * top-level ndarray payloads are copied per edge (what ``send`` does
   defensively); tuples/dicts are shared by reference, as ``send`` shares
   them.
@@ -38,11 +39,35 @@ charge, pinned by the closed-form collective test
 One collective here replaces ``O(P)`` scheduler suspensions and envelope
 deliveries with a single event — the vectorization that lets figure-scale
 sweeps run at ``P`` in the thousands.
+
+Step ops
+--------
+The ``"step"`` kind goes one level up: a whole algorithmic step — a
+triangular sweep, a residual — whose ranks would otherwise each walk every
+block of it.  Every member yields one request carrying its own value and the
+step's *evaluator*; the host calls ``evaluator(group, values)`` once, with a
+:class:`StepGroup` and the members' values in group order, and resumes each
+member with its entry of the returned list.  The contract:
+
+* the evaluator charges each member through that member's own communicator
+  (``group.comms``), in the order the member's own program would have:
+  every member's sequence of charges is the one it had as a rank program,
+  while the order *between* members is free (a clock only ever reads
+  another rank's clock through a message's ``available_at``);
+* its messages go through the inner collectives of :meth:`StepGroup.collective`
+  — the trees above, unchanged — so per-edge order, ``available_at`` and the
+  ``group_collectives`` counter are exactly the rank programs'; the step
+  itself bumps no counter;
+* a failure names the member it belongs to: the evaluator raises
+  ``group.failure(rank, exc)``, a :class:`StepFailure` carrying the tag of
+  the last inner collective that member took part in — the tag it would
+  have failed after as a rank program — not the member whose arrival
+  completed the step.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -87,6 +112,18 @@ class _Edge:
         trace.record_recv(words)
         if available_at > trace.clock:
             trace.clock = available_at
+
+
+def _words_each(payloads: Sequence[Any]) -> List[float]:
+    """``payload_words`` of each payload, sizing one shared by several once."""
+    sized: Dict[int, float] = {}
+    words = []
+    for payload in payloads:
+        w = sized.get(id(payload))
+        if w is None:
+            w = sized[id(payload)] = payload_words(payload)
+        words.append(w)
+    return words
 
 
 def _eval_broadcast(
@@ -172,7 +209,7 @@ def _eval_allreduce(
     while k < pow2:
         # sendrecv semantics: every rank's send (and hence its partner's
         # available_at) precedes every receive and operator of this round.
-        words_sent = [payload_words(acc[me]) for me in range(pow2)]
+        words_sent = _words_each(acc[:pow2])
         avails = [edges[me].charge_send(words_sent[me], channel) for me in range(pow2)]
         for me in range(pow2):
             partner = me ^ k
@@ -234,6 +271,76 @@ def _eval_scatter(
     return results
 
 
+class StepFailure(Exception):
+    """A step evaluator's failure, charged to the member ``rank``.
+
+    ``tag`` is the tag that member's failure names; ``cause`` is the
+    exception the member's own program would have raised.
+    """
+
+    def __init__(self, rank: int, tag: Any, cause: BaseException) -> None:
+        super().__init__(rank, tag, cause)
+        self.rank = rank
+        self.tag = tag
+        self.cause = cause
+
+
+class StepGroup:
+    """What a step evaluator sees of its group.
+
+    ``comms[pos]`` charges the member at group position ``pos``; ``tags[pos]``
+    is the tag a failure of that member names, updated by every inner
+    collective it takes part in.
+    """
+
+    __slots__ = ("comms", "tags", "_pos", "_edges")
+
+    def __init__(self, comms: Sequence[Communicator], tags: List[Any]) -> None:
+        self.comms = comms
+        self.tags = tags
+        self._pos = {comm.rank: pos for pos, comm in enumerate(comms)}
+        # Per channel, each member's charging state, built once per step.
+        self._edges: Dict[str, List[Optional[_Edge]]] = {}
+
+    def collective(
+        self,
+        kind: str,
+        ranks: Sequence[int],
+        values: Sequence[Any],
+        ops: Optional[Sequence[Callable[[Any, Any], Any]]] = None,
+        root: Optional[int] = None,
+        tag: Any = None,
+        channel: str = "any",
+    ) -> List[Any]:
+        """One inner collective among the members ``ranks`` (world ranks).
+
+        ``values``/``ops`` and the result are in the order of ``ranks``, and
+        ``root`` is a world rank, as in :mod:`repro.distsim.collectives`.  A
+        one-member collective sends nothing and bumps no counter.
+        """
+        if len(ranks) == 1:
+            if kind == "allreduce" and isinstance(ops[0], RedundantOp):
+                return [ops[0].finish_charged(values[0])]
+            return list(values)
+        edges = self._edges.get(channel)
+        if edges is None:
+            edges = self._edges[channel] = [None] * len(self.comms)
+        members = []
+        for r in ranks:
+            pos = self._pos[r]
+            self.tags[pos] = tag
+            edge = edges[pos]
+            if edge is None:
+                edge = edges[pos] = _Edge(self.comms[pos], channel)
+            members.append(edge)
+        rootpos = 0 if root is None else ranks.index(root)
+        return _evaluate(members, kind, values, ops, rootpos, channel)
+
+    def failure(self, rank: int, exc: BaseException) -> StepFailure:
+        """The failure of member ``rank`` with ``exc``: raise it from ``exc``."""
+        return StepFailure(rank, self.tags[self._pos[rank]], exc)
+
+
 def evaluate_collective(
     comms: Sequence[Communicator],
     kind: str,
@@ -241,6 +348,7 @@ def evaluate_collective(
     ops: Sequence[Optional[Callable[[Any, Any], Any]]],
     rootpos: int,
     channel: str,
+    tags: Optional[List[Any]] = None,
 ) -> List[Any]:
     """Evaluate one rendezvoused collective; returns per-position results.
 
@@ -249,8 +357,25 @@ def evaluate_collective(
     ``group_collectives`` diagnostic counter is bumped (the frozen end-to-end
     benchmark reports it as ``distsim.group_collectives``); all other
     counters follow the communication tree message by message.
+
+    A ``"step"`` runs ``ops[0](StepGroup(comms, tags), values)`` instead (see
+    *Step ops* above); ``tags`` holds each member's failure tag and is
+    updated in place.
     """
-    edges = [_Edge(comm, channel) for comm in comms]
+    if kind == "step":
+        return ops[0](StepGroup(comms, tags), values)
+    return _evaluate([_Edge(comm, channel) for comm in comms], kind, values, ops, rootpos, channel)
+
+
+def _evaluate(
+    edges: Sequence[_Edge],
+    kind: str,
+    values: Sequence[Any],
+    ops: Optional[Sequence[Optional[Callable[[Any, Any], Any]]]],
+    rootpos: int,
+    channel: str,
+) -> List[Any]:
+    """:func:`evaluate_collective` over the participants' charging states."""
     for edge in edges:
         edge.trace.group_collectives += 1
     if kind == "broadcast":

@@ -35,7 +35,8 @@ class RankFailedError(SimulationError):
     The failing rank's own exception (a :class:`DeadlockError` for a
     structural deadlock) is chained as ``__cause__`` and is the one entry of
     ``failures``.  ``tag`` is the tag of the last receive or collective the
-    rank yielded (``None`` if it failed before its first one).
+    rank took part in — inside a step op, the step's inner collective
+    (``None`` if it failed before its first one).
     """
 
     def __init__(self, rank, tag, cause):

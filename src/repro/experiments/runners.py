@@ -62,9 +62,14 @@ def sample_matrices(
 
     ``samples < 1`` has no mean, so it raises before any matrix is factored.
     """
+    check_samples(samples)
+    return (randn(n, seed=seed + stride * s + n) for s in range(samples))
+
+
+def check_samples(samples: int) -> None:
+    """Raise ``ValueError`` when ``samples`` is below one: a mean of nothing."""
     if samples < 1:
         raise ValueError(f"samples must be at least 1, got {samples!r}")
-    return (randn(n, seed=seed + stride * s + n) for s in range(samples))
 
 
 # ------------------------------------------------------------------ stability
@@ -146,6 +151,7 @@ def growth_threshold_series(
     seed: int = 0,
 ) -> Rows:
     """Growth-factor / threshold series for randn matrices (Figure 2)."""
+    check_samples(samples)
     rows: Rows = []
     for n in sizes:
         n_two_thirds = float(n) ** (2.0 / 3.0)
@@ -196,6 +202,7 @@ def pivoting_comparison(
     error side by side — the CALU vs CALU_PRRP comparison of Khabou et al.
     (arXiv:1208.2451) as a sweepable scenario.  One row per strategy.
     """
+    check_samples(samples)
     if not calu_fits(n, P, b):
         return []
     return [

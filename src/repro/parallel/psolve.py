@@ -27,6 +27,14 @@ The solve phase's communication is exactly predicted by
 :mod:`repro.models.solve_model`; the ``solve`` experiment spec
 (``repro run solve``) checks the measured message counts against it.
 
+That communication structure is what every rank is charged; the host
+evaluates it once.  Each triangular sweep and each residual is one *step op*
+(:func:`repro.distsim.collectives.step`) over the grid: the ranks join it with
+their local pieces and the evaluator (:func:`_distributed_residual` for the
+residual) computes every rank's part in one pass — the local matvecs, the
+per-block row reductions, the world all-reduce of the statistics — charging
+each rank what its own program charged, in the same order.
+
 The factorization and the solve are independently callable:
 :func:`repro.parallel.factor.pcalu_factor` produces a reusable
 :class:`~repro.parallel.factor.FactoredMatrix` and :func:`pdgesv_solve` runs
@@ -41,13 +49,16 @@ pay the ``O(n^3)`` factorization once, amortize it over any number of
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..core.options import SolveConfig
 from ..core.solve import checked_operand
-from ..distsim.collectives import allreduce, reduce
+from ..distsim.collectives import step
+from ..distsim.engine.base import RedundantOp
+from ..distsim.engine.group_ops import StepGroup
 from ..distsim.tracing import RunTrace
 from ..distsim.vmpi import Communicator, run_spmd
 from ..kernels.flops import FlopCounter
@@ -108,94 +119,123 @@ class DistributedSolveResult:
 
 
 def _distributed_residual(
-    comm: Communicator,
+    group: StepGroup,
+    values: List[Tuple[np.ndarray, RhsBlocks, np.ndarray]],
     dist: BlockCyclic2D,
-    PAloc: np.ndarray,
-    pb_blocks: RhsBlocks,
-    x_cols: np.ndarray,
     nrhs: int,
     tag: object,
-):
-    """Distributed residual and componentwise backward error (one rank's body).
+) -> List[Tuple[RhsBlocks, np.ndarray, float]]:
+    """Step evaluator of the residual and componentwise backward error.
 
-    Every rank multiplies its local piece of the permuted matrix by the
-    solution entries of its local columns (``P A x`` and ``|P A| |x|`` in one
-    pass); the per-block-row slices are summed across each process row to the
-    diagonal owners, which assemble the residual blocks
-    ``r_k = (P b)_k - (P A x)_k`` and the componentwise ratios.  A final
-    all-reduce over every rank agrees on the per-RHS max-abs residuals and the
-    backward error, so refinement stops at the same step on all ranks.
+    The step's group is every rank in rank order; ``values[r]`` is rank
+    ``r``'s ``(PAloc, pb_blocks, x_cols)``.  Every rank multiplies its local
+    piece of the permuted matrix by the solution entries of its local columns
+    (``P A x`` and ``|P A| |x|`` in one pass); the per-block-row slices are
+    summed across each process row to the diagonal owners, which assemble the
+    residual blocks ``r_k = (P b)_k - (P A x)_k`` and the componentwise
+    ratios.  A final all-reduce over every rank agrees on the per-RHS max-abs
+    residuals and the backward error, so refinement stops at the same step on
+    all ranks.
 
-    Returns ``(residual_blocks, per_rhs_max, backward_error)``; the residual
-    blocks live on the diagonal owners, ready to be the next refinement
-    right-hand side.
+    Returns, per rank, ``(residual_blocks, per_rhs_max, backward_error)``;
+    the residual blocks live on the diagonal owners, ready to be the next
+    refinement right-hand side.  The last two are the all-reduce's one
+    result, shared by every rank: read, never mutated.
     """
+    comms = group.comms
     grid = dist.grid
-    myrow, mycol = grid.coords(comm.rank)
-    mloc = dist.local_rows(myrow).shape[0] if myrow < grid.nprow else 0
-    scratch = FlopCounter()
+    size = grid.size
+    partials = []
+    for r, (PAloc, _, x_cols) in enumerate(values):
+        mloc = PAloc.shape[0]
+        if mloc and x_cols.shape[0]:
+            partials.append((PAloc @ x_cols, np.abs(PAloc) @ np.abs(x_cols)))
+            # Charged before the reductions ship slices of these partials, so
+            # the message timestamps include the matvec that produced them.
+            comms[r].charge_flops(muladds=4.0 * mloc * x_cols.shape[0] * nrhs)
+        else:
+            partials.append((np.zeros((mloc, nrhs)), np.zeros((mloc, nrhs))))
 
-    if mloc and x_cols.shape[0]:
-        partial = PAloc @ x_cols
-        abs_partial = np.abs(PAloc) @ np.abs(x_cols)
-        # Charge before the reductions ship slices of these partials, so the
-        # message timestamps include the matvec that produced them.
-        comm.charge_flops(muladds=4.0 * mloc * x_cols.shape[0] * nrhs)
-    else:
-        partial = np.zeros((mloc, nrhs))
-        abs_partial = np.zeros((mloc, nrhs))
+    adds = [_charged_pair_add(comm) for comm in comms]
+    scratch = [FlopCounter() for _ in range(size)]
+    residual_blocks: List[RhsBlocks] = [{} for _ in range(size)]
+    local_max = [np.zeros(nrhs) for _ in range(size)]
+    local_wb = [0.0] * size
+    for k in range(dist.num_block_rows()):
+        g0, g1 = block_bounds(dist, k)
+        kb = g1 - g0
+        lr0 = (k // grid.nprow) * dist.block
+        root = diag_owner(dist, k)
+        row = grid.row_ranks(k % grid.nprow)
+        acc = group.collective(
+            "reduce",
+            row,
+            [(partials[r][0][lr0 : lr0 + kb], partials[r][1][lr0 : lr0 + kb]) for r in row],
+            [adds[r] for r in row],
+            root=root,
+            tag=(tag, "res", k),
+            channel="row",
+        )[row.index(root)]
+        pb_k = values[root][1][k]
+        r_k = pb_k - acc[0]
+        denom = acc[1] + np.abs(pb_k)
+        scratch[root].add_muladds(2.0 * kb * nrhs)
+        residual_blocks[root][k] = r_k
+        if r_k.size:
+            local_max[root] = np.maximum(local_max[root], np.max(np.abs(r_k), axis=0))
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(denom > 0.0, np.abs(r_k) / denom, 0.0)
+            local_wb[root] = max(local_wb[root], float(np.max(ratios)))
+            scratch[root].add_divides(float(kb * nrhs))
+            scratch[root].add_comparisons(2.0 * kb * nrhs)
+    for comm, counter in zip(comms, scratch):
+        comm.charge_counter(counter)
+
+    stats = group.collective(
+        "allreduce",
+        range(size),
+        list(zip(local_max, local_wb)),
+        [_TakeMax(comm, nrhs) for comm in comms],
+        tag=(tag, "stats"),
+        channel="any",
+    )
+    return [
+        (blocks, np.asarray(global_max), float(global_wb))
+        for blocks, (global_max, global_wb) in zip(residual_blocks, stats)
+    ]
+
+
+def _charged_pair_add(comm: Communicator):
+    """The residual reductions' operator, charging the receiving rank ``comm``."""
 
     def add(a: Tuple[np.ndarray, np.ndarray], b: Tuple[np.ndarray, np.ndarray]):
         comm.charge_flops(muladds=float(a[0].size + a[1].size))
         return (a[0] + b[0], a[1] + b[1])
 
-    residual_blocks: RhsBlocks = {}
-    local_max = np.zeros(nrhs)
-    local_wb = 0.0
-    nb = dist.num_block_rows()
-    for k in range(nb):
-        if k % grid.nprow != myrow:
-            continue
-        g0, g1 = block_bounds(dist, k)
-        kb = g1 - g0
-        lr0 = (k // grid.nprow) * dist.block
-        root = diag_owner(dist, k)
-        acc = yield from reduce(
-            comm,
-            (partial[lr0 : lr0 + kb], abs_partial[lr0 : lr0 + kb]),
-            add,
-            root=root,
-            group=grid.row_ranks(myrow),
-            tag=(tag, "res", k),
-            channel="row",
-        )
-        if comm.rank == root:
-            pb_k = pb_blocks[k]
-            r_k = pb_k - acc[0]
-            denom = acc[1] + np.abs(pb_k)
-            scratch.add_muladds(2.0 * kb * nrhs)
-            residual_blocks[k] = r_k
-            if r_k.size:
-                local_max = np.maximum(local_max, np.max(np.abs(r_k), axis=0))
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    ratios = np.where(denom > 0.0, np.abs(r_k) / denom, 0.0)
-                local_wb = max(local_wb, float(np.max(ratios)))
-                scratch.add_divides(float(kb * nrhs))
-                scratch.add_comparisons(2.0 * kb * nrhs)
-    comm.charge_counter(scratch)
+    return add
 
-    def take_max(a: Tuple[np.ndarray, float], b: Tuple[np.ndarray, float]):
-        comm.charge_flops(comparisons=float(nrhs + 1))
-        return (np.maximum(a[0], b[0]), max(a[1], b[1]))
 
-    global_max, global_wb = yield from allreduce(
-        comm,
-        (local_max, local_wb),
-        take_max,
-        tag=(tag, "stats"),
-        channel="any",
-    )
-    return residual_blocks, np.asarray(global_max), float(global_wb)
+class _TakeMax(RedundantOp):
+    """The residual statistics' all-reduce: per-RHS max and backward-error max.
+
+    ``nrhs + 1`` comparisons per application, charged to every rank that
+    would have performed it; the host computes each distinct one once.
+    """
+
+    def __init__(self, comm: Communicator, nrhs: int) -> None:
+        super().__init__(comm)
+        self.flops = FlopCounter(comparisons=float(nrhs + 1))
+
+    def combine(self, pairs):
+        return [
+            ((np.maximum(a[0], b[0]), max(a[1], b[1])), self.flops) for a, b in pairs
+        ]
+
+
+def _residual(comm, dist, PAloc, pb_blocks, x_cols, nrhs, tag):
+    """This rank's part in the residual step op :func:`_distributed_residual`."""
+    evaluator = partial(_distributed_residual, dist=dist, nrhs=nrhs, tag=tag)
+    return (yield from step(comm, (PAloc, pb_blocks, x_cols), evaluator, tag=tag))
 
 
 def pdgesv_rank(
@@ -228,7 +268,7 @@ def pdgesv_rank(
     x_cols, _ = yield from pdtrsv_upper(
         comm, dist, LUloc, y_blocks, nrhs, tag=("bwd", 0)
     )
-    r_blocks, per_rhs, wb = yield from _distributed_residual(
+    r_blocks, per_rhs, wb = yield from _residual(
         comm, dist, PAloc, pb_blocks, x_cols, nrhs, tag=("resid", 0)
     )
     residuals = [float(np.max(per_rhs)) if per_rhs.size else 0.0]
@@ -254,7 +294,7 @@ def pdgesv_rank(
         )
         x_cols += dx_cols
         comm.charge_flops(muladds=float(x_cols.size))
-        r_blocks, per_rhs, wb = yield from _distributed_residual(
+        r_blocks, per_rhs, wb = yield from _residual(
             comm, dist, PAloc, pb_blocks, x_cols, nrhs, tag=("resid", it)
         )
         iterations += 1

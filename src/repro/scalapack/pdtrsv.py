@@ -30,15 +30,26 @@ Right-hand sides are processed as one ``b x nrhs`` block per step, so a
 multi-RHS solve is batched: the message *count* is independent of ``nrhs``
 and only the payload words grow, exactly like ScaLAPACK's ``PDTRSM``-based
 ``PDGETRS``.
+
+The communication structure above is what every rank is charged; the host
+evaluates it once.  Each sweep is one *step op*
+(:func:`repro.distsim.collectives.step`): every rank of the grid joins it
+with its local factor piece and right-hand-side blocks, and the evaluator
+:func:`_pdtrsv` walks the ``nb`` block steps a single time — the owning
+row's partial sums, the row reduction, the diagonal solve, the column
+broadcast — charging each rank what its own walk over every block step
+charged, in the same order, through the same reduce and broadcast trees.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import partial
+from typing import Dict, List, Tuple
 
 import numpy as np
 
-from ..distsim.collectives import broadcast, reduce
+from ..distsim.collectives import step
+from ..distsim.engine.group_ops import StepGroup
 from ..distsim.vmpi import Communicator
 from ..kernels.flops import FlopCounter
 from ..kernels.trsm import trsm_lower_unit, trsm_upper
@@ -60,122 +71,117 @@ def diag_owner(dist: BlockCyclic2D, k: int) -> int:
 
 
 def _pdtrsv(
-    comm: Communicator,
+    group: StepGroup,
+    values: List[Tuple[np.ndarray, RhsBlocks]],
     dist: BlockCyclic2D,
-    LUloc: np.ndarray,
-    rhs_blocks: RhsBlocks,
     nrhs: int,
     tag: object,
     lower: bool,
-):
-    """Shared SPMD body of the forward/backward substitution (one rank).
+) -> List[Tuple[np.ndarray, RhsBlocks]]:
+    """Step evaluator of the forward/backward substitution over the whole grid.
 
-    Parameters
-    ----------
-    comm:
-        The calling rank's communicator.
-    dist:
-        The square ``n x n`` block-cyclic distribution of the factors.
+    The step's group is every rank in rank order, so a member's position is
+    its rank.  ``values[r]`` is rank ``r``'s ``(LUloc, rhs_blocks)``:
+
     LUloc:
-        This rank's local piece of the packed LU factors (``L`` strictly
+        The rank's local piece of the packed LU factors (``L`` strictly
         below the diagonal with implicit unit diagonal, ``U`` on and above).
     rhs_blocks:
-        Right-hand-side blocks owned by this rank, keyed by block index;
+        Right-hand-side blocks owned by the rank, keyed by block index;
         block ``k`` must live on the diagonal owner ``(k % Pr, k % Pc)``.
-    nrhs:
-        Number of right-hand sides (all blocks are ``kb x nrhs``).
-    tag:
-        Tag namespace, unique per solve.
-    lower:
-        ``True`` for the unit-lower forward substitution, ``False`` for the
-        upper back substitution.
 
-    Returns
-    -------
-    (x_cols, x_blocks):
-        ``x_cols`` holds the solution entries for every *local column* of
-        this rank (ranks of grid column ``c`` end up with the solution
-        blocks assigned to ``c``, courtesy of the column broadcasts);
-        ``x_blocks`` maps each diagonal-owned block index to its solved
-        ``kb x nrhs`` block.
+    ``nrhs`` is the number of right-hand sides (all blocks are
+    ``kb x nrhs``), ``tag`` the solve's tag namespace and ``lower`` selects
+    the unit-lower forward substitution (``False``: the upper back
+    substitution).
+
+    Returns, per rank, ``(x_cols, x_blocks)``: ``x_cols`` holds the solution
+    entries for every *local column* of the rank (ranks of grid column ``c``
+    end up with the solution blocks assigned to ``c``, courtesy of the column
+    broadcasts); ``x_blocks`` maps each block index the rank diagonal-owns to
+    its solved ``kb x nrhs`` block.
     """
+    comms = group.comms
     grid = dist.grid
-    myrow, mycol = grid.coords(comm.rank)
-    my_gcols = dist.local_cols(mycol)
     nb = dist.num_block_cols()
-    x_cols = np.zeros((my_gcols.shape[0], nrhs))
-    x_blocks: RhsBlocks = {}
+    # Local columns already solved at block k: strictly left of the block
+    # for the forward sweep, strictly right of it for the backward sweep —
+    # per grid column, a contiguous run of its ascending local column map.
+    bounds = np.minimum(np.arange(nb + 1) * dist.block, dist.n)
+    gcols = [dist.local_cols(c) for c in range(grid.npcol)]
+    solved = [
+        [(0, lo) for lo in np.searchsorted(g, bounds[:-1]).tolist()]
+        if lower
+        else [(hi, g.shape[0]) for hi in np.searchsorted(g, bounds[1:]).tolist()]
+        for g in gcols
+    ]
+    x_cols = [np.zeros((gcols[grid.coords(r)[1]].shape[0], nrhs)) for r in range(grid.size)]
+    x_blocks: List[RhsBlocks] = [{} for _ in range(grid.size)]
+    adds = [_charged_add(comm) for comm in comms]
     scratch = FlopCounter()
+    solve = trsm_lower_unit if lower else trsm_upper
 
     order = range(nb) if lower else range(nb - 1, -1, -1)
-    for step, k in enumerate(order):
+    for step_no, k in enumerate(order):
         g0, g1 = block_bounds(dist, k)
         kb = g1 - g0
         prow_k = k % grid.nprow
         pcol_k = k % grid.npcol
         root = grid.rank(prow_k, pcol_k)
+        lr0 = (k // grid.nprow) * dist.block
+        lc0 = (k // grid.npcol) * dist.block
 
-        acc = None
-        if myrow == prow_k:
-            lr0 = (k // grid.nprow) * dist.block
-            # Local columns already solved: strictly left of the block for
-            # the forward sweep, strictly right of it for the backward sweep.
-            # Both are contiguous runs of the ascending local column map.
-            if lower:
-                sel = slice(0, int(np.searchsorted(my_gcols, g0)))
-            else:
-                sel = slice(int(np.searchsorted(my_gcols, g1)), my_gcols.shape[0])
-            width = sel.stop - sel.start
+        # 1. Partial sums on the owning process row.
+        row = grid.row_ranks(prow_k)
+        partials = []
+        for c, r in enumerate(row):
+            c0, c1 = solved[c][k]
+            width = c1 - c0
             if width:
-                partial = LUloc[lr0 : lr0 + kb, sel] @ x_cols[sel]
-                # Charge before the reduce ships `partial`, so the message
+                partials.append(values[r][0][lr0 : lr0 + kb, c0:c1] @ x_cols[r][c0:c1])
+                # Charged before the reduce ships it, so the message
                 # timestamps include the accumulation that produced it.
-                comm.charge_flops(muladds=2.0 * kb * width * nrhs)
+                comms[r].charge_flops(muladds=2.0 * kb * width * nrhs)
             else:
-                partial = np.zeros((kb, nrhs))
+                partials.append(np.zeros((kb, nrhs)))
+        if step_no > 0:
+            acc = group.collective(
+                "reduce", row, partials, [adds[r] for r in row],
+                root=root, tag=(tag, "red", k), channel="row",
+            )[pcol_k]
+        else:
+            acc = partials[pcol_k]
 
-            def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-                comm.charge_flops(muladds=float(a.size))
-                return a + b
+        # 2. The diagonal solve on the root.
+        LUroot = values[root][0]
+        rhs = values[root][1][k] - acc
+        scratch.add_muladds(float(kb * nrhs))
+        try:
+            xk = solve(LUroot[lr0 : lr0 + kb, lc0 : lc0 + kb], rhs, flops=scratch)
+        except Exception as exc:
+            raise group.failure(root, exc) from exc
+        x_blocks[root][k] = xk
+        comms[root].charge_counter(scratch)
 
-            if step > 0:
-                acc = yield from reduce(
-                    comm,
-                    partial,
-                    add,
-                    root=root,
-                    group=grid.row_ranks(prow_k),
-                    tag=(tag, "red", k),
-                    channel="row",
-                )
-            else:
-                acc = partial
+        # 3. The column broadcast.
+        column = grid.column_ranks(pcol_k)
+        received = group.collective(
+            "broadcast", column, [xk] * len(column),
+            root=root, tag=(tag, "bc", k), channel="col",
+        )
+        for r, xr in zip(column, received):
+            x_cols[r][lc0 : lc0 + kb] = xr
+    return list(zip(x_cols, x_blocks))
 
-        xk = None
-        if comm.rank == root:
-            rhs = rhs_blocks[k] - acc
-            scratch.add_muladds(float(kb * nrhs))
-            lc0 = (k // grid.npcol) * dist.block
-            diag = LUloc[lr0 : lr0 + kb, lc0 : lc0 + kb]
-            if lower:
-                xk = trsm_lower_unit(diag, rhs, flops=scratch)
-            else:
-                xk = trsm_upper(diag, rhs, flops=scratch)
-            x_blocks[k] = xk
-        comm.charge_counter(scratch)
 
-        if mycol == pcol_k:
-            xk = yield from broadcast(
-                comm,
-                xk,
-                root=root,
-                group=grid.column_ranks(pcol_k),
-                tag=(tag, "bc", k),
-                channel="col",
-            )
-            lc0 = (k // grid.npcol) * dist.block
-            x_cols[lc0 : lc0 + kb] = xk
-    return x_cols, x_blocks
+def _charged_add(comm: Communicator):
+    """The row reduction's operator, charging the receiving rank ``comm``."""
+
+    def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        comm.charge_flops(muladds=float(a.size))
+        return a + b
+
+    return add
 
 
 def pdtrsv_lower_unit(
@@ -193,7 +199,8 @@ def pdtrsv_lower_unit(
     does sequentially.  See the module docstring for the communication
     structure and :func:`_pdtrsv` for the parameters.
     """
-    return (yield from _pdtrsv(comm, dist, LUloc, rhs_blocks, nrhs, tag, lower=True))
+    evaluator = partial(_pdtrsv, dist=dist, nrhs=nrhs, tag=tag, lower=True)
+    return (yield from step(comm, (LUloc, rhs_blocks), evaluator, tag=tag))
 
 
 def pdtrsv_upper(
@@ -209,4 +216,5 @@ def pdtrsv_upper(
     ``U`` is read from the diagonal and above of the packed ``LUloc``.  See
     the module docstring for the communication structure.
     """
-    return (yield from _pdtrsv(comm, dist, LUloc, rhs_blocks, nrhs, tag, lower=False))
+    evaluator = partial(_pdtrsv, dist=dist, nrhs=nrhs, tag=tag, lower=False)
+    return (yield from step(comm, (LUloc, rhs_blocks), evaluator, tag=tag))

@@ -635,3 +635,119 @@ def test_coroutine_broadcast_sizes_its_payload_once(monkeypatch, p, root):
     assert res.results == [12.0] * p
     words = original(payload)
     assert res.total_words == (p - 1) * words  # p - 1 edges, each the full payload
+
+
+# ------------------------------------------------------------------ step ops
+def test_step_op_runs_its_evaluator_once_and_resumes_each_member_with_its_own():
+    """A step op is one host call over the group: the evaluator sees every
+    member's value in group order, and each member gets its own result."""
+    from repro.distsim import step
+
+    calls = []
+
+    def evaluator(group, values):
+        calls.append(([comm.rank for comm in group.comms], list(values)))
+        return [v * 10 for v in values]
+
+    def prog(comm):
+        return (yield from step(comm, comm.rank + 1, evaluator, tag="s"))
+
+    res = run_spmd(4, prog)
+    assert calls == [([0, 1, 2, 3], [1, 2, 3, 4])]
+    assert res.results == [10, 20, 30, 40]
+    assert all(r.group_collectives == 0 and r.messages_sent == 0 for r in res.ranks)
+
+
+def test_step_op_over_one_member_runs_inline():
+    """A one-member step op never reaches the scheduler: each rank runs the
+    evaluator itself, sends nothing and bumps no counter."""
+    from repro.distsim import step
+
+    calls = []
+
+    def evaluator(group, values):
+        calls.append(group.comms[0].rank)
+        return [values[0] + 1]
+
+    def prog(comm):
+        x = yield from step(comm, comm.rank, evaluator, group=[comm.rank])
+        return x
+
+    res = run_spmd(3, prog)
+    assert sorted(calls) == [0, 1, 2]
+    assert res.results == [1, 2, 3]
+    assert all(r.group_collectives == 0 for r in res.ranks)
+
+
+def test_step_op_charges_exactly_what_its_collectives_charge_as_rank_programs():
+    """The inner collectives of a step op are the rank programs' trees: the
+    same charges, clocks and results, and ``group_collectives`` counts only
+    them (a one-member inner collective counts nothing)."""
+    from repro.distsim import reduce, step
+
+    def add(comm):
+        def op(a, b):
+            comm.charge_flops(muladds=float(a.size))
+            return a + b
+        return op
+
+    def evaluator(group, values):
+        for r, comm in enumerate(group.comms):
+            comm.charge_flops(muladds=3.0 * (r + 1))
+        total = group.collective("reduce", range(4), values, [add(c) for c in group.comms],
+                                 root=2, tag="red", channel="row")[2]
+        got = group.collective("broadcast", (2, 0, 3), [total] * 3, root=2, tag="bc",
+                               channel="col")
+        alone = group.collective("broadcast", (1,), [values[1]], root=1, tag="solo")
+        return [got[(2, 0, 3).index(r)] if r != 1 else alone[0] for r in range(4)]
+
+    def stepped(comm):
+        return (yield from step(comm, np.full(3, comm.rank + 1.0), evaluator, tag="s"))
+
+    def direct(comm):
+        comm.charge_flops(muladds=3.0 * (comm.rank + 1))
+        mine = np.full(3, comm.rank + 1.0)
+        total = yield from reduce(comm, mine, add(comm), root=2, group=range(4),
+                                  tag="red", channel="row")
+        if comm.rank == 1:
+            return (yield from broadcast(comm, mine, root=1, group=(1,), tag="solo"))
+        return (yield from broadcast(comm, total, root=2, group=(2, 0, 3), tag="bc",
+                                     channel="col"))
+
+    a = run_spmd(4, stepped, machine=ibm_power5())
+    b = run_spmd(4, direct, machine=ibm_power5())
+    assert fingerprint(a) == fingerprint(b)
+    assert [r.clock.hex() for r in a.ranks] == [r.clock.hex() for r in b.ranks]
+    assert [r.group_collectives for r in a.ranks] == [2, 1, 2, 2]
+    assert [r.group_collectives for r in b.ranks] == [2, 1, 2, 2]
+    for x, y in zip(a.results, b.results):
+        np.testing.assert_array_equal(x, y)
+
+
+def test_step_op_failure_names_the_member_and_its_inner_tag():
+    """An evaluator's failure is one ``RankFailedError`` for the member the
+    evaluator names — not the member whose arrival completed the step —
+    after the last inner collective that member took part in; a member with
+    no inner collective yet names the tag it had before the step."""
+    from repro.distsim import step
+
+    def evaluator(group, values):
+        group.collective("broadcast", (1, 2), [None, "x"], root=2, tag="inner")
+        failing = values.index("fail")
+        try:
+            raise ValueError("boom")
+        except ValueError as exc:
+            raise group.failure(failing, exc) from exc
+
+    def prog(comm, failing):
+        yield from broadcast(comm, 0, root=0, tag="before")
+        return (yield from step(comm, "fail" if comm.rank == failing else "ok",
+                                evaluator, tag="s"))
+
+    for failing, tag in [(2, "inner"), (3, "before")]:
+        with pytest.raises(RankFailedError) as exc:
+            run_spmd(4, prog, failing)
+        err = exc.value
+        assert list(err.failures) == [failing] and err.rank == failing
+        assert isinstance(err.__cause__, ValueError)
+        assert str(err) == f"rank {failing} failed after {tag!r}: ValueError: boom"

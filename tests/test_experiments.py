@@ -96,6 +96,26 @@ def test_samples_below_one_fails_before_anything_runs(name, monkeypatch, tmp_pat
     assert not list(tmp_path.rglob("*.json"))
 
 
+@pytest.mark.parametrize(
+    "name,overrides",
+    [
+        ("figure2", {"configs": ((2, 128),), "include_gepp": False}),
+        ("stability_prrp", {"b": 64}),
+    ],
+    ids=["figure2", "stability_prrp"],
+)
+def test_samples_below_one_fails_where_no_point_fits(name, overrides, tmp_path):
+    """``samples`` is checked before the skip rule: with no (n, P, b) point
+    that fits, ``samples=0`` still raises and the store keeps nothing."""
+    assert run_spec(name, quick=True, **overrides) == []
+    with pytest.raises(ValueError, match="samples"):
+        run_spec(name, quick=True, samples=0, **overrides)
+    store = ResultStore(root=tmp_path)
+    with pytest.raises(ValueError, match="samples"):
+        store.fetch_or_run(get_spec(name), {"samples": 0, **overrides}, quick=True)
+    assert not list(tmp_path.rglob("*.json"))
+
+
 # ------------------------------------------------------------------ Tables 1-2
 def test_table1_rows_pass_hpl():
     rows = run_spec("table1", sweep=((64, ((2, 8), (4, 8))), (128, ((4, 16),))))

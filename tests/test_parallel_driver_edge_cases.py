@@ -218,3 +218,36 @@ def test_singular_matrix_fails_once_naming_rank_and_tag(kind, pivoting):
     assert err.failures[err.rank] is err.__cause__
     assert err.tag is not None
     assert str(err).startswith(f"rank {err.rank} failed after {err.tag!r}: LinAlgError: ")
+
+
+@pytest.mark.parametrize(
+    "kind,pivoting,where",
+    [
+        ("zero_column", "pp", "rank 0 failed after (('bwd', 0), 'red', 0)"),
+        ("zero_column", "ca", "rank 0 failed after ((('panel', 0), 'pswap'), 'swap', 6)"),
+        ("zero_column", "ca_prrp", "rank 0 failed after ((('panel', 0), 'pswap'), 'swap', 7)"),
+        ("all_zero", "pp", "rank 3 failed after (('fwd', 0), 'bc', 3)"),
+    ],
+    ids=["zero_column-pp", "zero_column-ca", "zero_column-ca_prrp", "all_zero-pp"],
+)
+def test_singular_matrix_failure_names_the_rank_that_fails(kind, pivoting, where):
+    """The failure is charged where the rank's own program fails, also inside
+    a triangular sweep the host evaluates as one step: under ``pp`` the
+    back substitution's diagonal solve on rank 0, after the row reduction of
+    block 0 (zero column), or on rank 3 at the first backward block, whose
+    last collective was the forward sweep's broadcast of block 3 (all zero)."""
+    from repro.distsim import RankFailedError
+    from repro.parallel import pdgesv
+
+    n = 32
+    A = randn(n, seed=8)
+    if kind == "zero_column":
+        A[:, 5] = 0.0
+    else:
+        A[:] = 0.0
+    with pytest.raises(RankFailedError) as exc:
+        pdgesv(A, randn(n, 1, seed=9), cfg((2, 2), 8, pivoting))
+    diagonal = 5 if kind == "zero_column" else 0
+    assert str(exc.value) == (
+        f"{where}: LinAlgError: singular matrix: resolution failed at diagonal {diagonal}"
+    )

@@ -49,7 +49,7 @@ from .core import (
 )
 from .kernels import FlopCounter, getf2, getrf_blocked, getrf_partial_pivoting, rgetf2
 from .layouts import Block1D, BlockCyclic1D, BlockCyclic2D, ProcessGrid
-from .machines import MachineModel, cray_xt4, generic_cluster, ibm_power5, unit_machine
+from .machines import MachineModel, cray_xt4, ibm_power5, unit_machine
 
 __version__ = "1.0.0"
 
@@ -79,5 +79,4 @@ __all__ = [
     "ibm_power5",
     "cray_xt4",
     "unit_machine",
-    "generic_cluster",
 ]

@@ -237,7 +237,7 @@ def calu(
             growth.append(float(np.max(np.abs(A))))
 
     if strategy == "ca_prrp":
-        _triangularize_prrp_panels(A, perm, b, n, flops, record)
+        _triangularize_diagonal_blocks(A, perm, b, n, flops, record)
 
     return CALUResult(
         packed=A,
@@ -251,7 +251,7 @@ def calu(
     )
 
 
-def _triangularize_prrp_panels(
+def _triangularize_diagonal_blocks(
     A: np.ndarray,
     perm: np.ndarray,
     b: int,

@@ -12,9 +12,10 @@ pick their own code path, so neither an engine nor a kernel tier is a knob.
 
 :class:`SolveConfig` is a frozen dataclass bundling everything that
 configures a distributed solve (the two knobs plus grid shape, block size
-``b``, ``nrhs`` and a machine name).  One ``SolveConfig`` travels through
-the drivers (:mod:`repro.parallel`), the content-addressed stores, the
-serving layer and the CLI, and is the unit the autotuner
+``b`` and a machine name).  The right-hand-side count is no field: it is
+the shape of the ``b`` a solve is called with.  One ``SolveConfig`` travels
+through the drivers (:mod:`repro.parallel`), the content-addressed stores,
+the serving layer and the CLI, and is the unit the autotuner
 (:mod:`repro.harness.tuning`) searches over.
 """
 
@@ -58,7 +59,7 @@ class SolveConfig:
 
     The two knobs (``pivoting``, ``matmul``) are always concrete table
     names; the layout parameters
-    (``grid``, ``b``, ``nrhs``) and the ``machine`` name are optional —
+    (``grid``, ``b``) and the ``machine`` name are optional —
     drivers fall back to their own arguments when a field is ``None``.
 
     Build one with :meth:`resolve` (fills unset knobs with their defaults)
@@ -71,7 +72,6 @@ class SolveConfig:
     matmul: str
     grid: Optional[Tuple[int, int]] = None
     b: Optional[int] = None
-    nrhs: Optional[int] = None
     machine: Optional[str] = None
 
     # ------------------------------------------------------------- creation
@@ -98,7 +98,9 @@ class SolveConfig:
         ``None`` or their one legal value (``"coroutine"``, ``"auto"``;
         ignored) because the end-to-end benchmark
         (``benchmarks/e2e/workloads.py``) still passes them; any other value
-        raises :class:`UnknownOptionError`.
+        raises :class:`UnknownOptionError`.  ``nrhs`` is accepted and
+        ignored for the same reason: the right-hand-side count is the
+        shape of the ``b`` a solve is called with.
         """
         from ..matmul import get_backend  # repro.matmul imports this module
         from .strategies import get_strategy
@@ -112,7 +114,6 @@ class SolveConfig:
             matmul=get_backend(matmul).name,
             grid=normalize_grid(grid),
             b=int(b) if b is not None else None,
-            nrhs=int(nrhs) if nrhs is not None else None,
             machine=machine,
         )
 

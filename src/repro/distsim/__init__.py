@@ -21,16 +21,7 @@ pure function of the rank programs and the machine model: identical across
 repeated runs.  The host-side execution order is reproducible too.
 """
 
-from .collectives import (
-    allgather,
-    allreduce,
-    barrier,
-    broadcast,
-    gather,
-    reduce,
-    scatter,
-    step,
-)
+from .collectives import allreduce, broadcast, reduce, step
 from .errors import DeadlockError, RankFailedError, SimulationError
 from .tracing import RankTrace, RunTrace
 from .vmpi import Communicator, payload_words, run_spmd
@@ -47,9 +38,5 @@ __all__ = [
     "broadcast",
     "reduce",
     "allreduce",
-    "gather",
-    "allgather",
-    "scatter",
-    "barrier",
     "step",
 ]

@@ -1,12 +1,14 @@
 """The collective operations of the virtual MPI.
 
-ScaLAPACK's drivers and CALU both rely on broadcasts, reductions and
-all-reductions along rows and columns of the process grid.  The paper's model
-prices each collective over ``P`` processes as ``log2(P)`` communication
-steps; each collective here is priced as binomial trees (broadcast, reduce,
-gather) or a recursive-doubling butterfly (all-reduce / all-gather) of
-exactly that depth, and the scatter as linear root-sends, so the simulated
-critical path matches the model's assumption.
+ScaLAPACK's drivers and CALU need only broadcasts, reductions and
+all-reductions along rows and columns of the process grid (plus the pairwise
+exchanges of ``Communicator.co_sendrecv``), so those three are the
+collectives here, with :func:`step` for a whole algorithmic step.  The
+paper's model prices each collective over ``P`` processes as ``log2(P)``
+communication steps; each collective here is priced as a binomial tree
+(broadcast, reduce) or a recursive-doubling butterfly (all-reduce) of
+exactly that depth, so the simulated critical path matches the model's
+assumption.  Each takes one value per member.
 
 All collectives operate over an explicit *group*: an ordered list of world
 ranks.  This is how "the column of the grid holding block-column j" or "the
@@ -172,86 +174,6 @@ def allreduce(
         return op.finish_charged(value) if redundant else value
     return (yield CollectiveRequest(kind="allreduce", group=group, pos=me, rootpos=0,
                                     value=value, op=op, tag=tag, channel=channel))
-
-
-def gather(
-    comm: Communicator,
-    value: Any,
-    root: int,
-    group: Optional[Sequence[int]] = None,
-    tag: Any = "gather",
-    channel: str = "any",
-) -> Optional[List[Any]]:
-    """Binomial-tree gather; returns the list of contributions (in group order) on ``root``."""
-    def merge(a: dict, b: dict) -> dict:
-        out = dict(b)
-        out.update(a)
-        return out
-
-    me = _position(comm, _norm_group(comm, group))
-    result = yield from reduce(
-        comm, {me: value}, merge, root, group=group, tag=tag, channel=channel
-    )
-    if comm.rank == root and result is not None:
-        return [result[i] for i in sorted(result)]
-    return None
-
-
-def allgather(
-    comm: Communicator,
-    value: Any,
-    group: Optional[Sequence[int]] = None,
-    tag: Any = "allgather",
-    channel: str = "any",
-) -> List[Any]:
-    """Butterfly all-gather; every rank receives the list of contributions in group order."""
-    grp = _norm_group(comm, group)
-    me = _position(comm, grp)
-
-    def merge(a: dict, b: dict) -> dict:
-        out = dict(b)
-        out.update(a)
-        return out
-
-    combined = yield from allreduce(
-        comm, {me: value}, merge, group=grp, tag=tag, channel=channel
-    )
-    return [combined[i] for i in sorted(combined)]
-
-
-def scatter(
-    comm: Communicator,
-    values: Optional[Sequence[Any]],
-    root: int,
-    group: Optional[Sequence[int]] = None,
-    tag: Any = "scatter",
-    channel: str = "any",
-) -> Any:
-    """Scatter one element of ``values`` (significant on ``root``) to each group rank.
-
-    Implemented as root-sends (linear), which is how ScaLAPACK distributes
-    small per-process payloads; the latency cost is attributed to the root.
-    """
-    group = _norm_group(comm, group)
-    me = _position(comm, group)
-    rootpos = _root_position("scatter", root, group)
-    if comm.rank == root and (values is None or len(values) != len(group)):
-        raise ValueError("root must supply one value per group member")
-    if len(group) == 1:
-        return values[rootpos]
-    value = list(values) if comm.rank == root else None
-    return (yield CollectiveRequest(kind="scatter", group=group, pos=me, rootpos=rootpos,
-                                    value=value, op=None, tag=tag, channel=channel))
-
-
-def barrier(
-    comm: Communicator,
-    group: Optional[Sequence[int]] = None,
-    tag: Any = "barrier",
-    channel: str = "any",
-) -> None:
-    """Synchronise all ranks of the group (an all-reduce of nothing)."""
-    yield from allreduce(comm, 0, lambda a, b: 0, group=group, tag=tag, channel=channel)
 
 
 def step(

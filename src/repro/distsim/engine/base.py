@@ -83,7 +83,9 @@ class CollectiveRequest:
     keyed by ``(kind, group, tag, channel, rootpos)`` and evaluates the
     collective centrally with exact per-rank cost attribution
     (:mod:`repro.distsim.engine.group_ops`); the coroutine is resumed with
-    its rank's result.
+    its rank's result.  ``kind`` is one of ``"broadcast"``, ``"reduce"``,
+    ``"allreduce"`` and ``"step"``, and ``value`` is this member's own
+    contribution: every kind takes one value per member.
 
     For ``kind="step"`` (a *step op*, :func:`repro.distsim.collectives.step`)
     ``op`` is the step's evaluator, ``evaluator(group, values)``: the host
@@ -94,7 +96,7 @@ class CollectiveRequest:
     carry their own.
     """
 
-    kind: str  # "broadcast" | "reduce" | "allreduce" | "scatter" | "step"
+    kind: str  # "broadcast" | "reduce" | "allreduce" | "step"
     #: Participating world ranks in group order: a tuple, or a ``range`` for
     #: the default all-ranks group (hashes and ``index``-es in O(1)).
     group: Sequence[int]
@@ -225,12 +227,6 @@ class Communicator:
         """
         self.charge_flops(counter.muladds, counter.divides, counter.comparisons)
         counter.reset()
-
-    def advance_clock(self, seconds: float) -> None:
-        """Advance the simulated clock without recording arithmetic (e.g. I/O)."""
-        if seconds < 0:
-            raise ValueError("cannot move the simulated clock backwards")
-        self._trace.clock += seconds
 
     # --------------------------------------------------------- point-to-point
     def send(self, dest: int, payload: Any, tag: Any = 0, channel: str = "any") -> None:

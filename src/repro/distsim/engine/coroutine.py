@@ -8,8 +8,8 @@ receive is ``yield RecvRequest``: a Python frame suspension, so process
 counts in the thousands (ptslu at P = 4096, pdgesv at P = 2048) run in
 seconds.
 
-Collectives are *vectorized*: a broadcast/reduce/all-reduce/scatter over a
-rank group yields one group-level
+Collectives are *vectorized*: a broadcast/reduce/all-reduce over a rank
+group yields one group-level
 :class:`~repro.distsim.engine.base.CollectiveRequest`; the scheduler
 rendezvouses the ``len(group)`` participants on a single event and evaluates
 the collective's communication tree centrally
@@ -21,14 +21,19 @@ evaluates the step's inner collectives the same way.  Point-to-point traffic
 (e.g. the pairwise exchanges of ``pdlaswp``) flows through stash + wake.
 
 The interleaving is a pure function of the rank programs and the machine
-model, so repeated runs are bit-for-bit identical.  The first failure ends
-the run: the scheduler steps no rank after it, closes every live rank
-generator in rank order (so their ``finally`` blocks run) and raises one
-:class:`~repro.distsim.errors.RankFailedError` chained from the failing
-rank's own exception.  Deadlock is detected structurally: when no rank is
-runnable and some are suspended, the lowest suspended rank fails with a
-:class:`~repro.distsim.errors.DeadlockError` naming, for every suspended
-rank, the ``(source, tag)`` or the collective it waits on.
+model, so repeated runs are bit-for-bit identical.  The simulated result of
+a run that succeeds does not depend on it: a rank reads another rank's clock
+only through a message's ``available_at`` (``tests/test_stepping_order.py``
+replays runs under random orders).  Which failure a failing run reports does
+depend on it, and the ``(clock, rank)`` order is part of the contract: the
+first failure in that order ends the run.  The scheduler steps no rank after
+it, closes every live rank generator in rank order (so their ``finally``
+blocks run) and raises one :class:`~repro.distsim.errors.RankFailedError`
+chained from the failing rank's own exception.  Deadlock is detected
+structurally: when no rank is runnable and some are suspended, the lowest
+suspended rank fails with a :class:`~repro.distsim.errors.DeadlockError`
+naming, for every suspended rank, the ``(source, tag)`` or the collective it
+waits on.
 """
 
 from __future__ import annotations
@@ -85,8 +90,9 @@ class _CoroutineScheduler:
         self.results: List[Any] = [None] * nprocs
         # Rendezvous buckets: key -> FIFO list of partially-filled instances,
         # each mapping group position -> its CollectiveRequest.  The FIFO
-        # handles back-to-back same-key collectives (e.g. repeated barriers):
-        # a rank joining its i-th instance lands in the i-th bucket.
+        # handles back-to-back same-key collectives (e.g. repeated
+        # all-reduces): a rank joining its i-th instance lands in the i-th
+        # bucket.
         self.pending_collectives: Dict[Any, List[Dict[int, CollectiveRequest]]] = {}
 
     # --------------------------------------------------------------- stepping
@@ -197,14 +203,10 @@ class _CoroutineScheduler:
         members = [self.states[group[pos]] for pos in range(p)]
         comms = [st.comm for st in members]
         requests = [bucket[pos] for pos in range(p)]
-        rootpos = requests[0].rootpos
-        if kind == "scatter":
-            values: List[Any] = requests[rootpos].value
-        else:
-            values = [r.value for r in requests]
         tags = [st.tag for st in members] if kind == "step" else None
         results = evaluate_collective(
-            comms, kind, values, [r.op for r in requests], rootpos, channel, tags
+            comms, kind, [r.value for r in requests], [r.op for r in requests],
+            requests[0].rootpos, channel, tags,
         )
         for pos, st in enumerate(members):
             if tags is not None:

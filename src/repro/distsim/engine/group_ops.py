@@ -4,9 +4,11 @@ When every participant of a collective has yielded its
 :class:`~repro.distsim.engine.base.CollectiveRequest`, the scheduler hands
 the whole group to :func:`evaluate_collective`, which evaluates the
 collective's communication tree — binomial broadcast/reduce, fold +
-recursive-doubling butterfly + unfold for the all-reduce, linear root-sends
-for the scatter — as plain Python loops over the group, charging each
-participant's trace directly.
+recursive-doubling butterfly + unfold for the all-reduce — as plain Python
+loops over the group, charging each participant's trace directly.  There are
+four kinds, ``"broadcast"``, ``"reduce"``, ``"allreduce"`` and ``"step"``,
+and each takes one value per member; any other kind fails the run with
+``ValueError("unknown collective kind ...")``.
 
 The contract is that every participant is charged exactly what delivering
 each message of that tree through ``Communicator.send``/``co_recv`` would
@@ -250,27 +252,6 @@ def _eval_allreduce(
     return acc
 
 
-def _eval_scatter(
-    edges: Sequence[_Edge],
-    root_values: Sequence[Any],
-    rootpos: int,
-    channel: str,
-) -> List[Any]:
-    """Linear root-sends in group order; the root keeps its own element."""
-    p = len(edges)
-    results: List[Any] = [None] * p
-    root = edges[rootpos]
-    for pos in range(p):
-        if pos == rootpos:
-            continue
-        words = payload_words(root_values[pos])
-        avail = root.charge_send(words, channel)
-        edges[pos].charge_recv(words, avail)
-        results[pos] = _ship(root_values[pos])
-    results[rootpos] = root_values[rootpos]
-    return results
-
-
 class StepFailure(Exception):
     """A step evaluator's failure, charged to the member ``rank``.
 
@@ -384,6 +365,4 @@ def _evaluate(
         return _eval_reduce(edges, values, ops, rootpos, channel)
     if kind == "allreduce":
         return _eval_allreduce(edges, values, ops, channel)
-    if kind == "scatter":
-        return _eval_scatter(edges, values, rootpos, channel)
     raise ValueError(f"unknown collective kind {kind!r}")

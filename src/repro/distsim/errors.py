@@ -37,6 +37,12 @@ class RankFailedError(SimulationError):
     ``failures``.  ``tag`` is the tag of the last receive or collective the
     rank took part in — inside a step op, the step's inner collective
     (``None`` if it failed before its first one).
+
+    When several ranks would fail, the one reported is the first to fail in
+    the scheduler's ``(simulated clock, rank)`` stepping order
+    (:mod:`repro.distsim.engine.coroutine`): that order decides which
+    failure a run reports, while the results of a run that succeeds do not
+    depend on it.
     """
 
     def __init__(self, rank, tag, cause):

@@ -3,9 +3,10 @@
 The paper's experiments ran on MPI over 64-888 processors.  This module
 provides an in-process substitute: :func:`run_spmd` executes ``P`` copies of
 the same rank program, each bound to a :class:`Communicator` for its rank.
-Collectives (:mod:`repro.distsim.collectives`) are priced as every message
-of the tree a real MPI implementation would send, so each one of them is
-visible to the cost ledger.
+Collectives (:mod:`repro.distsim.collectives`: broadcast, reduce,
+all-reduce and the step op) are priced as every message of the tree a real
+MPI implementation would send, so each one of them is visible to the cost
+ledger.
 
 Rank programs are generator functions stepped by one deterministic
 single-threaded scheduler (:mod:`repro.distsim.engine`): the runnable rank

@@ -39,12 +39,7 @@ from . import (
     table2,
     validation,
 )
-from .report import (
-    format_table,
-    rows_from_json,
-    rows_to_csv,
-    rows_to_json,
-)
+from .report import format_table, rows_to_csv, rows_to_json
 
 __all__ = [
     "figure1",
@@ -57,7 +52,6 @@ __all__ = [
     "scenarios",
     "validation",
     "format_table",
-    "rows_from_json",
     "rows_to_csv",
     "rows_to_json",
 ]

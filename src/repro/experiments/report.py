@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import io
 import json
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 
 def _is_number(value: object) -> bool:
@@ -142,11 +142,3 @@ def rows_to_json(
     """
     document = {"metadata": dict(metadata or {}), "rows": list(rows)}
     return json.dumps(document, indent=indent)
-
-
-def rows_from_json(text: str) -> Tuple[List[Dict[str, object]], Dict[str, object]]:
-    """Inverse of :func:`rows_to_json`; also accepts a bare JSON row list."""
-    document = json.loads(text)
-    if isinstance(document, list):
-        return document, {}
-    return list(document.get("rows", [])), dict(document.get("metadata", {}))

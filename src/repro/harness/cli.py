@@ -89,7 +89,7 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
 
     Reads whatever configuration flags the verb defines (``--pivoting`` /
     ``--matmul`` from :func:`add_config_args`,
-    plus ``--P`` / ``--b`` / ``--requests`` / ``--machine`` where present).
+    plus ``--P`` / ``--b`` / ``--machine`` where present).
     Precedence per field: explicit flag > the ``--tuned`` artifact's value
     (where the verb has ``--tuned``; never its machine) > default.
     Invalid values exit with the offender named.
@@ -121,7 +121,6 @@ def config_from_args(args: argparse.Namespace) -> SolveConfig:
             matmul=pick("matmul", "matmul"),
             grid=pick("P", "grid"),
             b=pick("b", "b"),
-            nrhs=getattr(args, "requests", None),
             machine=getattr(args, "machine", None),
         )
     except UnknownOptionError as exc:

@@ -94,7 +94,6 @@ def enumerate_candidates(
     P: int,
     workload: str = "solve",
     machine: Optional[str] = None,
-    nrhs: Optional[int] = None,
     block_sizes: Sequence[int] = BLOCK_SIZES,
     pivotings: Optional[Sequence[str]] = None,
     matmuls: Sequence[str] = ("summa", "caps"),
@@ -125,7 +124,6 @@ def enumerate_candidates(
                             matmul=matmul,
                             grid=(Pr, Pc),
                             b=b,
-                            nrhs=nrhs,
                             machine=machine,
                         )
                     )
@@ -136,7 +134,6 @@ def default_config(
     n: int,
     P: int,
     machine: Optional[str] = None,
-    nrhs: Optional[int] = None,
 ) -> SolveConfig:
     """The configuration an untuned run would use (the baseline to beat).
 
@@ -165,7 +162,6 @@ def default_config(
         matmul=DEFAULT_BACKEND,
         grid=(grid.nprow, grid.npcol),
         b=b,
-        nrhs=nrhs,
         machine=machine,
     )
 
@@ -355,9 +351,7 @@ def tune_point(
     present, so the chosen configuration's simulated time is ≤ the
     default's by construction.
     """
-    candidates = enumerate_candidates(
-        n, P, workload=workload, machine=machine, nrhs=nrhs
-    )
+    candidates = enumerate_candidates(n, P, workload=workload, machine=machine)
     if not candidates:
         raise ValueError(f"no feasible configuration for n={n}, P={P}")
     predictions = [
@@ -366,7 +360,7 @@ def tune_point(
     ]
     ranked = sorted(zip(predictions, range(len(candidates))))
 
-    baseline = default_config(n, P, machine=machine, nrhs=nrhs)
+    baseline = default_config(n, P, machine=machine)
 
     selected = [
         (prediction, candidates[index])
@@ -484,7 +478,6 @@ def tuned_config(artifact: Dict[str, object]) -> SolveConfig:
         matmul=str(row["matmul"]),
         grid=(int(nprow), int(npcol)),
         b=int(row["b"]),
-        nrhs=int(row["nrhs"]) if row.get("nrhs") is not None else None,
         machine=str(row["machine"]) if row.get("machine") else None,
     )
 

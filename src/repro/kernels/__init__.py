@@ -13,32 +13,15 @@ from .gemm import gemm, gemm_update
 from .getf2 import LUResult, getf2, lu_reconstruct, split_lu
 from .getrf import BlockedLUResult, getrf_blocked, getrf_partial_pivoting
 from .laswp import apply_row_permutation, laswp, permute_rows_inplace
-from .pivoting import (
-    apply_ipiv,
-    compose_perms,
-    extend_perm,
-    invert_perm,
-    ipiv_to_perm,
-    is_permutation,
-    perm_to_matrix,
-)
+from .pivoting import compose_perms, invert_perm, ipiv_to_perm, is_permutation
 from .rgetf2 import rgetf2
-from .rrqr import (
-    DEFAULT_TAU,
-    PRRPPanel,
-    RRQRResult,
-    prrp_panel,
-    rrqr,
-    select_rows_rrqr,
-)
+from .rrqr import DEFAULT_TAU, RRQRResult, rrqr, select_rows_rrqr
 from .trsm import trsm_lower_unit, trsm_right_upper, trsm_upper
 
 __all__ = [
     "rrqr",
     "select_rows_rrqr",
-    "prrp_panel",
     "RRQRResult",
-    "PRRPPanel",
     "DEFAULT_TAU",
     "FlopCounter",
     "FlopFormulas",
@@ -62,10 +45,7 @@ __all__ = [
     "trsm_upper",
     "trsm_right_upper",
     "ipiv_to_perm",
-    "perm_to_matrix",
     "invert_perm",
     "compose_perms",
-    "extend_perm",
     "is_permutation",
-    "apply_ipiv",
 ]

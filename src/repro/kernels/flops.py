@@ -114,13 +114,6 @@ class FlopFormulas:
         """Multiply/adds of C -= A @ B with A m x k and B k x n."""
         return 2.0 * float(m) * float(n) * float(k)
 
-    @staticmethod
-    def getrf(m: int, n: int) -> float:
-        """Multiply/adds of a full LU factorization of an m x n matrix (m >= n)."""
-        m = float(m)
-        n = float(n)
-        return m * n * n - n**3 / 3.0
-
     # ------------------------------------------------------------------
     # Exact (not leading-order) counts, matching the reference loops step
     # for step.  These are what the LAPACK-backed kernel paths charge so

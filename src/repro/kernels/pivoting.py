@@ -7,8 +7,8 @@ Two representations are used throughout the package:
 * a *permutation* vector ``perm``: ``perm[i]`` is the original index of the
   row that ends up in position ``i``, i.e. ``PA = A[perm, :]``.
 
-The helpers below convert between the two, compose permutations, and build
-explicit permutation matrices for verification.
+The helpers below convert between the two, invert and compose
+permutations, and check that a vector is one.
 """
 
 from __future__ import annotations
@@ -39,15 +39,6 @@ def ipiv_to_perm(ipiv: np.ndarray, m: int) -> np.ndarray:
     return perm
 
 
-def perm_to_matrix(perm: np.ndarray) -> np.ndarray:
-    """Return the dense permutation matrix ``P`` with ``P @ A == A[perm, :]``."""
-    perm = np.asarray(perm, dtype=np.int64)
-    m = perm.shape[0]
-    P = np.zeros((m, m))
-    P[np.arange(m), perm] = 1.0
-    return P
-
-
 def invert_perm(perm: np.ndarray) -> np.ndarray:
     """Return the inverse permutation of ``perm``."""
     perm = np.asarray(perm, dtype=np.int64)
@@ -67,45 +58,9 @@ def compose_perms(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     return inner[outer]
 
 
-def extend_perm(perm: np.ndarray, m: int, offset: int = 0) -> np.ndarray:
-    """Embed a permutation of a contiguous row range into an identity of size ``m``.
-
-    The rows ``offset .. offset+len(perm)-1`` are permuted according to
-    ``perm`` (whose entries are relative to ``offset``); all other rows are
-    fixed.  This implements the paper's "extended by the appropriate identity
-    matrices" convention for the tournament permutations.
-    """
-    perm = np.asarray(perm, dtype=np.int64)
-    full = np.arange(m, dtype=np.int64)
-    full[offset : offset + perm.shape[0]] = offset + perm
-    return full
-
-
 def is_permutation(perm: np.ndarray) -> bool:
     """Return True if ``perm`` is a permutation of ``0..len(perm)-1``."""
     perm = np.asarray(perm)
     if perm.ndim != 1:
         return False
     return np.array_equal(np.sort(perm), np.arange(perm.shape[0]))
-
-
-def apply_ipiv(A: np.ndarray, ipiv: np.ndarray, forward: bool = True) -> np.ndarray:
-    """Apply (or undo) a LAPACK-style swap sequence to the rows of ``A`` in place.
-
-    Parameters
-    ----------
-    A:
-        Matrix whose rows are swapped (modified in place and returned).
-    ipiv:
-        Swap sequence as produced by :func:`repro.kernels.getf2.getf2`.
-    forward:
-        If True apply the swaps in order (k = 0, 1, ...); if False apply them
-        in reverse order, undoing a previous forward application.
-    """
-    ipiv = np.asarray(ipiv, dtype=np.int64)
-    indices = range(len(ipiv)) if forward else range(len(ipiv) - 1, -1, -1)
-    for k in indices:
-        r = ipiv[k]
-        if r != k:
-            A[[k, r], :] = A[[r, k], :]
-    return A

@@ -21,10 +21,9 @@ so every multiplier of the panel elimination is bounded by ``tau`` — the bound
 behind PRRP's ``(1 + 2b)^(n/b)`` worst-case growth, versus ``2^(n-1)`` for
 partial pivoting and ``2^(n(log2 P + 1))``-ish for plain ca-pivoting.
 
-This module provides the factorization (:func:`rrqr`), the row selection the
-tournament uses (:func:`select_rows_rrqr`) and the full panel form
-(:func:`prrp_panel`) with ``L21 = A21 (Q R11)^{-1}`` available directly from
-the interaction matrix, no triangular solve against the panel required.
+This module provides the row selection the tournament uses
+(:func:`select_rows_rrqr`) and the factorization (:func:`rrqr`) it is checked
+against.  CALU_PRRP here uses the selection only.
 
 What is contractual is the *selection* (which rows, in which order) and the
 *flop ledger* — nothing else of the factorization leaves
@@ -34,9 +33,9 @@ answer and falls back to the reference:
 
 * The reference is the Householder / Businger-Golub loop below (plain
   NumPy, ties towards the lowest index) followed by the Gu-Eisenstat
-  strengthening loop (:func:`_strong_rrqr`).  :func:`rrqr` and
-  :func:`prrp_panel` always run it and accumulate ``Q``; the selection runs
-  the same arithmetic on ``R`` alone.
+  strengthening loop (:func:`_strong_rrqr`).  :func:`rrqr` always runs it
+  and accumulates ``Q``; the selection runs the same arithmetic on ``R``
+  alone.
 * The selection first takes the pivots of ``dgeqp3`` and *verifies* them on
   the factor that produced them: every pivot must have been the greedy
   choice by a clear margin (:data:`PIVOT_GAP`, which is also a numerical-rank
@@ -348,78 +347,3 @@ def select_rows_rrqr(
     if perm is None:
         perm = _strong_rrqr(block.T, steps, tau, flops, want_q=False).perm
     return np.asarray(perm[:k], dtype=np.int64)
-
-
-@dataclass
-class PRRPPanel:
-    """The LU_PRRP panel form of an ``m x b`` block ``W``.
-
-    ``W[perm] = [W1; W2]`` with ``W2 = L21 @ W1``: the selected rows ``W1``
-    carry the panel, every eliminated row is a ``tau``-bounded combination of
-    them.  ``L21`` is read straight off the strong RRQR of ``W^T``
-    (``L21 = W2 W1^{-1} = A21 (Q R11)^{-1}`` in the notation of the paper,
-    i.e. the transposed interaction matrix) — no triangular solve against the
-    panel is performed.
-    """
-
-    perm: np.ndarray
-    W1: np.ndarray
-    L21: np.ndarray
-    tau: float
-    swaps: int
-
-    def reconstruct(self) -> np.ndarray:
-        """``[W1; L21 @ W1]`` — equals ``W[perm]`` up to rounding."""
-        return np.vstack([self.W1, self.L21 @ self.W1])
-
-
-def prrp_panel(
-    W: np.ndarray,
-    b: Optional[int] = None,
-    tau: float = DEFAULT_TAU,
-    flops: Optional[FlopCounter] = None,
-) -> PRRPPanel:
-    """Factor a panel in the LU_PRRP form: select rows, read off ``L21``.
-
-    Parameters
-    ----------
-    W:
-        The ``m x b`` panel.
-    b:
-        Number of rows to select — the panel width (the default), or at
-        least ``min(m, width)``.  Selecting *fewer* rows than the panel has
-        columns cannot represent the eliminated rows exactly (``W2`` then
-        generally lies outside the row span of ``W1``), so it is rejected.
-    tau:
-        Strong-RRQR column threshold; guarantees ``max |L21| <= tau`` whenever
-        the selected block is nonsingular.
-    """
-    W = np.asarray(W, dtype=np.float64)
-    m, width = W.shape
-    if b is not None and b < min(m, width):
-        raise ValueError(
-            f"prrp_panel must select at least min(m, width) = {min(m, width)} "
-            f"rows of a {m} x {width} panel, got b={b}; a narrower selection "
-            "cannot factor the panel (use select_rows_rrqr for selection only)"
-        )
-    k = min(b if b is not None else width, m)
-    res = rrqr(W.T, k=k, tau=tau, flops=flops)
-    selected = np.asarray(res.perm[:k], dtype=np.int64)
-    mask = np.ones(m, dtype=bool)
-    mask[selected] = False
-    rest = np.nonzero(mask)[0]
-    perm = np.concatenate([selected, rest]).astype(np.int64)
-    # The interaction columns are ordered like res.perm[k:], which is not in
-    # general the ascending "rest" order the panel permutation uses — reorder.
-    if res.interaction is None:
-        # Rank-deficient selected block: fall back to a least-squares L21
-        # (exact whenever the eliminated rows lie in the span of W1).
-        W1 = W[selected, :]
-        L21 = np.linalg.lstsq(W1.T, W[rest, :].T, rcond=None)[0].T if rest.size else (
-            np.zeros((0, k))
-        )
-    else:
-        order = {int(g): i for i, g in enumerate(res.perm[k:])}
-        take = np.asarray([order[int(g)] for g in rest], dtype=np.int64)
-        L21 = res.interaction.T[take, :]
-    return PRRPPanel(perm=perm, W1=W[selected, :], L21=L21, tau=tau, swaps=res.swaps)

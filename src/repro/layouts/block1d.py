@@ -11,7 +11,7 @@ supported:
   worked example of Figure 1 where rows 1, 2, 9, 10 live on process 0).
 
 Both expose the same interface: which global rows a process owns, the owner of
-a global row, and local/global index conversions.
+a global row, and its local index there.
 """
 
 from __future__ import annotations
@@ -52,21 +52,10 @@ class Block1D:
         hi = min((p + 1) * base, self.m)
         return np.arange(lo, hi, dtype=np.int64)
 
-    def local_count(self, p: int) -> int:
-        """Number of rows owned by process ``p``."""
-        return int(self.rows_of(p).shape[0])
-
     def to_local(self, i: int) -> int:
         """Local index (within the owner's block) of global row ``i``."""
         p = self.owner(i)
         return int(i - self.rows_of(p)[0])
-
-    def to_global(self, p: int, li: int) -> int:
-        """Global index of local row ``li`` on process ``p``."""
-        rows = self.rows_of(p)
-        if not (0 <= li < rows.shape[0]):
-            raise ValueError(f"local index {li} out of range on process {p}")
-        return int(rows[li])
 
     def _check_row(self, i: int) -> None:
         if not (0 <= i < self.m):
@@ -106,26 +95,12 @@ class BlockCyclic1D:
         rows = np.arange(self.m, dtype=np.int64)
         return rows[(rows // self.block) % self.nprocs == p]
 
-    def local_count(self, p: int) -> int:
-        """Number of rows owned by process ``p``."""
-        return int(self.rows_of(p).shape[0])
-
     def to_local(self, i: int) -> int:
         """Local index of global row ``i`` on its owner process."""
         self._check_row(i)
         blk = i // self.block
         local_blk = blk // self.nprocs
         return int(local_blk * self.block + i % self.block)
-
-    def to_global(self, p: int, li: int) -> int:
-        """Global index of local row ``li`` on process ``p``."""
-        self._check_proc(p)
-        local_blk = li // self.block
-        global_blk = local_blk * self.nprocs + p
-        g = global_blk * self.block + li % self.block
-        if g >= self.m:
-            raise ValueError(f"local index {li} out of range on process {p}")
-        return int(g)
 
     def _check_row(self, i: int) -> None:
         if not (0 <= i < self.m):

@@ -4,19 +4,20 @@ An ``m x n`` matrix is tiled in ``b x b`` blocks; block ``(I, J)`` is owned by
 the process at grid position ``(I mod Pr, J mod Pc)``.  This is the layout
 used by ScaLAPACK's PDGETRF, by HPL, and by CALU (Section 4 of the paper).
 
-:class:`BlockCyclic2D` provides ownership queries, local/global index maps,
-and scatter/gather helpers that convert between a global numpy array and the
-per-process local arrays.  The distributed drivers in :mod:`repro.parallel`
-and :mod:`repro.scalapack` store their data exclusively in the local arrays
-and use these maps — the global matrix only appears when scattering inputs
-and gathering results for verification, exactly as a real MPI code would do
-through file I/O or redistribution routines.
+:class:`BlockCyclic2D` provides the rows and columns each grid row and column
+holds, global-to-local index maps, and scatter/gather helpers that convert
+between a global numpy array and the per-process local arrays.  The
+distributed drivers in :mod:`repro.parallel` and :mod:`repro.scalapack` store
+their data exclusively in the local arrays and use these maps — the global
+matrix only appears when scattering inputs and gathering results for
+verification, exactly as a real MPI code would do through file I/O or
+redistribution routines.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict
 
 import numpy as np
 
@@ -46,22 +47,7 @@ class BlockCyclic2D:
         if self.m < 0 or self.n < 0 or self.block < 1:
             raise ValueError("invalid BlockCyclic2D parameters")
 
-    # ----------------------------------------------------------------- owners
-    def owner_of_block(self, brow: int, bcol: int) -> Tuple[int, int]:
-        """Grid coordinates of the owner of block ``(brow, bcol)``."""
-        return brow % self.grid.nprow, bcol % self.grid.npcol
-
-    def owner_of_entry(self, i: int, j: int) -> Tuple[int, int]:
-        """Grid coordinates of the owner of matrix entry ``(i, j)``."""
-        self._check_entry(i, j)
-        return self.owner_of_block(i // self.block, j // self.block)
-
-    def owner_rank(self, i: int, j: int) -> int:
-        """Linear rank of the owner of entry ``(i, j)``."""
-        pr, pc = self.owner_of_entry(i, j)
-        return self.grid.rank(pr, pc)
-
-    # ----------------------------------------------------- local shapes/index
+    # ------------------------------------------------------------ index maps
     def local_rows(self, grid_row: int) -> np.ndarray:
         """Global row indices stored by processes in grid row ``grid_row``."""
         rows = np.arange(self.m, dtype=np.int64)
@@ -71,11 +57,6 @@ class BlockCyclic2D:
         """Global column indices stored by processes in grid column ``grid_col``."""
         cols = np.arange(self.n, dtype=np.int64)
         return cols[(cols // self.block) % self.grid.npcol == grid_col]
-
-    def local_shape(self, rank: int) -> Tuple[int, int]:
-        """Shape of the local array stored by ``rank``."""
-        pr, pc = self.grid.coords(rank)
-        return self.local_rows(pr).shape[0], self.local_cols(pc).shape[0]
 
     def global_to_local_row(self, i: int) -> int:
         """Local row index of global row ``i`` on its owning grid row."""
@@ -104,22 +85,6 @@ class BlockCyclic2D:
             raise ValueError(f"columns {j0}..{j0 + jb - 1} span more than one block")
         start = self.global_to_local_col(j0)
         return np.arange(start, start + jb, dtype=np.int64)
-
-    def local_to_global_row(self, grid_row: int, li: int) -> int:
-        """Global row index of local row ``li`` on grid row ``grid_row``."""
-        blk = li // self.block
-        g = (blk * self.grid.nprow + grid_row) * self.block + li % self.block
-        if g >= self.m:
-            raise ValueError("local row index out of range")
-        return int(g)
-
-    def local_to_global_col(self, grid_col: int, lj: int) -> int:
-        """Global column index of local column ``lj`` on grid column ``grid_col``."""
-        blk = lj // self.block
-        g = (blk * self.grid.npcol + grid_col) * self.block + lj % self.block
-        if g >= self.n:
-            raise ValueError("local column index out of range")
-        return int(g)
 
     # -------------------------------------------------------- scatter/gather
     def scatter(self, A: np.ndarray) -> Dict[int, np.ndarray]:
@@ -162,7 +127,3 @@ class BlockCyclic2D:
     def num_block_cols(self) -> int:
         """Number of block columns ``ceil(n / b)``."""
         return -(-self.n // self.block)
-
-    def _check_entry(self, i: int, j: int) -> None:
-        if not (0 <= i < self.m and 0 <= j < self.n):
-            raise ValueError(f"entry ({i}, {j}) outside {self.m} x {self.n} matrix")

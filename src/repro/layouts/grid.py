@@ -75,11 +75,6 @@ class ProcessGrid:
             raise ValueError(f"rank {rank} outside grid of size {self.size}")
 
     @staticmethod
-    def from_shape(nprow: int, npcol: int) -> "ProcessGrid":
-        """Explicit-shape constructor (mirrors ScaLAPACK's BLACS gridinit)."""
-        return ProcessGrid(nprow, npcol)
-
-    @staticmethod
     def default_for(p: int) -> "ProcessGrid":
         """Pick a near-square ``Pr x Pc`` grid for ``p`` processes with ``Pr <= Pc``.
 

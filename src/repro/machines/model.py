@@ -111,12 +111,6 @@ class MachineModel:
             t += comparisons * self.comparison_time()
         return t
 
-    def flops_to_gflops(self, flops: float, seconds: float) -> float:
-        """Convert a (flops, time) pair into GFLOP/s (0 if time is 0)."""
-        if seconds <= 0.0:
-            return 0.0
-        return flops / seconds / 1.0e9
-
     def percent_of_peak(self, flops: float, seconds: float, nprocs: int) -> float:
         """Percent of aggregate theoretical peak achieved by ``flops`` in ``seconds``."""
         if seconds <= 0.0 or self.peak_flops_per_proc <= 0.0 or nprocs <= 0:
@@ -143,35 +137,4 @@ def unit_machine() -> MachineModel:
         alpha=1.0,
         beta=0.0,
         notes="alpha=1, everything else free; for counting message steps",
-    )
-
-
-def generic_cluster(
-    flop_rate: float = 5.0e9,
-    efficiency: float = 0.5,
-    latency: float = 5.0e-6,
-    bandwidth: float = 2.0e9,
-) -> MachineModel:
-    """A generic commodity-cluster model used in examples and defaults.
-
-    Parameters
-    ----------
-    flop_rate:
-        Peak flop/s per process.
-    efficiency:
-        Fraction of peak a tuned BLAS sustains; ``γ = 1 / (flop_rate * efficiency)``.
-    latency:
-        MPI point-to-point latency in seconds.
-    bandwidth:
-        Link bandwidth in bytes/s.
-    """
-    gamma = 1.0 / (flop_rate * efficiency)
-    return MachineModel(
-        name="generic-cluster",
-        gamma=gamma,
-        gamma_d=10.0 * gamma,
-        alpha=latency,
-        beta=8.0 / bandwidth,
-        peak_flops_per_proc=flop_rate,
-        notes="generic cluster for examples",
     )

@@ -85,25 +85,6 @@ class FactoredMatrix:
     def grid(self) -> ProcessGrid:
         return ProcessGrid(self.nprow, self.npcol)
 
-    @property
-    def config(self) -> SolveConfig:
-        """The :class:`~repro.core.options.SolveConfig` that produced this factor.
-
-        Rebuilt from the artifact's identity metadata (knobs + grid shape +
-        block size), so a cached factor round-trips to the configuration the
-        tuner or the serving layer would re-request it under.
-        """
-        return SolveConfig(
-            pivoting=self.pivoting,
-            matmul=self.matmul,
-            grid=(self.nprow, self.npcol),
-            b=self.block_size,
-        )
-
-    def nbytes(self) -> int:
-        """In-memory payload size (packed + permuted + perm)."""
-        return int(self.packed.nbytes + self.permuted.nbytes + self.perm.nbytes)
-
 
 def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
     """Factor ``A`` as configured by ``config`` and package the result for reuse.

@@ -6,13 +6,8 @@ from .growth import (
     wilkinson_growth,
 )
 from .report import StabilityRow, stability_row_calu, stability_row_gepp
-from .residuals import (
-    HPL_PASS_THRESHOLD,
-    HPLResiduals,
-    hpl_residuals,
-    normwise_backward_error,
-)
-from .threshold import ThresholdStats, l_infinity_norm_of_L, threshold_stats
+from .residuals import HPL_PASS_THRESHOLD, HPLResiduals, hpl_residuals
+from .threshold import ThresholdStats, threshold_stats
 
 __all__ = [
     "trefethen_schreiber_growth",
@@ -20,11 +15,9 @@ __all__ = [
     "expected_partial_pivoting_growth",
     "threshold_stats",
     "ThresholdStats",
-    "l_infinity_norm_of_L",
     "hpl_residuals",
     "HPLResiduals",
     "HPL_PASS_THRESHOLD",
-    "normwise_backward_error",
     "StabilityRow",
     "stability_row_calu",
     "stability_row_gepp",

@@ -61,13 +61,3 @@ def hpl_residuals(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> HPLResiduals:
         hpl2=safe(r_inf, eps * a1 * x1),
         hpl3=safe(r_inf, eps * ainf * xinf * n),
     )
-
-
-def normwise_backward_error(A: np.ndarray, x: np.ndarray, b: np.ndarray) -> float:
-    """Normwise backward error ``||b - A x||_inf / (||A||_inf ||x||_inf + ||b||_inf)``."""
-    A = np.asarray(A, dtype=np.float64)
-    r = float(np.linalg.norm(b - A @ x, np.inf))
-    denom = float(
-        np.linalg.norm(A, np.inf) * np.linalg.norm(x, np.inf) + np.linalg.norm(b, np.inf)
-    )
-    return r / denom if denom > 0 else 0.0

@@ -39,8 +39,3 @@ def threshold_stats(threshold_history: np.ndarray) -> ThresholdStats:
     if t.size == 0:
         return ThresholdStats(minimum=1.0, average=1.0, count=0)
     return ThresholdStats(minimum=float(t.min()), average=float(t.mean()), count=int(t.size))
-
-
-def l_infinity_norm_of_L(L: np.ndarray) -> float:
-    """``max |L_ij|`` — the quantity the paper bounds by ~3 for ca-pivoting."""
-    return float(np.max(np.abs(L))) if L.size else 0.0

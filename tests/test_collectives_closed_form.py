@@ -9,6 +9,11 @@ messages and words sent and received, the per-channel split, the clock and
 the result, and that the totals equal the models' ``tree_messages(p)`` and
 ``butterfly_messages(p)``.  ``bl`` is :meth:`int.bit_length`.
 
+A gather, an all-gather, a scatter and a barrier are no collectives of their
+own: the helpers below build each from the kept ones (a reduce or all-reduce
+of one-entry dicts, root-sends, an all-reduce of nothing), and the closed
+forms state what those cost.
+
 What the formulas do not reach is pinned as literals recorded from the
 point-to-point trees these collectives are priced as: the association order
 of a non-commutative operator, the clocks from non-uniform start clocks under
@@ -20,16 +25,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.distsim import (
-    allgather,
-    allreduce,
-    barrier,
-    broadcast,
-    gather,
-    reduce,
-    run_spmd,
-    scatter,
-)
+from repro.distsim import allreduce, broadcast, reduce, run_spmd
 from repro.distsim.engine.base import RedundantOp
 from repro.kernels.flops import FlopCounter
 from repro.machines import MachineModel
@@ -41,6 +37,37 @@ W = 3  # words per contribution
 
 #: α = 1 and β = 0 on every channel, arithmetic free.
 STEPS = MachineModel(name="steps", gamma=0.0, gamma_d=0.0, alpha=1.0, beta=0.0)
+
+
+def _merge(a: dict, b: dict) -> dict:
+    return {**b, **a}
+
+
+def gather(comm, value, root, channel="any"):
+    """A reduce of one-entry dicts: the contributions in rank order on ``root``."""
+    got = yield from reduce(comm, {comm.rank: value}, _merge, root=root, channel=channel)
+    return None if got is None else [got[r] for r in sorted(got)]
+
+
+def allgather(comm, value, channel="any"):
+    """An all-reduce of one-entry dicts: every rank gets the contributions."""
+    got = yield from allreduce(comm, {comm.rank: value}, _merge, channel=channel)
+    return [got[r] for r in sorted(got)]
+
+
+def scatter(comm, values, root, channel="any"):
+    """Linear root-sends in rank order; ``values`` is significant on ``root``."""
+    if comm.rank != root:
+        return (yield from comm.co_recv(root, tag="scatter"))
+    for dest in range(comm.size):
+        if dest != root:
+            comm.send(dest, values[dest], tag="scatter", channel=channel)
+    return values[root]
+
+
+def barrier(comm, channel="any"):
+    """An all-reduce of nothing."""
+    yield from allreduce(comm, 0, lambda a, b: 0, channel=channel)
 
 
 def bl(x: int) -> int:
@@ -327,7 +354,7 @@ def test_clocks_from_non_uniform_start(scheduler, p, clocks):
     channels with distinct row latency and column bandwidth."""
 
     def prog(comm):
-        comm.advance_clock(0.75 * ((3 * comm.rank) % p))
+        comm.trace.clock += 0.75 * ((3 * comm.rank) % p)
         row = np.ones(2 + comm.rank % 2)  # ragged payloads
         yield from broadcast(comm, np.ones(4) if comm.rank == 2 else None, root=2,
                              channel="row")

@@ -8,17 +8,28 @@ import pytest
 from repro.distsim import (
     DeadlockError,
     RankFailedError,
-    allgather,
     allreduce,
-    barrier,
     broadcast,
-    gather,
     payload_words,
     reduce,
     run_spmd,
-    scatter,
 )
 from repro.machines import MachineModel, unit_machine
+
+
+def _merge(a: dict, b: dict) -> dict:
+    """Union of two one-entry-per-rank dicts: gathers are reductions of these."""
+    return {**b, **a}
+
+
+def _scatter(comm, values, root):
+    """Root-sends of ``values[r]`` to each rank ``r`` (significant on ``root``)."""
+    if comm.rank != root:
+        return (yield from comm.co_recv(root, tag="scatter"))
+    for dest in range(comm.size):
+        if dest != root:
+            comm.send(dest, values[dest], tag="scatter")
+    return values[root]
 
 
 # ----------------------------------------------------------------- basic p2p
@@ -255,14 +266,17 @@ def test_allreduce_message_count_is_logarithmic(p):
 
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_gather_and_allgather(p):
+    """A gather and an all-gather: a reduce and an all-reduce of one-entry dicts."""
+
     def prog(comm):
+        mine = {comm.rank: comm.rank * 2}
         return (
-            (yield from gather(comm, comm.rank * 2, root=0)),
-            (yield from allgather(comm, comm.rank * 2)),
+            (yield from reduce(comm, mine, _merge, root=0)),
+            (yield from allreduce(comm, mine, _merge)),
         )
 
     trace = run_spmd(p, prog)
-    expected = [2 * i for i in range(p)]
+    expected = {i: 2 * i for i in range(p)}
     assert trace.results[0][0] == expected
     assert all(r[1] == expected for r in trace.results)
 
@@ -271,15 +285,17 @@ def test_gather_and_allgather(p):
 def test_scatter(p):
     def prog(comm):
         values = [f"item{i}" for i in range(p)] if comm.rank == 0 else None
-        return (yield from scatter(comm, values, root=0))
+        return (yield from _scatter(comm, values, root=0))
 
     trace = run_spmd(p, prog)
     assert trace.results == [f"item{i}" for i in range(p)]
 
 
 def test_barrier_completes():
+    """A barrier is an all-reduce of nothing."""
+
     def prog(comm):
-        yield from barrier(comm)
+        yield from allreduce(comm, 0, lambda a, b: 0)
         return True
 
     assert all(run_spmd(4, prog).results)
@@ -307,20 +323,17 @@ def test_collective_wrong_group_raises():
         run_spmd(2, prog)
 
 
-@pytest.mark.parametrize("name", ["broadcast", "reduce", "scatter"])
+@pytest.mark.parametrize("name", ["broadcast", "reduce"])
 def test_rooted_collective_rejects_root_outside_group(name):
     """A root outside the group must fail up front with a diagnosable message
     naming the collective, the root and the group — not a bare list.index
     ValueError from the middle of the tree."""
-    from repro.distsim.collectives import reduce as reduce_, scatter
 
     def prog(comm):
         group = [0, 1]
         if name == "broadcast":
             return (yield from broadcast(comm, 1, root=3, group=group))
-        if name == "reduce":
-            return (yield from reduce_(comm, 1, lambda a, b: a + b, root=3, group=group))
-        return (yield from scatter(comm, [1, 2], root=3, group=group))
+        return (yield from reduce(comm, 1, lambda a, b: a + b, root=3, group=group))
 
     with pytest.raises(RankFailedError) as excinfo:
         run_spmd(2, prog)
@@ -358,16 +371,17 @@ def test_all_collectives_non_power_of_two(p):
         bcast = yield from broadcast(comm, "payload" if comm.rank == root else None, root=root)
         red = yield from reduce(comm, comm.rank + 1, lambda a, b: a + b, root=root, tag="r")
         allred = yield from allreduce(comm, comm.rank + 1, lambda a, b: a + b, tag="ar")
-        gathered = yield from gather(comm, comm.rank ** 2, root=root, tag="g")
-        allgathered = yield from allgather(comm, comm.rank ** 2, tag="ag")
+        mine = {comm.rank: comm.rank ** 2}
+        gathered = yield from reduce(comm, mine, _merge, root=root, tag="g")
+        allgathered = yield from allreduce(comm, mine, _merge, tag="ag")
         values = [10 * i for i in range(p)] if comm.rank == root else None
-        scattered = yield from scatter(comm, values, root=root, tag="s")
-        yield from barrier(comm, tag="b")
+        scattered = yield from _scatter(comm, values, root=root)
+        yield from allreduce(comm, 0, lambda a, b: 0, tag="b")
         return (bcast, red, allred, gathered, allgathered, scattered)
 
     trace = run_spmd(p, prog)
     total = p * (p + 1) // 2
-    squares = [i ** 2 for i in range(p)]
+    squares = {i: i ** 2 for i in range(p)}
     for rank, (bcast, red, allred, gathered, allgathered, scattered) in enumerate(
         trace.results
     ):

@@ -26,7 +26,6 @@ from repro.distsim import (
     DeadlockError,
     RankFailedError,
     SimulationError,
-    allgather,
     allreduce,
     broadcast,
     run_spmd,
@@ -155,8 +154,9 @@ def test_collective_program_parity(p):
                                  channel="col")
         w = yield from broadcast(comm, np.arange(6.0) if comm.rank == 0 else None,
                                  root=0, channel="row")
-        g = yield from allgather(comm, comm.rank * 2)
-        return (v, float(np.sum(w)), g)
+        g = yield from allreduce(comm, {comm.rank: comm.rank * 2},
+                                 lambda a, b: {**b, **a})
+        return (v, float(np.sum(w)), [g[r] for r in sorted(g)])
 
     trace = run_spmd(p, prog, machine=machine)
     assert fingerprint(trace) == REFERENCE[f"collective_program {p}"]
@@ -751,3 +751,22 @@ def test_step_op_failure_names_the_member_and_its_inner_tag():
         assert list(err.failures) == [failing] and err.rank == failing
         assert isinstance(err.__cause__, ValueError)
         assert str(err) == f"rank {failing} failed after {tag!r}: ValueError: boom"
+
+
+def test_collective_kinds_are_four_and_an_unknown_kind_fails_the_run():
+    """Broadcast, reduce, all-reduce and step are the collective kinds; a rank
+    yielding any other (here the deleted ``"scatter"``, with one value per
+    member) ends the run with one ``RankFailedError``, not a hang."""
+    from repro.distsim.engine.base import CollectiveRequest
+
+    def prog(comm):
+        return (yield CollectiveRequest(kind="scatter", group=range(3), pos=comm.rank,
+                                        rootpos=0, value=[0, 1, 2], op=None,
+                                        tag="s", channel="any"))
+
+    with pytest.raises(RankFailedError) as exc:
+        run_spmd(3, prog)
+    err = exc.value
+    assert len(err.failures) == 1 and err.tag == "s"
+    assert isinstance(err.__cause__, ValueError)
+    assert str(err.__cause__) == "unknown collective kind 'scatter'"

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from repro.core.options import SolveConfig, UnknownOptionError
-from repro.experiments import rows_from_json, rows_to_csv, rows_to_json
+from repro.experiments import rows_to_csv, rows_to_json
 from repro.experiments.validation import measure_panel_counts
 from repro.harness import (
     ExperimentSpec,
@@ -350,19 +350,22 @@ def test_sweep_rows_tag_grid_params():
 
 
 # -------------------------------------------------------------- serialization
+def parse_rows(text):
+    """The rows and metadata of a ``rows_to_json`` document."""
+    document = json.loads(text)
+    return document["rows"], document["metadata"]
+
+
 def test_rows_json_round_trip_is_bit_exact():
     rows = [
         {"a": 1, "b": 1.0 / 3.0, "c": "x,y", "d": [1, [2, 3]], "e": True},
         {"a": 2, "b": 1e-300, "c": "", "d": [], "e": False},
     ]
     text = rows_to_json(rows, metadata={"spec": "demo", "engine": "event"})
-    back, meta = rows_from_json(text)
+    back, meta = parse_rows(text)
     assert back == rows
     assert back[0]["b"] == rows[0]["b"]  # exact float equality, not approx
     assert meta == {"spec": "demo", "engine": "event"}
-    # Bare row lists are accepted too.
-    bare, meta2 = rows_from_json(json.dumps(rows))
-    assert bare == rows and meta2 == {}
 
 
 def test_rows_csv_quotes_commas_and_carries_metadata():
@@ -395,7 +398,7 @@ def test_cli_run_quick_caches_and_matches_spec(tmp_path, capsys):
     assert run_cli(["run", "table1", "--quick", "--format", "json"], tmp_path) == 0
     captured = capsys.readouterr()
     assert "cache hit" in captured.err
-    rows, meta = rows_from_json(captured.out)
+    rows, meta = parse_rows(captured.out)
     assert rows == get_spec("table1").run(quick=True)
     assert meta["spec"] == "table1"
     assert "kernel_tier" not in meta
@@ -412,7 +415,7 @@ def test_cli_run_unknown_spec_fails(tmp_path, capsys):
 def test_cli_set_override(tmp_path, capsys):
     assert run_cli(["run", "table2", "--quick", "--set", "sizes=(32,)",
                     "--format", "json"], tmp_path) == 0
-    rows, meta = rows_from_json(capsys.readouterr().out)
+    rows, meta = parse_rows(capsys.readouterr().out)
     assert [r["n"] for r in rows] == [32]
     assert meta["params"]["sizes"] == [32]
 
@@ -420,7 +423,7 @@ def test_cli_set_override(tmp_path, capsys):
 def test_cli_engine_flag_takes_precedence_for_engine_param_specs(tmp_path, capsys):
     assert run_cli(["run", "panel_counts", "--quick", "--set", "engine=coroutine",
                     "--format", "json"], tmp_path) == 0
-    rows, meta = rows_from_json(capsys.readouterr().out)
+    rows, meta = parse_rows(capsys.readouterr().out)
     assert meta["engine"] == "coroutine"
     assert meta["params"]["engine"] == "coroutine"
     assert rows
@@ -702,7 +705,7 @@ def test_cli_config_overlays_tuned_values_under_explicit_flags(tmp_path):
     parse = build_parser().parse_args
     tuned = config_from_args(parse(["serve", "--tuned", ref]))
     assert (tuned.pivoting, tuned.matmul) == ("ca_prrp", "caps")
-    assert (tuned.grid, tuned.b, tuned.nrhs) == ((2, 2), 8, 16)
+    assert (tuned.grid, tuned.b) == ((2, 2), 8)
     # The machine never comes from the artifact.
     assert tuned.machine is None
     flags = config_from_args(parse(["serve", "--tuned", ref, "--matmul", "summa",

@@ -7,9 +7,7 @@ import pytest
 
 from repro.kernels import (
     FlopCounter,
-    apply_ipiv,
     compose_perms,
-    extend_perm,
     gemm,
     gemm_update,
     getf2,
@@ -17,7 +15,6 @@ from repro.kernels import (
     ipiv_to_perm,
     is_permutation,
     laswp,
-    perm_to_matrix,
     trsm_lower_unit,
     trsm_right_upper,
     trsm_upper,
@@ -30,14 +27,8 @@ def test_ipiv_to_perm_matches_explicit_swaps():
     A = randn(8, 3, seed=1)
     res = getf2(A)
     B = A.copy()
-    apply_ipiv(B, res.ipiv)
+    laswp(B, res.ipiv)
     assert np.allclose(B, A[res.perm, :])
-
-
-def test_perm_matrix_action():
-    perm = np.array([2, 0, 1])
-    A = randn(3, 3, seed=2)
-    assert np.allclose(perm_to_matrix(perm) @ A, A[perm, :])
 
 
 def test_invert_perm_roundtrip():
@@ -56,27 +47,12 @@ def test_compose_perms_is_sequential_application():
     assert np.allclose(A[compose_perms(p2, p1), :], A[p1, :][p2, :])
 
 
-def test_extend_perm_embeds_identity():
-    perm = np.array([1, 0])
-    full = extend_perm(perm, 5, offset=2)
-    assert np.array_equal(full, [0, 1, 3, 2, 4])
-
-
 @pytest.mark.parametrize(
     "candidate,expected",
     [([0, 1, 2], True), ([1, 1, 2], False), ([2, 1, 0], True), ([[0, 1]], False)],
 )
 def test_is_permutation(candidate, expected):
     assert is_permutation(np.array(candidate)) is expected
-
-
-def test_apply_ipiv_backward_undoes_forward():
-    A = randn(9, 4, seed=11)
-    res = getf2(A)
-    B = A.copy()
-    apply_ipiv(B, res.ipiv, forward=True)
-    apply_ipiv(B, res.ipiv, forward=False)
-    assert np.allclose(B, A)
 
 
 # ----------------------------------------------------------------------- laswp

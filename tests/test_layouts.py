@@ -59,8 +59,7 @@ def test_block1d_owner_consistent_with_rows_of():
 def test_block1d_local_global_roundtrip():
     dist = Block1D(20, 3)
     for p in range(3):
-        for li in range(dist.local_count(p)):
-            g = dist.to_global(p, li)
+        for li, g in enumerate(dist.rows_of(p)):
             assert dist.owner(g) == p
             assert dist.to_local(g) == li
 
@@ -83,8 +82,7 @@ def test_block_cyclic1d_figure1_layout():
 def test_block_cyclic1d_local_global_roundtrip():
     dist = BlockCyclic1D(30, 4, 3)
     for p in range(3):
-        for li in range(dist.local_count(p)):
-            g = dist.to_global(p, li)
+        for li, g in enumerate(dist.rows_of(p)):
             assert dist.owner(g) == p
             assert dist.to_local(g) == li
 
@@ -94,7 +92,7 @@ def test_block_cyclic1d_out_of_range_errors():
     with pytest.raises(ValueError):
         dist.owner(10)
     with pytest.raises(ValueError):
-        dist.to_global(0, 99)
+        dist.rows_of(2)
 
 
 # ---------------------------------------------------------------- BlockCyclic2D
@@ -108,7 +106,11 @@ def test_block_cyclic2d_scatter_gather_roundtrip(m, n, b, pr, pc):
 
 def test_block_cyclic2d_local_shapes_sum_to_total():
     dist = BlockCyclic2D(20, 14, 3, ProcessGrid(2, 3))
-    total = sum(np.prod(dist.local_shape(r)) for r in range(dist.grid.size))
+    total = sum(
+        len(dist.local_rows(pr)) * len(dist.local_cols(pc))
+        for pr in range(dist.grid.nprow)
+        for pc in range(dist.grid.npcol)
+    )
     assert total == 20 * 14
 
 
@@ -116,13 +118,13 @@ def test_block_cyclic2d_owner_and_index_maps_agree():
     dist = BlockCyclic2D(18, 18, 4, ProcessGrid(2, 2))
     for i in range(18):
         for j in range(0, 18, 5):
-            pr, pc = dist.owner_of_entry(i, j)
+            pr, pc = (i // 4) % 2, (j // 4) % 2  # block (I, J) lives on (I mod Pr, J mod Pc)
             assert i in dist.local_rows(pr)
             assert j in dist.local_cols(pc)
             li = dist.global_to_local_row(i)
-            assert dist.local_to_global_row(pr, li) == i
+            assert dist.local_rows(pr)[li] == i
             lj = dist.global_to_local_col(j)
-            assert dist.local_to_global_col(pc, lj) == j
+            assert dist.local_cols(pc)[lj] == j
 
 
 def test_block_cyclic2d_gather_shape_mismatch_raises():

@@ -9,7 +9,7 @@ import pytest
 
 from repro.costs import CostLedger
 from repro.layouts.grid import ProcessGrid
-from repro.machines import MachineModel, cray_xt4, generic_cluster, ibm_power5, unit_machine
+from repro.machines import MachineModel, cray_xt4, ibm_power5, unit_machine
 from repro.models import (
     best_vs_best,
     calu_cost,
@@ -72,7 +72,7 @@ def test_machine_models_have_paper_parameters():
 
 
 def test_machine_message_and_compute_time():
-    m = generic_cluster(flop_rate=1e9, efficiency=1.0, latency=1e-6, bandwidth=8e9)
+    m = MachineModel(name="m", gamma=1e-9, gamma_d=1e-8, alpha=1e-6, beta=1e-9)
     assert m.message_time(1000) == pytest.approx(1e-6 + 1000 * 1e-9)
     assert m.compute_time(1e6) == pytest.approx(1e-3)
 

@@ -73,7 +73,9 @@ def test_solveconfig_resolve_uses_shared_precedence():
     assert config.matmul == "caps"  # explicit
     assert config.pivoting == "ca"  # default
     assert config.grid == (2, 2) and config.P == 4
-    assert config.b == 8 and config.nrhs == 3
+    assert config.b == 8
+    # nrhs is accepted and ignored: the right-hand sides carry their count.
+    assert config == SolveConfig.resolve(matmul="caps", grid=4, b=8)
 
 
 @pytest.mark.parametrize("tier", ["reference", "lapack", "nope"])

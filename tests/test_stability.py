@@ -12,8 +12,6 @@ from repro.stability import (
     HPL_PASS_THRESHOLD,
     expected_partial_pivoting_growth,
     hpl_residuals,
-    l_infinity_norm_of_L,
-    normwise_backward_error,
     stability_row_calu,
     stability_row_gepp,
     threshold_stats,
@@ -80,9 +78,9 @@ def test_calu_thresholds_match_paper_bounds():
 def test_gepp_l_norm_is_one_calu_bounded():
     A = randn(128, seed=4)
     gepp = getrf_partial_pivoting(A)
-    assert l_infinity_norm_of_L(gepp.L) <= 1.0 + 1e-12
+    assert np.max(np.abs(gepp.L)) <= 1.0 + 1e-12
     c = calu(A, block_size=16, nblocks=4, compute_thresholds=True)
-    assert l_infinity_norm_of_L(c.L) <= 1.0 / c.threshold_history.min() + 1e-6
+    assert np.max(np.abs(c.L)) <= 1.0 / c.threshold_history.min() + 1e-6
 
 
 # ------------------------------------------------------------------- residuals
@@ -104,12 +102,6 @@ def test_hpl_residuals_as_dict_keys():
     A, b, _ = linear_system(16, seed=7)
     r = hpl_residuals(A, np.linalg.solve(A, b), b)
     assert set(r.as_dict()) == {"HPL1", "HPL2", "HPL3"}
-
-
-def test_normwise_backward_error_small_for_direct_solve():
-    A, b, _ = linear_system(64, seed=8)
-    x = np.linalg.solve(A, b)
-    assert normwise_backward_error(A, x, b) < 1e-13
 
 
 # -------------------------------------------------------------- full table rows

@@ -22,12 +22,7 @@ from repro.core.strategies import (
 )
 from repro.core.options import SolveConfig
 from repro.kernels.getf2 import getf2
-from repro.kernels.rrqr import (
-    DEFAULT_TAU,
-    prrp_panel,
-    rrqr,
-    select_rows_rrqr,
-)
+from repro.kernels.rrqr import DEFAULT_TAU, rrqr, select_rows_rrqr
 from repro.randmat import randn, tall_skinny
 from repro.stability.growth import trefethen_schreiber_growth
 from repro.stability.report import stability_row_calu
@@ -95,21 +90,6 @@ def test_select_rows_rrqr_returns_distinct_rows():
     assert len(set(sel.tolist())) == 8
     # Short block: selects everything there is.
     assert select_rows_rrqr(block[:3], 8).shape == (3,)
-
-
-def test_prrp_panel_l21_bounded_and_reconstructs():
-    W = randn(64, seed=4)[:, :8]
-    panel = prrp_panel(W, tau=2.0)
-    assert np.max(np.abs(panel.L21)) <= 2.0
-    assert np.allclose(W[panel.perm], panel.reconstruct(), atol=1e-12)
-
-
-def test_prrp_panel_rank_deficient_block():
-    """Exactly dependent rows still reconstruct (least-squares L21 fallback)."""
-    W = np.ones((10, 4))
-    W[5:, :] = 2.0
-    panel = prrp_panel(W)
-    assert np.allclose(W[panel.perm], panel.reconstruct(), atol=1e-12)
 
 
 # ------------------------------------------------------- tslu per strategy
@@ -224,12 +204,6 @@ def test_rrqr_partial_k_selected_columns_exact():
     res = rrqr(A, k=3)
     assert res.k == 3
     assert np.allclose(A[:, res.perm[:3]], res.Q @ res.R[:, :3], atol=1e-12)
-
-
-def test_prrp_panel_rejects_sub_width_selection():
-    W = randn(12, seed=15)[:, :6]
-    with pytest.raises(ValueError, match="at least min"):
-        prrp_panel(W, b=4)
 
 
 def test_calu_pp_flop_ledger_matches_blocked_gepp():

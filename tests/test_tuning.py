@@ -73,7 +73,7 @@ def test_caps_flop_ratio_is_one_when_recursion_cannot_fire():
 
 
 def test_enumerate_candidates_covers_the_space():
-    candidates = enumerate_candidates(64, 4, machine="ibm_power5", nrhs=1)
+    candidates = enumerate_candidates(64, 4, machine="ibm_power5")
     assert candidates, "n=64 P=4 must have feasible candidates"
     seen_grids = {c.grid for c in candidates}
     assert (2, 2) in seen_grids and (1, 4) in seen_grids and (4, 1) in seen_grids
@@ -245,8 +245,7 @@ def test_tune_artifact_recording_an_engine_loads(tmp_path, engine):
     path = tmp_path / "tune" / "tune-abababababab.json"
     path.parent.mkdir()
     path.write_text(json.dumps(artifact))
-    expected = SolveConfig.resolve(pivoting="pp", grid=(2, 2), b=8, nrhs=1,
-                                   machine="ibm_power5")
+    expected = SolveConfig.resolve(pivoting="pp", grid=(2, 2), b=8, machine="ibm_power5")
     assert load_tuned_config(str(path)) == expected
     assert load_tuned_config("latest", store=ResultStore(root=tmp_path)) == expected
 

@@ -13,9 +13,11 @@ CALU_PRRP or by the Strassen update is never served to a plain CALU request.
 
 Artifacts are ``factor-<key16>.npz`` files (packed factors, permuted matrix,
 pivot sequence and a JSON ``meta`` record) under ``factors/`` or
-``REPRO_FACTOR_CACHE_DIR``.  The LRU cap (``REPRO_FACTOR_CACHE_MAX_BYTES`` or
-``max_bytes``) counts every artifact file: hits refresh recency, and writes
-evict the least recently used files until the cache fits.
+``REPRO_FACTOR_CACHE_DIR``, the factor's only global form: a save gathers
+its block-cyclic pieces and a load scatters them once.  The LRU cap
+(``REPRO_FACTOR_CACHE_MAX_BYTES`` or ``max_bytes``) counts every artifact
+file: hits refresh recency, and writes evict the least recently used files
+until the cache fits.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..core.options import SolveConfig
+from ..layouts.block_cyclic import BlockCyclic2D
 from ..layouts.grid import ProcessGrid
 from ..parallel.factor import FactoredMatrix, pcalu_factor
 from .store import (
@@ -90,11 +93,13 @@ def _read_factor(path: Path, key: str) -> FactoredMatrix:
         meta = checked(json.loads(str(data["meta"])))
         if meta["key"] != key:
             raise ValueError(f"{path} holds another key")
+        n, b, pr, pc = (int(meta[f]) for f in ("n", "block_size", "nprow", "npcol"))
+        dist = BlockCyclic2D(n, n, b, ProcessGrid(pr, pc))
         return FactoredMatrix(
-            **{f: int(meta[f]) for f in ("n", "block_size", "nprow", "npcol")},
+            n=n, block_size=b, nprow=pr, npcol=pc,
             pivoting=str(meta["pivoting"]),
-            packed=np.asarray(data["packed"], dtype=np.float64),
-            permuted=np.asarray(data["permuted"], dtype=np.float64),
+            lu=dist.scatter(np.asarray(data["packed"], dtype=np.float64)),
+            pa=dist.scatter(np.asarray(data["permuted"], dtype=np.float64)),
             perm=np.asarray(data["perm"], dtype=np.int64),
             matmul=str(meta.get("matmul", "summa")),
             key=key,
@@ -144,14 +149,14 @@ class FactorCache:
 
     def save(self, factor: FactoredMatrix, key: str, kind: str = "explicit",
              seed: Optional[int] = None) -> Path:
-        """Atomically persist a factor under its content address."""
+        """Atomically persist a factor under its content address (its pieces gathered)."""
         meta = {"schema": SCHEMA_VERSION, "key": key, "kind": kind, "seed": seed,
                 **{f: getattr(factor, f) for f in _META_FIELDS}}
         path = write_atomic(self.path_for(key), lambda fh: np.savez(
             fh,
             meta=np.array(json.dumps(meta)),
-            packed=factor.packed,
-            permuted=factor.permuted,
+            packed=factor.dist.gather(factor.lu),
+            permuted=factor.dist.gather(factor.pa),
             perm=factor.perm,
         ))
         factor.key = key

@@ -10,8 +10,8 @@ supported:
   of the panel inside a 2-D block-cyclic matrix, and the one used by the
   worked example of Figure 1 where rows 1, 2, 9, 10 live on process 0).
 
-Both expose the same interface: which global rows a process owns, the owner of
-a global row, and its local index there.
+Both expose the same interface: which global rows a process owns, in
+ascending order, so a row's local index is its position in that list.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ class Block1D:
         if self.m < 0 or self.nprocs < 1:
             raise ValueError("invalid Block1D parameters")
 
-    def owner(self, i: int) -> int:
-        """Process owning global row ``i``."""
-        self._check_row(i)
-        base = -(-self.m // self.nprocs)  # ceil division
-        return min(i // base, self.nprocs - 1)
-
     def rows_of(self, p: int) -> np.ndarray:
         """Global row indices owned by process ``p`` (sorted ascending)."""
         self._check_proc(p)
@@ -51,15 +45,6 @@ class Block1D:
         lo = min(p * base, self.m)
         hi = min((p + 1) * base, self.m)
         return np.arange(lo, hi, dtype=np.int64)
-
-    def to_local(self, i: int) -> int:
-        """Local index (within the owner's block) of global row ``i``."""
-        p = self.owner(i)
-        return int(i - self.rows_of(p)[0])
-
-    def _check_row(self, i: int) -> None:
-        if not (0 <= i < self.m):
-            raise ValueError(f"row {i} outside 0..{self.m - 1}")
 
     def _check_proc(self, p: int) -> None:
         if not (0 <= p < self.nprocs):
@@ -84,27 +69,11 @@ class BlockCyclic1D:
         if self.m < 0 or self.block < 1 or self.nprocs < 1:
             raise ValueError("invalid BlockCyclic1D parameters")
 
-    def owner(self, i: int) -> int:
-        """Process owning global row ``i``."""
-        self._check_row(i)
-        return (i // self.block) % self.nprocs
-
     def rows_of(self, p: int) -> np.ndarray:
         """Global row indices owned by process ``p`` (sorted ascending)."""
         self._check_proc(p)
         rows = np.arange(self.m, dtype=np.int64)
         return rows[(rows // self.block) % self.nprocs == p]
-
-    def to_local(self, i: int) -> int:
-        """Local index of global row ``i`` on its owner process."""
-        self._check_row(i)
-        blk = i // self.block
-        local_blk = blk // self.nprocs
-        return int(local_blk * self.block + i % self.block)
-
-    def _check_row(self, i: int) -> None:
-        if not (0 <= i < self.m):
-            raise ValueError(f"row {i} outside 0..{self.m - 1}")
 
     def _check_proc(self, p: int) -> None:
         if not (0 <= p < self.nprocs):

@@ -14,7 +14,7 @@ models of :mod:`repro.models` (to evaluate Equations (1)-(3)).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Optional
 
 
@@ -117,10 +117,6 @@ class MachineModel:
             return 0.0
         achieved = flops / seconds
         return 100.0 * achieved / (self.peak_flops_per_proc * nprocs)
-
-    def with_overrides(self, **kwargs) -> "MachineModel":
-        """Return a copy of this model with some parameters replaced."""
-        return replace(self, **kwargs)
 
 
 def unit_machine() -> MachineModel:

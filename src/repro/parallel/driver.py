@@ -23,12 +23,16 @@ Per iteration ``j`` (block column of width ``b``):
 Steps 2-6 are identical for CALU and PDGETRF (and their message counts are of
 order ``(n/b)(log2 Pr + log2 Pc)``); the panel step is where CALU saves a
 factor ``b`` in latency.
+
+As in ScaLAPACK, the factors stay where the ranks computed them: each rank's
+final local array is its piece of the packed factors, which the solve phase
+reads in place.  Only ``DistributedLUResult.packed`` (and ``L``, ``U``) gathers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -54,14 +58,17 @@ PanelFactorizer = Callable[..., object]
 
 @dataclass
 class DistributedLUResult(PackedFactors):
-    """Factors gathered from a distributed block LU run.
+    """Factors of a distributed block LU run, left where the ranks computed them.
 
     Attributes
     ----------
-    packed:
-        The gathered ``m x n`` factored matrix, the one array the result
-        holds; ``L`` and ``U`` are built from it on demand (see
-        :class:`~repro.kernels.getf2.PackedFactors`).
+    pieces:
+        Each rank's final local array, keyed by rank: the packed factors in
+        the block-cyclic layout ``dist``, the one copy the result holds.
+        ``packed`` gathers them on each read; ``L`` and ``U`` are built from
+        it (see :class:`~repro.kernels.getf2.PackedFactors`).
+    dist:
+        Their :class:`~repro.layouts.block_cyclic.BlockCyclic2D` layout.
     perm:
         Row permutation with ``A[perm, :] = L @ U``.
     swaps:
@@ -70,10 +77,15 @@ class DistributedLUResult(PackedFactors):
         Per-rank communication/computation trace.
     """
 
-    packed: np.ndarray
+    pieces: Dict[int, np.ndarray]
+    dist: BlockCyclic2D
     perm: np.ndarray
     swaps: List[Tuple[int, int]]
     trace: RunTrace
+
+    @property
+    def packed(self) -> np.ndarray:
+        return self.dist.gather(self.pieces)
 
 
 def block_right_looking_rank(
@@ -89,14 +101,13 @@ def block_right_looking_rank(
     by the distributed-matmul ``backend``; the default ``summa`` backend
     reproduces the historical inlined steps bit-for-bit.
 
-    Returns a dict with the rank's final local array (which the driver takes
-    out again once gathered) and the swap list (identical on every rank).
+    Returns a dict with the rank's final local array (``Aloc``, this rank's
+    own copy, factored in place: the factor's piece) and the swap list.
     """
     grid = dist.grid
     myrow, mycol = grid.coords(comm.rank)
     my_grows = dist.local_rows(myrow)  # global rows stored here (ascending)
     my_gcols = dist.local_cols(mycol)  # global cols stored here (ascending)
-    Aloc = np.array(Aloc, dtype=np.float64)
     b = dist.block
     k = min(dist.m, dist.n)
     all_swaps: List[Tuple[int, int]] = []
@@ -169,7 +180,7 @@ def run_block_lu(
     machine: Optional[MachineModel] = None,
     matmul: Optional[str] = None,
 ) -> DistributedLUResult:
-    """Scatter ``A``, run the distributed factorization, gather the factors.
+    """Scatter ``A`` and run the distributed factorization; the factors stay scattered.
 
     Parameters
     ----------
@@ -213,10 +224,7 @@ def run_block_lu(
         )
 
     trace = run_spmd(grid.size, rank_fn, machine=machine)
-
-    # ``pop``: the gathered matrix replaces the per-rank blocks, so the trace
-    # must not keep a second copy of the factors alive.
-    packed = dist.gather({r: res.pop("Aloc") for r, res in enumerate(trace.results)})
+    pieces = {r: res.pop("Aloc") for r, res in enumerate(trace.results)}
     swaps = trace.results[0]["swaps"]
     perm = apply_swaps_to_permutation(np.arange(m, dtype=np.int64), swaps)
-    return DistributedLUResult(packed=packed, perm=perm, swaps=swaps, trace=trace)
+    return DistributedLUResult(pieces=pieces, dist=dist, perm=perm, swaps=swaps, trace=trace)

@@ -15,21 +15,27 @@ solve phase needs into a :class:`FactoredMatrix`:
 * the layout/grid/strategy metadata (``n``, block size, grid shape,
   pivoting, matmul backend) that determines the artifact's identity.
 
-:func:`repro.parallel.psolve.pdgesv_solve` consumes a ``FactoredMatrix`` and
-is bit-identical to the solve phase of a cold
+The two matrices stay in the factorization's 2-D block-cyclic layout, one
+read-only piece per rank, so every solve reads them where they are: the
+packed factors are the ranks' final local arrays themselves, and ``P A``'s
+pieces are read from ``A``'s rows through ``perm`` without forming the
+global ``P A``.  :func:`repro.parallel.psolve.pdgesv_solve` consumes a
+``FactoredMatrix`` and is bit-identical to the solve phase of a cold
 :func:`repro.parallel.psolve.pdgesv`; the content-addressed
-:class:`repro.harness.factor_cache.FactorCache` persists these artifacts so
-the factorization is skipped entirely on a cache hit.
+:class:`repro.harness.factor_cache.FactorCache` persists these artifacts
+(the one place the global matrices are formed) so the factorization is
+skipped entirely on a cache hit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional
 
 import numpy as np
 
 from ..core.options import SolveConfig
+from ..layouts.block_cyclic import BlockCyclic2D
 from ..layouts.grid import ProcessGrid
 from .driver import DistributedLUResult
 from .pcalu import pcalu
@@ -52,11 +58,12 @@ class FactoredMatrix:
         The resolved strategy and matmul backend that produced the
         factors — part of the artifact's identity in the factor cache (two
         factorizations differing in any of these are distinct artifacts).
-    packed:
-        Packed factors ``tril(L, -1) + U`` (unit diagonal of ``L`` implicit).
-    permuted:
-        The permuted matrix ``P A``; iterative refinement computes residuals
-        ``P b - (P A) x`` against it.
+    lu:
+        Packed factors ``tril(L, -1) + U`` (unit diagonal of ``L``
+        implicit), one read-only piece per rank in the layout :attr:`dist`.
+    pa:
+        The permuted matrix ``P A`` in the same layout; iterative refinement
+        computes residuals ``P b - (P A) x`` against it.
     perm:
         Row permutation with ``A[perm, :] = L @ U``.
     key:
@@ -65,8 +72,8 @@ class FactoredMatrix:
     source:
         The full :class:`~repro.parallel.driver.DistributedLUResult` when
         this factorization was computed in-process (its ``trace`` prices the
-        factor phase); ``None`` when loaded from the cache — the whole point
-        being that no factorization ran.
+        factor phase, and its ``pieces`` are ``lu``); ``None`` when loaded
+        from the cache — the whole point being that no factorization ran.
     """
 
     n: int
@@ -74,24 +81,35 @@ class FactoredMatrix:
     nprow: int
     npcol: int
     pivoting: str
-    packed: np.ndarray
-    permuted: np.ndarray
+    lu: Dict[int, np.ndarray]
+    pa: Dict[int, np.ndarray]
     perm: np.ndarray
     matmul: str = "summa"
     key: Optional[str] = None
     source: Optional[DistributedLUResult] = None
 
+    def __post_init__(self) -> None:
+        # One factor serves every solve: a stray in-place write must raise.
+        for piece in (*self.lu.values(), *self.pa.values()):
+            piece.flags.writeable = False
+
     @property
     def grid(self) -> ProcessGrid:
         return ProcessGrid(self.nprow, self.npcol)
+
+    @property
+    def dist(self) -> BlockCyclic2D:
+        """The block-cyclic layout of :attr:`lu` and :attr:`pa`."""
+        return BlockCyclic2D(self.n, self.n, self.block_size, self.grid)
 
 
 def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
     """Factor ``A`` as configured by ``config`` and package the result for reuse.
 
-    Runs :func:`repro.parallel.pcalu.pcalu` under ``config``, then
-    precomputes the packed factors and the permuted matrix the solve phase
-    consumes.  The returned :class:`FactoredMatrix` feeds any number of
+    Runs :func:`repro.parallel.pcalu.pcalu` under ``config`` and keeps its
+    pieces as the factor; ``P A``'s pieces are built once on the host, with
+    no message charged (as for ``P b`` in the solve).  The returned
+    :class:`FactoredMatrix` feeds any number of
     :func:`repro.parallel.psolve.pdgesv_solve` calls, each bit-identical to
     the solve phase of a cold :func:`repro.parallel.psolve.pdgesv`.  The
     artifact records the config's knobs as resolved.
@@ -100,18 +118,25 @@ def pcalu_factor(A: np.ndarray, config: SolveConfig) -> FactoredMatrix:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("pcalu_factor expects a square matrix")
     fact = pcalu(A, config)  # rejects complex or non-finite A before any cast
-    # The artifact's packed factors are ``tril(L, -1) + U``; on the gathered
-    # matrix that sum only turns -0.0 into +0.0, which adding 0.0 in place
+    # The artifact's packed factors are ``tril(L, -1) + U``; on the factored
+    # pieces that sum only turns -0.0 into +0.0, which adding 0.0 in place
     # does without two unpacked triangles and their re-packed copy.
-    fact.packed += 0.0
+    for piece in fact.pieces.values():
+        piece += 0.0
+    dist = fact.dist
+    pa = {}
+    for rank in range(dist.grid.size):
+        pr, pc = dist.grid.coords(rank)
+        rows = fact.perm[dist.local_rows(pr)]
+        pa[rank] = np.ascontiguousarray(A[np.ix_(rows, dist.local_cols(pc))], dtype=np.float64)
     return FactoredMatrix(
         n=A.shape[0],
         block_size=config.b,
         nprow=config.nprow,
         npcol=config.npcol,
         pivoting=config.pivoting,
-        packed=fact.packed,
-        permuted=np.asarray(A[fact.perm, :], dtype=np.float64),
+        lu=fact.pieces,
+        pa=pa,
         perm=np.asarray(fact.perm, dtype=np.int64),
         matmul=config.matmul,
         source=fact,

@@ -116,8 +116,8 @@ def pcalu(A: np.ndarray, config: SolveConfig) -> DistributedLUResult:
     trailing update (``"summa"`` or ``"caps"``, see :mod:`repro.matmul`).  With ``pivoting="pp"`` the panel
     is ScaLAPACK's column-by-column PDGETF2, so
     ``pcalu(A, config.replace(pivoting="pp"))`` is the PDGETRF baseline.
-    Returns the gathered factors, the pivot sequence and the per-rank
-    communication trace (see
+    Returns the factors in their block-cyclic pieces, the pivot sequence and
+    the per-rank communication trace (see
     :class:`~repro.parallel.driver.DistributedLUResult`).
     """
     grid = config.process_grid()

@@ -10,9 +10,10 @@ iterative refinement.  :func:`pdgesv` chains
    is bit-for-bit ScaLAPACK's PDGETRF — plus ``matmul``);
 2. the row permutation applied to the right-hand sides (folded into the
    block-cyclic redistribution of ``b``: the driver knows the full pivot
-   sequence once the factorization is gathered, so ``P b`` costs no
-   messages — a real code would run PDLASWP on ``B`` at ``O(n)`` extra
-   messages, which the analytic model deliberately excludes the same way);
+   sequence once the factorization ends, so ``P b`` costs no messages — a
+   real code would run PDLASWP on ``B`` at ``O(n)`` extra messages, which
+   the analytic model deliberately excludes the same way; ``P A``'s pieces
+   are built the same way, once per factor);
 3. two blocked distributed triangular solves
    (:mod:`repro.scalapack.pdtrsv`);
 4. distributed iterative refinement: the residual ``r = P b - (P A) x`` and
@@ -39,11 +40,11 @@ The factorization and the solve are independently callable:
 :func:`repro.parallel.factor.pcalu_factor` produces a reusable
 :class:`~repro.parallel.factor.FactoredMatrix` and :func:`pdgesv_solve` runs
 steps 2-4 against it — bit-identical to the solve phase of a cold
-:func:`pdgesv`, which is itself just the composition of the two.  That split
-is what the factor cache and the serving layer
-(:mod:`repro.harness.factor_cache`, :mod:`repro.harness.serving`) build on:
-pay the ``O(n^3)`` factorization once, amortize it over any number of
-``O(n^2)`` solves.
+:func:`pdgesv`, which is itself just the composition of the two; a solve
+redistributes only the right-hand sides.  That split is what the factor cache
+and the serving layer (:mod:`repro.harness.factor_cache`,
+:mod:`repro.harness.serving`) build on: pay the ``O(n^3)`` factorization
+once, amortize it over any number of ``O(n^2)`` solves.
 """
 
 from __future__ import annotations
@@ -427,16 +428,14 @@ def pdgesv_solve(
                 f"rhs_slo has shape {rhs_slo.shape}, expected ({nrhs},)"
             )
 
-    # Packed factors, permuted matrix and permuted RHS, redistributed
-    # block-cyclically.  Working in the permuted row space throughout means
-    # residuals and backward errors are computed rowwise on ``P A`` / ``P b``
-    # — the same values as for ``A`` / ``b``, since both are row
-    # permutations of the unpermuted quantities.
+    # The factor's pieces are already block-cyclic; only the permuted RHS is
+    # distributed, one block row to each diagonal owner.  Working in the
+    # permuted row space throughout means residuals and backward errors are
+    # computed rowwise on ``P A`` / ``P b`` — the same values as for ``A`` /
+    # ``b``, since both are row permutations of the unpermuted quantities.
     grid = factor.grid
     pB = B[factor.perm, :]
-    dist = BlockCyclic2D(n, n, factor.block_size, grid)
-    LU_locals = dist.scatter(factor.packed)
-    PA_locals = dist.scatter(factor.permuted)
+    dist = factor.dist
     nb = dist.num_block_rows()
     pb_by_rank: Dict[int, RhsBlocks] = {r: {} for r in range(grid.size)}
     for k in range(nb):
@@ -448,8 +447,8 @@ def pdgesv_solve(
             yield from pdgesv_rank(
                 comm,
                 dist,
-                LU_locals[comm.rank],
-                PA_locals[comm.rank],
+                factor.lu[comm.rank],
+                factor.pa[comm.rank],
                 pb_by_rank[comm.rank],
                 nrhs,
                 refine,

@@ -26,11 +26,6 @@ class ThresholdStats:
     average: float
     count: int
 
-    @property
-    def l_bound(self) -> float:
-        """Implied bound on ``|L|`` (``1 / τ_min``)."""
-        return 1.0 / self.minimum if self.minimum > 0 else float("inf")
-
 
 def threshold_stats(threshold_history: np.ndarray) -> ThresholdStats:
     """Summarise a threshold history produced by CALU/TSLU."""

@@ -57,6 +57,24 @@ def host_merges(monkeypatch) -> list:
     return counted
 
 
+@pytest.fixture
+def layout_calls(monkeypatch) -> dict:
+    """Calls of ``BlockCyclic2D.scatter`` and ``.gather``, the two conversions
+    between a global matrix and its block-cyclic pieces."""
+    from repro.layouts.block_cyclic import BlockCyclic2D
+
+    calls = {"scatter": 0, "gather": 0}
+    for name in calls:
+        original = getattr(BlockCyclic2D, name)
+
+        def counting(self, *args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(self, *args)
+
+        monkeypatch.setattr(BlockCyclic2D, name, counting)
+    return calls
+
+
 def _reference_select(block, nselect, flops=None, tau=None):
     """``select_rows_rrqr`` with its ``dgeqp3`` path switched off, so every
     selection runs the reference strong-RRQR loop (``_strong_rrqr``)."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -174,7 +176,7 @@ def test_comparisons_priced_into_simulated_clock():
 
     assert run_spmd(1, prog, machine=machine).results[0] == pytest.approx(14.0)
 
-    explicit = machine.with_overrides(gamma_cmp=0.5)
+    explicit = replace(machine, gamma_cmp=0.5)
 
     def prog2(comm):
         comm.charge_flops(muladds=1, comparisons=4)
@@ -188,7 +190,7 @@ def test_machine_compute_time_comparison_term():
     assert m.comparison_time() == 3.0
     assert m.compute_time(2.0, 1.0) == pytest.approx(16.0)  # 2-arg form unchanged
     assert m.compute_time(0.0, 0.0, comparisons=5.0) == pytest.approx(15.0)
-    m2 = m.with_overrides(gamma_cmp=0.25)
+    m2 = replace(m, gamma_cmp=0.25)
     assert m2.comparison_time() == 0.25
     assert m2.compute_time(1.0, 0.0, 4.0) == pytest.approx(4.0)
     with pytest.raises(ValueError):

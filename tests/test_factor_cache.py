@@ -44,6 +44,16 @@ def identity(factor):
     return (factor.pivoting, factor.matmul, factor.nprow, factor.npcol, factor.block_size)
 
 
+def same_bits(a, b) -> bool:
+    """Two factors hold equal packed-factor and ``P A`` pieces and the same pivots."""
+    return (
+        a.lu.keys() == b.lu.keys() == a.pa.keys() == b.pa.keys()
+        and all(np.array_equal(a.lu[r], b.lu[r]) for r in a.lu)
+        and all(np.array_equal(a.pa[r], b.pa[r]) for r in a.pa)
+        and np.array_equal(a.perm, b.perm)
+    )
+
+
 # --------------------------------------------------------------------- keying
 def test_factor_key_distinct_across_every_knob():
     base = dict(
@@ -83,9 +93,7 @@ def test_fetch_or_factor_miss_then_hit_round_trips_bits(tmp_path):
     hit = cache.fetch_or_factor(**kw)
     assert hit.cached
     assert hit.key == miss.key
-    assert np.array_equal(hit.factor.packed, miss.factor.packed)
-    assert np.array_equal(hit.factor.permuted, miss.factor.permuted)
-    assert np.array_equal(hit.factor.perm, miss.factor.perm)
+    assert same_bits(hit.factor, miss.factor)
     for attr in ("n", "block_size", "nprow", "npcol", "pivoting", "matmul"):
         assert getattr(hit.factor, attr) == getattr(miss.factor, attr)
     # The cached artifact carries no in-process factorization trace.
@@ -108,7 +116,7 @@ def test_factor_recording_an_engine_still_loads(tmp_path):
 
     hit = cache.fetch_or_factor(kind="randn", n=32, seed=2, config=p4())
     assert hit.cached and hit.key == miss.key
-    assert np.array_equal(hit.factor.packed, miss.factor.packed)
+    assert same_bits(hit.factor, miss.factor)
     assert identity(hit.factor) == identity(miss.factor)
 
 
@@ -129,13 +137,70 @@ def test_cached_factor_solves_bit_identical_to_cold_pdgesv(tmp_path):
     assert cold.backward_errors == warm.backward_errors
 
 
+def test_artifact_in_the_global_format_loads_hits_and_solves_bit_identically(tmp_path):
+    """An ``.npz`` written the way every earlier version wrote one — the
+    global packed factors, ``P A`` and ``perm`` beside ``meta`` — is a hit,
+    and solving against it is bit-identical to a cold ``pdgesv``."""
+    from repro.harness.store import SCHEMA_VERSION
+    from repro.parallel import pcalu
+
+    cache = _cache(tmp_path)
+    config = p4()
+    A = generate_matrix("randn", 48, seed=7)
+    fact = pcalu(A, config)
+    key = factor_key("randn", 48, 7, 2, 2, 8, config.pivoting, matmul=config.matmul)
+    meta = {"schema": SCHEMA_VERSION, "key": key, "kind": "randn", "seed": 7, "n": 48,
+            "block_size": 8, "nprow": 2, "npcol": 2, "pivoting": config.pivoting,
+            "matmul": config.matmul}
+    cache.root.mkdir(parents=True)
+    with open(cache.path_for(key), "wb") as fh:
+        np.savez(fh, meta=np.array(json.dumps(meta)), packed=fact.packed + 0.0,
+                 permuted=A[fact.perm], perm=fact.perm)
+
+    hit = cache.fetch_or_factor(kind="randn", n=48, seed=7, config=config)
+    assert hit.cached and hit.key == key
+    b = A @ np.random.default_rng(0).standard_normal((48, 3))
+    cold, warm = pdgesv(A, b, config), pdgesv_solve(hit.factor, b, config)
+    assert np.array_equal(cold.x, warm.x)
+    assert cold.residual_norms == warm.residual_norms
+    assert cold.backward_errors == warm.backward_errors
+    assert cold.trace.critical_path_time == warm.trace.critical_path_time
+
+
+def test_saved_artifact_holds_the_gathered_pieces_in_the_global_format(tmp_path):
+    cache = _cache(tmp_path)
+    fetch = cache.fetch_or_factor(kind="randn", n=30, seed=3,
+                                  config=SolveConfig.resolve(grid=(2, 3), b=7))
+    factor, dist = fetch.factor, fetch.factor.dist
+    A = generate_matrix("randn", 30, seed=3)
+    with np.load(fetch.path) as data:
+        assert sorted(data.files) == ["meta", "packed", "perm", "permuted"]
+        for name, pieces in (("packed", factor.lu), ("permuted", factor.pa)):
+            assert data[name].shape == (30, 30) and data[name].dtype == np.float64
+            assert np.array_equal(data[name], dist.gather(pieces))
+        assert np.array_equal(data["permuted"], A[factor.perm])
+        assert np.array_equal(data["perm"], factor.perm)
+
+
+def test_solving_a_loaded_factor_scatters_and_gathers_nothing(tmp_path, layout_calls):
+    cache = _cache(tmp_path)
+    kw = dict(kind="randn", n=32, seed=4, config=p4())
+    cache.fetch_or_factor(**kw)
+    hit = cache.fetch_or_factor(**kw)
+    assert hit.cached and layout_calls == {"scatter": 3, "gather": 2}  # A; save; load
+    b = generate_matrix("randn", 32, seed=4) @ np.ones((32, 2))
+    for _ in range(2):
+        pdgesv_solve(hit.factor, b, p4())
+    assert layout_calls == {"scatter": 3, "gather": 2}
+
+
 def test_force_recomputes_and_use_cache_false_bypasses_store(tmp_path):
     cache = _cache(tmp_path)
     kw = dict(kind="randn", n=32, seed=1, config=p4())
     first = cache.fetch_or_factor(**kw)
     forced = cache.fetch_or_factor(force=True, **kw)
     assert not forced.cached
-    assert np.array_equal(first.factor.packed, forced.factor.packed)
+    assert same_bits(first.factor, forced.factor)
 
     bypass_root = tmp_path / "empty"
     bypass = FactorCache(root=bypass_root)
@@ -248,8 +313,7 @@ def test_corrupt_artifact_is_a_miss(tmp_path, corruption):
     assert cache.entries() == [] and cache.count() == 0 and cache.total_bytes() == 0
     again = cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4())
     assert not again.cached  # recomputed, not served corrupt bits
-    for name in ("packed", "permuted", "perm"):
-        assert np.array_equal(getattr(again.factor, name), getattr(fetch.factor, name))
+    assert same_bits(again.factor, fetch.factor)
     assert cache.fetch_or_factor(kind="randn", n=32, seed=0, config=p4()).cached
 
 
@@ -318,7 +382,7 @@ def test_artifact_with_a_kernel_tier_field_still_loads(tmp_path):
             np.savez(fh, **arrays)
         loaded = cache.load(fetch.key)
         assert loaded is not None and identity(loaded) == identity(fetch.factor)
-        assert np.array_equal(loaded.packed, fetch.factor.packed)
+        assert same_bits(loaded, fetch.factor)
 
 
 # --------------------------------------------------------------- single-flight
@@ -356,4 +420,4 @@ def test_fetch_or_factor_is_single_flight(tmp_path, monkeypatch):
     assert sum(1 for r in results if r.cached) == 3
     first = results[0].factor
     for r in results[1:]:
-        assert np.array_equal(r.factor.packed, first.packed)
+        assert same_bits(r.factor, first)

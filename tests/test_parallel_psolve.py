@@ -291,10 +291,12 @@ def test_pdgesv_solve_bit_identical_to_cold_pdgesv(n, b, pr, pc, nrhs, scheduler
         assert cold.trace.total_messages == warm.trace.total_messages
         assert cold.trace.total_words == warm.trace.total_words
         assert cold.trace.critical_path_time == warm.trace.critical_path_time
-    # A cold pdgesv carries its factor artifact; the reused factor packs
-    # the same bits.
+    # A cold pdgesv carries its factor artifact; the reused factor holds
+    # the same bits in every piece.
     assert cold.factor is not None
-    assert np.array_equal(cold.factor.packed, factor.packed)
+    for r in range(pr * pc):
+        assert np.array_equal(cold.factor.lu[r], factor.lu[r])
+        assert np.array_equal(cold.factor.pa[r], factor.pa[r])
     assert np.array_equal(cold.factor.perm, factor.perm)
 
 
@@ -396,10 +398,13 @@ def test_pdtrsv_zero_rhs_columns(scheduler):
 
 # ------------------------------------------------------------------- memory
 def test_pdgesv_result_retains_one_factor_representation():
-    """What ``pdgesv`` hands back holds the factorization once — the packed
-    factors (shared by ``result.factor`` and ``result.factorization``) and
-    ``P A`` for refinement — not dense ``L`` and ``U``, their re-packing and
-    the per-rank blocks besides: at most 3 n^2 doubles (it used to be 5.5)."""
+    """What ``pdgesv`` hands back holds the factorization once — the ranks'
+    packed-factor pieces (shared by ``result.factor`` and
+    ``result.factorization``) and ``P A``'s pieces for refinement — not a
+    gathered copy, dense ``L`` and ``U`` or their re-packing: at most 3 n^2
+    doubles (it used to be 5.5).  No global copy is formed on the way
+    either: the peak stays within 3.5 n^2 doubles (5.09 when the factor was
+    gathered and re-scattered)."""
     import gc
     import tracemalloc
 
@@ -413,12 +418,40 @@ def test_pdgesv_result_retains_one_factor_representation():
         before = tracemalloc.get_traced_memory()[0]
         res = pdgesv(A, rhs, config=config)
         gc.collect()
-        retained = tracemalloc.get_traced_memory()[0] - before
+        retained, peak = (m - before for m in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    assert res.factor.packed is res.factorization.packed
+    assert res.factor.lu is res.factorization.pieces
     assert not any("Aloc" in r for r in res.factorization.trace.results)
     assert retained <= 3 * n * n * 8, f"{retained / (8 * n * n):.2f} n^2 doubles"
+    assert peak <= 3.5 * n * n * 8, f"peak {peak / (8 * n * n):.2f} n^2 doubles"
     # ... and the factors are still there for whoever asks.
     fact = res.factorization
     assert np.allclose(A[fact.perm], fact.L @ fact.U, atol=1e-10)
+
+
+def test_pdgesv_gathers_nothing_and_scatters_only_a(layout_calls):
+    """The factor stays in the block-cyclic layout from factorization to
+    solve: ``A`` is scattered once and nothing is gathered."""
+    A, _, rhs = _system(30, 2, seed=2)
+    res = pdgesv(A, rhs, cfg(2, 3, 7))
+    assert layout_calls == {"scatter": 1, "gather": 0}
+    assert np.allclose(A @ res.x, rhs, atol=1e-12)
+
+
+def test_factor_pieces_are_read_only():
+    """One factor serves every solve, so an in-place write into any of its
+    pieces raises instead of corrupting the next solve."""
+    from repro.parallel import pcalu_factor, pdgesv_solve
+
+    A, _, rhs = _system(32, 1, seed=6)
+    factor = pcalu_factor(A, cfg(2, 2, 8))
+    before = pdgesv_solve(factor, rhs, cfg(2, 2, 8))
+    for pieces in (factor.lu, factor.pa):
+        for piece in pieces.values():
+            with pytest.raises(ValueError, match="read-only"):
+                piece[0, 0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                piece += 0.0
+    after = pdgesv_solve(factor, rhs, cfg(2, 2, 8))
+    assert np.array_equal(before.x, after.x)

